@@ -30,12 +30,10 @@ from .graph import (
 )
 from .matching import (
     ReferencePatches,
-    TemporalMatch,
     match_patches,
     patch_distance,
     point_correspondence,
     prepare_reference,
-    temporal_match,
     variation_measure,
 )
 from .metrics import FrameMetrics, MetricsReport, add_gaussian_noise, gpsnr, mse_index, mse_nn
@@ -53,7 +51,6 @@ from .patches import Patch, PatchSet, build_patches, patch_epsilon, relative_coo
 from .stgraph import (
     TemporalWeights,
     initial_spatial_weights,
-    reorder_matched_patch,
     row_features,
     spatial_connectivity,
     temporal_weight_init,
@@ -78,7 +75,6 @@ __all__ = [
     "SolverError",
     "SparseGraph",
     "SyntheticSpec",
-    "TemporalMatch",
     "TemporalWeights",
     "add_gaussian_noise",
     "apply_rw",
@@ -108,13 +104,11 @@ __all__ = [
     "prepare_reference",
     "random_walk_laplacian",
     "relative_coords",
-    "reorder_matched_patch",
     "row_features",
     "sample_gaussian_bump",
     "solve_point_cloud",
     "solve_temporal_weights",
     "spatial_connectivity",
-    "temporal_match",
     "temporal_weight_init",
     "weighted_spatial_graph",
 ]

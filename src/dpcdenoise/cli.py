@@ -203,12 +203,11 @@ def _cmd_match(args) -> int:
     prev_patches = build_patches(prev_frame, config.patch_count(len(prev)), k_eff, config.seed)
     curr_patches = build_patches(curr_frame, config.patch_count(len(curr)), k_eff, config.seed)
     reference = prepare_reference(prev_frame, prev_patches, config.c)
-    matches = match_patches(curr_frame, curr_patches, reference, config.xi,
-                            config.alpha, config.c)
+    matched, distance, _ = match_patches(curr_frame, curr_patches, reference, config.xi,
+                                         config.alpha, config.c)
     lines = ["target_patch,matched_patch,distance,weight"]
-    for m in matches:
-        lines.append(f"{m.target_patch},{m.matched_patch},{m.distance:.9g},"
-                     f"{_csv_value(math.exp(-m.distance))}")
+    for target, (best, dist) in enumerate(zip(matched.tolist(), distance.tolist())):
+        lines.append(f"{target},{best},{dist:.9g},{_csv_value(math.exp(-dist))}")
     text = "\n".join(lines) + "\n"
     if args.out:
         args.out.write_text(text)

@@ -123,8 +123,40 @@ def _sorted_candidates(index: NeighborIndex, query: np.ndarray, k_hint: int):
     # resolve order with exactly recomputed distances.
     cand = np.asarray(index.tree.query_ball_point(query, r=radius * (1.0 + 1e-12) + 1e-300), dtype=np.int64)
     d = np.sqrt(np.sum((index.points[cand] - query) ** 2, axis=1))
-    order = np.lexsort((cand, d))
-    return cand[order], d[order]
+    return cand[np.lexsort((cand, d))]
+
+
+def knn_rows(index: NeighborIndex, queries, k: int, exclude=None) -> np.ndarray:
+    """Indices of the k nearest stored points to each query row, shape (q, k).
+
+    Each row agrees exactly with a brute-force scan: distances are
+    non-decreasing and exact ties are broken by ascending point index.
+    ``exclude`` optionally names, per row, one stored point to leave out.
+    One kd-tree query serves all rows; a row whose last kept and first
+    dropped exact distances tie within rounding is redone by an exact
+    radius search.
+    """
+    q = _as_points(queries, "queries")
+    n = len(index)
+    want = k if exclude is None else k + 1
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if want > n:
+        raise ValueError("k too large")
+    fetch = min(want + 1, n)
+    idx = index.tree.query(q, k=fetch)[1].reshape(q.shape[0], fetch)
+    d = np.sqrt(np.sum((index.points[idx] - q[:, None, :]) ** 2, axis=2))
+    order = np.lexsort((idx, d))
+    idx = np.take_along_axis(idx, order, axis=1)[:, :want]
+    if fetch > want:
+        d = np.take_along_axis(d, order, axis=1)
+        for r in np.flatnonzero(d[:, want] <= d[:, want - 1] * (1.0 + 1e-12)):
+            idx[r] = _sorted_candidates(index, q[r], want)[:want]
+    if exclude is not None:
+        # A stable sort moves the excluded point, if present, behind the rest.
+        dropped = idx == np.asarray(exclude, dtype=np.int64).reshape(-1, 1)
+        idx = np.take_along_axis(idx, np.argsort(dropped, axis=1, kind="stable"), axis=1)
+    return np.ascontiguousarray(idx[:, :k])
 
 
 def knn(index: NeighborIndex, query, k: int, exclude_self: bool = False) -> np.ndarray:
@@ -135,37 +167,21 @@ def knn(index: NeighborIndex, query, k: int, exclude_self: bool = False) -> np.n
     whose position equals ``query`` is omitted (the query must then be
     a stored point).
     """
-    q = np.asarray(query, dtype=np.float64).reshape(3)
-    n = len(index)
-    exclude = -1
+    q = np.asarray(query, dtype=np.float64).reshape(1, 3)
+    exclude = None
     if exclude_self:
         hits = np.flatnonzero(np.all(index.points == q, axis=1))
         if hits.size == 0:
             raise ValueError("exclude_self requires the query to be a stored point")
-        exclude = int(hits[0])
-    available = n - (1 if exclude >= 0 else 0)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > available:
-        raise ValueError("k too large")
-    cand, _ = _sorted_candidates(index, q, k + (1 if exclude >= 0 else 0))
-    if exclude >= 0:
-        cand = cand[cand != exclude]
-    return cand[:k].copy()
+        exclude = hits[:1]
+    return knn_rows(index, q, k, exclude)[0]
 
 
 def knn_point(index: NeighborIndex, i: int, k: int) -> np.ndarray:
     """k nearest neighbors of stored point ``i``, excluding ``i`` itself."""
-    n = len(index)
-    if not 0 <= i < n:
+    if not 0 <= i < len(index):
         raise ValueError("point index out of range")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > n - 1:
-        raise ValueError("k too large")
-    cand, _ = _sorted_candidates(index, index.points[i], k + 1)
-    cand = cand[cand != i]
-    return cand[:k].copy()
+    return knn_rows(index, index.points[i : i + 1], k, np.array([i]))[0]
 
 
 def radius_neighbors(index: NeighborIndex, query, radius: float) -> np.ndarray:

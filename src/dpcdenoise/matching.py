@@ -6,35 +6,79 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Frame, NeighborIndex, knn
-from .graph import apply_rw, build_epsilon_graph, random_walk_laplacian
-from .patches import Patch, PatchSet, all_relative_coords, patch_epsilon, relative_coords
+from .geometry import Frame, NeighborIndex, knn_rows
+from .patches import (
+    PATCH_BLOCK,
+    Patch,
+    PatchSet,
+    all_relative_coords,
+    member_distances,
+    patch_epsilons,
+)
 
 
-def variation_rows(points: np.ndarray, normals: np.ndarray, epsilon: float) -> np.ndarray:
-    """Degree-normalized variation of the normal field at each point.
+def _variation_rows(dist: np.ndarray, normals: np.ndarray, epsilon: np.ndarray) -> np.ndarray:
+    """Random-walk Laplacian of each patch's epsilon graph applied to its normals.
 
-    Builds the epsilon-neighborhood graph over ``points`` and applies
-    its random-walk Laplacian to the normal coordinates; row i holds
-    the per-axis variation around point i. Points without neighbors
-    contribute zero rows.
+    ``dist`` is (b, s, s), ``normals`` (b, s, 3) and ``epsilon`` (b,).
+    Members closer than epsilon are joined by unit edges; row i of a
+    patch is n_i minus the mean normal of i's neighbors, and zero when i
+    has none. Terms are added in ascending member order, as a sparse
+    row-times-vector product adds them, so results match it bit for bit.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    if not np.all(np.isfinite(epsilon)):
+        raise ValueError("epsilon must be finite")
+    if np.any(epsilon <= 0):
+        raise ValueError("epsilon must be > 0")
+    size = dist.shape[1]
+    eye = np.eye(size, dtype=bool)
+    adjacent = (dist < epsilon[:, None, None]) & ~eye
+    deg = np.count_nonzero(adjacent, axis=2)
+    with np.errstate(divide="ignore"):
+        coef = np.where(adjacent, -1.0 / deg[:, :, None], 0.0)
+    coef[:, eye] = deg > 0
+    rows = np.zeros(normals.shape)
+    for j in range(size):
+        rows += coef[:, :, j, None] * normals[:, None, j, :]
+    return rows
+
+
+def patch_variations(
+    positions: np.ndarray, normals: np.ndarray, members: np.ndarray, c: float = 5.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Epsilon, variation rows and variation vector of every patch.
+
+    ``members`` is the (m, k+1) patch index matrix. Returns the (m,)
+    graph radii (see :func:`~dpcdenoise.patches.patch_epsilon`), the
+    (m, k+1, 3) per-point variation rows of each patch's normals, and
+    the (m, 3) per-axis mean absolute variation.
+    """
+    pts = np.asarray(positions, dtype=np.float64)
     nrm = np.asarray(normals, dtype=np.float64)
+    members = np.asarray(members, dtype=np.int64)
     if pts.shape != nrm.shape:
         raise ValueError("points and normals must have the same shape")
-    lap = random_walk_laplacian(build_epsilon_graph(pts, epsilon))
-    return apply_rw(lap, nrm)
+    if members.shape[1] < 2:
+        raise ValueError("patch needs at least two members")
+    eps = np.empty(members.shape[0])
+    rows = np.empty(members.shape + (3,))
+    for start in range(0, members.shape[0], PATCH_BLOCK):
+        part = slice(start, start + PATCH_BLOCK)
+        dist = member_distances(pts[members[part]])
+        eps[part] = patch_epsilons(dist, c)
+        rows[part] = _variation_rows(dist, nrm[members[part]], eps[part])
+    return eps, rows, np.mean(np.abs(rows), axis=1)
 
 
 def variation_measure(
     patch: Patch, positions: np.ndarray, normals: np.ndarray, epsilon: float
 ) -> np.ndarray:
     """Per-axis total variation of a patch's normals, as a 3-vector."""
-    pts = np.asarray(positions, dtype=np.float64)[patch.member_indices]
-    nrm = np.asarray(normals, dtype=np.float64)[patch.member_indices]
-    rows = variation_rows(pts, nrm, epsilon)
-    return np.mean(np.abs(rows), axis=0)
+    idx = patch.member_indices
+    pts = np.asarray(positions, dtype=np.float64)[idx][None]
+    nrm = np.asarray(normals, dtype=np.float64)[idx][None]
+    rows = _variation_rows(member_distances(pts), nrm, np.array([float(epsilon)]))
+    return np.mean(np.abs(rows[0]), axis=0)
 
 
 def patch_distance(va: np.ndarray, vb: np.ndarray) -> float:
@@ -57,7 +101,8 @@ def point_correspondence(
     The per-pair cost blends squared variation difference (weight
     ``alpha``) and squared relative-coordinate difference (weight
     ``1 - alpha``); ties go to the lowest index. The map may be
-    many-to-one.
+    many-to-one. Inputs are (s, 3) for one patch pair or (b, s, 3) for
+    b pairs at once.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
@@ -68,29 +113,12 @@ def point_correspondence(
     if rt.shape != rm.shape or vt.shape != vm.shape or rt.shape != vt.shape:
         raise ValueError("both patches must have the same size")
     cost = alpha * _sq_dists(rt, rm) + (1.0 - alpha) * _sq_dists(vt, vm)
-    return np.argmin(cost, axis=1).astype(np.int64)
+    return np.argmin(cost, axis=-1).astype(np.int64)
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sum(diff * diff, axis=2)
-
-
-@dataclass(frozen=True)
-class TemporalMatch:
-    """One matched patch pair across adjacent frames."""
-
-    target_patch: int
-    matched_patch: int
-    distance: float
-    point_map: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.distance < 0:
-            raise ValueError("distance must be >= 0")
-        pm = np.ascontiguousarray(np.asarray(self.point_map, dtype=np.int64))
-        pm.flags.writeable = False
-        object.__setattr__(self, "point_map", pm)
+    diff = a[..., :, None, :] - b[..., None, :, :]
+    return np.sum(diff * diff, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -109,87 +137,25 @@ class ReferencePatches:
 
 
 def prepare_reference(frame: Frame, patchset: PatchSet, c: float = 5.0) -> ReferencePatches:
-    """Compute per-patch variation data for a frame used as matching reference."""
+    """Compute the matching data of every patch of a reference frame at once.
+
+    Holds, indexed like ``patchset.members``, the (m, k+1, 3)
+    center-relative coordinates and variation rows, the (m, 3)
+    variation vectors, and a neighbor index over the patch centers.
+    """
     if frame.normals is None:
         raise ValueError("reference frame needs normals")
     if len(patchset) < 1:
         raise ValueError("reference patch set is empty")
     positions = frame.positions
-    normals = frame.normals
-    rel = all_relative_coords(patchset, positions)
-    m, size, _ = rel.shape
-    var_rows = np.empty_like(rel)
-    variations = np.empty((m, 3))
-    for l in range(m):
-        idx = patchset.members[l]
-        eps = patch_epsilon(patchset.patch(l), positions, c)
-        rows = variation_rows(positions[idx], normals[idx], eps)
-        var_rows[l] = rows
-        variations[l] = np.mean(np.abs(rows), axis=0)
-    centers = NeighborIndex.from_points(positions[patchset.center_indices])
+    _, var_rows, variations = patch_variations(positions, frame.normals, patchset.members, c)
     return ReferencePatches(
         frame=frame,
         patchset=patchset,
-        rel=rel,
+        rel=all_relative_coords(patchset, positions),
         var_rows=var_rows,
         variations=variations,
-        center_index=centers,
-    )
-
-
-def temporal_match(
-    target: Patch,
-    target_frame: Frame,
-    reference: ReferencePatches,
-    xi: int,
-    alpha: float = 0.5,
-    c: float = 5.0,
-    target_id: int = 0,
-) -> TemporalMatch:
-    """Match one target patch against the reference frame's patches.
-
-    Candidates are the reference patches whose centers are the ``xi``
-    nearest to the target's center; the one with the smallest variation
-    distance wins, ties broken by ascending patch index. The per-point
-    map is then computed by :func:`point_correspondence`.
-    ``target_id`` is the patch's index within the caller's patch set.
-    """
-    if target_frame.normals is None:
-        raise ValueError("target frame needs normals")
-    if xi < 1:
-        raise ValueError("xi must be >= 1")
-    positions = target_frame.positions
-    idx = target.member_indices
-    eps = patch_epsilon(target, positions, c)
-    rows_t = variation_rows(positions[idx], target_frame.normals[idx], eps)
-    v_t = np.mean(np.abs(rows_t), axis=0)
-    rel_t = relative_coords(target, positions)
-    center = positions[target.center_index]
-    return _match_prepared(target_id, center, rows_t, v_t, rel_t, reference, xi, alpha)
-
-
-def _match_prepared(
-    target_id: int,
-    center: np.ndarray,
-    rows_t: np.ndarray,
-    v_t: np.ndarray,
-    rel_t: np.ndarray,
-    reference: ReferencePatches,
-    xi: int,
-    alpha: float,
-) -> TemporalMatch:
-    cand = knn(reference.center_index, center, min(xi, len(reference)))
-    gaps = reference.variations[cand] - v_t
-    dists = np.sqrt(np.sum(gaps * gaps, axis=1))
-    best = int(cand[np.lexsort((cand, dists))[0]])
-    point_map = point_correspondence(
-        rows_t, reference.var_rows[best], rel_t, reference.rel[best], alpha
-    )
-    return TemporalMatch(
-        target_patch=target_id,
-        matched_patch=best,
-        distance=float(np.min(dists)),
-        point_map=point_map,
+        center_index=NeighborIndex.from_points(positions[patchset.center_indices]),
     )
 
 
@@ -200,26 +166,34 @@ def match_patches(
     xi: int,
     alpha: float = 0.5,
     c: float = 5.0,
-) -> list:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Match every patch of ``patchset`` against the reference frame.
 
-    Returns one :class:`TemporalMatch` per target patch, in patch order;
-    ``target_patch`` is the patch's index within ``patchset``.
+    Candidates for target patch l are the reference patches whose
+    centers are the ``xi`` nearest to l's center; the one with the
+    smallest variation distance wins, ties broken by ascending patch
+    index. Returns arrays indexed by target patch: the (m,) matched
+    reference patch, the (m,) variation distance to it, and the
+    (m, k+1) point map from :func:`point_correspondence`.
     """
     if frame.normals is None:
         raise ValueError("target frame needs normals")
+    if xi < 1:
+        raise ValueError("xi must be >= 1")
     positions = frame.positions
-    normals = frame.normals
+    _, rows, variations = patch_variations(positions, frame.normals, patchset.members, c)
     rel = all_relative_coords(patchset, positions)
-    matches = []
-    for l in range(len(patchset)):
-        patch = patchset.patch(l)
-        idx = patchset.members[l]
-        eps = patch_epsilon(patch, positions, c)
-        rows_t = variation_rows(positions[idx], normals[idx], eps)
-        v_t = np.mean(np.abs(rows_t), axis=0)
-        center = positions[patch.center_index]
-        matches.append(
-            _match_prepared(l, center, rows_t, v_t, rel[l], reference, xi, alpha)
+    cand = knn_rows(reference.center_index, positions[patchset.center_indices],
+                    min(xi, len(reference)))
+    gaps = reference.variations[cand] - variations[:, None, :]
+    dists = np.sqrt(np.sum(gaps * gaps, axis=2))
+    distance = np.min(dists, axis=1)
+    matched = np.min(np.where(dists == distance[:, None], cand, len(reference)), axis=1)
+    point_map = np.empty(patchset.members.shape, dtype=np.int64)
+    for start in range(0, len(patchset), PATCH_BLOCK):
+        part = slice(start, start + PATCH_BLOCK)
+        best = matched[part]
+        point_map[part] = point_correspondence(
+            rows[part], reference.var_rows[best], rel[part], reference.rel[best], alpha
         )
-    return matches
+    return matched, distance, point_map

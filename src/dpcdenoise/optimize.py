@@ -17,7 +17,6 @@ from .patches import all_relative_coords, build_patches
 from .stgraph import (
     TemporalWeights,
     initial_spatial_weights,
-    reorder_matched_patch,
     row_features,
     spatial_connectivity,
     temporal_weight_init,
@@ -370,13 +369,12 @@ def denoise_frame(
         d_vec = None
         if reference is not None:
             try:
-                matches = match_patches(est, patchset, reference, config.xi, config.alpha, config.c)
+                matched, match_dist, point_map = match_patches(
+                    est, patchset, reference, config.xi, config.alpha, config.c)
             except ValueError as exc:
                 raise SolverError(f"temporal matching failed at outer iteration {it}: {exc}",
                                   iteration=it) from exc
-            prev_aligned = np.concatenate(
-                [reorder_matched_patch(mt, reference.rel[mt.matched_patch]) for mt in matches]
-            )
+            prev_aligned = reference.rel[matched[:, None], point_map].reshape(-1, 3)
             gaps = (p_rows - prev_aligned).reshape(m, k_eff + 1, 3)
             d_vec = np.sum(gaps * gaps, axis=(1, 2))
 
@@ -390,7 +388,7 @@ def denoise_frame(
         try:
             if it == 0:
                 if reference is not None:
-                    w_rows = temporal_weight_init(matches, k_eff).expand()
+                    w_rows = temporal_weight_init(match_dist, k_eff).expand()
                 graph = initial_spatial_weights(pairs, feats) if pairs.size else None
             else:
                 if reference is not None:

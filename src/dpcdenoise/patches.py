@@ -6,7 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Frame, build_neighbor_index, farthest_point_sampling, knn_point
+from .geometry import Frame, build_neighbor_index, farthest_point_sampling, knn_rows
+
+# Patches per step of the batched passes; bounds their (block, k+1, k+1, 3) temporaries.
+PATCH_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,6 @@ class PatchSet:
     def patch(self, l: int) -> Patch:
         return Patch(int(self.members[l, 0]), self.members[l])
 
-    @property
-    def patches(self) -> list:
-        return [self.patch(l) for l in range(len(self))]
-
 
 def build_patches(frame: Frame, m: int, k: int, seed: int) -> PatchSet:
     """Decompose a frame into ``m`` patches of ``k+1`` points each."""
@@ -82,8 +81,7 @@ def build_patches(frame: Frame, m: int, k: int, seed: int) -> PatchSet:
     index = build_neighbor_index(frame)
     members = np.empty((m, k + 1), dtype=np.int64)
     members[:, 0] = centers
-    for row, center in enumerate(centers):
-        members[row, 1:] = knn_point(index, int(center), k)
+    members[:, 1:] = knn_rows(index, frame.positions[centers], k, exclude=centers)
     return PatchSet(members=members, k=k, frame=frame)
 
 
@@ -109,11 +107,17 @@ def patch_epsilon(patch: Patch, positions: np.ndarray, c: float = 5.0) -> float:
     if len(patch) < 2:
         raise ValueError("patch needs at least two members")
     pts = np.asarray(positions, dtype=np.float64)[patch.member_indices]
-    return c * _mean_nearest_distance(pts)
+    return float(patch_epsilons(member_distances(pts[None]), c)[0])
 
 
-def _mean_nearest_distance(pts: np.ndarray) -> float:
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    np.fill_diagonal(dist, np.inf)
-    return float(np.mean(np.min(dist, axis=1)))
+def member_distances(pts: np.ndarray) -> np.ndarray:
+    """Pairwise distances within each patch: (b, s, 3) points to (b, s, s)."""
+    diff = pts[:, :, None, :] - pts[:, None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=3))
+
+
+def patch_epsilons(dist: np.ndarray, c: float) -> np.ndarray:
+    """Per-patch radius ``c`` times the mean nearest-member distance, from (b, s, s) distances."""
+    size = dist.shape[1]
+    nearest = np.min(np.where(np.eye(size, dtype=bool), np.inf, dist), axis=2)
+    return c * np.mean(nearest, axis=1)

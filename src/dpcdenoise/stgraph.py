@@ -12,39 +12,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NeighborIndex, knn_point
+from .geometry import NeighborIndex, knn_rows
 from .graph import SparseGraph
-from .matching import TemporalMatch
-from .patches import PatchSet, all_relative_coords
+from .patches import PATCH_BLOCK, PatchSet, all_relative_coords
 
 
 def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) -> np.ndarray:
     """Row-index pairs connecting adjacent patches.
 
     Patches are adjacent when either has the other among its ``k_s``
-    nearest patch centers. Between adjacent patches, every row connects
-    to the row of the other patch whose center-relative coordinates are
-    nearest (ties by ascending index). Duplicates are removed; the
-    result is an (e, 2) array with pair[0] < pair[1].
+    nearest patch centers; one batched k-NN query over the centers finds
+    them all. Between adjacent patches, every row connects to the row of
+    the other patch whose center-relative coordinates are nearest (ties
+    by ascending index), computed for blocks of patch pairs on the
+    (pairs, k+1, k+1) cost tensor. Duplicates are removed; the result is
+    an (e, 2) array with pair[0] < pair[1], sorted.
     """
     m = len(patchset)
     if k_s >= m:
         raise ValueError("k_s must be < patch count")
     pts = np.asarray(positions, dtype=np.float64)
     centers = NeighborIndex.from_points(pts[patchset.center_indices])
-    adjacent = set()
-    for l in range(m):
-        for nb in knn_point(centers, l, k_s):
-            adjacent.add((min(l, int(nb)), max(l, int(nb))))
-    if not adjacent:
-        return np.empty((0, 2), dtype=np.int64)
-    adj = np.array(sorted(adjacent), dtype=np.int64)
+    near = knn_rows(centers, centers.points, k_s, exclude=np.arange(m))
+    own = np.repeat(np.arange(m), k_s)
+    adjacent = np.unique(np.minimum(own, near.ravel()) * m + np.maximum(own, near.ravel()))
+    adj = np.column_stack([adjacent // m, adjacent % m])
     rel = all_relative_coords(patchset, pts)
     size = patchset.k + 1
     slots = np.arange(size, dtype=np.int64)
     pairs = []
-    for start in range(0, adj.shape[0], 256):
-        block = adj[start : start + 256]
+    for start in range(0, adj.shape[0], PATCH_BLOCK):
+        block = adj[start : start + PATCH_BLOCK]
         diff = rel[block[:, 0]][:, :, None, :] - rel[block[:, 1]][:, None, :, :]
         cost = np.sum(diff * diff, axis=3)                  # (b, size, size)
         rows_l = block[:, 0:1] * size + slots               # (b, size)
@@ -128,18 +126,6 @@ class TemporalWeights:
         return np.repeat(self.w, self.k + 1)
 
 
-def temporal_weight_init(matches: list, k: int) -> TemporalWeights:
+def temporal_weight_init(distance: np.ndarray, k: int) -> TemporalWeights:
     """Initial patch weights: exp(-distance) per matched pair."""
-    if not matches:
-        raise ValueError("need at least one match")
-    d = np.array([m.distance for m in matches], dtype=np.float64)
-    return TemporalWeights(w=np.exp(-d), k=k)
-
-
-def reorder_matched_patch(match: TemporalMatch, prev_relative: np.ndarray) -> np.ndarray:
-    """Align a matched patch's rows to the target's slots via the point map."""
-    prev = np.asarray(prev_relative, dtype=np.float64)
-    pm = match.point_map
-    if pm.size != prev.shape[0] or np.any(pm < 0) or np.any(pm >= prev.shape[0]):
-        raise ValueError("point map does not fit the matched patch")
-    return prev[pm]
+    return TemporalWeights(w=np.exp(-np.asarray(distance, dtype=np.float64)), k=k)

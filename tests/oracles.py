@@ -19,6 +19,18 @@ def brute_knn(points, query, k, exclude=None):
     return order[:k]
 
 
+def variation_rows(points, normals, epsilon):
+    """Per-patch variation rows: the epsilon graph's random-walk Laplacian on the normals.
+
+    Builds one kd-tree epsilon graph and one sparse Laplacian per call;
+    the batched passes in ``dpcdenoise.matching`` must match it bit for bit.
+    """
+    from dpcdenoise.graph import apply_rw, build_epsilon_graph, random_walk_laplacian
+
+    lap = random_walk_laplacian(build_epsilon_graph(np.asarray(points, dtype=np.float64), epsilon))
+    return apply_rw(lap, np.asarray(normals, dtype=np.float64))
+
+
 def dense_laplacians(graph):
     """Dense adjacency, combinatorial Laplacian, random-walk Laplacian."""
     n = graph.node_count

@@ -84,7 +84,7 @@ def test_criterion_1_property1_plane():
     patches_b = build_patches(frame_b, 200, 30, seed=11)
     reference = prepare_reference(frame_a, patches_a)
     matches = match_patches(frame_b, patches_b, reference, xi=10)
-    worst_same = max(m.distance for m in matches)
+    worst_same = max(matches[1])
 
     theta = 0.8
     rot = np.array(
@@ -97,7 +97,7 @@ def test_criterion_1_property1_plane():
     frame_c = plane_frame(400, seed=3, transform=(rot, np.array([2.0, -1.0, 0.5])))
     patches_c = build_patches(frame_c, 200, 30, seed=12)
     matches_rigid = match_patches(frame_c, patches_c, reference, xi=10)
-    worst_rigid = max(m.distance for m in matches_rigid)
+    worst_rigid = max(matches_rigid[1])
     elapsed = time.perf_counter() - start
 
     ok = worst_same <= 1e-9 and worst_rigid <= 1e-6 and elapsed < 5.0

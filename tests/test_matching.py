@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import variation_rows
 
 from dpcdenoise.geometry import Frame, estimate_normals
 from dpcdenoise.matching import (
@@ -7,9 +8,7 @@ from dpcdenoise.matching import (
     patch_distance,
     point_correspondence,
     prepare_reference,
-    temporal_match,
     variation_measure,
-    variation_rows,
 )
 from dpcdenoise.patches import Patch, build_patches, patch_epsilon
 from dpcdenoise.synthetic import SyntheticSpec, generate_sequence, sample_gaussian_bump
@@ -146,10 +145,13 @@ class TestTemporalMatch:
         )
         frame, _ = estimate_normals(seq.frames[0], 10)
         ps, ref = build_reference(frame, 40, 12, seed=9)
-        matches = match_patches(frame, ps, ref, xi=5)
-        for m in matches:
-            assert m.matched_patch == m.target_patch
-            assert m.distance == 0.0
+        matched, distance, point_map = match_patches(frame, ps, ref, xi=5)
+        # Row l of each array belongs to target patch l.
+        assert matched.shape == distance.shape == (40,)
+        assert matched.tolist() == list(range(40))
+        assert np.all(distance == 0.0)
+        assert point_map.shape == (40, 13) and point_map.dtype == np.int64
+        assert np.array_equal(point_map, np.tile(np.arange(13), (40, 1)))
 
     def test_plane_resamplings_distance_zero(self):
         specs = [
@@ -159,9 +161,8 @@ class TestTemporalMatch:
         frames = [estimate_normals(f, 10)[0] for f in frames]
         prev_ps, ref = build_reference(frames[0], 30, 10, seed=3)
         curr_ps = build_patches(frames[1], 30, 10, seed=4)
-        matches = match_patches(frames[1], curr_ps, ref, xi=5)
-        for m in matches:
-            assert m.distance <= 1e-9
+        _, distance, _ = match_patches(frames[1], curr_ps, ref, xi=5)
+        assert np.all(distance <= 1e-9)
 
     def test_xi_equals_m_is_global_search(self):
         rng = np.random.default_rng(11)
@@ -171,10 +172,10 @@ class TestTemporalMatch:
         curr, _ = estimate_normals(Frame(curr_pts), 8)
         prev_ps, ref = build_reference(prev, 25, 8, seed=1)
         curr_ps = build_patches(curr, 25, 8, seed=2)
-        matches = match_patches(curr, curr_ps, ref, xi=25)
+        matched, distance, _ = match_patches(curr, curr_ps, ref, xi=25)
         # Brute-force global minimum over all reference patches.
-        for m in matches:
-            target = curr_ps.patch(m.target_patch)
+        for l in range(25):
+            target = curr_ps.patch(l)
             eps = patch_epsilon(target, curr.positions, 5.0)
             rows = variation_rows(
                 curr.positions[target.member_indices],
@@ -184,20 +185,8 @@ class TestTemporalMatch:
             v_t = np.mean(np.abs(rows), axis=0)
             dists = [patch_distance(v_t, ref.variations[j]) for j in range(25)]
             best = int(np.lexsort((np.arange(25), np.asarray(dists)))[0])
-            assert m.matched_patch == best
-            assert m.distance == pytest.approx(min(dists), abs=1e-12)
-
-    def test_single_patch_api(self):
-        seq = generate_sequence(
-            SyntheticSpec("sinusoid-sheet", n_points=200, n_frames=1,
-                          amplitude=0.15, phase_step=0.0, seed=8)
-        )
-        frame, _ = estimate_normals(seq.frames[0], 10)
-        ps, ref = build_reference(frame, 20, 10, seed=2)
-        m = temporal_match(ps.patch(3), frame, ref, xi=4, target_id=3)
-        assert m.target_patch == 3
-        assert m.matched_patch == 3
-        assert m.point_map.shape == (11,)
+            assert matched[l] == best
+            assert distance[l] == pytest.approx(min(dists), abs=1e-12)
 
 
 class TestDistanceProperties:

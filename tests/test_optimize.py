@@ -326,6 +326,44 @@ class TestDenoiseFrame:
         out_b, _ = denoise_frame(noisy, ref_b, cfg)
         assert np.array_equal(out_a.positions, out_b.positions)
 
+    @pytest.mark.parametrize("kind", ["identity", "zeros", "random"])
+    def test_reference_rows_follow_point_map(self, kind, monkeypatch):
+        # The temporal term compares patch row (l, i) with row point_map[l, i]
+        # of the matched reference patch matched[l].
+        import dpcdenoise.optimize as opt
+
+        seq = small_sequence(2)
+        cfg = small_config(outer_max_iters=1)
+        ref_frame, _ = estimate_normals(seq.frames[0], cfg.k_plane)
+        rng = np.random.default_rng(21)
+        seen = {}
+
+        def match(frame, patchset, reference, *args):
+            matched, distance, point_map = real_match(frame, patchset, reference, *args)
+            if kind == "zeros":
+                point_map = np.zeros_like(point_map)
+            elif kind == "random":
+                point_map = rng.integers(0, point_map.shape[1], point_map.shape)
+            else:
+                point_map = np.tile(np.arange(point_map.shape[1]), (len(matched), 1))
+            seen.update(rel=reference.rel, matched=matched, point_map=point_map)
+            return matched, distance, point_map
+
+        def solve(u_hat, members, anchor_rows, prev_aligned, *args):
+            seen["prev_aligned"] = prev_aligned
+            return real_solve(u_hat, members, anchor_rows, prev_aligned, *args)
+
+        real_match, real_solve = opt.match_patches, opt.solve_point_cloud
+        monkeypatch.setattr(opt, "match_patches", match)
+        monkeypatch.setattr(opt, "solve_point_cloud", solve)
+        denoise_frame(Frame(seq.frames[1].positions, frame_index=1), ref_frame, cfg)
+        size = seen["point_map"].shape[1]
+        for l, (best, pm) in enumerate(zip(seen["matched"], seen["point_map"])):
+            got = seen["prev_aligned"][l * size : (l + 1) * size]
+            assert np.array_equal(got, seen["rel"][best][pm])
+        if kind == "zeros":
+            assert np.array_equal(seen["prev_aligned"], np.zeros_like(seen["prev_aligned"]))
+
     def test_reports_solver_error_with_iteration(self):
         seq = small_sequence(1)
         noisy = Frame(seq.frames[0].positions +

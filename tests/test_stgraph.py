@@ -3,12 +3,10 @@ import pytest
 
 from dpcdenoise.geometry import Frame, estimate_normals
 from dpcdenoise.graph import combinatorial_laplacian
-from dpcdenoise.matching import TemporalMatch
 from dpcdenoise.patches import PatchSet, build_patches
 from dpcdenoise.stgraph import (
     TemporalWeights,
     initial_spatial_weights,
-    reorder_matched_patch,
     row_features,
     spatial_connectivity,
     temporal_weight_init,
@@ -133,24 +131,17 @@ class TestSpatialWeights:
 
 
 class TestTemporalWeights:
-    def _matches(self, dists):
-        return [
-            TemporalMatch(target_patch=i, matched_patch=i, distance=d,
-                          point_map=np.zeros(3, dtype=np.int64))
-            for i, d in enumerate(dists)
-        ]
-
     def test_distance_zero_gives_weight_one(self):
-        tw = temporal_weight_init(self._matches([0.0]), k=2)
+        tw = temporal_weight_init(np.array([0.0]), k=2)
         assert tw.w[0] == 1.0
 
     def test_distance_ln4_gives_quarter(self):
-        tw = temporal_weight_init(self._matches([np.log(4.0)]), k=2)
+        tw = temporal_weight_init(np.array([np.log(4.0)]), k=2)
         assert tw.w[0] == pytest.approx(0.25, rel=1e-12)
 
     def test_weights_in_unit_interval(self):
         rng = np.random.default_rng(6)
-        tw = temporal_weight_init(self._matches(rng.uniform(0, 50, 20).tolist()), k=2)
+        tw = temporal_weight_init(rng.uniform(0, 50, 20), k=2)
         assert np.all(tw.w > 0) and np.all(tw.w <= 1)
 
     def test_expand_repeats_blockwise(self):
@@ -160,31 +151,6 @@ class TestTemporalWeights:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             TemporalWeights(w=np.array([1.5]), k=1)
-
-
-class TestReorderMatchedPatch:
-    def _match(self, point_map):
-        return TemporalMatch(target_patch=0, matched_patch=0, distance=0.0,
-                             point_map=np.asarray(point_map, dtype=np.int64))
-
-    def test_identity_map(self):
-        prev = np.random.default_rng(7).normal(size=(4, 3))
-        out = reorder_matched_patch(self._match([0, 1, 2, 3]), prev)
-        assert np.array_equal(out, prev)
-
-    def test_all_zero_map(self):
-        prev = np.random.default_rng(8).normal(size=(4, 3))
-        prev[0] = 0.0
-        out = reorder_matched_patch(self._match([0, 0, 0, 0]), prev)
-        assert np.array_equal(out, np.zeros((4, 3)))
-
-    def test_random_map_is_gather(self):
-        rng = np.random.default_rng(9)
-        prev = rng.normal(size=(6, 3))
-        pm = rng.integers(0, 6, size=6)
-        out = reorder_matched_patch(self._match(pm), prev)
-        for i in range(6):
-            assert np.array_equal(out[i], prev[pm[i]])
 
 
 class TestRowFeatures:
