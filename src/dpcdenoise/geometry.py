@@ -293,16 +293,24 @@ def farthest_point_sampling(frame: Frame, m: int, seed: int) -> np.ndarray:
     n = len(frame)
     if not 1 <= m <= n:
         raise ValueError("m must be in [1, n]")
-    rng = np.random.default_rng(seed)
-    first = int(rng.integers(n))
+    nxt = int(np.random.default_rng(seed).integers(n))
     chosen = np.empty(m, dtype=np.int64)
-    chosen[0] = first
     pts = frame.positions
-    min_sq = np.sum((pts - pts[first]) ** 2, axis=1)
-    for t in range(1, m):
-        nxt = int(np.argmax(min_sq))  # argmax returns the first (lowest) index on ties
+    cols = np.ascontiguousarray(pts.T)  # (3, n): each coordinate contiguous
+    min_sq = np.full(n, np.inf)
+    sq = np.empty(n)
+    gap = np.empty(n)
+    for t in range(m):
         chosen[t] = nxt
-        np.minimum(min_sq, np.sum((pts - pts[nxt]) ** 2, axis=1), out=min_sq)
+        # dx*dx + dy*dy, then + dz*dz: the order np.sum adds a length-3 row in.
+        np.subtract(cols[0], pts[nxt, 0], out=sq)
+        np.multiply(sq, sq, out=sq)
+        for axis in (1, 2):
+            np.subtract(cols[axis], pts[nxt, axis], out=gap)
+            np.multiply(gap, gap, out=gap)
+            sq += gap
+        np.minimum(min_sq, sq, out=min_sq)
+        nxt = int(np.argmax(min_sq))  # argmax returns the first (lowest) index on ties
     return chosen
 
 

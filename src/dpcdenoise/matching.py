@@ -14,6 +14,7 @@ from .patches import (
     all_relative_coords,
     member_distances,
     patch_epsilons,
+    sq_dists,
 )
 
 
@@ -112,13 +113,8 @@ def point_correspondence(
     vm = np.asarray(rel_matched, dtype=np.float64)
     if rt.shape != rm.shape or vt.shape != vm.shape or rt.shape != vt.shape:
         raise ValueError("both patches must have the same size")
-    cost = alpha * _sq_dists(rt, rm) + (1.0 - alpha) * _sq_dists(vt, vm)
+    cost = alpha * sq_dists(rt, rm) + (1.0 - alpha) * sq_dists(vt, vm)
     return np.argmin(cost, axis=-1).astype(np.int64)
-
-
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[..., :, None, :] - b[..., None, :, :]
-    return np.sum(diff * diff, axis=-1)
 
 
 @dataclass(frozen=True)

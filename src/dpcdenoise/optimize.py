@@ -215,9 +215,11 @@ def metric_objective(factor: np.ndarray, diffs: np.ndarray, dsq: np.ndarray) -> 
 
 def _metric_gradient_from_terms(factor: np.ndarray, diffs: np.ndarray,
                                 terms: np.ndarray) -> np.ndarray:
-    # Fixed-order contraction: a BLAS matmul would split the pair axis
-    # across threads and make the reduction order thread-count-dependent.
-    gram = np.einsum("ei,e,ej->ij", diffs, terms, diffs, optimize=False)
+    # Fixed-order two-operand contraction, bit-equal to the three-operand
+    # einsum("ei,e,ej->ij") on (diffs, terms, diffs): each product is still
+    # (d_ei * t_e) * d_ej. A BLAS matmul would split the pair axis across
+    # threads and make the reduction order thread-count-dependent.
+    gram = np.einsum("ei,ej->ij", diffs * terms[:, None], diffs, optimize=False)
     return -2.0 * factor @ gram
 
 
@@ -310,7 +312,16 @@ def _fps_seed(base_seed: int, frame_index: int) -> int:
 
 
 def _build_reference(previous: Frame, config: DenoiseConfig, k_eff: int):
-    prev_frame, _ = estimate_normals(previous, min(config.k_plane, len(previous) - 1))
+    """Patches and variations of the previously denoised frame.
+
+    Uses ``previous.normals`` when present: :func:`denoise_sequence` hands
+    over the frame :func:`denoise_frame` returned, whose normals were
+    estimated from the same positions with the same ``k_plane``. Normals
+    are estimated only when ``previous.normals`` is None.
+    """
+    prev_frame = previous
+    if prev_frame.normals is None:
+        prev_frame, _ = estimate_normals(previous, min(config.k_plane, len(previous) - 1))
     m_prev = config.patch_count(len(previous))
     patchset = build_patches(prev_frame, m_prev, k_eff, _fps_seed(config.seed, previous.frame_index))
     return prepare_reference(prev_frame, patchset, config.c)

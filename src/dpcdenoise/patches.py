@@ -8,7 +8,7 @@ import numpy as np
 
 from .geometry import Frame, build_neighbor_index, farthest_point_sampling, knn_rows
 
-# Patches per step of the batched passes; bounds their (block, k+1, k+1, 3) temporaries.
+# Patches per step of the batched passes; bounds their (block, k+1, k+1) temporaries.
 PATCH_BLOCK = 256
 
 
@@ -112,8 +112,23 @@ def patch_epsilon(patch: Patch, positions: np.ndarray, c: float = 5.0) -> float:
 
 def member_distances(pts: np.ndarray) -> np.ndarray:
     """Pairwise distances within each patch: (b, s, 3) points to (b, s, s)."""
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=3))
+    return np.sqrt(sq_dists(pts, pts))
+
+
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances from (..., s, 3) points to (..., t, 3) points, shape (..., s, t).
+
+    Adds dx*dx, then dy*dy, then dz*dz in place: the order ``np.sum`` adds a
+    length-3 axis in, so the result equals ``np.sum(diff * diff, axis=-1)``
+    bit for bit without building the (..., s, t, 3) difference tensor.
+    """
+    out = a[..., :, None, 0] - b[..., None, :, 0]
+    out *= out
+    for axis in (1, 2):
+        d = a[..., :, None, axis] - b[..., None, :, axis]
+        d *= d
+        out += d
+    return out
 
 
 def patch_epsilons(dist: np.ndarray, c: float) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import NeighborIndex, knn_rows
 from .graph import SparseGraph
-from .patches import PATCH_BLOCK, PatchSet, all_relative_coords
+from .patches import PATCH_BLOCK, PatchSet, all_relative_coords, sq_dists
 
 
 def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) -> np.ndarray:
@@ -25,8 +25,8 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     them all. Between adjacent patches, every row connects to the row of
     the other patch whose center-relative coordinates are nearest (ties
     by ascending index), computed for blocks of patch pairs on the
-    (pairs, k+1, k+1) cost tensor. Duplicates are removed; the result is
-    an (e, 2) array with pair[0] < pair[1], sorted.
+    (pairs, k+1, k+1) cost tensor. The result is an (e, 2) array of
+    distinct pairs with pair[0] < pair[1], sorted.
     """
     m = len(patchset)
     if k_s >= m:
@@ -39,23 +39,25 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     adj = np.column_stack([adjacent // m, adjacent % m])
     rel = all_relative_coords(patchset, pts)
     size = patchset.k + 1
+    n_rows = m * size
     slots = np.arange(size, dtype=np.int64)
-    pairs = []
+    # Pair (l, m) has l < m, so each of its edges is (row of l, row of m) and
+    # has the scalar key row_l * n_rows + row_m. Edges of different patch
+    # pairs differ; within a pair, the forward edge of slot s and the
+    # backward edge of slot t coincide only when nl[t] = s and nm[s] = t,
+    # so mutual backward edges are dropped and every key is distinct.
+    keys = []
     for start in range(0, adj.shape[0], PATCH_BLOCK):
         block = adj[start : start + PATCH_BLOCK]
-        diff = rel[block[:, 0]][:, :, None, :] - rel[block[:, 1]][:, None, :, :]
-        cost = np.sum(diff * diff, axis=3)                  # (b, size, size)
-        rows_l = block[:, 0:1] * size + slots               # (b, size)
-        rows_m = block[:, 1:2] * size + slots
-        near_m = np.take_along_axis(rows_m, np.argmin(cost, axis=2), axis=1)
-        near_l = np.take_along_axis(rows_l, np.argmin(cost, axis=1), axis=1)
-        pairs.append(np.column_stack([rows_l.ravel(), near_m.ravel()]))
-        pairs.append(np.column_stack([near_l.ravel(), rows_m.ravel()]))
-    stacked = np.concatenate(pairs)
-    stacked.sort(axis=1)
-    # Dedup via scalar keys; one int64 sort beats a lexicographic row sort.
-    n_rows = m * size
-    keys = np.unique(stacked[:, 0] * n_rows + stacked[:, 1])
+        cost = sq_dists(rel[block[:, 0]], rel[block[:, 1]])   # (b, size, size)
+        nm = np.argmin(cost, axis=2)                          # nearest m slot per l slot
+        nl = np.argmin(cost, axis=1)                          # nearest l slot per m slot
+        base_l = (block[:, 0:1] * size) * n_rows              # (b, 1)
+        base_m = block[:, 1:2] * size
+        keys.append((base_l + slots * n_rows + base_m + nm).ravel())
+        one_way = np.take_along_axis(nm, nl, axis=1) != slots
+        keys.append((base_l + nl * n_rows + base_m + slots)[one_way])
+    keys = np.sort(np.concatenate(keys))
     return np.column_stack([keys // n_rows, keys % n_rows])
 
 

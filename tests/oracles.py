@@ -31,6 +31,62 @@ def variation_rows(points, normals, epsilon):
     return apply_rw(lap, np.asarray(normals, dtype=np.float64))
 
 
+
+def spatial_connectivity(patchset, positions, k_s):
+    """Row pairs between adjacent patches, one block of patch pairs at a time.
+
+    Builds the full (pairs, k+1, k+1, 3) difference tensor, stacks the
+    nearest-row edges of both directions, sorts each pair and removes
+    duplicates with ``np.unique``; ``dpcdenoise.stgraph`` must match it exactly.
+    """
+    from dpcdenoise.geometry import NeighborIndex, knn_rows
+    from dpcdenoise.patches import all_relative_coords
+
+    m = len(patchset)
+    pts = np.asarray(positions, dtype=np.float64)
+    centers = NeighborIndex.from_points(pts[patchset.center_indices])
+    near = knn_rows(centers, centers.points, k_s, exclude=np.arange(m))
+    own = np.repeat(np.arange(m), k_s)
+    adjacent = np.unique(np.minimum(own, near.ravel()) * m + np.maximum(own, near.ravel()))
+    adj = np.column_stack([adjacent // m, adjacent % m])
+    rel = all_relative_coords(patchset, pts)
+    size = patchset.k + 1
+    slots = np.arange(size, dtype=np.int64)
+    pairs = []
+    for start in range(0, adj.shape[0], 256):
+        block = adj[start : start + 256]
+        diff = rel[block[:, 0]][:, :, None, :] - rel[block[:, 1]][:, None, :, :]
+        cost = np.sum(diff * diff, axis=3)
+        rows_l = block[:, 0:1] * size + slots
+        rows_m = block[:, 1:2] * size + slots
+        near_m = np.take_along_axis(rows_m, np.argmin(cost, axis=2), axis=1)
+        near_l = np.take_along_axis(rows_l, np.argmin(cost, axis=1), axis=1)
+        pairs.append(np.column_stack([rows_l.ravel(), near_m.ravel()]))
+        pairs.append(np.column_stack([near_l.ravel(), rows_m.ravel()]))
+    stacked = np.concatenate(pairs)
+    stacked.sort(axis=1)
+    n_rows = m * size
+    keys = np.unique(stacked[:, 0] * n_rows + stacked[:, 1])
+    return np.column_stack([keys // n_rows, keys % n_rows])
+
+
+def metric_gram(diffs, terms):
+    """Metric-learning Gram sum_e terms[e] * outer(diffs[e], diffs[e]), three-operand einsum."""
+    return np.einsum("ei,e,ej->ij", diffs, terms, diffs, optimize=False)
+
+
+def farthest_point_sampling(points, m, seed):
+    """Greedy max-min selection, one (n, 3) squared-distance sum per pick."""
+    pts = np.asarray(points, dtype=np.float64)
+    first = int(np.random.default_rng(seed).integers(len(pts)))
+    chosen = [first]
+    min_sq = np.sum((pts - pts[first]) ** 2, axis=1)
+    for _ in range(1, m):
+        nxt = int(np.argmax(min_sq))
+        chosen.append(nxt)
+        np.minimum(min_sq, np.sum((pts - pts[nxt]) ** 2, axis=1), out=min_sq)
+    return np.array(chosen, dtype=np.int64)
+
 def dense_laplacians(graph):
     """Dense adjacency, combinatorial Laplacian, random-walk Laplacian."""
     n = graph.node_count

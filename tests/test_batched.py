@@ -1,22 +1,26 @@
-"""The batched patch passes against their per-patch oracles, bit for bit.
+"""The batched patch passes and array kernels against their oracles, bit for bit.
 
 Inputs are drawn to hit the edge cases of the batched code: coordinates
-on a coarse grid (ties at the k-NN boundary and at exactly d == epsilon),
-duplicate points, members without a neighbor inside epsilon, k = 1
-patches and fully clumped patches.
+on a coarse grid (ties at the k-NN boundary, at exactly d == epsilon and
+between nearest rows of adjacent patches), duplicate points, members
+without a neighbor inside epsilon, k = 1 patches and fully clumped
+patches.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import brute_knn, variation_rows
 
 from dpcdenoise.config import DenoiseConfig
-from dpcdenoise.geometry import Frame, build_neighbor_index, knn_rows
+from dpcdenoise.geometry import Frame, build_neighbor_index, farthest_point_sampling, knn_rows
+from dpcdenoise.graph import SparseGraph
 from dpcdenoise.matching import match_patches, patch_variations, prepare_reference
-from dpcdenoise.optimize import SolverError, denoise_frame
-from dpcdenoise.patches import build_patches
+from dpcdenoise.optimize import SolverError, _metric_gradient_from_terms, denoise_frame
+from dpcdenoise.patches import all_relative_coords, build_patches, sq_dists
+from dpcdenoise.stgraph import spatial_connectivity
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -190,3 +194,108 @@ class TestMatchPatchesOracle:
             assert matched[l] == best
             assert bits(distance[l]) == bits(np.min(dists))
             assert point_map[l].tolist() == np.argmin(cost, axis=1).tolist()
+
+
+class TestSqDists:
+    @PROPERTY
+    @given(st.lists(st.integers(1, 3), max_size=2), st.integers(1, 7), st.integers(1, 7),
+           st.sampled_from([0, 2, 3]), st.integers(0, 2**32 - 1))
+    def test_matches_summed_difference_tensor(self, batch, s, t, grid, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(*batch, s, 3))
+        b = rng.normal(size=(*batch, t, 3))
+        if grid:
+            a, b = np.round(a * grid) / grid, np.round(b * grid) / grid
+        diff = a[..., :, None, :] - b[..., None, :, :]
+        want = np.sum(diff * diff, axis=-1)
+        got = sq_dists(a, b)
+        assert got.shape == want.shape
+        assert bits(got) == bits(want)
+
+
+class TestSpatialConnectivity:
+    @PROPERTY
+    @given(clouds(min_points=4), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_matches_per_block_oracle(self, cloud, k, seed):
+        pts, rng = cloud
+        n = len(pts)
+        k = min(k, n - 1)
+        m = int(rng.integers(2, n + 1))
+        k_s = int(rng.integers(1, m))
+        ps = build_patches(Frame(pts), m, k, seed)
+        got = spatial_connectivity(ps, pts, k_s)
+        want = oracles.spatial_connectivity(ps, pts, k_s)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_ties_and_mutual_nearest_rows(self):
+        # A 3-level grid with duplicated points gives argmin ties between
+        # patches; the centers of adjacent patches are always mutually
+        # nearest rows, so both directions name their edge.
+        rng = np.random.default_rng(5)
+        pts = np.round(rng.uniform(0, 1, (60, 3)) * 2) / 2
+        ps = build_patches(Frame(pts), 30, 6, seed=7)
+        rel = all_relative_coords(ps, pts)
+        cost = sq_dists(rel[:, None], rel[None, :])             # (30, 30, 7, 7)
+        assert np.any(np.sum(cost == cost.min(axis=3, keepdims=True), axis=3) > 1)
+        got = spatial_connectivity(ps, pts, 5)
+        assert np.array_equal(got, oracles.spatial_connectivity(ps, pts, 5))
+        assert np.all(got[:, 0] < got[:, 1])
+        assert np.all(np.diff(got[:, 0] * len(ps) * 7 + got[:, 1]) > 0)
+
+
+class TestMetricGram:
+    @PROPERTY
+    @given(st.integers(1, 20000), st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_three_operand_einsum(self, e, seed, sparse):
+        rng = np.random.default_rng(seed)
+        diffs = rng.normal(size=(e, 6))
+        terms = rng.exponential(size=e)
+        if sparse:
+            diffs[:, rng.integers(6)] = 0.0
+            terms[rng.random(e) < 0.5] = 0.0
+        factor = rng.normal(size=(6, 6))
+        want = -2.0 * factor @ oracles.metric_gram(diffs, terms)
+        assert bits(_metric_gradient_from_terms(factor, diffs, terms)) == bits(want)
+
+
+class TestFarthestPointSampling:
+    @PROPERTY
+    @given(clouds(min_points=1), st.integers(0, 2**32 - 1))
+    def test_matches_row_sum_loop(self, cloud, seed):
+        pts, rng = cloud
+        m = int(rng.integers(1, len(pts) + 1))
+        got = farthest_point_sampling(Frame(pts), m, seed)
+        assert got.tolist() == oracles.farthest_point_sampling(pts, m, seed).tolist()
+
+
+class TestFromEdges:
+    @PROPERTY
+    @given(st.integers(2, 30), st.integers(0, 2**32 - 1))
+    def test_unsorted_input_matches_sorted_fast_path(self, n, seed):
+        rng = np.random.default_rng(seed)
+        lo, hi = np.triu_indices(n, 1)
+        keep = np.sort(rng.choice(lo.size, int(rng.integers(1, lo.size + 1)), replace=False))
+        lo, hi = lo[keep], hi[keep]
+        w = rng.uniform(0, 2, lo.size)
+        fast = SparseGraph.from_edges(n, lo, hi, w)
+        order = rng.permutation(lo.size)
+        swap = rng.random(lo.size) < 0.5
+        i = np.where(swap, hi, lo)[order]
+        j = np.where(swap, lo, hi)[order]
+        slow = SparseGraph.from_edges(n, i, j, w[order])
+        for a, b in ((fast.edge_i, slow.edge_i), (fast.edge_j, slow.edge_j)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert bits(fast.weights) == bits(slow.weights) == bits(w)
+
+    def test_fast_path_owns_its_weights(self):
+        w = np.array([1.0, 2.0])
+        graph = SparseGraph.from_edges(3, [0, 1], [1, 2], w)
+        w[0] = 5.0
+        assert graph.weights.tolist() == [1.0, 2.0]
+        assert not graph.weights.flags.writeable
+
+    @pytest.mark.parametrize("i, j", [([0, 0], [1, 1]), ([1, 0], [0, 1]), ([0, 2, 0], [1, 0, 1])])
+    def test_duplicates_rejected_sorted_or_not(self, i, j):
+        with pytest.raises(ValueError, match="duplicate edges"):
+            SparseGraph.from_edges(3, i, j, np.ones(len(i)))

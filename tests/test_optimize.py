@@ -326,6 +326,33 @@ class TestDenoiseFrame:
         out_b, _ = denoise_frame(noisy, ref_b, cfg)
         assert np.array_equal(out_a.positions, out_b.positions)
 
+    def test_reference_reuses_previous_normals(self, monkeypatch):
+        # A denoised frame carries the normals estimate_normals would compute
+        # again from its positions, so reusing them saves one estimation per
+        # frame and changes no output.
+        import dpcdenoise.optimize as opt
+
+        seq = small_sequence(2)
+        rng = np.random.default_rng(8)
+        cfg = small_config(outer_max_iters=2)
+        prev, _ = denoise_frame(Frame(seq.frames[0].positions + rng.normal(0, 0.01, (120, 3))),
+                                None, cfg)
+        noisy = Frame(seq.frames[1].positions + rng.normal(0, 0.01, (120, 3)), frame_index=1)
+        calls = []
+        real_estimate = opt.estimate_normals
+
+        def estimate(frame, k_plane):
+            calls.append(frame)
+            return real_estimate(frame, k_plane)
+
+        monkeypatch.setattr(opt, "estimate_normals", estimate)
+        reused, _ = denoise_frame(noisy, prev, cfg)
+        reused_calls = len(calls)
+        estimated, _ = denoise_frame(noisy, Frame(prev.positions, None, prev.frame_index), cfg)
+        assert len(calls) - reused_calls == reused_calls + 1
+        assert np.array_equal(reused.positions, estimated.positions)
+        assert np.array_equal(reused.normals, estimated.normals)
+
     @pytest.mark.parametrize("kind", ["identity", "zeros", "random"])
     def test_reference_rows_follow_point_map(self, kind, monkeypatch):
         # The temporal term compares patch row (l, i) with row point_map[l, i]
