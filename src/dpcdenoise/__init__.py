@@ -49,9 +49,9 @@ from .optimize import (
 )
 from .patches import Patch, PatchSet, build_patches, patch_epsilon, relative_coords
 from .stgraph import (
+    SpatialEdges,
     TemporalWeights,
     initial_spatial_weights,
-    row_features,
     spatial_connectivity,
     temporal_weight_init,
     weighted_spatial_graph,
@@ -74,6 +74,7 @@ __all__ = [
     "Sequence",
     "SolverError",
     "SparseGraph",
+    "SpatialEdges",
     "SyntheticSpec",
     "TemporalWeights",
     "add_gaussian_noise",
@@ -104,7 +105,6 @@ __all__ = [
     "prepare_reference",
     "random_walk_laplacian",
     "relative_coords",
-    "row_features",
     "sample_gaussian_bump",
     "solve_point_cloud",
     "solve_temporal_weights",

@@ -113,6 +113,15 @@ def build_neighbor_index(frame: Frame) -> NeighborIndex:
     return NeighborIndex.from_points(frame.positions)
 
 
+def index_over(frame: Frame, index: Optional[NeighborIndex]) -> NeighborIndex:
+    """``index`` if it was built over the frame's positions, else a new index."""
+    if index is None:
+        return build_neighbor_index(frame)
+    if not np.array_equal(index.points, frame.positions):
+        raise ValueError("neighbor index was built over other points")
+    return index
+
+
 def _sorted_candidates(index: NeighborIndex, query: np.ndarray, k_hint: int):
     """All points within the k_hint-th neighbor distance, sorted by (distance, index)."""
     n = len(index)
@@ -235,9 +244,12 @@ def orient_normals(frame: Frame, k_plane: int = 12) -> Frame:
     if n == 1:
         return frame.with_normals(_lex_canonical_sign(normals))
     k_eff = min(k_plane, n - 1)
-    index = build_neighbor_index(frame)
-    _, nbr = index.tree.query(frame.positions, k=k_eff + 1)
-    nbr = np.atleast_2d(nbr)
+    _, nbr = build_neighbor_index(frame).tree.query(frame.positions, k=k_eff + 1)
+    return frame.with_normals(_orient(normals, np.atleast_2d(nbr)))
+
+
+def _orient(normals: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """Normals flipped toward their (n, k+1) neighbor rows' consensus axis."""
     hood = normals[nbr]                                   # (n, k+1, 3)
     outer = np.einsum("nki,nkj->nij", hood, hood)         # sign-invariant
     _, vecs = np.linalg.eigh(outer)
@@ -247,15 +259,18 @@ def orient_normals(frame: Frame, k_plane: int = 12) -> Frame:
     ambiguous = dots == 0
     if np.any(ambiguous):
         oriented[ambiguous] = _lex_canonical_sign(oriented[ambiguous])
-    return frame.with_normals(oriented)
+    return oriented
 
 
-def estimate_normals(frame: Frame, k_plane: int) -> tuple[Frame, int]:
+def estimate_normals(frame: Frame, k_plane: int,
+                     index: Optional[NeighborIndex] = None) -> tuple[Frame, int]:
     """Per-point unit normals from local plane fits.
 
     Fits a plane to each point and its ``k_plane`` nearest neighbors;
     the normal is the eigenvector of the neighborhood covariance with
-    the smallest eigenvalue, then oriented by :func:`orient_normals`.
+    the smallest eigenvalue, then oriented as :func:`orient_normals`
+    does, over the same neighbor rows. ``index``, if given, must be
+    built over the frame's positions; it saves building one.
 
     Returns the frame with normals and the count of degenerate
     neighborhoods (rank < 2) that fell back to the global up axis.
@@ -265,8 +280,7 @@ def estimate_normals(frame: Frame, k_plane: int) -> tuple[Frame, int]:
         raise ValueError("k_plane must be >= 3")
     if n <= k_plane:
         raise ValueError("need more points than k_plane")
-    index = build_neighbor_index(frame)
-    _, nbr = index.tree.query(frame.positions, k=k_plane + 1)
+    _, nbr = index_over(frame, index).tree.query(frame.positions, k=k_plane + 1)
     hood = frame.positions[nbr]                            # (n, k+1, 3)
     centered = hood - hood.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / (k_plane + 1)
@@ -279,7 +293,7 @@ def estimate_normals(frame: Frame, k_plane: int) -> tuple[Frame, int]:
         normals = normals.copy()
         normals[degenerate] = (0.0, 0.0, 1.0)
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    oriented = orient_normals(frame.with_normals(normals), k_plane)
+    oriented = frame.with_normals(_orient(normals, nbr))
     return oriented, int(np.count_nonzero(degenerate))
 
 

@@ -9,15 +9,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import DenoiseConfig
-from .geometry import Frame, Sequence, estimate_normals
+from .geometry import Frame, NeighborIndex, Sequence, estimate_normals
 from .graph import combinatorial_laplacian
 from .matching import match_patches, prepare_reference
 from .metrics import FrameMetrics
 from .patches import all_relative_coords, build_patches
 from .stgraph import (
+    SpatialEdges,
     TemporalWeights,
     initial_spatial_weights,
-    row_features,
+    point_features,
     spatial_connectivity,
     temporal_weight_init,
     weighted_spatial_graph,
@@ -266,10 +267,13 @@ def learn_metric(
 ) -> MetricFit:
     """Learn a Mahalanobis metric by projected proximal gradient descent.
 
-    Works on the factorization M = R^T R so the result is PSD by
-    construction; iterates are projected onto {tr(R) <= trace_bound,
-    diagonal >= 0}. Candidates that increase the objective are rejected;
-    three consecutive rejections abort with a step-size error.
+    Minimizes sum_e exp(-||R diffs[e]||^2) * dsq[e]. Edges that share a
+    feature difference up to sign may be passed once, with their ``dsq``
+    summed: the objective is the same sum, regrouped. Works on the
+    factorization M = R^T R so the result is PSD by construction;
+    iterates are projected onto {tr(R) <= trace_bound, diagonal >= 0}.
+    Candidates that increase the objective are rejected; three
+    consecutive rejections abort with a step-size error.
     """
     diffs = np.asarray(diffs, dtype=np.float64)
     dsq = np.asarray(dsq, dtype=np.float64).ravel()
@@ -277,6 +281,10 @@ def learn_metric(
         raise ValueError("need at least one feature-difference pair")
     if dsq.shape[0] != diffs.shape[0]:
         raise ValueError("dsq must have one entry per pair")
+    if not (np.all(np.isfinite(diffs)) and np.all(np.isfinite(dsq))):
+        raise ValueError("diffs and dsq must be finite")
+    if np.any(dsq < 0):
+        raise ValueError("dsq must be >= 0")
     if trace_bound <= 0:
         raise ValueError("trace_bound must be > 0")
     dim = diffs.shape[1]
@@ -360,16 +368,19 @@ def denoise_frame(
     u = np.array(noisy.positions)
     u_hat = noisy.positions
     trace: list[ObjectiveBreakdown] = []
-    diagnostics: dict = {"degenerate_normals": [], "metric_trace": [], "factor_trace": []}
+    diagnostics: dict = {"degenerate_normals": [], "metric_trace": [], "factor_trace": [],
+                         "spatial_edges": [], "metric_pairs": []}
     best_total = np.inf
     best_u = u
     best_it = -1
     prev_total = None
 
     for it in range(config.outer_max_iters):
-        est, degen = estimate_normals(Frame(u, None, noisy.frame_index), k_plane_eff)
+        # One neighbor index serves the normals, their orientation and the patches.
+        index = NeighborIndex.from_points(u)
+        est, degen = estimate_normals(Frame(u, None, noisy.frame_index), k_plane_eff, index)
         diagnostics["degenerate_normals"].append(degen)
-        patchset = build_patches(est, m, k_eff, fps_seed)
+        patchset = build_patches(est, m, k_eff, fps_seed, index)
         members = patchset.members
         rel = all_relative_coords(patchset, u)
         p_rows = rel.reshape(-1, 3)
@@ -389,29 +400,33 @@ def denoise_frame(
             gaps = (p_rows - prev_aligned).reshape(m, k_eff + 1, 3)
             d_vec = np.sum(gaps * gaps, axis=(1, 2))
 
-        pairs = (
-            spatial_connectivity(patchset, u, k_s_eff)
-            if (lam2 > 0 and k_s_eff >= 1)
-            else np.empty((0, 2), dtype=np.int64)
-        )
-        feats = row_features(patchset, u, est.normals) if pairs.size else None
+        edges = None
+        if lam2 > 0 and k_s_eff >= 1:
+            rows = spatial_connectivity(patchset, u, k_s_eff)
+            if rows.size:
+                edges = SpatialEdges.group(rows, members)
+        feats = point_features(u, est.normals) if edges is not None else None
 
         try:
             if it == 0:
                 if reference is not None:
                     w_rows = temporal_weight_init(match_dist, k_eff).expand()
-                graph = initial_spatial_weights(pairs, feats) if pairs.size else None
+                graph = initial_spatial_weights(edges, feats) if edges is not None else None
             else:
                 if reference is not None:
                     w_rows = TemporalWeights(solve_temporal_weights(d_vec, mprime), k_eff).expand()
-                if pairs.size:
-                    diffs = feats[pairs[:, 0]] - feats[pairs[:, 1]]
-                    dsq = np.sum((p_rows[pairs[:, 0]] - p_rows[pairs[:, 1]]) ** 2, axis=1)
-                    fit = learn_metric(diffs, dsq, config.trace_bound,
+                if edges is not None:
+                    # One row per point pair: its feature difference, and the
+                    # squared row distances of its edges summed.
+                    gap = p_rows[edges.rows[:, 0]] - p_rows[edges.rows[:, 1]]
+                    dsq = edges.pair_sums(np.sum(gap * gap, axis=1))
+                    fit = learn_metric(edges.differences(feats), dsq, config.trace_bound,
                                        config.pg_step, config.pg_max_iters, config.pg_tol)
                     diagnostics["metric_trace"].append(float(np.trace(fit.metric)))
                     diagnostics["factor_trace"].append(float(np.trace(fit.factor)))
-                    graph = weighted_spatial_graph(pairs, feats, fit.metric)
+                    diagnostics["spatial_edges"].append(len(edges))
+                    diagnostics["metric_pairs"].append(edges.points.shape[0])
+                    graph = weighted_spatial_graph(edges, feats, fit.metric)
                 else:
                     graph = None
             laplacian = combinatorial_laplacian(graph) if graph is not None else None

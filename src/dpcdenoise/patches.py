@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .geometry import Frame, build_neighbor_index, farthest_point_sampling, knn_rows
+from .geometry import Frame, NeighborIndex, farthest_point_sampling, index_over, knn_rows
 
 # Patches per step of the batched passes; bounds their (block, k+1, k+1) temporaries.
 PATCH_BLOCK = 256
@@ -70,15 +71,19 @@ class PatchSet:
         return Patch(int(self.members[l, 0]), self.members[l])
 
 
-def build_patches(frame: Frame, m: int, k: int, seed: int) -> PatchSet:
-    """Decompose a frame into ``m`` patches of ``k+1`` points each."""
+def build_patches(frame: Frame, m: int, k: int, seed: int,
+                  index: Optional[NeighborIndex] = None) -> PatchSet:
+    """Decompose a frame into ``m`` patches of ``k+1`` points each.
+
+    ``index``, if given, must be built over the frame's positions.
+    """
     n = len(frame)
     if m > n:
         raise ValueError("m must be <= point count")
     if k + 1 > n:
         raise ValueError("k+1 must be <= point count")
     centers = farthest_point_sampling(frame, m, seed)
-    index = build_neighbor_index(frame)
+    index = index_over(frame, index)
     members = np.empty((m, k + 1), dtype=np.int64)
     members[:, 0] = centers
     members[:, 1:] = knn_rows(index, frame.positions[centers], k, exclude=centers)

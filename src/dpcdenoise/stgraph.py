@@ -3,7 +3,9 @@
 Graph nodes are patch rows: patch l occupies rows l*(k+1) .. l*(k+1)+k,
 so a point shared by several patches appears once per patch. This keeps
 the operators aligned with the (k+1)m-row patch matrices; the point
-solve folds shared rows back through the selection operator.
+solve folds shared rows back through the selection operator. Edge
+weights depend only on the two points an edge joins, so they are
+computed once per distinct point pair (:class:`SpatialEdges`).
 """
 
 from __future__ import annotations
@@ -61,27 +63,68 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     return np.column_stack([keys // n_rows, keys % n_rows])
 
 
-def row_features(patchset: PatchSet, positions: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """6-D feature per patch row: point coordinates and unit normal."""
+@dataclass(frozen=True)
+class SpatialEdges:
+    """Spatial row edges grouped by the unordered point pair they join.
+
+    A row's feature is its point's (position, normal), so every edge
+    between rows of the same two points has the same feature difference
+    up to sign, and its weight ``exp(-df^T M df)`` is computed once per
+    pair. ``points`` holds the distinct pairs (lower index first, a point
+    may pair with itself) and ``inverse`` the pair of each row edge.
+    """
+
+    rows: np.ndarray
+    points: np.ndarray
+    inverse: np.ndarray
+    row_count: int
+
+    @classmethod
+    def group(cls, rows: np.ndarray, members: np.ndarray) -> "SpatialEdges":
+        """Group the (e, 2) row pairs of :func:`spatial_connectivity` by point pair."""
+        rows = np.asarray(rows, dtype=np.int64)
+        flat = np.asarray(members, dtype=np.int64).ravel()
+        a, b = flat[rows[:, 0]], flat[rows[:, 1]]
+        n = int(flat.max()) + 1
+        keys, inverse = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+        points = np.column_stack([keys // n, keys % n])
+        return cls(rows=rows, points=points, inverse=inverse.ravel(), row_count=flat.size)
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def differences(self, features: np.ndarray) -> np.ndarray:
+        """Feature difference of each point pair, shape (pairs, d)."""
+        feats = np.asarray(features, dtype=np.float64)
+        return feats[self.points[:, 0]] - feats[self.points[:, 1]]
+
+    def pair_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-edge ``values`` summed over each point pair."""
+        return np.bincount(self.inverse, weights=values, minlength=self.points.shape[0])
+
+    def graph(self, pair_weights: np.ndarray) -> SparseGraph:
+        """Row graph whose edges carry their point pair's weight."""
+        return SparseGraph.from_edges(self.row_count, self.rows[:, 0], self.rows[:, 1],
+                                      pair_weights[self.inverse])
+
+
+def point_features(positions: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """6-D feature per point: coordinates and unit normal."""
     nrm = np.asarray(normals, dtype=np.float64)
     lengths = np.linalg.norm(nrm, axis=1)
     if not np.all(np.abs(lengths - 1.0) <= 1e-9):
         raise ValueError("normals must have unit length")
-    flat = patchset.members.ravel()
-    return np.hstack([np.asarray(positions, dtype=np.float64)[flat], nrm[flat]])
+    return np.hstack([np.asarray(positions, dtype=np.float64), nrm])
 
 
-def initial_spatial_weights(pairs: np.ndarray, features: np.ndarray) -> SparseGraph:
-    """Gaussian-kernel edge weights: exp(-||f_i - f_j||^2)."""
-    pairs = np.asarray(pairs, dtype=np.int64)
-    feats = np.asarray(features, dtype=np.float64)
-    diff = feats[pairs[:, 0]] - feats[pairs[:, 1]]
-    w = np.exp(-np.sum(diff * diff, axis=1))
-    return SparseGraph.from_edges(feats.shape[0], pairs[:, 0], pairs[:, 1], w)
+def initial_spatial_weights(edges: SpatialEdges, features: np.ndarray) -> SparseGraph:
+    """Gaussian-kernel edge weights: exp(-||f_i - f_j||^2) over point features."""
+    diff = edges.differences(features)
+    return edges.graph(np.exp(-np.sum(diff * diff, axis=1)))
 
 
 def weighted_spatial_graph(
-    pairs: np.ndarray, features: np.ndarray, metric: np.ndarray
+    edges: SpatialEdges, features: np.ndarray, metric: np.ndarray
 ) -> SparseGraph:
     """Edge weights exp(-df^T M df) under a symmetric PSD metric M."""
     metric = np.asarray(metric, dtype=np.float64)
@@ -91,13 +134,10 @@ def weighted_spatial_graph(
         raise ValueError("metric must be symmetric")
     if np.min(np.linalg.eigvalsh(metric)) < -1e-9:
         raise ValueError("metric must be positive semidefinite")
-    pairs = np.asarray(pairs, dtype=np.int64)
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.shape[1] != metric.shape[0]:
+    diff = edges.differences(features)
+    if diff.shape[1] != metric.shape[0]:
         raise ValueError("metric size must match feature dimension")
-    diff = feats[pairs[:, 0]] - feats[pairs[:, 1]]
-    w = np.exp(-np.einsum("ei,ij,ej->e", diff, metric, diff))
-    return SparseGraph.from_edges(feats.shape[0], pairs[:, 0], pairs[:, 1], w)
+    return edges.graph(np.exp(-np.einsum("ei,ij,ej->e", diff, metric, diff)))
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,23 @@ def metric_gram(diffs, terms):
     return np.einsum("ei,e,ej->ij", diffs, terms, diffs, optimize=False)
 
 
+def row_edge_weights(pairs, row_features, metric=None):
+    """Spatial edge weights computed once per row edge: exp(-df^T M df), M = I if None.
+
+    ``row_features`` holds each patch row's point feature, gathered per row;
+    ``dpcdenoise.stgraph`` computes each weight once per point pair and
+    must match this bit for bit.
+    """
+    from dpcdenoise.graph import SparseGraph
+
+    diff = row_features[pairs[:, 0]] - row_features[pairs[:, 1]]
+    if metric is None:
+        w = np.exp(-np.sum(diff * diff, axis=1))
+    else:
+        w = np.exp(-np.einsum("ei,ij,ej->e", diff, metric, diff))
+    return SparseGraph.from_edges(row_features.shape[0], pairs[:, 0], pairs[:, 1], w)
+
+
 def farthest_point_sampling(points, m, seed):
     """Greedy max-min selection, one (n, 3) squared-distance sum per pick."""
     pts = np.asarray(points, dtype=np.float64)
@@ -175,8 +192,9 @@ def random_solve_instance(rng, n, with_temporal=True):
     from dpcdenoise.graph import combinatorial_laplacian
     from dpcdenoise.patches import build_patches
     from dpcdenoise.stgraph import (
+        SpatialEdges,
         initial_spatial_weights,
-        row_features,
+        point_features,
         spatial_connectivity,
     )
 
@@ -187,9 +205,8 @@ def random_solve_instance(rng, n, with_temporal=True):
     ps = build_patches(frame, m, k, seed=int(rng.integers(1000)))
     members = ps.members
     anchors = np.repeat(pts[members[:, 0]], k + 1, axis=0)
-    pairs = spatial_connectivity(ps, pts, min(2, m - 1))
-    feats = row_features(ps, pts, frame.normals)
-    lap = combinatorial_laplacian(initial_spatial_weights(pairs, feats))
+    edges = SpatialEdges.group(spatial_connectivity(ps, pts, min(2, m - 1)), members)
+    lap = combinatorial_laplacian(initial_spatial_weights(edges, point_features(pts, frame.normals)))
     if with_temporal:
         w_rows = np.repeat(rng.uniform(0, 1, m), k + 1)
         prev_aligned = anchors * 0 + rng.normal(0, 0.1, anchors.shape)

@@ -4,7 +4,8 @@ Inputs are drawn to hit the edge cases of the batched code: coordinates
 on a coarse grid (ties at the k-NN boundary, at exactly d == epsilon and
 between nearest rows of adjacent patches), duplicate points, members
 without a neighbor inside epsilon, k = 1 patches and fully clumped
-patches.
+patches. Spatial edges are drawn over few points, so many row edges join
+the same point pair, in either order, or a point with itself.
 """
 
 import numpy as np
@@ -18,9 +19,20 @@ from dpcdenoise.config import DenoiseConfig
 from dpcdenoise.geometry import Frame, build_neighbor_index, farthest_point_sampling, knn_rows
 from dpcdenoise.graph import SparseGraph
 from dpcdenoise.matching import match_patches, patch_variations, prepare_reference
-from dpcdenoise.optimize import SolverError, _metric_gradient_from_terms, denoise_frame
+from dpcdenoise.optimize import (
+    SolverError,
+    _metric_gradient_from_terms,
+    denoise_frame,
+    learn_metric,
+)
 from dpcdenoise.patches import all_relative_coords, build_patches, sq_dists
-from dpcdenoise.stgraph import spatial_connectivity
+from dpcdenoise.stgraph import (
+    SpatialEdges,
+    initial_spatial_weights,
+    point_features,
+    spatial_connectivity,
+    weighted_spatial_graph,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -257,6 +269,64 @@ class TestMetricGram:
         factor = rng.normal(size=(6, 6))
         want = -2.0 * factor @ oracles.metric_gram(diffs, terms)
         assert bits(_metric_gradient_from_terms(factor, diffs, terms)) == bits(want)
+
+
+@st.composite
+def row_edges(draw):
+    """Patches over few points, sorted distinct row edges, point features and row offsets."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    size = draw(st.integers(1, n))
+    m = draw(st.integers(1 if size > 1 else 2, 6))
+    members = np.array([rng.permutation(n)[:size] for _ in range(m)])
+    lo, hi = np.triu_indices(m * size, 1)
+    keep = np.sort(rng.choice(lo.size, int(rng.integers(1, lo.size + 1)), replace=False))
+    rows = np.column_stack([lo[keep], hi[keep]])
+    pts = rng.uniform(0.0, 1.0, (n, 3))
+    if draw(st.booleans()):
+        pts = np.round(pts * 2) / 2
+    feats = point_features(pts, unit_normals(rng, n))
+    offsets = rng.normal(0.0, 0.3, (m * size, 3))
+    return members, rows, feats, offsets, rng
+
+
+class TestPointPairs:
+    @PROPERTY
+    @given(row_edges())
+    def test_pair_weights_equal_per_edge_weights(self, drawn):
+        members, rows, feats, _, rng = drawn
+        edges = SpatialEdges.group(rows, members)
+        row_feats = feats[members.ravel()]
+        factor = rng.normal(0.0, 0.5, (6, 6))
+        metric = factor.T @ factor
+        pairs = (
+            (initial_spatial_weights(edges, feats), oracles.row_edge_weights(rows, row_feats)),
+            (weighted_spatial_graph(edges, feats, metric),
+             oracles.row_edge_weights(rows, row_feats, metric)),
+        )
+        for got, want in pairs:
+            assert got.node_count == want.node_count
+            assert np.array_equal(got.edge_i, want.edge_i)
+            assert np.array_equal(got.edge_j, want.edge_j)
+            assert bits(got.weights) == bits(want.weights)
+
+    @PROPERTY
+    @given(row_edges(), st.sampled_from([1e-5, 1e-3]))
+    def test_compressed_metric_learning_matches_per_edge(self, drawn, step):
+        members, rows, feats, offsets, _ = drawn
+        edges = SpatialEdges.group(rows, members)
+        row_feats = feats[members.ravel()]
+        gap = offsets[rows[:, 0]] - offsets[rows[:, 1]]
+        dsq = np.sum(gap * gap, axis=1)
+        per_edge = learn_metric(row_feats[rows[:, 0]] - row_feats[rows[:, 1]], dsq, 5.0,
+                                pg_step=step, pg_max_iters=20)
+        compressed = learn_metric(edges.differences(feats), edges.pair_sums(dsq), 5.0,
+                                  pg_step=step, pg_max_iters=20)
+        assert edges.points.shape[0] <= rows.shape[0]
+        assert np.all(edges.points[:, 0] <= edges.points[:, 1])
+        assert compressed.objectives[-1] == pytest.approx(per_edge.objectives[-1],
+                                                          rel=1e-12, abs=1e-300)
+        assert np.max(np.abs(compressed.metric - per_edge.metric)) <= 1e-12
 
 
 class TestFarthestPointSampling:

@@ -97,6 +97,10 @@ class TestDenoise:
         assert manifest.config["k"] == 8
         assert len(manifest.frame_metrics) == 1
         assert manifest.frame_metrics[0]["objective_trace"]
+        # One metric-learning pass (outer iteration 1): its edge and pair counts.
+        diag = manifest.frame_metrics[0]["diagnostics"]
+        assert len(diag["spatial_edges"]) == len(diag["metric_pairs"]) == 1
+        assert 0 < diag["metric_pairs"][0] <= diag["spatial_edges"][0]
 
     def test_config_file_with_flag_override(self, tmp_path):
         run(synth_args(tmp_path / "clean", points=60, frames=1))

@@ -173,6 +173,26 @@ class TestEstimateNormals:
         assert degenerate == 10
         assert np.allclose(out.normals, [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("grid", [0, 3])
+    def test_shared_index_and_orientation_rows(self, grid):
+        # The fit's neighbor rows also orient the normals: the result must be
+        # what orient_normals makes of it, with or without a given index.
+        pts = random_cloud(80, 6)
+        if grid:
+            pts = np.round(pts * grid) / grid + random_cloud(80, 7, 1e-3)
+        frame = Frame(pts)
+        alone, degenerate = estimate_normals(frame, 8)
+        shared, shared_degenerate = estimate_normals(frame, 8, build_neighbor_index(frame))
+        assert degenerate == shared_degenerate
+        assert np.array_equal(alone.normals, shared.normals)
+        assert np.array_equal(orient_normals(alone, 8).normals, alone.normals)
+
+    def test_index_over_other_points_rejected(self):
+        frame = Frame(random_cloud(20, 8))
+        other = build_neighbor_index(Frame(random_cloud(20, 9)))
+        with pytest.raises(ValueError, match="other points"):
+            estimate_normals(frame, 6, other)
+
 
 class TestOrientNormals:
     def test_plane_all_up(self):

@@ -17,7 +17,12 @@ from dpcdenoise.optimize import (
     solve_point_cloud,
     solve_temporal_weights,
 )
-from dpcdenoise.stgraph import initial_spatial_weights, row_features, spatial_connectivity
+from dpcdenoise.stgraph import (
+    SpatialEdges,
+    initial_spatial_weights,
+    point_features,
+    spatial_connectivity,
+)
 from dpcdenoise.synthetic import SyntheticSpec, generate_sequence
 
 
@@ -228,6 +233,15 @@ class TestLearnMetric:
         assert err.value.trace is not None
         assert calls["n"] == 4  # init + three rejected candidates
 
+    @pytest.mark.parametrize("where, value", [("diffs", np.nan), ("diffs", np.inf),
+                                              ("dsq", np.nan), ("dsq", -1.0)])
+    def test_rejects_non_finite_or_negative_input(self, where, value):
+        rng = np.random.default_rng(16)
+        diffs, dsq = self._pairs(rng, e=10)
+        (diffs if where == "diffs" else dsq).flat[0] = value
+        with pytest.raises(ValueError, match="finite|>= 0"):
+            learn_metric(diffs, dsq, 5.0)
+
     def test_non_finite_candidate_counts_as_increase(self, monkeypatch):
         import dpcdenoise.optimize as opt
 
@@ -296,10 +310,10 @@ class TestDenoiseFrame:
                     if 2 <= p[0] <= 9 and 2 <= p[1] <= 9]
         members = np.array([[i, *knn_point(index, i, 4)] for i in interior])
         ps = PatchSet(members=members, k=4, frame=frame)
-        pairs = spatial_connectivity(ps, pts, 4)
+        edges = SpatialEdges.group(spatial_connectivity(ps, pts, 4), members)
         normals = np.tile((0.0, 0.0, 1.0), (144, 1))
         lap = combinatorial_laplacian(
-            initial_spatial_weights(pairs, row_features(ps, pts, normals))
+            initial_spatial_weights(edges, point_features(pts, normals))
         )
         anchors = np.repeat(pts[members[:, 0]], 5, axis=0)
         out = solve_point_cloud(pts, members, anchors, None, None, lap, 0.0, 0.5,
@@ -341,9 +355,9 @@ class TestDenoiseFrame:
         calls = []
         real_estimate = opt.estimate_normals
 
-        def estimate(frame, k_plane):
+        def estimate(frame, k_plane, index=None):
             calls.append(frame)
-            return real_estimate(frame, k_plane)
+            return real_estimate(frame, k_plane, index)
 
         monkeypatch.setattr(opt, "estimate_normals", estimate)
         reused, _ = denoise_frame(noisy, prev, cfg)
@@ -390,6 +404,29 @@ class TestDenoiseFrame:
             assert np.array_equal(got, seen["rel"][best][pm])
         if kind == "zeros":
             assert np.array_equal(seen["prev_aligned"], np.zeros_like(seen["prev_aligned"]))
+
+    def test_one_neighbor_index_per_iteration(self, monkeypatch):
+        # Each outer iteration builds one kd-tree over the points (shared by
+        # the normals, their orientation and the patches) and one over the
+        # patch centers; the final normals add one more.
+        import dpcdenoise.geometry as geometry
+
+        builds = []
+        real_tree = geometry.cKDTree
+
+        def tree(points):
+            builds.append(len(points))
+            return real_tree(points)
+
+        monkeypatch.setattr(geometry, "cKDTree", tree)
+        seq = small_sequence(1)
+        _, report = denoise_frame(Frame(seq.frames[0].positions), None,
+                                  small_config(outer_max_iters=2))
+        assert len(report.objective_trace) == 2
+        assert builds == [120, 60, 120, 60, 120]
+        diag = report.diagnostics
+        assert len(diag["spatial_edges"]) == len(diag["metric_pairs"]) == 1
+        assert 0 < diag["metric_pairs"][0] < diag["spatial_edges"][0]
 
     def test_reports_solver_error_with_iteration(self):
         seq = small_sequence(1)

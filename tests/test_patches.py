@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpcdenoise.geometry import Frame
+from dpcdenoise.geometry import Frame, build_neighbor_index
 from dpcdenoise.patches import (
     Patch,
     all_relative_coords,
@@ -32,6 +32,15 @@ class TestBuildPatches:
             center = row[0]
             want = brute_knn(pts, pts[center], 7, exclude=center)
             assert row[1:].tolist() == want.tolist()
+
+    def test_given_index_changes_nothing(self):
+        frame = Frame(np.random.default_rng(3).uniform(0, 1, (60, 3)))
+        alone = build_patches(frame, 20, 7, seed=2)
+        shared = build_patches(frame, 20, 7, seed=2, index=build_neighbor_index(frame))
+        assert np.array_equal(alone.members, shared.members)
+        other = build_neighbor_index(Frame(frame.positions[::-1]))
+        with pytest.raises(ValueError, match="other points"):
+            build_patches(frame, 20, 7, seed=2, index=other)
 
     def test_k_too_large(self):
         pts = np.random.default_rng(2).uniform(0, 1, (5, 3))

@@ -5,9 +5,10 @@ from dpcdenoise.geometry import Frame, estimate_normals
 from dpcdenoise.graph import combinatorial_laplacian
 from dpcdenoise.patches import PatchSet, build_patches
 from dpcdenoise.stgraph import (
+    SpatialEdges,
     TemporalWeights,
     initial_spatial_weights,
-    row_features,
+    point_features,
     spatial_connectivity,
     temporal_weight_init,
     weighted_spatial_graph,
@@ -16,6 +17,11 @@ from dpcdenoise.stgraph import (
 
 def toy_patchset(positions, members, k):
     return PatchSet(members=np.asarray(members), k=k, frame=Frame(positions))
+
+
+def point_edges(pairs, n):
+    """Edges over n one-point patches, so rows and points coincide."""
+    return SpatialEdges.group(np.asarray(pairs), np.arange(n)[:, None])
 
 
 class TestSpatialConnectivity:
@@ -68,13 +74,13 @@ class TestSpatialConnectivity:
 class TestSpatialWeights:
     def test_identical_features_weight_one(self):
         feats = np.zeros((2, 6))
-        g = initial_spatial_weights(np.array([[0, 1]]), feats)
+        g = initial_spatial_weights(point_edges([[0, 1]], 2), feats)
         assert g.weights[0] == 1.0
 
     def test_exp_ln2_weight_half(self):
         feats = np.zeros((2, 6))
         feats[1, 0] = np.sqrt(np.log(2.0))
-        g = initial_spatial_weights(np.array([[0, 1]]), feats)
+        g = initial_spatial_weights(point_edges([[0, 1]], 2), feats)
         assert g.weights[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_monotone_in_feature_distance(self):
@@ -83,7 +89,7 @@ class TestSpatialWeights:
         prev = np.inf
         for scale in (0.1, 0.5, 1.0, 2.0):
             feats = np.vstack([np.zeros(6), scale * base])
-            w = initial_spatial_weights(np.array([[0, 1]]), feats).weights[0]
+            w = initial_spatial_weights(point_edges([[0, 1]], 2), feats).weights[0]
             assert w < prev
             prev = w
 
@@ -91,14 +97,14 @@ class TestSpatialWeights:
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(10, 6))
         pairs = np.array([[i, j] for i in range(10) for j in range(i + 1, 10)])
-        a = initial_spatial_weights(pairs, feats)
-        b = weighted_spatial_graph(pairs, feats, np.eye(6))
+        a = initial_spatial_weights(point_edges(pairs, 10), feats)
+        b = weighted_spatial_graph(point_edges(pairs, 10), feats, np.eye(6))
         assert np.allclose(a.weights, b.weights, atol=1e-15)
 
     def test_zero_metric_gives_unit_weights(self):
         feats = np.random.default_rng(4).normal(size=(5, 6))
         pairs = np.array([[0, 1], [2, 3]])
-        g = weighted_spatial_graph(pairs, feats, np.zeros((6, 6)))
+        g = weighted_spatial_graph(point_edges(pairs, 5), feats, np.zeros((6, 6)))
         assert np.array_equal(g.weights, [1.0, 1.0])
 
     def test_diagonal_metric_example(self):
@@ -106,23 +112,23 @@ class TestSpatialWeights:
         feats[1, 0] = 1.0
         metric = np.zeros((6, 6))
         metric[0, 0] = 2.0
-        g = weighted_spatial_graph(np.array([[0, 1]]), feats, metric)
+        g = weighted_spatial_graph(point_edges([[0, 1]], 2), feats, metric)
         assert g.weights[0] == pytest.approx(np.exp(-2.0), rel=1e-12)
 
     def test_rejects_non_psd_metric(self):
         feats = np.zeros((2, 6))
         metric = -np.eye(6)
         with pytest.raises(ValueError, match="positive semidefinite"):
-            weighted_spatial_graph(np.array([[0, 1]]), feats, metric)
+            weighted_spatial_graph(point_edges([[0, 1]], 2), feats, metric)
 
     def test_laplacian_of_weighted_graph_is_psd(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 1, (50, 3))
         frame, _ = estimate_normals(Frame(pts), 8)
         ps = build_patches(frame, 10, 5, seed=2)
-        pairs = spatial_connectivity(ps, pts, 3)
-        feats = row_features(ps, pts, frame.normals)
-        g = weighted_spatial_graph(pairs, feats, 0.5 * np.eye(6))
+        edges = SpatialEdges.group(spatial_connectivity(ps, pts, 3), ps.members)
+        feats = point_features(pts, frame.normals)
+        g = weighted_spatial_graph(edges, feats, 0.5 * np.eye(6))
         lap = combinatorial_laplacian(g)
         assert abs((lap - lap.T).toarray()).max() < 1e-15
         for _ in range(20):
@@ -153,14 +159,42 @@ class TestTemporalWeights:
             TemporalWeights(w=np.array([1.5]), k=1)
 
 
-class TestRowFeatures:
+class TestPointFeatures:
     def test_layout_and_units(self):
         rng = np.random.default_rng(10)
         pts = rng.uniform(0, 1, (30, 3))
         frame, _ = estimate_normals(Frame(pts), 6)
-        ps = build_patches(frame, 4, 5, seed=3)
-        feats = row_features(ps, pts, frame.normals)
-        assert feats.shape == (4 * 6, 6)
-        flat = ps.members.ravel()
-        assert np.array_equal(feats[:, :3], pts[flat])
+        feats = point_features(pts, frame.normals)
+        assert feats.shape == (30, 6)
+        assert np.array_equal(feats[:, :3], pts)
         assert np.allclose(np.linalg.norm(feats[:, 3:], axis=1), 1.0, atol=1e-9)
+
+    def test_rejects_non_unit_normals(self):
+        with pytest.raises(ValueError, match="unit length"):
+            point_features(np.zeros((2, 3)), np.ones((2, 3)))
+
+
+class TestSpatialEdges:
+    def test_groups_rows_by_unordered_point_pair(self):
+        # Rows hold points 0, 1, 1, 0, 2, 1. Row edges (0, 2) and (1, 3) join
+        # points 0 and 1 in opposite orders; (1, 2) and (1, 5) join point 1
+        # with itself.
+        members = np.array([[0, 1], [1, 0], [2, 1]])
+        rows = np.array([[0, 2], [1, 3], [1, 2], [0, 4], [1, 5]])
+        edges = SpatialEdges.group(rows, members)
+        assert edges.points.tolist() == [[0, 1], [0, 2], [1, 1]]
+        assert edges.inverse.tolist() == [0, 0, 2, 1, 2]
+        assert edges.row_count == 6 and len(edges) == 5
+        assert edges.pair_sums(np.array([1.0, 2.0, 4.0, 8.0, 16.0])).tolist() == [3.0, 8.0, 20.0]
+
+    def test_weights_gathered_to_every_row_edge(self):
+        rng = np.random.default_rng(11)
+        feats = np.hstack([rng.normal(size=(3, 3)), np.tile([0.0, 0.0, 1.0], (3, 1))])
+        members = np.array([[0, 1], [1, 0], [2, 1]])
+        rows = np.array([[0, 2], [0, 4], [1, 2], [1, 3]])
+        g = initial_spatial_weights(SpatialEdges.group(rows, members), feats)
+        flat = members.ravel()
+        diff = feats[flat[rows[:, 0]]] - feats[flat[rows[:, 1]]]
+        assert g.node_count == 6
+        assert g.weights.tolist() == np.exp(-np.sum(diff * diff, axis=1)).tolist()
+        assert g.weights[2] == 1.0
