@@ -25,7 +25,6 @@ from .graph import (
     SparseGraph,
     apply_rw,
     build_epsilon_graph,
-    combinatorial_laplacian,
     random_walk_laplacian,
 )
 from .matching import (
@@ -82,7 +81,6 @@ __all__ = [
     "build_epsilon_graph",
     "build_neighbor_index",
     "build_patches",
-    "combinatorial_laplacian",
     "denoise_frame",
     "denoise_sequence",
     "downsample_random",

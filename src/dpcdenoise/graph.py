@@ -36,15 +36,10 @@ class SparseGraph:
                 raise ValueError("weights must be finite and >= 0")
             lo = np.minimum(i, j)
             hi = np.maximum(i, j)
-            key = lo * node_count + hi
-            if np.all(key[1:] > key[:-1]):
-                # Already in (lo, hi) order, and strictly increasing keys hold no duplicate.
-                w = w.copy()
-            else:
-                order = np.lexsort((hi, lo))
-                lo, hi, w = lo[order], hi[order], w[order]
-                if np.any((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])):
-                    raise ValueError("duplicate edges are not allowed")
+            order = np.lexsort((hi, lo))
+            lo, hi, w = lo[order], hi[order], w[order]
+            if np.any((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])):
+                raise ValueError("duplicate edges are not allowed")
             i, j = lo, hi
         for arr in (i, j, w):
             arr.flags.writeable = False

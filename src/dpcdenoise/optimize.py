@@ -10,7 +10,6 @@ import scipy.sparse as sp
 
 from .config import DenoiseConfig
 from .geometry import Frame, NeighborIndex, Sequence, estimate_normals
-from .graph import combinatorial_laplacian
 from .matching import match_patches, prepare_reference
 from .metrics import FrameMetrics
 from .patches import all_relative_coords, build_patches
@@ -51,14 +50,6 @@ def _psum(values: np.ndarray) -> float:
     return float(np.sum(values))
 
 
-def _selection_operator(members: np.ndarray, n_points: int) -> sp.csr_matrix:
-    """Sparse row-selection operator mapping points to patch rows."""
-    flat = members.ravel()
-    rows = np.arange(flat.size)
-    data = np.ones(flat.size)
-    return sp.csr_matrix((data, (rows, flat)), shape=(flat.size, n_points))
-
-
 def objective(
     u: np.ndarray,
     u_hat: np.ndarray,
@@ -66,7 +57,8 @@ def objective(
     anchor_rows: np.ndarray,
     prev_aligned: Optional[np.ndarray],
     w_rows: Optional[np.ndarray],
-    laplacian: Optional[sp.spmatrix],
+    edges: Optional[SpatialEdges],
+    pair_weights: Optional[np.ndarray],
     lambda1: float,
     lambda2: float,
 ) -> ObjectiveBreakdown:
@@ -74,8 +66,9 @@ def objective(
 
     Patch rows are ``u`` gathered by ``members`` minus ``anchor_rows``
     (the center coordinates fixed when the patches were built); the
-    temporal term weighs row differences to the aligned reference rows,
-    and the spatial term is the Laplacian quadratic form.
+    temporal term weighs row differences to the aligned reference rows.
+    The spatial term ``tr(P^T L P)`` over the row graph is summed per
+    point pair: each pair's weight times its summed row-edge residuals.
     """
     u = np.asarray(u, dtype=np.float64)
     u_hat = np.asarray(u_hat, dtype=np.float64)
@@ -92,12 +85,18 @@ def objective(
             raise ValueError("temporal term dimensions do not match")
         temporal = _psum(w_rows * np.sum((p - prev_aligned) ** 2, axis=1))
     spatial = 0.0
-    if laplacian is not None:
-        if laplacian.shape[0] != p.shape[0]:
-            raise ValueError("laplacian size does not match the patch layout")
-        spatial = _psum(p * (laplacian @ p))
+    if edges is not None and pair_weights is not None:
+        _check_spatial(edges, pair_weights, u.shape[0])
+        spatial = _psum(pair_weights * edges.residuals(u))
     total = fidelity + lambda1 * temporal + lambda2 * spatial
     return ObjectiveBreakdown(fidelity=fidelity, temporal=temporal, spatial=spatial, total=total)
+
+
+def _check_spatial(edges: SpatialEdges, pair_weights: np.ndarray, n: int) -> None:
+    if pair_weights.shape != (edges.points.shape[0],):
+        raise ValueError("pair weights must have one entry per point pair")
+    if edges.points.size and edges.points.max() >= n:
+        raise ValueError("spatial edges do not match the point count")
 
 
 def _conjugate_gradient(a: sp.spmatrix, b: np.ndarray, x0: np.ndarray,
@@ -139,13 +138,69 @@ def _conjugate_gradient(a: sp.spmatrix, b: np.ndarray, x0: np.ndarray,
     )
 
 
+def _point_system(
+    u_hat: np.ndarray,
+    members: np.ndarray,
+    anchor_rows: np.ndarray,
+    prev_aligned: Optional[np.ndarray],
+    w_rows: Optional[np.ndarray],
+    edges: Optional[SpatialEdges],
+    pair_weights: Optional[np.ndarray],
+    lambda1: float,
+    lambda2: float,
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The n x n normal equations ``A U = B`` of the point update.
+
+    ``A = I + l1 diag(S^T W 1) + l2 L`` and ``B = U_hat + l1 S^T W (C + P_ref)
+    + l2 F``, where S selects patch rows and C holds the fixed anchor
+    centers. L is the Laplacian over points whose edge (lo, hi) weighs
+    pair weight times row-edge count, and F sends each pair's weighted
+    offset to lo and its negative to hi; together they equal the row
+    form ``S^T L_rows S`` and ``S^T L_rows C``. A point paired with itself
+    adds nothing. ``A`` has at most n + 2 * pairs stored entries.
+    """
+    u_hat = np.asarray(u_hat, dtype=np.float64)
+    n = u_hat.shape[0]
+    diag = np.ones(n)
+    b = u_hat.copy()
+    lo = hi = np.empty(0, dtype=np.int64)
+    link = np.empty(0)
+    if lambda1 > 0 and w_rows is not None and prev_aligned is not None:
+        flat = members.ravel()
+        diag += lambda1 * np.bincount(flat, weights=w_rows, minlength=n)
+        b += lambda1 * _scatter(flat, w_rows[:, None] * (anchor_rows + prev_aligned), n)
+    if lambda2 > 0 and edges is not None and pair_weights is not None:
+        _check_spatial(edges, pair_weights, n)
+        distinct = edges.points[:, 0] != edges.points[:, 1]
+        lo, hi = edges.points[distinct, 0], edges.points[distinct, 1]
+        link = lambda2 * (pair_weights * edges.counts)[distinct]
+        diag += np.bincount(lo, weights=link, minlength=n)
+        diag += np.bincount(hi, weights=link, minlength=n)
+        flow = link[:, None] * edges.offsets[distinct]
+        b += _scatter(lo, flow, n) - _scatter(hi, flow, n)
+    index = np.arange(n)
+    a = sp.csr_matrix(
+        (np.concatenate([diag, -link, -link]),
+         (np.concatenate([index, lo, hi]), np.concatenate([index, hi, lo]))),
+        shape=(n, n),
+    )
+    return a, b
+
+
+def _scatter(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Rows of (e, 3) ``values`` summed into n bins by ``index``."""
+    return np.column_stack([np.bincount(index, weights=values[:, axis], minlength=n)
+                            for axis in range(values.shape[1])])
+
+
 def solve_point_cloud(
     u_hat: np.ndarray,
     members: np.ndarray,
     anchor_rows: np.ndarray,
     prev_aligned: Optional[np.ndarray],
     w_rows: Optional[np.ndarray],
-    laplacian: Optional[sp.spmatrix],
+    edges: Optional[SpatialEdges],
+    pair_weights: Optional[np.ndarray],
     lambda1: float,
     lambda2: float,
     cg_tol: float = 1e-8,
@@ -153,25 +208,12 @@ def solve_point_cloud(
 ) -> np.ndarray:
     """Closed-form point update, solved per coordinate by conjugate gradient.
 
-    Solves (I + l1 S^T W S + l2 S^T L S) U = U_hat + l1 S^T W (C + P_ref)
-    + l2 S^T L C, where S selects patch rows and C holds the fixed
-    anchor centers. The system matrix is SPD with smallest eigenvalue
-    at least 1, so CG converges unconditionally.
+    Solves the system of :func:`_point_system`, which is SPD with smallest
+    eigenvalue at least 1, so CG converges unconditionally.
     """
+    a, b = _point_system(u_hat, members, anchor_rows, prev_aligned, w_rows, edges,
+                        pair_weights, lambda1, lambda2)
     u_hat = np.asarray(u_hat, dtype=np.float64)
-    n = u_hat.shape[0]
-    s = _selection_operator(members, n)
-    a = sp.identity(n, format="csr")
-    b = u_hat.copy()
-    if lambda1 > 0 and w_rows is not None and prev_aligned is not None:
-        flat = members.ravel()
-        diag = np.bincount(flat, weights=w_rows, minlength=n)
-        a = a + sp.diags(lambda1 * diag)
-        b = b + lambda1 * (s.T @ (w_rows[:, None] * (anchor_rows + prev_aligned)))
-    if lambda2 > 0 and laplacian is not None:
-        a = a + lambda2 * (s.T @ (laplacian @ s))
-        b = b + lambda2 * (s.T @ (laplacian @ anchor_rows))
-    a = a.tocsr()
     out = np.empty_like(u_hat)
     for col in range(u_hat.shape[1]):
         out[:, col] = _conjugate_gradient(a, b[:, col], u_hat[:, col], cg_tol, cg_max_iters)
@@ -315,6 +357,21 @@ def learn_metric(
     return MetricFit(metric=r.T @ r, factor=r, objectives=tuple(objs))
 
 
+def _edge_weight_summary(edges: SpatialEdges, pair_weights: np.ndarray) -> dict:
+    """p5, p50 and p95 of the row-edge weights, and the share below 1e-12.
+
+    Each pair's weight counts once per row edge; a quantile is the smallest
+    weight whose cumulative edge count reaches that share of all edges.
+    """
+    order = np.argsort(pair_weights, kind="stable")
+    cumulative = np.cumsum(edges.counts[order])
+    total = cumulative[-1]
+    picks = np.searchsorted(cumulative, np.array([0.05, 0.5, 0.95]) * total)
+    p5, p50, p95 = (float(w) for w in pair_weights[order][picks])
+    below = int(np.sum(edges.counts[pair_weights < 1e-12]))
+    return {"p5": p5, "p50": p50, "p95": p95, "underflow_share": below / int(total)}
+
+
 def _fps_seed(base_seed: int, frame_index: int) -> int:
     return int(np.random.SeedSequence((base_seed, frame_index)).generate_state(1)[0])
 
@@ -347,7 +404,10 @@ def denoise_frame(
     forms on the first pass, the weight program and metric learning
     afterwards), and solve for the points. Stops when the objective
     stops improving and returns the iterate with the lowest recorded
-    objective, with freshly estimated normals.
+    objective, with freshly estimated normals. The report's diagnostics
+    name the stop reason (``tol``, ``objective_increased``,
+    ``fixed_point`` or ``max_iters``) and summarize the row-edge weights
+    of every weighting pass.
     """
     n = len(noisy)
     k_plane_eff = min(config.k_plane, n - 1)
@@ -369,7 +429,8 @@ def denoise_frame(
     u_hat = noisy.positions
     trace: list[ObjectiveBreakdown] = []
     diagnostics: dict = {"degenerate_normals": [], "metric_trace": [], "factor_trace": [],
-                         "spatial_edges": [], "metric_pairs": []}
+                         "spatial_edges": [], "metric_pairs": [], "edge_weights": [],
+                         "stop_reason": "max_iters"}
     best_total = np.inf
     best_u = u
     best_it = -1
@@ -382,8 +443,6 @@ def denoise_frame(
         diagnostics["degenerate_normals"].append(degen)
         patchset = build_patches(est, m, k_eff, fps_seed, index)
         members = patchset.members
-        rel = all_relative_coords(patchset, u)
-        p_rows = rel.reshape(-1, 3)
         anchor_rows = np.repeat(u[members[:, 0]], k_eff + 1, axis=0)
 
         prev_aligned = None
@@ -397,41 +456,40 @@ def denoise_frame(
                 raise SolverError(f"temporal matching failed at outer iteration {it}: {exc}",
                                   iteration=it) from exc
             prev_aligned = reference.rel[matched[:, None], point_map].reshape(-1, 3)
-            gaps = (p_rows - prev_aligned).reshape(m, k_eff + 1, 3)
+            rel = all_relative_coords(patchset, u)
+            gaps = rel - prev_aligned.reshape(rel.shape)
             d_vec = np.sum(gaps * gaps, axis=(1, 2))
 
         edges = None
+        pair_weights = None
         if lam2 > 0 and k_s_eff >= 1:
-            rows = spatial_connectivity(patchset, u, k_s_eff)
-            if rows.size:
-                edges = SpatialEdges.group(rows, members)
-        feats = point_features(u, est.normals) if edges is not None else None
+            edges = spatial_connectivity(patchset, u, k_s_eff)
+            feats = point_features(u, est.normals)
 
         try:
             if it == 0:
                 if reference is not None:
                     w_rows = temporal_weight_init(match_dist, k_eff).expand()
-                graph = initial_spatial_weights(edges, feats) if edges is not None else None
+                if edges is not None:
+                    pair_weights = initial_spatial_weights(edges, feats)
             else:
                 if reference is not None:
                     w_rows = TemporalWeights(solve_temporal_weights(d_vec, mprime), k_eff).expand()
                 if edges is not None:
                     # One row per point pair: its feature difference, and the
-                    # squared row distances of its edges summed.
-                    gap = p_rows[edges.rows[:, 0]] - p_rows[edges.rows[:, 1]]
-                    dsq = edges.pair_sums(np.sum(gap * gap, axis=1))
-                    fit = learn_metric(edges.differences(feats), dsq, config.trace_bound,
-                                       config.pg_step, config.pg_max_iters, config.pg_tol)
+                    # squared residuals of its row edges summed.
+                    fit = learn_metric(edges.differences(feats), edges.residuals(u),
+                                       config.trace_bound, config.pg_step,
+                                       config.pg_max_iters, config.pg_tol)
                     diagnostics["metric_trace"].append(float(np.trace(fit.metric)))
                     diagnostics["factor_trace"].append(float(np.trace(fit.factor)))
                     diagnostics["spatial_edges"].append(len(edges))
                     diagnostics["metric_pairs"].append(edges.points.shape[0])
-                    graph = weighted_spatial_graph(edges, feats, fit.metric)
-                else:
-                    graph = None
-            laplacian = combinatorial_laplacian(graph) if graph is not None else None
+                    pair_weights = weighted_spatial_graph(edges, feats, fit.metric)
+            if edges is not None:
+                diagnostics["edge_weights"].append(_edge_weight_summary(edges, pair_weights))
             u_new = solve_point_cloud(
-                u_hat, members, anchor_rows, prev_aligned, w_rows, laplacian,
+                u_hat, members, anchor_rows, prev_aligned, w_rows, edges, pair_weights,
                 lam1, lam2, config.cg_tol, config.cg_max_iters,
             )
         except SolverError as exc:
@@ -441,20 +499,23 @@ def denoise_frame(
             raise
 
         obj = objective(u_new, u_hat, members, anchor_rows, prev_aligned, w_rows,
-                        laplacian, lam1, lam2)
+                        edges, pair_weights, lam1, lam2)
         trace.append(obj)
         if obj.total < best_total:
             best_total, best_u, best_it = obj.total, u_new, it
         converged = np.array_equal(u_new, u)
         if prev_total is not None:
             if obj.total > prev_total:
+                diagnostics["stop_reason"] = "objective_increased"
                 break
             if (prev_total - obj.total) <= config.outer_tol * max(prev_total, 1e-300):
+                diagnostics["stop_reason"] = "tol"
                 u = u_new
                 break
         prev_total = obj.total
         u = u_new
         if converged:
+            diagnostics["stop_reason"] = "fixed_point"
             break
 
     out, _ = estimate_normals(Frame(best_u, None, noisy.frame_index), k_plane_eff)

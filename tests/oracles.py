@@ -37,7 +37,8 @@ def spatial_connectivity(patchset, positions, k_s):
 
     Builds the full (pairs, k+1, k+1, 3) difference tensor, stacks the
     nearest-row edges of both directions, sorts each pair and removes
-    duplicates with ``np.unique``; ``dpcdenoise.stgraph`` must match it exactly.
+    duplicates with ``np.unique``. These are the row edges that
+    ``dpcdenoise.stgraph.spatial_connectivity`` folds onto point pairs.
     """
     from dpcdenoise.geometry import NeighborIndex, knn_rows
     from dpcdenoise.patches import all_relative_coords
@@ -90,6 +91,43 @@ def row_edge_weights(pairs, row_features, metric=None):
     else:
         w = np.exp(-np.einsum("ei,ij,ej->e", diff, metric, diff))
     return SparseGraph.from_edges(row_features.shape[0], pairs[:, 0], pairs[:, 1], w)
+
+
+def group_rows(rows, members):
+    """Distinct unordered point pairs of (e, 2) row edges, and each edge's pair index."""
+    flat = np.asarray(members, dtype=np.int64).ravel()
+    a, b = flat[rows[:, 0]], flat[rows[:, 1]]
+    n = int(flat.max()) + 1
+    keys, inverse = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+    return np.column_stack([keys // n, keys % n]), inverse.ravel()
+
+
+def fold_rows(rows, members, anchor_rows):
+    """Row edges folded onto point pairs, one edge at a time.
+
+    Returns (points, counts, offsets, spread): per pair, the row edges, the
+    mean of their center gaps oriented from the lower to the higher point,
+    and the summed squared deviations of the gaps from that mean.
+    """
+    flat = np.asarray(members, dtype=np.int64).ravel()
+    points, inverse = group_rows(rows, members)
+    gaps = [[] for _ in range(points.shape[0])]
+    for (r, s), pair in zip(rows, inverse):
+        delta = anchor_rows[r] - anchor_rows[s]
+        gaps[pair].append(delta if flat[r] <= flat[s] else -delta)
+    counts = np.array([len(g) for g in gaps], dtype=np.int64)
+    offsets = np.array([np.mean(g, axis=0) for g in gaps]).reshape(-1, 3)
+    spread = np.array([np.sum((np.array(g) - o) ** 2) for g, o in zip(gaps, offsets)])
+    return points, counts, offsets, spread
+
+
+def row_laplacian(rows, members, pair_weights):
+    """Combinatorial Laplacian of the row graph whose edges carry their point pair's weight."""
+    from dpcdenoise.graph import SparseGraph, combinatorial_laplacian
+
+    _, inverse = group_rows(rows, members)
+    graph = SparseGraph.from_edges(members.size, rows[:, 0], rows[:, 1], pair_weights[inverse])
+    return combinatorial_laplacian(graph)
 
 
 def farthest_point_sampling(points, m, seed):
@@ -187,16 +225,16 @@ def build_system(u_hat, members, anchors, prev_aligned, w_rows, lap, lam1, lam2)
 
 
 def random_solve_instance(rng, n, with_temporal=True):
-    """Random small patch layout + operators for solver tests."""
+    """Random small patch layout + operators for solver tests.
+
+    Returns the points, the patch members, the anchor rows, the temporal
+    rows and weights (or None), the folded spatial edges with their
+    initial pair weights, and the row-graph Laplacian those weights give.
+    """
     from dpcdenoise.geometry import Frame, estimate_normals
-    from dpcdenoise.graph import combinatorial_laplacian
     from dpcdenoise.patches import build_patches
-    from dpcdenoise.stgraph import (
-        SpatialEdges,
-        initial_spatial_weights,
-        point_features,
-        spatial_connectivity,
-    )
+    from dpcdenoise.stgraph import initial_spatial_weights, point_features
+    from dpcdenoise.stgraph import spatial_connectivity as folded_connectivity
 
     pts = rng.uniform(0, 1, (n, 3))
     frame, _ = estimate_normals(Frame(pts), min(6, n - 1))
@@ -205,11 +243,13 @@ def random_solve_instance(rng, n, with_temporal=True):
     ps = build_patches(frame, m, k, seed=int(rng.integers(1000)))
     members = ps.members
     anchors = np.repeat(pts[members[:, 0]], k + 1, axis=0)
-    edges = SpatialEdges.group(spatial_connectivity(ps, pts, min(2, m - 1)), members)
-    lap = combinatorial_laplacian(initial_spatial_weights(edges, point_features(pts, frame.normals)))
+    k_s = min(2, m - 1)
+    edges = folded_connectivity(ps, pts, k_s)
+    pair_weights = initial_spatial_weights(edges, point_features(pts, frame.normals))
+    lap = row_laplacian(spatial_connectivity(ps, pts, k_s), members, pair_weights)
     if with_temporal:
         w_rows = np.repeat(rng.uniform(0, 1, m), k + 1)
         prev_aligned = anchors * 0 + rng.normal(0, 0.1, anchors.shape)
     else:
         w_rows, prev_aligned = None, None
-    return pts, members, anchors, prev_aligned, w_rows, lap
+    return pts, members, anchors, prev_aligned, w_rows, edges, pair_weights, lap

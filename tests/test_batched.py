@@ -1,4 +1,8 @@
-"""The batched patch passes and array kernels against their oracles, bit for bit.
+"""The batched patch passes and array kernels against their oracles.
+
+Results must be bit for bit equal where the arithmetic is unchanged. The
+spatial graph folded onto point pairs sums per pair instead of per row
+edge, so it must match the row-level oracles to 1e-12 relative.
 
 Inputs are drawn to hit the edge cases of the batched code: coordinates
 on a coarse grid (ties at the k-NN boundary, at exactly d == epsilon and
@@ -22,8 +26,10 @@ from dpcdenoise.matching import match_patches, patch_variations, prepare_referen
 from dpcdenoise.optimize import (
     SolverError,
     _metric_gradient_from_terms,
+    _point_system,
     denoise_frame,
     learn_metric,
+    objective,
 )
 from dpcdenoise.patches import all_relative_coords, build_patches, sq_dists
 from dpcdenoise.stgraph import (
@@ -225,6 +231,22 @@ class TestSqDists:
         assert bits(got) == bits(want)
 
 
+def assert_folds(edges, rows, members, anchor_rows):
+    """``edges`` is the fold of the oracle's row edges: same pairs and counts, and
+    offsets and spread equal to 1e-12 relative."""
+    points, counts, offsets, spread = oracles.fold_rows(rows, members, anchor_rows)
+    assert edges.points.dtype == points.dtype and np.array_equal(edges.points, points)
+    assert np.array_equal(edges.counts, counts)
+    assert len(edges) == int(edges.counts.sum()) == rows.shape[0]
+    scale = max(1.0, float(np.max(np.abs(anchor_rows))))
+    np.testing.assert_allclose(edges.offsets, offsets, rtol=1e-12, atol=1e-15 * scale)
+    np.testing.assert_allclose(edges.spread, spread, rtol=1e-12, atol=1e-15 * scale**2)
+
+
+def anchors_of(patchset, pts):
+    return np.repeat(pts[patchset.center_indices], patchset.k + 1, axis=0)
+
+
 class TestSpatialConnectivity:
     @PROPERTY
     @given(clouds(min_points=4), st.integers(1, 8), st.integers(0, 2**32 - 1))
@@ -235,10 +257,9 @@ class TestSpatialConnectivity:
         m = int(rng.integers(2, n + 1))
         k_s = int(rng.integers(1, m))
         ps = build_patches(Frame(pts), m, k, seed)
-        got = spatial_connectivity(ps, pts, k_s)
-        want = oracles.spatial_connectivity(ps, pts, k_s)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want)
+        edges = spatial_connectivity(ps, pts, k_s)
+        rows = oracles.spatial_connectivity(ps, pts, k_s)
+        assert_folds(edges, rows, ps.members, anchors_of(ps, pts))
 
     def test_ties_and_mutual_nearest_rows(self):
         # A 3-level grid with duplicated points gives argmin ties between
@@ -250,10 +271,79 @@ class TestSpatialConnectivity:
         rel = all_relative_coords(ps, pts)
         cost = sq_dists(rel[:, None], rel[None, :])             # (30, 30, 7, 7)
         assert np.any(np.sum(cost == cost.min(axis=3, keepdims=True), axis=3) > 1)
-        got = spatial_connectivity(ps, pts, 5)
-        assert np.array_equal(got, oracles.spatial_connectivity(ps, pts, 5))
-        assert np.all(got[:, 0] < got[:, 1])
-        assert np.all(np.diff(got[:, 0] * len(ps) * 7 + got[:, 1]) > 0)
+        edges = spatial_connectivity(ps, pts, 5)
+        assert_folds(edges, oracles.spatial_connectivity(ps, pts, 5), ps.members,
+                     anchors_of(ps, pts))
+        assert np.all(edges.points[:, 0] <= edges.points[:, 1])
+        assert np.all(np.diff(edges.points[:, 0] * 60 + edges.points[:, 1]) > 0)
+        assert np.any(edges.points[:, 0] == edges.points[:, 1])
+
+
+@st.composite
+def spatial_instances(draw):
+    """A patch layout over a drawn cloud, its folded spatial edges and the oracle's row edges."""
+    pts, rng = draw(clouds(min_points=4, max_points=30))
+    n = len(pts)
+    k = min(draw(st.sampled_from([1, 2, 4, 7])), n - 1)
+    m = int(rng.integers(2, n + 1))
+    ps = build_patches(Frame(pts), m, k, int(rng.integers(1000)))
+    k_s = int(rng.integers(1, m))
+    edges = spatial_connectivity(ps, pts, k_s)
+    rows = oracles.spatial_connectivity(ps, pts, k_s)
+    pair_weights = rng.uniform(0.0, 1.0, edges.points.shape[0])
+    pair_weights[rng.random(pair_weights.size) < 0.2] = 0.0
+    return pts, ps, edges, rows, pair_weights, rng
+
+
+def assert_sums_match(got, want, pts):
+    """Sums of squared residuals agree to 1e-12 relative. A residual that cancels
+    to zero row by row comes out of the fold as rounding of the coordinates
+    (about 1e-32 at unit scale), hence the absolute floor."""
+    floor = 1e-24 * max(1.0, float(np.max(np.abs(pts)))) ** 2
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=floor)
+
+
+def rel_max_error(got, want):
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+class TestFoldedSpatialTerm:
+    @PROPERTY
+    @given(spatial_instances(), st.booleans())
+    def test_system_matches_dense_row_oracle(self, drawn, temporal):
+        pts, ps, edges, rows, pair_weights, rng = drawn
+        members = ps.members
+        anchors = anchors_of(ps, pts)
+        u_hat = pts + rng.normal(0.0, 0.05, pts.shape)
+        prev = rng.normal(0.0, 0.1, anchors.shape) if temporal else None
+        w_rows = np.repeat(rng.uniform(0, 1, len(ps)), ps.k + 1) if temporal else None
+        lam1, lam2 = rng.uniform(0.1, 2.0, 2)
+        a, b = _point_system(u_hat, members, anchors, prev, w_rows, edges, pair_weights,
+                             lam1, lam2)
+        lap = oracles.row_laplacian(rows, members, pair_weights)
+        a_want, b_want = oracles.build_system(u_hat, members, anchors, prev, w_rows, lap,
+                                              lam1, lam2)
+        assert a.shape == (len(pts), len(pts))
+        assert a.nnz <= len(pts) + 2 * edges.points.shape[0]
+        assert rel_max_error(a.toarray(), a_want) <= 1e-12
+        assert rel_max_error(b, b_want) <= 1e-12
+
+    @PROPERTY
+    @given(spatial_instances())
+    def test_objective_and_dsq_match_per_edge_sums(self, drawn):
+        pts, ps, edges, rows, pair_weights, rng = drawn
+        members = ps.members
+        anchors = anchors_of(ps, pts)
+        u = pts + rng.normal(0.0, 0.05, pts.shape)
+        p = u[members.ravel()] - anchors
+        gap = p[rows[:, 0]] - p[rows[:, 1]]
+        per_edge = np.sum(gap * gap, axis=1)
+        _, inverse = oracles.group_rows(rows, members)
+        want_dsq = np.bincount(inverse, weights=per_edge, minlength=edges.points.shape[0])
+        assert_sums_match(edges.residuals(u), want_dsq, u)
+        got = objective(u, u, members, anchors, None, None, edges, pair_weights, 0.0, 1.0)
+        assert_sums_match(got.spatial, np.sum(pair_weights[inverse] * per_edge), u)
+        assert got.total == got.spatial
 
 
 class TestMetricGram:
@@ -273,7 +363,7 @@ class TestMetricGram:
 
 @st.composite
 def row_edges(draw):
-    """Patches over few points, sorted distinct row edges, point features and row offsets."""
+    """Patches over few points, sorted distinct row edges, point features and positions."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 8))
     size = draw(st.integers(1, n))
@@ -286,16 +376,23 @@ def row_edges(draw):
     if draw(st.booleans()):
         pts = np.round(pts * 2) / 2
     feats = point_features(pts, unit_normals(rng, n))
-    offsets = rng.normal(0.0, 0.3, (m * size, 3))
-    return members, rows, feats, offsets, rng
+    return members, rows, feats, pts, rng
+
+
+def folded(rows, members, pts):
+    """The oracle fold of arbitrary row edges, with each patch anchored at its first member."""
+    anchors = np.repeat(pts[members[:, 0]], members.shape[1], axis=0)
+    points, counts, offsets, spread = oracles.fold_rows(rows, members, anchors)
+    return SpatialEdges(points=points, counts=counts, offsets=offsets, spread=spread), anchors
 
 
 class TestPointPairs:
     @PROPERTY
     @given(row_edges())
     def test_pair_weights_equal_per_edge_weights(self, drawn):
-        members, rows, feats, _, rng = drawn
-        edges = SpatialEdges.group(rows, members)
+        members, rows, feats, pts, rng = drawn
+        edges, _ = folded(rows, members, pts)
+        _, inverse = oracles.group_rows(rows, members)
         row_feats = feats[members.ravel()]
         factor = rng.normal(0.0, 0.5, (6, 6))
         metric = factor.T @ factor
@@ -305,27 +402,30 @@ class TestPointPairs:
              oracles.row_edge_weights(rows, row_feats, metric)),
         )
         for got, want in pairs:
-            assert got.node_count == want.node_count
-            assert np.array_equal(got.edge_i, want.edge_i)
-            assert np.array_equal(got.edge_j, want.edge_j)
-            assert bits(got.weights) == bits(want.weights)
+            assert got.shape == (edges.points.shape[0],)
+            assert np.array_equal(rows[:, 0], want.edge_i)
+            assert np.array_equal(rows[:, 1], want.edge_j)
+            assert bits(got[inverse]) == bits(want.weights)
 
     @PROPERTY
     @given(row_edges(), st.sampled_from([1e-5, 1e-3]))
     def test_compressed_metric_learning_matches_per_edge(self, drawn, step):
-        members, rows, feats, offsets, _ = drawn
-        edges = SpatialEdges.group(rows, members)
+        members, rows, feats, pts, _ = drawn
+        edges, anchors = folded(rows, members, pts)
         row_feats = feats[members.ravel()]
-        gap = offsets[rows[:, 0]] - offsets[rows[:, 1]]
+        p = pts[members.ravel()] - anchors
+        gap = p[rows[:, 0]] - p[rows[:, 1]]
         dsq = np.sum(gap * gap, axis=1)
         per_edge = learn_metric(row_feats[rows[:, 0]] - row_feats[rows[:, 1]], dsq, 5.0,
                                 pg_step=step, pg_max_iters=20)
-        compressed = learn_metric(edges.differences(feats), edges.pair_sums(dsq), 5.0,
+        residuals = edges.residuals(pts)
+        assert_sums_match(residuals, np.bincount(oracles.group_rows(rows, members)[1],
+                                                 weights=dsq), pts)
+        compressed = learn_metric(edges.differences(feats), residuals, 5.0,
                                   pg_step=step, pg_max_iters=20)
         assert edges.points.shape[0] <= rows.shape[0]
         assert np.all(edges.points[:, 0] <= edges.points[:, 1])
-        assert compressed.objectives[-1] == pytest.approx(per_edge.objectives[-1],
-                                                          rel=1e-12, abs=1e-300)
+        assert_sums_match(compressed.objectives[-1], per_edge.objectives[-1], pts)
         assert np.max(np.abs(compressed.metric - per_edge.metric)) <= 1e-12
 
 
@@ -342,23 +442,23 @@ class TestFarthestPointSampling:
 class TestFromEdges:
     @PROPERTY
     @given(st.integers(2, 30), st.integers(0, 2**32 - 1))
-    def test_unsorted_input_matches_sorted_fast_path(self, n, seed):
+    def test_unsorted_input_matches_sorted_input(self, n, seed):
         rng = np.random.default_rng(seed)
         lo, hi = np.triu_indices(n, 1)
         keep = np.sort(rng.choice(lo.size, int(rng.integers(1, lo.size + 1)), replace=False))
         lo, hi = lo[keep], hi[keep]
         w = rng.uniform(0, 2, lo.size)
-        fast = SparseGraph.from_edges(n, lo, hi, w)
+        ordered = SparseGraph.from_edges(n, lo, hi, w)
         order = rng.permutation(lo.size)
         swap = rng.random(lo.size) < 0.5
         i = np.where(swap, hi, lo)[order]
         j = np.where(swap, lo, hi)[order]
         slow = SparseGraph.from_edges(n, i, j, w[order])
-        for a, b in ((fast.edge_i, slow.edge_i), (fast.edge_j, slow.edge_j)):
+        for a, b in ((ordered.edge_i, slow.edge_i), (ordered.edge_j, slow.edge_j)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert bits(fast.weights) == bits(slow.weights) == bits(w)
+        assert bits(ordered.weights) == bits(slow.weights) == bits(w)
 
-    def test_fast_path_owns_its_weights(self):
+    def test_graph_owns_its_weights(self):
         w = np.array([1.0, 2.0])
         graph = SparseGraph.from_edges(3, [0, 1], [1, 2], w)
         w[0] = 5.0

@@ -101,6 +101,12 @@ class TestDenoise:
         diag = manifest.frame_metrics[0]["diagnostics"]
         assert len(diag["spatial_edges"]) == len(diag["metric_pairs"]) == 1
         assert 0 < diag["metric_pairs"][0] <= diag["spatial_edges"][0]
+        # The loop's stop reason, and one edge-weight summary per weighting pass.
+        assert diag["stop_reason"] in ("tol", "objective_increased", "fixed_point", "max_iters")
+        assert len(diag["edge_weights"]) == len(manifest.frame_metrics[0]["objective_trace"])
+        for entry in diag["edge_weights"]:
+            assert 0.0 <= entry["p5"] <= entry["p50"] <= entry["p95"] <= 1.0
+            assert 0.0 <= entry["underflow_share"] <= 1.0
 
     def test_config_file_with_flag_override(self, tmp_path):
         run(synth_args(tmp_path / "clean", points=60, frames=1))

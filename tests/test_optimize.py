@@ -4,9 +4,10 @@ from oracles import build_system, lp_oracle, random_solve_instance
 
 from dpcdenoise.config import DenoiseConfig
 from dpcdenoise.geometry import Frame, estimate_normals
-from dpcdenoise.graph import combinatorial_laplacian
 from dpcdenoise.optimize import (
     SolverError,
+    _edge_weight_summary,
+    _point_system,
     denoise_frame,
     denoise_sequence,
     learn_metric,
@@ -32,25 +33,26 @@ random_instance = random_solve_instance
 class TestObjective:
     def test_zero_when_u_equals_uhat_and_lambdas_zero(self):
         rng = np.random.default_rng(0)
-        pts, members, anchors, prev, w, lap = random_instance(rng, 20)
-        out = objective(pts, pts, members, anchors, prev, w, lap, 0.0, 0.0)
+        pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, 20)
+        out = objective(pts, pts, members, anchors, prev, w, edges, pw, 0.0, 0.0)
         assert out.fidelity == 0.0
         assert out.total == 0.0
 
     def test_zero_weights_kill_temporal_term(self):
         rng = np.random.default_rng(1)
-        pts, members, anchors, prev, w, lap = random_instance(rng, 20)
-        out = objective(pts, pts + 0.1, members, anchors, prev, np.zeros_like(w), lap, 3.0, 0.0)
+        pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, 20)
+        out = objective(pts, pts + 0.1, members, anchors, prev, np.zeros_like(w), edges, pw,
+                        3.0, 0.0)
         assert out.temporal == 0.0
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             n = int(rng.integers(12, 30))
-            pts, members, anchors, prev, w, lap = random_instance(rng, n)
+            pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, n)
             u = pts + rng.normal(0, 0.05, pts.shape)
             lam1, lam2 = rng.uniform(0, 2, 2)
-            got = objective(u, pts, members, anchors, prev, w, lap, lam1, lam2)
+            got = objective(u, pts, members, anchors, prev, w, edges, pw, lam1, lam2)
             p = u[members.ravel()] - anchors
             fid = np.sum((u - pts) ** 2)
             temporal = np.sum(w * np.sum((p - prev) ** 2, axis=1))
@@ -64,18 +66,18 @@ class TestObjective:
 class TestSolvePointCloud:
     def test_zero_lambdas_bit_exact_identity(self):
         rng = np.random.default_rng(3)
-        pts, members, anchors, prev, w, lap = random_instance(rng, 25)
-        out = solve_point_cloud(pts, members, anchors, prev, w, lap, 0.0, 0.0)
+        pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, 25)
+        out = solve_point_cloud(pts, members, anchors, prev, w, edges, pw, 0.0, 0.0)
         assert np.array_equal(out, pts)
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(4)
         for trial in range(50):
             n = int(rng.integers(10, 61))
-            pts, members, anchors, prev, w, lap = random_instance(rng, n)
+            pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, n)
             u_hat = pts + rng.normal(0, 0.05, pts.shape)
             lam1, lam2 = rng.uniform(0.1, 2, 2)
-            got = solve_point_cloud(u_hat, members, anchors, prev, w, lap, lam1, lam2,
+            got = solve_point_cloud(u_hat, members, anchors, prev, w, edges, pw, lam1, lam2,
                                     cg_tol=1e-12, cg_max_iters=2000)
             a, b = build_system(u_hat, members, anchors, prev, w, lap, lam1, lam2)
             want = np.linalg.solve(a, b)
@@ -83,9 +85,9 @@ class TestSolvePointCloud:
 
     def test_residual_contract(self):
         rng = np.random.default_rng(5)
-        pts, members, anchors, prev, w, lap = random_instance(rng, 40)
+        pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, 40)
         u_hat = pts + rng.normal(0, 0.1, pts.shape)
-        got = solve_point_cloud(u_hat, members, anchors, prev, w, lap, 1.0, 1.0,
+        got = solve_point_cloud(u_hat, members, anchors, prev, w, edges, pw, 1.0, 1.0,
                                 cg_tol=1e-8, cg_max_iters=500)
         a, b = build_system(u_hat, members, anchors, prev, w, lap, 1.0, 1.0)
         for col in range(3):
@@ -96,16 +98,16 @@ class TestSolvePointCloud:
         rng = np.random.default_rng(6)
         for _ in range(5):
             n = int(rng.integers(10, 61))
-            pts, members, anchors, prev, w, lap = random_instance(rng, n)
-            a, _ = build_system(pts, members, anchors, prev, w, lap, 1.3, 0.7)
-            assert np.linalg.eigvalsh(a).min() >= 1.0 - 1e-9
+            pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, n)
+            a, _ = _point_system(pts, members, anchors, prev, w, edges, pw, 1.3, 0.7)
+            assert np.linalg.eigvalsh(a.toarray()).min() >= 1.0 - 1e-9
 
     def test_failure_carries_residual(self):
         rng = np.random.default_rng(7)
-        pts, members, anchors, prev, w, lap = random_instance(rng, 30)
+        pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, 30)
         u_hat = pts + rng.normal(0, 0.1, pts.shape)
         with pytest.raises(SolverError) as err:
-            solve_point_cloud(u_hat, members, anchors, prev, w, lap, 1.0, 5.0,
+            solve_point_cloud(u_hat, members, anchors, prev, w, edges, pw, 1.0, 5.0,
                               cg_tol=1e-14, cg_max_iters=1)
         assert err.value.residual is not None
         assert err.value.residual > 1e-14
@@ -114,13 +116,13 @@ class TestSolvePointCloud:
         rng = np.random.default_rng(8)
         for _ in range(10):
             n = int(rng.integers(12, 40))
-            pts, members, anchors, prev, w, lap = random_instance(rng, n)
+            pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, n)
             u_hat = pts + rng.normal(0, 0.1, pts.shape)
             lam1, lam2 = rng.uniform(0.1, 2, 2)
-            star = solve_point_cloud(u_hat, members, anchors, prev, w, lap, lam1, lam2,
+            star = solve_point_cloud(u_hat, members, anchors, prev, w, edges, pw, lam1, lam2,
                                      cg_tol=1e-12, cg_max_iters=2000)
-            before = objective(u_hat, u_hat, members, anchors, prev, w, lap, lam1, lam2)
-            after = objective(star, u_hat, members, anchors, prev, w, lap, lam1, lam2)
+            before = objective(u_hat, u_hat, members, anchors, prev, w, edges, pw, lam1, lam2)
+            after = objective(star, u_hat, members, anchors, prev, w, edges, pw, lam1, lam2)
             assert after.total <= before.total + 1e-9
 
 
@@ -310,13 +312,11 @@ class TestDenoiseFrame:
                     if 2 <= p[0] <= 9 and 2 <= p[1] <= 9]
         members = np.array([[i, *knn_point(index, i, 4)] for i in interior])
         ps = PatchSet(members=members, k=4, frame=frame)
-        edges = SpatialEdges.group(spatial_connectivity(ps, pts, 4), members)
+        edges = spatial_connectivity(ps, pts, 4)
         normals = np.tile((0.0, 0.0, 1.0), (144, 1))
-        lap = combinatorial_laplacian(
-            initial_spatial_weights(edges, point_features(pts, normals))
-        )
+        pw = initial_spatial_weights(edges, point_features(pts, normals))
         anchors = np.repeat(pts[members[:, 0]], 5, axis=0)
-        out = solve_point_cloud(pts, members, anchors, None, None, lap, 0.0, 0.5,
+        out = solve_point_cloud(pts, members, anchors, None, None, edges, pw, 0.0, 0.5,
                                 cg_tol=1e-10, cg_max_iters=500)
         assert np.max(np.abs(out - pts)) < 1e-6
 
@@ -428,6 +428,82 @@ class TestDenoiseFrame:
         assert len(diag["spatial_edges"]) == len(diag["metric_pairs"]) == 1
         assert 0 < diag["metric_pairs"][0] < diag["spatial_edges"][0]
 
+    def test_cg_gets_point_sized_systems_only(self, monkeypatch):
+        # The spatial term is assembled over points: every system handed to
+        # CG is n x n with at most n + 2 * pairs stored entries, and no
+        # row-graph Laplacian is built.
+        import dpcdenoise.graph as graph
+        import dpcdenoise.optimize as opt
+
+        pairs, systems = [], []
+        real_connectivity, real_cg = opt.spatial_connectivity, opt._conjugate_gradient
+
+        def connectivity(*args):
+            edges = real_connectivity(*args)
+            pairs.append(edges.points.shape[0])
+            return edges
+
+        def cg(a, b, *args):
+            systems.append((a.shape, a.nnz, pairs[-1]))
+            return real_cg(a, b, *args)
+
+        def laplacian(*args):
+            raise AssertionError("combinatorial_laplacian called")
+
+        monkeypatch.setattr(opt, "spatial_connectivity", connectivity)
+        monkeypatch.setattr(opt, "_conjugate_gradient", cg)
+        monkeypatch.setattr(graph, "combinatorial_laplacian", laplacian)
+        assert not hasattr(opt, "combinatorial_laplacian")
+        seq = small_sequence(2)
+        rng = np.random.default_rng(9)
+        noisy = [Frame(f.positions + rng.normal(0, 0.01, (120, 3)), frame_index=t)
+                 for t, f in enumerate(seq)]
+        cfg = small_config(outer_max_iters=2)
+        prev, _ = denoise_frame(noisy[0], None, cfg)
+        denoise_frame(noisy[1], prev, cfg)
+        assert len(systems) == 2 * 2 * 3
+        for shape, nnz, pair_count in systems:
+            assert shape == (120, 120)
+            assert nnz <= 120 + 2 * pair_count
+
+    def test_stop_reason_and_edge_weight_diagnostics(self):
+        seq = small_sequence(1)
+        noisy = Frame(seq.frames[0].positions +
+                      np.random.default_rng(3).normal(0, 0.01, (120, 3)))
+        _, capped = denoise_frame(noisy, None, small_config(outer_max_iters=2))
+        assert capped.diagnostics["stop_reason"] == "max_iters"
+        weights = capped.diagnostics["edge_weights"]
+        assert len(weights) == 2
+        for entry in weights:
+            assert 0.0 <= entry["p5"] <= entry["p50"] <= entry["p95"] <= 1.0
+            assert entry["underflow_share"] == 0.0
+        _, loose = denoise_frame(noisy, None, small_config(outer_max_iters=4, outer_tol=0.5))
+        assert loose.diagnostics["stop_reason"] == "tol"
+        assert len(loose.objective_trace) == 2
+        _, still = denoise_frame(noisy, None, small_config(lambda1=0.0, lambda2=0.0))
+        assert still.diagnostics["stop_reason"] == "fixed_point"
+        assert still.diagnostics["edge_weights"] == []
+
+    def test_edge_weight_summary_counts_every_row_edge(self):
+        # A pair's weight counts once per row edge: 8 of the 10 edges weigh 0.9.
+        edges = SpatialEdges(points=np.array([[0, 1], [0, 2], [1, 2]]),
+                             counts=np.array([1, 1, 8]), offsets=np.zeros((3, 3)),
+                             spread=np.zeros(3))
+        summary = _edge_weight_summary(edges, np.array([1e-13, 0.5, 0.9]))
+        assert summary == {"p5": 1e-13, "p50": 0.9, "p95": 0.9, "underflow_share": 0.1}
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            pairs = int(rng.integers(1, 30))
+            counts = rng.integers(1, 40, pairs)
+            weights = np.where(rng.random(pairs) < 0.2, 0.0, rng.random(pairs))
+            edges = SpatialEdges(points=np.zeros((pairs, 2), dtype=np.int64), counts=counts,
+                                 offsets=np.zeros((pairs, 3)), spread=np.zeros(pairs))
+            summary = _edge_weight_summary(edges, weights)
+            rows = np.repeat(weights, counts)
+            for key, q in (("p5", 0.05), ("p50", 0.5), ("p95", 0.95)):
+                assert summary[key] == np.quantile(rows, q, method="inverted_cdf")
+            assert summary["underflow_share"] == np.mean(rows < 1e-12)
+
     def test_reports_solver_error_with_iteration(self):
         seq = small_sequence(1)
         noisy = Frame(seq.frames[0].positions +
@@ -454,15 +530,16 @@ class TestDenoiseSequence:
         # Relative coordinates cancel a rigid translation of the whole
         # frame, so the temporal consistency value is unchanged.
         rng = np.random.default_rng(20)
-        pts, members, anchors, prev, w, lap = random_instance(rng, 25)
+        pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, 25)
         u = pts + rng.normal(0, 0.05, pts.shape)
-        a = objective(u, pts, members, anchors, prev, w, lap, 1.0, 0.0)
+        a = objective(u, pts, members, anchors, prev, w, edges, pw, 1.0, 0.0)
         shift = np.array([4.0, -2.0, 9.0])
         k1 = members.shape[1]
         anchors_shifted = np.repeat((u + shift)[members[:, 0]], k1, axis=0)
         anchors_now = np.repeat(u[members[:, 0]], k1, axis=0)
-        before = objective(u, pts, members, anchors_now, prev, w, lap, 1.0, 0.0)
-        after = objective(u + shift, pts + shift, members, anchors_shifted, prev, w, lap, 1.0, 0.0)
+        before = objective(u, pts, members, anchors_now, prev, w, edges, pw, 1.0, 0.0)
+        after = objective(u + shift, pts + shift, members, anchors_shifted, prev, w, edges, pw,
+                          1.0, 0.0)
         assert after.temporal == pytest.approx(before.temporal, rel=1e-9)
         assert a.fidelity == pytest.approx(after.fidelity, rel=1e-9)
 

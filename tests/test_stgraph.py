@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpcdenoise.geometry import Frame, estimate_normals
-from dpcdenoise.graph import combinatorial_laplacian
+from dpcdenoise.graph import SparseGraph, combinatorial_laplacian
 from dpcdenoise.patches import PatchSet, build_patches
 from dpcdenoise.stgraph import (
     SpatialEdges,
@@ -19,9 +19,12 @@ def toy_patchset(positions, members, k):
     return PatchSet(members=np.asarray(members), k=k, frame=Frame(positions))
 
 
-def point_edges(pairs, n):
-    """Edges over n one-point patches, so rows and points coincide."""
-    return SpatialEdges.group(np.asarray(pairs), np.arange(n)[:, None])
+def point_edges(pairs):
+    """One row edge per point pair, with no center gap."""
+    pairs = np.asarray(pairs)
+    count = pairs.shape[0]
+    return SpatialEdges(points=pairs, counts=np.ones(count, dtype=np.int64),
+                        offsets=np.zeros((count, 3)), spread=np.zeros(count))
 
 
 class TestSpatialConnectivity:
@@ -34,9 +37,13 @@ class TestSpatialConnectivity:
             ]
         )
         ps = toy_patchset(pts, [[0, 1, 2], [3, 4, 5]], k=2)
-        pairs = spatial_connectivity(ps, pts, k_s=1)
+        edges = spatial_connectivity(ps, pts, k_s=1)
         want = {(0, 3), (1, 4), (2, 5)}
-        assert set(map(tuple, pairs)) == want
+        assert set(map(tuple, edges.points)) == want
+        assert edges.counts.tolist() == [1, 1, 1] and len(edges) == 3
+        assert edges.offsets.tolist() == [[-5.0, 0.0, 0.0]] * 3
+        assert edges.spread.tolist() == [0.0] * 3
+        assert edges.residuals(pts).tolist() == [0.0] * 3
 
     def test_k_s_one_connects_nearest_patch_only(self):
         pts = np.array(
@@ -47,8 +54,8 @@ class TestSpatialConnectivity:
             ]
         )
         ps = toy_patchset(pts, [[0, 1], [2, 3], [4, 5]], k=1)
-        pairs = spatial_connectivity(ps, pts, k_s=1)
-        patch_of = np.asarray(pairs) // 2
+        # Member i is point i, so a point pair names its rows.
+        patch_of = spatial_connectivity(ps, pts, k_s=1).points // 2
         got_pairs = set(map(tuple, patch_of))
         # Patch 2 is far away; its nearest is patch 1 (center distance oracle).
         assert (0, 1) in got_pairs
@@ -62,7 +69,10 @@ class TestSpatialConnectivity:
         ps = build_patches(frame, 10, 6, seed=1)
         a = spatial_connectivity(ps, pts, 3)
         b = spatial_connectivity(ps, pts + np.array([10.0, -4.0, 2.0]), 3)
-        assert np.array_equal(a, b)
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.counts, b.counts)
+        assert np.allclose(a.offsets, b.offsets, rtol=0, atol=1e-13)
+        assert np.allclose(a.spread, b.spread, rtol=0, atol=1e-13)
 
     def test_k_s_too_large(self):
         pts = np.random.default_rng(1).uniform(0, 1, (20, 3))
@@ -74,14 +84,14 @@ class TestSpatialConnectivity:
 class TestSpatialWeights:
     def test_identical_features_weight_one(self):
         feats = np.zeros((2, 6))
-        g = initial_spatial_weights(point_edges([[0, 1]], 2), feats)
-        assert g.weights[0] == 1.0
+        g = initial_spatial_weights(point_edges([[0, 1]]), feats)
+        assert g[0] == 1.0
 
     def test_exp_ln2_weight_half(self):
         feats = np.zeros((2, 6))
         feats[1, 0] = np.sqrt(np.log(2.0))
-        g = initial_spatial_weights(point_edges([[0, 1]], 2), feats)
-        assert g.weights[0] == pytest.approx(0.5, rel=1e-12)
+        g = initial_spatial_weights(point_edges([[0, 1]]), feats)
+        assert g[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_monotone_in_feature_distance(self):
         rng = np.random.default_rng(2)
@@ -89,7 +99,7 @@ class TestSpatialWeights:
         prev = np.inf
         for scale in (0.1, 0.5, 1.0, 2.0):
             feats = np.vstack([np.zeros(6), scale * base])
-            w = initial_spatial_weights(point_edges([[0, 1]], 2), feats).weights[0]
+            w = initial_spatial_weights(point_edges([[0, 1]]), feats)[0]
             assert w < prev
             prev = w
 
@@ -97,39 +107,42 @@ class TestSpatialWeights:
         rng = np.random.default_rng(3)
         feats = rng.normal(size=(10, 6))
         pairs = np.array([[i, j] for i in range(10) for j in range(i + 1, 10)])
-        a = initial_spatial_weights(point_edges(pairs, 10), feats)
-        b = weighted_spatial_graph(point_edges(pairs, 10), feats, np.eye(6))
-        assert np.allclose(a.weights, b.weights, atol=1e-15)
+        a = initial_spatial_weights(point_edges(pairs), feats)
+        b = weighted_spatial_graph(point_edges(pairs), feats, np.eye(6))
+        assert np.allclose(a, b, atol=1e-15)
 
     def test_zero_metric_gives_unit_weights(self):
         feats = np.random.default_rng(4).normal(size=(5, 6))
         pairs = np.array([[0, 1], [2, 3]])
-        g = weighted_spatial_graph(point_edges(pairs, 5), feats, np.zeros((6, 6)))
-        assert np.array_equal(g.weights, [1.0, 1.0])
+        g = weighted_spatial_graph(point_edges(pairs), feats, np.zeros((6, 6)))
+        assert np.array_equal(g, [1.0, 1.0])
 
     def test_diagonal_metric_example(self):
         feats = np.zeros((2, 6))
         feats[1, 0] = 1.0
         metric = np.zeros((6, 6))
         metric[0, 0] = 2.0
-        g = weighted_spatial_graph(point_edges([[0, 1]], 2), feats, metric)
-        assert g.weights[0] == pytest.approx(np.exp(-2.0), rel=1e-12)
+        g = weighted_spatial_graph(point_edges([[0, 1]]), feats, metric)
+        assert g[0] == pytest.approx(np.exp(-2.0), rel=1e-12)
 
     def test_rejects_non_psd_metric(self):
         feats = np.zeros((2, 6))
         metric = -np.eye(6)
         with pytest.raises(ValueError, match="positive semidefinite"):
-            weighted_spatial_graph(point_edges([[0, 1]], 2), feats, metric)
+            weighted_spatial_graph(point_edges([[0, 1]]), feats, metric)
 
     def test_laplacian_of_weighted_graph_is_psd(self):
+        # The point Laplacian whose edge (lo, hi) weighs pair weight times count.
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 1, (50, 3))
         frame, _ = estimate_normals(Frame(pts), 8)
         ps = build_patches(frame, 10, 5, seed=2)
-        edges = SpatialEdges.group(spatial_connectivity(ps, pts, 3), ps.members)
+        edges = spatial_connectivity(ps, pts, 3)
         feats = point_features(pts, frame.normals)
-        g = weighted_spatial_graph(edges, feats, 0.5 * np.eye(6))
-        lap = combinatorial_laplacian(g)
+        w = weighted_spatial_graph(edges, feats, 0.5 * np.eye(6))
+        link = edges.points[:, 0] != edges.points[:, 1]
+        lo, hi = edges.points[link].T
+        lap = combinatorial_laplacian(SparseGraph.from_edges(50, lo, hi, (w * edges.counts)[link]))
         assert abs((lap - lap.T).toarray()).max() < 1e-15
         for _ in range(20):
             x = rng.normal(size=lap.shape[0])
@@ -176,25 +189,33 @@ class TestPointFeatures:
 
 class TestSpatialEdges:
     def test_groups_rows_by_unordered_point_pair(self):
-        # Rows hold points 0, 1, 1, 0, 2, 1. Row edges (0, 2) and (1, 3) join
-        # points 0 and 1 in opposite orders; (1, 2) and (1, 5) join point 1
-        # with itself.
-        members = np.array([[0, 1], [1, 0], [2, 1]])
-        rows = np.array([[0, 2], [1, 3], [1, 2], [0, 4], [1, 5]])
-        edges = SpatialEdges.group(rows, members)
-        assert edges.points.tolist() == [[0, 1], [0, 2], [1, 1]]
-        assert edges.inverse.tolist() == [0, 0, 2, 1, 2]
-        assert edges.row_count == 6 and len(edges) == 5
-        assert edges.pair_sums(np.array([1.0, 2.0, 4.0, 8.0, 16.0])).tolist() == [3.0, 8.0, 20.0]
+        # Points on the x axis at 3, 1, 0; patches A = [2, 1], B = [1, 0] and
+        # C = [0, 1] with centers at 0, 1 and 3, so A-B and B-C are adjacent.
+        # Row edges, with the center gap oriented from the lower point:
+        # A-B: (2, 1) gap cB - cA = 1; (1, 1) gap -1 (row 1 of A ties between
+        # both rows of B, the lower slot wins); (1, 0) backward, gap 1.
+        # B-C: (1, 0) gap cC - cB = 2; (0, 0) gap -2; (1, 1) backward, gap -2.
+        pts = np.array([[3.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0]])
+        ps = toy_patchset(pts, [[2, 1], [1, 0], [0, 1]], k=1)
+        edges = spatial_connectivity(ps, pts, k_s=1)
+        assert edges.points.tolist() == [[0, 0], [0, 1], [1, 1], [1, 2]]
+        assert edges.counts.tolist() == [1, 2, 2, 1] and len(edges) == 6
+        assert edges.offsets.tolist() == [[-2.0, 0, 0], [1.5, 0, 0], [-1.5, 0, 0], [1.0, 0, 0]]
+        assert edges.spread.tolist() == [0.0, 0.5, 0.5, 0.0]
+        # Pair (0, 1): row residuals (2 - 1)^2 + (2 - 2)^2 = 2 * 0.5^2 + 0.5; a
+        # self pair sums its squared gaps: (1, 1) gives 1 + 4.
+        assert edges.residuals(pts).tolist() == [4.0, 1.0, 5.0, 0.0]
 
     def test_weights_gathered_to_every_row_edge(self):
+        # One weight per point pair, carried by each of its row edges; a
+        # point paired with itself weighs exactly 1.
         rng = np.random.default_rng(11)
+        pts = np.array([[3.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0]])
+        ps = toy_patchset(pts, [[2, 1], [1, 0], [0, 1]], k=1)
+        edges = spatial_connectivity(ps, pts, k_s=1)
         feats = np.hstack([rng.normal(size=(3, 3)), np.tile([0.0, 0.0, 1.0], (3, 1))])
-        members = np.array([[0, 1], [1, 0], [2, 1]])
-        rows = np.array([[0, 2], [0, 4], [1, 2], [1, 3]])
-        g = initial_spatial_weights(SpatialEdges.group(rows, members), feats)
-        flat = members.ravel()
-        diff = feats[flat[rows[:, 0]]] - feats[flat[rows[:, 1]]]
-        assert g.node_count == 6
-        assert g.weights.tolist() == np.exp(-np.sum(diff * diff, axis=1)).tolist()
-        assert g.weights[2] == 1.0
+        w = initial_spatial_weights(edges, feats)
+        diff = feats[edges.points[:, 0]] - feats[edges.points[:, 1]]
+        assert w.tolist() == np.exp(-np.sum(diff * diff, axis=1)).tolist()
+        assert w[0] == w[2] == 1.0
+        assert np.repeat(w, edges.counts).size == len(edges)
