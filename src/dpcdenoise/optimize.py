@@ -314,8 +314,9 @@ def learn_metric(
     summed: the objective is the same sum, regrouped. Works on the
     factorization M = R^T R so the result is PSD by construction;
     iterates are projected onto {tr(R) <= trace_bound, diagonal >= 0}.
-    Candidates that increase the objective are rejected; three
-    consecutive rejections abort with a step-size error.
+    A candidate that increases the objective is rejected and halves the
+    step for the rest of the call; three consecutive rejections, at three
+    different steps, abort with a step-size error.
     """
     diffs = np.asarray(diffs, dtype=np.float64)
     dsq = np.asarray(dsq, dtype=np.float64).ravel()
@@ -336,7 +337,8 @@ def learn_metric(
     objs = [f_cur]
     strikes = 0
     for _ in range(pg_max_iters):
-        grad = _metric_gradient_from_terms(r, diffs, terms)
+        if strikes == 0:
+            grad = _metric_gradient_from_terms(r, diffs, terms)
         candidate = project_metric_factor(r - pg_step * grad, trace_bound)
         cand_terms = _metric_terms(candidate, diffs, dsq)
         f_new = _psum(cand_terms)
@@ -347,6 +349,7 @@ def learn_metric(
                     "step size too large: metric objective increased three times in a row",
                     trace=float(np.trace(r)),
                 )
+            pg_step *= 0.5
             continue
         strikes = 0
         decrease = f_cur - f_new

@@ -9,8 +9,10 @@ import numpy as np
 
 from .geometry import Frame, NeighborIndex, farthest_point_sampling, index_over, knn_rows
 
-# Patches per step of the batched passes; bounds their (block, k+1, k+1) temporaries.
-PATCH_BLOCK = 256
+# Patches (or patch pairs) per step of the batched passes. Their (block, k+1, k+1)
+# float64 temporaries stay near 0.5 MB at k = 30, so that in the spatial fold
+# they add little to the one 8-byte key per row edge it holds.
+PATCH_BLOCK = 64
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ point minus the patch's fixed center. A row edge's weight and its residual
 ``p_r - p_r'`` depend only on the two points it joins and on the center gap
 of the two patches, so :func:`spatial_connectivity` folds the row edges onto
 the distinct point pairs they join (:class:`SpatialEdges`), and every later
-stage works on points and pairs. Temporal weights stay per patch and expand
-to rows.
+stage works on points and pairs. The fold holds one 8-byte sort key per row
+edge plus its per-pair outputs; every other temporary is sized by one block
+of patch pairs or one chunk of keys. Temporal weights stay per patch and
+expand to rows.
 """
 
 from __future__ import annotations
@@ -57,6 +59,53 @@ class SpatialEdges:
         return self.counts * np.sum(gap * gap, axis=1) + self.spread
 
 
+# Row edges per chunk of the fold over the sorted key buffer; bounds its per-chunk temporaries.
+FOLD_CHUNK = 1 << 14
+
+
+def edge_key_bits(n: int, patch_pairs: int) -> int:
+    """Width of the code field in the int64 row-edge keys ``(lo * n + hi) << bits | code``.
+
+    ``code < 2 * patch_pairs``, so the largest key is ``n^2 * 2^bits - 1``.
+    Raises ValueError when that does not fit in an int64.
+    """
+    bits = (2 * patch_pairs - 1).bit_length()
+    if (n * n) << bits > 2**63:
+        raise ValueError("frame too large for int64 edge keys")
+    return bits
+
+
+def _adjacent_patches(center_pts: np.ndarray, k_s: int) -> np.ndarray:
+    """Sorted (pairs, 2) patch pairs l < m, either among the other's ``k_s`` nearest centers."""
+    m = center_pts.shape[0]
+    centers = NeighborIndex.from_points(center_pts)
+    near = knn_rows(centers, centers.points, k_s, exclude=np.arange(m)).ravel()
+    own = np.repeat(np.arange(m), k_s)
+    adjacent = np.unique(np.minimum(own, near) * m + np.maximum(own, near))
+    return np.column_stack([adjacent // m, adjacent % m])
+
+
+def _nearest_slots(rel: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per patch pair (l, m) and slot, the nearest slot of the other patch, and the one-way count.
+
+    Returns ``nm`` (nearest m slot per l slot) and ``nl`` (nearest l slot per
+    m slot), both (pairs, k+1) in the smallest integer dtype that holds k+1,
+    and the number of m slots t with ``nm[nl[t]] != t``.
+    """
+    size = rel.shape[1]
+    slots = np.arange(size)
+    nm = np.empty((adj.shape[0], size), dtype=np.min_scalar_type(size))
+    nl = np.empty_like(nm)
+    one_way = 0
+    for start in range(0, adj.shape[0], PATCH_BLOCK):
+        part = slice(start, start + PATCH_BLOCK)
+        cost = sq_dists(rel[adj[part, 0]], rel[adj[part, 1]])   # (b, size, size)
+        nm[part] = np.argmin(cost, axis=2)
+        nl[part] = np.argmin(cost, axis=1)
+        one_way += np.count_nonzero(np.take_along_axis(nm[part], nl[part], axis=1) != slots)
+    return nm, nl, one_way
+
+
 def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) -> SpatialEdges:
     """Row edges between adjacent patches, folded onto point pairs.
 
@@ -67,66 +116,83 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     by ascending index), computed for blocks of patch pairs on the
     (pairs, k+1, k+1) cost tensor. Each distinct row edge is counted once,
     and the edges are returned folded onto the point pairs they join, with
-    the patch centers ``c_l`` taken from ``positions``. Raises ValueError
-    when the frame is too large for the int64 edge keys: n^2 times twice
-    the adjacent patch pairs must stay below 2^63, which holds for any
-    frame under 770,000 points at ``k_s = 10``.
+    the patch centers ``c_l`` taken from ``positions``.
+
+    Memory: the only array with one entry per row edge is an exactly sized
+    buffer of one 8-byte sort key per edge. Besides it the call holds the
+    per-pair outputs, two nearest-slot maps of one byte per patch pair and
+    slot (for k < 255), and the temporaries of one patch block or one fold
+    chunk. Raises ValueError when the frame is too large for the int64 keys
+    (see :func:`edge_key_bits`): n^2 times the smallest power of two not
+    below twice the adjacent patch pairs must not exceed 2^63, which holds
+    for any frame of at most 741,455 points at ``k_s = 10``.
     """
     m = len(patchset)
     if k_s >= m:
         raise ValueError("k_s must be < patch count")
     pts = np.asarray(positions, dtype=np.float64)
     center_pts = pts[patchset.center_indices]
-    centers = NeighborIndex.from_points(center_pts)
-    near = knn_rows(centers, centers.points, k_s, exclude=np.arange(m))
-    own = np.repeat(np.arange(m), k_s)
-    adjacent = np.unique(np.minimum(own, near.ravel()) * m + np.maximum(own, near.ravel()))
-    adj = np.column_stack([adjacent // m, adjacent % m])
-    rel = all_relative_coords(patchset, pts)
+    adj = _adjacent_patches(center_pts, k_s)
     members = patchset.members
     n = pts.shape[0]
     # Each row edge is one int64 sort key: its point-pair key lo * n + hi,
-    # then its code 2 * (patch pair) + 1 if its lower point lies in patch m
-    # (center gap c_m - c_l), + 0 if in patch l (gap c_l - c_m).
-    span = 2 * adj.shape[0]
-    if n * n * span >= 2**63:
-        raise ValueError("frame too large for int64 edge keys")
-    slots = np.arange(patchset.k + 1, dtype=np.int64)
+    # shifted left by ``bits``, then its code 2 * (patch pair) + 1 if its
+    # lower point lies in patch m (center gap c_m - c_l), + 0 if in patch l
+    # (gap c_l - c_m). Keys sort by (point pair, code), as the fold needs.
+    bits = edge_key_bits(n, adj.shape[0])
     # Pair (l, m) has l < m. Its forward edge of slot s and its backward edge
     # of slot t join the same two rows only when nl[t] = s and nm[s] = t, so
     # mutual backward edges are dropped and every row edge is emitted once.
-    keys = []
+    nm, nl, one_way_edges = _nearest_slots(all_relative_coords(patchset, pts), adj)
+    slots = np.arange(nm.shape[1])
+    keys = np.empty(nm.size + one_way_edges, dtype=np.int64)
+    filled = 0
     for start in range(0, adj.shape[0], PATCH_BLOCK):
-        block = adj[start : start + PATCH_BLOCK]
-        cost = sq_dists(rel[block[:, 0]], rel[block[:, 1]])   # (b, size, size)
-        nm = np.argmin(cost, axis=2)                          # nearest m slot per l slot
-        nl = np.argmin(cost, axis=1)                          # nearest l slot per m slot
-        one_way = np.take_along_axis(nm, nl, axis=1) != slots
-        in_l, in_m = members[block[:, 0]], members[block[:, 1]]
-        pair = np.broadcast_to(2 * (start + np.arange(block.shape[0]))[:, None], nm.shape)
-        a = np.concatenate([in_l.ravel(), np.take_along_axis(in_l, nl, axis=1)[one_way]])
-        b = np.concatenate([np.take_along_axis(in_m, nm, axis=1).ravel(), in_m[one_way]])
-        code = np.concatenate([pair.ravel(), pair[one_way]]) + (a > b)
-        keys.append((np.minimum(a, b) * n + np.maximum(a, b)) * span + code)
-    keys = np.concatenate(keys)
+        part = slice(start, start + PATCH_BLOCK)
+        bm, bl = nm[part].astype(np.intp), nl[part].astype(np.intp)
+        one_way = np.take_along_axis(bm, bl, axis=1) != slots
+        in_l, in_m = members[adj[part, 0]], members[adj[part, 1]]
+        pair = np.broadcast_to(2 * np.arange(start, start + bm.shape[0])[:, None], bm.shape)
+        a = np.concatenate([in_l.ravel(), np.take_along_axis(in_l, bl, axis=1)[one_way]])
+        b = np.concatenate([np.take_along_axis(in_m, bm, axis=1).ravel(), in_m[one_way]])
+        block_keys = keys[filled : filled + a.size]
+        np.minimum(a, b, out=block_keys)
+        block_keys *= n
+        block_keys += np.maximum(a, b)
+        block_keys <<= bits
+        block_keys |= np.concatenate([pair.ravel(), pair[one_way]]) + (a > b)
+        filled += a.size
+    del nm, nl
     keys.sort()
-    pair_keys, codes = np.divmod(keys, span)
-    del keys
-    starts = np.flatnonzero(np.concatenate([[True], pair_keys[1:] != pair_keys[:-1]]))
-    counts = np.diff(np.append(starts, pair_keys.size))
-    points = np.column_stack(np.divmod(pair_keys[starts], n))
-    del pair_keys
+    # Pair boundaries, one chunk of keys at a time; each chunk also reads
+    # the key before it, so that a boundary at its first key is seen.
+    starts = [np.zeros(1, dtype=np.int64)]
+    for start in range(1, keys.size, FOLD_CHUNK):
+        pair_keys = keys[start - 1 : start + FOLD_CHUNK] >> bits
+        starts.append(start + np.flatnonzero(pair_keys[1:] != pair_keys[:-1]))
+    starts = np.concatenate(starts)
+    bounds = np.append(starts, keys.size)
+    counts = np.diff(bounds)
+    points = np.column_stack(np.divmod(keys[starts] >> bits, n))
     # Oriented center gaps, per axis: entry 2p is c_l - c_m of patch pair p, 2p + 1 its negative.
-    gaps = center_pts[adj[:, 0]] - center_pts[adj[:, 1]]
-    table = np.stack([gaps, -gaps], axis=1).reshape(span, 3).T.copy()
+    table = np.empty((3, 2 * adj.shape[0]))
+    table[:, 0::2] = (center_pts[adj[:, 0]] - center_pts[adj[:, 1]]).T
+    np.negative(table[:, 0::2], out=table[:, 1::2])
     offsets = np.empty((starts.size, 3))
     spread = np.zeros(starts.size)
-    for axis in range(3):
-        delta = table[axis][codes]
-        offsets[:, axis] = np.add.reduceat(delta, starts) / counts
-        delta -= np.repeat(offsets[:, axis], counts)
-        delta *= delta
-        spread += np.add.reduceat(delta, starts)
+    # Fold chunks of whole pairs, each starting at the pair that holds a
+    # multiple of FOLD_CHUNK edges. Every pair is summed by the same
+    # np.add.reduceat segment as over the whole buffer.
+    cuts = np.unique(np.searchsorted(starts, np.arange(0, keys.size, FOLD_CHUNK), "right") - 1)
+    for lo, hi in zip(cuts, np.append(cuts[1:], starts.size)):
+        codes = keys[bounds[lo] : bounds[hi]] & ((1 << bits) - 1)
+        local = starts[lo:hi] - bounds[lo]
+        for axis in range(3):
+            delta = table[axis][codes]
+            offsets[lo:hi, axis] = np.add.reduceat(delta, local) / counts[lo:hi]
+            delta -= np.repeat(offsets[lo:hi, axis], counts[lo:hi])
+            delta *= delta
+            spread[lo:hi] += np.add.reduceat(delta, local)
     return SpatialEdges(points=points, counts=counts, offsets=offsets, spread=spread)
 
 

@@ -71,6 +71,63 @@ def spatial_connectivity(patchset, positions, k_s):
     return np.column_stack([keys // n_rows, keys % n_rows])
 
 
+def folded_connectivity(patchset, positions, k_s):
+    """Row edges between adjacent patches folded onto point pairs, in full-length arrays.
+
+    Keys every row edge by ``(lo * n + hi) * span + code``, concatenates the
+    keys of all blocks of 256 patch pairs, sorts them, splits them with one
+    ``np.divmod`` and folds every axis in one ``np.add.reduceat`` over all
+    edges. Returns ``(points, counts, offsets, spread)``;
+    ``dpcdenoise.stgraph.spatial_connectivity`` must match it bit for bit.
+    """
+    from dpcdenoise.geometry import NeighborIndex, knn_rows
+    from dpcdenoise.patches import all_relative_coords, sq_dists
+
+    m = len(patchset)
+    pts = np.asarray(positions, dtype=np.float64)
+    center_pts = pts[patchset.center_indices]
+    centers = NeighborIndex.from_points(center_pts)
+    near = knn_rows(centers, centers.points, k_s, exclude=np.arange(m))
+    own = np.repeat(np.arange(m), k_s)
+    adjacent = np.unique(np.minimum(own, near.ravel()) * m + np.maximum(own, near.ravel()))
+    adj = np.column_stack([adjacent // m, adjacent % m])
+    rel = all_relative_coords(patchset, pts)
+    members = patchset.members
+    n = pts.shape[0]
+    span = 2 * adj.shape[0]
+    slots = np.arange(patchset.k + 1, dtype=np.int64)
+    keys = []
+    for start in range(0, adj.shape[0], 256):
+        block = adj[start : start + 256]
+        cost = sq_dists(rel[block[:, 0]], rel[block[:, 1]])
+        nm = np.argmin(cost, axis=2)
+        nl = np.argmin(cost, axis=1)
+        one_way = np.take_along_axis(nm, nl, axis=1) != slots
+        in_l, in_m = members[block[:, 0]], members[block[:, 1]]
+        pair = np.broadcast_to(2 * (start + np.arange(block.shape[0]))[:, None], nm.shape)
+        a = np.concatenate([in_l.ravel(), np.take_along_axis(in_l, nl, axis=1)[one_way]])
+        b = np.concatenate([np.take_along_axis(in_m, nm, axis=1).ravel(), in_m[one_way]])
+        code = np.concatenate([pair.ravel(), pair[one_way]]) + (a > b)
+        keys.append((np.minimum(a, b) * n + np.maximum(a, b)) * span + code)
+    keys = np.concatenate(keys)
+    keys.sort()
+    pair_keys, codes = np.divmod(keys, span)
+    starts = np.flatnonzero(np.concatenate([[True], pair_keys[1:] != pair_keys[:-1]]))
+    counts = np.diff(np.append(starts, pair_keys.size))
+    points = np.column_stack(np.divmod(pair_keys[starts], n))
+    gaps = center_pts[adj[:, 0]] - center_pts[adj[:, 1]]
+    table = np.stack([gaps, -gaps], axis=1).reshape(span, 3).T.copy()
+    offsets = np.empty((starts.size, 3))
+    spread = np.zeros(starts.size)
+    for axis in range(3):
+        delta = table[axis][codes]
+        offsets[:, axis] = np.add.reduceat(delta, starts) / counts
+        delta -= np.repeat(offsets[:, axis], counts)
+        delta *= delta
+        spread += np.add.reduceat(delta, starts)
+    return points, counts, offsets, spread
+
+
 def metric_gram(diffs, terms):
     """Metric-learning Gram sum_e terms[e] * outer(diffs[e], diffs[e]), three-operand einsum."""
     return np.einsum("ei,e,ej->ij", diffs, terms, diffs, optimize=False)
@@ -233,8 +290,8 @@ def random_solve_instance(rng, n, with_temporal=True):
     """
     from dpcdenoise.geometry import Frame, estimate_normals
     from dpcdenoise.patches import build_patches
+    from dpcdenoise import stgraph
     from dpcdenoise.stgraph import initial_spatial_weights, point_features
-    from dpcdenoise.stgraph import spatial_connectivity as folded_connectivity
 
     pts = rng.uniform(0, 1, (n, 3))
     frame, _ = estimate_normals(Frame(pts), min(6, n - 1))
@@ -244,7 +301,7 @@ def random_solve_instance(rng, n, with_temporal=True):
     members = ps.members
     anchors = np.repeat(pts[members[:, 0]], k + 1, axis=0)
     k_s = min(2, m - 1)
-    edges = folded_connectivity(ps, pts, k_s)
+    edges = stgraph.spatial_connectivity(ps, pts, k_s)
     pair_weights = initial_spatial_weights(edges, point_features(pts, frame.normals))
     lap = row_laplacian(spatial_connectivity(ps, pts, k_s), members, pair_weights)
     if with_temporal:

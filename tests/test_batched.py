@@ -31,8 +31,10 @@ from dpcdenoise.optimize import (
     learn_metric,
     objective,
 )
-from dpcdenoise.patches import all_relative_coords, build_patches, sq_dists
+from dpcdenoise import stgraph
+from dpcdenoise.patches import PATCH_BLOCK, all_relative_coords, build_patches, sq_dists
 from dpcdenoise.stgraph import (
+    FOLD_CHUNK,
     SpatialEdges,
     initial_spatial_weights,
     point_features,
@@ -247,6 +249,13 @@ def anchors_of(patchset, pts):
     return np.repeat(pts[patchset.center_indices], patchset.k + 1, axis=0)
 
 
+def assert_bit_equal(edges, want):
+    """``edges`` equals the full-length fold ``want`` in every value and dtype."""
+    for got, expected in zip((edges.points, edges.counts, edges.offsets, edges.spread), want):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
 class TestSpatialConnectivity:
     @PROPERTY
     @given(clouds(min_points=4), st.integers(1, 8), st.integers(0, 2**32 - 1))
@@ -260,6 +269,41 @@ class TestSpatialConnectivity:
         edges = spatial_connectivity(ps, pts, k_s)
         rows = oracles.spatial_connectivity(ps, pts, k_s)
         assert_folds(edges, rows, ps.members, anchors_of(ps, pts))
+
+    @PROPERTY
+    @given(clouds(min_points=4), st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.sampled_from([1, 2, 3, PATCH_BLOCK]), st.sampled_from([1, 2, 5, FOLD_CHUNK]))
+    def test_bit_equal_to_full_length_fold(self, cloud, k, seed, block, chunk):
+        # Small blocks and chunks put seams inside every instance, including
+        # pairs whose row edges span several chunk lengths.
+        pts, rng = cloud
+        n = len(pts)
+        k = min(k, n - 1)
+        m = int(rng.integers(2, n + 1))
+        k_s = int(rng.integers(1, m))
+        ps = build_patches(Frame(pts), m, k, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stgraph, "PATCH_BLOCK", block)
+            patch.setattr(stgraph, "FOLD_CHUNK", chunk)
+            edges = spatial_connectivity(ps, pts, k_s)
+        assert_bit_equal(edges, oracles.folded_connectivity(ps, pts, k_s))
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 8]))
+    def test_bit_equal_across_block_and_chunk_seams(self, seed, grid):
+        # Enough adjacent patch pairs and row edges for several blocks and
+        # fold chunks at the library's own sizes.
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.0, 1.0, (800, 3))
+        if grid:
+            pts = np.round(pts * grid) / grid
+        pts[rng.choice(800, 40, replace=False)] = pts[rng.choice(800, 40)]
+        k = 15
+        ps = build_patches(Frame(pts), 800, k, int(rng.integers(1000)))
+        edges = spatial_connectivity(ps, pts, 8)
+        # A patch pair emits at most 2 (k + 1) row edges.
+        assert len(edges) > max(3 * FOLD_CHUNK, 2 * (k + 1) * 3 * PATCH_BLOCK)
+        assert_bit_equal(edges, oracles.folded_connectivity(ps, pts, 8))
 
     def test_ties_and_mutual_nearest_rows(self):
         # A 3-level grid with duplicated points gives argmin ties between

@@ -235,6 +235,30 @@ class TestLearnMetric:
         assert err.value.trace is not None
         assert calls["n"] == 4  # init + three rejected candidates
 
+    def test_overshooting_step_is_halved_and_converges(self, monkeypatch):
+        # From R = (5/6) I, a step of 5 grows R[0, 0] so far that the trace
+        # projection zeroes R[1, 1], and the second pair's term jumps from
+        # about 0.002 to about 0.5: the first candidate is rejected. Half the
+        # step decreases the objective, and the call then stops on pg_tol.
+        import dpcdenoise.optimize as opt
+
+        candidates = {"n": 0}
+        real = opt.project_metric_factor
+
+        def counting(factor, trace_bound):
+            candidates["n"] += 1
+            return real(factor, trace_bound)
+
+        monkeypatch.setattr(opt, "project_metric_factor", counting)
+        diffs = np.zeros((2, 6))
+        diffs[0, 0], diffs[1, 1] = 1.0, 3.0
+        dsq = np.array([1.0, 1.0])
+        fit = opt.learn_metric(diffs, dsq, 5.0, pg_step=5.0, pg_max_iters=100, pg_tol=1e-3)
+        objs = np.array(fit.objectives)
+        assert candidates["n"] == len(objs)  # every candidate accepted but one
+        assert len(objs) - 1 < 100 and objs[-2] - objs[-1] < 1e-3
+        assert np.all(np.diff(objs) < 0) and objs[-1] < 0.02 * objs[0]
+
     @pytest.mark.parametrize("where, value", [("diffs", np.nan), ("diffs", np.inf),
                                               ("dsq", np.nan), ("dsq", -1.0)])
     def test_rejects_non_finite_or_negative_input(self, where, value):

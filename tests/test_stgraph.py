@@ -1,18 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from test_acceptance import E2E_CONFIG
 
+from dpcdenoise.config import DenoiseConfig
 from dpcdenoise.geometry import Frame, estimate_normals
 from dpcdenoise.graph import SparseGraph, combinatorial_laplacian
+from dpcdenoise.metrics import add_gaussian_noise
 from dpcdenoise.patches import PatchSet, build_patches
 from dpcdenoise.stgraph import (
     SpatialEdges,
     TemporalWeights,
+    edge_key_bits,
     initial_spatial_weights,
     point_features,
     spatial_connectivity,
     temporal_weight_init,
     weighted_spatial_graph,
 )
+from dpcdenoise.synthetic import SyntheticSpec, generate_sequence
 
 
 def toy_patchset(positions, members, k):
@@ -79,6 +86,40 @@ class TestSpatialConnectivity:
         ps = build_patches(Frame(pts), 4, 4, seed=0)
         with pytest.raises(ValueError, match="k_s"):
             spatial_connectivity(ps, pts, 4)
+
+    def test_key_layout_boundary(self):
+        # The largest key is n^2 * 2^bits - 1: at n = 2^20 and 2^22 patch
+        # pairs (codes below 2^23) it is exactly 2^63 - 1.
+        assert edge_key_bits(2**20, 2**22) == 23
+        with pytest.raises(ValueError, match="too large"):
+            edge_key_bits(2**20, 2**22 + 1)
+        with pytest.raises(ValueError, match="too large"):
+            edge_key_bits(2**20 + 1, 2**22)
+        # The frame-size limit the docstring states: at k_s = 10 a frame has
+        # at most 10 n adjacent patch pairs.
+        assert edge_key_bits(741_455, 10 * 741_455) == 24
+        with pytest.raises(ValueError, match="too large"):
+            edge_key_bits(741_456, 10 * 741_456)
+        assert edge_key_bits(3, 1) == 1
+
+    def test_heap_peak_beyond_output_is_two_keys_per_edge(self):
+        # Besides its outputs the fold may hold one 8-byte key per row edge
+        # and temporaries of the same size again at most.
+        cfg = DenoiseConfig(**E2E_CONFIG)
+        spec = SyntheticSpec("sphere-cap", 2400, 1, amplitude=0.05, seed=3)
+        frame = add_gaussian_noise(generate_sequence(spec).frames[0], 0.02, seed=4)
+        ps = build_patches(frame, cfg.patch_count(len(frame)), cfg.k, seed=5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            edges = spatial_connectivity(ps, frame.positions, cfg.k_s)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        output = sum(a.nbytes for a in (edges.points, edges.counts, edges.offsets, edges.spread))
+        assert len(edges) > 500_000
+        assert peak - output <= 2 * 8 * len(edges)
 
 
 class TestSpatialWeights:
