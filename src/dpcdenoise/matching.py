@@ -101,9 +101,9 @@ def point_correspondence(
 
     The per-pair cost blends squared variation difference (weight
     ``alpha``) and squared relative-coordinate difference (weight
-    ``1 - alpha``); ties go to the lowest index. The map may be
-    many-to-one. Inputs are (s, 3) for one patch pair or (b, s, 3) for
-    b pairs at once.
+    ``1 - alpha``); a term of weight 0 is not computed. Ties go to the
+    lowest index. The map may be many-to-one. Inputs are (s, 3) for one
+    patch pair or (b, s, 3) for b pairs at once.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
@@ -113,7 +113,14 @@ def point_correspondence(
     vm = np.asarray(rel_matched, dtype=np.float64)
     if rt.shape != rm.shape or vt.shape != vm.shape or rt.shape != vt.shape:
         raise ValueError("both patches must have the same size")
-    cost = alpha * sq_dists(rt, rm) + (1.0 - alpha) * sq_dists(vt, vm)
+    # A term of weight 0 is left out: 0 * cost + other = other for finite
+    # costs, and an overflowing term would make it 0 * inf = NaN.
+    if alpha == 0.0:
+        cost = sq_dists(vt, vm)
+    elif alpha == 1.0:
+        cost = sq_dists(rt, rm)
+    else:
+        cost = alpha * sq_dists(rt, rm) + (1.0 - alpha) * sq_dists(vt, vm)
     return np.argmin(cost, axis=-1).astype(np.int64)
 
 

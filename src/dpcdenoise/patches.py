@@ -9,9 +9,9 @@ import numpy as np
 
 from .geometry import Frame, NeighborIndex, farthest_point_sampling, index_over, knn_rows
 
-# Patches (or patch pairs) per step of the batched passes. Their (block, k+1, k+1)
-# float64 temporaries stay near 0.5 MB at k = 30, so that in the spatial fold
-# they add little to the one 8-byte key per row edge it holds.
+# Patches (or patch pairs) per step of the batched passes. The (block, k+1, k+1)
+# float64 temporaries of the matching passes stay near 0.5 MB at k = 30, and the
+# spatial fold's key loop holds a few (block, k+1) arrays per step.
 PATCH_BLOCK = 64
 
 

@@ -8,8 +8,11 @@ of the two patches, so :func:`spatial_connectivity` folds the row edges onto
 the distinct point pairs they join (:class:`SpatialEdges`), and every later
 stage works on points and pairs. The fold holds one 8-byte sort key per row
 edge plus its per-pair outputs; every other temporary is sized by one block
-of patch pairs or one chunk of keys. Temporal weights stay per patch and
-expand to rows.
+of patch pairs or one chunk of keys. The nearest rows between adjacent
+patches come from a float32 filter with a proven error bound; rows the
+filter cannot decide are recomputed in float64, so every nearest row is the
+float64 argmin bit for bit (see :func:`_nearest_slots`). Temporal weights
+stay per patch and expand to rows.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ class SpatialEdges:
 
 # Row edges per chunk of the fold over the sorted key buffer; bounds its per-chunk temporaries.
 FOLD_CHUNK = 1 << 14
+# Patch pairs per block of the nearest-slot filter. Its float32 cost tensor
+# and candidate mask take about 0.5 MB each at k = 30.
+SLOT_BLOCK = 128
 
 
 def edge_key_bits(n: int, patch_pairs: int) -> int:
@@ -85,25 +91,107 @@ def _adjacent_patches(center_pts: np.ndarray, k_s: int) -> np.ndarray:
     return np.column_stack([adjacent // m, adjacent % m])
 
 
-def _nearest_slots(rel: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _nearest_slots(rel: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Per patch pair (l, m) and slot, the nearest slot of the other patch, and the one-way count.
 
     Returns ``nm`` (nearest m slot per l slot) and ``nl`` (nearest l slot per
     m slot), both (pairs, k+1) in the smallest integer dtype that holds k+1,
-    and the number of m slots t with ``nm[nl[t]] != t``.
+    the number of m slots t with ``nm[nl[t]] != t``, and the number of slot
+    rows the exact path decided. ``nm`` and ``nl`` equal the first argmins of
+    the float64 :func:`~dpcdenoise.patches.sq_dists` tensor bit for bit.
+
+    **Filter.** The coordinates are scaled by the power of two ``2^-q`` that
+    puts the largest finite ``|rel|`` in [1/2, 1). The scale is exact in
+    float64 and moves no argmin, and float32 then neither overflows nor
+    runs short of range. For slot x of one patch and slot y of the other,
+    the float32 cost is the dot product of the augmented 5-vectors
+    ``(x, |x|^2, 1)`` and ``(-2y, 1, |y|^2)``. A block of patch pairs gets
+    its costs from batched BLAS products, laid out with the slot each row
+    is minimised over first, so the minimum and the candidate mask run over
+    contiguous (pairs, k+1) slabs. A row's candidates are the slots whose
+    float32 cost is within ``2e`` of the row's float32 minimum. A row with
+    exactly one candidate takes it. Every other row (exact ties, NaN or inf
+    costs) goes to the exact path, which gathers its float64 costs and
+    calls ``np.argmin``.
+
+    **Bound.** Let u = 2^-24, R_l and R_m the two patches' largest scaled
+    row norms, and S = (R_l + R_m)^2. The five products of a cost sum in
+    absolute value to ``|x|^2 + |y|^2 + 2 sum_i |x_i y_i| <= (|x| + |y|)^2
+    <= S``. Rounding the ten inputs to float32 moves each product by at
+    most (2u + u^2) times its size. Summing five products in any order,
+    with or without FMA, adds at most gamma_5 = 5u / (1 - 5u) times the
+    same sum. So the float32 cost is within 7.01 u S of the exact cost. The
+    float64 cost is within 5 * 2^-53 S of it, so E = |c32 - c64| <=
+    7.02 u S. Underflow adds less: under 2^-144 in float32, as the scaled
+    coordinates are below 1, and in the float64 costs and squared norms
+    (taken before scaling) under 2^-1070, which is under 2^-270 after
+    scaling while ``max |rel| >= 2^-400``. Outside
+    ``2^-400 <= max |rel| <= 2^400`` every row takes the exact path. The
+    filter takes e = 8 u S + 2^-126. For the float32 minimiser s' and the
+    exact first argmin s*, c32[s*] <= c64[s*] + E <= c64[s'] + E <=
+    c32[s'] + 2E. The threshold ``c32[s'] + 2e`` is rounded once in
+    float32, and ``c32[s'] <= S + E``, so it stays above c32[s'] + 2E and
+    s* is a candidate. A sole candidate is therefore s*, and an exact tie
+    of s* is a second candidate. A NaN cost makes its row's minimum NaN, so
+    the row has no candidate, and an infinite radius makes every cost of
+    its pair a candidate.
     """
-    size = rel.shape[1]
+    m, size, _ = rel.shape
+    top = np.max(np.abs(rel), where=np.isfinite(rel), initial=0.0)
+    q = np.frexp(top)[1]
+    norms = np.ldexp(np.einsum("psi,psi->ps", rel, rel), -2 * q)
+    radius = np.sqrt(np.max(norms, axis=1))
+    if not 2.0**-400 <= top <= 2.0**400:
+        radius[:] = np.nan
+    # Augmented slots: left[l, s] . right[m, :, t] = |x_s - y_t|^2 for x of patch l, y of patch m.
+    left = np.empty((m, size, 5), dtype=np.float32)
+    np.ldexp(rel, -q, out=left[:, :, :3])
+    left[:, :, 3] = norms
+    left[:, :, 4] = 1.0
+    right = np.empty((m, 5, size), dtype=np.float32)
+    np.multiply(left[:, :, :3].transpose(0, 2, 1), -2.0, out=right[:, :3])
+    right[:, 3] = 1.0
+    right[:, 4] = norms
+    del norms
     slots = np.arange(size)
+    tally = np.stack([np.ones(size), slots]).astype(np.float32)   # candidate count, slot sum
     nm = np.empty((adj.shape[0], size), dtype=np.min_scalar_type(size))
     nl = np.empty_like(nm)
-    one_way = 0
-    for start in range(0, adj.shape[0], PATCH_BLOCK):
-        part = slice(start, start + PATCH_BLOCK)
-        cost = sq_dists(rel[adj[part, 0]], rel[adj[part, 1]])   # (b, size, size)
-        nm[part] = np.argmin(cost, axis=2)
-        nl[part] = np.argmin(cost, axis=1)
-        one_way += np.count_nonzero(np.take_along_axis(nm[part], nl[part], axis=1) != slots)
-    return nm, nl, one_way
+    one_way = exact = 0
+    cost_buf = np.empty(size * SLOT_BLOCK * size, dtype=np.float32)
+    hit_buf = np.empty(cost_buf.size, dtype=bool)
+    hit32_buf = np.empty(cost_buf.size, dtype=np.float32)
+    for start in range(0, adj.shape[0], SLOT_BLOCK):
+        pairs = adj[start : start + SLOT_BLOCK]
+        block = slice(start, start + pairs.shape[0])
+        shape = (size, pairs.shape[0], size)
+        cost = cost_buf[: size * size * pairs.shape[0]].reshape(shape)
+        hit = hit_buf[: cost.size].reshape(shape)
+        hit32 = hit32_buf[: cost.size].reshape(shape)
+        reach = radius[pairs[:, 0]] + radius[pairs[:, 1]]
+        width = (16 * 2.0**-24 * reach * reach + 2.0**-125).astype(np.float32)[:, None]   # 2e
+        # cost[t, p, s]: slot s of the kept patch of pair p against slot t of
+        # the scanned patch, the axis each row is minimised over.
+        for near, kept, scanned in ((nm, 0, 1), (nl, 1, 0)):
+            np.matmul(left[pairs[:, scanned]], right[pairs[:, kept]], out=cost.transpose(1, 0, 2))
+            limit = np.min(cost, axis=0)
+            limit += width
+            np.less_equal(cost, limit, out=hit)
+            np.copyto(hit32, hit)
+            count, found = tally @ hit32.reshape(size, -1)
+            ambiguous = count != 1
+            found[ambiguous] = 0   # a slot sum of several candidates may not fit near's dtype
+            near[block] = found.reshape(shape[1:])
+            pair, slot = np.divmod(np.flatnonzero(ambiguous), size)
+            if pair.size:
+                # The same float64 arithmetic per entry as sq_dists(rel[l], rel[m]),
+                # since fl(a - b) = -fl(b - a).
+                pair += start
+                cost64 = sq_dists(rel[adj[pair, kept], slot][:, None, :], rel[adj[pair, scanned]])
+                near[pair, slot] = np.argmin(cost64[:, 0, :], axis=1)
+                exact += pair.size
+        one_way += np.count_nonzero(np.take_along_axis(nm[block], nl[block], axis=1) != slots)
+    return nm, nl, one_way, exact
 
 
 def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) -> SpatialEdges:
@@ -113,13 +201,22 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     nearest patch centers; one batched k-NN query over the centers finds
     them all. Between adjacent patches, every row connects to the row of
     the other patch whose center-relative coordinates are nearest (ties
-    by ascending index), computed for blocks of patch pairs on the
-    (pairs, k+1, k+1) cost tensor. Each distinct row edge is counted once,
-    and the edges are returned folded onto the point pairs they join, with
-    the patch centers ``c_l`` taken from ``positions``.
+    by ascending index): the first argmin of the float64 squared distances.
+    Blocks of ``SLOT_BLOCK`` patch pairs compute those distances in
+    float32, with an error of at most e = 8 * 2^-24 (R_l + R_m)^2 + 2^-126
+    for the patches' largest row norms R after a power-of-two rescale. A
+    row whose float32 minimum is the only cost within 2e of it keeps that
+    slot. Any other row, such as an exact tie, is recomputed from its
+    float64 costs with ``np.argmin``. On smooth frames well under 0.1 % of
+    rows need that. Each distinct row edge is counted once, and the edges
+    are returned folded onto the point pairs they join, with the patch
+    centers ``c_l`` taken from ``positions``.
 
     Memory: the only array with one entry per row edge is an exactly sized
-    buffer of one 8-byte sort key per edge. Besides it the call holds the
+    buffer of one 8-byte sort key per edge. The filter runs before that
+    buffer is allocated and frees its own: two float32 copies of the
+    relative coordinates, augmented to 5 values per row, and one block's
+    cost tensor and candidate masks. Besides the keys the call holds the
     per-pair outputs, two nearest-slot maps of one byte per patch pair and
     slot (for k < 255), and the temporaries of one patch block or one fold
     chunk. Raises ValueError when the frame is too large for the int64 keys
@@ -143,7 +240,7 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     # Pair (l, m) has l < m. Its forward edge of slot s and its backward edge
     # of slot t join the same two rows only when nl[t] = s and nm[s] = t, so
     # mutual backward edges are dropped and every row edge is emitted once.
-    nm, nl, one_way_edges = _nearest_slots(all_relative_coords(patchset, pts), adj)
+    nm, nl, one_way_edges, _ = _nearest_slots(all_relative_coords(patchset, pts), adj)
     slots = np.arange(nm.shape[1])
     keys = np.empty(nm.size + one_way_edges, dtype=np.int64)
     filled = 0

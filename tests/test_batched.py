@@ -18,11 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import oracles
 from oracles import brute_knn, variation_rows
+from test_acceptance import (
+    E2E_AMPLITUDE,
+    E2E_CONFIG,
+    E2E_NOISE_SEED,
+    E2E_PHASE_STEP,
+    E2E_POINTS,
+    E2E_SYNTH_SEED,
+)
 
 from dpcdenoise.config import DenoiseConfig
 from dpcdenoise.geometry import Frame, build_neighbor_index, farthest_point_sampling, knn_rows
 from dpcdenoise.graph import SparseGraph
 from dpcdenoise.matching import match_patches, patch_variations, prepare_reference
+from dpcdenoise.metrics import add_gaussian_noise
 from dpcdenoise.optimize import (
     SolverError,
     _metric_gradient_from_terms,
@@ -35,12 +44,14 @@ from dpcdenoise import stgraph
 from dpcdenoise.patches import PATCH_BLOCK, all_relative_coords, build_patches, sq_dists
 from dpcdenoise.stgraph import (
     FOLD_CHUNK,
+    SLOT_BLOCK,
     SpatialEdges,
     initial_spatial_weights,
     point_features,
     spatial_connectivity,
     weighted_spatial_graph,
 )
+from dpcdenoise.synthetic import SyntheticSpec, generate_sequence
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -272,10 +283,11 @@ class TestSpatialConnectivity:
 
     @PROPERTY
     @given(clouds(min_points=4), st.integers(1, 8), st.integers(0, 2**32 - 1),
-           st.sampled_from([1, 2, 3, PATCH_BLOCK]), st.sampled_from([1, 2, 5, FOLD_CHUNK]))
-    def test_bit_equal_to_full_length_fold(self, cloud, k, seed, block, chunk):
-        # Small blocks and chunks put seams inside every instance, including
-        # pairs whose row edges span several chunk lengths.
+           st.sampled_from([1, 2, 3, SLOT_BLOCK]), st.sampled_from([1, 2, 3, PATCH_BLOCK]),
+           st.sampled_from([1, 2, 5, FOLD_CHUNK]))
+    def test_bit_equal_to_full_length_fold(self, cloud, k, seed, slot_block, block, chunk):
+        # Small blocks and chunks put seams inside every instance: filter
+        # blocks, key blocks, and pairs whose row edges span several chunks.
         pts, rng = cloud
         n = len(pts)
         k = min(k, n - 1)
@@ -283,6 +295,7 @@ class TestSpatialConnectivity:
         k_s = int(rng.integers(1, m))
         ps = build_patches(Frame(pts), m, k, seed)
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stgraph, "SLOT_BLOCK", slot_block)
             patch.setattr(stgraph, "PATCH_BLOCK", block)
             patch.setattr(stgraph, "FOLD_CHUNK", chunk)
             edges = spatial_connectivity(ps, pts, k_s)
@@ -291,8 +304,8 @@ class TestSpatialConnectivity:
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 8]))
     def test_bit_equal_across_block_and_chunk_seams(self, seed, grid):
-        # Enough adjacent patch pairs and row edges for several blocks and
-        # fold chunks at the library's own sizes.
+        # Enough adjacent patch pairs and row edges for several filter and
+        # key blocks and fold chunks at the library's own sizes.
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0.0, 1.0, (800, 3))
         if grid:
@@ -302,7 +315,7 @@ class TestSpatialConnectivity:
         ps = build_patches(Frame(pts), 800, k, int(rng.integers(1000)))
         edges = spatial_connectivity(ps, pts, 8)
         # A patch pair emits at most 2 (k + 1) row edges.
-        assert len(edges) > max(3 * FOLD_CHUNK, 2 * (k + 1) * 3 * PATCH_BLOCK)
+        assert len(edges) > max(3 * FOLD_CHUNK, 2 * (k + 1) * 3 * max(SLOT_BLOCK, PATCH_BLOCK))
         assert_bit_equal(edges, oracles.folded_connectivity(ps, pts, 8))
 
     def test_ties_and_mutual_nearest_rows(self):
@@ -321,6 +334,105 @@ class TestSpatialConnectivity:
         assert np.all(edges.points[:, 0] <= edges.points[:, 1])
         assert np.all(np.diff(edges.points[:, 0] * 60 + edges.points[:, 1]) > 0)
         assert np.any(edges.points[:, 0] == edges.points[:, 1])
+
+
+def argmin_slots(rel, adj):
+    """``_nearest_slots``'s maps and one-way count from the full float64 cost tensor."""
+    cost = sq_dists(rel[adj[:, 0]], rel[adj[:, 1]])
+    nm, nl = np.argmin(cost, axis=2), np.argmin(cost, axis=1)
+    return nm, nl, np.count_nonzero(np.take_along_axis(nm, nl, axis=1) != np.arange(rel.shape[1]))
+
+
+def slot_instance(pts, k, seed, m=None, k_s=None):
+    """Relative coordinates and adjacent patch pairs of ``pts``, as ``spatial_connectivity`` builds them."""
+    rng = np.random.default_rng(seed)
+    m = m or int(rng.integers(2, len(pts) + 1))
+    ps = build_patches(Frame(pts), m, k, seed)
+    adj = stgraph._adjacent_patches(pts[ps.center_indices], k_s or int(rng.integers(1, m)))
+    return all_relative_coords(ps, pts), adj
+
+
+def assert_slots_exact(got, rel, adj):
+    nm, nl, one_way = argmin_slots(rel, adj)
+    assert got[0].dtype == np.min_scalar_type(rel.shape[1]) and got[1].dtype == got[0].dtype
+    assert np.array_equal(got[0], nm) and np.array_equal(got[1], nl)
+    assert got[2] == one_way
+
+
+class TestNearestSlots:
+    """The float32 filter with exact recheck against np.argmin over the float64 tensor."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(clouds(min_points=4), st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.booleans(), st.sampled_from([1.0, 1e-30, 1e30, 1e-160, 1e160, "offset"]),
+           st.sampled_from([1, 2, 3, SLOT_BLOCK]))
+    def test_filter_is_sound(self, cloud, k, seed, zero_radius, scale, block):
+        # Grids and duplicates give exact ties; k + 1 copies of one point
+        # give zero-radius patches once every point is a center. The offset
+        # cancels in the relative coordinates. The scales probe float32's
+        # range, and at 1e-160 and 1e160 float64's squares underflow or
+        # overflow (the scales apply to the relative coordinates, since the
+        # k-d tree cannot order points at 1e160).
+        pts, rng = cloud
+        n = len(pts)
+        k = min(k, n - 1)
+        if zero_radius:
+            pts[rng.choice(n, k + 1, replace=False)] = pts[0]
+        rel, adj = slot_instance(pts + 1e6 if scale == "offset" else pts, k, seed,
+                                 m=n if zero_radius else None)
+        if scale != "offset":
+            rel = rel * scale
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(stgraph, "SLOT_BLOCK", block)
+                got = stgraph._nearest_slots(rel, adj)
+            assert_slots_exact(got, rel, adj)
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 4]))
+    def test_wide_patches_use_uint16_slots(self, seed, grid):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.0, 1.0, (300, 3))
+        if grid:
+            pts = np.round(pts * grid) / grid
+        rel, adj = slot_instance(pts, 279, seed, m=6, k_s=3)
+        got = stgraph._nearest_slots(rel, adj)
+        assert got[0].dtype == np.uint16
+        assert_slots_exact(got, rel, adj)
+
+    def test_ties_take_the_exact_path(self):
+        rng = np.random.default_rng(5)
+        pts = np.round(rng.uniform(0, 1, (60, 3)) * 2) / 2
+        rel, adj = slot_instance(pts, 6, 7, m=30, k_s=5)
+        got = stgraph._nearest_slots(rel, adj)
+        assert_slots_exact(got, rel, adj)
+        assert got[3] > 0
+
+    def test_non_finite_rows_match_argmin(self):
+        # Frames are finite, but relative coordinates can overflow; np.argmin
+        # takes the first NaN of a row.
+        rng = np.random.default_rng(3)
+        rel = rng.normal(size=(12, 5, 3))
+        rel[2, 3, 0] = np.nan
+        rel[5, 1, 2] = np.inf
+        rel[7, 0] = -np.inf
+        adj = np.array([(l, m) for l in range(12) for m in range(l + 1, 12)])
+        with np.errstate(invalid="ignore"):
+            got = stgraph._nearest_slots(rel, adj)
+            assert_slots_exact(got, rel, adj)
+
+    def test_exact_path_is_rare_on_the_acceptance_instance(self):
+        cfg = DenoiseConfig(**E2E_CONFIG)
+        spec = SyntheticSpec("sinusoid-sheet", E2E_POINTS, 1, amplitude=E2E_AMPLITUDE,
+                             phase_step=E2E_PHASE_STEP, seed=E2E_SYNTH_SEED)
+        clean = generate_sequence(spec).frames[0]
+        sigma = 0.02 * float(np.linalg.norm(np.ptp(clean.positions, axis=0)))
+        frame = add_gaussian_noise(clean, sigma, seed=E2E_NOISE_SEED)
+        rel, adj = slot_instance(frame.positions, cfg.k, cfg.seed,
+                                 m=cfg.patch_count(len(frame)), k_s=cfg.k_s)
+        got = stgraph._nearest_slots(rel, adj)
+        assert_slots_exact(got, rel, adj)
+        assert got[3] < 0.01 * 2 * got[0].size
 
 
 @st.composite

@@ -112,6 +112,22 @@ class TestPointCorrespondence:
         d = np.sum((rows_t[:, None] - rows_m[None]) ** 2, axis=2)
         assert pm.tolist() == np.argmin(d, axis=1).tolist()
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_zero_weight_term_is_not_computed(self, alpha):
+        # Near 1e200 the unused term's squares overflow to inf, and 0 * inf
+        # would be NaN, which np.argmin picks.
+        rng = np.random.default_rng(8)
+        rows_t, rel_t = self._random_patch_data(rng, 8)
+        rows_m, rel_m = self._random_patch_data(rng, 8)
+        if alpha:
+            rel_t, rel_m, used = 1e200 * rel_t, 1e200 * rel_m, (rows_t, rows_m)
+        else:
+            rows_t, rows_m, used = 1e200 * rows_t, 1e200 * rows_m, (rel_t, rel_m)
+        with np.errstate(all="raise"):
+            pm = point_correspondence(rows_t, rows_m, rel_t, rel_m, alpha)
+        d = np.sum((used[0][:, None] - used[1][None]) ** 2, axis=2)
+        assert pm.tolist() == np.argmin(d, axis=1).tolist()
+
     def test_matches_exhaustive_argmin(self):
         rng = np.random.default_rng(7)
         rows_t, rel_t = self._random_patch_data(rng, 10)
