@@ -1,4 +1,4 @@
-"""Point-cloud containers, neighbor queries, normals, and sampling."""
+"""Point-cloud containers, k-NN queries, normals, and farthest-point sampling."""
 
 from __future__ import annotations
 
@@ -9,6 +9,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 UNIT_NORMAL_TOL = 1e-9
+# Largest |coordinate| a NeighborIndex accepts: two points within it are at a
+# squared distance of at most 12 * MAX_COORDINATE**2, which stays finite.
+MAX_COORDINATE = 1e153
 
 
 def _as_points(values, name: str = "positions") -> np.ndarray:
@@ -89,7 +92,8 @@ class NeighborIndex:
 
     Results are defined to agree exactly with a brute-force scan,
     including the tie rule: equal distances are ordered by ascending
-    point index.
+    point index. Coordinates beyond ``MAX_COORDINATE`` in magnitude are
+    rejected, since the kd-tree's squared distances would overflow.
     """
 
     points: np.ndarray
@@ -100,6 +104,10 @@ class NeighborIndex:
         pts = _as_points(points)
         if pts.shape[0] < 1:
             raise ValueError("empty frame")
+        largest = float(np.max(np.abs(pts)))
+        if largest > MAX_COORDINATE:
+            raise ValueError(f"max |coordinate| is {largest:.3g}; a neighbor index allows "
+                             f"at most {MAX_COORDINATE:g}, so squared distances stay finite")
         pts = np.ascontiguousarray(pts)
         pts.flags.writeable = False
         return cls(points=pts, tree=cKDTree(pts))
@@ -108,15 +116,10 @@ class NeighborIndex:
         return self.points.shape[0]
 
 
-def build_neighbor_index(frame: Frame) -> NeighborIndex:
-    """Build a k-NN / radius index over the frame's positions."""
-    return NeighborIndex.from_points(frame.positions)
-
-
 def index_over(frame: Frame, index: Optional[NeighborIndex]) -> NeighborIndex:
     """``index`` if it was built over the frame's positions, else a new index."""
     if index is None:
-        return build_neighbor_index(frame)
+        return NeighborIndex.from_points(frame.positions)
     if not np.array_equal(index.points, frame.positions):
         raise ValueError("neighbor index was built over other points")
     return index
@@ -168,53 +171,13 @@ def knn_rows(index: NeighborIndex, queries, k: int, exclude=None) -> np.ndarray:
     return np.ascontiguousarray(idx[:, :k])
 
 
-def knn(index: NeighborIndex, query, k: int, exclude_self: bool = False) -> np.ndarray:
-    """Indices of the k nearest stored points to ``query``.
-
-    Distances are non-decreasing; exact ties are broken by ascending
-    point index. With ``exclude_self`` the lowest-index stored point
-    whose position equals ``query`` is omitted (the query must then be
-    a stored point).
-    """
-    q = np.asarray(query, dtype=np.float64).reshape(1, 3)
-    exclude = None
-    if exclude_self:
-        hits = np.flatnonzero(np.all(index.points == q, axis=1))
-        if hits.size == 0:
-            raise ValueError("exclude_self requires the query to be a stored point")
-        exclude = hits[:1]
-    return knn_rows(index, q, k, exclude)[0]
-
-
-def knn_point(index: NeighborIndex, i: int, k: int) -> np.ndarray:
-    """k nearest neighbors of stored point ``i``, excluding ``i`` itself."""
-    if not 0 <= i < len(index):
-        raise ValueError("point index out of range")
-    return knn_rows(index, index.points[i : i + 1], k, np.array([i]))[0]
-
-
-def radius_neighbors(index: NeighborIndex, query, radius: float) -> np.ndarray:
-    """Indices of stored points with distance to ``query`` strictly below ``radius``."""
-    if not np.isfinite(radius) or radius <= 0:
-        raise ValueError("radius must be finite and > 0")
-    q = np.asarray(query, dtype=np.float64).reshape(3)
-    cand = np.asarray(index.tree.query_ball_point(q, r=radius), dtype=np.int64)
-    if cand.size == 0:
-        return cand
-    d = np.sqrt(np.sum((index.points[cand] - q) ** 2, axis=1))
-    keep = d < radius
-    cand, d = cand[keep], d[keep]
-    order = np.lexsort((cand, d))
-    return cand[order]
-
-
 def mean_nn_distance(frame: Frame, index: Optional[NeighborIndex] = None) -> float:
     """Mean over all points of the distance to their nearest other point."""
     n = len(frame)
     if n < 2:
         raise ValueError("need two points")
     if index is None:
-        index = build_neighbor_index(frame)
+        index = NeighborIndex.from_points(frame.positions)
     d, _ = index.tree.query(frame.positions, k=2)
     return float(np.mean(d[:, 1]))
 
@@ -228,28 +191,14 @@ def _lex_canonical_sign(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def orient_normals(frame: Frame, k_plane: int = 12) -> Frame:
-    """Fix normal signs deterministically.
-
-    Each normal is aligned with the dominant axis of its neighborhood's
-    normals (the principal eigenvector of the sum of normal outer
-    products, which is insensitive to the input signs). The consensus
-    axis and any leftover zero-dot ambiguity are both resolved by
-    forcing n_z >= 0, then n_y >= 0, then n_x >= 0.
-    """
-    if frame.normals is None:
-        raise ValueError("frame has no normals")
-    n = len(frame)
-    normals = np.asarray(frame.normals, dtype=np.float64)
-    if n == 1:
-        return frame.with_normals(_lex_canonical_sign(normals))
-    k_eff = min(k_plane, n - 1)
-    _, nbr = build_neighbor_index(frame).tree.query(frame.positions, k=k_eff + 1)
-    return frame.with_normals(_orient(normals, np.atleast_2d(nbr)))
-
-
 def _orient(normals: np.ndarray, nbr: np.ndarray) -> np.ndarray:
-    """Normals flipped toward their (n, k+1) neighbor rows' consensus axis."""
+    """Normals flipped toward their (n, k+1) neighbor rows' consensus axis.
+
+    The consensus axis is the principal eigenvector of the sum of the
+    neighbor normals' outer products, which is insensitive to the input
+    signs. The axis and any leftover zero-dot ambiguity are both resolved
+    by forcing n_z >= 0, then n_y >= 0, then n_x >= 0.
+    """
     hood = normals[nbr]                                   # (n, k+1, 3)
     outer = np.einsum("nki,nkj->nij", hood, hood)         # sign-invariant
     _, vecs = np.linalg.eigh(outer)
@@ -268,9 +217,10 @@ def estimate_normals(frame: Frame, k_plane: int,
 
     Fits a plane to each point and its ``k_plane`` nearest neighbors;
     the normal is the eigenvector of the neighborhood covariance with
-    the smallest eigenvalue, then oriented as :func:`orient_normals`
-    does, over the same neighbor rows. ``index``, if given, must be
-    built over the frame's positions; it saves building one.
+    the smallest eigenvalue. Each sign is then fixed toward the consensus
+    axis of the normals over the same neighbor rows (see :func:`_orient`).
+    ``index``, if given, must be built over the frame's positions; it
+    saves building one.
 
     Returns the frame with normals and the count of degenerate
     neighborhoods (rank < 2) that fell back to the global up axis.
@@ -326,15 +276,3 @@ def farthest_point_sampling(frame: Frame, m: int, seed: int) -> np.ndarray:
         np.minimum(min_sq, sq, out=min_sq)
         nxt = int(np.argmax(min_sq))  # argmax returns the first (lowest) index on ties
     return chosen
-
-
-def downsample_random(frame: Frame, rate: float, seed: int) -> Frame:
-    """Keep ``ceil(rate * n)`` points chosen without replacement."""
-    if not 0.0 < rate <= 1.0:
-        raise ValueError("rate must be in (0, 1]")
-    n = len(frame)
-    count = int(np.ceil(rate * n))
-    rng = np.random.default_rng(seed)
-    keep = np.sort(rng.choice(n, size=count, replace=False))
-    normals = frame.normals[keep] if frame.normals is not None else None
-    return Frame(frame.positions[keep], normals, frame.frame_index)

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 
 @dataclass(frozen=True)
@@ -62,29 +61,6 @@ class SparseGraph:
         np.add.at(deg, self.edge_i, self.weights)
         np.add.at(deg, self.edge_j, self.weights)
         return deg
-
-
-def build_epsilon_graph(points, epsilon: float) -> SparseGraph:
-    """Unit-weight edges between points strictly closer than ``epsilon``."""
-    if not np.isfinite(epsilon):
-        raise ValueError("epsilon must be finite")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("points must have shape (n, 3)")
-    n = pts.shape[0]
-    if n < 1:
-        raise ValueError("need at least one point")
-    if n == 1:
-        return SparseGraph.from_edges(1, [], [], [])
-    pairs = cKDTree(pts).query_pairs(epsilon, output_type="ndarray")
-    if pairs.size:
-        d = np.sqrt(np.sum((pts[pairs[:, 0]] - pts[pairs[:, 1]]) ** 2, axis=1))
-        pairs = pairs[d < epsilon]  # the threshold itself is excluded
-    if pairs.size == 0:
-        return SparseGraph.from_edges(n, [], [], [])
-    return SparseGraph.from_edges(n, pairs[:, 0], pairs[:, 1], np.ones(pairs.shape[0]))
 
 
 def combinatorial_laplacian(graph: SparseGraph) -> sp.csr_matrix:

@@ -8,17 +8,14 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Frame, build_neighbor_index
+from .geometry import Frame, NeighborIndex
 
 
 @dataclass
 class FrameMetrics:
-    """Per-frame quality numbers and optimizer trace."""
+    """Per-frame optimizer trace and diagnostics."""
 
     frame_index: int
-    mse_nn: Optional[float] = None
-    mse_index: Optional[float] = None
-    gpsnr_db: Optional[float] = None
     objective_trace: list = field(default_factory=list)
     best_iteration: Optional[int] = None
     diagnostics: dict = field(default_factory=dict)
@@ -26,9 +23,6 @@ class FrameMetrics:
     def to_dict(self) -> dict:
         out = {
             "frame_index": self.frame_index,
-            "mse_nn": self.mse_nn,
-            "mse_index": self.mse_index,
-            "gpsnr_db": _json_float(self.gpsnr_db),
             "best_iteration": self.best_iteration,
             "diagnostics": self.diagnostics,
         }
@@ -42,24 +36,6 @@ class FrameMetrics:
             for o in self.objective_trace
         ]
         return out
-
-
-def _json_float(value):
-    if value is None:
-        return None
-    if math.isinf(value):
-        return "inf"
-    return value
-
-
-@dataclass
-class MetricsReport:
-    """Metrics for a whole sequence."""
-
-    frames: list
-
-    def to_dict(self) -> dict:
-        return {"frames": [f.to_dict() for f in self.frames]}
 
 
 def add_gaussian_noise(frame: Frame, sigma: float, seed: int) -> Frame:
@@ -77,8 +53,8 @@ def add_gaussian_noise(frame: Frame, sigma: float, seed: int) -> Frame:
 
 def mse_nn(a: Frame, b: Frame) -> float:
     """Symmetric nearest-neighbor mean squared error."""
-    tree_b = build_neighbor_index(b).tree
-    tree_a = build_neighbor_index(a).tree
+    tree_b = NeighborIndex.from_points(b.positions).tree
+    tree_a = NeighborIndex.from_points(a.positions).tree
     d_ab, _ = tree_b.query(a.positions, k=1)
     d_ba, _ = tree_a.query(b.positions, k=1)
     return 0.5 * (float(np.mean(d_ab**2)) + float(np.mean(d_ba**2)))
@@ -104,8 +80,8 @@ def gpsnr(test: Frame, reference: Frame, peak: float = 5.0) -> float:
         raise ValueError("reference frame has no normals")
     if peak <= 0:
         raise ValueError("peak must be > 0")
-    ref_tree = build_neighbor_index(reference).tree
-    test_tree = build_neighbor_index(test).tree
+    ref_tree = NeighborIndex.from_points(reference.positions).tree
+    test_tree = NeighborIndex.from_points(test.positions).tree
     _, nearest_ref = ref_tree.query(test.positions, k=1)
     delta = test.positions - reference.positions[nearest_ref]
     proj = np.einsum("ij,ij->i", delta, reference.normals[nearest_ref])

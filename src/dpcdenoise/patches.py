@@ -84,18 +84,12 @@ def build_patches(frame: Frame, m: int, k: int, seed: int,
         raise ValueError("m must be <= point count")
     if k + 1 > n:
         raise ValueError("k+1 must be <= point count")
-    centers = farthest_point_sampling(frame, m, seed)
     index = index_over(frame, index)
+    centers = farthest_point_sampling(frame, m, seed)
     members = np.empty((m, k + 1), dtype=np.int64)
     members[:, 0] = centers
     members[:, 1:] = knn_rows(index, frame.positions[centers], k, exclude=centers)
     return PatchSet(members=members, k=k, frame=frame)
-
-
-def relative_coords(patch: Patch, positions: np.ndarray) -> np.ndarray:
-    """Member coordinates relative to the patch center; row 0 is zero."""
-    pts = np.asarray(positions, dtype=np.float64)
-    return pts[patch.member_indices] - pts[patch.center_index]
 
 
 def all_relative_coords(patchset: PatchSet, positions: np.ndarray) -> np.ndarray:

@@ -19,15 +19,35 @@ def brute_knn(points, query, k, exclude=None):
     return order[:k]
 
 
+def relative_coords(patch, positions):
+    """One patch's member coordinates relative to its center; row 0 is zero."""
+    pts = np.asarray(positions, dtype=np.float64)
+    return pts[patch.member_indices] - pts[patch.center_index]
+
+
+def build_epsilon_graph(points, epsilon):
+    """Unit-weight edges between points strictly closer than ``epsilon``, from all pairs."""
+    from dpcdenoise.graph import SparseGraph
+
+    if not np.isfinite(epsilon):
+        raise ValueError("epsilon must be finite")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be > 0")
+    pts = np.asarray(points, dtype=np.float64)
+    d = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
+    i, j = np.nonzero(np.triu(d < epsilon, k=1))
+    return SparseGraph.from_edges(pts.shape[0], i, j, np.ones(i.size))
+
+
 def variation_rows(points, normals, epsilon):
     """Per-patch variation rows: the epsilon graph's random-walk Laplacian on the normals.
 
-    Builds one kd-tree epsilon graph and one sparse Laplacian per call;
-    the batched passes in ``dpcdenoise.matching`` must match it bit for bit.
+    Builds one epsilon graph and one sparse Laplacian per call; the
+    batched passes in ``dpcdenoise.matching`` must match it bit for bit.
     """
-    from dpcdenoise.graph import apply_rw, build_epsilon_graph, random_walk_laplacian
+    from dpcdenoise.graph import apply_rw, random_walk_laplacian
 
-    lap = random_walk_laplacian(build_epsilon_graph(np.asarray(points, dtype=np.float64), epsilon))
+    lap = random_walk_laplacian(build_epsilon_graph(points, epsilon))
     return apply_rw(lap, np.asarray(normals, dtype=np.float64))
 
 

@@ -28,7 +28,7 @@ from test_acceptance import (
 )
 
 from dpcdenoise.config import DenoiseConfig
-from dpcdenoise.geometry import Frame, build_neighbor_index, farthest_point_sampling, knn_rows
+from dpcdenoise.geometry import Frame, NeighborIndex, farthest_point_sampling, knn_rows
 from dpcdenoise.graph import SparseGraph
 from dpcdenoise.matching import match_patches, patch_variations, prepare_reference
 from dpcdenoise.metrics import add_gaussian_noise
@@ -105,7 +105,7 @@ class TestKnnRows:
     def test_matches_brute_force(self, cloud, k, stored, seed):
         pts, _ = cloud
         n = len(pts)
-        index = build_neighbor_index(Frame(pts))
+        index = NeighborIndex.from_points(pts)
         rng = np.random.default_rng(seed)
         if stored:
             exclude = rng.choice(n, size=min(n, 8), replace=False)
@@ -119,7 +119,7 @@ class TestKnnRows:
             assert got[r].tolist() == want.tolist()
 
     def test_rejects_bad_k(self):
-        index = build_neighbor_index(Frame(np.eye(3)))
+        index = NeighborIndex.from_points(np.eye(3))
         with pytest.raises(ValueError, match="k must be"):
             knn_rows(index, np.zeros((1, 3)), 0)
         with pytest.raises(ValueError, match="k too large"):

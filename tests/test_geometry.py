@@ -1,28 +1,30 @@
 import numpy as np
 import pytest
+from oracles import brute_knn
 
 from dpcdenoise.geometry import (
     Frame,
+    NeighborIndex,
     Sequence,
-    build_neighbor_index,
-    downsample_random,
+    _orient,
     estimate_normals,
     farthest_point_sampling,
-    knn,
-    knn_point,
+    knn_rows,
     mean_nn_distance,
-    orient_normals,
-    radius_neighbors,
 )
 
 
-def brute_knn(points, query, k, exclude=None):
-    """Reference: sort all points by (distance, index), drop excluded, take k."""
-    d = np.sqrt(np.sum((points - query) ** 2, axis=1))
-    order = np.lexsort((np.arange(len(points)), d))
-    if exclude is not None:
-        order = order[order != exclude]
-    return order[:k]
+def nearest(pts, query, k, exclude=None):
+    """knn_rows for one query row, leaving out stored point ``exclude`` if given."""
+    index = NeighborIndex.from_points(pts)
+    rows = np.asarray(query, dtype=np.float64).reshape(1, 3)
+    return knn_rows(index, rows, k, None if exclude is None else [exclude])[0]
+
+
+def orient(frame, k_plane):
+    """The frame's normals passed through _orient over the rows estimate_normals fits."""
+    index = NeighborIndex.from_points(frame.positions)
+    return _orient(frame.normals, index.tree.query(frame.positions, k=k_plane + 1)[1])
 
 
 def random_cloud(n, seed, scale=1.0):
@@ -56,73 +58,54 @@ class TestFrame:
 
 class TestKnn:
     def test_singleton_cloud_has_no_neighbors(self):
-        idx = build_neighbor_index(Frame([[0.0, 0.0, 0.0]]))
         with pytest.raises(ValueError, match="k too large"):
-            knn(idx, [0.0, 0.0, 0.0], 1, exclude_self=True)
+            nearest(np.zeros((1, 3)), [0.0, 0.0, 0.0], 1, exclude=0)
 
     def test_query_at_existing_point_includes_it(self):
-        f = Frame([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        idx = build_neighbor_index(f)
-        assert knn(idx, [0.0, 0.0, 0.0], 1).tolist() == [0]
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        assert nearest(pts, [0.0, 0.0, 0.0], 1).tolist() == [0]
 
     def test_collinear_example(self):
-        f = Frame([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-        idx = build_neighbor_index(f)
-        assert knn(idx, f.positions[2], 1, exclude_self=True).tolist() == [1]
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+        assert nearest(pts, pts[2], 1, exclude=2).tolist() == [1]
 
     def test_tie_break_unit_square(self):
-        corners = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
-        idx = build_neighbor_index(Frame(np.asarray(corners, float)))
+        corners = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
         # (1,0,0) and (0,1,0) tie at distance 1; the lower index wins.
-        assert knn(idx, [0.0, 0.0, 0.0], 2).tolist() == [0, 1]
-        assert knn(idx, [0.0, 0.0, 0.0], 3).tolist() == [0, 1, 2]
+        assert nearest(corners, [0.0, 0.0, 0.0], 2).tolist() == [0, 1]
+        assert nearest(corners, [0.0, 0.0, 0.0], 3).tolist() == [0, 1, 2]
 
     def test_k_equals_n_returns_all_sorted(self):
         pts = random_cloud(20, 3)
-        idx = build_neighbor_index(Frame(pts))
         q = np.array([0.5, 0.5, 0.5])
-        assert knn(idx, q, 20).tolist() == brute_knn(pts, q, 20).tolist()
+        assert nearest(pts, q, 20).tolist() == brute_knn(pts, q, 20).tolist()
 
     def test_matches_brute_force_on_random_clouds(self):
         rng = np.random.default_rng(42)
         for trial in range(20):
             n = int(rng.integers(2, 120))
             pts = rng.uniform(-1, 1, (n, 3))
-            idx = build_neighbor_index(Frame(pts))
             q = rng.uniform(-1, 1, 3)
             k = int(rng.integers(1, n + 1))
-            assert knn(idx, q, k).tolist() == brute_knn(pts, q, k).tolist()
+            assert nearest(pts, q, k).tolist() == brute_knn(pts, q, k).tolist()
 
     def test_matches_brute_force_with_exact_ties(self):
         # Grid points produce many exactly equal distances.
         g = np.arange(4, dtype=float)
         pts = np.array([(x, y, z) for x in g for y in g for z in g])
-        idx = build_neighbor_index(Frame(pts))
         for qi in (0, 21, 37, 63):
             for k in (1, 5, 17):
-                got = knn_point(idx, qi, k)
+                got = nearest(pts, pts[qi], k, exclude=qi)
                 want = brute_knn(pts, pts[qi], k, exclude=qi)
                 assert got.tolist() == want.tolist()
 
     def test_knn_per_point_against_brute_force_500(self):
         pts = random_cloud(500, 7)
-        idx = build_neighbor_index(Frame(pts))
-        for i in range(0, 500, 37):
-            got = knn_point(idx, i, 5)
-            want = brute_knn(pts, pts[i], 5, exclude=i)
-            assert got.tolist() == want.tolist()
-
-    def test_radius_matches_brute_force(self):
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(0, 1, (200, 3))
-        idx = build_neighbor_index(Frame(pts))
-        q = rng.uniform(0, 1, 3)
-        got = radius_neighbors(idx, q, 0.3)
-        d = np.sqrt(np.sum((pts - q) ** 2, axis=1))
-        want = np.flatnonzero(d < 0.3)
-        assert sorted(got.tolist()) == want.tolist()
-        assert np.all(np.diff(d[got]) >= 0)
-
+        index = NeighborIndex.from_points(pts)
+        rows = np.arange(0, 500, 37)
+        got = knn_rows(index, pts[rows], 5, exclude=rows)
+        for r, i in enumerate(rows):
+            assert got[r].tolist() == brute_knn(pts, pts[i], 5, exclude=i).tolist()
 
 class TestMeanNnDistance:
     def test_two_points(self):
@@ -175,21 +158,21 @@ class TestEstimateNormals:
 
     @pytest.mark.parametrize("grid", [0, 3])
     def test_shared_index_and_orientation_rows(self, grid):
-        # The fit's neighbor rows also orient the normals: the result must be
-        # what orient_normals makes of it, with or without a given index.
+        # The fit's neighbor rows also orient the normals: orienting the result
+        # again over the same rows changes nothing, with or without a given index.
         pts = random_cloud(80, 6)
         if grid:
             pts = np.round(pts * grid) / grid + random_cloud(80, 7, 1e-3)
         frame = Frame(pts)
         alone, degenerate = estimate_normals(frame, 8)
-        shared, shared_degenerate = estimate_normals(frame, 8, build_neighbor_index(frame))
+        shared, shared_degenerate = estimate_normals(frame, 8, NeighborIndex.from_points(pts))
         assert degenerate == shared_degenerate
         assert np.array_equal(alone.normals, shared.normals)
-        assert np.array_equal(orient_normals(alone, 8).normals, alone.normals)
+        assert np.array_equal(orient(alone, 8), alone.normals)
 
     def test_index_over_other_points_rejected(self):
         frame = Frame(random_cloud(20, 8))
-        other = build_neighbor_index(Frame(random_cloud(20, 9)))
+        other = NeighborIndex.from_points(random_cloud(20, 9))
         with pytest.raises(ValueError, match="other points"):
             estimate_normals(frame, 6, other)
 
@@ -200,16 +183,15 @@ class TestOrientNormals:
         pts = np.column_stack([rng.uniform(0, 1, (50, 2)), np.zeros(50)])
         signs = rng.choice([-1.0, 1.0], size=50)
         normals = np.column_stack([np.zeros(50), np.zeros(50), signs])
-        out = orient_normals(Frame(pts, normals), 8)
-        assert np.array_equal(out.normals, np.tile((0.0, 0.0, 1.0), (50, 1)))
+        out = orient(Frame(pts, normals), 8)
+        assert np.array_equal(out, np.tile((0.0, 0.0, 1.0), (50, 1)))
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
         pts = rng.uniform(0, 1, (60, 3))
         frame, _ = estimate_normals(Frame(pts), 8)
-        once = orient_normals(frame, 8)
-        twice = orient_normals(once, 8)
-        assert np.array_equal(once.normals, twice.normals)
+        once = frame.with_normals(orient(frame, 8))
+        assert np.array_equal(orient(once, 8), once.normals)
 
     def test_invariant_to_input_sign_flips(self):
         rng = np.random.default_rng(5)
@@ -217,14 +199,7 @@ class TestOrientNormals:
         frame, _ = estimate_normals(Frame(pts), 8)
         flips = rng.choice([-1.0, 1.0], size=(80, 1))
         flipped = Frame(pts, frame.normals * flips)
-        assert np.array_equal(
-            orient_normals(frame, 8).normals, orient_normals(flipped, 8).normals
-        )
-
-    def test_requires_normals(self):
-        with pytest.raises(ValueError, match="normals"):
-            orient_normals(Frame(random_cloud(5, 0)))
-
+        assert np.array_equal(orient(frame, 8), orient(flipped, 8))
 
 def brute_fps(points, m, first):
     chosen = [first]
@@ -266,39 +241,3 @@ class TestFarthestPointSampling:
     def test_m_too_large(self):
         with pytest.raises(ValueError):
             farthest_point_sampling(Frame(random_cloud(5, 1)), 6, seed=0)
-
-
-class TestDownsampleRandom:
-    def test_rate_one_is_identity(self):
-        f = Frame(random_cloud(17, 21))
-        out = downsample_random(f, 1.0, seed=0)
-        assert np.array_equal(out.positions, f.positions)
-
-    def test_half_rate_cardinality(self):
-        f = Frame(random_cloud(10, 22))
-        out = downsample_random(f, 0.5, seed=3)
-        assert len(out) == 5
-        pos = {tuple(p) for p in f.positions}
-        assert all(tuple(p) in pos for p in out.positions)
-
-    def test_deterministic(self):
-        f = Frame(random_cloud(40, 23))
-        a = downsample_random(f, 0.3, seed=7)
-        b = downsample_random(f, 0.3, seed=7)
-        assert np.array_equal(a.positions, b.positions)
-
-    def test_keeps_matching_normals(self):
-        pts = random_cloud(20, 25)
-        normals = np.tile((0.0, 0.0, 1.0), (20, 1))
-        normals[::2] = (1.0, 0.0, 0.0)
-        f = Frame(pts, normals)
-        out = downsample_random(f, 0.4, seed=2)
-        for p, n in zip(out.positions, out.normals):
-            i = int(np.flatnonzero(np.all(pts == p, axis=1))[0])
-            assert np.array_equal(n, normals[i])
-
-    def test_bad_rate(self):
-        f = Frame(random_cloud(4, 24))
-        for rate in (0.0, 1.5, -0.1):
-            with pytest.raises(ValueError):
-                downsample_random(f, rate, seed=0)

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from oracles import dense_laplacians, random_graph
+from oracles import build_epsilon_graph, dense_laplacians, random_graph
 
 from dpcdenoise.graph import (
     SparseGraph,
     apply_rw,
-    build_epsilon_graph,
     combinatorial_laplacian,
     random_walk_laplacian,
 )
@@ -30,6 +29,7 @@ class TestSparseGraph:
 
 
 class TestEpsilonGraph:
+    # The oracle's epsilon graph, which variation_rows builds on.
     def test_edge_below_threshold(self):
         g = build_epsilon_graph([[0, 0, 0], [1, 0, 0]], 2.0)
         assert g.edge_count == 1

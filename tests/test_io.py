@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -183,10 +181,12 @@ class TestManifest:
         assert back == manifest
 
     def test_infinite_gpsnr_serializable(self, tmp_path):
-        from dpcdenoise.metrics import FrameMetrics
+        # Identical clean and test clouds: the eval manifest's GPSNR is infinite.
+        from dpcdenoise.cli import cli_main
 
-        fm = FrameMetrics(frame_index=0, gpsnr_db=math.inf)
-        manifest = RunManifest(command="eval", frame_metrics=[fm.to_dict()])
+        cloud = tmp_path / "cloud.ply"
+        write_point_cloud(random_frame(30, 5, with_normals=True), cloud)
         path = tmp_path / "manifest.json"
-        manifest.save(path)
+        assert cli_main(["eval", "--clean", str(cloud), "--test", str(cloud),
+                         "--out", str(tmp_path / "metrics.csv"), "--manifest", str(path)]) == 0
         assert RunManifest.load(path).frame_metrics[0]["gpsnr_db"] == "inf"

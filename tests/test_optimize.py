@@ -325,16 +325,15 @@ class TestDenoiseFrame:
         # grid all share the same relative layout, so corresponding rows
         # agree exactly and the spatial gradient vanishes at the input.
         from dpcdenoise.patches import PatchSet
-        from dpcdenoise.geometry import build_neighbor_index, knn_point
+        from dpcdenoise.geometry import NeighborIndex, knn_rows
 
         g = np.arange(12, dtype=float)
         xx, yy = np.meshgrid(g, g)
         pts = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(144)])
         frame = Frame(pts)
-        index = build_neighbor_index(frame)
-        interior = [i for i, p in enumerate(pts)
-                    if 2 <= p[0] <= 9 and 2 <= p[1] <= 9]
-        members = np.array([[i, *knn_point(index, i, 4)] for i in interior])
+        interior = np.array([i for i, p in enumerate(pts) if 2 <= p[0] <= 9 and 2 <= p[1] <= 9])
+        nbrs = knn_rows(NeighborIndex.from_points(pts), pts[interior], 4, exclude=interior)
+        members = np.column_stack([interior, nbrs])
         ps = PatchSet(members=members, k=4, frame=frame)
         edges = spatial_connectivity(ps, pts, 4)
         normals = np.tile((0.0, 0.0, 1.0), (144, 1))

@@ -1,21 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from oracles import brute_knn, relative_coords
 
-from dpcdenoise.geometry import Frame, build_neighbor_index
-from dpcdenoise.patches import (
-    Patch,
-    all_relative_coords,
-    build_patches,
-    patch_epsilon,
-    relative_coords,
-)
-
-
-def brute_knn(points, query, k, exclude):
-    d = np.sqrt(np.sum((points - query) ** 2, axis=1))
-    order = np.lexsort((np.arange(len(points)), d))
-    order = order[order != exclude]
-    return order[:k]
+from dpcdenoise.geometry import MAX_COORDINATE, Frame, NeighborIndex
+from dpcdenoise.patches import Patch, PatchSet, all_relative_coords, build_patches, patch_epsilon
 
 
 class TestBuildPatches:
@@ -36,9 +26,10 @@ class TestBuildPatches:
     def test_given_index_changes_nothing(self):
         frame = Frame(np.random.default_rng(3).uniform(0, 1, (60, 3)))
         alone = build_patches(frame, 20, 7, seed=2)
-        shared = build_patches(frame, 20, 7, seed=2, index=build_neighbor_index(frame))
+        index = NeighborIndex.from_points(frame.positions)
+        shared = build_patches(frame, 20, 7, seed=2, index=index)
         assert np.array_equal(alone.members, shared.members)
-        other = build_neighbor_index(Frame(frame.positions[::-1]))
+        other = NeighborIndex.from_points(frame.positions[::-1])
         with pytest.raises(ValueError, match="other points"):
             build_patches(frame, 20, 7, seed=2, index=other)
 
@@ -46,6 +37,18 @@ class TestBuildPatches:
         pts = np.random.default_rng(2).uniform(0, 1, (5, 3))
         with pytest.raises(ValueError):
             build_patches(Frame(pts), 2, 5, seed=0)
+
+    def test_coordinates_whose_squares_overflow_are_rejected(self):
+        # Near 1e160 the kd-tree's squared distances overflow to inf and its
+        # query returns the missing-neighbor index n for real neighbors.
+        pts = np.random.default_rng(8).uniform(0, 1, (40, 3)) * 1e160
+        with pytest.raises(ValueError, match=re.escape(f"at most {MAX_COORDINATE:g}")):
+            build_patches(Frame(pts), 10, 4, seed=0)
+
+    def test_coordinates_below_the_bound_build(self):
+        pts = np.random.default_rng(8).uniform(0, 1, (40, 3))
+        big = build_patches(Frame(pts * 1e150), 10, 4, seed=0)
+        assert np.array_equal(big.members, build_patches(Frame(pts), 10, 4, seed=0).members)
 
     def test_centers_cover_cloud_like_greedy_oracle(self):
         # FPS greedy max-min: the coverage radius equals the oracle's.
@@ -67,15 +70,13 @@ class TestRelativeCoords:
     def test_row_zero_is_origin(self):
         pts = np.random.default_rng(4).uniform(0, 1, (30, 3))
         ps = build_patches(Frame(pts), 5, 6, seed=1)
-        for l in range(5):
-            rel = relative_coords(ps.patch(l), pts)
-            assert np.array_equal(rel[0], [0.0, 0.0, 0.0])
+        assert np.array_equal(all_relative_coords(ps, pts)[:, 0], np.zeros((5, 3)))
 
     def test_translation_invariance(self):
         pts = np.random.default_rng(5).uniform(0, 1, (30, 3))
         ps = build_patches(Frame(pts), 5, 6, seed=1)
-        rel = relative_coords(ps.patch(2), pts)
-        rel_shift = relative_coords(ps.patch(2), pts + np.array([5.0, -3.0, 2.0]))
+        rel = all_relative_coords(ps, pts)
+        rel_shift = all_relative_coords(ps, pts + np.array([5.0, -3.0, 2.0]))
         assert np.allclose(rel, rel_shift, atol=1e-12)
 
     def test_rotation_equivariance(self):
@@ -89,15 +90,15 @@ class TestRelativeCoords:
                 [0.0, 0.0, 1.0],
             ]
         )
-        rel = relative_coords(ps.patch(1), pts)
-        rel_rot = relative_coords(ps.patch(1), pts @ rot.T)
+        rel = all_relative_coords(ps, pts)
+        rel_rot = all_relative_coords(ps, pts @ rot.T)
         assert np.allclose(rel_rot, rel @ rot.T, atol=1e-12)
 
     def test_two_point_example(self):
-        patch = Patch(0, np.array([0, 1]))
         pts = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0]])
+        ps = PatchSet(members=np.array([[0, 1]]), k=1, frame=Frame(pts))
         assert np.array_equal(
-            relative_coords(patch, pts), [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+            all_relative_coords(ps, pts), [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]]
         )
 
     def test_all_relative_coords_matches_per_patch(self):
