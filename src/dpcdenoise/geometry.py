@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 UNIT_NORMAL_TOL = 1e-9
 # Largest |coordinate| a NeighborIndex accepts: two points within it are at a
@@ -88,16 +87,13 @@ class Sequence:
 
 @dataclass(frozen=True)
 class NeighborIndex:
-    """Spatial index over a fixed set of points.
+    """Fixed set of points for exact k-NN queries (see :func:`knn_rows`).
 
-    Results are defined to agree exactly with a brute-force scan,
-    including the tie rule: equal distances are ordered by ascending
-    point index. Coordinates beyond ``MAX_COORDINATE`` in magnitude are
-    rejected, since the kd-tree's squared distances would overflow.
+    Coordinates beyond ``MAX_COORDINATE`` in magnitude are rejected, since
+    squared distances between them would overflow.
     """
 
     points: np.ndarray
-    tree: cKDTree = field(repr=False, compare=False, default=None)
 
     @classmethod
     def from_points(cls, points: np.ndarray) -> "NeighborIndex":
@@ -110,65 +106,245 @@ class NeighborIndex:
                              f"at most {MAX_COORDINATE:g}, so squared distances stay finite")
         pts = np.ascontiguousarray(pts)
         pts.flags.writeable = False
-        return cls(points=pts, tree=cKDTree(pts))
+        return cls(points=pts)
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
 
-def index_over(frame: Frame, index: Optional[NeighborIndex]) -> NeighborIndex:
-    """``index`` if it was built over the frame's positions, else a new index."""
-    if index is None:
-        return NeighborIndex.from_points(frame.positions)
-    if not np.array_equal(index.points, frame.positions):
-        raise ValueError("neighbor index was built over other points")
-    return index
-
-
-def _sorted_candidates(index: NeighborIndex, query: np.ndarray, k_hint: int):
-    """All points within the k_hint-th neighbor distance, sorted by (distance, index)."""
-    n = len(index)
-    k_hint = min(k_hint, n)
-    dist_hint = index.tree.query(query, k=k_hint)[0]
-    radius = float(np.max(np.atleast_1d(dist_hint)))
-    # Inflate slightly so boundary ties survive any kd-tree rounding, then
-    # resolve order with exactly recomputed distances.
-    cand = np.asarray(index.tree.query_ball_point(query, r=radius * (1.0 + 1e-12) + 1e-300), dtype=np.int64)
-    d = np.sqrt(np.sum((index.points[cand] - query) ** 2, axis=1))
-    return cand[np.lexsort((cand, d))]
-
-
 def knn_rows(index: NeighborIndex, queries, k: int, exclude=None) -> np.ndarray:
     """Indices of the k nearest stored points to each query row, shape (q, k).
 
-    Each row agrees exactly with a brute-force scan: distances are
-    non-decreasing and exact ties are broken by ascending point index.
-    ``exclude`` optionally names, per row, one stored point to leave out.
-    One kd-tree query serves all rows; a row whose last kept and first
-    dropped exact distances tie within rounding is redone by an exact
-    radius search.
+    Each row agrees exactly with a brute-force scan: distances
+    ``sqrt(dx*dx + dy*dy + dz*dz)`` are non-decreasing and exact ties are
+    broken by ascending point index. ``exclude`` optionally names, per row,
+    one stored point to leave out. The rows come from a cubic cell grid
+    (see :func:`_grid_pass`).
     """
     q = _as_points(queries, "queries")
-    n = len(index)
     want = k if exclude is None else k + 1
     if k < 1:
         raise ValueError("k must be >= 1")
-    if want > n:
+    if want > len(index):
         raise ValueError("k too large")
-    fetch = min(want + 1, n)
-    idx = index.tree.query(q, k=fetch)[1].reshape(q.shape[0], fetch)
-    d = np.sqrt(np.sum((index.points[idx] - q[:, None, :]) ** 2, axis=2))
-    order = np.lexsort((idx, d))
-    idx = np.take_along_axis(idx, order, axis=1)[:, :want]
-    if fetch > want:
-        d = np.take_along_axis(d, order, axis=1)
-        for r in np.flatnonzero(d[:, want] <= d[:, want - 1] * (1.0 + 1e-12)):
-            idx[r] = _sorted_candidates(index, q[r], want)[:want]
-    if exclude is not None:
-        # A stable sort moves the excluded point, if present, behind the rest.
-        dropped = idx == np.asarray(exclude, dtype=np.int64).reshape(-1, 1)
-        idx = np.take_along_axis(idx, np.argsort(dropped, axis=1, kind="stable"), axis=1)
-    return np.ascontiguousarray(idx[:, :k])
+    rows = _nearest(index.points, q, want)
+    return rows if exclude is None else without(rows, exclude)
+
+
+def without(rows: np.ndarray, exclude) -> np.ndarray:
+    """Neighbor rows (q, w) less one column: each row's ``exclude`` entry, or else its last.
+
+    A stable sort moves the excluded point, if present, behind the rest, so
+    ``without(knn_rows(index, queries, k + 1), exclude)`` equals
+    ``knn_rows(index, queries, k, exclude)``.
+    """
+    dropped = rows == np.asarray(exclude, dtype=np.int64).reshape(-1, 1)
+    order = np.argsort(dropped, axis=1, kind="stable")[:, :-1]
+    return np.ascontiguousarray(np.take_along_axis(rows, order, axis=1))
+
+
+# Query rows times candidates per block of a grid pass: the block's few
+# temporaries hold about 0.5 MB each however crowded a cell is, unless one
+# row alone has more candidates.
+QUERY_BUDGET = 1 << 16
+# Cells along one axis at most, which keeps padded int64 cell ids small.
+MAX_AXIS_CELLS = 1 << 20
+# Cells on each side of a query's cell that its block of candidates spans.
+BLOCK_RADIUS = 1
+# Stored points whose k-th neighbor distance sets the first cell edge.
+EDGE_SAMPLE = 16
+# Smallest face distance a grid pass trusts: the square of any larger
+# coordinate gap is a normal float64, so a point beyond the face cannot
+# round to a shorter distance than the face's (a gap below 1.5e-162
+# squares to zero).
+MIN_REACH = 1e-150
+
+
+def _nearest(points: np.ndarray, queries: np.ndarray, want: int) -> np.ndarray:
+    """(q, want) nearest stored points in (distance, index) order.
+
+    Each grid pass keeps the rows it proves complete; the rest go to the
+    next pass with twice the cell edge. Once the rows left fit in one block
+    with every point as a candidate, they are ranked against every point,
+    which needs no proof. Coordinates are kept as three rows, (3, n) and
+    (3, q).
+    """
+    n = points.shape[0]
+    # One sentinel column past the last point, infinitely far away and ranked last.
+    cols = np.full((3, n + 1), np.inf)
+    cols[:, :n] = points.T
+    qcols = np.ascontiguousarray(queries.T)
+    out = np.empty((queries.shape[0], want), dtype=np.int64)
+    todo = np.arange(queries.shape[0])
+    edge = None
+    while todo.size * (n + 1) > QUERY_BUDGET:
+        if edge is None:
+            edge = _first_edge(cols[:, :n], want)
+        found, proven = _grid_pass(cols[:, :n], qcols[:, todo], want, edge)
+        out[todo[proven]] = found[proven]
+        todo = todo[~proven]
+        edge *= 2.0
+    if todo.size:
+        ids = np.arange(n + 1)
+        every = np.broadcast_to(ids, (todo.size, n + 1))
+        out[todo] = _rank(_sq_to(cols, qcols[:, todo]), ids, every, want)[0]
+    return out
+
+
+def _first_edge(cols: np.ndarray, want: int) -> float:
+    """Cell edge from the median want-th neighbor distance of a few of the (3, n) points.
+
+    That distance varies between points by about 1/sqrt(want) of itself,
+    so the block reaches 1 + 1/sqrt(want) times the median, and few rows
+    need a second pass.
+    """
+    n = cols.shape[1]
+    sample = cols[:, np.linspace(0, n - 1, min(EDGE_SAMPLE, n), dtype=np.int64)]
+    kth = np.partition(_sq_to(cols, sample), min(want, n - 1), axis=1)[:, min(want, n - 1)]
+    span = float(np.max(cols.max(axis=1) - cols.min(axis=1)))
+    reach = (1.0 + 1.0 / np.sqrt(want)) * float(np.sqrt(np.median(kth)))
+    edge = max(reach / BLOCK_RADIUS, span / MAX_AXIS_CELLS)
+    return edge if edge > 0.0 else 1.0
+
+
+def _sq_to(cols: np.ndarray, queries: np.ndarray, slots: Optional[np.ndarray] = None) -> np.ndarray:
+    """Squared distances from each of the (3, q) queries to the points of its row of ``slots``.
+
+    ``cols`` holds the points' coordinates as three rows; without
+    ``slots`` every query is measured to every point. The sum runs
+    dx*dx + dy*dy, then + dz*dz, the order ``np.sum`` adds a length-3 row
+    in, so every value equals the brute-force scan's.
+    """
+    sq = None
+    for axis in range(3):
+        if slots is None:
+            gap = cols[axis] - queries[axis][:, None]
+        else:
+            gap = cols[axis].take(slots)
+            gap -= queries[axis][:, None]
+        gap *= gap
+        if sq is None:
+            sq = gap
+        else:
+            sq += gap
+    return sq
+
+
+def _grid_pass(cols: np.ndarray, queries: np.ndarray, want: int, edge: float):
+    """Nearest rows of the (3, q) queries from one cubic grid over the (3, n) points.
+
+    Cell (i, j, l) holds the points with ``floor((p - origin) / edge) ==
+    (i, j, l)``. Cell ids carry ``BLOCK_RADIUS`` empty layers of padding on
+    every side, so the block of cells within that radius of a query's cell
+    is one run of consecutive ids in z per (i, j) column, and each run is
+    one range of the points sorted by id. A query outside the occupied
+    cells takes the nearest occupied cell. The block's points are ranked
+    exactly; a row is proven when its want-th distance stays clear of
+    every block face that has points beyond it, so no point outside the
+    block can rank. Returns the (q, want) rows and which rows are proven.
+    """
+    n = cols.shape[1]
+    r = BLOCK_RADIUS
+    origin = cols.min(axis=1, keepdims=True)
+    cells = np.floor((cols - origin) / edge).astype(np.int64)
+    top = cells.max(axis=1, keepdims=True)
+    dims = top[:, 0] + 1 + 2 * r
+    stride = np.array([dims[1] * dims[2], dims[2], 1], dtype=np.int64)
+    ids = stride @ (cells + r)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    # The sorted points, then one sentinel column infinitely far away and ranked last.
+    sorted_cols = np.full((3, n + 1), np.inf)
+    sorted_cols[:, :n] = cols[:, order]
+    point_of = np.append(order, n)
+
+    # Query rows sorted by cell; per occupied query cell, its block's runs.
+    qcell = np.clip(np.floor((queries - origin) / edge), 0, top).astype(np.int64)
+    qid = stride @ (qcell + r)
+    rows = np.argsort(qid, kind="stable")
+    qid = qid[rows]
+    qcell = qcell[:, rows]
+    queries = queries[:, rows]
+    new_cell = np.concatenate(([True], qid[1:] != qid[:-1]))
+    cell_of_row = np.cumsum(new_cell) - 1
+    span = np.arange(-r, r + 1)
+    runs = qid[new_cell][:, None] + (span[:, None] * stride[0] + span * stride[1]).ravel()
+    run_start = np.searchsorted(ids, runs - r, side="left")
+    run_len = np.searchsorted(ids, runs + r, side="right") - run_start
+    need = np.maximum(run_len.sum(axis=1)[cell_of_row], want + 1)
+
+    # Distance from each query to the nearest block face that has points
+    # beyond it, less a margin for rounding in the cell assignment.
+    low = queries - (origin + (qcell - r) * edge)
+    high = (origin + (qcell + r + 1) * edge) - queries
+    low[qcell <= r] = np.inf
+    high[qcell >= top - r] = np.inf
+    margin = 1e-12 * (float(np.max(np.abs(origin))) + float(np.max(top) + 1) * edge
+                      + np.max(np.abs(queries), axis=0))
+    reach = np.minimum(low.min(axis=0), high.min(axis=0)) - margin
+    reach[reach < MIN_REACH] = -np.inf
+
+    found = np.empty((rows.size, want), dtype=np.int64)
+    proven = np.empty(rows.size, dtype=bool)
+    start = 0
+    while start < rows.size:
+        stop = min(rows.size, start + max(1, QUERY_BUDGET // need[start]))
+        stop = min(stop, start + max(1, QUERY_BUDGET // need[start:stop].max()))
+        part = slice(start, stop)
+        first, last = cell_of_row[start], cell_of_row[stop - 1] + 1
+        cand = _block_slots(run_start[first:last], run_len[first:last],
+                            need[part].max(), n)[cell_of_row[part] - first]
+        sq = _sq_to(sorted_cols, queries[:, part], cand)
+        found[rows[part]], kth = _rank(sq, point_of, cand, want)
+        proven[rows[part]] = np.isposinf(reach[part]) | (kth * (1.0 + 1e-12) < reach[part])
+        start = stop
+    return found, proven
+
+
+def _block_slots(run_start, run_len, width, sentinel):
+    """(cells, width) sorted-point slots of each cell's runs in order, padded with ``sentinel``."""
+    lens = run_len.ravel()
+    total = run_len.sum(axis=1)
+    flat = np.arange(int(total.sum()))
+    slot = flat + np.repeat(run_start.ravel() - (np.cumsum(lens) - lens), lens)
+    col = flat - np.repeat(np.cumsum(total) - total, total)
+    per_cell = np.full((run_len.shape[0], width), sentinel, dtype=np.int64)
+    per_cell[np.repeat(np.arange(run_len.shape[0]), total), col] = slot
+    return per_cell
+
+
+def _rank(sq: np.ndarray, point_of: np.ndarray, slots: np.ndarray, want: int):
+    """Each row's first ``want`` points in (sqrt(sq), index) order, and the want-th distance.
+
+    ``sq`` (rows, c > want) holds the squared distances to the points in
+    ``slots``, and ``point_of`` maps a slot to its point. A row's want + 1
+    smallest squares are sorted by root. A row with equal squares at that
+    cut, or two equal roots within it, is sorted whole by (root, index):
+    equal roots need the lower index first, and the want-th root may equal
+    roots beyond the cut.
+    """
+    cut = np.partition(sq, want, axis=1)[:, want:want + 1]
+    keep = sq <= cut
+    plain = np.count_nonzero(keep, axis=1) == want + 1
+    keep[~plain] = False
+    rows = np.flatnonzero(plain)[:, None]
+    col = np.flatnonzero(keep).reshape(-1, want + 1) % sq.shape[1]
+    dist = np.sqrt(sq[rows, col])
+    order = np.argsort(dist, axis=1)
+    dist = np.take_along_axis(dist, order, axis=1)
+    near = np.empty((sq.shape[0], want), dtype=np.int64)
+    kth = np.empty(sq.shape[0])
+    near[rows[:, 0]] = point_of[slots[rows, np.take_along_axis(col, order[:, :want], axis=1)]]
+    kth[rows[:, 0]] = dist[:, want - 1]
+    tied = np.concatenate((np.flatnonzero(~plain),
+                           rows[np.any(dist[:, 1:] == dist[:, :-1], axis=1), 0]))
+    if tied.size:
+        ids = point_of[slots[tied]]
+        full = np.sqrt(sq[tied])
+        order = np.lexsort((ids, full), axis=1)[:, :want]
+        near[tied] = np.take_along_axis(ids, order, axis=1)
+        kth[tied] = np.take_along_axis(full, order[:, -1:], axis=1)[:, 0]
+    return near, kth
 
 
 def mean_nn_distance(frame: Frame, index: Optional[NeighborIndex] = None) -> float:
@@ -178,8 +354,9 @@ def mean_nn_distance(frame: Frame, index: Optional[NeighborIndex] = None) -> flo
         raise ValueError("need two points")
     if index is None:
         index = NeighborIndex.from_points(frame.positions)
-    d, _ = index.tree.query(frame.positions, k=2)
-    return float(np.mean(d[:, 1]))
+    pts = frame.positions
+    nearest = knn_rows(index, pts, 1, exclude=np.arange(n))[:, 0]
+    return float(np.mean(np.sqrt(np.sum((pts[nearest] - pts) ** 2, axis=1))))
 
 
 def _lex_canonical_sign(vectors: np.ndarray) -> np.ndarray:
@@ -212,15 +389,16 @@ def _orient(normals: np.ndarray, nbr: np.ndarray) -> np.ndarray:
 
 
 def estimate_normals(frame: Frame, k_plane: int,
-                     index: Optional[NeighborIndex] = None) -> tuple[Frame, int]:
+                     neighbors: Optional[np.ndarray] = None) -> tuple[Frame, int]:
     """Per-point unit normals from local plane fits.
 
     Fits a plane to each point and its ``k_plane`` nearest neighbors;
     the normal is the eigenvector of the neighborhood covariance with
     the smallest eigenvalue. Each sign is then fixed toward the consensus
     axis of the normals over the same neighbor rows (see :func:`_orient`).
-    ``index``, if given, must be built over the frame's positions; it
-    saves building one.
+    ``neighbors``, if given, is a neighbor table over the frame's
+    positions, ``knn_rows(index, positions, w)`` with w > ``k_plane``; its
+    first ``k_plane + 1`` columns are the rows fitted, and it saves a query.
 
     Returns the frame with normals and the count of degenerate
     neighborhoods (rank < 2) that fell back to the global up axis.
@@ -230,7 +408,12 @@ def estimate_normals(frame: Frame, k_plane: int,
         raise ValueError("k_plane must be >= 3")
     if n <= k_plane:
         raise ValueError("need more points than k_plane")
-    _, nbr = index_over(frame, index).tree.query(frame.positions, k=k_plane + 1)
+    if neighbors is None:
+        neighbors = knn_rows(NeighborIndex.from_points(frame.positions), frame.positions, k_plane + 1)
+    elif neighbors.shape[0] != n or neighbors.shape[1] <= k_plane:
+        raise ValueError(f"neighbor table of shape {neighbors.shape} does not fit "
+                         f"{n} points and k_plane = {k_plane}")
+    nbr = neighbors[:, :k_plane + 1]
     hood = frame.positions[nbr]                            # (n, k+1, 3)
     centered = hood - hood.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / (k_plane + 1)

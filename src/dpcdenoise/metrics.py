@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Frame, NeighborIndex
+from .geometry import Frame, NeighborIndex, knn_rows
 
 
 @dataclass
@@ -53,11 +53,15 @@ def add_gaussian_noise(frame: Frame, sigma: float, seed: int) -> Frame:
 
 def mse_nn(a: Frame, b: Frame) -> float:
     """Symmetric nearest-neighbor mean squared error."""
-    tree_b = NeighborIndex.from_points(b.positions).tree
-    tree_a = NeighborIndex.from_points(a.positions).tree
-    d_ab, _ = tree_b.query(a.positions, k=1)
-    d_ba, _ = tree_a.query(b.positions, k=1)
-    return 0.5 * (float(np.mean(d_ab**2)) + float(np.mean(d_ba**2)))
+    gap_ab = a.positions - b.positions[_nearest_in(b, a)]
+    gap_ba = b.positions - a.positions[_nearest_in(a, b)]
+    return 0.5 * (float(np.mean(np.sum(gap_ab**2, axis=1)))
+                  + float(np.mean(np.sum(gap_ba**2, axis=1))))
+
+
+def _nearest_in(stored: Frame, query: Frame) -> np.ndarray:
+    """Per query point, the index of its nearest stored point (ties by lower index)."""
+    return knn_rows(NeighborIndex.from_points(stored.positions), query.positions, 1)[:, 0]
 
 
 def mse_index(a: Frame, b: Frame) -> float:
@@ -80,13 +84,11 @@ def gpsnr(test: Frame, reference: Frame, peak: float = 5.0) -> float:
         raise ValueError("reference frame has no normals")
     if peak <= 0:
         raise ValueError("peak must be > 0")
-    ref_tree = NeighborIndex.from_points(reference.positions).tree
-    test_tree = NeighborIndex.from_points(test.positions).tree
-    _, nearest_ref = ref_tree.query(test.positions, k=1)
+    nearest_ref = _nearest_in(reference, test)
     delta = test.positions - reference.positions[nearest_ref]
     proj = np.einsum("ij,ij->i", delta, reference.normals[nearest_ref])
     mse_fwd = float(np.mean(proj**2))
-    _, nearest_test = test_tree.query(reference.positions, k=1)
+    nearest_test = _nearest_in(test, reference)
     delta = reference.positions - test.positions[nearest_test]
     proj = np.einsum("ij,ij->i", delta, reference.normals)
     mse_bwd = float(np.mean(proj**2))

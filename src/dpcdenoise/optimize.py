@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import DenoiseConfig
-from .geometry import Frame, NeighborIndex, Sequence, estimate_normals
+from .geometry import Frame, NeighborIndex, Sequence, estimate_normals, knn_rows
 from .matching import match_patches, prepare_reference
 from .metrics import FrameMetrics
 from .patches import all_relative_coords, build_patches
@@ -422,6 +422,7 @@ def denoise_frame(
     if lam1 > 0:
         k_eff = min(k_eff, len(previous) - 1)
         reference = _build_reference(previous, config, k_eff)
+    width = max(k_plane_eff, k_eff) + 1
     m = config.patch_count(n)
     k_s_eff = min(config.k_s, m - 1)
     mprime = config.weight_floor(m)
@@ -440,11 +441,11 @@ def denoise_frame(
     prev_total = None
 
     for it in range(config.outer_max_iters):
-        # One neighbor index serves the normals, their orientation and the patches.
-        index = NeighborIndex.from_points(u)
-        est, degen = estimate_normals(Frame(u, None, noisy.frame_index), k_plane_eff, index)
+        # One neighbor table serves the normals, their orientation and the patches.
+        table = knn_rows(NeighborIndex.from_points(u), u, width)
+        est, degen = estimate_normals(Frame(u, None, noisy.frame_index), k_plane_eff, table)
         diagnostics["degenerate_normals"].append(degen)
-        patchset = build_patches(est, m, k_eff, fps_seed, index)
+        patchset = build_patches(est, m, k_eff, fps_seed, table)
         members = patchset.members
         anchor_rows = np.repeat(u[members[:, 0]], k_eff + 1, axis=0)
 

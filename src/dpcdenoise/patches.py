@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Frame, NeighborIndex, farthest_point_sampling, index_over, knn_rows
+from .geometry import Frame, NeighborIndex, farthest_point_sampling, knn_rows, without
 
 # Patches (or patch pairs) per step of the batched passes. The (block, k+1, k+1)
 # float64 temporaries of the matching passes stay near 0.5 MB at k = 30, and the
@@ -74,21 +74,32 @@ class PatchSet:
 
 
 def build_patches(frame: Frame, m: int, k: int, seed: int,
-                  index: Optional[NeighborIndex] = None) -> PatchSet:
+                  neighbors: Optional[np.ndarray] = None) -> PatchSet:
     """Decompose a frame into ``m`` patches of ``k+1`` points each.
 
-    ``index``, if given, must be built over the frame's positions.
+    ``neighbors``, if given, is a neighbor table over the frame's
+    positions, ``knn_rows(index, positions, w)`` with w > ``k``; each
+    center reads its first ``k + 1`` entries, and it saves a query.
     """
     n = len(frame)
     if m > n:
         raise ValueError("m must be <= point count")
     if k + 1 > n:
         raise ValueError("k+1 must be <= point count")
-    index = index_over(frame, index)
+    if neighbors is None:
+        # Built before sampling, so coordinates out of range fail here.
+        index = NeighborIndex.from_points(frame.positions)
+    elif neighbors.shape[0] != n or neighbors.shape[1] <= k:
+        raise ValueError(f"neighbor table of shape {neighbors.shape} does not fit "
+                         f"{n} points and k = {k}")
     centers = farthest_point_sampling(frame, m, seed)
+    if neighbors is None:
+        rows = knn_rows(index, frame.positions[centers], k + 1)
+    else:
+        rows = neighbors[centers, :k + 1]
     members = np.empty((m, k + 1), dtype=np.int64)
     members[:, 0] = centers
-    members[:, 1:] = knn_rows(index, frame.positions[centers], k, exclude=centers)
+    members[:, 1:] = without(rows, centers)
     return PatchSet(members=members, k=k, frame=frame)
 
 

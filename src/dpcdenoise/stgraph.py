@@ -81,11 +81,34 @@ def edge_key_bits(n: int, patch_pairs: int) -> int:
     return bits
 
 
-def _adjacent_patches(center_pts: np.ndarray, k_s: int) -> np.ndarray:
-    """Sorted (pairs, 2) patch pairs l < m, either among the other's ``k_s`` nearest centers."""
-    m = center_pts.shape[0]
-    centers = NeighborIndex.from_points(center_pts)
-    near = knn_rows(centers, centers.points, k_s, exclude=np.arange(m)).ravel()
+def _adjacent_patches(patchset: PatchSet, positions: np.ndarray, k_s: int) -> np.ndarray:
+    """Sorted (pairs, 2) patch pairs l < m, either among the other's ``k_s`` nearest centers.
+
+    When every point of ``positions`` is a center once, the patches were
+    built over those positions and a patch holds more than ``k_s``
+    neighbors, a patch's members 1..k_s are its k_s nearest other centers,
+    since its nearest points are all centers. Only a row whose member
+    k_s + 1 is as near as member k_s may rank them otherwise, as centers
+    break ties by center index. Such rows, and every row when those
+    conditions fail, come from one k-NN query over the centers.
+    """
+    centers = patchset.center_indices
+    m = centers.size
+    near = np.empty((m, k_s), dtype=np.int64)
+    todo = np.arange(m)
+    center_of = np.full(positions.shape[0], -1)
+    center_of[centers] = np.arange(m)
+    if patchset.k > k_s and np.all(center_of >= 0) and np.array_equal(positions, patchset.frame.positions):
+        members = patchset.members
+        gap = positions[members[:, k_s:k_s + 2]] - positions[centers][:, None, :]
+        dist = np.sqrt(np.sum(gap**2, axis=2))
+        clear = dist[:, 0] < dist[:, 1]
+        near[clear] = center_of[members[clear, 1:k_s + 1]]
+        todo = np.flatnonzero(~clear)
+    if todo.size:
+        index = NeighborIndex.from_points(positions[centers])
+        near[todo] = knn_rows(index, index.points[todo], k_s, exclude=todo)
+    near = near.ravel()
     own = np.repeat(np.arange(m), k_s)
     adjacent = np.unique(np.minimum(own, near) * m + np.maximum(own, near))
     return np.column_stack([adjacent // m, adjacent % m])
@@ -198,8 +221,9 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     """Row edges between adjacent patches, folded onto point pairs.
 
     Patches are adjacent when either has the other among its ``k_s``
-    nearest patch centers; one batched k-NN query over the centers finds
-    them all. Between adjacent patches, every row connects to the row of
+    nearest patch centers; the patches' own rows, or one batched k-NN
+    query over the centers, find them all (see :func:`_adjacent_patches`).
+    Between adjacent patches, every row connects to the row of
     the other patch whose center-relative coordinates are nearest (ties
     by ascending index): the first argmin of the float64 squared distances.
     Blocks of ``SLOT_BLOCK`` patch pairs compute those distances in
@@ -228,8 +252,7 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     if k_s >= m:
         raise ValueError("k_s must be < patch count")
     pts = np.asarray(positions, dtype=np.float64)
-    center_pts = pts[patchset.center_indices]
-    adj = _adjacent_patches(center_pts, k_s)
+    adj = _adjacent_patches(patchset, pts, k_s)
     members = patchset.members
     n = pts.shape[0]
     # Each row edge is one int64 sort key: its point-pair key lo * n + hi,
@@ -273,6 +296,7 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     points = np.column_stack(np.divmod(keys[starts] >> bits, n))
     # Oriented center gaps, per axis: entry 2p is c_l - c_m of patch pair p, 2p + 1 its negative.
     table = np.empty((3, 2 * adj.shape[0]))
+    center_pts = pts[patchset.center_indices]
     table[:, 0::2] = (center_pts[adj[:, 0]] - center_pts[adj[:, 1]]).T
     np.negative(table[:, 0::2], out=table[:, 1::2])
     offsets = np.empty((starts.size, 3))

@@ -282,6 +282,22 @@ class TestSpatialConnectivity:
         assert_folds(edges, rows, ps.members, anchors_of(ps, pts))
 
     @PROPERTY
+    @given(clouds(min_points=4), st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_adjacency_with_every_point_a_center(self, cloud, k, k_s, seed):
+        # The patches' own rows give the adjacent centers, except rows whose
+        # member k_s + 1 ties member k_s, which are queried; grids and
+        # duplicates make such ties, and duplicates can repeat a center.
+        pts, _ = cloud
+        n = len(pts)
+        k, k_s = min(k, n - 1), min(k_s, n - 1)
+        ps = build_patches(Frame(pts), n, k, seed)
+        centers = pts[ps.center_indices]
+        want = {(min(l, j), max(l, j)) for l in range(n)
+                for j in brute_knn(centers, centers[l], k_s, exclude=l).tolist()}
+        got = stgraph._adjacent_patches(ps, pts, k_s)
+        assert sorted(map(tuple, got.tolist())) == sorted(want)
+
+    @PROPERTY
     @given(clouds(min_points=4), st.integers(1, 8), st.integers(0, 2**32 - 1),
            st.sampled_from([1, 2, 3, SLOT_BLOCK]), st.sampled_from([1, 2, 3, PATCH_BLOCK]),
            st.sampled_from([1, 2, 5, FOLD_CHUNK]))
@@ -348,7 +364,7 @@ def slot_instance(pts, k, seed, m=None, k_s=None):
     rng = np.random.default_rng(seed)
     m = m or int(rng.integers(2, len(pts) + 1))
     ps = build_patches(Frame(pts), m, k, seed)
-    adj = stgraph._adjacent_patches(pts[ps.center_indices], k_s or int(rng.integers(1, m)))
+    adj = stgraph._adjacent_patches(ps, pts, k_s or int(rng.integers(1, m)))
     return all_relative_coords(ps, pts), adj
 
 
@@ -372,7 +388,7 @@ class TestNearestSlots:
         # cancels in the relative coordinates. The scales probe float32's
         # range, and at 1e-160 and 1e160 float64's squares underflow or
         # overflow (the scales apply to the relative coordinates, since the
-        # k-d tree cannot order points at 1e160).
+        # neighbor index rejects points at 1e160).
         pts, rng = cloud
         n = len(pts)
         k = min(k, n - 1)

@@ -1,7 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import brute_knn
 
+import dpcdenoise.geometry as geometry
 from dpcdenoise.geometry import (
     Frame,
     NeighborIndex,
@@ -24,7 +30,7 @@ def nearest(pts, query, k, exclude=None):
 def orient(frame, k_plane):
     """The frame's normals passed through _orient over the rows estimate_normals fits."""
     index = NeighborIndex.from_points(frame.positions)
-    return _orient(frame.normals, index.tree.query(frame.positions, k=k_plane + 1)[1])
+    return _orient(frame.normals, knn_rows(index, frame.positions, k_plane + 1))
 
 
 def random_cloud(n, seed, scale=1.0):
@@ -107,6 +113,115 @@ class TestKnn:
         for r, i in enumerate(rows):
             assert got[r].tolist() == brute_knn(pts, pts[i], 5, exclude=i).tolist()
 
+def brute_rows(pts, queries, k, exclude=None):
+    rows = [brute_knn(pts, q, k, None if exclude is None else exclude[r])
+            for r, q in enumerate(queries)]
+    return np.array(rows, dtype=np.int64).reshape(len(queries), k)
+
+
+@st.composite
+def hostile_clouds(draw):
+    """Clouds that stress a cell grid, at scales where squares underflow or nearly overflow."""
+    kind = draw(st.sampled_from(["uniform", "duplicates", "voxel", "clump", "collinear", "coplanar"]))
+    n = draw(st.integers(2, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.0, 1.0, (n, 3))
+    if kind == "duplicates":
+        pts = pts[rng.integers(0, max(1, n // 4), n)]
+    elif kind == "voxel":
+        pts = np.round(pts * 4) / 4
+    elif kind == "clump":
+        # A dense clump in one cell, plus far outliers.
+        far = rng.random(n) < 0.1
+        pts[~far] = pts[0] + rng.uniform(0.0, 1e-6, (int(np.sum(~far)), 3))
+        pts[far] *= 1e4
+    elif kind == "collinear":
+        pts = np.outer(rng.uniform(-1.0, 1.0, n), rng.normal(size=3)) + rng.normal(size=3)
+    elif kind == "coplanar":
+        pts[:, 1] = 0.25
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e-170, 1e148]))
+    return pts * scale, rng
+
+
+class TestGridKnn:
+    """knn_rows against the brute-force oracle with small query budgets.
+
+    A small ``QUERY_BUDGET`` sends even these clouds through the cell grid,
+    in blocks down to one row, and through every doubling of the cell edge.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(hostile_clouds(), st.integers(1, 40), st.booleans(), st.sampled_from([16, 256, 1 << 16]))
+    def test_matches_brute_force(self, cloud, k, stored, budget):
+        pts, rng = cloud
+        n = len(pts)
+        index = NeighborIndex.from_points(pts)
+        if stored:
+            exclude = rng.choice(n, size=min(n, 10), replace=False)
+            queries, k = pts[exclude], min(k, n - 1)
+        else:
+            exclude, k = None, min(k, n)
+            lo, hi = pts.min(axis=0), pts.max(axis=0)
+            reach = np.max(hi - lo) + np.max(np.abs(pts))
+            # Around the cloud, and far outside its bounding box.
+            queries = np.vstack([rng.uniform(lo - reach, hi + reach, (6, 3)),
+                                 pts[:2] + 100.0 * reach, lo - 1e3 * reach])
+        # At scale 1e148 the farthest queries' squared distances overflow to
+        # inf in the grid and in the oracle alike, and both rank by index.
+        with mock.patch.object(geometry, "QUERY_BUDGET", budget), np.errstate(over="ignore"):
+            got = knn_rows(index, queries, k, exclude)
+            want = brute_rows(pts, queries, k, exclude)
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("budget", [16, 1 << 16])
+    def test_k_equals_n(self, budget):
+        pts = np.round(random_cloud(200, 4) * 3) / 3
+        queries = np.vstack([pts[:5], random_cloud(5, 5, 3.0)])
+        with mock.patch.object(geometry, "QUERY_BUDGET", budget):
+            got = knn_rows(NeighborIndex.from_points(pts), queries, 200)
+        assert got.tolist() == brute_rows(pts, queries, 200).tolist()
+
+    @pytest.mark.parametrize("budget", [16, 1 << 16])
+    def test_equal_roots_of_unequal_squares_rank_by_index(self, budget):
+        # The squared distances 1 + 2**-52 and 1 differ, but both roots round
+        # to 1.0: the distances tie, so point 0, whose square is larger, comes
+        # first. Ranking by squares would put point 1 first.
+        pts = np.vstack([[1.0, 2.0**-26, 0.0], [1.0, 0.0, 0.0], random_cloud(300, 6) + 2.0])
+        query = np.zeros((1, 3))
+        assert brute_knn(pts, query[0], 2).tolist() == [0, 1]
+        index = NeighborIndex.from_points(pts)
+        with mock.patch.object(geometry, "QUERY_BUDGET", budget):
+            assert knn_rows(index, query, 1).tolist() == [[0]]
+            assert knn_rows(index, query, 3).tolist() == [brute_knn(pts, query[0], 3).tolist()]
+
+    def test_squares_that_underflow_rank_by_index(self):
+        # Gaps near 1e-170 square to zero, so every distance is 0 and rows
+        # follow the point index, however far apart the cells are.
+        pts = random_cloud(300, 7, 1e-170)
+        rows = np.arange(0, 300, 29)
+        with mock.patch.object(geometry, "QUERY_BUDGET", 16):
+            got = knn_rows(NeighborIndex.from_points(pts), pts[rows], 5, exclude=rows)
+        assert got.tolist() == brute_rows(pts, pts[rows], 5, rows).tolist()
+
+    def test_crowded_cell_keeps_blocks_bounded(self):
+        # Half the points share one tiny clump, so each of their rows has
+        # over 3000 candidates: one block of every row would hold 6000 x 3000
+        # squared distances (144 MB). Rows per block shrink with the
+        # candidates instead.
+        rng = np.random.default_rng(9)
+        pts = np.vstack([rng.uniform(0.0, 1e-6, (3000, 3)), rng.uniform(0.0, 1.0, (3000, 3))])
+        index = NeighborIndex.from_points(pts)
+        tracemalloc.start()
+        try:
+            rows = knn_rows(index, pts, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes + 8 * 2**20
+        for r in (0, 1, 2999, 3000, 5999):
+            assert rows[r].tolist() == brute_knn(pts, pts[r], 8).tolist()
+
+
 class TestMeanNnDistance:
     def test_two_points(self):
         f = Frame([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
@@ -159,22 +274,26 @@ class TestEstimateNormals:
     @pytest.mark.parametrize("grid", [0, 3])
     def test_shared_index_and_orientation_rows(self, grid):
         # The fit's neighbor rows also orient the normals: orienting the result
-        # again over the same rows changes nothing, with or without a given index.
+        # again over the same rows changes nothing, with or without a given
+        # neighbor table, of which only the first k_plane + 1 columns count.
         pts = random_cloud(80, 6)
         if grid:
             pts = np.round(pts * grid) / grid + random_cloud(80, 7, 1e-3)
         frame = Frame(pts)
         alone, degenerate = estimate_normals(frame, 8)
-        shared, shared_degenerate = estimate_normals(frame, 8, NeighborIndex.from_points(pts))
+        table = knn_rows(NeighborIndex.from_points(pts), pts, 13)
+        shared, shared_degenerate = estimate_normals(frame, 8, table)
         assert degenerate == shared_degenerate
         assert np.array_equal(alone.normals, shared.normals)
         assert np.array_equal(orient(alone, 8), alone.normals)
 
-    def test_index_over_other_points_rejected(self):
-        frame = Frame(random_cloud(20, 8))
-        other = NeighborIndex.from_points(random_cloud(20, 9))
-        with pytest.raises(ValueError, match="other points"):
-            estimate_normals(frame, 6, other)
+    def test_neighbor_table_of_other_shape_rejected(self):
+        pts = random_cloud(20, 8)
+        frame = Frame(pts)
+        index = NeighborIndex.from_points(pts)
+        for table in (knn_rows(index, pts, 6), knn_rows(index, pts[:19], 7)):
+            with pytest.raises(ValueError, match="does not fit"):
+                estimate_normals(frame, 6, table)
 
 
 class TestOrientNormals:

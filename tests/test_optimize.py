@@ -378,9 +378,9 @@ class TestDenoiseFrame:
         calls = []
         real_estimate = opt.estimate_normals
 
-        def estimate(frame, k_plane, index=None):
+        def estimate(frame, k_plane, neighbors=None):
             calls.append(frame)
-            return real_estimate(frame, k_plane, index)
+            return real_estimate(frame, k_plane, neighbors)
 
         monkeypatch.setattr(opt, "estimate_normals", estimate)
         reused, _ = denoise_frame(noisy, prev, cfg)
@@ -429,27 +429,49 @@ class TestDenoiseFrame:
             assert np.array_equal(seen["prev_aligned"], np.zeros_like(seen["prev_aligned"]))
 
     def test_one_neighbor_index_per_iteration(self, monkeypatch):
-        # Each outer iteration builds one kd-tree over the points (shared by
-        # the normals, their orientation and the patches) and one over the
-        # patch centers; the final normals add one more.
+        # Each outer iteration makes one neighbor table over the points, as
+        # wide as the wider of the normals' and the patches' rows (shared by
+        # the normals, their orientation and the patches), and one query of
+        # the patch centers; the final normals add one more table.
         import dpcdenoise.geometry as geometry
 
-        builds = []
-        real_tree = geometry.cKDTree
+        queries = []
+        real_nearest = geometry._nearest
 
-        def tree(points):
-            builds.append(len(points))
-            return real_tree(points)
+        def nearest(points, rows, want):
+            queries.append((len(points), len(rows), want))
+            return real_nearest(points, rows, want)
 
-        monkeypatch.setattr(geometry, "cKDTree", tree)
+        monkeypatch.setattr(geometry, "_nearest", nearest)
         seq = small_sequence(1)
-        _, report = denoise_frame(Frame(seq.frames[0].positions), None,
-                                  small_config(outer_max_iters=2))
+        cfg = small_config(outer_max_iters=2)
+        _, report = denoise_frame(Frame(seq.frames[0].positions), None, cfg)
         assert len(report.objective_trace) == 2
-        assert builds == [120, 60, 120, 60, 120]
+        table = (120, 120, max(cfg.k, cfg.k_plane) + 1)
+        centers = (60, 60, cfg.k_s + 1)
+        assert queries == [table, centers, table, centers, (120, 120, cfg.k_plane + 1)]
         diag = report.diagnostics
         assert len(diag["spatial_edges"]) == len(diag["metric_pairs"]) == 1
         assert 0 < diag["metric_pairs"][0] < diag["spatial_edges"][0]
+
+    def test_every_point_a_center_needs_no_center_query(self, monkeypatch):
+        # With every point a patch center, the patches' rows, which come from
+        # the table, also give the adjacent centers.
+        import dpcdenoise.geometry as geometry
+
+        queries = []
+        real_nearest = geometry._nearest
+
+        def nearest(points, rows, want):
+            queries.append((len(points), len(rows), want))
+            return real_nearest(points, rows, want)
+
+        monkeypatch.setattr(geometry, "_nearest", nearest)
+        seq = small_sequence(1)
+        cfg = small_config(outer_max_iters=2, patch_fraction=1.0)
+        denoise_frame(Frame(seq.frames[0].positions), None, cfg)
+        table = (120, 120, max(cfg.k, cfg.k_plane) + 1)
+        assert queries == [table, table, (120, 120, cfg.k_plane + 1)]
 
     def test_cg_gets_point_sized_systems_only(self, monkeypatch):
         # The spatial term is assembled over points: every system handed to

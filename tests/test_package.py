@@ -1,9 +1,13 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import dpcdenoise
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -22,3 +26,15 @@ def test_readme_library_example_uses_only_exports():
     used = set(re.findall(r"\bd\.(\w+)", snippet))
     assert used
     assert sorted(used - set(dpcdenoise.__all__)) == []
+
+
+def test_cli_import_loads_no_scipy_spatial():
+    # scipy.spatial adds about 0.2 s and 16 MB to every process start;
+    # the program needs only scipy.sparse.
+    code = ("import sys, dpcdenoise.cli; "
+            "print('scipy.sparse' in sys.modules, "
+            "sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'spatial']))")
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+    assert done.stdout.strip() == "True []"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import brute_knn, relative_coords
 
-from dpcdenoise.geometry import MAX_COORDINATE, Frame, NeighborIndex
+from dpcdenoise.geometry import MAX_COORDINATE, Frame, NeighborIndex, knn_rows
 from dpcdenoise.patches import Patch, PatchSet, all_relative_coords, build_patches, patch_epsilon
 
 
@@ -24,14 +24,17 @@ class TestBuildPatches:
             assert row[1:].tolist() == want.tolist()
 
     def test_given_index_changes_nothing(self):
-        frame = Frame(np.random.default_rng(3).uniform(0, 1, (60, 3)))
+        # A neighbor table over the points gives the members a query of the
+        # centers gives; a table that does not fit is rejected.
+        pts = np.random.default_rng(3).uniform(0, 1, (60, 3))
+        frame = Frame(pts)
         alone = build_patches(frame, 20, 7, seed=2)
-        index = NeighborIndex.from_points(frame.positions)
-        shared = build_patches(frame, 20, 7, seed=2, index=index)
+        index = NeighborIndex.from_points(pts)
+        shared = build_patches(frame, 20, 7, seed=2, neighbors=knn_rows(index, pts, 12))
         assert np.array_equal(alone.members, shared.members)
-        other = NeighborIndex.from_points(frame.positions[::-1])
-        with pytest.raises(ValueError, match="other points"):
-            build_patches(frame, 20, 7, seed=2, index=other)
+        for table in (knn_rows(index, pts, 7), knn_rows(index, pts[:59], 8)):
+            with pytest.raises(ValueError, match="does not fit"):
+                build_patches(frame, 20, 7, seed=2, neighbors=table)
 
     def test_k_too_large(self):
         pts = np.random.default_rng(2).uniform(0, 1, (5, 3))
@@ -39,8 +42,8 @@ class TestBuildPatches:
             build_patches(Frame(pts), 2, 5, seed=0)
 
     def test_coordinates_whose_squares_overflow_are_rejected(self):
-        # Near 1e160 the kd-tree's squared distances overflow to inf and its
-        # query returns the missing-neighbor index n for real neighbors.
+        # Near 1e160 squared distances overflow to inf, and every neighbor
+        # would tie at an infinite distance.
         pts = np.random.default_rng(8).uniform(0, 1, (40, 3)) * 1e160
         with pytest.raises(ValueError, match=re.escape(f"at most {MAX_COORDINATE:g}")):
             build_patches(Frame(pts), 10, 4, seed=0)

@@ -5,10 +5,11 @@ import pytest
 from test_acceptance import E2E_CONFIG
 
 from dpcdenoise.config import DenoiseConfig
-from dpcdenoise.geometry import Frame, estimate_normals
+from dpcdenoise.geometry import Frame, NeighborIndex, estimate_normals, knn_rows
 from dpcdenoise.graph import SparseGraph, combinatorial_laplacian
 from dpcdenoise.metrics import add_gaussian_noise
 from dpcdenoise.patches import PatchSet, build_patches
+from dpcdenoise import stgraph
 from dpcdenoise.stgraph import (
     SpatialEdges,
     TemporalWeights,
@@ -35,6 +36,18 @@ def point_edges(pairs):
 
 
 class TestSpatialConnectivity:
+    def test_tied_members_rank_adjacent_centers_by_center_index(self):
+        # Points 1 and 2 are both at distance 1 from point 0, and the centers
+        # list point 2 first. With every point a center, point 0's k_s = 1
+        # nearest center is point 2's (center 3), though point 1 leads point
+        # 0's members.
+        pts = np.array([[0, 0, 0], [1, 0, 0], [-1, 0, 0], [1.5, 0, 0], [-1.6, 0, 0]], dtype=float)
+        centers = np.array([0, 3, 4, 2, 1])
+        near = knn_rows(NeighborIndex.from_points(pts), pts[centers], 2, exclude=centers)
+        ps = toy_patchset(pts, np.column_stack([centers, near]), 2)
+        assert ps.members[0].tolist() == [0, 1, 2]
+        assert stgraph._adjacent_patches(ps, pts, 1).tolist() == [[0, 3], [1, 4], [2, 3]]
+
     def test_identical_patches_pair_same_slot(self):
         # Two patches with identical relative layouts at different centers.
         pts = np.array(
