@@ -1,0 +1,177 @@
+"""Compare the denoised outputs of two source trees, byte for byte.
+
+    python3 scripts/compare_outputs.py OLD_SRC NEW_SRC --seeds 1,7,11 [--acceptance] [--work DIR]
+
+OLD_SRC and NEW_SRC are directories holding the ``dpcdenoise`` package, such
+as the ``src`` directories of two checkouts. For every workload of
+``perfbench/workloads.py`` and every seed, the inputs are written once with
+``make_inputs`` and both trees run ``python3 -m dpcdenoise.cli denoise`` on
+them, with the workload's config file and one BLAS and OpenMP thread. One line
+per workload and seed says whether every output PLY is byte-equal, followed by
+each side's stop reasons as read from its manifest.
+
+``--acceptance`` adds the end-to-end instance of ``tests/test_acceptance.py``
+(criterion 7). Its inputs come from OLD_SRC's ``synth`` and ``noise`` commands,
+and each side's per-frame MSE reductions are printed too.
+
+Exits 1 if any output differs or any run fails, and 0 otherwise. Run it from
+anywhere. Work files go to a temporary directory, removed at the end unless
+``--work`` names one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import check  # noqa: E402
+from workloads import WORKLOADS, make_inputs  # noqa: E402
+
+# The noise sigma of the acceptance instance, as a share of its frame 0
+# bounding-box diagonal (the ``pipeline_run`` fixture of tests/test_acceptance.py).
+ACCEPTANCE_SIGMA_FRAC = 0.02
+
+
+def child_env(src: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def run_cli(src: Path, args: list, cwd: Path) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "dpcdenoise.cli", *map(str, args)],
+                          env=child_env(src), cwd=cwd, capture_output=True, text=True)
+
+
+def denoise(src: Path, config: Path, inputs: list, out_dir: Path) -> list | None:
+    """Run ``denoise`` from ``src``; returns each frame's stop reason, or None if the run failed."""
+    proc = run_cli(src, ["denoise", "--config", config, *inputs, "--out-dir", out_dir],
+                   out_dir.parent)
+    if proc.returncode != 0:
+        print(f"  {src}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
+        return None
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    return [f["diagnostics"].get("stop_reason") for f in manifest["frame_metrics"]]
+
+
+def summary(reasons: list | None) -> str:
+    if reasons is None:
+        return "failed"
+    return ", ".join(f"{reason} x{count}" for reason, count in Counter(reasons).items())
+
+
+def compare(label: str, old: Path, new: Path, config: Path, inputs: list, work: Path) -> tuple:
+    """Denoise ``inputs`` with both trees; prints one line and returns (same, out dirs)."""
+    outs = (work / "old", work / "new")
+    reasons = [denoise(src, config, inputs, out) for src, out in zip((old, new), outs)]
+    same = None not in reasons
+    if same:
+        names = sorted(p.name for p in outs[0].glob("*.ply"))
+        same = (names == sorted(p.name for p in outs[1].glob("*.ply"))
+                and not check.differing_outputs(*outs))
+    print(f"{label}: {'byte-equal' if same else 'DIFFERENT'}; stop reasons "
+          f"old [{summary(reasons[0])}], new [{summary(reasons[1])}]", flush=True)
+    return same, outs
+
+
+def acceptance_constants() -> dict:
+    """The ``E2E_*`` constants of tests/test_acceptance.py, read without importing it."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    values = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and node.targets[0].id.startswith("E2E_")):
+            values[node.targets[0].id] = ast.literal_eval(node.value)
+    return values
+
+
+def compare_acceptance(old: Path, new: Path, work: Path) -> bool:
+    e2e = acceptance_constants()
+    clean_dir, noisy_dir = work / "clean", work / "noisy"
+    proc = run_cli(old, ["synth", "--kind", "sinusoid-sheet", "--points", e2e["E2E_POINTS"],
+                         "--frames", e2e["E2E_FRAMES"], "--amplitude", e2e["E2E_AMPLITUDE"],
+                         "--phase-step", e2e["E2E_PHASE_STEP"], "--seed", e2e["E2E_SYNTH_SEED"],
+                         "--out-dir", clean_dir], work)
+    if proc.returncode != 0:
+        print(f"acceptance: synth failed: {proc.stderr.strip()[-500:]}")
+        return False
+    clean_files = sorted(clean_dir.glob("*.ply"))
+    first, _ = check.read_ply(clean_files[0])
+    sigma = ACCEPTANCE_SIGMA_FRAC * float(np.linalg.norm(first.max(0) - first.min(0)))
+    proc = run_cli(old, ["noise", "--sigma", str(sigma), "--seed", e2e["E2E_NOISE_SEED"],
+                         "--out-dir", noisy_dir, *clean_files], work)
+    if proc.returncode != 0:
+        print(f"acceptance: noise failed: {proc.stderr.strip()[-500:]}")
+        return False
+    noisy_files = sorted(noisy_dir.glob("*.ply"))
+    config = work / "acceptance.cfg"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in e2e["E2E_CONFIG"].items()))
+    same, outs = compare("acceptance", old, new, config, noisy_files, work)
+    for side, out in zip(("old", "new"), outs):
+        reductions = []
+        for clean_path, noisy_path in zip(clean_files, noisy_files):
+            out_path = out / noisy_path.name
+            if not out_path.exists():
+                break
+            clean, _ = check.read_ply(clean_path)
+            base = check.nn_mse(check.read_ply(noisy_path)[0], clean)
+            reductions.append(100.0 * (1.0 - check.nn_mse(check.read_ply(out_path)[0], clean) / base))
+        print(f"  {side} MSE reductions: " + " / ".join(f"{r:.4f} %" for r in reductions))
+    return same
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--seeds", default="1,7,11", help="comma-separated workload seeds")
+    parser.add_argument("--acceptance", action="store_true",
+                        help="also compare criterion 7's end-to-end instance")
+    parser.add_argument("--work", type=Path, default=None, help="keep work files here")
+    args = parser.parse_args(argv)
+    old, new = args.old_src.resolve(), args.new_src.resolve()
+    for src in (old, new):
+        if not (src / "dpcdenoise" / "__init__.py").exists():
+            parser.error(f"{src} holds no dpcdenoise package")
+    seeds = [int(s) for s in args.seeds.split(",") if s]
+
+    work = args.work or Path(tempfile.mkdtemp(prefix="compare-outputs-"))
+    all_same = True
+    try:
+        for name, workload in WORKLOADS.items():
+            for seed in seeds:
+                run_dir = work / f"{name}-seed{seed}"
+                run_dir.mkdir(parents=True)
+                config = run_dir / "run.cfg"
+                workload.write_config(config)
+                inputs = make_inputs(workload, seed, run_dir / "inputs").files
+                same, _ = compare(f"{name} seed {seed}", old, new, config, inputs, run_dir)
+                all_same &= same
+        if args.acceptance:
+            run_dir = work / "acceptance"
+            run_dir.mkdir(parents=True)
+            all_same &= compare_acceptance(old, new, run_dir)
+    finally:
+        if args.work is None:
+            shutil.rmtree(work, ignore_errors=True)
+    print("all outputs byte-equal" if all_same else "outputs differ")
+    return 0 if all_same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,7 +4,8 @@ The pipeline decomposes each frame into overlapping surface patches,
 matches patches against the previously denoised frame through a
 normal-variation distance, and alternately optimizes the point
 positions, the temporal patch weights, and the intra-frame graph
-Laplacian until the joint objective stops improving.
+Laplacian until an outer iteration moves no point by more than a set
+share of the frame's mean nearest-neighbour spacing, or an iteration cap.
 
 The package exports the entry points; every stage stays reachable
 through its submodule (``dpcdenoise.patches``, ``dpcdenoise.stgraph``, ...).

@@ -31,7 +31,7 @@ class DenoiseConfig:
     pg_max_iters: int = 100
     pg_tol: float = 1e-6
     outer_max_iters: int = 10
-    outer_tol: float = 1e-4
+    outer_tol: float = 1e-4     # stop once no point moves over this times the input NN spacing
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -24,8 +24,9 @@ def _as_points(values, name: str = "positions") -> np.ndarray:
 class Frame:
     """One point cloud: positions and (optionally) unit normals.
 
-    Immutable after construction; the backing arrays are marked
-    read-only so a Frame can be shared freely across threads.
+    Immutable after construction: positions and normals are copied into
+    arrays the frame owns and marks read-only, so a Frame can be shared
+    freely across threads and the caller's arrays stay writable.
     """
 
     positions: np.ndarray
@@ -38,7 +39,7 @@ class Frame:
             raise ValueError("empty frame")
         if not np.all(np.isfinite(pts)):
             raise ValueError("positions must be finite")
-        pts = np.ascontiguousarray(pts)
+        pts = np.array(pts, order="C")
         pts.flags.writeable = False
         object.__setattr__(self, "positions", pts)
         if self.normals is not None:
@@ -48,7 +49,7 @@ class Frame:
             lengths = np.linalg.norm(nrm, axis=1)
             if not np.all(np.abs(lengths - 1.0) <= UNIT_NORMAL_TOL):
                 raise ValueError("normals must have unit length")
-            nrm = np.ascontiguousarray(nrm)
+            nrm = np.array(nrm, order="C")
             nrm.flags.writeable = False
             object.__setattr__(self, "normals", nrm)
         if self.frame_index < 0:
@@ -90,7 +91,8 @@ class NeighborIndex:
     """Fixed set of points for exact k-NN queries (see :func:`knn_rows`).
 
     Coordinates beyond ``MAX_COORDINATE`` in magnitude are rejected, since
-    squared distances between them would overflow.
+    squared distances between them would overflow. The index keeps a
+    read-only copy of the points.
     """
 
     points: np.ndarray
@@ -104,7 +106,7 @@ class NeighborIndex:
         if largest > MAX_COORDINATE:
             raise ValueError(f"max |coordinate| is {largest:.3g}; a neighbor index allows "
                              f"at most {MAX_COORDINATE:g}, so squared distances stay finite")
-        pts = np.ascontiguousarray(pts)
+        pts = np.array(pts, order="C")
         pts.flags.writeable = False
         return cls(points=pts)
 
@@ -434,8 +436,10 @@ def farthest_point_sampling(frame: Frame, m: int, seed: int) -> np.ndarray:
     """Greedy max-min selection of ``m`` point indices.
 
     The first index is drawn uniformly from the seeded generator; each
-    later pick maximizes the minimum distance to all chosen points,
-    ties broken by ascending point index. Output is in selection order.
+    later pick maximizes, over the points not yet chosen, the minimum
+    distance to all chosen points, ties broken by ascending point index.
+    The indices are distinct even when points duplicate each other.
+    Output is in selection order.
     """
     n = len(frame)
     if not 1 <= m <= n:
@@ -457,5 +461,6 @@ def farthest_point_sampling(frame: Frame, m: int, seed: int) -> np.ndarray:
             np.multiply(gap, gap, out=gap)
             sq += gap
         np.minimum(min_sq, sq, out=min_sq)
+        min_sq[nxt] = -1.0  # a chosen point ranks below every unchosen one
         nxt = int(np.argmax(min_sq))  # argmax returns the first (lowest) index on ties
     return chosen

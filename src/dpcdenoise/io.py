@@ -65,6 +65,8 @@ def _read_ply(path: Path) -> Frame:
                     n_vertices = int(tokens[2])
                 except ValueError:
                     raise ParseError(path, ln, f"bad vertex count {tokens[2]!r}") from None
+                if n_vertices < 0:
+                    raise ParseError(path, ln, f"negative vertex count {n_vertices}")
                 in_vertex = True
             else:
                 in_vertex = False
@@ -90,7 +92,8 @@ def _read_ply(path: Path) -> Frame:
     has_normals = all(name in props for name in ("nx", "ny", "nz"))
     cols = {name: i for i, name in enumerate(props)}
 
-    rows = np.empty((n_vertices, len(props)))
+    # The header's count is not trusted with memory: each vertex takes a body line.
+    rows = np.empty((min(n_vertices, len(lines) - body_start), len(props)))
     ln = body_start
     row = 0
     for raw in lines[body_start:]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -17,13 +16,11 @@ class FrameMetrics:
 
     frame_index: int
     objective_trace: list = field(default_factory=list)
-    best_iteration: Optional[int] = None
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {
             "frame_index": self.frame_index,
-            "best_iteration": self.best_iteration,
             "diagnostics": self.diagnostics,
         }
         out["objective_trace"] = [

@@ -13,15 +13,7 @@ from .geometry import Frame, NeighborIndex, Sequence, estimate_normals, knn_rows
 from .matching import match_patches, prepare_reference
 from .metrics import FrameMetrics
 from .patches import all_relative_coords, build_patches
-from .stgraph import (
-    SpatialEdges,
-    TemporalWeights,
-    initial_spatial_weights,
-    point_features,
-    spatial_connectivity,
-    temporal_weight_init,
-    weighted_spatial_graph,
-)
+from .stgraph import SpatialEdges, point_features, spatial_connectivity, weighted_spatial_graph
 
 
 class SolverError(RuntimeError):
@@ -156,8 +148,8 @@ def _point_system(
     centers. L is the Laplacian over points whose edge (lo, hi) weighs
     pair weight times row-edge count, and F sends each pair's weighted
     offset to lo and its negative to hi; together they equal the row
-    form ``S^T L_rows S`` and ``S^T L_rows C``. A point paired with itself
-    adds nothing. ``A`` has at most n + 2 * pairs stored entries.
+    form ``S^T L_rows S`` and ``S^T L_rows C``. ``A`` has at most
+    n + 2 * pairs stored entries.
     """
     u_hat = np.asarray(u_hat, dtype=np.float64)
     n = u_hat.shape[0]
@@ -171,12 +163,11 @@ def _point_system(
         b += lambda1 * _scatter(flat, w_rows[:, None] * (anchor_rows + prev_aligned), n)
     if lambda2 > 0 and edges is not None and pair_weights is not None:
         _check_spatial(edges, pair_weights, n)
-        distinct = edges.points[:, 0] != edges.points[:, 1]
-        lo, hi = edges.points[distinct, 0], edges.points[distinct, 1]
-        link = lambda2 * (pair_weights * edges.counts)[distinct]
+        lo, hi = edges.points[:, 0], edges.points[:, 1]
+        link = lambda2 * (pair_weights * edges.counts)
         diag += np.bincount(lo, weights=link, minlength=n)
         diag += np.bincount(hi, weights=link, minlength=n)
-        flow = link[:, None] * edges.offsets[distinct]
+        flow = link[:, None] * edges.offsets
         b += _scatter(lo, flow, n) - _scatter(hi, flow, n)
     index = np.arange(n)
     a = sp.csr_matrix(
@@ -403,14 +394,18 @@ def denoise_frame(
     """Denoise one frame against the previously denoised frame.
 
     Runs the alternating loop: rebuild patches on the current estimate,
-    match them temporally, refresh the spatio-temporal graph (closed
-    forms on the first pass, the weight program and metric learning
-    afterwards), and solve for the points. Stops when the objective
-    stops improving and returns the iterate with the lowest recorded
-    objective, with freshly estimated normals. The report's diagnostics
-    name the stop reason (``tol``, ``objective_increased``,
-    ``fixed_point`` or ``max_iters``) and summarize the row-edge weights
-    of every weighting pass.
+    match them temporally, weigh the spatio-temporal graph, and solve for
+    the points. The first pass weighs each matched patch by
+    ``exp(-match distance)`` and each point pair under the identity
+    metric; later passes solve the weight program and learn the metric.
+    Each pass's objective is a sum over its own graph, so totals of
+    different passes are not compared. The loop stops once a pass moves no
+    point by more than ``outer_tol`` times the frame's spacing, the mean
+    distance from an input point to its nearest other input point (stop
+    reason ``tol``), or after ``outer_max_iters`` passes (``max_iters``).
+    It returns the last iterate with freshly estimated normals. The
+    report's diagnostics hold the stop reason, the spacing, each pass's
+    largest point move and a summary of its row-edge weights.
     """
     n = len(noisy)
     k_plane_eff = min(config.k_plane, n - 1)
@@ -434,15 +429,16 @@ def denoise_frame(
     trace: list[ObjectiveBreakdown] = []
     diagnostics: dict = {"degenerate_normals": [], "metric_trace": [], "factor_trace": [],
                          "spatial_edges": [], "metric_pairs": [], "edge_weights": [],
-                         "stop_reason": "max_iters"}
-    best_total = np.inf
-    best_u = u
-    best_it = -1
-    prev_total = None
+                         "largest_move": [], "stop_reason": "max_iters"}
 
     for it in range(config.outer_max_iters):
         # One neighbor table serves the normals, their orientation and the patches.
         table = knn_rows(NeighborIndex.from_points(u), u, width)
+        if it == 0:
+            # Column 1 is each input point's nearest other point, or the point
+            # itself behind a duplicate of lower index: the same distance either way.
+            spacing = float(np.mean(np.sqrt(np.sum((u[table[:, 1]] - u) ** 2, axis=1))))
+            diagnostics["spacing"] = spacing
         est, degen = estimate_normals(Frame(u, None, noisy.frame_index), k_plane_eff, table)
         diagnostics["degenerate_normals"].append(degen)
         patchset = build_patches(est, m, k_eff, fps_seed, table)
@@ -451,7 +447,6 @@ def denoise_frame(
 
         prev_aligned = None
         w_rows = None
-        d_vec = None
         if reference is not None:
             try:
                 matched, match_dist, point_map = match_patches(
@@ -460,9 +455,13 @@ def denoise_frame(
                 raise SolverError(f"temporal matching failed at outer iteration {it}: {exc}",
                                   iteration=it) from exc
             prev_aligned = reference.rel[matched[:, None], point_map].reshape(-1, 3)
-            rel = all_relative_coords(patchset, u)
-            gaps = rel - prev_aligned.reshape(rel.shape)
-            d_vec = np.sum(gaps * gaps, axis=(1, 2))
+            if it == 0:
+                patch_weights = np.exp(-match_dist)
+            else:
+                rel = all_relative_coords(patchset, u)
+                gaps = rel - prev_aligned.reshape(rel.shape)
+                patch_weights = solve_temporal_weights(np.sum(gaps * gaps, axis=(1, 2)), mprime)
+            w_rows = np.repeat(patch_weights, k_eff + 1)
 
         edges = None
         pair_weights = None
@@ -471,15 +470,9 @@ def denoise_frame(
             feats = point_features(u, est.normals)
 
         try:
-            if it == 0:
-                if reference is not None:
-                    w_rows = temporal_weight_init(match_dist, k_eff).expand()
-                if edges is not None:
-                    pair_weights = initial_spatial_weights(edges, feats)
-            else:
-                if reference is not None:
-                    w_rows = TemporalWeights(solve_temporal_weights(d_vec, mprime), k_eff).expand()
-                if edges is not None:
+            if edges is not None:
+                metric = np.eye(feats.shape[1])
+                if it > 0:
                     # One row per point pair: its feature difference, and the
                     # squared residuals of its row edges summed.
                     fit = learn_metric(edges.differences(feats), edges.residuals(u),
@@ -489,8 +482,8 @@ def denoise_frame(
                     diagnostics["factor_trace"].append(float(np.trace(fit.factor)))
                     diagnostics["spatial_edges"].append(len(edges))
                     diagnostics["metric_pairs"].append(edges.points.shape[0])
-                    pair_weights = weighted_spatial_graph(edges, feats, fit.metric)
-            if edges is not None:
+                    metric = fit.metric
+                pair_weights = weighted_spatial_graph(edges, feats, metric)
                 diagnostics["edge_weights"].append(_edge_weight_summary(edges, pair_weights))
             u_new = solve_point_cloud(
                 u_hat, members, anchor_rows, prev_aligned, w_rows, edges, pair_weights,
@@ -502,31 +495,19 @@ def denoise_frame(
                 exc.args = (f"{exc.args[0]} (outer iteration {it})",)
             raise
 
-        obj = objective(u_new, u_hat, members, anchor_rows, prev_aligned, w_rows,
-                        edges, pair_weights, lam1, lam2)
-        trace.append(obj)
-        if obj.total < best_total:
-            best_total, best_u, best_it = obj.total, u_new, it
-        converged = np.array_equal(u_new, u)
-        if prev_total is not None:
-            if obj.total > prev_total:
-                diagnostics["stop_reason"] = "objective_increased"
-                break
-            if (prev_total - obj.total) <= config.outer_tol * max(prev_total, 1e-300):
-                diagnostics["stop_reason"] = "tol"
-                u = u_new
-                break
-        prev_total = obj.total
+        trace.append(objective(u_new, u_hat, members, anchor_rows, prev_aligned, w_rows,
+                               edges, pair_weights, lam1, lam2))
+        move = float(np.max(np.sqrt(np.sum((u_new - u) ** 2, axis=1))))
+        diagnostics["largest_move"].append(move)
         u = u_new
-        if converged:
-            diagnostics["stop_reason"] = "fixed_point"
+        if move <= config.outer_tol * spacing:
+            diagnostics["stop_reason"] = "tol"
             break
 
-    out, _ = estimate_normals(Frame(best_u, None, noisy.frame_index), k_plane_eff)
+    out, _ = estimate_normals(Frame(u, None, noisy.frame_index), k_plane_eff)
     report = FrameMetrics(
         frame_index=noisy.frame_index,
         objective_trace=list(trace),
-        best_iteration=best_it,
         diagnostics=diagnostics,
     )
     return out, report

@@ -5,14 +5,15 @@ l*(k+1) .. l*(k+1)+k, and row r of patch l holds ``p_r = u_a - c_l``, its
 point minus the patch's fixed center. A row edge's weight and its residual
 ``p_r - p_r'`` depend only on the two points it joins and on the center gap
 of the two patches, so :func:`spatial_connectivity` folds the row edges onto
-the distinct point pairs they join (:class:`SpatialEdges`), and every later
-stage works on points and pairs. The fold holds one 8-byte sort key per row
-edge plus its per-pair outputs; every other temporary is sized by one block
-of patch pairs or one chunk of keys. The nearest rows between adjacent
-patches come from a float32 filter with a proven error bound; rows the
-filter cannot decide are recomputed in float64, so every nearest row is the
-float64 argmin bit for bit (see :func:`_nearest_slots`). Temporal weights
-stay per patch and expand to rows.
+the pairs of distinct points they join (:class:`SpatialEdges`), and every
+later stage works on points and pairs. A row edge between two rows of one
+point has a residual that does not depend on the points, so it is dropped.
+The fold holds one 8-byte sort key per row edge plus its per-pair outputs;
+every other temporary is sized by one block of patch pairs or one chunk of
+keys. The nearest rows between adjacent patches come from a float32 filter
+with a proven error bound; rows the filter cannot decide are recomputed in
+float64, so every nearest row is the float64 argmin bit for bit (see
+:func:`_nearest_slots`).
 """
 
 from __future__ import annotations
@@ -27,19 +28,19 @@ from .patches import PATCH_BLOCK, PatchSet, all_relative_coords, sq_dists
 
 @dataclass(frozen=True)
 class SpatialEdges:
-    """Spatial row edges folded onto the distinct point pairs they join.
+    """Spatial row edges folded onto the pairs of distinct points they join.
 
     A row edge e between row r of patch l (point a) and row r' of patch m
-    (point b) has residual ``p_r - p_r' = (u_a - u_b) - delta_e`` with
+    (point b != a) has residual ``p_r - p_r' = (u_a - u_b) - delta_e`` with
     ``delta_e = c_l - c_m``. Orient every edge of a pair from its lower point
-    ``lo`` to its higher point ``hi`` (a point may pair with itself); then
+    ``lo`` to its higher point ``hi``; then
 
         sum_e ||p_r - p_r'||^2 = count * ||u_lo - u_hi - offset||^2 + spread
 
     holds exactly, where ``offset`` is the mean oriented ``delta_e`` and
-    ``spread = sum_e ||delta_e - offset||^2``. Per pair: ``points`` (lo, hi),
-    sorted; ``counts``, the row edges; ``offsets`` and ``spread``.
-    ``len()`` is the number of row edges, not of pairs.
+    ``spread = sum_e ||delta_e - offset||^2``. Per pair: ``points`` (lo, hi)
+    with ``lo < hi``, sorted; ``counts``, the row edges; ``offsets`` and
+    ``spread``. ``len()`` is the number of row edges, not of pairs.
     """
 
     points: np.ndarray
@@ -232,21 +233,25 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     row whose float32 minimum is the only cost within 2e of it keeps that
     slot. Any other row, such as an exact tie, is recomputed from its
     float64 costs with ``np.argmin``. On smooth frames well under 0.1 % of
-    rows need that. Each distinct row edge is counted once, and the edges
-    are returned folded onto the point pairs they join, with the patch
-    centers ``c_l`` taken from ``positions``.
+    rows need that. Each distinct row edge is counted once. An edge whose
+    two rows hold the same point is dropped before the keys are sorted:
+    its residual is a constant gap of centers, so it moves neither the
+    point solve nor the learned metric. The other edges are returned folded
+    onto the point pairs they join, with the patch centers ``c_l`` taken
+    from ``positions``.
 
-    Memory: the only array with one entry per row edge is an exactly sized
-    buffer of one 8-byte sort key per edge. The filter runs before that
-    buffer is allocated and frees its own: two float32 copies of the
-    relative coordinates, augmented to 5 values per row, and one block's
-    cost tensor and candidate masks. Besides the keys the call holds the
-    per-pair outputs, two nearest-slot maps of one byte per patch pair and
-    slot (for k < 255), and the temporaries of one patch block or one fold
-    chunk. Raises ValueError when the frame is too large for the int64 keys
-    (see :func:`edge_key_bits`): n^2 times the smallest power of two not
-    below twice the adjacent patch pairs must not exceed 2^63, which holds
-    for any frame of at most 741,455 points at ``k_s = 10``.
+    Memory: the only array with one entry per row edge is a buffer of one
+    8-byte sort key per edge, sized before the dropped edges are known. The
+    filter runs before that buffer is allocated and frees its own: two
+    float32 copies of the relative coordinates, augmented to 5 values per
+    row, and one block's cost tensor and candidate masks. Besides the keys
+    the call holds the per-pair outputs, two nearest-slot maps of one byte
+    per patch pair and slot (for k < 255), and the temporaries of one patch
+    block or one fold chunk. Raises ValueError when the frame is too large
+    for the int64 keys (see :func:`edge_key_bits`): n^2 times the smallest
+    power of two not below twice the adjacent patch pairs must not exceed
+    2^63, which holds for any frame of at most 741,455 points at
+    ``k_s = 10``.
     """
     m = len(patchset)
     if k_s >= m:
@@ -275,18 +280,22 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
         pair = np.broadcast_to(2 * np.arange(start, start + bm.shape[0])[:, None], bm.shape)
         a = np.concatenate([in_l.ravel(), np.take_along_axis(in_l, bl, axis=1)[one_way]])
         b = np.concatenate([np.take_along_axis(in_m, bm, axis=1).ravel(), in_m[one_way]])
+        code = np.concatenate([pair.ravel(), pair[one_way]])
+        other = a != b
+        a, b, code = a[other], b[other], code[other]
         block_keys = keys[filled : filled + a.size]
         np.minimum(a, b, out=block_keys)
         block_keys *= n
         block_keys += np.maximum(a, b)
         block_keys <<= bits
-        block_keys |= np.concatenate([pair.ravel(), pair[one_way]]) + (a > b)
+        block_keys |= code + (a > b)
         filled += a.size
     del nm, nl
+    keys = keys[:filled]
     keys.sort()
     # Pair boundaries, one chunk of keys at a time; each chunk also reads
     # the key before it, so that a boundary at its first key is seen.
-    starts = [np.zeros(1, dtype=np.int64)]
+    starts = [np.zeros(min(1, keys.size), dtype=np.int64)]
     for start in range(1, keys.size, FOLD_CHUNK):
         pair_keys = keys[start - 1 : start + FOLD_CHUNK] >> bits
         starts.append(start + np.flatnonzero(pair_keys[1:] != pair_keys[:-1]))
@@ -326,12 +335,6 @@ def point_features(positions: np.ndarray, normals: np.ndarray) -> np.ndarray:
     return np.hstack([np.asarray(positions, dtype=np.float64), nrm])
 
 
-def initial_spatial_weights(edges: SpatialEdges, features: np.ndarray) -> np.ndarray:
-    """Gaussian-kernel weight exp(-||f_i - f_j||^2) of each point pair."""
-    diff = edges.differences(features)
-    return np.exp(-np.sum(diff * diff, axis=1))
-
-
 def weighted_spatial_graph(
     edges: SpatialEdges, features: np.ndarray, metric: np.ndarray
 ) -> np.ndarray:
@@ -347,36 +350,3 @@ def weighted_spatial_graph(
     if diff.shape[1] != metric.shape[0]:
         raise ValueError("metric size must match feature dimension")
     return np.exp(-np.einsum("ei,ij,ej->e", diff, metric, diff))
-
-
-@dataclass(frozen=True)
-class TemporalWeights:
-    """One weight per matched patch pair, expanded blockwise to rows.
-
-    All k+1 rows of a patch share the patch's weight, so the expanded
-    diagonal is constant within each patch block.
-    """
-
-    w: np.ndarray
-    k: int
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=np.float64).ravel()
-        if w.size < 1:
-            raise ValueError("need at least one weight")
-        if np.any(w < 0) or np.any(w > 1) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must lie in [0, 1]")
-        w = np.ascontiguousarray(w)
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-
-    def expand(self) -> np.ndarray:
-        """Diagonal of the (k+1)m temporal weight matrix."""
-        return np.repeat(self.w, self.k + 1)
-
-
-def temporal_weight_init(distance: np.ndarray, k: int) -> TemporalWeights:
-    """Initial patch weights: exp(-distance) per matched pair."""
-    return TemporalWeights(w=np.exp(-np.asarray(distance, dtype=np.float64)), k=k)

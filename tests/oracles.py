@@ -52,12 +52,13 @@ def variation_rows(points, normals, epsilon):
 
 
 
-def spatial_connectivity(patchset, positions, k_s):
+def spatial_connectivity(patchset, positions, k_s, keep_self=False):
     """Row pairs between adjacent patches, one block of patch pairs at a time.
 
     Builds the full (pairs, k+1, k+1, 3) difference tensor, stacks the
     nearest-row edges of both directions, sorts each pair and removes
-    duplicates with ``np.unique``. These are the row edges that
+    duplicates with ``np.unique``. Unless ``keep_self``, row pairs whose two
+    rows hold the same point are dropped. These are the row edges that
     ``dpcdenoise.stgraph.spatial_connectivity`` folds onto point pairs.
     """
     from dpcdenoise.geometry import NeighborIndex, knn_rows
@@ -88,14 +89,19 @@ def spatial_connectivity(patchset, positions, k_s):
     stacked.sort(axis=1)
     n_rows = m * size
     keys = np.unique(stacked[:, 0] * n_rows + stacked[:, 1])
-    return np.column_stack([keys // n_rows, keys % n_rows])
+    rows = np.column_stack([keys // n_rows, keys % n_rows])
+    if keep_self:
+        return rows
+    flat = patchset.members.ravel()
+    return rows[flat[rows[:, 0]] != flat[rows[:, 1]]]
 
 
 def folded_connectivity(patchset, positions, k_s):
     """Row edges between adjacent patches folded onto point pairs, in full-length arrays.
 
-    Keys every row edge by ``(lo * n + hi) * span + code``, concatenates the
-    keys of all blocks of 256 patch pairs, sorts them, splits them with one
+    Keys every row edge between two distinct points by
+    ``(lo * n + hi) * span + code``, concatenates the keys of all blocks of
+    256 patch pairs, sorts them, splits them with one
     ``np.divmod`` and folds every axis in one ``np.add.reduceat`` over all
     edges. Returns ``(points, counts, offsets, spread)``;
     ``dpcdenoise.stgraph.spatial_connectivity`` must match it bit for bit.
@@ -128,6 +134,8 @@ def folded_connectivity(patchset, positions, k_s):
         a = np.concatenate([in_l.ravel(), np.take_along_axis(in_l, nl, axis=1)[one_way]])
         b = np.concatenate([np.take_along_axis(in_m, nm, axis=1).ravel(), in_m[one_way]])
         code = np.concatenate([pair.ravel(), pair[one_way]]) + (a > b)
+        other = a != b
+        a, b, code = a[other], b[other], code[other]
         keys.append((np.minimum(a, b) * n + np.maximum(a, b)) * span + code)
     keys = np.concatenate(keys)
     keys.sort()
@@ -208,15 +216,20 @@ def row_laplacian(rows, members, pair_weights):
 
 
 def farthest_point_sampling(points, m, seed):
-    """Greedy max-min selection, one (n, 3) squared-distance sum per pick."""
+    """Greedy max-min selection, one (n, 3) squared-distance sum per pick.
+
+    Chosen points get a minimum of -1, below every unchosen point's.
+    """
     pts = np.asarray(points, dtype=np.float64)
     first = int(np.random.default_rng(seed).integers(len(pts)))
     chosen = [first]
     min_sq = np.sum((pts - pts[first]) ** 2, axis=1)
+    min_sq[first] = -1.0
     for _ in range(1, m):
         nxt = int(np.argmax(min_sq))
         chosen.append(nxt)
         np.minimum(min_sq, np.sum((pts - pts[nxt]) ** 2, axis=1), out=min_sq)
+        min_sq[nxt] = -1.0
     return np.array(chosen, dtype=np.int64)
 
 def dense_laplacians(graph):
@@ -306,12 +319,13 @@ def random_solve_instance(rng, n, with_temporal=True):
 
     Returns the points, the patch members, the anchor rows, the temporal
     rows and weights (or None), the folded spatial edges with their
-    initial pair weights, and the row-graph Laplacian those weights give.
+    first-pass pair weights (identity metric), and the row-graph Laplacian
+    those weights give.
     """
     from dpcdenoise.geometry import Frame, estimate_normals
     from dpcdenoise.patches import build_patches
     from dpcdenoise import stgraph
-    from dpcdenoise.stgraph import initial_spatial_weights, point_features
+    from dpcdenoise.stgraph import point_features, weighted_spatial_graph
 
     pts = rng.uniform(0, 1, (n, 3))
     frame, _ = estimate_normals(Frame(pts), min(6, n - 1))
@@ -322,7 +336,7 @@ def random_solve_instance(rng, n, with_temporal=True):
     anchors = np.repeat(pts[members[:, 0]], k + 1, axis=0)
     k_s = min(2, m - 1)
     edges = stgraph.spatial_connectivity(ps, pts, k_s)
-    pair_weights = initial_spatial_weights(edges, point_features(pts, frame.normals))
+    pair_weights = weighted_spatial_graph(edges, point_features(pts, frame.normals), np.eye(6))
     lap = row_laplacian(spatial_connectivity(ps, pts, k_s), members, pair_weights)
     if with_temporal:
         w_rows = np.repeat(rng.uniform(0, 1, m), k + 1)

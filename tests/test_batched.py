@@ -9,12 +9,13 @@ on a coarse grid (ties at the k-NN boundary, at exactly d == epsilon and
 between nearest rows of adjacent patches), duplicate points, members
 without a neighbor inside epsilon, k = 1 patches and fully clumped
 patches. Spatial edges are drawn over few points, so many row edges join
-the same point pair, in either order, or a point with itself.
+the same point pair, in either order; the fold drops the row edges that
+join a point with itself.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import oracles
 from oracles import brute_knn, variation_rows
@@ -29,7 +30,7 @@ from test_acceptance import (
 
 from dpcdenoise.config import DenoiseConfig
 from dpcdenoise.geometry import Frame, NeighborIndex, farthest_point_sampling, knn_rows
-from dpcdenoise.graph import SparseGraph
+from dpcdenoise.graph import SparseGraph, combinatorial_laplacian
 from dpcdenoise.matching import match_patches, patch_variations, prepare_reference
 from dpcdenoise.metrics import add_gaussian_noise
 from dpcdenoise.optimize import (
@@ -46,7 +47,6 @@ from dpcdenoise.stgraph import (
     FOLD_CHUNK,
     SLOT_BLOCK,
     SpatialEdges,
-    initial_spatial_weights,
     point_features,
     spatial_connectivity,
     weighted_spatial_graph,
@@ -282,6 +282,23 @@ class TestSpatialConnectivity:
         assert_folds(edges, rows, ps.members, anchors_of(ps, pts))
 
     @PROPERTY
+    @given(clouds(min_points=4), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_no_self_pairs(self, cloud, k, seed):
+        # Every pair joins two distinct points, lower first, and len() counts
+        # the row edges between two rows of distinct points only.
+        pts, rng = cloud
+        n = len(pts)
+        k = min(k, n - 1)
+        m = int(rng.integers(2, n + 1))
+        k_s = int(rng.integers(1, m))
+        ps = build_patches(Frame(pts), m, k, seed)
+        edges = spatial_connectivity(ps, pts, k_s)
+        assert np.all(edges.points[:, 0] < edges.points[:, 1])
+        every = oracles.spatial_connectivity(ps, pts, k_s, keep_self=True)
+        flat = ps.members.ravel()
+        assert len(edges) == np.count_nonzero(flat[every[:, 0]] != flat[every[:, 1]])
+
+    @PROPERTY
     @given(clouds(min_points=4), st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_adjacency_with_every_point_a_center(self, cloud, k, k_s, seed):
         # The patches' own rows give the adjacent centers, except rows whose
@@ -347,9 +364,13 @@ class TestSpatialConnectivity:
         edges = spatial_connectivity(ps, pts, 5)
         assert_folds(edges, oracles.spatial_connectivity(ps, pts, 5), ps.members,
                      anchors_of(ps, pts))
-        assert np.all(edges.points[:, 0] <= edges.points[:, 1])
+        assert np.all(edges.points[:, 0] < edges.points[:, 1])
         assert np.all(np.diff(edges.points[:, 0] * 60 + edges.points[:, 1]) > 0)
-        assert np.any(edges.points[:, 0] == edges.points[:, 1])
+        # Duplicated points put one point in two rows that are nearest rows;
+        # those row edges are dropped.
+        every = oracles.spatial_connectivity(ps, pts, 5, keep_self=True)
+        flat = ps.members.ravel()
+        assert np.any(flat[every[:, 0]] == flat[every[:, 1]])
 
 
 def argmin_slots(rel, adj):
@@ -501,6 +522,32 @@ class TestFoldedSpatialTerm:
         assert rel_max_error(b, b_want) <= 1e-12
 
     @PROPERTY
+    @given(spatial_instances(), st.booleans())
+    def test_row_oracle_system_ignores_self_edges(self, drawn, temporal):
+        # A row edge between two rows of one point adds nothing to A or b,
+        # whatever it weighs: S^T L S and S^T L C see e_a - e_a = 0.
+        pts, ps, edges, rows, pair_weights, rng = drawn
+        members = ps.members
+        anchors = anchors_of(ps, pts)
+        every = oracles.spatial_connectivity(ps, pts, int(rng.integers(1, len(ps))),
+                                             keep_self=True)
+        flat = members.ravel()
+        same = flat[every[:, 0]] == flat[every[:, 1]]
+        weights = rng.uniform(0.0, 1.0, every.shape[0])
+        u_hat = pts + rng.normal(0.0, 0.05, pts.shape)
+        prev = rng.normal(0.0, 0.1, anchors.shape) if temporal else None
+        w_rows = np.repeat(rng.uniform(0, 1, len(ps)), ps.k + 1) if temporal else None
+        systems = []
+        for keep in (np.ones_like(same), ~same):
+            graph = SparseGraph.from_edges(members.size, every[keep, 0], every[keep, 1],
+                                           weights[keep])
+            systems.append(oracles.build_system(u_hat, members, anchors, prev, w_rows,
+                                                combinatorial_laplacian(graph), 0.5, 0.7))
+        (a_all, b_all), (a_other, b_other) = systems
+        assert rel_max_error(a_all, a_other) <= 1e-12
+        assert rel_max_error(b_all, b_other) <= 1e-12
+
+    @PROPERTY
     @given(spatial_instances())
     def test_objective_and_dsq_match_per_edge_sums(self, drawn):
         pts, ps, edges, rows, pair_weights, rng = drawn
@@ -535,15 +582,19 @@ class TestMetricGram:
 
 @st.composite
 def row_edges(draw):
-    """Patches over few points, sorted distinct row edges, point features and positions."""
+    """Patches over few points, sorted distinct row edges between rows of
+    distinct points, point features and positions."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 8))
     size = draw(st.integers(1, n))
     m = draw(st.integers(1 if size > 1 else 2, 6))
     members = np.array([rng.permutation(n)[:size] for _ in range(m)])
     lo, hi = np.triu_indices(m * size, 1)
     keep = np.sort(rng.choice(lo.size, int(rng.integers(1, lo.size + 1)), replace=False))
     rows = np.column_stack([lo[keep], hi[keep]])
+    flat = members.ravel()
+    rows = rows[flat[rows[:, 0]] != flat[rows[:, 1]]]
+    assume(rows.size)
     pts = rng.uniform(0.0, 1.0, (n, 3))
     if draw(st.booleans()):
         pts = np.round(pts * 2) / 2
@@ -569,7 +620,8 @@ class TestPointPairs:
         factor = rng.normal(0.0, 0.5, (6, 6))
         metric = factor.T @ factor
         pairs = (
-            (initial_spatial_weights(edges, feats), oracles.row_edge_weights(rows, row_feats)),
+            (weighted_spatial_graph(edges, feats, np.eye(6)),
+             oracles.row_edge_weights(rows, row_feats)),
             (weighted_spatial_graph(edges, feats, metric),
              oracles.row_edge_weights(rows, row_feats, metric)),
         )
@@ -596,7 +648,7 @@ class TestPointPairs:
         compressed = learn_metric(edges.differences(feats), residuals, 5.0,
                                   pg_step=step, pg_max_iters=20)
         assert edges.points.shape[0] <= rows.shape[0]
-        assert np.all(edges.points[:, 0] <= edges.points[:, 1])
+        assert np.all(edges.points[:, 0] < edges.points[:, 1])
         assert_sums_match(compressed.objectives[-1], per_edge.objectives[-1], pts)
         assert np.max(np.abs(compressed.metric - per_edge.metric)) <= 1e-12
 
@@ -609,6 +661,38 @@ class TestFarthestPointSampling:
         m = int(rng.integers(1, len(pts) + 1))
         got = farthest_point_sampling(Frame(pts), m, seed)
         assert got.tolist() == oracles.farthest_point_sampling(pts, m, seed).tolist()
+
+    @PROPERTY
+    @given(clouds(min_points=2), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_distinct_indices_with_exact_duplicates(self, cloud, copies, seed):
+        # Once every unchosen point duplicates a chosen one, all minimum
+        # distances are 0; a chosen point must still not be picked again.
+        pts, rng = cloud
+        pts = np.concatenate([pts[: max(1, len(pts) // 2)]] * copies + [pts])
+        pts = pts[rng.permutation(len(pts))]
+        n = len(pts)
+        m = int(rng.integers(1, n + 1))
+        got = farthest_point_sampling(Frame(pts), m, seed)
+        assert np.unique(got).size == m
+        every = farthest_point_sampling(Frame(pts), n, seed)
+        assert sorted(every.tolist()) == list(range(n))
+        assert got.tolist() == every[:m].tolist()
+
+    @PROPERTY
+    @given(clouds(min_points=1), st.integers(0, 2**32 - 1))
+    def test_duplicate_free_selection_unchanged(self, cloud, seed):
+        # Ranking chosen points at -1 rather than at their distance 0 changes
+        # no pick while some unchosen point is at a positive distance.
+        pts, rng = cloud
+        _, first = np.unique(pts, axis=0, return_index=True)
+        pts = pts[np.sort(first)]
+        m = int(rng.integers(1, len(pts) + 1))
+        chosen = [int(np.random.default_rng(seed).integers(len(pts)))]
+        min_sq = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
+        for _ in range(1, m):
+            chosen.append(int(np.argmax(min_sq)))
+            np.minimum(min_sq, np.sum((pts - pts[chosen[-1]]) ** 2, axis=1), out=min_sq)
+        assert farthest_point_sampling(Frame(pts), m, seed).tolist() == chosen
 
 
 class TestFromEdges:

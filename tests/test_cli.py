@@ -101,9 +101,13 @@ class TestDenoise:
         diag = manifest.frame_metrics[0]["diagnostics"]
         assert len(diag["spatial_edges"]) == len(diag["metric_pairs"]) == 1
         assert 0 < diag["metric_pairs"][0] <= diag["spatial_edges"][0]
-        # The loop's stop reason, and one edge-weight summary per weighting pass.
-        assert diag["stop_reason"] in ("tol", "objective_increased", "fixed_point", "max_iters")
-        assert len(diag["edge_weights"]) == len(manifest.frame_metrics[0]["objective_trace"])
+        # The loop's stop reason, the input spacing, and per pass its largest
+        # point move and an edge-weight summary.
+        assert diag["stop_reason"] in ("tol", "max_iters")
+        assert diag["spacing"] > 0.0
+        passes = len(manifest.frame_metrics[0]["objective_trace"])
+        assert len(diag["largest_move"]) == len(diag["edge_weights"]) == passes
+        assert "best_iteration" not in manifest.frame_metrics[0]
         for entry in diag["edge_weights"]:
             assert 0.0 <= entry["p5"] <= entry["p50"] <= entry["p95"] <= 1.0
             assert 0.0 <= entry["underflow_share"] <= 1.0

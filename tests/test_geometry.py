@@ -55,6 +55,32 @@ class TestFrame:
         with pytest.raises(ValueError):
             f.positions[0, 0] = 5.0
 
+    def test_frame_owns_its_arrays(self):
+        # The caller's arrays stay writable, and later writes to them, or to
+        # the base of a slice, do not reach the frame.
+        rng = np.random.default_rng(0)
+        pts = rng.random((10, 3))
+        nrm = np.tile([0.0, 0.0, 1.0], (10, 1))
+        kept = pts.copy()
+        f = Frame(pts, nrm)
+        pts[0] = 1.0
+        nrm[0] = (1.0, 0.0, 0.0)
+        assert np.array_equal(f.positions, kept)
+        assert f.normals[0].tolist() == [0.0, 0.0, 1.0]
+        big = rng.random((20, 3))
+        f = Frame(big[5:15])
+        kept = big[5:15].copy()
+        big[5] = 7.0
+        assert np.array_equal(f.positions, kept)
+        assert not f.positions.flags.writeable
+
+    def test_neighbor_index_owns_its_points(self):
+        pts = np.random.default_rng(1).random((10, 3))
+        index = NeighborIndex.from_points(pts)
+        pts[0] = 5.0
+        assert not np.any(index.points == 5.0)
+        assert not index.points.flags.writeable
+
     def test_sequence_requires_increasing_indices(self):
         a = Frame([[0.0, 0.0, 0.0]], frame_index=1)
         b = Frame([[1.0, 0.0, 0.0]], frame_index=1)

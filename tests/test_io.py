@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,27 @@ class TestPly:
         )
         with pytest.raises(ParseError, match="expected 2 vertices"):
             read_point_cloud(path)
+
+    @pytest.mark.parametrize("count, message", [
+        # More vertices than memory holds: no rows are allocated beyond the
+        # body's lines, and the count check names the last line.
+        ("100000000000", r":8: expected 100000000000 vertices, found 1"),
+        ("-3", r":3: negative vertex count -3"),
+    ])
+    def test_untrusted_vertex_count_is_a_data_error(self, tmp_path, capsys, count, message):
+        from dpcdenoise.cli import cli_main
+
+        path = tmp_path / "bad.ply"
+        path.write_text(
+            f"ply\nformat ascii 1.0\nelement vertex {count}\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "end_header\n0 0 0\n"
+        )
+        code = cli_main(["denoise", "--out-dir", str(tmp_path / "out"), str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ")
+        assert re.search(re.escape(str(path)) + message, err)
 
 
 class TestXyz:

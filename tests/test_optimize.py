@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import build_system, lp_oracle, random_solve_instance
 
 from dpcdenoise.config import DenoiseConfig
-from dpcdenoise.geometry import Frame, estimate_normals
+from dpcdenoise.geometry import Frame, estimate_normals, mean_nn_distance
 from dpcdenoise.optimize import (
     SolverError,
     _edge_weight_summary,
@@ -20,9 +22,9 @@ from dpcdenoise.optimize import (
 )
 from dpcdenoise.stgraph import (
     SpatialEdges,
-    initial_spatial_weights,
     point_features,
     spatial_connectivity,
+    weighted_spatial_graph,
 )
 from dpcdenoise.synthetic import SyntheticSpec, generate_sequence
 
@@ -161,6 +163,45 @@ class TestSolveTemporalWeights:
             assert got.sum() >= mprime - 1e-12
             assert np.all((got >= 0) & (got <= 1))
             assert float(got @ d) == want_val
+
+
+class TestBlockUpdatesOnOneGraph:
+    """No block update raises the objective it minimises, on its own fixed graph.
+
+    The point solve has ``TestSolvePointCloud::test_update_never_increases_objective``.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
+    def test_weight_program_never_raises_its_objective(self, m, share, seed):
+        # The closed form is at most w0 . d for any feasible start w0.
+        rng = np.random.default_rng(seed)
+        d = rng.exponential(size=m) * (rng.random(m) < 0.8)
+        mprime = share * m
+        w0 = rng.uniform(0.0, 1.0, m)
+        if w0.sum() < mprime:
+            w0 += (1.0 - w0) * (mprime - w0.sum()) / (m - w0.sum())
+        w = solve_temporal_weights(d, mprime)
+        assert np.all((w >= 0) & (w <= 1)) and w.sum() >= mprime - 1e-12
+        assert w @ d <= w0 @ d + 1e-12 * (1.0 + w0 @ d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.sampled_from([1e-5, 1e-3, 1e-1]), st.floats(0.5, 10.0),
+           st.integers(0, 2**32 - 1))
+    def test_metric_learning_never_raises_its_objective(self, e, step, bound, seed):
+        # Every accepted step lowers the objective from the initial factor;
+        # a step that would raise it is rejected, or the call aborts.
+        rng = np.random.default_rng(seed)
+        diffs = rng.normal(0.0, rng.uniform(0.01, 2.0), (e, 6))
+        dsq = rng.exponential(size=e)
+        try:
+            fit = learn_metric(diffs, dsq, bound, pg_step=step, pg_max_iters=30)
+        except SolverError:
+            return
+        objs = np.array(fit.objectives)
+        assert objs[0] == metric_objective((bound / 6) * np.eye(6), diffs, dsq)
+        assert np.all(np.diff(objs) <= 0)
+        assert objs[-1] == metric_objective(fit.factor, diffs, dsq)
 
 
 class TestLearnMetric:
@@ -319,6 +360,7 @@ class TestDenoiseFrame:
         assert np.array_equal(out.positions, noisy.positions)
         assert len(report.objective_trace) == 1
         assert report.objective_trace[0].total == 0.0
+        assert report.diagnostics["stop_reason"] == "tol"
 
     def test_grid_plane_is_fixed_point(self):
         # Constructed symmetric instance: interior patches of a regular
@@ -337,20 +379,49 @@ class TestDenoiseFrame:
         ps = PatchSet(members=members, k=4, frame=frame)
         edges = spatial_connectivity(ps, pts, 4)
         normals = np.tile((0.0, 0.0, 1.0), (144, 1))
-        pw = initial_spatial_weights(edges, point_features(pts, normals))
+        pw = weighted_spatial_graph(edges, point_features(pts, normals), np.eye(6))
         anchors = np.repeat(pts[members[:, 0]], 5, axis=0)
         out = solve_point_cloud(pts, members, anchors, None, None, edges, pw, 0.0, 0.5,
                                 cg_tol=1e-10, cg_max_iters=500)
         assert np.max(np.abs(out - pts)) < 1e-6
 
-    def test_accepted_objective_trace_non_increasing(self):
+    def test_rising_total_runs_to_cap_and_returns_last_iterate(self, monkeypatch):
+        # Each pass's total is a sum over its own patches, matches and graph,
+        # so totals of different passes are not compared. Here the total
+        # rises from pass 1 to pass 2, and the loop still runs to the cap and
+        # returns the last iterate.
+        import dpcdenoise.optimize as opt
+
         seq = small_sequence(1)
         noisy = Frame(seq.frames[0].positions +
                       np.random.default_rng(3).normal(0, 0.01, (120, 3)))
-        _, report = denoise_frame(noisy, None, small_config(outer_max_iters=6))
+        iterates = [noisy.positions]
+        real_solve = opt.solve_point_cloud
+
+        def solve(*args):
+            iterates.append(real_solve(*args))
+            return iterates[-1]
+
+        monkeypatch.setattr(opt, "solve_point_cloud", solve)
+        out, report = denoise_frame(noisy, None, small_config(outer_max_iters=6))
         totals = [o.total for o in report.objective_trace]
-        accepted = totals[: report.best_iteration + 1]
-        assert all(b <= a + 1e-12 for a, b in zip(accepted, accepted[1:]))
+        assert totals[2] > totals[1]
+        assert report.diagnostics["stop_reason"] == "max_iters"
+        assert len(totals) == len(iterates) - 1 == 6
+        assert np.array_equal(out.positions, iterates[-1])
+        moves = [float(np.max(np.linalg.norm(b - a, axis=1)))
+                 for a, b in zip(iterates, iterates[1:])]
+        np.testing.assert_allclose(report.diagnostics["largest_move"], moves, rtol=1e-15)
+        assert "best_iteration" not in report.to_dict()
+
+    def test_spacing_is_mean_nn_distance_of_the_input(self):
+        # Column 1 of the first neighbor table gives the same mean, bit for
+        # bit, also where exact duplicates put a point itself in column 1.
+        pts = small_sequence(1).frames[0].positions.copy()
+        pts[60:70] = pts[:10]
+        noisy = Frame(pts)
+        _, report = denoise_frame(noisy, None, small_config(outer_max_iters=1))
+        assert report.diagnostics["spacing"] == mean_nn_distance(noisy)
 
     def test_lambda1_zero_ignores_reference_content(self):
         seq = small_sequence(2)
@@ -522,11 +593,19 @@ class TestDenoiseFrame:
         for entry in weights:
             assert 0.0 <= entry["p5"] <= entry["p50"] <= entry["p95"] <= 1.0
             assert entry["underflow_share"] == 0.0
-        _, loose = denoise_frame(noisy, None, small_config(outer_max_iters=4, outer_tol=0.5))
+        # outer_tol counts input spacings: set between the two passes' moves,
+        # it stops the loop after the second pass.
+        moves = np.array(capped.diagnostics["largest_move"]) / capped.diagnostics["spacing"]
+        assert moves[1] < moves[0]
+        tol = 0.5 * (moves[0] + moves[1])
+        _, loose = denoise_frame(noisy, None, small_config(outer_max_iters=4, outer_tol=tol))
         assert loose.diagnostics["stop_reason"] == "tol"
         assert len(loose.objective_trace) == 2
+        assert loose.diagnostics["largest_move"] == capped.diagnostics["largest_move"]
+        # A pass that moves no point stops the loop as tol.
         _, still = denoise_frame(noisy, None, small_config(lambda1=0.0, lambda2=0.0))
-        assert still.diagnostics["stop_reason"] == "fixed_point"
+        assert still.diagnostics["stop_reason"] == "tol"
+        assert still.diagnostics["largest_move"] == [0.0]
         assert still.diagnostics["edge_weights"] == []
 
     def test_edge_weight_summary_counts_every_row_edge(self):

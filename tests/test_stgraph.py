@@ -12,15 +12,14 @@ from dpcdenoise.patches import PatchSet, build_patches
 from dpcdenoise import stgraph
 from dpcdenoise.stgraph import (
     SpatialEdges,
-    TemporalWeights,
     edge_key_bits,
-    initial_spatial_weights,
     point_features,
     spatial_connectivity,
-    temporal_weight_init,
     weighted_spatial_graph,
 )
 from dpcdenoise.synthetic import SyntheticSpec, generate_sequence
+
+IDENTITY = np.eye(6)
 
 
 def toy_patchset(positions, members, k):
@@ -94,6 +93,16 @@ class TestSpatialConnectivity:
         assert np.allclose(a.offsets, b.offsets, rtol=0, atol=1e-13)
         assert np.allclose(a.spread, b.spread, rtol=0, atol=1e-13)
 
+    def test_one_center_twice_gives_no_pairs(self):
+        # Two patches over the same points with the same center: every
+        # nearest row holds the row's own point, so every row edge is dropped.
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        ps = toy_patchset(pts, [[0, 1, 2], [0, 1, 2]], k=2)
+        edges = spatial_connectivity(ps, pts, k_s=1)
+        assert len(edges) == 0
+        assert edges.points.shape == (0, 2) and edges.offsets.shape == (0, 3)
+        assert edges.counts.size == edges.spread.size == 0
+
     def test_k_s_too_large(self):
         pts = np.random.default_rng(1).uniform(0, 1, (20, 3))
         ps = build_patches(Frame(pts), 4, 4, seed=0)
@@ -138,13 +147,13 @@ class TestSpatialConnectivity:
 class TestSpatialWeights:
     def test_identical_features_weight_one(self):
         feats = np.zeros((2, 6))
-        g = initial_spatial_weights(point_edges([[0, 1]]), feats)
+        g = weighted_spatial_graph(point_edges([[0, 1]]), feats, IDENTITY)
         assert g[0] == 1.0
 
     def test_exp_ln2_weight_half(self):
         feats = np.zeros((2, 6))
         feats[1, 0] = np.sqrt(np.log(2.0))
-        g = initial_spatial_weights(point_edges([[0, 1]]), feats)
+        g = weighted_spatial_graph(point_edges([[0, 1]]), feats, IDENTITY)
         assert g[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_monotone_in_feature_distance(self):
@@ -153,17 +162,20 @@ class TestSpatialWeights:
         prev = np.inf
         for scale in (0.1, 0.5, 1.0, 2.0):
             feats = np.vstack([np.zeros(6), scale * base])
-            w = initial_spatial_weights(point_edges([[0, 1]]), feats)[0]
+            w = weighted_spatial_graph(point_edges([[0, 1]]), feats, IDENTITY)[0]
             assert w < prev
             prev = w
 
     def test_identity_metric_matches_initial(self):
+        # The first pass weighs pairs under the identity metric: bit for bit
+        # the Gaussian kernel exp(-||f_i - f_j||^2).
         rng = np.random.default_rng(3)
-        feats = rng.normal(size=(10, 6))
         pairs = np.array([[i, j] for i in range(10) for j in range(i + 1, 10)])
-        a = initial_spatial_weights(point_edges(pairs), feats)
-        b = weighted_spatial_graph(point_edges(pairs), feats, np.eye(6))
-        assert np.allclose(a, b, atol=1e-15)
+        for _ in range(200):
+            feats = rng.normal(0.0, rng.uniform(0.01, 3.0), size=(10, 6))
+            diff = feats[pairs[:, 0]] - feats[pairs[:, 1]]
+            got = weighted_spatial_graph(point_edges(pairs), feats, IDENTITY)
+            assert got.tobytes() == np.exp(-np.sum(diff * diff, axis=1)).tobytes()
 
     def test_zero_metric_gives_unit_weights(self):
         feats = np.random.default_rng(4).normal(size=(5, 6))
@@ -194,36 +206,64 @@ class TestSpatialWeights:
         edges = spatial_connectivity(ps, pts, 3)
         feats = point_features(pts, frame.normals)
         w = weighted_spatial_graph(edges, feats, 0.5 * np.eye(6))
-        link = edges.points[:, 0] != edges.points[:, 1]
-        lo, hi = edges.points[link].T
-        lap = combinatorial_laplacian(SparseGraph.from_edges(50, lo, hi, (w * edges.counts)[link]))
+        lo, hi = edges.points.T
+        lap = combinatorial_laplacian(SparseGraph.from_edges(50, lo, hi, w * edges.counts))
         assert abs((lap - lap.T).toarray()).max() < 1e-15
         for _ in range(20):
             x = rng.normal(size=lap.shape[0])
             assert x @ (lap @ x) >= -1e-10
 
 
+def first_pass_row_weights(distances):
+    """Temporal row weights of denoise_frame's first pass, with each patch's
+    match distance replaced by ``distances(m)``; returns them as (m, k+1)
+    blocks, and the distances."""
+    import dpcdenoise.optimize as opt
+
+    seq = generate_sequence(SyntheticSpec("sinusoid-sheet", 120, 2, amplitude=0.1,
+                                          phase_step=0.03, seed=5))
+    cfg = DenoiseConfig(k=10, patch_fraction=0.5, k_s=4, xi=4, outer_max_iters=1, seed=2,
+                        lambda1=0.5, lambda2=0.1)
+    ref, _ = estimate_normals(seq.frames[0], cfg.k_plane)
+    seen = {}
+    real_match, real_solve = opt.match_patches, opt.solve_point_cloud
+
+    def match(*args):
+        matched, _, point_map = real_match(*args)
+        seen["distance"] = distances(matched.size)
+        return matched, seen["distance"], point_map
+
+    def solve(u_hat, members, anchor_rows, prev_aligned, w_rows, *rest):
+        seen["rows"] = w_rows.reshape(members.shape)
+        return real_solve(u_hat, members, anchor_rows, prev_aligned, w_rows, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(opt, "match_patches", match)
+        patch.setattr(opt, "solve_point_cloud", solve)
+        opt.denoise_frame(Frame(seq.frames[1].positions, frame_index=1), ref, cfg)
+    return seen["rows"], seen["distance"]
+
+
 class TestTemporalWeights:
+    """The first pass weighs each matched patch by exp(-match distance)."""
+
     def test_distance_zero_gives_weight_one(self):
-        tw = temporal_weight_init(np.array([0.0]), k=2)
-        assert tw.w[0] == 1.0
+        rows, _ = first_pass_row_weights(np.zeros)
+        assert np.all(rows == 1.0)
 
     def test_distance_ln4_gives_quarter(self):
-        tw = temporal_weight_init(np.array([np.log(4.0)]), k=2)
-        assert tw.w[0] == pytest.approx(0.25, rel=1e-12)
+        rows, _ = first_pass_row_weights(lambda m: np.full(m, np.log(4.0)))
+        np.testing.assert_allclose(rows, 0.25, rtol=1e-12)
 
     def test_weights_in_unit_interval(self):
         rng = np.random.default_rng(6)
-        tw = temporal_weight_init(rng.uniform(0, 50, 20), k=2)
-        assert np.all(tw.w > 0) and np.all(tw.w <= 1)
+        rows, _ = first_pass_row_weights(lambda m: rng.uniform(0, 50, m))
+        assert np.all(rows > 0) and np.all(rows <= 1)
 
     def test_expand_repeats_blockwise(self):
-        tw = TemporalWeights(w=np.array([0.25, 1.0]), k=2)
-        assert tw.expand().tolist() == [0.25, 0.25, 0.25, 1.0, 1.0, 1.0]
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            TemporalWeights(w=np.array([1.5]), k=1)
+        rng = np.random.default_rng(7)
+        rows, distance = first_pass_row_weights(lambda m: rng.uniform(0, 3, m))
+        assert np.array_equal(rows, np.repeat(np.exp(-distance)[:, None], rows.shape[1], axis=1))
 
 
 class TestPointFeatures:
@@ -249,27 +289,27 @@ class TestSpatialEdges:
         # A-B: (2, 1) gap cB - cA = 1; (1, 1) gap -1 (row 1 of A ties between
         # both rows of B, the lower slot wins); (1, 0) backward, gap 1.
         # B-C: (1, 0) gap cC - cB = 2; (0, 0) gap -2; (1, 1) backward, gap -2.
+        # The three edges (0, 0), (1, 1) and (1, 1) join a point with itself
+        # and are dropped.
         pts = np.array([[3.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0]])
         ps = toy_patchset(pts, [[2, 1], [1, 0], [0, 1]], k=1)
         edges = spatial_connectivity(ps, pts, k_s=1)
-        assert edges.points.tolist() == [[0, 0], [0, 1], [1, 1], [1, 2]]
-        assert edges.counts.tolist() == [1, 2, 2, 1] and len(edges) == 6
-        assert edges.offsets.tolist() == [[-2.0, 0, 0], [1.5, 0, 0], [-1.5, 0, 0], [1.0, 0, 0]]
-        assert edges.spread.tolist() == [0.0, 0.5, 0.5, 0.0]
-        # Pair (0, 1): row residuals (2 - 1)^2 + (2 - 2)^2 = 2 * 0.5^2 + 0.5; a
-        # self pair sums its squared gaps: (1, 1) gives 1 + 4.
-        assert edges.residuals(pts).tolist() == [4.0, 1.0, 5.0, 0.0]
+        assert edges.points.tolist() == [[0, 1], [1, 2]]
+        assert edges.counts.tolist() == [2, 1] and len(edges) == 3
+        assert edges.offsets.tolist() == [[1.5, 0, 0], [1.0, 0, 0]]
+        assert edges.spread.tolist() == [0.5, 0.0]
+        # Pair (0, 1): row residuals (2 - 1)^2 + (2 - 2)^2 = 2 * 0.5^2 + 0.5.
+        assert edges.residuals(pts).tolist() == [1.0, 0.0]
 
     def test_weights_gathered_to_every_row_edge(self):
-        # One weight per point pair, carried by each of its row edges; a
-        # point paired with itself weighs exactly 1.
+        # One weight per point pair, carried by each of its row edges.
         rng = np.random.default_rng(11)
         pts = np.array([[3.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0]])
         ps = toy_patchset(pts, [[2, 1], [1, 0], [0, 1]], k=1)
         edges = spatial_connectivity(ps, pts, k_s=1)
         feats = np.hstack([rng.normal(size=(3, 3)), np.tile([0.0, 0.0, 1.0], (3, 1))])
-        w = initial_spatial_weights(edges, feats)
+        w = weighted_spatial_graph(edges, feats, IDENTITY)
         diff = feats[edges.points[:, 0]] - feats[edges.points[:, 1]]
         assert w.tolist() == np.exp(-np.sum(diff * diff, axis=1)).tolist()
-        assert w[0] == w[2] == 1.0
+        assert np.all(w < 1.0)
         assert np.repeat(w, edges.counts).size == len(edges)
