@@ -8,7 +8,9 @@ as the ``src`` directories of two checkouts. For every workload of
 ``make_inputs`` and both trees run ``python3 -m dpcdenoise.cli denoise`` on
 them, with the workload's config file and one BLAS and OpenMP thread. One line
 per workload and seed says whether every output PLY is byte-equal, followed by
-each side's stop reasons as read from its manifest.
+each side's stop reasons as read from its manifest. Where the outputs differ,
+each side's pooled ``mse_reduction_pct`` and ``surface_rms_ratio`` follow, as
+``perfbench/check.py`` scores them.
 
 ``--acceptance`` adds the end-to-end instance of ``tests/test_acceptance.py``
 (criterion 7). Its inputs come from OLD_SRC's ``synth`` and ``noise`` commands,
@@ -38,7 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import check  # noqa: E402
-from workloads import WORKLOADS, make_inputs  # noqa: E402
+from workloads import WORKLOADS, Inputs, make_inputs  # noqa: E402
 
 # The noise sigma of the acceptance instance, as a share of its frame 0
 # bounding-box diagonal (the ``pipeline_run`` fixture of tests/test_acceptance.py).
@@ -87,6 +89,17 @@ def compare(label: str, old: Path, new: Path, config: Path, inputs: list, work: 
     print(f"{label}: {'byte-equal' if same else 'DIFFERENT'}; stop reasons "
           f"old [{summary(reasons[0])}], new [{summary(reasons[1])}]", flush=True)
     return same, outs
+
+
+def print_quality(outs: tuple, inputs: Inputs) -> None:
+    """Each side's pooled MSE reduction and surface RMS ratio, as the benchmark scores them."""
+    for side, out in zip(("old", "new"), outs):
+        result = check.check_outputs(out, inputs.files, inputs.clean, inputs.surfaces)
+        if len(result.frames) != len(inputs.files):
+            print(f"  {side}: not scored: {'; '.join(result.problems)}")
+            continue
+        print(f"  {side}: mse_reduction_pct {result.mse_reduction_pct():.4f}, "
+              f"surface_rms_ratio {result.surface_rms_ratio():.4f}")
 
 
 def acceptance_constants() -> dict:
@@ -159,8 +172,11 @@ def main(argv=None) -> int:
                 run_dir.mkdir(parents=True)
                 config = run_dir / "run.cfg"
                 workload.write_config(config)
-                inputs = make_inputs(workload, seed, run_dir / "inputs").files
-                same, _ = compare(f"{name} seed {seed}", old, new, config, inputs, run_dir)
+                inputs = make_inputs(workload, seed, run_dir / "inputs")
+                same, outs = compare(f"{name} seed {seed}", old, new, config, inputs.files,
+                                     run_dir)
+                if not same:
+                    print_quality(outs, inputs)
                 all_same &= same
         if args.acceptance:
             run_dir = work / "acceptance"

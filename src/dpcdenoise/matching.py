@@ -84,9 +84,7 @@ def variation_measure(
 
 def patch_distance(va: np.ndarray, vb: np.ndarray) -> float:
     """Distance between two variation vectors: l2 norm of the per-axis gaps."""
-    va = np.asarray(va, dtype=np.float64)
-    vb = np.asarray(vb, dtype=np.float64)
-    d = np.abs(va - vb)
+    d = np.asarray(va, dtype=np.float64) - np.asarray(vb, dtype=np.float64)
     return float(np.sqrt(np.sum(d * d)))
 
 
@@ -96,14 +94,16 @@ def point_correspondence(
     rel_target: np.ndarray,
     rel_matched: np.ndarray,
     alpha: float,
+    epsilon_target: float | np.ndarray,
 ) -> np.ndarray:
     """Map each target point to its best counterpart in the matched patch.
 
     The per-pair cost blends squared variation difference (weight
-    ``alpha``) and squared relative-coordinate difference (weight
-    ``1 - alpha``); a term of weight 0 is not computed. Ties go to the
-    lowest index. The map may be many-to-one. Inputs are (s, 3) for one
-    patch pair or (b, s, 3) for b pairs at once.
+    ``alpha``) and squared relative-coordinate difference over the squared
+    target radius ``epsilon_target`` (weight ``1 - alpha``), and so has no
+    units; a term of weight 0 is not computed. Ties go to the lowest index.
+    The map may be many-to-one. Inputs are (s, 3) for one patch pair or
+    (b, s, 3) with (b,) radii for b pairs at once.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
@@ -120,7 +120,8 @@ def point_correspondence(
     elif alpha == 1.0:
         cost = sq_dists(rt, rm)
     else:
-        cost = alpha * sq_dists(rt, rm) + (1.0 - alpha) * sq_dists(vt, vm)
+        eps_sq = np.square(epsilon_target, dtype=np.float64)[..., None, None]
+        cost = alpha * sq_dists(rt, rm) + (1.0 - alpha) * (sq_dists(vt, vm) / eps_sq)
     return np.argmin(cost, axis=-1).astype(np.int64)
 
 
@@ -128,7 +129,6 @@ def point_correspondence(
 class ReferencePatches:
     """Precomputed matching data for one (already denoised) reference frame."""
 
-    frame: Frame
     patchset: PatchSet
     rel: np.ndarray = field(repr=False)          # (m, k+1, 3)
     var_rows: np.ndarray = field(repr=False)     # (m, k+1, 3)
@@ -153,7 +153,6 @@ def prepare_reference(frame: Frame, patchset: PatchSet, c: float = 5.0) -> Refer
     positions = frame.positions
     _, var_rows, variations = patch_variations(positions, frame.normals, patchset.members, c)
     return ReferencePatches(
-        frame=frame,
         patchset=patchset,
         rel=all_relative_coords(patchset, positions),
         var_rows=var_rows,
@@ -184,7 +183,7 @@ def match_patches(
     if xi < 1:
         raise ValueError("xi must be >= 1")
     positions = frame.positions
-    _, rows, variations = patch_variations(positions, frame.normals, patchset.members, c)
+    eps, rows, variations = patch_variations(positions, frame.normals, patchset.members, c)
     rel = all_relative_coords(patchset, positions)
     cand = knn_rows(reference.center_index, positions[patchset.center_indices],
                     min(xi, len(reference)))
@@ -197,6 +196,6 @@ def match_patches(
         part = slice(start, start + PATCH_BLOCK)
         best = matched[part]
         point_map[part] = point_correspondence(
-            rows[part], reference.var_rows[best], rel[part], reference.rel[best], alpha
+            rows[part], reference.var_rows[best], rel[part], reference.rel[best], alpha, eps[part]
         )
     return matched, distance, point_map

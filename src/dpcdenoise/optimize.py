@@ -13,7 +13,7 @@ from .geometry import Frame, NeighborIndex, Sequence, estimate_normals, knn_rows
 from .matching import match_patches, prepare_reference
 from .metrics import FrameMetrics
 from .patches import all_relative_coords, build_patches
-from .stgraph import SpatialEdges, point_features, spatial_connectivity, weighted_spatial_graph
+from .stgraph import SpatialEdges, spatial_connectivity, weighted_spatial_graph
 
 
 class SolverError(RuntimeError):
@@ -351,6 +351,24 @@ def learn_metric(
     return MetricFit(metric=r.T @ r, factor=r, objectives=tuple(objs))
 
 
+def _learn_pair_metric(diffs: np.ndarray, residuals: np.ndarray, config: DenoiseConfig):
+    """:func:`learn_metric` on residuals scaled to give its start R0 gradient norm ||R0||_F.
+
+    A step of ``pg_step`` then moves R by that share of its norm in any
+    units. A zero gradient (all normals equal) keeps ``R0^T R0``. Returns
+    M, the move ``||R - R0||_F / ||R0||_F`` and the accepted steps.
+    """
+    start = (config.trace_bound / diffs.shape[1]) * np.eye(diffs.shape[1])
+    start_norm = np.sqrt(_psum(start * start))
+    grad_norm = np.sqrt(_psum(metric_gradient(start, diffs, residuals) ** 2))
+    if grad_norm == 0.0:
+        return start.T @ start, 0.0, 0
+    fit = learn_metric(diffs, residuals * (start_norm / grad_norm), config.trace_bound,
+                       config.pg_step, config.pg_max_iters, config.pg_tol)
+    move = float(np.sqrt(_psum((fit.factor - start) ** 2)) / start_norm)
+    return fit.metric, move, len(fit.objectives) - 1
+
+
 def _edge_weight_summary(edges: SpatialEdges, pair_weights: np.ndarray) -> dict:
     """p5, p50 and p95 of the row-edge weights, and the share below 1e-12.
 
@@ -396,16 +414,17 @@ def denoise_frame(
     Runs the alternating loop: rebuild patches on the current estimate,
     match them temporally, weigh the spatio-temporal graph, and solve for
     the points. The first pass weighs each matched patch by
-    ``exp(-match distance)`` and each point pair under the identity
-    metric; later passes solve the weight program and learn the metric.
-    Each pass's objective is a sum over its own graph, so totals of
-    different passes are not compared. The loop stops once a pass moves no
-    point by more than ``outer_tol`` times the frame's spacing, the mean
-    distance from an input point to its nearest other input point (stop
-    reason ``tol``), or after ``outer_max_iters`` passes (``max_iters``).
-    It returns the last iterate with freshly estimated normals. The
-    report's diagnostics hold the stop reason, the spacing, each pass's
-    largest point move and a summary of its row-edge weights.
+    ``exp(-match distance)``, later ones solve the weight program. Every
+    pass weighs each point pair by ``exp(-dn^T M dn)`` on its unit-normal
+    difference ``dn``, with M learned on the pass's pairs. Each pass's
+    objective is a sum over its own graph, so totals of different passes
+    are not compared. The loop stops once a pass moves no point by more
+    than ``outer_tol`` times the frame's spacing, the mean distance from
+    an input point to its nearest other input point (stop reason ``tol``),
+    or after ``outer_max_iters`` passes (``max_iters``). It returns the
+    last iterate with freshly estimated normals. The report's diagnostics
+    hold the stop reason, the spacing and, per pass, the largest point
+    move, the metric's trace, move and steps, and edge-weight quantiles.
     """
     n = len(noisy)
     k_plane_eff = min(config.k_plane, n - 1)
@@ -427,9 +446,9 @@ def denoise_frame(
     u = np.array(noisy.positions)
     u_hat = noisy.positions
     trace: list[ObjectiveBreakdown] = []
-    diagnostics: dict = {"degenerate_normals": [], "metric_trace": [], "factor_trace": [],
-                         "spatial_edges": [], "metric_pairs": [], "edge_weights": [],
-                         "largest_move": [], "stop_reason": "max_iters"}
+    diagnostics: dict = {"degenerate_normals": [], "metric_trace": [], "metric_move": [],
+                         "pg_steps": [], "spatial_edges": [], "metric_pairs": [],
+                         "edge_weights": [], "largest_move": [], "stop_reason": "max_iters"}
 
     for it in range(config.outer_max_iters):
         # One neighbor table serves the normals, their orientation and the patches.
@@ -463,27 +482,18 @@ def denoise_frame(
                 patch_weights = solve_temporal_weights(np.sum(gaps * gaps, axis=(1, 2)), mprime)
             w_rows = np.repeat(patch_weights, k_eff + 1)
 
-        edges = None
-        pair_weights = None
-        if lam2 > 0 and k_s_eff >= 1:
-            edges = spatial_connectivity(patchset, u, k_s_eff)
-            feats = point_features(u, est.normals)
-
+        edges = pair_weights = None
         try:
-            if edges is not None:
-                metric = np.eye(feats.shape[1])
-                if it > 0:
-                    # One row per point pair: its feature difference, and the
-                    # squared residuals of its row edges summed.
-                    fit = learn_metric(edges.differences(feats), edges.residuals(u),
-                                       config.trace_bound, config.pg_step,
-                                       config.pg_max_iters, config.pg_tol)
-                    diagnostics["metric_trace"].append(float(np.trace(fit.metric)))
-                    diagnostics["factor_trace"].append(float(np.trace(fit.factor)))
-                    diagnostics["spatial_edges"].append(len(edges))
-                    diagnostics["metric_pairs"].append(edges.points.shape[0])
-                    metric = fit.metric
-                pair_weights = weighted_spatial_graph(edges, feats, metric)
+            if lam2 > 0 and k_s_eff >= 1:
+                edges = spatial_connectivity(patchset, u, k_s_eff)
+                metric, move, steps = _learn_pair_metric(
+                    edges.differences(est.normals), edges.residuals(u), config)
+                diagnostics["metric_trace"].append(float(np.trace(metric)))
+                diagnostics["metric_move"].append(move)
+                diagnostics["pg_steps"].append(steps)
+                diagnostics["spatial_edges"].append(len(edges))
+                diagnostics["metric_pairs"].append(edges.points.shape[0])
+                pair_weights = weighted_spatial_graph(edges, est.normals, metric)
                 diagnostics["edge_weights"].append(_edge_weight_summary(edges, pair_weights))
             u_new = solve_point_cloud(
                 u_hat, members, anchor_rows, prev_aligned, w_rows, edges, pair_weights,

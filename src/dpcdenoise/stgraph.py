@@ -326,15 +326,6 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     return SpatialEdges(points=points, counts=counts, offsets=offsets, spread=spread)
 
 
-def point_features(positions: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """6-D feature per point: coordinates and unit normal."""
-    nrm = np.asarray(normals, dtype=np.float64)
-    lengths = np.linalg.norm(nrm, axis=1)
-    if not np.all(np.abs(lengths - 1.0) <= 1e-9):
-        raise ValueError("normals must have unit length")
-    return np.hstack([np.asarray(positions, dtype=np.float64), nrm])
-
-
 def weighted_spatial_graph(
     edges: SpatialEdges, features: np.ndarray, metric: np.ndarray
 ) -> np.ndarray:

@@ -318,14 +318,14 @@ def random_solve_instance(rng, n, with_temporal=True):
     """Random small patch layout + operators for solver tests.
 
     Returns the points, the patch members, the anchor rows, the temporal
-    rows and weights (or None), the folded spatial edges with their
-    first-pass pair weights (identity metric), and the row-graph Laplacian
+    rows and weights (or None), the folded spatial edges with their pair
+    weights (identity metric on the normals), and the row-graph Laplacian
     those weights give.
     """
     from dpcdenoise.geometry import Frame, estimate_normals
     from dpcdenoise.patches import build_patches
     from dpcdenoise import stgraph
-    from dpcdenoise.stgraph import point_features, weighted_spatial_graph
+    from dpcdenoise.stgraph import weighted_spatial_graph
 
     pts = rng.uniform(0, 1, (n, 3))
     frame, _ = estimate_normals(Frame(pts), min(6, n - 1))
@@ -336,7 +336,7 @@ def random_solve_instance(rng, n, with_temporal=True):
     anchors = np.repeat(pts[members[:, 0]], k + 1, axis=0)
     k_s = min(2, m - 1)
     edges = stgraph.spatial_connectivity(ps, pts, k_s)
-    pair_weights = weighted_spatial_graph(edges, point_features(pts, frame.normals), np.eye(6))
+    pair_weights = weighted_spatial_graph(edges, frame.normals, np.eye(3))
     lap = row_laplacian(spatial_connectivity(ps, pts, k_s), members, pair_weights)
     if with_temporal:
         w_rows = np.repeat(rng.uniform(0, 1, m), k + 1)

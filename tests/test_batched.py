@@ -47,7 +47,6 @@ from dpcdenoise.stgraph import (
     FOLD_CHUNK,
     SLOT_BLOCK,
     SpatialEdges,
-    point_features,
     spatial_connectivity,
     weighted_spatial_graph,
 )
@@ -211,7 +210,7 @@ class TestMatchPatchesOracle:
         assert bits(reference.variations) == bits(ref_var)
 
         matched, distance, point_map = match_patches(curr, curr_ps, reference, xi, alpha)
-        _, rows, variations = oracle_patches(curr.positions, curr.normals, curr_ps.members, 5.0)
+        eps, rows, variations = oracle_patches(curr.positions, curr.normals, curr_ps.members, 5.0)
         centers = prev.positions[prev_ps.center_indices]
         for l, idx in enumerate(curr_ps.members):
             cand = brute_knn(centers, curr.positions[idx[0]], min(xi, len(prev_ps)))
@@ -220,8 +219,12 @@ class TestMatchPatchesOracle:
             best = int(cand[np.lexsort((cand, dists))[0]])
             rel_t = curr.positions[idx] - curr.positions[idx[0]]
             rel_m = reference.rel[best]
+            coord = np.sum((rel_t[:, None] - rel_m[None]) ** 2, axis=2)
+            if 0 < alpha < 1:
+                # The blend divides the coordinate term by the target radius squared.
+                coord = coord / eps[l] ** 2
             cost = (alpha * np.sum((rows[l][:, None] - ref_rows[best][None]) ** 2, axis=2)
-                    + (1 - alpha) * np.sum((rel_t[:, None] - rel_m[None]) ** 2, axis=2))
+                    + (1 - alpha) * coord)
             assert matched[l] == best
             assert bits(distance[l]) == bits(np.min(dists))
             assert point_map[l].tolist() == np.argmin(cost, axis=1).tolist()
@@ -583,7 +586,7 @@ class TestMetricGram:
 @st.composite
 def row_edges(draw):
     """Patches over few points, sorted distinct row edges between rows of
-    distinct points, point features and positions."""
+    distinct points, point features (unit normals) and positions."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 8))
     size = draw(st.integers(1, n))
@@ -598,7 +601,7 @@ def row_edges(draw):
     pts = rng.uniform(0.0, 1.0, (n, 3))
     if draw(st.booleans()):
         pts = np.round(pts * 2) / 2
-    feats = point_features(pts, unit_normals(rng, n))
+    feats = unit_normals(rng, n)
     return members, rows, feats, pts, rng
 
 
@@ -617,10 +620,10 @@ class TestPointPairs:
         edges, _ = folded(rows, members, pts)
         _, inverse = oracles.group_rows(rows, members)
         row_feats = feats[members.ravel()]
-        factor = rng.normal(0.0, 0.5, (6, 6))
+        factor = rng.normal(0.0, 0.5, (3, 3))
         metric = factor.T @ factor
         pairs = (
-            (weighted_spatial_graph(edges, feats, np.eye(6)),
+            (weighted_spatial_graph(edges, feats, np.eye(3)),
              oracles.row_edge_weights(rows, row_feats)),
             (weighted_spatial_graph(edges, feats, metric),
              oracles.row_edge_weights(rows, row_feats, metric)),

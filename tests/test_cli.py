@@ -97,16 +97,20 @@ class TestDenoise:
         assert manifest.config["k"] == 8
         assert len(manifest.frame_metrics) == 1
         assert manifest.frame_metrics[0]["objective_trace"]
-        # One metric-learning pass (outer iteration 1): its edge and pair counts.
-        diag = manifest.frame_metrics[0]["diagnostics"]
-        assert len(diag["spatial_edges"]) == len(diag["metric_pairs"]) == 1
-        assert 0 < diag["metric_pairs"][0] <= diag["spatial_edges"][0]
         # The loop's stop reason, the input spacing, and per pass its largest
-        # point move and an edge-weight summary.
+        # point move, its metric learning and an edge-weight summary.
+        diag = manifest.frame_metrics[0]["diagnostics"]
         assert diag["stop_reason"] in ("tol", "max_iters")
         assert diag["spacing"] > 0.0
         passes = len(manifest.frame_metrics[0]["objective_trace"])
-        assert len(diag["largest_move"]) == len(diag["edge_weights"]) == passes
+        for key in ("largest_move", "edge_weights", "spatial_edges", "metric_pairs",
+                    "metric_trace", "metric_move", "pg_steps"):
+            assert len(diag[key]) == passes, key
+        assert "factor_trace" not in diag
+        for pairs, edges in zip(diag["metric_pairs"], diag["spatial_edges"]):
+            assert 0 < pairs <= edges
+        for move, steps in zip(diag["metric_move"], diag["pg_steps"]):
+            assert move >= 0.0 and 0 <= steps <= 100   # the default pg_max_iters
         assert "best_iteration" not in manifest.frame_metrics[0]
         for entry in diag["edge_weights"]:
             assert 0.0 <= entry["p5"] <= entry["p50"] <= entry["p95"] <= 1.0

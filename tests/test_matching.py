@@ -100,7 +100,7 @@ class TestPointCorrespondence:
         rng = np.random.default_rng(5)
         rows_t, rel_t = self._random_patch_data(rng, 8)
         rows_m, rel_m = self._random_patch_data(rng, 8)
-        pm = point_correspondence(rows_t, rows_m, rel_t, rel_m, 0.0)
+        pm = point_correspondence(rows_t, rows_m, rel_t, rel_m, 0.0, np.nan)
         d = np.sum((rel_t[:, None] - rel_m[None]) ** 2, axis=2)
         assert pm.tolist() == np.argmin(d, axis=1).tolist()
 
@@ -108,7 +108,7 @@ class TestPointCorrespondence:
         rng = np.random.default_rng(6)
         rows_t, rel_t = self._random_patch_data(rng, 8)
         rows_m, rel_m = self._random_patch_data(rng, 8)
-        pm = point_correspondence(rows_t, rows_m, rel_t, rel_m, 1.0)
+        pm = point_correspondence(rows_t, rows_m, rel_t, rel_m, 1.0, np.nan)
         d = np.sum((rows_t[:, None] - rows_m[None]) ** 2, axis=2)
         assert pm.tolist() == np.argmin(d, axis=1).tolist()
 
@@ -124,7 +124,7 @@ class TestPointCorrespondence:
         else:
             rows_t, rows_m, used = 1e200 * rows_t, 1e200 * rows_m, (rel_t, rel_m)
         with np.errstate(all="raise"):
-            pm = point_correspondence(rows_t, rows_m, rel_t, rel_m, alpha)
+            pm = point_correspondence(rows_t, rows_m, rel_t, rel_m, alpha, 0.0)
         d = np.sum((used[0][:, None] - used[1][None]) ** 2, axis=2)
         assert pm.tolist() == np.argmin(d, axis=1).tolist()
 
@@ -132,20 +132,35 @@ class TestPointCorrespondence:
         rng = np.random.default_rng(7)
         rows_t, rel_t = self._random_patch_data(rng, 10)
         rows_m, rel_m = self._random_patch_data(rng, 10)
-        alpha = 0.5
-        pm = point_correspondence(rows_t, rows_m, rel_t, rel_m, alpha)
+        alpha, eps = 0.5, 0.7
+        pm = point_correspondence(rows_t, rows_m, rel_t, rel_m, alpha, eps)
         for i in range(10):
             costs = [
                 alpha * np.sum((rows_t[i] - rows_m[j]) ** 2)
-                + (1 - alpha) * np.sum((rel_t[i] - rel_m[j]) ** 2)
+                + (1 - alpha) * np.sum((rel_t[i] - rel_m[j]) ** 2) / eps**2
                 for j in range(10)
             ]
             assert pm[i] == int(np.argmin(costs))
 
+    def test_blend_has_no_units(self):
+        # Variation rows have no units; the coordinate term is divided by the
+        # target patch's squared radius, so scaling coordinates and radius
+        # together keeps the map.
+        rng = np.random.default_rng(9)
+        rows_t, rel_t = self._random_patch_data(rng, 10)
+        rows_m, rel_m = self._random_patch_data(rng, 10)
+        want = point_correspondence(rows_t, rows_m, 0.1 * rel_t, 0.1 * rel_m, 0.5, 0.3)
+        for scale in (1e-3, 2.0**-10, 2.0**10, 1e3):
+            got = point_correspondence(rows_t, rows_m, scale * 0.1 * rel_t, scale * 0.1 * rel_m,
+                                       0.5, scale * 0.3)
+            assert got.tolist() == want.tolist()
+        assert want.tolist() != point_correspondence(
+            rows_t, rows_m, 100 * rel_t, 100 * rel_m, 0.5, 0.3).tolist()
+
     def test_rejects_bad_alpha(self):
         z = np.zeros((3, 3))
         with pytest.raises(ValueError, match="alpha"):
-            point_correspondence(z, z, z, z, 1.5)
+            point_correspondence(z, z, z, z, 1.5, 1.0)
 
 
 def build_reference(frame, m, k, seed, c=5.0):

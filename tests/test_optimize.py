@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 from oracles import build_system, lp_oracle, random_solve_instance
 
 from dpcdenoise.config import DenoiseConfig
-from dpcdenoise.geometry import Frame, estimate_normals, mean_nn_distance
+from dpcdenoise.geometry import Frame, Sequence, estimate_normals, mean_nn_distance
 from dpcdenoise.optimize import (
     SolverError,
     _edge_weight_summary,
+    _learn_pair_metric,
     _point_system,
     denoise_frame,
     denoise_sequence,
@@ -22,7 +23,6 @@ from dpcdenoise.optimize import (
 )
 from dpcdenoise.stgraph import (
     SpatialEdges,
-    point_features,
     spatial_connectivity,
     weighted_spatial_graph,
 )
@@ -216,6 +216,23 @@ class TestLearnMetric:
         fit = learn_metric(diffs, dsq, trace_bound=5.0)
         assert np.allclose(fit.factor, (5.0 / 6.0) * np.eye(6))
 
+    def test_pair_metric_is_free_of_residual_units(self):
+        # The residuals are rescaled so that the start's gradient has the
+        # start's norm: a power-of-two factor on them changes no bit of the
+        # result, and equal normals (a zero gradient) keep the start metric.
+        rng = np.random.default_rng(21)
+        diffs, dsq = self._pairs(rng, dim=3)
+        cfg = DenoiseConfig(pg_step=1e-2, pg_max_iters=5)
+        metric, move, steps = _learn_pair_metric(diffs, dsq, cfg)
+        assert steps == 5 and move > 0.0
+        for k in (-20, 20):
+            scaled_metric, scaled_move, scaled_steps = _learn_pair_metric(diffs, 2.0**k * dsq, cfg)
+            assert np.array_equal(scaled_metric, metric)
+            assert (scaled_move, scaled_steps) == (move, steps)
+        start, zero_move, zero_steps = _learn_pair_metric(np.zeros((10, 3)), np.ones(10), cfg)
+        assert np.array_equal(start, (5.0 / 3.0) ** 2 * np.eye(3))
+        assert (zero_move, zero_steps) == (0.0, 0)
+
     def test_objective_monotone_nonincreasing(self):
         rng = np.random.default_rng(10)
         diffs, dsq = self._pairs(rng)
@@ -379,7 +396,7 @@ class TestDenoiseFrame:
         ps = PatchSet(members=members, k=4, frame=frame)
         edges = spatial_connectivity(ps, pts, 4)
         normals = np.tile((0.0, 0.0, 1.0), (144, 1))
-        pw = weighted_spatial_graph(edges, point_features(pts, normals), np.eye(6))
+        pw = weighted_spatial_graph(edges, normals, np.eye(3))
         anchors = np.repeat(pts[members[:, 0]], 5, axis=0)
         out = solve_point_cloud(pts, members, anchors, None, None, edges, pw, 0.0, 0.5,
                                 cg_tol=1e-10, cg_max_iters=500)
@@ -522,8 +539,8 @@ class TestDenoiseFrame:
         centers = (60, 60, cfg.k_s + 1)
         assert queries == [table, centers, table, centers, (120, 120, cfg.k_plane + 1)]
         diag = report.diagnostics
-        assert len(diag["spatial_edges"]) == len(diag["metric_pairs"]) == 1
-        assert 0 < diag["metric_pairs"][0] < diag["spatial_edges"][0]
+        assert len(diag["spatial_edges"]) == len(diag["metric_pairs"]) == 2
+        assert all(0 < p < e for p, e in zip(diag["metric_pairs"], diag["spatial_edges"]))
 
     def test_every_point_a_center_needs_no_center_query(self, monkeypatch):
         # With every point a patch center, the patches' rows, which come from
@@ -681,3 +698,56 @@ class TestDenoiseSequence:
         assert all(o.temporal == 0.0 for o in reports[0].objective_trace)
         for rep in reports[1:]:
             assert any(o.temporal > 0.0 for o in rep.objective_trace)
+
+
+def scaled(noisy, scale):
+    return Sequence(tuple(Frame(scale * f.positions, frame_index=f.frame_index) for f in noisy))
+
+
+def scale_instance(kind, seed):
+    """A noisy 3-frame sheet matched with xi > 1 and alpha = 0.5, or one noisy cap frame."""
+    if kind == "sheet":
+        seq, sigma = small_sequence(3, seed=seed), 0.02
+    else:
+        seq = generate_sequence(SyntheticSpec("sphere-cap", 150, 1, seed=seed))
+        sigma = 0.03
+    rng = np.random.default_rng(seed)
+    noisy = Sequence(tuple(Frame(f.positions + rng.normal(0, sigma, f.positions.shape),
+                                 frame_index=t) for t, f in enumerate(seq)))
+    return noisy, small_config(xi=3, alpha=0.5)
+
+
+class TestScaleEquivariance:
+    """Denoising commutes with a scale of the input.
+
+    A power-of-two scale is exact in float64, and every stage then scales
+    exactly: the spatial kernel weighs unit normals, metric learning sees
+    residuals normalized by its start gradient, and the matching blend
+    divides coordinates by the patch radius. So the outputs are bit-equal.
+    """
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from(["sheet", "cap"]), st.sampled_from([-10, 10]),
+           st.integers(0, 2**16))
+    def test_power_of_two_scale_is_bit_exact(self, kind, k, seed):
+        noisy, cfg = scale_instance(kind, seed)
+        base, _ = denoise_sequence(noisy, cfg)
+        out, reports = denoise_sequence(scaled(noisy, 2.0**k), cfg)
+        for a, b in zip(out, base):
+            assert np.array_equal(a.positions, 2.0**k * b.positions)
+            assert np.array_equal(a.normals, b.normals)
+        if k > 0:
+            for rep in reports:
+                assert all(e["underflow_share"] == 0.0 for e in rep.diagnostics["edge_weights"])
+
+    @pytest.mark.parametrize("kind", ["sheet", "cap"])
+    def test_scale_by_1000_keeps_frame_0(self, kind):
+        # 1000 is not a power of two, so rounding differs; frame 0 has no
+        # temporal matching and stays within rounding of the unit-scale output.
+        noisy, cfg = scale_instance(kind, 3)
+        base, _ = denoise_sequence(noisy, cfg)
+        out, reports = denoise_sequence(scaled(noisy, 1000.0), cfg)
+        spacing = reports[0].diagnostics["spacing"] / 1000.0
+        gap = np.max(np.abs(out.frames[0].positions / 1000.0 - base.frames[0].positions))
+        assert gap <= 1e-8 * spacing
+        assert reports[0].diagnostics["edge_weights"][-1]["underflow_share"] == 0.0

@@ -13,7 +13,6 @@ from dpcdenoise import stgraph
 from dpcdenoise.stgraph import (
     SpatialEdges,
     edge_key_bits,
-    point_features,
     spatial_connectivity,
     weighted_spatial_graph,
 )
@@ -204,8 +203,7 @@ class TestSpatialWeights:
         frame, _ = estimate_normals(Frame(pts), 8)
         ps = build_patches(frame, 10, 5, seed=2)
         edges = spatial_connectivity(ps, pts, 3)
-        feats = point_features(pts, frame.normals)
-        w = weighted_spatial_graph(edges, feats, 0.5 * np.eye(6))
+        w = weighted_spatial_graph(edges, frame.normals, 0.5 * np.eye(3))
         lo, hi = edges.points.T
         lap = combinatorial_laplacian(SparseGraph.from_edges(50, lo, hi, w * edges.counts))
         assert abs((lap - lap.T).toarray()).max() < 1e-15
@@ -264,21 +262,6 @@ class TestTemporalWeights:
         rng = np.random.default_rng(7)
         rows, distance = first_pass_row_weights(lambda m: rng.uniform(0, 3, m))
         assert np.array_equal(rows, np.repeat(np.exp(-distance)[:, None], rows.shape[1], axis=1))
-
-
-class TestPointFeatures:
-    def test_layout_and_units(self):
-        rng = np.random.default_rng(10)
-        pts = rng.uniform(0, 1, (30, 3))
-        frame, _ = estimate_normals(Frame(pts), 6)
-        feats = point_features(pts, frame.normals)
-        assert feats.shape == (30, 6)
-        assert np.array_equal(feats[:, :3], pts)
-        assert np.allclose(np.linalg.norm(feats[:, 3:], axis=1), 1.0, atol=1e-9)
-
-    def test_rejects_non_unit_normals(self):
-        with pytest.raises(ValueError, match="unit length"):
-            point_features(np.zeros((2, 3)), np.ones((2, 3)))
 
 
 class TestSpatialEdges:
