@@ -12,6 +12,10 @@ each side's stop reasons as read from its manifest. Where the outputs differ,
 each side's pooled ``mse_reduction_pct`` and ``surface_rms_ratio`` follow, as
 ``perfbench/check.py`` scores them.
 
+Before the comparisons it prints each side's median time to ``import
+dpcdenoise.cli``, over 5 fresh processes per side run in alternation, so a
+start-up regression shows beside the byte check.
+
 ``--acceptance`` adds the end-to-end instance of ``tests/test_acceptance.py``
 (criterion 7). Its inputs come from OLD_SRC's ``synth`` and ``noise`` commands,
 and each side's per-frame MSE reductions are printed too.
@@ -42,6 +46,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import check  # noqa: E402
 from workloads import WORKLOADS, Inputs, make_inputs  # noqa: E402
 
+# Fresh processes per side timed importing dpcdenoise.cli.
+IMPORT_RUNS = 5
 # The noise sigma of the acceptance instance, as a share of its frame 0
 # bounding-box diagonal (the ``pipeline_run`` fixture of tests/test_acceptance.py).
 ACCEPTANCE_SIGMA_FRAC = 0.02
@@ -58,6 +64,27 @@ def child_env(src: Path) -> dict:
 def run_cli(src: Path, args: list, cwd: Path) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "dpcdenoise.cli", *map(str, args)],
                           env=child_env(src), cwd=cwd, capture_output=True, text=True)
+
+
+def import_seconds(src: Path) -> float:
+    """Seconds one fresh process takes to ``import dpcdenoise.cli`` from ``src``."""
+    code = ("import time; start = time.perf_counter(); import dpcdenoise.cli; "
+            "print(time.perf_counter() - start)")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(src),
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{src}: import dpcdenoise.cli failed: {proc.stderr.strip()[-500:]}")
+    return float(proc.stdout)
+
+
+def print_import_times(old: Path, new: Path) -> None:
+    times = {old: [], new: []}
+    for run in range(IMPORT_RUNS):
+        for src in ((old, new) if run % 2 == 0 else (new, old)):
+            times[src].append(import_seconds(src))
+    print(f"import dpcdenoise.cli: old {np.median(times[old]):.3f} s, "
+          f"new {np.median(times[new]):.3f} s (median of {IMPORT_RUNS} fresh processes each)",
+          flush=True)
 
 
 def denoise(src: Path, config: Path, inputs: list, out_dir: Path) -> list | None:
@@ -163,6 +190,7 @@ def main(argv=None) -> int:
             parser.error(f"{src} holds no dpcdenoise package")
     seeds = [int(s) for s in args.seeds.split(",") if s]
 
+    print_import_times(old, new)
     work = args.work or Path(tempfile.mkdtemp(prefix="compare-outputs-"))
     all_same = True
     try:

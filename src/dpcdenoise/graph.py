@@ -1,4 +1,7 @@
-"""Sparse weighted graphs and their Laplacian operators."""
+"""Sparse weighted graphs and their Laplacian operators.
+
+The only module that needs scipy; the denoising pipeline does not import it.
+"""
 
 from __future__ import annotations
 

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import DenoiseConfig
 from .geometry import Frame, NeighborIndex, Sequence, estimate_normals, knn_rows
@@ -91,20 +90,99 @@ def _check_spatial(edges: SpatialEdges, pair_weights: np.ndarray, n: int) -> Non
         raise ValueError("spatial edges do not match the point count")
 
 
-def _conjugate_gradient(a: sp.spmatrix, b: np.ndarray, x0: np.ndarray,
-                        tol: float, max_iters: int) -> np.ndarray:
-    """CG for an SPD system, terminating on true relative residual <= tol."""
+@dataclass(frozen=True)
+class SlabMatrix:
+    """A sparse n x n matrix whose product adds each row's terms as scipy's CSR product does.
+
+    Row i's stored entries fill column i of the (width, n) arrays ``cols``
+    and ``vals`` in ascending column order; the slots past them hold value
+    0 at column i. ``A @ x`` gathers x, multiplies, and adds down axis 0
+    from 0.0, one slot after another. Per row that is the order of scipy's
+    ``csr_matvec`` (from 0.0, by ascending column, one term at a time), so
+    for finite x the product equals ``csr_matrix @ x`` bit for bit. The
+    width is the largest row degree up to ``2 * nnz // n``, so the slab
+    holds at most twice the stored entries. A row with more entries than
+    that holds only padding in the slab: its entries are kept in column
+    order in ``wide_cols`` and ``wide_vals`` and summed by ``np.bincount``,
+    which adds in entry order from zero.
+    """
+
+    cols: np.ndarray
+    vals: np.ndarray
+    wide_rows: np.ndarray
+    wide_index: np.ndarray  # per wide entry, the position of its row in ``wide_rows``
+    wide_cols: np.ndarray
+    wide_vals: np.ndarray
+    nnz: int
+
+    @classmethod
+    def from_entries(cls, n: int, rows, cols, vals) -> "SlabMatrix":
+        """The matrix with entries ``vals`` at ``(rows, cols)``, one entry per position."""
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        cols = np.asarray(cols, dtype=np.int64).ravel()
+        vals = np.asarray(vals, dtype=np.float64).ravel()
+        if not rows.shape == cols.shape == vals.shape:
+            raise ValueError("entry arrays must have equal length")
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+            raise ValueError("entry index out of range")
+        keys = rows * n + cols
+        order = np.argsort(keys)
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("duplicate entry")
+        degree = np.bincount(rows, minlength=n)
+        rows = np.repeat(np.arange(n), degree)
+        cols = keys - rows * n
+        vals = vals[order]
+        width = int(degree[degree <= 2 * rows.size // max(n, 1)].max(initial=0))
+        slot = np.arange(rows.size) - np.repeat(np.cumsum(degree) - degree, degree)
+        wide = np.repeat(degree > width, degree)
+        # A full slice copies nothing in the usual case of no wide row.
+        narrow = ~wide if wide.any() else slice(None)
+        slab_cols = np.tile(np.arange(n), (width, 1))
+        slab_vals = np.zeros((width, n))
+        place = slot[narrow] * n + rows[narrow]
+        slab_cols.ravel()[place] = cols[narrow]
+        slab_vals.ravel()[place] = vals[narrow]
+        wide_rows, wide_index = np.unique(rows[wide], return_inverse=True)
+        return cls(slab_cols, slab_vals, wide_rows, wide_index, cols[wide], vals[wide],
+                   int(rows.size))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.cols.shape[1], self.cols.shape[1])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        terms = np.take(x, self.cols)
+        terms *= self.vals
+        out = np.add.reduce(terms, axis=0, initial=0.0)
+        if self.wide_rows.size:
+            out[self.wide_rows] = np.bincount(self.wide_index, self.wide_vals * x[self.wide_cols],
+                                              self.wide_rows.size)
+        return out
+
+
+def _conjugate_gradient(a: SlabMatrix, b: np.ndarray, x0: np.ndarray,
+                        tol: float, max_iters: int) -> tuple[np.ndarray, int, float]:
+    """CG for an SPD system, terminating on true relative residual <= tol.
+
+    Returns the solution, the number of products with ``a`` (one per step,
+    plus the starting residual and each true-residual check) and the final
+    true relative residual.
+    """
     b_norm = np.sqrt(_psum(b * b))
     if b_norm == 0.0:
-        return np.zeros_like(b)
+        return np.zeros_like(b), 0, 0.0
     x = x0.copy()
     r = b - a @ x
-    if np.sqrt(_psum(r * r)) <= tol * b_norm:
-        return x0.copy()
-    p = r.copy()
+    products = 1
     rs = _psum(r * r)
+    if np.sqrt(rs) <= tol * b_norm:
+        return x, products, float(np.sqrt(rs) / b_norm)
+    p = r.copy()
     for it in range(max_iters):
         ap = a @ p
+        products += 1
         alpha = rs / _psum(p * ap)
         x += alpha * p
         r -= alpha * ap
@@ -112,9 +190,10 @@ def _conjugate_gradient(a: sp.spmatrix, b: np.ndarray, x0: np.ndarray,
         if np.sqrt(rs_new) <= tol * b_norm:
             # Recurrence residuals drift; confirm against the true residual.
             true_r = b - a @ x
+            products += 1
             true_norm = np.sqrt(_psum(true_r * true_r))
             if true_norm <= tol * b_norm:
-                return x
+                return x, products, float(true_norm / b_norm)
             r = true_r
             rs_new = true_norm * true_norm
             p = r.copy()
@@ -140,7 +219,7 @@ def _point_system(
     pair_weights: Optional[np.ndarray],
     lambda1: float,
     lambda2: float,
-) -> tuple[sp.csr_matrix, np.ndarray]:
+) -> tuple[SlabMatrix, np.ndarray]:
     """The n x n normal equations ``A U = B`` of the point update.
 
     ``A = I + l1 diag(S^T W 1) + l2 L`` and ``B = U_hat + l1 S^T W (C + P_ref)
@@ -148,8 +227,12 @@ def _point_system(
     centers. L is the Laplacian over points whose edge (lo, hi) weighs
     pair weight times row-edge count, and F sends each pair's weighted
     offset to lo and its negative to hi; together they equal the row
-    form ``S^T L_rows S`` and ``S^T L_rows C``. ``A`` has at most
-    n + 2 * pairs stored entries.
+    form ``S^T L_rows S`` and ``S^T L_rows C``. ``A`` stores its diagonal
+    and one entry per pair on each side of it, n + 2 * pairs in all, as a
+    :class:`SlabMatrix`: a product adds each row's terms from 0.0 in
+    ascending column order, bit for bit as scipy's CSR product would, and
+    the stored slots stay within twice the entries however uneven the
+    row degrees.
     """
     u_hat = np.asarray(u_hat, dtype=np.float64)
     n = u_hat.shape[0]
@@ -170,11 +253,9 @@ def _point_system(
         flow = link[:, None] * edges.offsets
         b += _scatter(lo, flow, n) - _scatter(hi, flow, n)
     index = np.arange(n)
-    a = sp.csr_matrix(
-        (np.concatenate([diag, -link, -link]),
-         (np.concatenate([index, lo, hi]), np.concatenate([index, hi, lo]))),
-        shape=(n, n),
-    )
+    a = SlabMatrix.from_entries(n, np.concatenate([index, lo, hi]),
+                                np.concatenate([index, hi, lo]),
+                                np.concatenate([diag, -link, -link]))
     return a, b
 
 
@@ -196,19 +277,25 @@ def solve_point_cloud(
     lambda2: float,
     cg_tol: float = 1e-8,
     cg_max_iters: int = 500,
-) -> np.ndarray:
+) -> tuple[np.ndarray, list, list]:
     """Closed-form point update, solved per coordinate by conjugate gradient.
 
     Solves the system of :func:`_point_system`, which is SPD with smallest
-    eigenvalue at least 1, so CG converges unconditionally.
+    eigenvalue at least 1, so CG converges unconditionally. Returns the
+    points and, per axis, CG's products with A and its final true relative
+    residual.
     """
     a, b = _point_system(u_hat, members, anchor_rows, prev_aligned, w_rows, edges,
                         pair_weights, lambda1, lambda2)
     u_hat = np.asarray(u_hat, dtype=np.float64)
     out = np.empty_like(u_hat)
+    products, residuals = [], []
     for col in range(u_hat.shape[1]):
-        out[:, col] = _conjugate_gradient(a, b[:, col], u_hat[:, col], cg_tol, cg_max_iters)
-    return out
+        out[:, col], count, residual = _conjugate_gradient(a, b[:, col], u_hat[:, col],
+                                                           cg_tol, cg_max_iters)
+        products.append(count)
+        residuals.append(residual)
+    return out, products, residuals
 
 
 def solve_temporal_weights(d: np.ndarray, mprime: float) -> np.ndarray:
@@ -424,7 +511,9 @@ def denoise_frame(
     or after ``outer_max_iters`` passes (``max_iters``). It returns the
     last iterate with freshly estimated normals. The report's diagnostics
     hold the stop reason, the spacing and, per pass, the largest point
-    move, the metric's trace, move and steps, and edge-weight quantiles.
+    move, the metric's trace, move and steps, edge-weight quantiles and,
+    per axis, the point solve's CG products with A (``cg_iters``) and its
+    final true relative residual (``cg_residual``).
     """
     n = len(noisy)
     k_plane_eff = min(config.k_plane, n - 1)
@@ -448,7 +537,8 @@ def denoise_frame(
     trace: list[ObjectiveBreakdown] = []
     diagnostics: dict = {"degenerate_normals": [], "metric_trace": [], "metric_move": [],
                          "pg_steps": [], "spatial_edges": [], "metric_pairs": [],
-                         "edge_weights": [], "largest_move": [], "stop_reason": "max_iters"}
+                         "edge_weights": [], "cg_iters": [], "cg_residual": [],
+                         "largest_move": [], "stop_reason": "max_iters"}
 
     for it in range(config.outer_max_iters):
         # One neighbor table serves the normals, their orientation and the patches.
@@ -495,7 +585,7 @@ def denoise_frame(
                 diagnostics["metric_pairs"].append(edges.points.shape[0])
                 pair_weights = weighted_spatial_graph(edges, est.normals, metric)
                 diagnostics["edge_weights"].append(_edge_weight_summary(edges, pair_weights))
-            u_new = solve_point_cloud(
+            u_new, cg_iters, cg_residual = solve_point_cloud(
                 u_hat, members, anchor_rows, prev_aligned, w_rows, edges, pair_weights,
                 lam1, lam2, config.cg_tol, config.cg_max_iters,
             )
@@ -505,6 +595,8 @@ def denoise_frame(
                 exc.args = (f"{exc.args[0]} (outer iteration {it})",)
             raise
 
+        diagnostics["cg_iters"].append(cg_iters)
+        diagnostics["cg_residual"].append(cg_residual)
         trace.append(objective(u_new, u_hat, members, anchor_rows, prev_aligned, w_rows,
                                edges, pair_weights, lam1, lam2))
         move = float(np.max(np.sqrt(np.sum((u_new - u) ** 2, axis=1))))

@@ -314,6 +314,15 @@ def build_system(u_hat, members, anchors, prev_aligned, w_rows, lap, lam1, lam2)
     return a, b
 
 
+def slab_dense(a):
+    """Dense copy of a SlabMatrix, assembled from its slab and wide-row arrays."""
+    n = a.shape[0]
+    dense = np.zeros((n, n))
+    np.add.at(dense, (np.broadcast_to(np.arange(n), a.cols.shape), a.cols), a.vals)
+    np.add.at(dense, (a.wide_rows[a.wide_index], a.wide_cols), a.wide_vals)
+    return dense
+
+
 def random_solve_instance(rng, n, with_temporal=True):
     """Random small patch layout + operators for solver tests.
 

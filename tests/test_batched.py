@@ -13,8 +13,11 @@ the same point pair, in either order; the fold drops the row edges that
 join a point with itself.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import oracles
@@ -34,6 +37,7 @@ from dpcdenoise.graph import SparseGraph, combinatorial_laplacian
 from dpcdenoise.matching import match_patches, patch_variations, prepare_reference
 from dpcdenoise.metrics import add_gaussian_noise
 from dpcdenoise.optimize import (
+    SlabMatrix,
     SolverError,
     _metric_gradient_from_terms,
     _point_system,
@@ -521,7 +525,7 @@ class TestFoldedSpatialTerm:
                                               lam1, lam2)
         assert a.shape == (len(pts), len(pts))
         assert a.nnz <= len(pts) + 2 * edges.points.shape[0]
-        assert rel_max_error(a.toarray(), a_want) <= 1e-12
+        assert rel_max_error(oracles.slab_dense(a), a_want) <= 1e-12
         assert rel_max_error(b, b_want) <= 1e-12
 
     @PROPERTY
@@ -566,6 +570,113 @@ class TestFoldedSpatialTerm:
         got = objective(u, u, members, anchors, None, None, edges, pair_weights, 0.0, 1.0)
         assert_sums_match(got.spatial, np.sum(pair_weights[inverse] * per_edge), u)
         assert got.total == got.spatial
+
+
+def magnitudes(rng, size, decades=600.0):
+    """Signed values spread over ``decades`` powers of ten around 1, from 1e-300 to
+    1e300 at most, with exact +0.0 and -0.0 among them."""
+    out = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-decades / 2, decades / 2, size)
+    zero = rng.random(size) < 0.15
+    out[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+    return out
+
+
+@st.composite
+def slab_systems(draw):
+    """An n x n matrix as shuffled (rows, cols, vals) entries, and a finite x.
+
+    Rows may be empty (isolated points) and the off-diagonal part may be
+    empty (no pairs); a clump row joins one point to every other, so it is
+    wider than the slab whenever the rest is sparse. Values span either 600
+    decades, where products overflow and underflow, or 2, where the sum of
+    a row depends on the order of its terms.
+    """
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.05, 0.2, 0.6]))
+    diagonal = draw(st.sampled_from(["all", "some", "none"]))
+    mask[np.diag_indices(n)] = diagonal == "all" or (diagonal == "some" and rng.random(n) < 0.5)
+    if draw(st.booleans()):
+        mask[rng.integers(n)] = True
+    rows, cols = np.nonzero(mask)
+    order = rng.permutation(rows.size)
+    decades = draw(st.sampled_from([2.0, 600.0]))
+    return (n, rows[order], cols[order], magnitudes(rng, rows.size, decades),
+            magnitudes(rng, n, decades))
+
+
+class TestSlabMatrix:
+    """The point system's product against scipy's CSR product, bit for bit."""
+
+    @PROPERTY
+    @given(slab_systems())
+    def test_product_is_bit_equal_to_scipy_csr(self, drawn):
+        n, rows, cols, vals, x = drawn
+        a = SlabMatrix.from_entries(n, rows, cols, vals)
+        want = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n)) @ x
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = a @ x
+        assert a.shape == (n, n) and a.nnz == rows.size
+        assert a.cols.size <= 2 * rows.size
+        assert bits(got) == bits(want)
+
+    def test_clump_row_is_summed_outside_the_slab(self):
+        # Point 0 joins every other point; every other row holds its diagonal only.
+        n = 30
+        rows = np.concatenate([np.arange(n), np.zeros(n - 1, dtype=np.int64)])
+        cols = np.concatenate([np.arange(n), np.arange(1, n)])
+        rng = np.random.default_rng(5)
+        vals, x = magnitudes(rng, rows.size), magnitudes(rng, n)
+        a = SlabMatrix.from_entries(n, rows, cols, vals)
+        assert a.cols.shape == (1, n)
+        assert a.wide_rows.tolist() == [0] and a.wide_cols.tolist() == list(range(n))
+        want = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n)) @ x
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert bits(a @ x) == bits(want)
+
+    @pytest.mark.parametrize("rows, cols, message", [
+        ([0, 1, 0], [1, 1, 1], "duplicate entry"),
+        ([0, 3], [0, 1], "out of range"),
+        ([0, 1], [-1, 1], "out of range"),
+    ])
+    def test_rejects_bad_entries(self, rows, cols, message):
+        with pytest.raises(ValueError, match=message):
+            SlabMatrix.from_entries(3, rows, cols, np.ones(len(rows)))
+
+    def test_memory_is_linear_in_entries_on_a_clump_frame(self):
+        # A ring frame whose point 0 also pairs with every other point: its
+        # row holds n entries, over 10x the mean row degree. Stored slots are
+        # at most 2 per entry (16 B each) and a product gathers 8 B per slot;
+        # a wide entry keeps 24 B and a product adds 16 B; the output is 8 B
+        # per row. That bounds the arrays plus one product's temporaries by
+        # 6 * 16 B per entry. A slab as wide as the clump row would need
+        # n * n * 16 B = 23 MB here, about 7x that bound.
+        n, reach = 1200, 12
+        ring = np.column_stack([np.repeat(np.arange(n), reach),
+                                (np.arange(n)[:, None] + np.arange(1, reach + 1)).ravel() % n])
+        star = np.column_stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)])
+        points = np.unique(np.sort(np.concatenate([ring, star]), axis=1), axis=0)
+        pairs = points.shape[0]
+        rng = np.random.default_rng(11)
+        edges = SpatialEdges(points=points, counts=rng.integers(1, 4, pairs),
+                             offsets=rng.normal(0.0, 0.01, (pairs, 3)), spread=np.zeros(pairs))
+        u_hat = rng.uniform(0.0, 1.0, (n, 3))
+        entries = n + 2 * pairs
+        assert n >= 10 * entries / n
+        tracemalloc.start()
+        try:
+            a, b = _point_system(u_hat, np.arange(n)[:, None], u_hat, None, None, edges,
+                                 rng.uniform(0.0, 1.0, pairs), 0.0, 0.5)
+            x = b[:, 0].copy()
+            tracemalloc.reset_peak()
+            y = a @ x
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert a.nnz == entries and a.wide_rows.tolist() == [0]
+        assert peak <= 6 * entries * 16
+        want = scipy.sparse.csr_matrix(oracles.slab_dense(a)) @ x
+        assert bits(y) == bits(want)
 
 
 class TestMetricGram:

@@ -98,14 +98,19 @@ class TestDenoise:
         assert len(manifest.frame_metrics) == 1
         assert manifest.frame_metrics[0]["objective_trace"]
         # The loop's stop reason, the input spacing, and per pass its largest
-        # point move, its metric learning and an edge-weight summary.
+        # point move, its metric learning, an edge-weight summary and, per
+        # axis, the point solve's CG products and final relative residual.
         diag = manifest.frame_metrics[0]["diagnostics"]
         assert diag["stop_reason"] in ("tol", "max_iters")
         assert diag["spacing"] > 0.0
         passes = len(manifest.frame_metrics[0]["objective_trace"])
         for key in ("largest_move", "edge_weights", "spatial_edges", "metric_pairs",
-                    "metric_trace", "metric_move", "pg_steps"):
+                    "metric_trace", "metric_move", "pg_steps", "cg_iters", "cg_residual"):
             assert len(diag[key]) == passes, key
+        for products, residuals in zip(diag["cg_iters"], diag["cg_residual"]):
+            assert len(products) == len(residuals) == 3
+            assert all(count >= 1 for count in products)
+            assert all(0.0 <= r <= manifest.config["cg_tol"] for r in residuals)
         assert "factor_trace" not in diag
         for pairs, edges in zip(diag["metric_pairs"], diag["spatial_edges"]):
             assert 0 < pairs <= edges

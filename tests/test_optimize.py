@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_system, lp_oracle, random_solve_instance
+from oracles import build_system, lp_oracle, random_solve_instance, slab_dense
 
 from dpcdenoise.config import DenoiseConfig
 from dpcdenoise.geometry import Frame, Sequence, estimate_normals, mean_nn_distance
@@ -69,7 +69,7 @@ class TestSolvePointCloud:
     def test_zero_lambdas_bit_exact_identity(self):
         rng = np.random.default_rng(3)
         pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, 25)
-        out = solve_point_cloud(pts, members, anchors, prev, w, edges, pw, 0.0, 0.0)
+        out, _, _ = solve_point_cloud(pts, members, anchors, prev, w, edges, pw, 0.0, 0.0)
         assert np.array_equal(out, pts)
 
     def test_matches_dense_solve(self):
@@ -79,8 +79,8 @@ class TestSolvePointCloud:
             pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, n)
             u_hat = pts + rng.normal(0, 0.05, pts.shape)
             lam1, lam2 = rng.uniform(0.1, 2, 2)
-            got = solve_point_cloud(u_hat, members, anchors, prev, w, edges, pw, lam1, lam2,
-                                    cg_tol=1e-12, cg_max_iters=2000)
+            got, _, _ = solve_point_cloud(u_hat, members, anchors, prev, w, edges, pw, lam1, lam2,
+                                          cg_tol=1e-12, cg_max_iters=2000)
             a, b = build_system(u_hat, members, anchors, prev, w, lap, lam1, lam2)
             want = np.linalg.solve(a, b)
             assert np.max(np.abs(got - want)) < 1e-6
@@ -89,8 +89,8 @@ class TestSolvePointCloud:
         rng = np.random.default_rng(5)
         pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, 40)
         u_hat = pts + rng.normal(0, 0.1, pts.shape)
-        got = solve_point_cloud(u_hat, members, anchors, prev, w, edges, pw, 1.0, 1.0,
-                                cg_tol=1e-8, cg_max_iters=500)
+        got, _, _ = solve_point_cloud(u_hat, members, anchors, prev, w, edges, pw, 1.0, 1.0,
+                                      cg_tol=1e-8, cg_max_iters=500)
         a, b = build_system(u_hat, members, anchors, prev, w, lap, 1.0, 1.0)
         for col in range(3):
             res = np.linalg.norm(b[:, col] - a @ got[:, col])
@@ -102,7 +102,7 @@ class TestSolvePointCloud:
             n = int(rng.integers(10, 61))
             pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, n)
             a, _ = _point_system(pts, members, anchors, prev, w, edges, pw, 1.3, 0.7)
-            assert np.linalg.eigvalsh(a.toarray()).min() >= 1.0 - 1e-9
+            assert np.linalg.eigvalsh(slab_dense(a)).min() >= 1.0 - 1e-9
 
     def test_failure_carries_residual(self):
         rng = np.random.default_rng(7)
@@ -121,8 +121,8 @@ class TestSolvePointCloud:
             pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, n)
             u_hat = pts + rng.normal(0, 0.1, pts.shape)
             lam1, lam2 = rng.uniform(0.1, 2, 2)
-            star = solve_point_cloud(u_hat, members, anchors, prev, w, edges, pw, lam1, lam2,
-                                     cg_tol=1e-12, cg_max_iters=2000)
+            star, _, _ = solve_point_cloud(u_hat, members, anchors, prev, w, edges, pw, lam1, lam2,
+                                           cg_tol=1e-12, cg_max_iters=2000)
             before = objective(u_hat, u_hat, members, anchors, prev, w, edges, pw, lam1, lam2)
             after = objective(star, u_hat, members, anchors, prev, w, edges, pw, lam1, lam2)
             assert after.total <= before.total + 1e-9
@@ -398,8 +398,8 @@ class TestDenoiseFrame:
         normals = np.tile((0.0, 0.0, 1.0), (144, 1))
         pw = weighted_spatial_graph(edges, normals, np.eye(3))
         anchors = np.repeat(pts[members[:, 0]], 5, axis=0)
-        out = solve_point_cloud(pts, members, anchors, None, None, edges, pw, 0.0, 0.5,
-                                cg_tol=1e-10, cg_max_iters=500)
+        out, _, _ = solve_point_cloud(pts, members, anchors, None, None, edges, pw, 0.0, 0.5,
+                                      cg_tol=1e-10, cg_max_iters=500)
         assert np.max(np.abs(out - pts)) < 1e-6
 
     def test_rising_total_runs_to_cap_and_returns_last_iterate(self, monkeypatch):
@@ -416,8 +416,9 @@ class TestDenoiseFrame:
         real_solve = opt.solve_point_cloud
 
         def solve(*args):
-            iterates.append(real_solve(*args))
-            return iterates[-1]
+            result = real_solve(*args)
+            iterates.append(result[0])
+            return result
 
         monkeypatch.setattr(opt, "solve_point_cloud", solve)
         out, report = denoise_frame(noisy, None, small_config(outer_max_iters=6))
@@ -563,8 +564,9 @@ class TestDenoiseFrame:
 
     def test_cg_gets_point_sized_systems_only(self, monkeypatch):
         # The spatial term is assembled over points: every system handed to
-        # CG is n x n with at most n + 2 * pairs stored entries, and no
-        # row-graph Laplacian is built.
+        # CG is n x n with at most n + 2 * pairs stored entries, held in a
+        # slab of at most twice as many slots, and no row-graph Laplacian is
+        # built.
         import dpcdenoise.graph as graph
         import dpcdenoise.optimize as opt
 
@@ -577,7 +579,7 @@ class TestDenoiseFrame:
             return edges
 
         def cg(a, b, *args):
-            systems.append((a.shape, a.nnz, pairs[-1]))
+            systems.append((a.shape, a.nnz, a.cols.size, pairs[-1]))
             return real_cg(a, b, *args)
 
         def laplacian(*args):
@@ -595,9 +597,50 @@ class TestDenoiseFrame:
         prev, _ = denoise_frame(noisy[0], None, cfg)
         denoise_frame(noisy[1], prev, cfg)
         assert len(systems) == 2 * 2 * 3
-        for shape, nnz, pair_count in systems:
+        for shape, nnz, slots, pair_count in systems:
             assert shape == (120, 120)
             assert nnz <= 120 + 2 * pair_count
+            assert slots <= 2 * nnz
+
+    def test_cg_diagnostics_match_a_counting_operator(self, monkeypatch):
+        # Per pass and axis, cg_iters is the number of products CG made with
+        # A, and cg_residual the true relative residual of the axis it returned.
+        import dpcdenoise.optimize as opt
+
+        calls = []
+        real_cg = opt._conjugate_gradient
+
+        class Counting:
+            def __init__(self, a):
+                self.a, self.products = a, 0
+
+            def __matmul__(self, x):
+                self.products += 1
+                return self.a @ x
+
+        def cg(a, b, *args):
+            counting = Counting(a)
+            result = real_cg(counting, b, *args)
+            r = b - a @ result[0]
+            calls.append((counting.products, np.sqrt(np.sum(r * r)) / np.sqrt(np.sum(b * b))))
+            return result
+
+        monkeypatch.setattr(opt, "_conjugate_gradient", cg)
+        seq = small_sequence(2)
+        rng = np.random.default_rng(9)
+        noisy = [Frame(f.positions + rng.normal(0, 0.01, (120, 3)), frame_index=t)
+                 for t, f in enumerate(seq)]
+        cfg = small_config(outer_max_iters=2)
+        prev, first = denoise_frame(noisy[0], None, cfg)
+        _, second = denoise_frame(noisy[1], prev, cfg)
+        got = [(count, residual)
+               for report in (first, second)
+               for counts, residuals in zip(report.diagnostics["cg_iters"],
+                                            report.diagnostics["cg_residual"])
+               for count, residual in zip(counts, residuals)]
+        assert got == calls
+        assert len(got) == 2 * 2 * 3
+        assert all(count > 1 and 0.0 < residual <= cfg.cg_tol for count, residual in got)
 
     def test_stop_reason_and_edge_weight_diagnostics(self):
         seq = small_sequence(1)
