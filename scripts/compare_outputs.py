@@ -7,10 +7,12 @@ as the ``src`` directories of two checkouts. For every workload of
 ``perfbench/workloads.py`` and every seed, the inputs are written once with
 ``make_inputs`` and both trees run ``python3 -m dpcdenoise.cli denoise`` on
 them, with the workload's config file and one BLAS and OpenMP thread. One line
-per workload and seed says whether every output PLY is byte-equal, followed by
-each side's stop reasons as read from its manifest. Where the outputs differ,
-each side's pooled ``mse_reduction_pct`` and ``surface_rms_ratio`` follow, as
-``perfbench/check.py`` scores them.
+per workload and seed says whether every output PLY is byte-equal and whether
+the two manifests' ``config`` snapshots are equal (the same keys, values and
+JSON types, so ``1`` and ``1.0`` differ), followed by each side's stop reasons
+as read from its manifest. Where the outputs differ, each side's pooled
+``mse_reduction_pct`` and ``surface_rms_ratio`` follow, as ``perfbench/check.py``
+scores them.
 
 Before the comparisons it prints each side's median time to ``import
 dpcdenoise.cli``, over 5 fresh processes per side run in alternation, so a
@@ -20,9 +22,9 @@ start-up regression shows beside the byte check.
 (criterion 7). Its inputs come from OLD_SRC's ``synth`` and ``noise`` commands,
 and each side's per-frame MSE reductions are printed too.
 
-Exits 1 if any output differs or any run fails, and 0 otherwise. Run it from
-anywhere. Work files go to a temporary directory, removed at the end unless
-``--work`` names one.
+Exits 1 if any output or config snapshot differs or any run fails, and 0
+otherwise. Run it from anywhere. Work files go to a temporary directory,
+removed at the end unless ``--work`` names one.
 """
 
 from __future__ import annotations
@@ -87,35 +89,48 @@ def print_import_times(old: Path, new: Path) -> None:
           flush=True)
 
 
-def denoise(src: Path, config: Path, inputs: list, out_dir: Path) -> list | None:
-    """Run ``denoise`` from ``src``; returns each frame's stop reason, or None if the run failed."""
+def denoise(src: Path, config: Path, inputs: list, out_dir: Path) -> dict | None:
+    """Run ``denoise`` from ``src``; returns its manifest, or None if the run failed."""
     proc = run_cli(src, ["denoise", "--config", config, *inputs, "--out-dir", out_dir],
                    out_dir.parent)
     if proc.returncode != 0:
         print(f"  {src}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
         return None
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    return [f["diagnostics"].get("stop_reason") for f in manifest["frame_metrics"]]
+    return json.loads((out_dir / "manifest.json").read_text())
 
 
-def summary(reasons: list | None) -> str:
-    if reasons is None:
+def summary(manifest: dict | None) -> str:
+    if manifest is None:
         return "failed"
+    reasons = [f["diagnostics"].get("stop_reason") for f in manifest["frame_metrics"]]
     return ", ".join(f"{reason} x{count}" for reason, count in Counter(reasons).items())
 
 
+def config_differences(old: dict, new: dict) -> list:
+    """Keys of two ``config`` snapshots that differ in presence, value or JSON type (1 vs 1.0)."""
+    return [key for key in sorted(old.keys() | new.keys())
+            if key not in old or key not in new or json.dumps(old[key]) != json.dumps(new[key])]
+
+
 def compare(label: str, old: Path, new: Path, config: Path, inputs: list, work: Path) -> tuple:
-    """Denoise ``inputs`` with both trees; prints one line and returns (same, out dirs)."""
+    """Denoise ``inputs`` with both trees; prints one line and returns (same, out dirs).
+
+    ``same`` holds when both runs succeed, every output PLY is byte-equal and
+    the two manifests' ``config`` snapshots are equal.
+    """
     outs = (work / "old", work / "new")
-    reasons = [denoise(src, config, inputs, out) for src, out in zip((old, new), outs)]
-    same = None not in reasons
-    if same:
+    manifests = [denoise(src, config, inputs, out) for src, out in zip((old, new), outs)]
+    bytes_same, keys = False, None
+    if None not in manifests:
         names = sorted(p.name for p in outs[0].glob("*.ply"))
-        same = (names == sorted(p.name for p in outs[1].glob("*.ply"))
-                and not check.differing_outputs(*outs))
-    print(f"{label}: {'byte-equal' if same else 'DIFFERENT'}; stop reasons "
-          f"old [{summary(reasons[0])}], new [{summary(reasons[1])}]", flush=True)
-    return same, outs
+        bytes_same = (names == sorted(p.name for p in outs[1].glob("*.ply"))
+                      and not check.differing_outputs(*outs))
+        keys = config_differences(manifests[0]["config"], manifests[1]["config"])
+    config_note = ("config not compared" if keys is None
+                   else f"config DIFFERENT in {', '.join(keys)}" if keys else "config equal")
+    print(f"{label}: {'byte-equal' if bytes_same else 'DIFFERENT'}; {config_note}; stop reasons "
+          f"old [{summary(manifests[0])}], new [{summary(manifests[1])}]", flush=True)
+    return bytes_same and keys == [], outs
 
 
 def print_quality(outs: tuple, inputs: Inputs) -> None:
@@ -213,7 +228,8 @@ def main(argv=None) -> int:
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
-    print("all outputs byte-equal" if all_same else "outputs differ")
+    print("all outputs byte-equal and configs equal" if all_same
+          else "outputs or configs differ")
     return 0 if all_same else 1
 
 

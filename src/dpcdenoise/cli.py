@@ -6,16 +6,15 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .config import DenoiseConfig
+from .config import DenoiseConfig, parse_value
 from .geometry import Frame, Sequence, estimate_normals
 from .io import ParseError, RunManifest, load_config, read_point_cloud, write_point_cloud
-from .matching import match_patches, prepare_reference
+from .matching import match_patches
 from .metrics import add_gaussian_noise, gpsnr, mse_index, mse_nn
-from .optimize import SolverError, denoise_sequence
-from .patches import build_patches
+from .optimize import SolverError, build_reference, denoise_sequence, prepare_frame
 from .synthetic import SURFACE_KINDS, SyntheticSpec, generate_sequence
 
 EXIT_OK = 0
@@ -33,26 +32,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _flag_type(name: str):
+    def parse(text: str):
+        try:
+            return parse_value(name, text)
+        except ValueError as exc:  # argparse prints the message of this error type only
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for f in fields(DenoiseConfig):
-        flag = "--" + f.name.replace("_", "-")
-        kind = int if f.type in ("int", int) else float
-        parser.add_argument(flag, type=kind, default=None, dest=f"cfg_{f.name}",
+        parser.add_argument("--" + f.name.replace("_", "-"), type=_flag_type(f.name),
+                            default=None, dest=f"cfg_{f.name}",
                             help=f"override config key {f.name}")
 
 
 def _resolve_config(args) -> DenoiseConfig:
     config = load_config(args.config) if args.config else DenoiseConfig()
-    overrides = {}
-    for f in fields(DenoiseConfig):
-        value = getattr(args, f"cfg_{f.name}", None)
-        if value is not None:
-            overrides[f.name] = value
-    if overrides:
-        values = config.to_dict()
-        values.update(overrides)
-        config = DenoiseConfig(**values)
-    return config
+    flags = {f.name: getattr(args, f"cfg_{f.name}") for f in fields(DenoiseConfig)}
+    return replace(config, **{name: v for name, v in flags.items() if v is not None})
 
 
 def build_parser() -> _Parser:
@@ -195,15 +194,10 @@ def _cmd_match(args) -> int:
     config = _resolve_config(args)
     prev = read_point_cloud(args.prev)
     curr = read_point_cloud(args.curr)
-    k_eff = min(config.k, len(prev) - 1, len(curr) - 1)
-    k_plane_prev = min(config.k_plane, len(prev) - 1)
-    k_plane_curr = min(config.k_plane, len(curr) - 1)
-    prev_frame, _ = estimate_normals(prev, k_plane_prev)
-    curr_frame, _ = estimate_normals(curr, k_plane_curr)
-    prev_patches = build_patches(prev_frame, config.patch_count(len(prev)), k_eff, config.seed)
-    curr_patches = build_patches(curr_frame, config.patch_count(len(curr)), k_eff, config.seed)
-    reference = prepare_reference(prev_frame, prev_patches, config.c)
-    matched, distance, _ = match_patches(curr_frame, curr_patches, reference, config.xi,
+    # The first-pass matches of frame 1 in a two-frame denoise run.
+    reference = build_reference(prev, config, len(curr))
+    frame, patchset, *_ = prepare_frame(Frame(curr.positions, None, 1), config, len(prev))
+    matched, distance, _ = match_patches(frame, patchset, reference, config.xi,
                                          config.alpha, config.c)
     lines = ["target_patch,matched_patch,distance,weight"]
     for target, (best, dist) in enumerate(zip(matched.tolist(), distance.tolist())):

@@ -1,7 +1,9 @@
-"""Tunables for the denoising pipeline."""
+"""Tunables for the denoising pipeline, and the one decoder of their values."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 
@@ -12,6 +14,8 @@ class DenoiseConfig:
     Patch count and the temporal-weight lower bound are rules, not
     absolute numbers: per frame, ``m = round(patch_fraction * n_points)``
     and the weight-sum floor is ``mprime_fraction * m``.
+    Construction checks that each int field holds an integer (not a bool)
+    and each float field a finite number, stored as float, in its range.
     """
 
     k: int = 30                 # neighbors per patch (patch size is k+1)
@@ -35,37 +39,8 @@ class DenoiseConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0.0 < self.patch_fraction <= 1.0:
-            raise ValueError("patch_fraction must be in (0, 1]")
-        if self.k_s < 1:
-            raise ValueError("k_s must be >= 1")
-        if self.xi < 1:
-            raise ValueError("xi must be >= 1")
-        if self.c <= 0.0:
-            raise ValueError("c must be > 0")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
-        if self.lambda1 < 0.0 or self.lambda2 < 0.0:
-            raise ValueError("lambda1 and lambda2 must be >= 0")
-        if not 0.0 < self.mprime_fraction <= 1.0:
-            raise ValueError("mprime_fraction must be in (0, 1]")
-        if self.trace_bound <= 0.0:
-            raise ValueError("trace_bound must be > 0")
-        if self.k_plane < 3:
-            raise ValueError("k_plane must be >= 3")
-        for name in ("cg_tol", "pg_step", "pg_tol", "outer_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("cg_max_iters", "pg_max_iters", "outer_max_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for f in fields(self):
+            setattr(self, f.name, _check_value(f.name, getattr(self, f.name)))
 
     def patch_count(self, n_points: int) -> int:
         """Number of patches for a frame of ``n_points`` points."""
@@ -81,8 +56,54 @@ class DenoiseConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "DenoiseConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(values) - known
+        unknown = set(values) - set(_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**values)
+
+
+_TYPES = {f.name: {"int": int, "float": float}[f.type] for f in fields(DenoiseConfig)}
+
+# The interval each field's value must lie in.
+_RANGES = {
+    "k": "[1, inf)", "patch_fraction": "(0, 1]", "k_s": "[1, inf)", "xi": "[1, inf)",
+    "c": "(0, inf)", "alpha": "[0, 1]", "lambda1": "[0, inf)", "lambda2": "[0, inf)",
+    "mprime_fraction": "(0, 1]", "trace_bound": "(0, inf)", "k_plane": "[3, inf)",
+    "cg_tol": "(0, inf)", "cg_max_iters": "[1, inf)", "pg_step": "(0, inf)",
+    "pg_max_iters": "[1, inf)", "pg_tol": "(0, inf)", "outer_max_iters": "[1, inf)",
+    "outer_tol": "(0, inf)", "seed": "[0, inf)",
+}
+
+
+def _check_value(name: str, value):
+    """``value`` as field ``name`` stores it; a ``ValueError`` naming the field if it is bad."""
+    if name not in _TYPES:
+        raise ValueError(f"unknown config key {name!r}")
+    kind = _TYPES[name]
+    number, noun = (numbers.Integral, "an integer") if kind is int else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, number):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    try:
+        value = kind(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    interval = _RANGES[name]  # no interval holds nan or an infinity
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    above = low < value if interval[0] == "(" else low <= value
+    below = value < high if interval[-1] == ")" else value <= high
+    if not (above and below):
+        raise ValueError(f"{name} must be in {interval}, got {value!r}")
+    return value
+
+
+def parse_value(name: str, text: str):
+    """The value of field ``name`` written as ``text``, a Python int or float literal.
+
+    Config files and command-line flags both decode through here, and the
+    value is checked as the constructor checks it.
+    """
+    try:
+        value = _TYPES[name](text)
+    except (KeyError, ValueError):
+        value = text  # an unknown key or no literal of the field's type: the check says which
+    return _check_value(name, value)

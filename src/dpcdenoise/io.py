@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import DenoiseConfig
+from .config import DenoiseConfig, parse_value
 from .geometry import Frame
 
 _FLOAT_TYPES = {"float", "float32", "float64", "double"}
@@ -171,11 +171,13 @@ def write_point_cloud(frame: Frame, path) -> None:
 
 
 def load_config(path) -> DenoiseConfig:
-    """Read a flat ``key = value`` config file (blank lines and # comments allowed)."""
+    """Read a flat ``key = value`` config file (blank lines and # comments allowed).
+
+    A bad value, an unknown key or a key given twice is a ParseError at its line.
+    """
     path = Path(path)
-    types = {f.name: f.type for f in fields(DenoiseConfig)}
-    defaults = DenoiseConfig()
     values: dict = {}
+    lines: dict = {}
     with open(path, "r") as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -183,24 +185,17 @@ def load_config(path) -> DenoiseConfig:
                 continue
             if "=" not in line:
                 raise ParseError(path, ln, f"expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in types:
-                raise ParseError(path, ln, f"unknown config key {key!r}")
+            key, _, text = line.partition("=")
+            key = key.strip()
+            if key in lines:
+                raise ParseError(path, ln, f"config key {key!r} given twice, "
+                                           f"on lines {lines[key]} and {ln}")
             try:
-                values[key] = _coerce(value, getattr(defaults, key))
-            except ValueError:
-                raise ParseError(path, ln, f"bad value {value!r} for {key!r}") from None
-    try:
-        return DenoiseConfig(**values)
-    except ValueError as exc:
-        raise ParseError(path, 0, str(exc)) from None
-
-
-def _coerce(text: str, default):
-    if isinstance(default, int):
-        return int(text)
-    return float(text)
+                values[key] = parse_value(key, text.strip())
+            except ValueError as exc:
+                raise ParseError(path, ln, str(exc)) from None
+            lines[key] = ln
+    return DenoiseConfig(**values)
 
 
 def save_config(config: DenoiseConfig, path) -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -471,24 +471,46 @@ def _edge_weight_summary(edges: SpatialEdges, pair_weights: np.ndarray) -> dict:
     return {"p5": p5, "p50": p50, "p95": p95, "underflow_share": below / int(total)}
 
 
-def _fps_seed(base_seed: int, frame_index: int) -> int:
-    return int(np.random.SeedSequence((base_seed, frame_index)).generate_state(1)[0])
+class PreparedFrame(NamedTuple):
+    """A frame with normals, its patches and sizes; ``table`` is None if normals were given."""
+
+    frame: Frame
+    patchset: PatchSet
+    table: Optional[np.ndarray]
+    degenerate_normals: int
+    k_plane: int
+    k_s: int
 
 
-def _build_reference(previous: Frame, config: DenoiseConfig, k_eff: int):
-    """Patches and variations of the previously denoised frame.
+def prepare_frame(frame: Frame, config: DenoiseConfig,
+                  other_size: Optional[int] = None) -> PreparedFrame:
+    """Normals and patches of ``frame``, at the sizes and FPS seed of the pipeline.
 
-    Uses ``previous.normals`` when present: :func:`denoise_sequence` hands
-    over the frame :func:`denoise_frame` returned, whose normals were
-    estimated from the same positions with the same ``k_plane``. Normals
-    are estimated only when ``previous.normals`` is None.
+    Patches have ``min(config.k, n - 1)`` neighbors, and at most ``other_size
+    - 1`` to match a frame of that size. ``frame.normals`` are used when
+    present; otherwise one neighbor table serves the normals, their
+    orientation and the patches.
     """
-    prev_frame = previous
-    if prev_frame.normals is None:
-        prev_frame, _ = estimate_normals(previous, min(config.k_plane, len(previous) - 1))
-    m_prev = config.patch_count(len(previous))
-    patchset = build_patches(prev_frame, m_prev, k_eff, _fps_seed(config.seed, previous.frame_index))
-    return prepare_reference(prev_frame, patchset, config.c)
+    n = len(frame)
+    k = min(config.k, n - 1, (other_size or n) - 1)
+    k_plane = min(config.k_plane, n - 1)
+    m = config.patch_count(n)
+    seed = int(np.random.SeedSequence((config.seed, frame.frame_index)).generate_state(1)[0])
+    table, degenerate = None, 0
+    if frame.normals is None:
+        if k_plane < 3:
+            raise ValueError("frame too small to estimate normals")
+        table = knn_rows(NeighborIndex.from_points(frame.positions), frame.positions,
+                         max(k_plane, k) + 1)
+        frame, degenerate = estimate_normals(frame, k_plane, table)
+    return PreparedFrame(frame, build_patches(frame, m, k, seed, table), table, degenerate,
+                         k_plane, min(config.k_s, m - 1))
+
+
+def build_reference(previous: Frame, config: DenoiseConfig, current_size: int):
+    """Matching data of the previously denoised frame, for a frame of ``current_size``."""
+    prepared = prepare_frame(previous, config, current_size)
+    return prepare_reference(prepared.frame, prepared.patchset, config.c)
 
 
 def denoise_frame(
@@ -515,21 +537,9 @@ def denoise_frame(
     per axis, the point solve's CG products with A (``cg_iters``) and its
     final true relative residual (``cg_residual``).
     """
-    n = len(noisy)
-    k_plane_eff = min(config.k_plane, n - 1)
-    if k_plane_eff < 3:
-        raise ValueError("frame too small to estimate normals")
-    k_eff = min(config.k, n - 1)
     lam1 = config.lambda1 if previous is not None else 0.0
-    reference = None
-    if lam1 > 0:
-        k_eff = min(k_eff, len(previous) - 1)
-        reference = _build_reference(previous, config, k_eff)
-    width = max(k_plane_eff, k_eff) + 1
-    m = config.patch_count(n)
-    k_s_eff = min(config.k_s, m - 1)
-    mprime = config.weight_floor(m)
-    fps_seed = _fps_seed(config.seed, noisy.frame_index)
+    reference = build_reference(previous, config, len(noisy)) if lam1 > 0 else None
+    other_size = len(previous) if reference is not None else None
     lam2 = config.lambda2
 
     u = np.array(noisy.positions)
@@ -541,18 +551,16 @@ def denoise_frame(
                          "largest_move": [], "stop_reason": "max_iters"}
 
     for it in range(config.outer_max_iters):
-        # One neighbor table serves the normals, their orientation and the patches.
-        table = knn_rows(NeighborIndex.from_points(u), u, width)
+        est, patchset, table, degen, k_plane_eff, k_s_eff = prepare_frame(
+            Frame(u, None, noisy.frame_index), config, other_size)
         if it == 0:
             # Column 1 is each input point's nearest other point, or the point
             # itself behind a duplicate of lower index: the same distance either way.
             spacing = float(np.mean(np.sqrt(np.sum((u[table[:, 1]] - u) ** 2, axis=1))))
             diagnostics["spacing"] = spacing
-        est, degen = estimate_normals(Frame(u, None, noisy.frame_index), k_plane_eff, table)
         diagnostics["degenerate_normals"].append(degen)
-        patchset = build_patches(est, m, k_eff, fps_seed, table)
         members = patchset.members
-        anchor_rows = np.repeat(u[members[:, 0]], k_eff + 1, axis=0)
+        anchor_rows = np.repeat(u[members[:, 0]], patchset.k + 1, axis=0)
 
         prev_aligned = None
         w_rows = None
@@ -569,8 +577,9 @@ def denoise_frame(
             else:
                 rel = all_relative_coords(patchset, u)
                 gaps = rel - prev_aligned.reshape(rel.shape)
-                patch_weights = solve_temporal_weights(np.sum(gaps * gaps, axis=(1, 2)), mprime)
-            w_rows = np.repeat(patch_weights, k_eff + 1)
+                patch_weights = solve_temporal_weights(np.sum(gaps * gaps, axis=(1, 2)),
+                                                       config.weight_floor(len(patchset)))
+            w_rows = np.repeat(patch_weights, patchset.k + 1)
 
         edges = pair_weights = None
         try:

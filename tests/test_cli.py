@@ -1,10 +1,13 @@
 import json
 
 import numpy as np
+import pytest
 
 from dpcdenoise.cli import cli_main
+from dpcdenoise.config import DenoiseConfig
 from dpcdenoise.geometry import Frame
 from dpcdenoise.io import RunManifest, read_point_cloud, write_point_cloud
+from dpcdenoise.optimize import denoise_frame
 
 
 def run(argv):
@@ -133,6 +136,29 @@ class TestDenoise:
         assert manifest.config["lambda2"] == 0.25  # flag beats file
         assert manifest.config["k"] == 8
 
+    def test_non_finite_flag_is_usage_error(self, tmp_path, capsys):
+        run(synth_args(tmp_path / "clean", points=60, frames=1))
+        inputs = [str(p) for p in sorted((tmp_path / "clean").glob("*.ply"))]
+        for value in ("nan", "inf"):
+            code = run(["denoise", "--out-dir", str(tmp_path / "out"), "--lambda2", value,
+                        *inputs])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"argument --lambda2: lambda2 must be in [0, inf), got {value}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["lambda2 = nan", "outer_tol = nan"])
+    def test_non_finite_config_value_is_data_error(self, tmp_path, capsys, line):
+        run(synth_args(tmp_path / "clean", points=60, frames=1))
+        inputs = [str(p) for p in sorted((tmp_path / "clean").glob("*.ply"))]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"k = 8\n{line}\n")
+        code = run(["denoise", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+                    *inputs])
+        assert code == 2
+        key = line.split()[0]
+        assert f"run.cfg:2: {key} must be in" in capsys.readouterr().err
+
 
 class TestEval:
     def test_identical_sequences(self, tmp_path, capsys):
@@ -198,6 +224,46 @@ class TestMatch:
             assert 0 <= int(matched) < 20
             assert float(dist) >= 0
             assert 0 < float(weight) <= 1
+
+    @pytest.mark.parametrize("patch_fraction", [0.5, 1.0])
+    def test_match_is_the_first_pass_of_denoise(self, tmp_path, capsys, monkeypatch,
+                                                patch_fraction):
+        # match prints the matches denoise makes in its first pass over frame 1,
+        # with --prev as frame 0 (its file normals reused) and --curr as frame 1.
+        import dpcdenoise.cli as cli
+        import dpcdenoise.optimize as opt
+
+        run(synth_args(tmp_path / "clean", points=120, frames=2))
+        prev_path, curr_path = sorted((tmp_path / "clean").glob("*.ply"))
+        prev, curr = read_point_cloud(prev_path), read_point_cloud(curr_path)
+        assert prev.normals is not None and curr.normals is not None
+        captured = {}
+
+        class FirstPassDone(Exception):
+            pass
+
+        def capture(key, real, stop):
+            def match(*args):
+                captured[key] = real(*args)
+                if stop:
+                    raise FirstPassDone
+                return captured[key]
+            return match
+
+        monkeypatch.setattr(opt, "match_patches", capture("denoise", opt.match_patches, True))
+        monkeypatch.setattr(cli, "match_patches", capture("match", cli.match_patches, False))
+        cfg = DenoiseConfig(patch_fraction=patch_fraction)
+        with pytest.raises(FirstPassDone):
+            denoise_frame(Frame(curr.positions, curr.normals, 1), prev, cfg)
+        assert run(["match", "--prev", str(prev_path), "--curr", str(curr_path),
+                    "--patch-fraction", str(patch_fraction)]) == 0
+        for want, got in zip(captured["denoise"], captured["match"]):
+            assert want.dtype == got.dtype and np.array_equal(want, got)
+        matched, distance, _ = captured["denoise"]
+        assert len(matched) == cfg.patch_count(120)
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        pairs = enumerate(zip(matched.tolist(), distance.tolist()))
+        assert [row.rsplit(",", 1)[0] for row in rows] == [f"{t},{b},{d:.9g}" for t, (b, d) in pairs]
 
 
 class TestPipeline:

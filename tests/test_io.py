@@ -183,8 +183,15 @@ class TestConfigFile:
 
     def test_invalid_combination_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("lambda1 = -1\n")
-        with pytest.raises(ParseError):
+        path.write_text("xi = 3\n# comment\nlambda1 = -1\nc = 2\n")
+        with pytest.raises(ParseError, match=re.escape("run.cfg:3: lambda1 must be in [0, inf)")):
+            load_config(path)
+
+    def test_key_given_twice_names_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("lambda2 = 0.5\nk = 8\n\nlambda2 = 0.25\n")
+        with pytest.raises(ParseError, match="run.cfg:4: config key 'lambda2' given twice, "
+                                             "on lines 1 and 4"):
             load_config(path)
 
 
