@@ -10,9 +10,10 @@ them, with the workload's config file and one BLAS and OpenMP thread. One line
 per workload and seed says whether every output PLY is byte-equal and whether
 the two manifests' ``config`` snapshots are equal (the same keys, values and
 JSON types, so ``1`` and ``1.0`` differ), followed by each side's stop reasons
-as read from its manifest. Where the outputs differ, each side's pooled
-``mse_reduction_pct`` and ``surface_rms_ratio`` follow, as ``perfbench/check.py``
-scores them.
+as read from its manifest. Where the outputs differ, the largest absolute
+differences of positions and of normals between the two sides' PLY files of
+one name follow, then each side's pooled ``mse_reduction_pct`` and
+``surface_rms_ratio``, as ``perfbench/check.py`` scores them.
 
 Before the comparisons it prints each side's median time to ``import
 dpcdenoise.cli``, over 5 fresh processes per side run in alternation, so a
@@ -130,7 +131,27 @@ def compare(label: str, old: Path, new: Path, config: Path, inputs: list, work: 
                    else f"config DIFFERENT in {', '.join(keys)}" if keys else "config equal")
     print(f"{label}: {'byte-equal' if bytes_same else 'DIFFERENT'}; {config_note}; stop reasons "
           f"old [{summary(manifests[0])}], new [{summary(manifests[1])}]", flush=True)
+    if None not in manifests and not bytes_same:
+        print(f"  largest absolute difference: {largest_gap(*outs)}")
     return bytes_same and keys == [], outs
+
+
+def largest_gap(old_out: Path, new_out: Path) -> str:
+    """The largest absolute differences of positions and of normals between same-named
+    output PLY files."""
+    gaps = {"positions": 0.0, "normals": 0.0}
+    for path in sorted(old_out.glob("*.ply")):
+        other = new_out / path.name
+        if not other.exists():
+            return f"{path.name} missing on the new side"
+        for name, old_values, new_values in zip(gaps, check.read_ply(path), check.read_ply(other)):
+            if old_values is None and new_values is None:
+                continue
+            if old_values is None or new_values is None or old_values.shape != new_values.shape:
+                return f"{path.name}: {name} do not match in shape"
+            gaps[name] = max(gaps[name], float(np.max(np.abs(old_values - new_values),
+                                                      initial=0.0)))
+    return ", ".join(f"{name} {gap:.3e}" for name, gap in gaps.items())
 
 
 def print_quality(outs: tuple, inputs: Inputs) -> None:

@@ -41,6 +41,16 @@ def _flag_type(name: str):
     return parse
 
 
+def _peak(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"peak must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for f in fields(DenoiseConfig):
         parser.add_argument("--" + f.name.replace("_", "-"), type=_flag_type(f.name),
@@ -86,8 +96,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="compare test frames against clean frames")
     p.add_argument("--clean", nargs="+", type=Path, required=True)
     p.add_argument("--test", nargs="+", type=Path, required=True)
-    p.add_argument("--peak", type=float, default=5.0)
-    p.add_argument("--k-plane", type=int, default=12,
+    p.add_argument("--peak", type=_peak, default=5.0)
+    p.add_argument("--k-plane", type=_flag_type("k_plane"), default=12,
                    help="normal-estimation size when clean files lack normals")
     p.add_argument("--out", type=Path, default=None, help="CSV path (default: stdout)")
     p.add_argument("--manifest", type=Path, default=None)

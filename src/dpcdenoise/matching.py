@@ -38,10 +38,9 @@ def _variation_rows(dist: np.ndarray, normals: np.ndarray, epsilon: np.ndarray) 
     with np.errstate(divide="ignore"):
         coef = np.where(adjacent, -1.0 / deg[:, :, None], 0.0)
     coef[:, eye] = deg > 0
-    rows = np.zeros(normals.shape)
-    for j in range(size):
-        rows += coef[:, :, j, None] * normals[:, None, j, :]
-    return rows
+    # Without ``optimize`` einsum makes no BLAS call, so the sums do not
+    # depend on the thread count.
+    return np.einsum("bij,bjk->bik", coef, normals, optimize=False)
 
 
 def patch_variations(

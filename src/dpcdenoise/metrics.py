@@ -79,8 +79,8 @@ def gpsnr(test: Frame, reference: Frame, peak: float = 5.0) -> float:
     """
     if reference.normals is None:
         raise ValueError("reference frame has no normals")
-    if peak <= 0:
-        raise ValueError("peak must be > 0")
+    if not (math.isfinite(peak) and peak > 0):
+        raise ValueError("peak must be finite and > 0")
     nearest_ref = _nearest_in(reference, test)
     delta = test.positions - reference.positions[nearest_ref]
     proj = np.einsum("ij,ij->i", delta, reference.normals[nearest_ref])

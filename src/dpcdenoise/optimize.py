@@ -11,7 +11,7 @@ from .config import DenoiseConfig
 from .geometry import Frame, NeighborIndex, Sequence, estimate_normals, knn_rows
 from .matching import match_patches, prepare_reference
 from .metrics import FrameMetrics
-from .patches import all_relative_coords, build_patches
+from .patches import PatchSet, all_relative_coords, build_patches
 from .stgraph import SpatialEdges, spatial_connectivity, weighted_spatial_graph
 
 
@@ -92,28 +92,20 @@ def _check_spatial(edges: SpatialEdges, pair_weights: np.ndarray, n: int) -> Non
 
 @dataclass(frozen=True)
 class SlabMatrix:
-    """A sparse n x n matrix whose product adds each row's terms as scipy's CSR product does.
+    """A sparse n x n matrix held as CSR rows, each row storing at least one entry.
 
-    Row i's stored entries fill column i of the (width, n) arrays ``cols``
-    and ``vals`` in ascending column order; the slots past them hold value
-    0 at column i. ``A @ x`` gathers x, multiplies, and adds down axis 0
-    from 0.0, one slot after another. Per row that is the order of scipy's
-    ``csr_matvec`` (from 0.0, by ascending column, one term at a time), so
-    for finite x the product equals ``csr_matrix @ x`` bit for bit. The
-    width is the largest row degree up to ``2 * nnz // n``, so the slab
-    holds at most twice the stored entries. A row with more entries than
-    that holds only padding in the slab: its entries are kept in column
-    order in ``wide_cols`` and ``wide_vals`` and summed by ``np.bincount``,
-    which adds in entry order from zero.
+    ``cols`` and ``vals`` hold the entries in (row, column) order and
+    ``starts[i]`` is where row i's entries begin. ``A @ x`` multiplies every
+    entry by its x and sums each row's run with ``np.add.reduceat``, which
+    adds pairwise, so a product agrees with scipy's CSR product to within
+    the summation error bound, not bit for bit. ``reduceat`` would read an
+    empty run as the one term at its start, so a row with no entry is
+    rejected.
     """
 
     cols: np.ndarray
     vals: np.ndarray
-    wide_rows: np.ndarray
-    wide_index: np.ndarray  # per wide entry, the position of its row in ``wide_rows``
-    wide_cols: np.ndarray
-    wide_vals: np.ndarray
-    nnz: int
+    starts: np.ndarray
 
     @classmethod
     def from_entries(cls, n: int, rows, cols, vals) -> "SlabMatrix":
@@ -131,35 +123,22 @@ class SlabMatrix:
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate entry")
         degree = np.bincount(rows, minlength=n)
-        rows = np.repeat(np.arange(n), degree)
-        cols = keys - rows * n
-        vals = vals[order]
-        width = int(degree[degree <= 2 * rows.size // max(n, 1)].max(initial=0))
-        slot = np.arange(rows.size) - np.repeat(np.cumsum(degree) - degree, degree)
-        wide = np.repeat(degree > width, degree)
-        # A full slice copies nothing in the usual case of no wide row.
-        narrow = ~wide if wide.any() else slice(None)
-        slab_cols = np.tile(np.arange(n), (width, 1))
-        slab_vals = np.zeros((width, n))
-        place = slot[narrow] * n + rows[narrow]
-        slab_cols.ravel()[place] = cols[narrow]
-        slab_vals.ravel()[place] = vals[narrow]
-        wide_rows, wide_index = np.unique(rows[wide], return_inverse=True)
-        return cls(slab_cols, slab_vals, wide_rows, wide_index, cols[wide], vals[wide],
-                   int(rows.size))
+        if not np.all(degree):
+            raise ValueError("row with no entry")
+        return cls(cols[order], vals[order], np.cumsum(degree) - degree)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.cols.shape[1], self.cols.shape[1])
+        return (self.starts.size, self.starts.size)
+
+    @property
+    def nnz(self) -> int:
+        return self.cols.size
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         terms = np.take(x, self.cols)
         terms *= self.vals
-        out = np.add.reduce(terms, axis=0, initial=0.0)
-        if self.wide_rows.size:
-            out[self.wide_rows] = np.bincount(self.wide_index, self.wide_vals * x[self.wide_cols],
-                                              self.wide_rows.size)
-        return out
+        return np.add.reduceat(terms, self.starts)
 
 
 def _conjugate_gradient(a: SlabMatrix, b: np.ndarray, x0: np.ndarray,
@@ -228,11 +207,8 @@ def _point_system(
     pair weight times row-edge count, and F sends each pair's weighted
     offset to lo and its negative to hi; together they equal the row
     form ``S^T L_rows S`` and ``S^T L_rows C``. ``A`` stores its diagonal
-    and one entry per pair on each side of it, n + 2 * pairs in all, as a
-    :class:`SlabMatrix`: a product adds each row's terms from 0.0 in
-    ascending column order, bit for bit as scipy's CSR product would, and
-    the stored slots stay within twice the entries however uneven the
-    row degrees.
+    and one entry per pair on each side of it, n + 2 * pairs in all, as the
+    CSR rows of a :class:`SlabMatrix`, so no row is empty.
     """
     u_hat = np.asarray(u_hat, dtype=np.float64)
     n = u_hat.shape[0]

@@ -315,11 +315,10 @@ def build_system(u_hat, members, anchors, prev_aligned, w_rows, lap, lam1, lam2)
 
 
 def slab_dense(a):
-    """Dense copy of a SlabMatrix, assembled from its slab and wide-row arrays."""
+    """Dense copy of a SlabMatrix, assembled from its CSR rows."""
     n = a.shape[0]
     dense = np.zeros((n, n))
-    np.add.at(dense, (np.broadcast_to(np.arange(n), a.cols.shape), a.cols), a.vals)
-    np.add.at(dense, (a.wide_rows[a.wide_index], a.wide_cols), a.wide_vals)
+    dense[np.repeat(np.arange(n), np.diff(np.append(a.starts, a.nnz))), a.cols] = a.vals
     return dense
 
 

@@ -36,6 +36,17 @@ class TestUsageErrors:
         code = run(["eval", "--clean", str(f), "--test", str(f), str(f)])
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--peak", "nan"), ("--peak", "inf"), ("--peak", "-1"), ("--peak", "0"),
+        ("--k-plane", "2"),
+    ])
+    def test_bad_eval_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        run(synth_args(tmp_path / "clean", points=60, frames=1))
+        clean = str(tmp_path / "clean" / "clean_000.ply")
+        assert run(["eval", "--clean", clean, "--test", clean, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and flag in err
+
 
 class TestSynthNoise:
     def test_synth_writes_frames(self, tmp_path):

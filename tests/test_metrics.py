@@ -127,6 +127,12 @@ class TestGpsnr:
         with pytest.raises(ValueError, match="normals"):
             gpsnr(random_frame(5, 5), random_frame(5, 6))
 
+    @pytest.mark.parametrize("peak", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_a_peak_that_is_not_finite_and_positive(self, peak):
+        ref = self._plane(50, 5)
+        with pytest.raises(ValueError, match="peak must be finite and > 0"):
+            gpsnr(Frame(ref.positions + 0.01), ref, peak)
+
 
 class TestGenerateSequence:
     def test_plane_normals_are_up(self):

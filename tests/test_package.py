@@ -1,7 +1,11 @@
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import dpcdenoise
@@ -16,6 +20,23 @@ def test_every_exported_name_resolves():
     missing = [name for name in dpcdenoise.__all__ if name not in namespace]
     assert not missing
     assert len(set(dpcdenoise.__all__)) == len(dpcdenoise.__all__)
+
+
+def test_every_annotation_resolves():
+    # Annotations are strings under ``from __future__ import annotations``; a
+    # name a module forgot to import fails only when they are resolved.
+    for info in pkgutil.iter_modules(dpcdenoise.__path__):
+        module = importlib.import_module(f"dpcdenoise.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                typing.get_type_hints(obj)
+                for member in vars(obj).values():
+                    if inspect.isfunction(member):
+                        typing.get_type_hints(member)
+            elif inspect.isfunction(obj):
+                typing.get_type_hints(obj)
 
 
 def test_readme_library_example_uses_only_exports():
