@@ -10,7 +10,9 @@ them, with the workload's config file and one BLAS and OpenMP thread. One line
 per workload and seed says whether every output PLY is byte-equal and whether
 the two manifests' ``config`` snapshots are equal (the same keys, values and
 JSON types, so ``1`` and ``1.0`` differ), followed by each side's stop reasons
-as read from its manifest. Where the outputs differ, the largest absolute
+and its ``timings_s["denoise"]`` divided by the frame count, as read from its
+manifest. The two sides run one after the other, so their times are one
+sample each, not a benchmark. Where the outputs differ, the largest absolute
 differences of positions and of normals between the two sides' PLY files of
 one name follow, then each side's pooled ``mse_reduction_pct`` and
 ``surface_rms_ratio``, as ``perfbench/check.py`` scores them.
@@ -101,10 +103,14 @@ def denoise(src: Path, config: Path, inputs: list, out_dir: Path) -> dict | None
 
 
 def summary(manifest: dict | None) -> str:
+    """A run's stop reasons and its ``denoise`` time per frame, from its manifest."""
     if manifest is None:
         return "failed"
-    reasons = [f["diagnostics"].get("stop_reason") for f in manifest["frame_metrics"]]
-    return ", ".join(f"{reason} x{count}" for reason, count in Counter(reasons).items())
+    frames = manifest["frame_metrics"]
+    reasons = [f["diagnostics"].get("stop_reason") for f in frames]
+    seconds = manifest["timings_s"]["denoise"] / max(len(frames), 1)
+    return (", ".join(f"{reason} x{count}" for reason, count in Counter(reasons).items())
+            + f"; {seconds:.3f} s/frame")
 
 
 def config_differences(old: dict, new: dict) -> list:
@@ -130,7 +136,8 @@ def compare(label: str, old: Path, new: Path, config: Path, inputs: list, work: 
     config_note = ("config not compared" if keys is None
                    else f"config DIFFERENT in {', '.join(keys)}" if keys else "config equal")
     print(f"{label}: {'byte-equal' if bytes_same else 'DIFFERENT'}; {config_note}; stop reasons "
-          f"old [{summary(manifests[0])}], new [{summary(manifests[1])}]", flush=True)
+          f"and denoise time old [{summary(manifests[0])}], new [{summary(manifests[1])}]",
+          flush=True)
     if None not in manifests and not bytes_same:
         print(f"  largest absolute difference: {largest_gap(*outs)}")
     return bytes_same and keys == [], outs

@@ -27,10 +27,13 @@ class DenoiseConfig:
     lambda1: float = 1.0        # temporal consistency weight
     lambda2: float = 1.0        # spatial smoothness weight
     mprime_fraction: float = 0.9  # temporal weight-sum floor, fraction of m
-    trace_bound: float = 5.0    # trace cap for the learned metric factor
+    trace_bound: float = 5.0    # spatial kernel metric (trace_bound / 3)^2 I
     k_plane: int = 12           # neighbors for normal estimation
     cg_tol: float = 1e-8
     cg_max_iters: int = 500
+    # No stage reads the three pg_* fields: the spatial metric is fixed. They
+    # still parse because existing config files, such as the benchmark's
+    # (perfbench/workloads.py) and the acceptance suite's, set them.
     pg_step: float = 1e-3
     pg_max_iters: int = 100
     pg_tol: float = 1e-6

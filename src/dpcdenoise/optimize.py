@@ -1,4 +1,12 @@
-"""Alternating minimization: point update, temporal weights, metric learning."""
+"""Alternating minimization over the points and a graph rebuilt on every pass.
+
+Each pass re-estimates the graph from the current points (normals, patches,
+temporal matches and weights, spatial pairs) and solves for the points. The
+spatial pairs are weighed by the fixed kernel ``exp(-dn^T M dn)`` with
+``M = R0^T R0``. :func:`learn_metric`, the trace-bounded metric learning of
+Hu et al. that starts from ``R0``, is kept as a library function; the
+pipeline does not run it.
+"""
 
 from __future__ import annotations
 
@@ -91,7 +99,7 @@ def _check_spatial(edges: SpatialEdges, pair_weights: np.ndarray, n: int) -> Non
 
 
 @dataclass(frozen=True)
-class SlabMatrix:
+class CsrMatrix:
     """A sparse n x n matrix held as CSR rows, each row storing at least one entry.
 
     ``cols`` and ``vals`` hold the entries in (row, column) order and
@@ -108,7 +116,7 @@ class SlabMatrix:
     starts: np.ndarray
 
     @classmethod
-    def from_entries(cls, n: int, rows, cols, vals) -> "SlabMatrix":
+    def from_entries(cls, n: int, rows, cols, vals) -> "CsrMatrix":
         """The matrix with entries ``vals`` at ``(rows, cols)``, one entry per position."""
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
@@ -141,7 +149,7 @@ class SlabMatrix:
         return np.add.reduceat(terms, self.starts)
 
 
-def _conjugate_gradient(a: SlabMatrix, b: np.ndarray, x0: np.ndarray,
+def _conjugate_gradient(a: CsrMatrix, b: np.ndarray, x0: np.ndarray,
                         tol: float, max_iters: int) -> tuple[np.ndarray, int, float]:
     """CG for an SPD system, terminating on true relative residual <= tol.
 
@@ -198,7 +206,7 @@ def _point_system(
     pair_weights: Optional[np.ndarray],
     lambda1: float,
     lambda2: float,
-) -> tuple[SlabMatrix, np.ndarray]:
+) -> tuple[CsrMatrix, np.ndarray]:
     """The n x n normal equations ``A U = B`` of the point update.
 
     ``A = I + l1 diag(S^T W 1) + l2 L`` and ``B = U_hat + l1 S^T W (C + P_ref)
@@ -208,7 +216,7 @@ def _point_system(
     offset to lo and its negative to hi; together they equal the row
     form ``S^T L_rows S`` and ``S^T L_rows C``. ``A`` stores its diagonal
     and one entry per pair on each side of it, n + 2 * pairs in all, as the
-    CSR rows of a :class:`SlabMatrix`, so no row is empty.
+    CSR rows of a :class:`CsrMatrix`, so no row is empty.
     """
     u_hat = np.asarray(u_hat, dtype=np.float64)
     n = u_hat.shape[0]
@@ -229,9 +237,9 @@ def _point_system(
         flow = link[:, None] * edges.offsets
         b += _scatter(lo, flow, n) - _scatter(hi, flow, n)
     index = np.arange(n)
-    a = SlabMatrix.from_entries(n, np.concatenate([index, lo, hi]),
-                                np.concatenate([index, hi, lo]),
-                                np.concatenate([diag, -link, -link]))
+    a = CsrMatrix.from_entries(n, np.concatenate([index, lo, hi]),
+                               np.concatenate([index, hi, lo]),
+                               np.concatenate([diag, -link, -link]))
     return a, b
 
 
@@ -414,24 +422,6 @@ def learn_metric(
     return MetricFit(metric=r.T @ r, factor=r, objectives=tuple(objs))
 
 
-def _learn_pair_metric(diffs: np.ndarray, residuals: np.ndarray, config: DenoiseConfig):
-    """:func:`learn_metric` on residuals scaled to give its start R0 gradient norm ||R0||_F.
-
-    A step of ``pg_step`` then moves R by that share of its norm in any
-    units. A zero gradient (all normals equal) keeps ``R0^T R0``. Returns
-    M, the move ``||R - R0||_F / ||R0||_F`` and the accepted steps.
-    """
-    start = (config.trace_bound / diffs.shape[1]) * np.eye(diffs.shape[1])
-    start_norm = np.sqrt(_psum(start * start))
-    grad_norm = np.sqrt(_psum(metric_gradient(start, diffs, residuals) ** 2))
-    if grad_norm == 0.0:
-        return start.T @ start, 0.0, 0
-    fit = learn_metric(diffs, residuals * (start_norm / grad_norm), config.trace_bound,
-                       config.pg_step, config.pg_max_iters, config.pg_tol)
-    move = float(np.sqrt(_psum((fit.factor - start) ** 2)) / start_norm)
-    return fit.metric, move, len(fit.objectives) - 1
-
-
 def _edge_weight_summary(edges: SpatialEdges, pair_weights: np.ndarray) -> dict:
     """p5, p50 and p95 of the row-edge weights, and the share below 1e-12.
 
@@ -496,33 +486,34 @@ def denoise_frame(
 ) -> tuple[Frame, FrameMetrics]:
     """Denoise one frame against the previously denoised frame.
 
-    Runs the alternating loop: rebuild patches on the current estimate,
-    match them temporally, weigh the spatio-temporal graph, and solve for
-    the points. The first pass weighs each matched patch by
-    ``exp(-match distance)``, later ones solve the weight program. Every
-    pass weighs each point pair by ``exp(-dn^T M dn)`` on its unit-normal
-    difference ``dn``, with M learned on the pass's pairs. Each pass's
-    objective is a sum over its own graph, so totals of different passes
-    are not compared. The loop stops once a pass moves no point by more
-    than ``outer_tol`` times the frame's spacing, the mean distance from
-    an input point to its nearest other input point (stop reason ``tol``),
-    or after ``outer_max_iters`` passes (``max_iters``). It returns the
-    last iterate with freshly estimated normals. The report's diagnostics
-    hold the stop reason, the spacing and, per pass, the largest point
-    move, the metric's trace, move and steps, edge-weight quantiles and,
-    per axis, the point solve's CG products with A (``cg_iters``) and its
-    final true relative residual (``cg_residual``).
+    Runs the alternating loop: re-estimate the normals and rebuild patches
+    on the current estimate, match them temporally, weigh the
+    spatio-temporal graph, and solve for the points. The first pass weighs
+    each matched patch by ``exp(-match distance)``, later ones solve the
+    weight program. Every pass weighs each point pair by the fixed kernel
+    ``exp(-dn^T M dn)`` on its unit-normal difference ``dn``, with
+    ``M = R0^T R0 = (trace_bound / 3)^2 I``. Each pass's objective is a sum
+    over its own graph, so totals of different passes are not compared.
+    The loop stops once a pass moves no point by more than ``outer_tol``
+    times the frame's spacing, the mean distance from an input point to
+    its nearest other input point (stop reason ``tol``), or after
+    ``outer_max_iters`` passes (``max_iters``). It returns the last
+    iterate with freshly estimated normals. The report's diagnostics hold
+    the stop reason, the spacing and, per pass, the largest point move,
+    the row edges and point pairs of the spatial graph, edge-weight
+    quantiles and, per axis, the point solve's CG products with A
+    (``cg_iters``) and its final true relative residual (``cg_residual``).
     """
     lam1 = config.lambda1 if previous is not None else 0.0
     reference = build_reference(previous, config, len(noisy)) if lam1 > 0 else None
     other_size = len(previous) if reference is not None else None
     lam2 = config.lambda2
+    metric = (config.trace_bound / 3) ** 2 * np.eye(3)
 
     u = np.array(noisy.positions)
     u_hat = noisy.positions
     trace: list[ObjectiveBreakdown] = []
-    diagnostics: dict = {"degenerate_normals": [], "metric_trace": [], "metric_move": [],
-                         "pg_steps": [], "spatial_edges": [], "metric_pairs": [],
+    diagnostics: dict = {"degenerate_normals": [], "spatial_edges": [], "spatial_pairs": [],
                          "edge_weights": [], "cg_iters": [], "cg_residual": [],
                          "largest_move": [], "stop_reason": "max_iters"}
 
@@ -561,13 +552,8 @@ def denoise_frame(
         try:
             if lam2 > 0 and k_s_eff >= 1:
                 edges = spatial_connectivity(patchset, u, k_s_eff)
-                metric, move, steps = _learn_pair_metric(
-                    edges.differences(est.normals), edges.residuals(u), config)
-                diagnostics["metric_trace"].append(float(np.trace(metric)))
-                diagnostics["metric_move"].append(move)
-                diagnostics["pg_steps"].append(steps)
                 diagnostics["spatial_edges"].append(len(edges))
-                diagnostics["metric_pairs"].append(edges.points.shape[0])
+                diagnostics["spatial_pairs"].append(edges.points.shape[0])
                 pair_weights = weighted_spatial_graph(edges, est.normals, metric)
                 diagnostics["edge_weights"].append(_edge_weight_summary(edges, pair_weights))
             u_new, cg_iters, cg_residual = solve_point_cloud(

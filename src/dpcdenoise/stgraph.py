@@ -235,10 +235,9 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     float64 costs with ``np.argmin``. On smooth frames well under 0.1 % of
     rows need that. Each distinct row edge is counted once. An edge whose
     two rows hold the same point is dropped before the keys are sorted:
-    its residual is a constant gap of centers, so it moves neither the
-    point solve nor the learned metric. The other edges are returned folded
-    onto the point pairs they join, with the patch centers ``c_l`` taken
-    from ``positions``.
+    its residual is a constant gap of centers, so it does not move the
+    point solve. The other edges are returned folded onto the point pairs
+    they join, with the patch centers ``c_l`` taken from ``positions``.
 
     Memory: the only array with one entry per row edge is a buffer of one
     8-byte sort key per edge, sized before the dropped edges are known. The

@@ -314,8 +314,8 @@ def build_system(u_hat, members, anchors, prev_aligned, w_rows, lap, lam1, lam2)
     return a, b
 
 
-def slab_dense(a):
-    """Dense copy of a SlabMatrix, assembled from its CSR rows."""
+def csr_dense(a):
+    """Dense copy of a CsrMatrix, assembled from its CSR rows."""
     n = a.shape[0]
     dense = np.zeros((n, n))
     dense[np.repeat(np.arange(n), np.diff(np.append(a.starts, a.nnz))), a.cols] = a.vals

@@ -37,7 +37,7 @@ from dpcdenoise.graph import SparseGraph, combinatorial_laplacian
 from dpcdenoise.matching import match_patches, patch_variations, prepare_reference
 from dpcdenoise.metrics import add_gaussian_noise
 from dpcdenoise.optimize import (
-    SlabMatrix,
+    CsrMatrix,
     SolverError,
     _metric_gradient_from_terms,
     _point_system,
@@ -525,7 +525,7 @@ class TestFoldedSpatialTerm:
                                               lam1, lam2)
         assert a.shape == (len(pts), len(pts))
         assert a.nnz == len(pts) + 2 * edges.points.shape[0]
-        assert rel_max_error(oracles.slab_dense(a), a_want) <= 1e-12
+        assert rel_max_error(oracles.csr_dense(a), a_want) <= 1e-12
         assert rel_max_error(b, b_want) <= 1e-12
 
     @PROPERTY
@@ -582,7 +582,7 @@ def magnitudes(rng, size, decades):
 
 
 @st.composite
-def slab_systems(draw):
+def csr_systems(draw):
     """An n x n matrix as shuffled (rows, cols, vals) entries, and a finite x.
 
     Every row holds at least one entry, the diagonal or a random column, and
@@ -617,14 +617,14 @@ def summation_bound(n, rows, cols, vals, x):
     return 2.0 * d / (1.0 - d) * magnitude
 
 
-class TestSlabMatrix:
+class TestCsrMatrix:
     """The point system's product against scipy's CSR product."""
 
     @PROPERTY
-    @given(slab_systems())
+    @given(csr_systems())
     def test_product_matches_scipy_csr_within_summation_bound(self, drawn):
         n, rows, cols, vals, x = drawn
-        a = SlabMatrix.from_entries(n, rows, cols, vals)
+        a = CsrMatrix.from_entries(n, rows, cols, vals)
         want = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n)) @ x
         got = a @ x
         assert a.shape == (n, n) and a.nnz == rows.size
@@ -637,12 +637,12 @@ class TestSlabMatrix:
     ])
     def test_rejects_bad_entries(self, rows, cols, message):
         with pytest.raises(ValueError, match=message):
-            SlabMatrix.from_entries(3, rows, cols, np.ones(len(rows)))
+            CsrMatrix.from_entries(3, rows, cols, np.ones(len(rows)))
 
     def test_rejects_a_row_with_no_entry(self):
         # Row 1 is empty; np.add.reduceat would give it row 2's first term.
         with pytest.raises(ValueError, match="row with no entry"):
-            SlabMatrix.from_entries(3, [0, 2, 2], [0, 0, 2], np.ones(3))
+            CsrMatrix.from_entries(3, [0, 2, 2], [0, 0, 2], np.ones(3))
 
     def test_memory_is_linear_in_entries_on_a_clump_frame(self):
         # A ring frame whose point 0 also pairs with every other point: its
@@ -678,7 +678,7 @@ class TestSlabMatrix:
             tracemalloc.stop()
         assert a.nnz == entries
         assert peak <= 24 * entries + 48 * n + 4096
-        want = scipy.sparse.csr_matrix(oracles.slab_dense(a)) @ x
+        want = scipy.sparse.csr_matrix(oracles.csr_dense(a)) @ x
         rows = np.repeat(np.arange(n), np.diff(np.append(a.starts, entries)))
         assert np.all(np.abs(y - want) <= summation_bound(n, rows, a.cols, a.vals, x))
 

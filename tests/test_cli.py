@@ -112,24 +112,26 @@ class TestDenoise:
         assert len(manifest.frame_metrics) == 1
         assert manifest.frame_metrics[0]["objective_trace"]
         # The loop's stop reason, the input spacing, and per pass its largest
-        # point move, its metric learning, an edge-weight summary and, per
-        # axis, the point solve's CG products and final relative residual.
+        # point move, its spatial graph's size, an edge-weight summary and,
+        # per axis, the point solve's CG products and final relative residual.
+        # The spatial metric is fixed, so no key reports on learning it.
         diag = manifest.frame_metrics[0]["diagnostics"]
         assert diag["stop_reason"] in ("tol", "max_iters")
         assert diag["spacing"] > 0.0
         passes = len(manifest.frame_metrics[0]["objective_trace"])
-        for key in ("largest_move", "edge_weights", "spatial_edges", "metric_pairs",
-                    "metric_trace", "metric_move", "pg_steps", "cg_iters", "cg_residual"):
+        for key in ("largest_move", "edge_weights", "spatial_edges", "spatial_pairs",
+                    "cg_iters", "cg_residual"):
             assert len(diag[key]) == passes, key
+        assert set(diag) == {"stop_reason", "spacing", "degenerate_normals", "largest_move",
+                             "spatial_edges", "spatial_pairs", "edge_weights", "cg_iters",
+                             "cg_residual"}
         for products, residuals in zip(diag["cg_iters"], diag["cg_residual"]):
             assert len(products) == len(residuals) == 3
             assert all(count >= 1 for count in products)
             assert all(0.0 <= r <= manifest.config["cg_tol"] for r in residuals)
         assert "factor_trace" not in diag
-        for pairs, edges in zip(diag["metric_pairs"], diag["spatial_edges"]):
+        for pairs, edges in zip(diag["spatial_pairs"], diag["spatial_edges"]):
             assert 0 < pairs <= edges
-        for move, steps in zip(diag["metric_move"], diag["pg_steps"]):
-            assert move >= 0.0 and 0 <= steps <= 100   # the default pg_max_iters
         assert "best_iteration" not in manifest.frame_metrics[0]
         for entry in diag["edge_weights"]:
             assert 0.0 <= entry["p5"] <= entry["p50"] <= entry["p95"] <= 1.0

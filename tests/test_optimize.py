@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_system, lp_oracle, random_solve_instance, slab_dense
+from oracles import build_system, csr_dense, lp_oracle, random_solve_instance
 
 from dpcdenoise.config import DenoiseConfig
 from dpcdenoise.geometry import Frame, Sequence, estimate_normals, mean_nn_distance
 from dpcdenoise.optimize import (
     SolverError,
     _edge_weight_summary,
-    _learn_pair_metric,
     _point_system,
     denoise_frame,
     denoise_sequence,
@@ -102,7 +101,7 @@ class TestSolvePointCloud:
             n = int(rng.integers(10, 61))
             pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, n)
             a, _ = _point_system(pts, members, anchors, prev, w, edges, pw, 1.3, 0.7)
-            assert np.linalg.eigvalsh(slab_dense(a)).min() >= 1.0 - 1e-9
+            assert np.linalg.eigvalsh(csr_dense(a)).min() >= 1.0 - 1e-9
 
     def test_failure_carries_residual(self):
         rng = np.random.default_rng(7)
@@ -215,23 +214,6 @@ class TestLearnMetric:
         dsq = np.ones(10)
         fit = learn_metric(diffs, dsq, trace_bound=5.0)
         assert np.allclose(fit.factor, (5.0 / 6.0) * np.eye(6))
-
-    def test_pair_metric_is_free_of_residual_units(self):
-        # The residuals are rescaled so that the start's gradient has the
-        # start's norm: a power-of-two factor on them changes no bit of the
-        # result, and equal normals (a zero gradient) keep the start metric.
-        rng = np.random.default_rng(21)
-        diffs, dsq = self._pairs(rng, dim=3)
-        cfg = DenoiseConfig(pg_step=1e-2, pg_max_iters=5)
-        metric, move, steps = _learn_pair_metric(diffs, dsq, cfg)
-        assert steps == 5 and move > 0.0
-        for k in (-20, 20):
-            scaled_metric, scaled_move, scaled_steps = _learn_pair_metric(diffs, 2.0**k * dsq, cfg)
-            assert np.array_equal(scaled_metric, metric)
-            assert (scaled_move, scaled_steps) == (move, steps)
-        start, zero_move, zero_steps = _learn_pair_metric(np.zeros((10, 3)), np.ones(10), cfg)
-        assert np.array_equal(start, (5.0 / 3.0) ** 2 * np.eye(3))
-        assert (zero_move, zero_steps) == (0.0, 0)
 
     def test_objective_monotone_nonincreasing(self):
         rng = np.random.default_rng(10)
@@ -540,8 +522,12 @@ class TestDenoiseFrame:
         centers = (60, 60, cfg.k_s + 1)
         assert queries == [table, centers, table, centers, (120, 120, cfg.k_plane + 1)]
         diag = report.diagnostics
-        assert len(diag["spatial_edges"]) == len(diag["metric_pairs"]) == 2
-        assert all(0 < p < e for p, e in zip(diag["metric_pairs"], diag["spatial_edges"]))
+        assert len(diag["spatial_edges"]) == len(diag["spatial_pairs"]) == 2
+        assert all(0 < p < e for p, e in zip(diag["spatial_pairs"], diag["spatial_edges"]))
+        # Only the graph's size is reported per pass; its metric is fixed, not learned.
+        assert set(diag) == {"stop_reason", "spacing", "degenerate_normals", "largest_move",
+                             "spatial_edges", "spatial_pairs", "edge_weights", "cg_iters",
+                             "cg_residual"}
 
     def test_every_point_a_center_needs_no_center_query(self, monkeypatch):
         # With every point a patch center, the patches' rows, which come from
@@ -697,6 +683,40 @@ class TestDenoiseFrame:
 
 
 class TestDenoiseSequence:
+    def test_spatial_kernel_is_fixed_and_never_learned(self, monkeypatch):
+        # Every pass weighs its pairs by exp(-(trace_bound / 3)^2 ||dn||^2) on
+        # the normals it hands the kernel, metric learning never runs, and the
+        # pg_* fields change no output bit.
+        import dpcdenoise.optimize as opt
+
+        def learn(*args, **kwargs):
+            raise AssertionError("learn_metric called")
+
+        graphs = []
+        real_weigh = opt.weighted_spatial_graph
+
+        def weigh(edges, features, metric):
+            graphs.append((edges, np.array(features)))
+            return real_weigh(edges, features, metric)
+
+        monkeypatch.setattr(opt, "learn_metric", learn)
+        monkeypatch.setattr(opt, "weighted_spatial_graph", weigh)
+        rng = np.random.default_rng(8)
+        noisy = Sequence(tuple(Frame(f.positions + rng.normal(0, 0.01, (120, 3)), frame_index=t)
+                               for t, f in enumerate(small_sequence(2))))
+        out, reports = denoise_sequence(noisy, small_config(trace_bound=4.0))
+        summaries = [entry for rep in reports for entry in rep.diagnostics["edge_weights"]]
+        assert len(summaries) == len(graphs) == sum(len(rep.objective_trace) for rep in reports)
+        for summary, (edges, normals) in zip(summaries, graphs):
+            dn = edges.differences(normals)
+            weights = np.exp(-(4.0 / 3.0) ** 2 * np.sum(dn * dn, axis=1))
+            assert summary == pytest.approx(_edge_weight_summary(edges, weights), rel=1e-12)
+        other, _ = denoise_sequence(noisy, small_config(trace_bound=4.0, pg_step=0.5,
+                                                        pg_max_iters=3, pg_tol=1e-2))
+        for a, b in zip(out, other):
+            assert np.array_equal(a.positions, b.positions)
+            assert np.array_equal(a.normals, b.normals)
+
     def test_single_frame_equals_denoise_frame(self):
         seq = small_sequence(1)
         noisy = Frame(seq.frames[0].positions +
@@ -762,9 +782,9 @@ class TestScaleEquivariance:
     """Denoising commutes with a scale of the input.
 
     A power-of-two scale is exact in float64, and every stage then scales
-    exactly: the spatial kernel weighs unit normals, metric learning sees
-    residuals normalized by its start gradient, and the matching blend
-    divides coordinates by the patch radius. So the outputs are bit-equal.
+    exactly: the spatial kernel weighs unit normals with a fixed metric,
+    and the matching blend divides coordinates by the patch radius. So the
+    outputs are bit-equal.
     """
 
     @settings(max_examples=8, deadline=None)
