@@ -18,8 +18,10 @@ one name follow, then each side's pooled ``mse_reduction_pct`` and
 ``surface_rms_ratio``, as ``perfbench/check.py`` scores them.
 
 Before the comparisons it prints each side's median time to ``import
-dpcdenoise.cli``, over 5 fresh processes per side run in alternation, so a
-start-up regression shows beside the byte check.
+dpcdenoise.cli``, and then to import every module of the package, as
+perfbench's tracer and the annotation test do; each over 5 fresh processes
+per side run in alternation, so a start-up regression shows beside the byte
+check.
 
 ``--acceptance`` adds the end-to-end instance of ``tests/test_acceptance.py``
 (criterion 7). Its inputs come from OLD_SRC's ``synth`` and ``noise`` commands,
@@ -51,8 +53,16 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import check  # noqa: E402
 from workloads import WORKLOADS, Inputs, make_inputs  # noqa: E402
 
-# Fresh processes per side timed importing dpcdenoise.cli.
+# Fresh processes per side timed on each import.
 IMPORT_RUNS = 5
+# The timed imports, by label: the command line, and every module of the
+# package, which is what perfbench's tracer and the annotation test load.
+IMPORTS = {
+    "import dpcdenoise.cli": "import dpcdenoise.cli",
+    "import every dpcdenoise module": (
+        "import dpcdenoise; [importlib.import_module(f'dpcdenoise.{info.name}') "
+        "for info in pkgutil.iter_modules(dpcdenoise.__path__)]"),
+}
 # The noise sigma of the acceptance instance, as a share of its frame 0
 # bounding-box diagonal (the ``pipeline_run`` fixture of tests/test_acceptance.py).
 ACCEPTANCE_SIGMA_FRAC = 0.02
@@ -71,25 +81,25 @@ def run_cli(src: Path, args: list, cwd: Path) -> subprocess.CompletedProcess:
                           env=child_env(src), cwd=cwd, capture_output=True, text=True)
 
 
-def import_seconds(src: Path) -> float:
-    """Seconds one fresh process takes to ``import dpcdenoise.cli`` from ``src``."""
-    code = ("import time; start = time.perf_counter(); import dpcdenoise.cli; "
-            "print(time.perf_counter() - start)")
+def import_seconds(src: Path, label: str) -> float:
+    """Seconds one fresh process takes to run the import ``IMPORTS[label]`` from ``src``."""
+    code = ("import importlib, pkgutil, time; start = time.perf_counter(); "
+            f"{IMPORTS[label]}; print(time.perf_counter() - start)")
     proc = subprocess.run([sys.executable, "-c", code], env=child_env(src),
                           capture_output=True, text=True)
     if proc.returncode != 0:
-        sys.exit(f"{src}: import dpcdenoise.cli failed: {proc.stderr.strip()[-500:]}")
+        sys.exit(f"{src}: {label} failed: {proc.stderr.strip()[-500:]}")
     return float(proc.stdout)
 
 
 def print_import_times(old: Path, new: Path) -> None:
-    times = {old: [], new: []}
-    for run in range(IMPORT_RUNS):
-        for src in ((old, new) if run % 2 == 0 else (new, old)):
-            times[src].append(import_seconds(src))
-    print(f"import dpcdenoise.cli: old {np.median(times[old]):.3f} s, "
-          f"new {np.median(times[new]):.3f} s (median of {IMPORT_RUNS} fresh processes each)",
-          flush=True)
+    for label in IMPORTS:
+        times = {old: [], new: []}
+        for run in range(IMPORT_RUNS):
+            for src in ((old, new) if run % 2 == 0 else (new, old)):
+                times[src].append(import_seconds(src, label))
+        print(f"{label}: old {np.median(times[old]):.3f} s, new {np.median(times[new]):.3f} s "
+              f"(median of {IMPORT_RUNS} fresh processes each)", flush=True)
 
 
 def denoise(src: Path, config: Path, inputs: list, out_dir: Path) -> dict | None:

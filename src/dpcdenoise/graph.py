@@ -1,6 +1,7 @@
-"""Sparse weighted graphs and their Laplacian operators.
+"""Sparse CSR matrices and graph Laplacians, on numpy alone.
 
-The only module that needs scipy; the denoising pipeline does not import it.
+:func:`laplacian`, the one builder of ``diag(d) + L``, assembles the point
+solve's system and, with a zero diagonal, :func:`combinatorial_laplacian`.
 """
 
 from __future__ import annotations
@@ -8,7 +9,80 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+
+
+@dataclass(frozen=True)
+class CsrMatrix:
+    """A sparse n x n matrix held as CSR rows, each row storing at least one entry.
+
+    ``cols`` and ``vals`` hold the entries in (row, column) order and
+    ``starts[i]`` is where row i's entries begin. ``A @ x`` multiplies every
+    entry by its row of x, for x of shape (n,) or (n, d), and sums each row's
+    run with ``np.add.reduceat``, which adds pairwise, so a product agrees
+    with a sequential CSR product to within the summation error bound,
+    not bit for bit. ``reduceat`` would read an empty run as the one term at
+    its start, so a row with no entry is rejected.
+    """
+
+    cols: np.ndarray
+    vals: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def from_entries(cls, n: int, rows, cols, vals) -> "CsrMatrix":
+        """The matrix with entries ``vals`` at ``(rows, cols)``, one entry per position."""
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        cols = np.asarray(cols, dtype=np.int64).ravel()
+        vals = np.asarray(vals, dtype=np.float64).ravel()
+        if not rows.shape == cols.shape == vals.shape:
+            raise ValueError("entry arrays must have equal length")
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+            raise ValueError("entry index out of range")
+        keys = rows * n + cols
+        order = np.argsort(keys)
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("duplicate entry")
+        degree = np.bincount(rows, minlength=n)
+        if not np.all(degree):
+            raise ValueError("row with no entry")
+        return cls(cols[order], vals[order], np.cumsum(degree) - degree)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.starts.size, self.starts.size)
+
+    @property
+    def nnz(self) -> int:
+        return self.cols.size
+
+    def toarray(self) -> np.ndarray:
+        """Dense copy of the matrix."""
+        n = self.starts.size
+        dense = np.zeros((n, n))
+        dense[np.repeat(np.arange(n), np.diff(self.starts, append=self.nnz)), self.cols] = self.vals
+        return dense
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        terms = np.take(x, self.cols, axis=0)
+        terms *= self.vals.reshape((-1,) + (1,) * (terms.ndim - 1))
+        return np.add.reduceat(terms, self.starts, axis=0)
+
+
+def laplacian(n: int, i, j, w, diagonal) -> CsrMatrix:
+    """``diag(diagonal) + L`` for the Laplacian L of the undirected edges (i, j) weighing w.
+
+    Each edge must appear once, with ``i != j``. The diagonal adds the edge
+    weights at i, then those at j, to ``diagonal``. Every row stores its
+    diagonal entry and one entry per edge at it, n + 2 * edges entries in all.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    diag = np.asarray(diagonal, dtype=np.float64) + np.bincount(i, weights=w, minlength=n)
+    diag += np.bincount(j, weights=w, minlength=n)
+    index = np.arange(n)
+    return CsrMatrix.from_entries(n, np.concatenate([index, i, j]),
+                                  np.concatenate([index, j, i]),
+                                  np.concatenate([diag, -w, -w]))
 
 
 @dataclass(frozen=True)
@@ -51,14 +125,6 @@ class SparseGraph:
     def edge_count(self) -> int:
         return self.edge_i.size
 
-    def adjacency(self) -> sp.csr_matrix:
-        """Symmetric adjacency matrix."""
-        n = self.node_count
-        rows = np.concatenate([self.edge_i, self.edge_j])
-        cols = np.concatenate([self.edge_j, self.edge_i])
-        vals = np.concatenate([self.weights, self.weights])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.node_count)
         np.add.at(deg, self.edge_i, self.weights)
@@ -66,23 +132,21 @@ class SparseGraph:
         return deg
 
 
-def combinatorial_laplacian(graph: SparseGraph) -> sp.csr_matrix:
+def combinatorial_laplacian(graph: SparseGraph) -> CsrMatrix:
     """L = D - A: symmetric and positive semidefinite."""
-    adj = graph.adjacency()
-    deg = sp.diags(graph.degrees())
-    return (deg - adj).tocsr()
+    return laplacian(graph.node_count, graph.edge_i, graph.edge_j, graph.weights,
+                     np.zeros(graph.node_count))
 
 
 @dataclass(frozen=True)
 class RwLaplacian:
     """Degree-normalized Laplacian I - D^-1 A.
 
-    Rows of isolated nodes are identically zero, so every row sums to
-    zero and a constant signal is always annihilated.
+    Rows of isolated nodes store only an explicit 0.0 diagonal, so every row
+    sums to zero and a constant signal is always annihilated.
     """
 
-    matrix: sp.csr_matrix = field(repr=False)
-    degrees: np.ndarray = field(repr=False)
+    matrix: CsrMatrix = field(repr=False)
 
     @property
     def node_count(self) -> int:
@@ -92,20 +156,13 @@ class RwLaplacian:
 def random_walk_laplacian(graph: SparseGraph) -> RwLaplacian:
     n = graph.node_count
     deg = graph.degrees()
-    connected = deg > 0
-    rows = [np.flatnonzero(connected)]
-    cols = [np.flatnonzero(connected)]
-    vals = [np.ones(int(np.count_nonzero(connected)))]
-    for a, b in ((graph.edge_i, graph.edge_j), (graph.edge_j, graph.edge_i)):
-        rows.append(a)
-        cols.append(b)
-        vals.append(-graph.weights / deg[a])
-    matrix = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    deg = deg.copy()
-    deg.flags.writeable = False
-    return RwLaplacian(matrix=matrix, degrees=deg)
+    i, j, w = graph.edge_i, graph.edge_j, graph.weights
+    index = np.arange(n)
+    matrix = CsrMatrix.from_entries(n, np.concatenate([index, i, j]),
+                                    np.concatenate([index, j, i]),
+                                    np.concatenate([(deg > 0).astype(np.float64),
+                                                    -w / deg[i], -w / deg[j]]))
+    return RwLaplacian(matrix=matrix)
 
 
 def apply_rw(lap: RwLaplacian, signal) -> np.ndarray:

@@ -3,9 +3,10 @@
 Each pass re-estimates the graph from the current points (normals, patches,
 temporal matches and weights, spatial pairs) and solves for the points. The
 spatial pairs are weighed by the fixed kernel ``exp(-dn^T M dn)`` with
-``M = R0^T R0``. :func:`learn_metric`, the trace-bounded metric learning of
-Hu et al. that starts from ``R0``, is kept as a library function; the
-pipeline does not run it.
+``M = R0^T R0 = (trace_bound / 3)^2 I``, a scalar scale on ``||dn||^2``.
+:func:`learn_metric`, Hu et al.'s trace-bounded metric learning from ``R0``,
+is a library function the pipeline does not run. The point update's system
+comes from :func:`dpcdenoise.graph.laplacian`, solved per axis by CG.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .config import DenoiseConfig
 from .geometry import Frame, NeighborIndex, Sequence, estimate_normals, knn_rows
+from .graph import CsrMatrix, laplacian
 from .matching import match_patches, prepare_reference
 from .metrics import FrameMetrics
 from .patches import PatchSet, all_relative_coords, build_patches
@@ -98,57 +100,6 @@ def _check_spatial(edges: SpatialEdges, pair_weights: np.ndarray, n: int) -> Non
         raise ValueError("spatial edges do not match the point count")
 
 
-@dataclass(frozen=True)
-class CsrMatrix:
-    """A sparse n x n matrix held as CSR rows, each row storing at least one entry.
-
-    ``cols`` and ``vals`` hold the entries in (row, column) order and
-    ``starts[i]`` is where row i's entries begin. ``A @ x`` multiplies every
-    entry by its x and sums each row's run with ``np.add.reduceat``, which
-    adds pairwise, so a product agrees with scipy's CSR product to within
-    the summation error bound, not bit for bit. ``reduceat`` would read an
-    empty run as the one term at its start, so a row with no entry is
-    rejected.
-    """
-
-    cols: np.ndarray
-    vals: np.ndarray
-    starts: np.ndarray
-
-    @classmethod
-    def from_entries(cls, n: int, rows, cols, vals) -> "CsrMatrix":
-        """The matrix with entries ``vals`` at ``(rows, cols)``, one entry per position."""
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        vals = np.asarray(vals, dtype=np.float64).ravel()
-        if not rows.shape == cols.shape == vals.shape:
-            raise ValueError("entry arrays must have equal length")
-        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
-            raise ValueError("entry index out of range")
-        keys = rows * n + cols
-        order = np.argsort(keys)
-        keys = keys[order]
-        if np.any(keys[1:] == keys[:-1]):
-            raise ValueError("duplicate entry")
-        degree = np.bincount(rows, minlength=n)
-        if not np.all(degree):
-            raise ValueError("row with no entry")
-        return cls(cols[order], vals[order], np.cumsum(degree) - degree)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.starts.size, self.starts.size)
-
-    @property
-    def nnz(self) -> int:
-        return self.cols.size
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        terms = np.take(x, self.cols)
-        terms *= self.vals
-        return np.add.reduceat(terms, self.starts)
-
-
 def _conjugate_gradient(a: CsrMatrix, b: np.ndarray, x0: np.ndarray,
                         tol: float, max_iters: int) -> tuple[np.ndarray, int, float]:
     """CG for an SPD system, terminating on true relative residual <= tol.
@@ -214,9 +165,9 @@ def _point_system(
     centers. L is the Laplacian over points whose edge (lo, hi) weighs
     pair weight times row-edge count, and F sends each pair's weighted
     offset to lo and its negative to hi; together they equal the row
-    form ``S^T L_rows S`` and ``S^T L_rows C``. ``A`` stores its diagonal
-    and one entry per pair on each side of it, n + 2 * pairs in all, as the
-    CSR rows of a :class:`CsrMatrix`, so no row is empty.
+    form ``S^T L_rows S`` and ``S^T L_rows C``. :func:`~dpcdenoise.graph.laplacian`
+    builds ``A`` from ``1 + l1 diag(S^T W 1)`` and the l2-weighted pairs, so it
+    stores its diagonal and one entry per pair on each side, n + 2 * pairs.
     """
     u_hat = np.asarray(u_hat, dtype=np.float64)
     n = u_hat.shape[0]
@@ -232,15 +183,9 @@ def _point_system(
         _check_spatial(edges, pair_weights, n)
         lo, hi = edges.points[:, 0], edges.points[:, 1]
         link = lambda2 * (pair_weights * edges.counts)
-        diag += np.bincount(lo, weights=link, minlength=n)
-        diag += np.bincount(hi, weights=link, minlength=n)
         flow = link[:, None] * edges.offsets
         b += _scatter(lo, flow, n) - _scatter(hi, flow, n)
-    index = np.arange(n)
-    a = CsrMatrix.from_entries(n, np.concatenate([index, lo, hi]),
-                               np.concatenate([index, hi, lo]),
-                               np.concatenate([diag, -link, -link]))
-    return a, b
+    return laplacian(n, lo, hi, link, diag), b
 
 
 def _scatter(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -508,7 +453,7 @@ def denoise_frame(
     reference = build_reference(previous, config, len(noisy)) if lam1 > 0 else None
     other_size = len(previous) if reference is not None else None
     lam2 = config.lambda2
-    metric = (config.trace_bound / 3) ** 2 * np.eye(3)
+    scale = (config.trace_bound / 3) ** 2
 
     u = np.array(noisy.positions)
     u_hat = noisy.positions
@@ -554,7 +499,7 @@ def denoise_frame(
                 edges = spatial_connectivity(patchset, u, k_s_eff)
                 diagnostics["spatial_edges"].append(len(edges))
                 diagnostics["spatial_pairs"].append(edges.points.shape[0])
-                pair_weights = weighted_spatial_graph(edges, est.normals, metric)
+                pair_weights = weighted_spatial_graph(edges, est.normals, scale)
                 diagnostics["edge_weights"].append(_edge_weight_summary(edges, pair_weights))
             u_new, cg_iters, cg_residual = solve_point_cloud(
                 u_hat, members, anchor_rows, prev_aligned, w_rows, edges, pair_weights,

@@ -51,11 +51,6 @@ class SpatialEdges:
     def __len__(self) -> int:
         return int(self.counts.sum())
 
-    def differences(self, features: np.ndarray) -> np.ndarray:
-        """Feature difference of each point pair, shape (pairs, d)."""
-        feats = np.asarray(features, dtype=np.float64)
-        return feats[self.points[:, 0]] - feats[self.points[:, 1]]
-
     def residuals(self, u: np.ndarray) -> np.ndarray:
         """Per pair, the squared row-edge residuals summed: ``sum_e ||p_r - p_r'||^2`` at ``u``."""
         u = np.asarray(u, dtype=np.float64)
@@ -325,18 +320,14 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     return SpatialEdges(points=points, counts=counts, offsets=offsets, spread=spread)
 
 
-def weighted_spatial_graph(
-    edges: SpatialEdges, features: np.ndarray, metric: np.ndarray
-) -> np.ndarray:
-    """Weight exp(-df^T M df) of each point pair under a symmetric PSD metric M."""
-    metric = np.asarray(metric, dtype=np.float64)
-    if metric.ndim != 2 or metric.shape[0] != metric.shape[1]:
-        raise ValueError("metric must be square")
-    if not np.allclose(metric, metric.T):
-        raise ValueError("metric must be symmetric")
-    if np.min(np.linalg.eigvalsh(metric)) < -1e-9:
-        raise ValueError("metric must be positive semidefinite")
-    diff = edges.differences(features)
-    if diff.shape[1] != metric.shape[0]:
-        raise ValueError("metric size must match feature dimension")
-    return np.exp(-np.einsum("ei,ij,ej->e", diff, metric, diff))
+def weighted_spatial_graph(edges: SpatialEdges, normals: np.ndarray, scale: float) -> np.ndarray:
+    """Weight ``exp(-scale ||dn||^2)`` of each point pair, ``dn`` its two normals' difference.
+
+    This is the kernel ``exp(-dn^T M dn)`` under the metric ``M = scale * I``,
+    so ``scale`` must be finite and >= 0.
+    """
+    if not (np.isfinite(scale) and scale >= 0):
+        raise ValueError("scale must be finite and >= 0")
+    normals = np.asarray(normals, dtype=np.float64)
+    dn = normals[edges.points[:, 0]] - normals[edges.points[:, 1]]
+    return np.exp(-np.sum((dn * scale) * dn, axis=1))

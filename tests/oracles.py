@@ -42,13 +42,15 @@ def build_epsilon_graph(points, epsilon):
 def variation_rows(points, normals, epsilon):
     """Per-patch variation rows: the epsilon graph's random-walk Laplacian on the normals.
 
-    Builds one epsilon graph and one sparse Laplacian per call; the
-    batched passes in ``dpcdenoise.matching`` must match it bit for bit.
+    Builds one epsilon graph and one sparse Laplacian per call, and applies
+    its dense copy with a sequential sum over each row; the batched passes in
+    ``dpcdenoise.matching`` must match it bit for bit.
     """
-    from dpcdenoise.graph import apply_rw, random_walk_laplacian
+    from dpcdenoise.graph import random_walk_laplacian
 
     lap = random_walk_laplacian(build_epsilon_graph(points, epsilon))
-    return apply_rw(lap, np.asarray(normals, dtype=np.float64))
+    normals = np.asarray(normals, dtype=np.float64)
+    return np.einsum("ij,jk->ik", lap.matrix.toarray(), normals, optimize=False)
 
 
 
@@ -161,8 +163,8 @@ def metric_gram(diffs, terms):
     return np.einsum("ei,e,ej->ij", diffs, terms, diffs, optimize=False)
 
 
-def row_edge_weights(pairs, row_features, metric=None):
-    """Spatial edge weights computed once per row edge: exp(-df^T M df), M = I if None.
+def row_edge_weights(pairs, row_features):
+    """Spatial edge weights computed once per row edge: exp(-||df||^2).
 
     ``row_features`` holds each patch row's point feature, gathered per row;
     ``dpcdenoise.stgraph`` computes each weight once per point pair and
@@ -171,10 +173,7 @@ def row_edge_weights(pairs, row_features, metric=None):
     from dpcdenoise.graph import SparseGraph
 
     diff = row_features[pairs[:, 0]] - row_features[pairs[:, 1]]
-    if metric is None:
-        w = np.exp(-np.sum(diff * diff, axis=1))
-    else:
-        w = np.exp(-np.einsum("ei,ij,ej->e", diff, metric, diff))
+    w = np.exp(-np.sum(diff * diff, axis=1))
     return SparseGraph.from_edges(row_features.shape[0], pairs[:, 0], pairs[:, 1], w)
 
 
@@ -314,20 +313,12 @@ def build_system(u_hat, members, anchors, prev_aligned, w_rows, lap, lam1, lam2)
     return a, b
 
 
-def csr_dense(a):
-    """Dense copy of a CsrMatrix, assembled from its CSR rows."""
-    n = a.shape[0]
-    dense = np.zeros((n, n))
-    dense[np.repeat(np.arange(n), np.diff(np.append(a.starts, a.nnz))), a.cols] = a.vals
-    return dense
-
-
 def random_solve_instance(rng, n, with_temporal=True):
     """Random small patch layout + operators for solver tests.
 
     Returns the points, the patch members, the anchor rows, the temporal
     rows and weights (or None), the folded spatial edges with their pair
-    weights (identity metric on the normals), and the row-graph Laplacian
+    weights (unit scale on the normals), and the row-graph Laplacian
     those weights give.
     """
     from dpcdenoise.geometry import Frame, estimate_normals
@@ -344,7 +335,7 @@ def random_solve_instance(rng, n, with_temporal=True):
     anchors = np.repeat(pts[members[:, 0]], k + 1, axis=0)
     k_s = min(2, m - 1)
     edges = stgraph.spatial_connectivity(ps, pts, k_s)
-    pair_weights = weighted_spatial_graph(edges, frame.normals, np.eye(3))
+    pair_weights = weighted_spatial_graph(edges, frame.normals, 1.0)
     lap = row_laplacian(spatial_connectivity(ps, pts, k_s), members, pair_weights)
     if with_temporal:
         w_rows = np.repeat(rng.uniform(0, 1, m), k + 1)

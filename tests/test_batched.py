@@ -33,11 +33,10 @@ from test_acceptance import (
 
 from dpcdenoise.config import DenoiseConfig
 from dpcdenoise.geometry import Frame, NeighborIndex, farthest_point_sampling, knn_rows
-from dpcdenoise.graph import SparseGraph, combinatorial_laplacian
+from dpcdenoise.graph import CsrMatrix, SparseGraph, combinatorial_laplacian
 from dpcdenoise.matching import match_patches, patch_variations, prepare_reference
 from dpcdenoise.metrics import add_gaussian_noise
 from dpcdenoise.optimize import (
-    CsrMatrix,
     SolverError,
     _metric_gradient_from_terms,
     _point_system,
@@ -525,7 +524,7 @@ class TestFoldedSpatialTerm:
                                               lam1, lam2)
         assert a.shape == (len(pts), len(pts))
         assert a.nnz == len(pts) + 2 * edges.points.shape[0]
-        assert rel_max_error(oracles.csr_dense(a), a_want) <= 1e-12
+        assert rel_max_error(a.toarray(), a_want) <= 1e-12
         assert rel_max_error(b, b_want) <= 1e-12
 
     @PROPERTY
@@ -618,17 +617,24 @@ def summation_bound(n, rows, cols, vals, x):
 
 
 class TestCsrMatrix:
-    """The point system's product against scipy's CSR product."""
+    """The sparse matrix of the point system and the Laplacians against scipy's CSR matrix."""
 
     @PROPERTY
     @given(csr_systems())
     def test_product_matches_scipy_csr_within_summation_bound(self, drawn):
+        # Both an (n,) vector and an (n, 3) block, whose columns are bounded one by one.
         n, rows, cols, vals, x = drawn
         a = CsrMatrix.from_entries(n, rows, cols, vals)
-        want = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n)) @ x
-        got = a @ x
+        reference = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
         assert a.shape == (n, n) and a.nnz == rows.size
-        assert np.all(np.abs(got - want) <= summation_bound(n, rows, cols, vals, x))
+        got = a @ x
+        assert np.all(np.abs(got - reference @ x) <= summation_bound(n, rows, cols, vals, x))
+        block = np.column_stack([x, x[::-1], -2.0 * x])
+        got, want = a @ block, reference @ block
+        assert got.shape == (n, 3)
+        for col in range(3):
+            bound = summation_bound(n, rows, cols, vals, block[:, col])
+            assert np.all(np.abs(got[:, col] - want[:, col]) <= bound)
 
     @pytest.mark.parametrize("rows, cols, message", [
         ([0, 1, 0], [1, 1, 1], "duplicate entry"),
@@ -678,7 +684,7 @@ class TestCsrMatrix:
             tracemalloc.stop()
         assert a.nnz == entries
         assert peak <= 24 * entries + 48 * n + 4096
-        want = scipy.sparse.csr_matrix(oracles.csr_dense(a)) @ x
+        want = scipy.sparse.csr_matrix(a.toarray()) @ x
         rows = np.repeat(np.arange(n), np.diff(np.append(a.starts, entries)))
         assert np.all(np.abs(y - want) <= summation_bound(n, rows, a.cols, a.vals, x))
 
@@ -731,23 +737,15 @@ class TestPointPairs:
     @PROPERTY
     @given(row_edges())
     def test_pair_weights_equal_per_edge_weights(self, drawn):
-        members, rows, feats, pts, rng = drawn
+        members, rows, feats, pts, _ = drawn
         edges, _ = folded(rows, members, pts)
         _, inverse = oracles.group_rows(rows, members)
-        row_feats = feats[members.ravel()]
-        factor = rng.normal(0.0, 0.5, (3, 3))
-        metric = factor.T @ factor
-        pairs = (
-            (weighted_spatial_graph(edges, feats, np.eye(3)),
-             oracles.row_edge_weights(rows, row_feats)),
-            (weighted_spatial_graph(edges, feats, metric),
-             oracles.row_edge_weights(rows, row_feats, metric)),
-        )
-        for got, want in pairs:
-            assert got.shape == (edges.points.shape[0],)
-            assert np.array_equal(rows[:, 0], want.edge_i)
-            assert np.array_equal(rows[:, 1], want.edge_j)
-            assert bits(got[inverse]) == bits(want.weights)
+        got = weighted_spatial_graph(edges, feats, 1.0)
+        want = oracles.row_edge_weights(rows, feats[members.ravel()])
+        assert got.shape == (edges.points.shape[0],)
+        assert np.array_equal(rows[:, 0], want.edge_i)
+        assert np.array_equal(rows[:, 1], want.edge_j)
+        assert bits(got[inverse]) == bits(want.weights)
 
     @PROPERTY
     @given(row_edges(), st.sampled_from([1e-5, 1e-3]))
@@ -763,7 +761,8 @@ class TestPointPairs:
         residuals = edges.residuals(pts)
         assert_sums_match(residuals, np.bincount(oracles.group_rows(rows, members)[1],
                                                  weights=dsq), pts)
-        compressed = learn_metric(edges.differences(feats), residuals, 5.0,
+        pair_diffs = feats[edges.points[:, 0]] - feats[edges.points[:, 1]]
+        compressed = learn_metric(pair_diffs, residuals, 5.0,
                                   pg_step=step, pg_max_iters=20)
         assert edges.points.shape[0] <= rows.shape[0]
         assert np.all(edges.points[:, 0] < edges.points[:, 1])

@@ -6,6 +6,7 @@ from dpcdenoise.graph import (
     SparseGraph,
     apply_rw,
     combinatorial_laplacian,
+    laplacian,
     random_walk_laplacian,
 )
 
@@ -87,6 +88,27 @@ class TestCombinatorialLaplacian:
             for _ in range(10):
                 x = rng.normal(size=n)
                 assert x @ (lap @ x) >= -1e-10
+
+
+class TestLaplacianBuilder:
+    def test_diagonal_adds_weights_at_i_then_at_j(self):
+        # Node 1 is i of edge (1, 2), weight 0.1, and j of edge (0, 1), weight
+        # 1.0: its diagonal is (0.1 + 0.1) + 1.0, which rounds differently
+        # from (0.1 + 1.0) + 0.1 and from 0.1 + (0.1 + 1.0).
+        got = laplacian(3, [0, 1], [1, 2], [1.0, 0.1], [0.0, 0.1, 0.0]).toarray()[1, 1]
+        assert got == (0.1 + 0.1) + 1.0
+        assert got != (0.1 + 1.0) + 0.1 and got != 0.1 + (0.1 + 1.0)
+
+    def test_every_row_stores_its_diagonal(self):
+        # Nodes 2 and 3 have no edge; their rows hold one explicit entry.
+        g = SparseGraph.from_edges(4, [0], [1], [2.0])
+        lap = combinatorial_laplacian(g)
+        rw = random_walk_laplacian(g).matrix
+        for a in (lap, rw):
+            assert a.nnz == 4 + 2
+            assert np.array_equal(np.diff(a.starts, append=a.nnz), [2, 2, 1, 1])
+            assert a.cols[-2:].tolist() == [2, 3] and a.vals[-2:].tolist() == [0.0, 0.0]
+        assert np.array_equal(lap.toarray()[:2, :2], [[2.0, -2.0], [-2.0, 2.0]])
 
 
 class TestRandomWalkLaplacian:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_system, csr_dense, lp_oracle, random_solve_instance
+from oracles import build_system, lp_oracle, random_solve_instance
 
 from dpcdenoise.config import DenoiseConfig
 from dpcdenoise.geometry import Frame, Sequence, estimate_normals, mean_nn_distance
@@ -101,7 +101,7 @@ class TestSolvePointCloud:
             n = int(rng.integers(10, 61))
             pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, n)
             a, _ = _point_system(pts, members, anchors, prev, w, edges, pw, 1.3, 0.7)
-            assert np.linalg.eigvalsh(csr_dense(a)).min() >= 1.0 - 1e-9
+            assert np.linalg.eigvalsh(a.toarray()).min() >= 1.0 - 1e-9
 
     def test_failure_carries_residual(self):
         rng = np.random.default_rng(7)
@@ -378,7 +378,7 @@ class TestDenoiseFrame:
         ps = PatchSet(members=members, k=4, frame=frame)
         edges = spatial_connectivity(ps, pts, 4)
         normals = np.tile((0.0, 0.0, 1.0), (144, 1))
-        pw = weighted_spatial_graph(edges, normals, np.eye(3))
+        pw = weighted_spatial_graph(edges, normals, 1.0)
         anchors = np.repeat(pts[members[:, 0]], 5, axis=0)
         out, _, _ = solve_point_cloud(pts, members, anchors, None, None, edges, pw, 0.0, 0.5,
                                       cg_tol=1e-10, cg_max_iters=500)
@@ -695,9 +695,9 @@ class TestDenoiseSequence:
         graphs = []
         real_weigh = opt.weighted_spatial_graph
 
-        def weigh(edges, features, metric):
-            graphs.append((edges, np.array(features)))
-            return real_weigh(edges, features, metric)
+        def weigh(edges, normals, scale):
+            graphs.append((edges, np.array(normals)))
+            return real_weigh(edges, normals, scale)
 
         monkeypatch.setattr(opt, "learn_metric", learn)
         monkeypatch.setattr(opt, "weighted_spatial_graph", weigh)
@@ -708,7 +708,7 @@ class TestDenoiseSequence:
         summaries = [entry for rep in reports for entry in rep.diagnostics["edge_weights"]]
         assert len(summaries) == len(graphs) == sum(len(rep.objective_trace) for rep in reports)
         for summary, (edges, normals) in zip(summaries, graphs):
-            dn = edges.differences(normals)
+            dn = normals[edges.points[:, 0]] - normals[edges.points[:, 1]]
             weights = np.exp(-(4.0 / 3.0) ** 2 * np.sum(dn * dn, axis=1))
             assert summary == pytest.approx(_edge_weight_summary(edges, weights), rel=1e-12)
         other, _ = denoise_sequence(noisy, small_config(trace_bound=4.0, pg_step=0.5,

@@ -51,9 +51,12 @@ def test_readme_library_example_uses_only_exports():
 
 def test_imports_load_no_scipy():
     # Importing scipy.sparse took about 0.2 s of every process start; the
-    # program needs numpy alone. Each import runs in a fresh interpreter.
+    # package needs numpy alone, in every module. Each import runs in a fresh
+    # interpreter.
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    for module in ("dpcdenoise", "dpcdenoise.cli"):
+    modules = ["dpcdenoise"] + [f"dpcdenoise.{info.name}"
+                                for info in pkgutil.iter_modules(dpcdenoise.__path__)]
+    for module in modules:
         code = (f"import sys, {module}; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

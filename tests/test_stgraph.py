@@ -18,8 +18,6 @@ from dpcdenoise.stgraph import (
 )
 from dpcdenoise.synthetic import SyntheticSpec, generate_sequence
 
-IDENTITY = np.eye(6)
-
 
 def toy_patchset(positions, members, k):
     return PatchSet(members=np.asarray(members), k=k, frame=Frame(positions))
@@ -146,13 +144,13 @@ class TestSpatialConnectivity:
 class TestSpatialWeights:
     def test_identical_features_weight_one(self):
         feats = np.zeros((2, 6))
-        g = weighted_spatial_graph(point_edges([[0, 1]]), feats, IDENTITY)
+        g = weighted_spatial_graph(point_edges([[0, 1]]), feats, 1.0)
         assert g[0] == 1.0
 
     def test_exp_ln2_weight_half(self):
         feats = np.zeros((2, 6))
         feats[1, 0] = np.sqrt(np.log(2.0))
-        g = weighted_spatial_graph(point_edges([[0, 1]]), feats, IDENTITY)
+        g = weighted_spatial_graph(point_edges([[0, 1]]), feats, 1.0)
         assert g[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_monotone_in_feature_distance(self):
@@ -161,40 +159,53 @@ class TestSpatialWeights:
         prev = np.inf
         for scale in (0.1, 0.5, 1.0, 2.0):
             feats = np.vstack([np.zeros(6), scale * base])
-            w = weighted_spatial_graph(point_edges([[0, 1]]), feats, IDENTITY)[0]
+            w = weighted_spatial_graph(point_edges([[0, 1]]), feats, 1.0)[0]
             assert w < prev
             prev = w
 
     def test_identity_metric_matches_initial(self):
-        # The first pass weighs pairs under the identity metric: bit for bit
-        # the Gaussian kernel exp(-||f_i - f_j||^2).
+        # Scale 1 is the identity metric: bit for bit the Gaussian kernel
+        # exp(-||f_i - f_j||^2).
         rng = np.random.default_rng(3)
         pairs = np.array([[i, j] for i in range(10) for j in range(i + 1, 10)])
         for _ in range(200):
             feats = rng.normal(0.0, rng.uniform(0.01, 3.0), size=(10, 6))
             diff = feats[pairs[:, 0]] - feats[pairs[:, 1]]
-            got = weighted_spatial_graph(point_edges(pairs), feats, IDENTITY)
+            got = weighted_spatial_graph(point_edges(pairs), feats, 1.0)
             assert got.tobytes() == np.exp(-np.sum(diff * diff, axis=1)).tobytes()
 
     def test_zero_metric_gives_unit_weights(self):
         feats = np.random.default_rng(4).normal(size=(5, 6))
         pairs = np.array([[0, 1], [2, 3]])
-        g = weighted_spatial_graph(point_edges(pairs), feats, np.zeros((6, 6)))
+        g = weighted_spatial_graph(point_edges(pairs), feats, 0.0)
         assert np.array_equal(g, [1.0, 1.0])
 
     def test_diagonal_metric_example(self):
+        # Scale 2 is the metric 2 I: ||dn||^2 = 1.25 weighs exp(-2.5).
         feats = np.zeros((2, 6))
-        feats[1, 0] = 1.0
-        metric = np.zeros((6, 6))
-        metric[0, 0] = 2.0
-        g = weighted_spatial_graph(point_edges([[0, 1]]), feats, metric)
-        assert g[0] == pytest.approx(np.exp(-2.0), rel=1e-12)
+        feats[1, :2] = (1.0, 0.5)
+        g = weighted_spatial_graph(point_edges([[0, 1]]), feats, 2.0)
+        assert g[0] == pytest.approx(np.exp(-2.5), rel=1e-12)
+
+    def test_scale_equals_mahalanobis_form_bit_for_bit(self):
+        # exp(-dn^T M dn) with M = scale * I, as a three-operand einsum, on unit
+        # normals and at the pipeline's default scale (5 / 3)^2.
+        rng = np.random.default_rng(8)
+        pairs = np.array([[i, j] for i in range(40) for j in range(i + 1, 40)])
+        for scale in (1.0, (5.0 / 3.0) ** 2, 0.37):
+            normals = rng.normal(size=(40, 3))
+            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+            dn = normals[pairs[:, 0]] - normals[pairs[:, 1]]
+            want = np.exp(-np.einsum("ei,ij,ej->e", dn, scale * np.eye(3), dn))
+            got = weighted_spatial_graph(point_edges(pairs), normals, scale)
+            assert got.tobytes() == want.tobytes()
 
     def test_rejects_non_psd_metric(self):
-        feats = np.zeros((2, 6))
-        metric = -np.eye(6)
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            weighted_spatial_graph(point_edges([[0, 1]]), feats, metric)
+        # A negative scale makes the metric scale * I not PSD; nan and inf are
+        # no scale at all.
+        for scale in (-1.0, -1e-300, np.nan, np.inf):
+            with pytest.raises(ValueError, match="scale must be finite and >= 0"):
+                weighted_spatial_graph(point_edges([[0, 1]]), np.zeros((2, 6)), scale)
 
     def test_laplacian_of_weighted_graph_is_psd(self):
         # The point Laplacian whose edge (lo, hi) weighs pair weight times count.
@@ -203,10 +214,11 @@ class TestSpatialWeights:
         frame, _ = estimate_normals(Frame(pts), 8)
         ps = build_patches(frame, 10, 5, seed=2)
         edges = spatial_connectivity(ps, pts, 3)
-        w = weighted_spatial_graph(edges, frame.normals, 0.5 * np.eye(3))
+        w = weighted_spatial_graph(edges, frame.normals, 0.5)
         lo, hi = edges.points.T
         lap = combinatorial_laplacian(SparseGraph.from_edges(50, lo, hi, w * edges.counts))
-        assert abs((lap - lap.T).toarray()).max() < 1e-15
+        dense = lap.toarray()
+        assert abs(dense - dense.T).max() < 1e-15
         for _ in range(20):
             x = rng.normal(size=lap.shape[0])
             assert x @ (lap @ x) >= -1e-10
@@ -291,7 +303,7 @@ class TestSpatialEdges:
         ps = toy_patchset(pts, [[2, 1], [1, 0], [0, 1]], k=1)
         edges = spatial_connectivity(ps, pts, k_s=1)
         feats = np.hstack([rng.normal(size=(3, 3)), np.tile([0.0, 0.0, 1.0], (3, 1))])
-        w = weighted_spatial_graph(edges, feats, IDENTITY)
+        w = weighted_spatial_graph(edges, feats, 1.0)
         diff = feats[edges.points[:, 0]] - feats[edges.points[:, 1]]
         assert w.tolist() == np.exp(-np.sum(diff * diff, axis=1)).tolist()
         assert np.all(w < 1.0)
