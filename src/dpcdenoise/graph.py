@@ -142,8 +142,9 @@ def combinatorial_laplacian(graph: SparseGraph) -> CsrMatrix:
 class RwLaplacian:
     """Degree-normalized Laplacian I - D^-1 A.
 
-    Rows of isolated nodes store only an explicit 0.0 diagonal, so every row
-    sums to zero and a constant signal is always annihilated.
+    A node of degree 0, isolated or with edges that all weigh 0, has an
+    explicit 0.0 diagonal and 0.0 at its edges, so every row sums to zero
+    and a constant signal is always annihilated.
     """
 
     matrix: CsrMatrix = field(repr=False)
@@ -158,10 +159,10 @@ def random_walk_laplacian(graph: SparseGraph) -> RwLaplacian:
     deg = graph.degrees()
     i, j, w = graph.edge_i, graph.edge_j, graph.weights
     index = np.arange(n)
+    off = [np.divide(-w, deg[end], out=np.zeros_like(w), where=deg[end] > 0) for end in (i, j)]
     matrix = CsrMatrix.from_entries(n, np.concatenate([index, i, j]),
                                     np.concatenate([index, j, i]),
-                                    np.concatenate([(deg > 0).astype(np.float64),
-                                                    -w / deg[i], -w / deg[j]]))
+                                    np.concatenate([(deg > 0).astype(np.float64), *off]))
     return RwLaplacian(matrix=matrix)
 
 

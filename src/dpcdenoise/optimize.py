@@ -398,9 +398,11 @@ def prepare_frame(frame: Frame, config: DenoiseConfig,
     """Normals and patches of ``frame``, at the sizes and FPS seed of the pipeline.
 
     Patches have ``min(config.k, n - 1)`` neighbors, and at most ``other_size
-    - 1`` to match a frame of that size. ``frame.normals`` are used when
-    present; otherwise one neighbor table serves the normals, their
-    orientation and the patches.
+    - 1`` to match a frame of that size. Below ``patch_fraction = 1`` the
+    centers come from FPS seeded by ``config.seed`` and the frame index; at
+    1 patch l is centered on point l and the seed is not used.
+    ``frame.normals`` are used when present; otherwise one neighbor table
+    serves the normals, their orientation and the patches.
     """
     n = len(frame)
     k = min(config.k, n - 1, (other_size or n) - 1)
@@ -448,6 +450,9 @@ def denoise_frame(
     the row edges and point pairs of the spatial graph, edge-weight
     quantiles and, per axis, the point solve's CG products with A
     (``cg_iters``) and its final true relative residual (``cg_residual``).
+    Each pass with a reference also adds the p50 and p95 of its patch match
+    distances (``match_dist``) and the counts of patches weighing exactly 0
+    and exactly 1 (``patch_weights``); without one those lists stay empty.
     """
     lam1 = config.lambda1 if previous is not None else 0.0
     reference = build_reference(previous, config, len(noisy)) if lam1 > 0 else None
@@ -460,7 +465,8 @@ def denoise_frame(
     trace: list[ObjectiveBreakdown] = []
     diagnostics: dict = {"degenerate_normals": [], "spatial_edges": [], "spatial_pairs": [],
                          "edge_weights": [], "cg_iters": [], "cg_residual": [],
-                         "largest_move": [], "stop_reason": "max_iters"}
+                         "largest_move": [], "match_dist": [], "patch_weights": [],
+                         "stop_reason": "max_iters"}
 
     for it in range(config.outer_max_iters):
         est, patchset, table, degen, k_plane_eff, k_s_eff = prepare_frame(
@@ -492,6 +498,10 @@ def denoise_frame(
                 patch_weights = solve_temporal_weights(np.sum(gaps * gaps, axis=(1, 2)),
                                                        config.weight_floor(len(patchset)))
             w_rows = np.repeat(patch_weights, patchset.k + 1)
+            p50, p95 = np.quantile(match_dist, [0.5, 0.95], method="inverted_cdf")
+            diagnostics["match_dist"].append({"p50": float(p50), "p95": float(p95)})
+            diagnostics["patch_weights"].append({"zero": int(np.sum(patch_weights == 0)),
+                                                 "one": int(np.sum(patch_weights == 1))})
 
         edges = pair_weights = None
         try:

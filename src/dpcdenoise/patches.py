@@ -77,6 +77,9 @@ def build_patches(frame: Frame, m: int, k: int, seed: int,
                   neighbors: Optional[np.ndarray] = None) -> PatchSet:
     """Decompose a frame into ``m`` patches of ``k+1`` points each.
 
+    Centers are ``farthest_point_sampling(frame, m, seed)`` for m < n; for
+    m == n patch l is centered on point l and ``seed`` is not used.
+
     ``neighbors``, if given, is a neighbor table over the frame's
     positions, ``knn_rows(index, positions, w)`` with w > ``k``; each
     center reads its first ``k + 1`` entries, and it saves a query.
@@ -92,7 +95,7 @@ def build_patches(frame: Frame, m: int, k: int, seed: int,
     elif neighbors.shape[0] != n or neighbors.shape[1] <= k:
         raise ValueError(f"neighbor table of shape {neighbors.shape} does not fit "
                          f"{n} points and k = {k}")
-    centers = farthest_point_sampling(frame, m, seed)
+    centers = np.arange(n) if m == n else farthest_point_sampling(frame, m, seed)
     if neighbors is None:
         rows = knn_rows(index, frame.positions[centers], k + 1)
     else:

@@ -80,30 +80,21 @@ def edge_key_bits(n: int, patch_pairs: int) -> int:
 def _adjacent_patches(patchset: PatchSet, positions: np.ndarray, k_s: int) -> np.ndarray:
     """Sorted (pairs, 2) patch pairs l < m, either among the other's ``k_s`` nearest centers.
 
-    When every point of ``positions`` is a center once, the patches were
-    built over those positions and a patch holds more than ``k_s``
-    neighbors, a patch's members 1..k_s are its k_s nearest other centers,
-    since its nearest points are all centers. Only a row whose member
-    k_s + 1 is as near as member k_s may rank them otherwise, as centers
-    break ties by center index. Such rows, and every row when those
-    conditions fail, come from one k-NN query over the centers.
+    When patch l is centered on point l of ``positions`` for every point,
+    the patches were built over those positions and a patch holds at least
+    ``k_s`` neighbors, members 1..k_s of patch l are its k_s nearest other
+    centers: center and point indices agree, so the patches' rows and a
+    query over the centers rank by the same (distance, index) order. In
+    every other case one k-NN query over the centers finds them.
     """
     centers = patchset.center_indices
     m = centers.size
-    near = np.empty((m, k_s), dtype=np.int64)
-    todo = np.arange(m)
-    center_of = np.full(positions.shape[0], -1)
-    center_of[centers] = np.arange(m)
-    if patchset.k > k_s and np.all(center_of >= 0) and np.array_equal(positions, patchset.frame.positions):
-        members = patchset.members
-        gap = positions[members[:, k_s:k_s + 2]] - positions[centers][:, None, :]
-        dist = np.sqrt(np.sum(gap**2, axis=2))
-        clear = dist[:, 0] < dist[:, 1]
-        near[clear] = center_of[members[clear, 1:k_s + 1]]
-        todo = np.flatnonzero(~clear)
-    if todo.size:
+    if (patchset.k >= k_s and np.array_equal(centers, np.arange(positions.shape[0]))
+            and np.array_equal(positions, patchset.frame.positions)):
+        near = patchset.members[:, 1:k_s + 1]
+    else:
         index = NeighborIndex.from_points(positions[centers])
-        near[todo] = knn_rows(index, index.points[todo], k_s, exclude=todo)
+        near = knn_rows(index, index.points, k_s, exclude=np.arange(m))
     near = near.ravel()
     own = np.repeat(np.arange(m), k_s)
     adjacent = np.unique(np.minimum(own, near) * m + np.maximum(own, near))
@@ -217,8 +208,9 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     """Row edges between adjacent patches, folded onto point pairs.
 
     Patches are adjacent when either has the other among its ``k_s``
-    nearest patch centers; the patches' own rows, or one batched k-NN
-    query over the centers, find them all (see :func:`_adjacent_patches`).
+    nearest patch centers; the patches' own rows when patch l is centered
+    on point l, or else one batched k-NN query over the centers, find them
+    all (see :func:`_adjacent_patches`).
     Between adjacent patches, every row connects to the row of
     the other patch whose center-relative coordinates are nearest (ties
     by ascending index): the first argmin of the float64 squared distances.
@@ -263,18 +255,21 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     # of slot t join the same two rows only when nl[t] = s and nm[s] = t, so
     # mutual backward edges are dropped and every row edge is emitted once.
     nm, nl, one_way_edges, _ = _nearest_slots(all_relative_coords(patchset, pts), adj)
-    slots = np.arange(nm.shape[1])
+    size = nm.shape[1]
+    slots = np.arange(size)
+    flat = members.ravel()
     keys = np.empty(nm.size + one_way_edges, dtype=np.int64)
     filled = 0
     for start in range(0, adj.shape[0], PATCH_BLOCK):
         part = slice(start, start + PATCH_BLOCK)
         bm, bl = nm[part].astype(np.intp), nl[part].astype(np.intp)
-        one_way = np.take_along_axis(bm, bl, axis=1) != slots
-        in_l, in_m = members[adj[part, 0]], members[adj[part, 1]]
-        pair = np.broadcast_to(2 * np.arange(start, start + bm.shape[0])[:, None], bm.shape)
-        a = np.concatenate([in_l.ravel(), np.take_along_axis(in_l, bl, axis=1)[one_way]])
-        b = np.concatenate([np.take_along_axis(in_m, bm, axis=1).ravel(), in_m[one_way]])
-        code = np.concatenate([pair.ravel(), pair[one_way]])
+        own = size * np.arange(bm.shape[0])[:, None]   # flat offsets into bm, then into flat
+        at_l, at_m = size * adj[part, :1], size * adj[part, 1:]
+        back = np.flatnonzero(bm.ravel().take(own + bl) != slots)   # one-way m slots
+        pair = np.repeat(2 * np.arange(start, start + bm.shape[0]), size)
+        a = np.concatenate([flat.take(at_l + slots).ravel(), flat.take((at_l + bl).ravel()[back])])
+        b = np.concatenate([flat.take(at_m + bm).ravel(), flat.take((at_m + slots).ravel()[back])])
+        code = np.concatenate([pair, pair[back]])
         other = a != b
         a, b, code = a[other], b[other], code[other]
         block_keys = keys[filled : filled + a.size]
@@ -303,7 +298,7 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     table[:, 0::2] = (center_pts[adj[:, 0]] - center_pts[adj[:, 1]]).T
     np.negative(table[:, 0::2], out=table[:, 1::2])
     offsets = np.empty((starts.size, 3))
-    spread = np.zeros(starts.size)
+    spread = np.empty(starts.size)
     # Fold chunks of whole pairs, each starting at the pair that holds a
     # multiple of FOLD_CHUNK edges. Every pair is summed by the same
     # np.add.reduceat segment as over the whole buffer.
@@ -311,12 +306,13 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     for lo, hi in zip(cuts, np.append(cuts[1:], starts.size)):
         codes = keys[bounds[lo] : bounds[hi]] & ((1 << bits) - 1)
         local = starts[lo:hi] - bounds[lo]
-        for axis in range(3):
-            delta = table[axis][codes]
-            offsets[lo:hi, axis] = np.add.reduceat(delta, local) / counts[lo:hi]
-            delta -= np.repeat(offsets[lo:hi, axis], counts[lo:hi])
-            delta *= delta
-            spread[lo:hi] += np.add.reduceat(delta, local)
+        delta = table.take(codes, axis=1)
+        mean = np.add.reduceat(delta, local, axis=1) / counts[lo:hi]
+        offsets[lo:hi] = mean.T
+        delta -= np.repeat(mean, counts[lo:hi], axis=1)
+        delta *= delta
+        x, y, z = np.add.reduceat(delta, local, axis=1)
+        spread[lo:hi] = x + y + z
     return SpatialEdges(points=points, counts=counts, offsets=offsets, spread=spread)
 
 

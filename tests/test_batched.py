@@ -305,14 +305,15 @@ class TestSpatialConnectivity:
         assert len(edges) == np.count_nonzero(flat[every[:, 0]] != flat[every[:, 1]])
 
     @PROPERTY
-    @given(clouds(min_points=4), st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @given(clouds(min_points=4), st.integers(1, 8), st.none() | st.integers(1, 8),
+           st.integers(0, 2**32 - 1))
     def test_adjacency_with_every_point_a_center(self, cloud, k, k_s, seed):
-        # The patches' own rows give the adjacent centers, except rows whose
-        # member k_s + 1 ties member k_s, which are queried; grids and
-        # duplicates make such ties, and duplicates can repeat a center.
+        # For k >= k_s the patches' own rows give the adjacent centers, ties
+        # included; grids and duplicates make ties. For k < k_s the centers
+        # are queried. A k_s of None draws k_s == k.
         pts, _ = cloud
         n = len(pts)
-        k, k_s = min(k, n - 1), min(k_s, n - 1)
+        k, k_s = min(k, n - 1), min(k if k_s is None else k_s, n - 1)
         ps = build_patches(Frame(pts), n, k, seed)
         centers = pts[ps.center_indices]
         want = {(min(l, j), max(l, j)) for l in range(n)

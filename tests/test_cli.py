@@ -101,7 +101,7 @@ class TestDenoise:
             assert np.array_equal(a.positions, b.positions)
 
     def test_manifest_written_and_complete(self, tmp_path):
-        run(synth_args(tmp_path / "clean", points=60, frames=1))
+        run(synth_args(tmp_path / "clean", points=60, frames=2))
         inputs = sorted((tmp_path / "clean").glob("*.ply"))
         out_dir = tmp_path / "out"
         run(["denoise", "--out-dir", str(out_dir), "--k", "8", "--k-s", "3",
@@ -109,7 +109,7 @@ class TestDenoise:
         manifest = RunManifest.load(out_dir / "manifest.json")
         assert manifest.command == "denoise"
         assert manifest.config["k"] == 8
-        assert len(manifest.frame_metrics) == 1
+        assert len(manifest.frame_metrics) == 2
         assert manifest.frame_metrics[0]["objective_trace"]
         # The loop's stop reason, the input spacing, and per pass its largest
         # point move, its spatial graph's size, an edge-weight summary and,
@@ -124,7 +124,18 @@ class TestDenoise:
             assert len(diag[key]) == passes, key
         assert set(diag) == {"stop_reason", "spacing", "degenerate_normals", "largest_move",
                              "spatial_edges", "spatial_pairs", "edge_weights", "cg_iters",
-                             "cg_residual"}
+                             "cg_residual", "match_dist", "patch_weights"}
+        # Frame 0 has no reference, so it matches nothing; frame 1 reports,
+        # per pass, match-distance quantiles and the patches weighing 0 and 1.
+        assert diag["match_dist"] == diag["patch_weights"] == []
+        later = manifest.frame_metrics[1]["diagnostics"]
+        passes_1 = len(manifest.frame_metrics[1]["objective_trace"])
+        assert len(later["match_dist"]) == len(later["patch_weights"]) == passes_1
+        patches = manifest.config["patch_fraction"] * 60
+        for dist, weights in zip(later["match_dist"], later["patch_weights"]):
+            assert 0.0 <= dist["p50"] <= dist["p95"]
+            assert 0 <= weights["zero"] and 0 <= weights["one"]
+            assert weights["zero"] + weights["one"] <= patches
         for products, residuals in zip(diag["cg_iters"], diag["cg_residual"]):
             assert len(products) == len(residuals) == 3
             assert all(count >= 1 for count in products)

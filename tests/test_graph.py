@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from oracles import build_epsilon_graph, dense_laplacians, random_graph
@@ -125,6 +127,16 @@ class TestRandomWalkLaplacian:
         f = np.random.default_rng(0).normal(size=(3, 2))
         out = apply_rw(rw, f)
         assert np.array_equal(out[2], [0.0, 0.0])
+
+    def test_node_whose_edges_weigh_zero_is_isolated(self):
+        # Node 0's one edge weighs 0, so its degree is 0: its row is zero, not 0/0.
+        g = SparseGraph.from_edges(3, [0, 1], [1, 2], [0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rw = random_walk_laplacian(g)
+            out = apply_rw(rw, np.array([1.0, 2.0, 4.0]))
+        assert np.array_equal(rw.matrix.toarray()[0], [0.0, 0.0, 0.0])
+        assert out.tolist() == [0.0, -2.0, 2.0]
 
     def test_constant_signal_annihilated(self):
         rng = np.random.default_rng(5)

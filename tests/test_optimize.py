@@ -499,6 +499,42 @@ class TestDenoiseFrame:
         if kind == "zeros":
             assert np.array_equal(seen["prev_aligned"], np.zeros_like(seen["prev_aligned"]))
 
+    def test_match_diagnostics_per_pass(self, monkeypatch):
+        # Per pass with a reference: the p50 and p95 of the match distances,
+        # each one of the distances, and the patches weighing exactly 0 and 1.
+        # The first pass weighs a patch exp(-distance), so it weighs 1 exactly
+        # where its distance is 0; later passes solve the weight program.
+        import dpcdenoise.optimize as opt
+
+        seq = small_sequence(2)
+        cfg = small_config(outer_max_iters=3, outer_tol=1e-12)
+        ref_frame, _ = estimate_normals(seq.frames[0], cfg.k_plane)
+        distances = []
+
+        def match(*args):
+            matched, distance, point_map = real_match(*args)
+            distances.append(distance)
+            return matched, distance, point_map
+
+        real_match = opt.match_patches
+        monkeypatch.setattr(opt, "match_patches", match)
+        _, report = denoise_frame(Frame(seq.frames[1].positions, frame_index=1), ref_frame, cfg)
+        diag = report.diagnostics
+        assert len(diag["match_dist"]) == len(diag["patch_weights"]) == len(distances) == 3
+        for quantiles, distance in zip(diag["match_dist"], distances):
+            assert quantiles["p50"] in distance and quantiles["p95"] in distance
+            assert quantiles["p50"] <= quantiles["p95"] <= distance.max()
+            assert np.mean(distance <= quantiles["p50"]) >= 0.5
+        first = diag["patch_weights"][0]
+        assert first == {"zero": int(np.sum(np.exp(-distances[0]) == 0)),
+                         "one": int(np.sum(distances[0] == 0))}
+        for weights in diag["patch_weights"][1:]:
+            assert weights["one"] >= int(cfg.weight_floor(60))
+            assert weights["zero"] + weights["one"] <= 60
+
+        _, alone = denoise_frame(Frame(seq.frames[0].positions), None, cfg)
+        assert alone.diagnostics["match_dist"] == alone.diagnostics["patch_weights"] == []
+
     def test_one_neighbor_index_per_iteration(self, monkeypatch):
         # Each outer iteration makes one neighbor table over the points, as
         # wide as the wider of the normals' and the patches' rows (shared by
@@ -527,11 +563,11 @@ class TestDenoiseFrame:
         # Only the graph's size is reported per pass; its metric is fixed, not learned.
         assert set(diag) == {"stop_reason", "spacing", "degenerate_normals", "largest_move",
                              "spatial_edges", "spatial_pairs", "edge_weights", "cg_iters",
-                             "cg_residual"}
+                             "cg_residual", "match_dist", "patch_weights"}
 
     def test_every_point_a_center_needs_no_center_query(self, monkeypatch):
         # With every point a patch center, the patches' rows, which come from
-        # the table, also give the adjacent centers.
+        # the table, also give the adjacent centers, for k_s < k and k_s == k.
         import dpcdenoise.geometry as geometry
 
         queries = []
@@ -543,10 +579,13 @@ class TestDenoiseFrame:
 
         monkeypatch.setattr(geometry, "_nearest", nearest)
         seq = small_sequence(1)
-        cfg = small_config(outer_max_iters=2, patch_fraction=1.0)
-        denoise_frame(Frame(seq.frames[0].positions), None, cfg)
-        table = (120, 120, max(cfg.k, cfg.k_plane) + 1)
-        assert queries == [table, table, (120, 120, cfg.k_plane + 1)]
+        for k_s in (4, 10):
+            queries.clear()
+            cfg = small_config(outer_max_iters=2, patch_fraction=1.0, k_s=k_s)
+            assert cfg.k_s <= cfg.k
+            denoise_frame(Frame(seq.frames[0].positions), None, cfg)
+            table = (120, 120, max(cfg.k, cfg.k_plane) + 1)
+            assert queries == [table, table, (120, 120, cfg.k_plane + 1)], k_s
 
     def test_cg_gets_point_sized_systems_only(self, monkeypatch):
         # The spatial term is assembled over points: every system handed to

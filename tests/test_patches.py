@@ -36,6 +36,20 @@ class TestBuildPatches:
             with pytest.raises(ValueError, match="does not fit"):
                 build_patches(frame, 20, 7, seed=2, neighbors=table)
 
+    def test_every_point_a_center_needs_no_sampling(self, monkeypatch):
+        # With as many patches as points, patch l is centered on point l.
+        import dpcdenoise.patches as patches
+
+        def sample(*args):
+            raise AssertionError("farthest_point_sampling called")
+
+        monkeypatch.setattr(patches, "farthest_point_sampling", sample)
+        pts = np.random.default_rng(4).uniform(0, 1, (40, 3))
+        ps = build_patches(Frame(pts), 40, 6, seed=3)
+        assert np.array_equal(ps.center_indices, np.arange(40))
+        for center, row in enumerate(ps.members):
+            assert row[1:].tolist() == brute_knn(pts, pts[center], 6, exclude=center).tolist()
+
     def test_k_too_large(self):
         pts = np.random.default_rng(2).uniform(0, 1, (5, 3))
         with pytest.raises(ValueError):
