@@ -11,29 +11,29 @@ from dataclasses import dataclass, fields
 class DenoiseConfig:
     """All knobs of the pipeline.
 
-    Patch count and the temporal-weight lower bound are rules, not
-    absolute numbers: per frame, ``m = round(patch_fraction * n_points)``
-    and the weight-sum floor is ``mprime_fraction * m``.
+    Every point centers one patch, so a frame of n points has m = n
+    patches, and the temporal weight-sum floor is ``mprime_fraction * m``.
     Construction checks that each int field holds an integer (not a bool)
     and each float field a finite number, stored as float, in its range.
     """
 
     k: int = 30                 # neighbors per patch (patch size is k+1)
-    patch_fraction: float = 0.5  # patches per point
+    patch_fraction: float = 1.0  # patches per point; 1 is the only value
     k_s: int = 10               # adjacent patches per patch (spatial graph)
     xi: int = 10                # temporal search window (candidate patches)
     c: float = 5.0              # epsilon multiplier for the patch graphs
     alpha: float = 0.5          # variation-vs-position balance in point matching
-    lambda1: float = 1.0        # temporal consistency weight
-    lambda2: float = 1.0        # spatial smoothness weight
-    mprime_fraction: float = 0.9  # temporal weight-sum floor, fraction of m
+    lambda1: float = 0.5        # temporal consistency weight
+    lambda2: float = 0.1        # spatial smoothness weight
+    mprime_fraction: float = 0.6  # temporal weight-sum floor, fraction of m
     trace_bound: float = 5.0    # spatial kernel metric (trace_bound / 3)^2 I
     k_plane: int = 12           # neighbors for normal estimation
     cg_tol: float = 1e-8
     cg_max_iters: int = 500
-    # No stage reads the three pg_* fields: the spatial metric is fixed. They
-    # still parse because existing config files, such as the benchmark's
-    # (perfbench/workloads.py) and the acceptance suite's, set them.
+    # No stage reads the three pg_* fields (the spatial metric is fixed), nor
+    # patch_fraction and seed (one patch per point, so no center sampling).
+    # They still parse because existing config files, such as the
+    # benchmark's (perfbench/workloads.py) and the acceptance suite's, set them.
     pg_step: float = 1e-3
     pg_max_iters: int = 100
     pg_tol: float = 1e-6
@@ -44,11 +44,6 @@ class DenoiseConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             setattr(self, f.name, _check_value(f.name, getattr(self, f.name)))
-
-    def patch_count(self, n_points: int) -> int:
-        """Number of patches for a frame of ``n_points`` points."""
-        m = int(round(self.patch_fraction * n_points))
-        return max(1, min(m, n_points))
 
     def weight_floor(self, m: int) -> float:
         """Lower bound on the sum of temporal weights for ``m`` patches."""
@@ -69,7 +64,7 @@ _TYPES = {f.name: {"int": int, "float": float}[f.type] for f in fields(DenoiseCo
 
 # The interval each field's value must lie in.
 _RANGES = {
-    "k": "[1, inf)", "patch_fraction": "(0, 1]", "k_s": "[1, inf)", "xi": "[1, inf)",
+    "k": "[1, inf)", "patch_fraction": "[1, 1]", "k_s": "[1, inf)", "xi": "[1, inf)",
     "c": "(0, inf)", "alpha": "[0, 1]", "lambda1": "[0, inf)", "lambda2": "[0, inf)",
     "mprime_fraction": "(0, 1]", "trace_bound": "(0, inf)", "k_plane": "[3, inf)",
     "cg_tol": "(0, inf)", "cg_max_iters": "[1, inf)", "pg_step": "(0, inf)",

@@ -1,4 +1,4 @@
-"""Point-cloud containers, k-NN queries, normals, and farthest-point sampling."""
+"""Point-cloud containers, k-NN queries and normals."""
 
 from __future__ import annotations
 
@@ -431,36 +431,3 @@ def estimate_normals(frame: Frame, k_plane: int,
     oriented = frame.with_normals(_orient(normals, nbr))
     return oriented, int(np.count_nonzero(degenerate))
 
-
-def farthest_point_sampling(frame: Frame, m: int, seed: int) -> np.ndarray:
-    """Greedy max-min selection of ``m`` point indices.
-
-    The first index is drawn uniformly from the seeded generator; each
-    later pick maximizes, over the points not yet chosen, the minimum
-    distance to all chosen points, ties broken by ascending point index.
-    The indices are distinct even when points duplicate each other.
-    Output is in selection order.
-    """
-    n = len(frame)
-    if not 1 <= m <= n:
-        raise ValueError("m must be in [1, n]")
-    nxt = int(np.random.default_rng(seed).integers(n))
-    chosen = np.empty(m, dtype=np.int64)
-    pts = frame.positions
-    cols = np.ascontiguousarray(pts.T)  # (3, n): each coordinate contiguous
-    min_sq = np.full(n, np.inf)
-    sq = np.empty(n)
-    gap = np.empty(n)
-    for t in range(m):
-        chosen[t] = nxt
-        # dx*dx + dy*dy, then + dz*dz: the order np.sum adds a length-3 row in.
-        np.subtract(cols[0], pts[nxt, 0], out=sq)
-        np.multiply(sq, sq, out=sq)
-        for axis in (1, 2):
-            np.subtract(cols[axis], pts[nxt, axis], out=gap)
-            np.multiply(gap, gap, out=gap)
-            sq += gap
-        np.minimum(min_sq, sq, out=min_sq)
-        min_sq[nxt] = -1.0  # a chosen point ranks below every unchosen one
-        nxt = int(np.argmax(min_sq))  # argmax returns the first (lowest) index on ties
-    return chosen

@@ -156,7 +156,7 @@ def prepare_reference(frame: Frame, patchset: PatchSet, c: float = 5.0) -> Refer
         rel=all_relative_coords(patchset, positions),
         var_rows=var_rows,
         variations=variations,
-        center_index=NeighborIndex.from_points(positions[patchset.center_indices]),
+        center_index=NeighborIndex.from_points(positions),
     )
 
 
@@ -184,8 +184,7 @@ def match_patches(
     positions = frame.positions
     eps, rows, variations = patch_variations(positions, frame.normals, patchset.members, c)
     rel = all_relative_coords(patchset, positions)
-    cand = knn_rows(reference.center_index, positions[patchset.center_indices],
-                    min(xi, len(reference)))
+    cand = knn_rows(reference.center_index, positions, min(xi, len(reference)))
     gaps = reference.variations[cand] - variations[:, None, :]
     dists = np.sqrt(np.sum(gaps * gaps, axis=2))
     distance = np.min(dists, axis=1)

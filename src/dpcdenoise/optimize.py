@@ -395,20 +395,17 @@ class PreparedFrame(NamedTuple):
 
 def prepare_frame(frame: Frame, config: DenoiseConfig,
                   other_size: Optional[int] = None) -> PreparedFrame:
-    """Normals and patches of ``frame``, at the sizes and FPS seed of the pipeline.
+    """Normals and patches of ``frame``, at the sizes of the pipeline.
 
-    Patches have ``min(config.k, n - 1)`` neighbors, and at most ``other_size
-    - 1`` to match a frame of that size. Below ``patch_fraction = 1`` the
-    centers come from FPS seeded by ``config.seed`` and the frame index; at
-    1 patch l is centered on point l and the seed is not used.
+    Every point centers one patch of ``k = min(config.k, n - 1)`` neighbors,
+    and at most ``other_size - 1`` to match a frame of that size. A patch
+    has ``min(config.k_s, k)`` adjacent patches, read from its own row.
     ``frame.normals`` are used when present; otherwise one neighbor table
     serves the normals, their orientation and the patches.
     """
     n = len(frame)
     k = min(config.k, n - 1, (other_size or n) - 1)
     k_plane = min(config.k_plane, n - 1)
-    m = config.patch_count(n)
-    seed = int(np.random.SeedSequence((config.seed, frame.frame_index)).generate_state(1)[0])
     table, degenerate = None, 0
     if frame.normals is None:
         if k_plane < 3:
@@ -416,8 +413,8 @@ def prepare_frame(frame: Frame, config: DenoiseConfig,
         table = knn_rows(NeighborIndex.from_points(frame.positions), frame.positions,
                          max(k_plane, k) + 1)
         frame, degenerate = estimate_normals(frame, k_plane, table)
-    return PreparedFrame(frame, build_patches(frame, m, k, seed, table), table, degenerate,
-                         k_plane, min(config.k_s, m - 1))
+    return PreparedFrame(frame, build_patches(frame, k, table), table, degenerate,
+                         k_plane, min(config.k_s, k))
 
 
 def build_reference(previous: Frame, config: DenoiseConfig, current_size: int):
@@ -447,8 +444,10 @@ def denoise_frame(
     ``outer_max_iters`` passes (``max_iters``). It returns the last
     iterate with freshly estimated normals. The report's diagnostics hold
     the stop reason, the spacing and, per pass, the largest point move,
-    the row edges and point pairs of the spatial graph, edge-weight
-    quantiles and, per axis, the point solve's CG products with A
+    the mean normal and tangential parts of the moves over the spacing,
+    taken on the normals the pass estimated (``normal_move``,
+    ``tangent_move``), the row edges and point pairs of the spatial graph,
+    edge-weight quantiles and, per axis, the point solve's CG products with A
     (``cg_iters``) and its final true relative residual (``cg_residual``).
     Each pass with a reference also adds the p50 and p95 of its patch match
     distances (``match_dist``) and the counts of patches weighing exactly 0
@@ -465,7 +464,8 @@ def denoise_frame(
     trace: list[ObjectiveBreakdown] = []
     diagnostics: dict = {"degenerate_normals": [], "spatial_edges": [], "spatial_pairs": [],
                          "edge_weights": [], "cg_iters": [], "cg_residual": [],
-                         "largest_move": [], "match_dist": [], "patch_weights": [],
+                         "largest_move": [], "normal_move": [], "tangent_move": [],
+                         "match_dist": [], "patch_weights": [],
                          "stop_reason": "max_iters"}
 
     for it in range(config.outer_max_iters):
@@ -478,7 +478,7 @@ def denoise_frame(
             diagnostics["spacing"] = spacing
         diagnostics["degenerate_normals"].append(degen)
         members = patchset.members
-        anchor_rows = np.repeat(u[members[:, 0]], patchset.k + 1, axis=0)
+        anchor_rows = np.repeat(u, patchset.k + 1, axis=0)
 
         prev_aligned = None
         w_rows = None
@@ -525,8 +525,14 @@ def denoise_frame(
         diagnostics["cg_residual"].append(cg_residual)
         trace.append(objective(u_new, u_hat, members, anchor_rows, prev_aligned, w_rows,
                                edges, pair_weights, lam1, lam2))
-        move = float(np.max(np.sqrt(np.sum((u_new - u) ** 2, axis=1))))
+        step = u_new - u
+        move = float(np.max(np.sqrt(np.sum(step ** 2, axis=1))))
         diagnostics["largest_move"].append(move)
+        along = np.sum(step * est.normals, axis=1)
+        tangent = step - along[:, None] * est.normals
+        diagnostics["normal_move"].append(float(np.mean(np.abs(along)) / spacing))
+        diagnostics["tangent_move"].append(
+            float(np.mean(np.sqrt(np.sum(tangent ** 2, axis=1))) / spacing))
         u = u_new
         if move <= config.outer_tol * spacing:
             diagnostics["stop_reason"] = "tol"

@@ -1,4 +1,4 @@
-"""Per-frame patch decomposition: centers by farthest-point sampling, members by k-NN."""
+"""Per-frame patch decomposition: one patch per point, its members by k-NN."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Frame, NeighborIndex, farthest_point_sampling, knn_rows, without
+from .geometry import Frame, NeighborIndex, knn_rows, without
 
 # Patches (or patch pairs) per step of the batched passes. The (block, k+1, k+1)
 # float64 temporaries of the matching passes stay near 0.5 MB at k = 30, and the
@@ -44,7 +44,7 @@ class Patch:
 
 @dataclass(frozen=True)
 class PatchSet:
-    """All patches of one frame; ``members`` is the (m, k+1) index matrix."""
+    """All patches of one frame: row l of the (n, k+1) ``members`` is patch l, centered on point l."""
 
     members: np.ndarray
     k: int
@@ -53,11 +53,13 @@ class PatchSet:
     def __post_init__(self) -> None:
         members = np.asarray(self.members, dtype=np.int64)
         if members.ndim != 2 or members.shape[0] < 1:
-            raise ValueError("members must be a non-empty (m, k+1) matrix")
+            raise ValueError("members must be a non-empty (n, k+1) matrix")
         if members.shape[1] != self.k + 1:
             raise ValueError("members row length must be k+1")
         if members.min() < 0 or members.max() >= len(self.frame):
             raise ValueError("member index out of range")
+        if not np.array_equal(members[:, 0], np.arange(len(self.frame))):
+            raise ValueError("patch l must be centered on point l of the frame")
         members = np.ascontiguousarray(members)
         members.flags.writeable = False
         object.__setattr__(self, "members", members)
@@ -65,44 +67,29 @@ class PatchSet:
     def __len__(self) -> int:
         return self.members.shape[0]
 
-    @property
-    def center_indices(self) -> np.ndarray:
-        return self.members[:, 0]
-
     def patch(self, l: int) -> Patch:
-        return Patch(int(self.members[l, 0]), self.members[l])
+        return Patch(l, self.members[l])
 
 
-def build_patches(frame: Frame, m: int, k: int, seed: int,
-                  neighbors: Optional[np.ndarray] = None) -> PatchSet:
-    """Decompose a frame into ``m`` patches of ``k+1`` points each.
-
-    Centers are ``farthest_point_sampling(frame, m, seed)`` for m < n; for
-    m == n patch l is centered on point l and ``seed`` is not used.
+def build_patches(frame: Frame, k: int, neighbors: Optional[np.ndarray] = None) -> PatchSet:
+    """One patch per point: patch l is point l followed by its ``k`` nearest other points.
 
     ``neighbors``, if given, is a neighbor table over the frame's
     positions, ``knn_rows(index, positions, w)`` with w > ``k``; each
-    center reads its first ``k + 1`` entries, and it saves a query.
+    patch reads its row's first ``k + 1`` entries, and it saves a query.
     """
     n = len(frame)
-    if m > n:
-        raise ValueError("m must be <= point count")
     if k + 1 > n:
         raise ValueError("k+1 must be <= point count")
     if neighbors is None:
-        # Built before sampling, so coordinates out of range fail here.
-        index = NeighborIndex.from_points(frame.positions)
+        neighbors = knn_rows(NeighborIndex.from_points(frame.positions), frame.positions, k + 1)
     elif neighbors.shape[0] != n or neighbors.shape[1] <= k:
         raise ValueError(f"neighbor table of shape {neighbors.shape} does not fit "
                          f"{n} points and k = {k}")
-    centers = np.arange(n) if m == n else farthest_point_sampling(frame, m, seed)
-    if neighbors is None:
-        rows = knn_rows(index, frame.positions[centers], k + 1)
-    else:
-        rows = neighbors[centers, :k + 1]
-    members = np.empty((m, k + 1), dtype=np.int64)
+    centers = np.arange(n)
+    members = np.empty((n, k + 1), dtype=np.int64)
     members[:, 0] = centers
-    members[:, 1:] = without(rows, centers)
+    members[:, 1:] = without(neighbors[:, :k + 1], centers)
     return PatchSet(members=members, k=k, frame=frame)
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NeighborIndex, knn_rows
 from .patches import PATCH_BLOCK, PatchSet, all_relative_coords, sq_dists
 
 
@@ -77,25 +76,15 @@ def edge_key_bits(n: int, patch_pairs: int) -> int:
     return bits
 
 
-def _adjacent_patches(patchset: PatchSet, positions: np.ndarray, k_s: int) -> np.ndarray:
+def _adjacent_patches(patchset: PatchSet, k_s: int) -> np.ndarray:
     """Sorted (pairs, 2) patch pairs l < m, either among the other's ``k_s`` nearest centers.
 
-    When patch l is centered on point l of ``positions`` for every point,
-    the patches were built over those positions and a patch holds at least
-    ``k_s`` neighbors, members 1..k_s of patch l are its k_s nearest other
-    centers: center and point indices agree, so the patches' rows and a
-    query over the centers rank by the same (distance, index) order. In
-    every other case one k-NN query over the centers finds them.
+    Patch l is centered on point l, so members 1..k_s of patch l, read from
+    its own row, are its k_s nearest other centers in (distance, index)
+    order. Needs ``k_s <= patchset.k``.
     """
-    centers = patchset.center_indices
-    m = centers.size
-    if (patchset.k >= k_s and np.array_equal(centers, np.arange(positions.shape[0]))
-            and np.array_equal(positions, patchset.frame.positions)):
-        near = patchset.members[:, 1:k_s + 1]
-    else:
-        index = NeighborIndex.from_points(positions[centers])
-        near = knn_rows(index, index.points, k_s, exclude=np.arange(m))
-    near = near.ravel()
+    m = len(patchset)
+    near = patchset.members[:, 1:k_s + 1].ravel()
     own = np.repeat(np.arange(m), k_s)
     adjacent = np.unique(np.minimum(own, near) * m + np.maximum(own, near))
     return np.column_stack([adjacent // m, adjacent % m])
@@ -208,9 +197,10 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     """Row edges between adjacent patches, folded onto point pairs.
 
     Patches are adjacent when either has the other among its ``k_s``
-    nearest patch centers; the patches' own rows when patch l is centered
-    on point l, or else one batched k-NN query over the centers, find them
-    all (see :func:`_adjacent_patches`).
+    nearest patch centers, which the patches' own rows hold (see
+    :func:`_adjacent_patches`), so ``k_s`` must be in [1, k]. The rows and
+    centers take their coordinates from ``positions``, which need not be
+    the points the patches were built over.
     Between adjacent patches, every row connects to the row of
     the other patch whose center-relative coordinates are nearest (ties
     by ascending index): the first argmin of the float64 squared distances.
@@ -239,11 +229,10 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     2^63, which holds for any frame of at most 741,455 points at
     ``k_s = 10``.
     """
-    m = len(patchset)
-    if k_s >= m:
-        raise ValueError("k_s must be < patch count")
+    if not 1 <= k_s <= patchset.k:
+        raise ValueError("k_s must be in [1, k]")
     pts = np.asarray(positions, dtype=np.float64)
-    adj = _adjacent_patches(patchset, pts, k_s)
+    adj = _adjacent_patches(patchset, k_s)
     members = patchset.members
     n = pts.shape[0]
     # Each row edge is one int64 sort key: its point-pair key lo * n + hi,
@@ -294,8 +283,7 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     points = np.column_stack(np.divmod(keys[starts] >> bits, n))
     # Oriented center gaps, per axis: entry 2p is c_l - c_m of patch pair p, 2p + 1 its negative.
     table = np.empty((3, 2 * adj.shape[0]))
-    center_pts = pts[patchset.center_indices]
-    table[:, 0::2] = (center_pts[adj[:, 0]] - center_pts[adj[:, 1]]).T
+    table[:, 0::2] = (pts[adj[:, 0]] - pts[adj[:, 1]]).T
     np.negative(table[:, 0::2], out=table[:, 1::2])
     offsets = np.empty((starts.size, 3))
     spread = np.empty(starts.size)

@@ -68,7 +68,7 @@ def spatial_connectivity(patchset, positions, k_s, keep_self=False):
 
     m = len(patchset)
     pts = np.asarray(positions, dtype=np.float64)
-    centers = NeighborIndex.from_points(pts[patchset.center_indices])
+    centers = NeighborIndex.from_points(pts[patchset.members[:, 0]])
     near = knn_rows(centers, centers.points, k_s, exclude=np.arange(m))
     own = np.repeat(np.arange(m), k_s)
     adjacent = np.unique(np.minimum(own, near.ravel()) * m + np.maximum(own, near.ravel()))
@@ -113,7 +113,7 @@ def folded_connectivity(patchset, positions, k_s):
 
     m = len(patchset)
     pts = np.asarray(positions, dtype=np.float64)
-    center_pts = pts[patchset.center_indices]
+    center_pts = pts[patchset.members[:, 0]]
     centers = NeighborIndex.from_points(center_pts)
     near = knn_rows(centers, centers.points, k_s, exclude=np.arange(m))
     own = np.repeat(np.arange(m), k_s)
@@ -214,23 +214,6 @@ def row_laplacian(rows, members, pair_weights):
     return combinatorial_laplacian(graph)
 
 
-def farthest_point_sampling(points, m, seed):
-    """Greedy max-min selection, one (n, 3) squared-distance sum per pick.
-
-    Chosen points get a minimum of -1, below every unchosen point's.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    first = int(np.random.default_rng(seed).integers(len(pts)))
-    chosen = [first]
-    min_sq = np.sum((pts - pts[first]) ** 2, axis=1)
-    min_sq[first] = -1.0
-    for _ in range(1, m):
-        nxt = int(np.argmax(min_sq))
-        chosen.append(nxt)
-        np.minimum(min_sq, np.sum((pts - pts[nxt]) ** 2, axis=1), out=min_sq)
-        min_sq[nxt] = -1.0
-    return np.array(chosen, dtype=np.int64)
-
 def dense_laplacians(graph):
     """Dense adjacency, combinatorial Laplacian, random-walk Laplacian."""
     n = graph.node_count
@@ -328,17 +311,16 @@ def random_solve_instance(rng, n, with_temporal=True):
 
     pts = rng.uniform(0, 1, (n, 3))
     frame, _ = estimate_normals(Frame(pts), min(6, n - 1))
-    m = max(2, n // 3)
     k = min(5, n - 1)
-    ps = build_patches(frame, m, k, seed=int(rng.integers(1000)))
+    ps = build_patches(frame, k)
     members = ps.members
-    anchors = np.repeat(pts[members[:, 0]], k + 1, axis=0)
-    k_s = min(2, m - 1)
+    anchors = np.repeat(pts, k + 1, axis=0)
+    k_s = min(2, k)
     edges = stgraph.spatial_connectivity(ps, pts, k_s)
     pair_weights = weighted_spatial_graph(edges, frame.normals, 1.0)
     lap = row_laplacian(spatial_connectivity(ps, pts, k_s), members, pair_weights)
     if with_temporal:
-        w_rows = np.repeat(rng.uniform(0, 1, m), k + 1)
+        w_rows = np.repeat(rng.uniform(0, 1, n), k + 1)
         prev_aligned = anchors * 0 + rng.normal(0, 0.1, anchors.shape)
     else:
         w_rows, prev_aligned = None, None

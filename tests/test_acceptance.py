@@ -80,8 +80,8 @@ def test_criterion_1_property1_plane():
     start = time.perf_counter()
     frame_a = plane_frame(400, seed=1)
     frame_b = plane_frame(400, seed=2)
-    patches_a = build_patches(frame_a, 200, 30, seed=10)
-    patches_b = build_patches(frame_b, 200, 30, seed=11)
+    patches_a = build_patches(frame_a, 30)
+    patches_b = build_patches(frame_b, 30)
     reference = prepare_reference(frame_a, patches_a)
     matches = match_patches(frame_b, patches_b, reference, xi=10)
     worst_same = max(matches[1])
@@ -95,7 +95,7 @@ def test_criterion_1_property1_plane():
         ]
     )
     frame_c = plane_frame(400, seed=3, transform=(rot, np.array([2.0, -1.0, 0.5])))
-    patches_c = build_patches(frame_c, 200, 30, seed=12)
+    patches_c = build_patches(frame_c, 30)
     matches_rigid = match_patches(frame_c, patches_c, reference, xi=10)
     worst_rigid = max(matches_rigid[1])
     elapsed = time.perf_counter() - start

@@ -32,7 +32,7 @@ from test_acceptance import (
 )
 
 from dpcdenoise.config import DenoiseConfig
-from dpcdenoise.geometry import Frame, NeighborIndex, farthest_point_sampling, knn_rows
+from dpcdenoise.geometry import Frame, NeighborIndex, knn_rows
 from dpcdenoise.graph import CsrMatrix, SparseGraph, combinatorial_laplacian
 from dpcdenoise.matching import match_patches, patch_variations, prepare_reference
 from dpcdenoise.metrics import add_gaussian_noise
@@ -185,8 +185,7 @@ class TestPatchVariations:
         previous = Frame(rng.uniform(0, 1, (40, 3)), unit_normals(rng, 40), frame_index=0)
         noisy = rng.uniform(0, 1, (40, 3))
         noisy[:8] = noisy[0]
-        config = DenoiseConfig(k=5, patch_fraction=1.0, k_s=3, xi=3, k_plane=6,
-                               outer_max_iters=1)
+        config = DenoiseConfig(k=5, k_s=3, xi=3, k_plane=6, outer_max_iters=1)
         with pytest.raises(SolverError, match="temporal matching failed"):
             denoise_frame(Frame(noisy, frame_index=1), previous, config)
 
@@ -199,8 +198,8 @@ class TestMatchPatchesOracle:
         (prev_pts, rng), (curr_pts, _) = prev_cloud, curr_cloud
         prev = Frame(prev_pts, unit_normals(rng, len(prev_pts)))
         curr = Frame(curr_pts, unit_normals(rng, len(curr_pts)))
-        prev_ps = build_patches(prev, len(prev_pts) // 2, k, seed=1)
-        curr_ps = build_patches(curr, len(curr_pts) // 2, k, seed=2)
+        prev_ps = build_patches(prev, k)
+        curr_ps = build_patches(curr, k)
         for frame, ps in ((prev, prev_ps), (curr, curr_ps)):
             eps = [oracle_epsilon(frame.positions[idx], 5.0) for idx in ps.members]
             if min(eps) <= 0:
@@ -214,9 +213,8 @@ class TestMatchPatchesOracle:
 
         matched, distance, point_map = match_patches(curr, curr_ps, reference, xi, alpha)
         eps, rows, variations = oracle_patches(curr.positions, curr.normals, curr_ps.members, 5.0)
-        centers = prev.positions[prev_ps.center_indices]
         for l, idx in enumerate(curr_ps.members):
-            cand = brute_knn(centers, curr.positions[idx[0]], min(xi, len(prev_ps)))
+            cand = brute_knn(prev.positions, curr.positions[idx[0]], min(xi, len(prev_ps)))
             gaps = ref_var[cand] - variations[l]
             dists = np.sqrt(np.sum(gaps * gaps, axis=1))
             best = int(cand[np.lexsort((cand, dists))[0]])
@@ -263,7 +261,7 @@ def assert_folds(edges, rows, members, anchor_rows):
 
 
 def anchors_of(patchset, pts):
-    return np.repeat(pts[patchset.center_indices], patchset.k + 1, axis=0)
+    return np.repeat(pts, patchset.k + 1, axis=0)
 
 
 def assert_bit_equal(edges, want):
@@ -275,29 +273,25 @@ def assert_bit_equal(edges, want):
 
 class TestSpatialConnectivity:
     @PROPERTY
-    @given(clouds(min_points=4), st.integers(1, 8), st.integers(0, 2**32 - 1))
-    def test_matches_per_block_oracle(self, cloud, k, seed):
+    @given(clouds(min_points=4), st.integers(1, 8))
+    def test_matches_per_block_oracle(self, cloud, k):
         pts, rng = cloud
-        n = len(pts)
-        k = min(k, n - 1)
-        m = int(rng.integers(2, n + 1))
-        k_s = int(rng.integers(1, m))
-        ps = build_patches(Frame(pts), m, k, seed)
+        k = min(k, len(pts) - 1)
+        k_s = int(rng.integers(1, k + 1))
+        ps = build_patches(Frame(pts), k)
         edges = spatial_connectivity(ps, pts, k_s)
         rows = oracles.spatial_connectivity(ps, pts, k_s)
         assert_folds(edges, rows, ps.members, anchors_of(ps, pts))
 
     @PROPERTY
-    @given(clouds(min_points=4), st.integers(1, 8), st.integers(0, 2**32 - 1))
-    def test_no_self_pairs(self, cloud, k, seed):
+    @given(clouds(min_points=4), st.integers(1, 8))
+    def test_no_self_pairs(self, cloud, k):
         # Every pair joins two distinct points, lower first, and len() counts
         # the row edges between two rows of distinct points only.
         pts, rng = cloud
-        n = len(pts)
-        k = min(k, n - 1)
-        m = int(rng.integers(2, n + 1))
-        k_s = int(rng.integers(1, m))
-        ps = build_patches(Frame(pts), m, k, seed)
+        k = min(k, len(pts) - 1)
+        k_s = int(rng.integers(1, k + 1))
+        ps = build_patches(Frame(pts), k)
         edges = spatial_connectivity(ps, pts, k_s)
         assert np.all(edges.points[:, 0] < edges.points[:, 1])
         every = oracles.spatial_connectivity(ps, pts, k_s, keep_self=True)
@@ -305,35 +299,32 @@ class TestSpatialConnectivity:
         assert len(edges) == np.count_nonzero(flat[every[:, 0]] != flat[every[:, 1]])
 
     @PROPERTY
-    @given(clouds(min_points=4), st.integers(1, 8), st.none() | st.integers(1, 8),
-           st.integers(0, 2**32 - 1))
-    def test_adjacency_with_every_point_a_center(self, cloud, k, k_s, seed):
-        # For k >= k_s the patches' own rows give the adjacent centers, ties
-        # included; grids and duplicates make ties. For k < k_s the centers
-        # are queried. A k_s of None draws k_s == k.
+    @given(clouds(min_points=4), st.integers(1, 8), st.none() | st.integers(1, 8))
+    def test_adjacency_with_every_point_a_center(self, cloud, k, k_s):
+        # The patches' own rows give the adjacent centers that a query over
+        # the centers gives, ties included; grids and duplicates make ties.
+        # A k_s of None draws k_s == k.
         pts, _ = cloud
         n = len(pts)
-        k, k_s = min(k, n - 1), min(k if k_s is None else k_s, n - 1)
-        ps = build_patches(Frame(pts), n, k, seed)
-        centers = pts[ps.center_indices]
+        k = min(k, n - 1)
+        k_s = min(k if k_s is None else k_s, k)
+        ps = build_patches(Frame(pts), k)
         want = {(min(l, j), max(l, j)) for l in range(n)
-                for j in brute_knn(centers, centers[l], k_s, exclude=l).tolist()}
-        got = stgraph._adjacent_patches(ps, pts, k_s)
+                for j in brute_knn(pts, pts[l], k_s, exclude=l).tolist()}
+        got = stgraph._adjacent_patches(ps, k_s)
         assert sorted(map(tuple, got.tolist())) == sorted(want)
 
     @PROPERTY
-    @given(clouds(min_points=4), st.integers(1, 8), st.integers(0, 2**32 - 1),
+    @given(clouds(min_points=4), st.integers(1, 8),
            st.sampled_from([1, 2, 3, SLOT_BLOCK]), st.sampled_from([1, 2, 3, PATCH_BLOCK]),
            st.sampled_from([1, 2, 5, FOLD_CHUNK]))
-    def test_bit_equal_to_full_length_fold(self, cloud, k, seed, slot_block, block, chunk):
+    def test_bit_equal_to_full_length_fold(self, cloud, k, slot_block, block, chunk):
         # Small blocks and chunks put seams inside every instance: filter
         # blocks, key blocks, and pairs whose row edges span several chunks.
         pts, rng = cloud
-        n = len(pts)
-        k = min(k, n - 1)
-        m = int(rng.integers(2, n + 1))
-        k_s = int(rng.integers(1, m))
-        ps = build_patches(Frame(pts), m, k, seed)
+        k = min(k, len(pts) - 1)
+        k_s = int(rng.integers(1, k + 1))
+        ps = build_patches(Frame(pts), k)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(stgraph, "SLOT_BLOCK", slot_block)
             patch.setattr(stgraph, "PATCH_BLOCK", block)
@@ -352,7 +343,7 @@ class TestSpatialConnectivity:
             pts = np.round(pts * grid) / grid
         pts[rng.choice(800, 40, replace=False)] = pts[rng.choice(800, 40)]
         k = 15
-        ps = build_patches(Frame(pts), 800, k, int(rng.integers(1000)))
+        ps = build_patches(Frame(pts), k)
         edges = spatial_connectivity(ps, pts, 8)
         # A patch pair emits at most 2 (k + 1) row edges.
         assert len(edges) > max(3 * FOLD_CHUNK, 2 * (k + 1) * 3 * max(SLOT_BLOCK, PATCH_BLOCK))
@@ -364,9 +355,9 @@ class TestSpatialConnectivity:
         # nearest rows, so both directions name their edge.
         rng = np.random.default_rng(5)
         pts = np.round(rng.uniform(0, 1, (60, 3)) * 2) / 2
-        ps = build_patches(Frame(pts), 30, 6, seed=7)
+        ps = build_patches(Frame(pts), 6)
         rel = all_relative_coords(ps, pts)
-        cost = sq_dists(rel[:, None], rel[None, :])             # (30, 30, 7, 7)
+        cost = sq_dists(rel[:, None], rel[None, :])             # (60, 60, 7, 7)
         assert np.any(np.sum(cost == cost.min(axis=3, keepdims=True), axis=3) > 1)
         edges = spatial_connectivity(ps, pts, 5)
         assert_folds(edges, oracles.spatial_connectivity(ps, pts, 5), ps.members,
@@ -387,13 +378,10 @@ def argmin_slots(rel, adj):
     return nm, nl, np.count_nonzero(np.take_along_axis(nm, nl, axis=1) != np.arange(rel.shape[1]))
 
 
-def slot_instance(pts, k, seed, m=None, k_s=None):
+def slot_instance(pts, k, k_s):
     """Relative coordinates and adjacent patch pairs of ``pts``, as ``spatial_connectivity`` builds them."""
-    rng = np.random.default_rng(seed)
-    m = m or int(rng.integers(2, len(pts) + 1))
-    ps = build_patches(Frame(pts), m, k, seed)
-    adj = stgraph._adjacent_patches(ps, pts, k_s or int(rng.integers(1, m)))
-    return all_relative_coords(ps, pts), adj
+    ps = build_patches(Frame(pts), k)
+    return all_relative_coords(ps, pts), stgraph._adjacent_patches(ps, k_s)
 
 
 def assert_slots_exact(got, rel, adj):
@@ -407,12 +395,12 @@ class TestNearestSlots:
     """The float32 filter with exact recheck against np.argmin over the float64 tensor."""
 
     @settings(max_examples=150, deadline=None)
-    @given(clouds(min_points=4), st.integers(1, 8), st.integers(0, 2**32 - 1),
+    @given(clouds(min_points=4), st.integers(1, 8),
            st.booleans(), st.sampled_from([1.0, 1e-30, 1e30, 1e-160, 1e160, "offset"]),
            st.sampled_from([1, 2, 3, SLOT_BLOCK]))
-    def test_filter_is_sound(self, cloud, k, seed, zero_radius, scale, block):
+    def test_filter_is_sound(self, cloud, k, zero_radius, scale, block):
         # Grids and duplicates give exact ties; k + 1 copies of one point
-        # give zero-radius patches once every point is a center. The offset
+        # give zero-radius patches, as every point is a center. The offset
         # cancels in the relative coordinates. The scales probe float32's
         # range, and at 1e-160 and 1e160 float64's squares underflow or
         # overflow (the scales apply to the relative coordinates, since the
@@ -422,8 +410,8 @@ class TestNearestSlots:
         k = min(k, n - 1)
         if zero_radius:
             pts[rng.choice(n, k + 1, replace=False)] = pts[0]
-        rel, adj = slot_instance(pts + 1e6 if scale == "offset" else pts, k, seed,
-                                 m=n if zero_radius else None)
+        rel, adj = slot_instance(pts + 1e6 if scale == "offset" else pts, k,
+                                 int(rng.integers(1, k + 1)))
         if scale != "offset":
             rel = rel * scale
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -439,7 +427,10 @@ class TestNearestSlots:
         pts = rng.uniform(0.0, 1.0, (300, 3))
         if grid:
             pts = np.round(pts * grid) / grid
-        rel, adj = slot_instance(pts, 279, seed, m=6, k_s=3)
+        rel, adj = slot_instance(pts, 279, 3)
+        # Eight of the patch pairs: the float64 oracle over all of them would
+        # take hundreds of MB.
+        adj = adj[np.sort(rng.choice(adj.shape[0], 8, replace=False))]
         got = stgraph._nearest_slots(rel, adj)
         assert got[0].dtype == np.uint16
         assert_slots_exact(got, rel, adj)
@@ -447,7 +438,7 @@ class TestNearestSlots:
     def test_ties_take_the_exact_path(self):
         rng = np.random.default_rng(5)
         pts = np.round(rng.uniform(0, 1, (60, 3)) * 2) / 2
-        rel, adj = slot_instance(pts, 6, 7, m=30, k_s=5)
+        rel, adj = slot_instance(pts, 6, 5)
         got = stgraph._nearest_slots(rel, adj)
         assert_slots_exact(got, rel, adj)
         assert got[3] > 0
@@ -472,8 +463,7 @@ class TestNearestSlots:
         clean = generate_sequence(spec).frames[0]
         sigma = 0.02 * float(np.linalg.norm(np.ptp(clean.positions, axis=0)))
         frame = add_gaussian_noise(clean, sigma, seed=E2E_NOISE_SEED)
-        rel, adj = slot_instance(frame.positions, cfg.k, cfg.seed,
-                                 m=cfg.patch_count(len(frame)), k_s=cfg.k_s)
+        rel, adj = slot_instance(frame.positions, cfg.k, cfg.k_s)
         got = stgraph._nearest_slots(rel, adj)
         assert_slots_exact(got, rel, adj)
         assert got[3] < 0.01 * 2 * got[0].size
@@ -485,9 +475,8 @@ def spatial_instances(draw):
     pts, rng = draw(clouds(min_points=4, max_points=30))
     n = len(pts)
     k = min(draw(st.sampled_from([1, 2, 4, 7])), n - 1)
-    m = int(rng.integers(2, n + 1))
-    ps = build_patches(Frame(pts), m, k, int(rng.integers(1000)))
-    k_s = int(rng.integers(1, m))
+    ps = build_patches(Frame(pts), k)
+    k_s = int(rng.integers(1, k + 1))
     edges = spatial_connectivity(ps, pts, k_s)
     rows = oracles.spatial_connectivity(ps, pts, k_s)
     pair_weights = rng.uniform(0.0, 1.0, edges.points.shape[0])
@@ -769,48 +758,6 @@ class TestPointPairs:
         assert np.all(edges.points[:, 0] < edges.points[:, 1])
         assert_sums_match(compressed.objectives[-1], per_edge.objectives[-1], pts)
         assert np.max(np.abs(compressed.metric - per_edge.metric)) <= 1e-12
-
-
-class TestFarthestPointSampling:
-    @PROPERTY
-    @given(clouds(min_points=1), st.integers(0, 2**32 - 1))
-    def test_matches_row_sum_loop(self, cloud, seed):
-        pts, rng = cloud
-        m = int(rng.integers(1, len(pts) + 1))
-        got = farthest_point_sampling(Frame(pts), m, seed)
-        assert got.tolist() == oracles.farthest_point_sampling(pts, m, seed).tolist()
-
-    @PROPERTY
-    @given(clouds(min_points=2), st.integers(1, 6), st.integers(0, 2**32 - 1))
-    def test_distinct_indices_with_exact_duplicates(self, cloud, copies, seed):
-        # Once every unchosen point duplicates a chosen one, all minimum
-        # distances are 0; a chosen point must still not be picked again.
-        pts, rng = cloud
-        pts = np.concatenate([pts[: max(1, len(pts) // 2)]] * copies + [pts])
-        pts = pts[rng.permutation(len(pts))]
-        n = len(pts)
-        m = int(rng.integers(1, n + 1))
-        got = farthest_point_sampling(Frame(pts), m, seed)
-        assert np.unique(got).size == m
-        every = farthest_point_sampling(Frame(pts), n, seed)
-        assert sorted(every.tolist()) == list(range(n))
-        assert got.tolist() == every[:m].tolist()
-
-    @PROPERTY
-    @given(clouds(min_points=1), st.integers(0, 2**32 - 1))
-    def test_duplicate_free_selection_unchanged(self, cloud, seed):
-        # Ranking chosen points at -1 rather than at their distance 0 changes
-        # no pick while some unchosen point is at a positive distance.
-        pts, rng = cloud
-        _, first = np.unique(pts, axis=0, return_index=True)
-        pts = pts[np.sort(first)]
-        m = int(rng.integers(1, len(pts) + 1))
-        chosen = [int(np.random.default_rng(seed).integers(len(pts)))]
-        min_sq = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
-        for _ in range(1, m):
-            chosen.append(int(np.argmax(min_sq)))
-            np.minimum(min_sq, np.sum((pts - pts[chosen[-1]]) ** 2, axis=1), out=min_sq)
-        assert farthest_point_sampling(Frame(pts), m, seed).tolist() == chosen
 
 
 class TestFromEdges:

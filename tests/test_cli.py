@@ -112,26 +112,33 @@ class TestDenoise:
         assert len(manifest.frame_metrics) == 2
         assert manifest.frame_metrics[0]["objective_trace"]
         # The loop's stop reason, the input spacing, and per pass its largest
-        # point move, its spatial graph's size, an edge-weight summary and,
-        # per axis, the point solve's CG products and final relative residual.
+        # point move, its mean normal and tangential moves over the spacing,
+        # its spatial graph's size, an edge-weight summary and, per axis, the
+        # point solve's CG products and final relative residual.
         # The spatial metric is fixed, so no key reports on learning it.
         diag = manifest.frame_metrics[0]["diagnostics"]
         assert diag["stop_reason"] in ("tol", "max_iters")
         assert diag["spacing"] > 0.0
         passes = len(manifest.frame_metrics[0]["objective_trace"])
-        for key in ("largest_move", "edge_weights", "spatial_edges", "spatial_pairs",
-                    "cg_iters", "cg_residual"):
+        for key in ("largest_move", "normal_move", "tangent_move", "edge_weights",
+                    "spatial_edges", "spatial_pairs", "cg_iters", "cg_residual"):
             assert len(diag[key]) == passes, key
         assert set(diag) == {"stop_reason", "spacing", "degenerate_normals", "largest_move",
-                             "spatial_edges", "spatial_pairs", "edge_weights", "cg_iters",
-                             "cg_residual", "match_dist", "patch_weights"}
+                             "normal_move", "tangent_move", "spatial_edges", "spatial_pairs",
+                             "edge_weights", "cg_iters", "cg_residual", "match_dist",
+                             "patch_weights"}
+        for largest, normal, tangent in zip(diag["largest_move"], diag["normal_move"],
+                                            diag["tangent_move"]):
+            # A mean part of the moves is at most the largest move, up to rounding.
+            assert 0.0 <= normal <= largest / diag["spacing"] * (1 + 1e-12)
+            assert 0.0 <= tangent <= largest / diag["spacing"] * (1 + 1e-12)
         # Frame 0 has no reference, so it matches nothing; frame 1 reports,
         # per pass, match-distance quantiles and the patches weighing 0 and 1.
         assert diag["match_dist"] == diag["patch_weights"] == []
         later = manifest.frame_metrics[1]["diagnostics"]
         passes_1 = len(manifest.frame_metrics[1]["objective_trace"])
         assert len(later["match_dist"]) == len(later["patch_weights"]) == passes_1
-        patches = manifest.config["patch_fraction"] * 60
+        patches = 60
         for dist, weights in zip(later["match_dist"], later["patch_weights"]):
             assert 0.0 <= dist["p50"] <= dist["p95"]
             assert 0 <= weights["zero"] and 0 <= weights["one"]
@@ -238,22 +245,23 @@ class TestMatch:
         run(synth_args(tmp_path / "clean", points=100, frames=2))
         frames = sorted((tmp_path / "clean").glob("*.ply"))
         code = run(["match", "--prev", str(frames[0]), "--curr", str(frames[1]),
-                    "--k", "8", "--xi", "4", "--patch-fraction", "0.2"])
+                    "--k", "8", "--xi", "4"])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "target_patch,matched_patch,distance,weight"
-        assert len(lines) == 21
+        assert len(lines) == 101
         for line in lines[1:]:
             target, matched, dist, weight = line.split(",")
-            assert 0 <= int(matched) < 20
+            assert 0 <= int(matched) < 100
             assert float(dist) >= 0
             assert 0 < float(weight) <= 1
 
-    @pytest.mark.parametrize("patch_fraction", [0.5, 1.0])
+    @pytest.mark.parametrize("patch_fraction", [None, 1.0])
     def test_match_is_the_first_pass_of_denoise(self, tmp_path, capsys, monkeypatch,
                                                 patch_fraction):
         # match prints the matches denoise makes in its first pass over frame 1,
         # with --prev as frame 0 (its file normals reused) and --curr as frame 1.
+        # --patch-fraction 1, the only value, changes nothing.
         import dpcdenoise.cli as cli
         import dpcdenoise.optimize as opt
 
@@ -276,15 +284,14 @@ class TestMatch:
 
         monkeypatch.setattr(opt, "match_patches", capture("denoise", opt.match_patches, True))
         monkeypatch.setattr(cli, "match_patches", capture("match", cli.match_patches, False))
-        cfg = DenoiseConfig(patch_fraction=patch_fraction)
         with pytest.raises(FirstPassDone):
-            denoise_frame(Frame(curr.positions, curr.normals, 1), prev, cfg)
-        assert run(["match", "--prev", str(prev_path), "--curr", str(curr_path),
-                    "--patch-fraction", str(patch_fraction)]) == 0
+            denoise_frame(Frame(curr.positions, curr.normals, 1), prev, DenoiseConfig())
+        flag = [] if patch_fraction is None else ["--patch-fraction", str(patch_fraction)]
+        assert run(["match", "--prev", str(prev_path), "--curr", str(curr_path), *flag]) == 0
         for want, got in zip(captured["denoise"], captured["match"]):
             assert want.dtype == got.dtype and np.array_equal(want, got)
         matched, distance, _ = captured["denoise"]
-        assert len(matched) == cfg.patch_count(120)
+        assert len(matched) == 120
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         pairs = enumerate(zip(matched.tolist(), distance.tolist()))
         assert [row.rsplit(",", 1)[0] for row in rows] == [f"{t},{b},{d:.9g}" for t, (b, d) in pairs]

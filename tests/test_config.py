@@ -19,23 +19,18 @@ class TestDefaults:
     def test_parameter_defaults(self):
         cfg = DenoiseConfig()
         assert cfg.k == 30
-        assert cfg.patch_fraction == 0.5
+        assert cfg.patch_fraction == 1.0
         assert cfg.k_s == 10
         assert cfg.xi == 10
         assert cfg.c == 5.0
-        assert cfg.mprime_fraction == 0.9
+        assert cfg.lambda1 == 0.5
+        assert cfg.lambda2 == 0.1
+        assert cfg.mprime_fraction == 0.6
         assert cfg.trace_bound == 5.0
-
-    def test_patch_count_rule(self):
-        cfg = DenoiseConfig()
-        assert cfg.patch_count(100) == 50
-        assert cfg.patch_count(101) == 50  # round(50.5) banker's-rounds to 50
-        assert cfg.patch_count(1) == 1
-        assert DenoiseConfig(patch_fraction=1.0).patch_count(64) == 64
 
     def test_weight_floor_rule(self):
         cfg = DenoiseConfig()
-        assert cfg.weight_floor(100) == pytest.approx(90.0)
+        assert cfg.weight_floor(100) == pytest.approx(60.0)
 
 
 class TestValidation:
@@ -44,6 +39,7 @@ class TestValidation:
         [
             ("k", 0),
             ("patch_fraction", 0.0),
+            ("patch_fraction", 0.5),
             ("patch_fraction", 1.5),
             ("k_s", 0),
             ("xi", 0),
@@ -68,6 +64,16 @@ class TestValidation:
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             DenoiseConfig(**{field: value})
+
+    def test_patch_fraction_below_one_is_a_usage_error(self):
+        # One patch per point is the only design; a config asking for fewer
+        # patches fails before any file is read, naming the field.
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli_main(["denoise", "--out-dir", "out", "--patch-fraction", "0.5", "in.ply"])
+        assert code == 1
+        assert ("usage error: argument --patch-fraction: patch_fraction must be in [1, 1], "
+                "got 0.5") in err.getvalue()
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -114,7 +120,7 @@ _NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 _FRACTION = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 # Every valid value of every field, by the ranges README states.
 VALID = {
-    "k": _count(), "patch_fraction": _FRACTION, "k_s": _count(), "xi": _count(),
+    "k": _count(), "patch_fraction": st.just(1.0), "k_s": _count(), "xi": _count(),
     "c": _POSITIVE, "alpha": st.floats(min_value=0.0, max_value=1.0),
     "lambda1": _NON_NEGATIVE, "lambda2": _NON_NEGATIVE, "mprime_fraction": _FRACTION,
     "trace_bound": _POSITIVE, "k_plane": _count(3), "cg_tol": _POSITIVE,

@@ -14,7 +14,6 @@ from dpcdenoise.geometry import (
     Sequence,
     _orient,
     estimate_normals,
-    farthest_point_sampling,
     knn_rows,
     mean_nn_distance,
 )
@@ -345,44 +344,3 @@ class TestOrientNormals:
         flips = rng.choice([-1.0, 1.0], size=(80, 1))
         flipped = Frame(pts, frame.normals * flips)
         assert np.array_equal(orient(frame, 8), orient(flipped, 8))
-
-def brute_fps(points, m, first):
-    chosen = [first]
-    min_sq = np.sum((points - points[first]) ** 2, axis=1)
-    for _ in range(m - 1):
-        best = int(np.flatnonzero(min_sq == min_sq.max())[0])
-        chosen.append(best)
-        min_sq = np.minimum(min_sq, np.sum((points - points[best]) ** 2, axis=1))
-    return chosen
-
-
-class TestFarthestPointSampling:
-    def test_m_equals_n_is_permutation(self):
-        f = Frame(random_cloud(30, 9))
-        picks = farthest_point_sampling(f, 30, seed=0)
-        assert sorted(picks.tolist()) == list(range(30))
-
-    def test_line_example(self):
-        pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [10.0, 0, 0]])
-        # Find a seed whose first pick is index 0, then the farthest is x=10.
-        for seed in range(50):
-            picks = farthest_point_sampling(Frame(pts), 2, seed=seed)
-            if picks[0] == 0:
-                assert picks[1] == 3
-                break
-        else:
-            pytest.fail("no seed produced first pick 0")
-
-    def test_matches_greedy_oracle(self):
-        rng = np.random.default_rng(13)
-        for trial in range(10):
-            n = int(rng.integers(5, 200))
-            pts = rng.uniform(0, 1, (n, 3))
-            m = int(rng.integers(1, n + 1))
-            seed = int(rng.integers(10_000))
-            picks = farthest_point_sampling(Frame(pts), m, seed)
-            assert picks.tolist() == brute_fps(pts, m, picks[0])
-
-    def test_m_too_large(self):
-        with pytest.raises(ValueError):
-            farthest_point_sampling(Frame(random_cloud(5, 1)), 6, seed=0)

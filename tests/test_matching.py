@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import variation_rows
 
-from dpcdenoise.geometry import Frame, estimate_normals
+from dpcdenoise.geometry import Frame, NeighborIndex, estimate_normals, knn_rows
 from dpcdenoise.matching import (
     match_patches,
     patch_distance,
@@ -163,8 +163,8 @@ class TestPointCorrespondence:
             point_correspondence(z, z, z, z, 1.5, 1.0)
 
 
-def build_reference(frame, m, k, seed, c=5.0):
-    ps = build_patches(frame, m, k, seed)
+def build_reference(frame, k, c=5.0):
+    ps = build_patches(frame, k)
     return ps, prepare_reference(frame, ps, c)
 
 
@@ -175,14 +175,24 @@ class TestTemporalMatch:
                           amplitude=0.2, phase_step=0.0, seed=5)
         )
         frame, _ = estimate_normals(seq.frames[0], 10)
-        ps, ref = build_reference(frame, 40, 12, seed=9)
+        ps, ref = build_reference(frame, 12)
         matched, distance, point_map = match_patches(frame, ps, ref, xi=5)
-        # Row l of each array belongs to target patch l.
-        assert matched.shape == distance.shape == (40,)
-        assert matched.tolist() == list(range(40))
+        # Row l of each array belongs to target patch l. Its twin is patch l
+        # itself, unless one of its xi nearest centers has a lower index and
+        # the same variation vector, bit for bit: the tie goes to the lower
+        # index. Such a patch holds the same points as patch l.
+        near = knn_rows(NeighborIndex.from_points(frame.positions), frame.positions, 5)
+        twin = [min(j for j in row if np.array_equal(ref.variations[j], ref.variations[l]))
+                for l, row in enumerate(near.tolist())]
+        assert matched.shape == distance.shape == (300,)
+        assert matched.tolist() == twin
+        for l, j in enumerate(twin):
+            assert set(ps.members[j]) == set(ps.members[l])
+        itself = matched == np.arange(300)
+        assert 280 < np.count_nonzero(itself) < 300
         assert np.all(distance == 0.0)
-        assert point_map.shape == (40, 13) and point_map.dtype == np.int64
-        assert np.array_equal(point_map, np.tile(np.arange(13), (40, 1)))
+        assert point_map.shape == (300, 13) and point_map.dtype == np.int64
+        assert np.array_equal(point_map[itself], np.tile(np.arange(13), (300, 1))[itself])
 
     def test_plane_resamplings_distance_zero(self):
         specs = [
@@ -190,8 +200,8 @@ class TestTemporalMatch:
         ]
         frames = [generate_sequence(s).frames[0] for s in specs]
         frames = [estimate_normals(f, 10)[0] for f in frames]
-        prev_ps, ref = build_reference(frames[0], 30, 10, seed=3)
-        curr_ps = build_patches(frames[1], 30, 10, seed=4)
+        prev_ps, ref = build_reference(frames[0], 10)
+        curr_ps = build_patches(frames[1], 10)
         _, distance, _ = match_patches(frames[1], curr_ps, ref, xi=5)
         assert np.all(distance <= 1e-9)
 
@@ -201,11 +211,11 @@ class TestTemporalMatch:
         prev, _ = estimate_normals(Frame(pts), 8)
         curr_pts = rng.uniform(0, 1, (150, 3))
         curr, _ = estimate_normals(Frame(curr_pts), 8)
-        prev_ps, ref = build_reference(prev, 25, 8, seed=1)
-        curr_ps = build_patches(curr, 25, 8, seed=2)
-        matched, distance, _ = match_patches(curr, curr_ps, ref, xi=25)
+        prev_ps, ref = build_reference(prev, 8)
+        curr_ps = build_patches(curr, 8)
+        matched, distance, _ = match_patches(curr, curr_ps, ref, xi=150)
         # Brute-force global minimum over all reference patches.
-        for l in range(25):
+        for l in range(150):
             target = curr_ps.patch(l)
             eps = patch_epsilon(target, curr.positions, 5.0)
             rows = variation_rows(
@@ -214,8 +224,8 @@ class TestTemporalMatch:
                 eps,
             )
             v_t = np.mean(np.abs(rows), axis=0)
-            dists = [patch_distance(v_t, ref.variations[j]) for j in range(25)]
-            best = int(np.lexsort((np.arange(25), np.asarray(dists)))[0])
+            dists = [patch_distance(v_t, ref.variations[j]) for j in range(150)]
+            best = int(np.lexsort((np.arange(150), np.asarray(dists)))[0])
             assert matched[l] == best
             assert distance[l] == pytest.approx(min(dists), abs=1e-12)
 
@@ -237,12 +247,12 @@ class TestDistanceProperties:
         pts_b = pts_b @ rot.T + np.array([0.3, -1.0, 2.0])
         fa, _ = estimate_normals(Frame(pts_a), 10)
         fb, _ = estimate_normals(Frame(pts_b), 10)
-        pa = build_patches(fa, 25, 12, seed=1)
-        pb = build_patches(fb, 25, 12, seed=2)
+        pa = build_patches(fa, 12)
+        pb = build_patches(fb, 12)
         ra = prepare_reference(fa, pa)
         rb = prepare_reference(fb, pb)
-        for i in range(25):
-            for j in range(25):
+        for i in range(200):
+            for j in range(200):
                 assert patch_distance(ra.variations[i], rb.variations[j]) <= 1e-6
 
     def test_property2_curvature_ordering(self):

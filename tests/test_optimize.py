@@ -6,6 +6,7 @@ from oracles import build_system, lp_oracle, random_solve_instance
 
 from dpcdenoise.config import DenoiseConfig
 from dpcdenoise.geometry import Frame, Sequence, estimate_normals, mean_nn_distance
+from dpcdenoise.metrics import add_gaussian_noise, mse_nn
 from dpcdenoise.optimize import (
     SolverError,
     _edge_weight_summary,
@@ -345,8 +346,7 @@ def small_sequence(n_frames=2, n_points=120, amplitude=0.1, seed=5):
 
 
 def small_config(**kw):
-    base = dict(k=10, patch_fraction=0.5, k_s=4, xi=4, outer_max_iters=3,
-                seed=2, lambda1=0.5, lambda2=0.1)
+    base = dict(k=10, k_s=4, xi=4, outer_max_iters=3, lambda1=0.5, lambda2=0.1)
     base.update(kw)
     return DenoiseConfig(**base)
 
@@ -362,38 +362,33 @@ class TestDenoiseFrame:
         assert report.diagnostics["stop_reason"] == "tol"
 
     def test_grid_plane_is_fixed_point(self):
-        # Constructed symmetric instance: interior patches of a regular
-        # grid all share the same relative layout, so corresponding rows
-        # agree exactly and the spatial gradient vanishes at the input.
-        from dpcdenoise.patches import PatchSet
-        from dpcdenoise.geometry import NeighborIndex, knn_rows
+        # Constructed symmetric instance: on an evenly spaced grid line in
+        # the plane z = 0, with k_s = 1, every row edge joins two rows of
+        # equal relative coordinates or two rows of one point (and is
+        # dropped), so the spatial gradient vanishes at the input.
+        from dpcdenoise.patches import build_patches
 
-        g = np.arange(12, dtype=float)
-        xx, yy = np.meshgrid(g, g)
-        pts = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(144)])
-        frame = Frame(pts)
-        interior = np.array([i for i, p in enumerate(pts) if 2 <= p[0] <= 9 and 2 <= p[1] <= 9])
-        nbrs = knn_rows(NeighborIndex.from_points(pts), pts[interior], 4, exclude=interior)
-        members = np.column_stack([interior, nbrs])
-        ps = PatchSet(members=members, k=4, frame=frame)
-        edges = spatial_connectivity(ps, pts, 4)
-        normals = np.tile((0.0, 0.0, 1.0), (144, 1))
+        pts = np.column_stack([np.arange(12, dtype=float), np.zeros(12), np.zeros(12)])
+        ps = build_patches(Frame(pts), 4)
+        edges = spatial_connectivity(ps, pts, 1)
+        assert len(edges) > 12 and np.all(edges.residuals(pts) == 0.0)
+        normals = np.tile((0.0, 0.0, 1.0), (12, 1))
         pw = weighted_spatial_graph(edges, normals, 1.0)
-        anchors = np.repeat(pts[members[:, 0]], 5, axis=0)
-        out, _, _ = solve_point_cloud(pts, members, anchors, None, None, edges, pw, 0.0, 0.5,
+        anchors = np.repeat(pts, 5, axis=0)
+        out, _, _ = solve_point_cloud(pts, ps.members, anchors, None, None, edges, pw, 0.0, 0.5,
                                       cg_tol=1e-10, cg_max_iters=500)
         assert np.max(np.abs(out - pts)) < 1e-6
 
     def test_rising_total_runs_to_cap_and_returns_last_iterate(self, monkeypatch):
         # Each pass's total is a sum over its own patches, matches and graph,
         # so totals of different passes are not compared. Here the total
-        # rises from pass 1 to pass 2, and the loop still runs to the cap and
+        # rises from pass 4 to pass 5, and the loop still runs to the cap and
         # returns the last iterate.
         import dpcdenoise.optimize as opt
 
         seq = small_sequence(1)
         noisy = Frame(seq.frames[0].positions +
-                      np.random.default_rng(3).normal(0, 0.01, (120, 3)))
+                      np.random.default_rng(4).normal(0, 0.01, (120, 3)))
         iterates = [noisy.positions]
         real_solve = opt.solve_point_cloud
 
@@ -405,7 +400,7 @@ class TestDenoiseFrame:
         monkeypatch.setattr(opt, "solve_point_cloud", solve)
         out, report = denoise_frame(noisy, None, small_config(outer_max_iters=6))
         totals = [o.total for o in report.objective_trace]
-        assert totals[2] > totals[1]
+        assert totals[4] > totals[3]
         assert report.diagnostics["stop_reason"] == "max_iters"
         assert len(totals) == len(iterates) - 1 == 6
         assert np.array_equal(out.positions, iterates[-1])
@@ -529,8 +524,8 @@ class TestDenoiseFrame:
         assert first == {"zero": int(np.sum(np.exp(-distances[0]) == 0)),
                          "one": int(np.sum(distances[0] == 0))}
         for weights in diag["patch_weights"][1:]:
-            assert weights["one"] >= int(cfg.weight_floor(60))
-            assert weights["zero"] + weights["one"] <= 60
+            assert weights["one"] >= int(cfg.weight_floor(120))
+            assert weights["zero"] + weights["one"] <= 120
 
         _, alone = denoise_frame(Frame(seq.frames[0].positions), None, cfg)
         assert alone.diagnostics["match_dist"] == alone.diagnostics["patch_weights"] == []
@@ -538,8 +533,8 @@ class TestDenoiseFrame:
     def test_one_neighbor_index_per_iteration(self, monkeypatch):
         # Each outer iteration makes one neighbor table over the points, as
         # wide as the wider of the normals' and the patches' rows (shared by
-        # the normals, their orientation and the patches), and one query of
-        # the patch centers; the final normals add one more table.
+        # the normals, their orientation, the patches and their adjacency);
+        # the final normals add one more table.
         import dpcdenoise.geometry as geometry
 
         queries = []
@@ -555,19 +550,20 @@ class TestDenoiseFrame:
         _, report = denoise_frame(Frame(seq.frames[0].positions), None, cfg)
         assert len(report.objective_trace) == 2
         table = (120, 120, max(cfg.k, cfg.k_plane) + 1)
-        centers = (60, 60, cfg.k_s + 1)
-        assert queries == [table, centers, table, centers, (120, 120, cfg.k_plane + 1)]
+        assert queries == [table, table, (120, 120, cfg.k_plane + 1)]
         diag = report.diagnostics
         assert len(diag["spatial_edges"]) == len(diag["spatial_pairs"]) == 2
         assert all(0 < p < e for p, e in zip(diag["spatial_pairs"], diag["spatial_edges"]))
         # Only the graph's size is reported per pass; its metric is fixed, not learned.
         assert set(diag) == {"stop_reason", "spacing", "degenerate_normals", "largest_move",
-                             "spatial_edges", "spatial_pairs", "edge_weights", "cg_iters",
-                             "cg_residual", "match_dist", "patch_weights"}
+                             "normal_move", "tangent_move", "spatial_edges", "spatial_pairs",
+                             "edge_weights", "cg_iters", "cg_residual", "match_dist",
+                             "patch_weights"}
 
     def test_every_point_a_center_needs_no_center_query(self, monkeypatch):
         # With every point a patch center, the patches' rows, which come from
         # the table, also give the adjacent centers, for k_s < k and k_s == k.
+        # For k_s > k a patch has k adjacent patches, and still no query runs.
         import dpcdenoise.geometry as geometry
 
         queries = []
@@ -579,10 +575,9 @@ class TestDenoiseFrame:
 
         monkeypatch.setattr(geometry, "_nearest", nearest)
         seq = small_sequence(1)
-        for k_s in (4, 10):
+        for k_s in (4, 10, 12):
             queries.clear()
-            cfg = small_config(outer_max_iters=2, patch_fraction=1.0, k_s=k_s)
-            assert cfg.k_s <= cfg.k
+            cfg = small_config(outer_max_iters=2, k_s=k_s)
             denoise_frame(Frame(seq.frames[0].positions), None, cfg)
             table = (120, 120, max(cfg.k, cfg.k_plane) + 1)
             assert queries == [table, table, (120, 120, cfg.k_plane + 1)], k_s
@@ -722,6 +717,21 @@ class TestDenoiseFrame:
 
 
 class TestDenoiseSequence:
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec("sinusoid-sheet", 400, 2, amplitude=0.05, phase_step=0.005, seed=1),
+        SyntheticSpec("sphere-cap", 400, 1, seed=1),
+    ], ids=["sheet", "cap"])
+    def test_defaults_lower_the_error_of_every_frame(self, spec):
+        # DenoiseConfig() as it stands, on noise of 2 % of the first frame's
+        # bounding-box diagonal, seeded per frame as the noise command seeds it.
+        clean = generate_sequence(spec)
+        sigma = 0.02 * float(np.linalg.norm(np.ptp(clean.frames[0].positions, axis=0)))
+        noisy = Sequence(tuple(add_gaussian_noise(frame, sigma, seed=1 + t)
+                               for t, frame in enumerate(clean.frames)))
+        out, _ = denoise_sequence(noisy, DenoiseConfig())
+        for got, before, truth in zip(out.frames, noisy.frames, clean.frames):
+            assert mse_nn(got, truth) < mse_nn(before, truth)
+
     def test_spatial_kernel_is_fixed_and_never_learned(self, monkeypatch):
         # Every pass weighs its pairs by exp(-(trace_bound / 3)^2 ||dn||^2) on
         # the normals it hands the kernel, metric learning never runs, and the

@@ -33,56 +33,48 @@ def point_edges(pairs):
 
 class TestSpatialConnectivity:
     def test_tied_members_rank_adjacent_centers_by_center_index(self):
-        # Points 1 and 2 are both at distance 1 from point 0, and the centers
-        # list point 2 first. With every point a center, point 0's k_s = 1
-        # nearest center is point 2's (center 3), though point 1 leads point
-        # 0's members.
+        # Points 1 and 2 are both at distance 1 from point 0. Patch l is
+        # centered on point l, so point 0's k_s = 1 nearest center is the
+        # lower index, point 1, which leads point 0's members, as a query
+        # over the centers ranks it.
         pts = np.array([[0, 0, 0], [1, 0, 0], [-1, 0, 0], [1.5, 0, 0], [-1.6, 0, 0]], dtype=float)
-        centers = np.array([0, 3, 4, 2, 1])
-        near = knn_rows(NeighborIndex.from_points(pts), pts[centers], 2, exclude=centers)
-        ps = toy_patchset(pts, np.column_stack([centers, near]), 2)
+        ps = build_patches(Frame(pts), 2)
         assert ps.members[0].tolist() == [0, 1, 2]
-        assert stgraph._adjacent_patches(ps, pts, 1).tolist() == [[0, 3], [1, 4], [2, 3]]
+        index = NeighborIndex.from_points(pts)
+        near = knn_rows(index, pts, 1, exclude=np.arange(5))[:, 0]
+        assert near.tolist() == [1, 3, 4, 1, 2]
+        assert stgraph._adjacent_patches(ps, 1).tolist() == [[0, 1], [1, 3], [2, 4]]
 
     def test_identical_patches_pair_same_slot(self):
-        # Two patches with identical relative layouts at different centers.
-        pts = np.array(
-            [
-                [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-                [5.0, 0.0, 0.0], [6.0, 0.0, 0.0], [5.0, 1.0, 0.0],
-            ]
-        )
-        ps = toy_patchset(pts, [[0, 1, 2], [3, 4, 5]], k=2)
+        # Patches 0 = [0, 1] and 1 = [1, 2] on the x axis at 0, 5 and 10 have
+        # identical relative layouts, so slot s of one pairs with slot s of
+        # the other: row edges (0, 1) and (1, 2), each with center gap -5.
+        # Patch 2 = [2, 1] adds (1, 2) once more, center gap c1 - c2 = -5;
+        # its other rows pair a point with itself and are dropped.
+        pts = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+        ps = toy_patchset(pts, [[0, 1], [1, 2], [2, 1]], k=1)
         edges = spatial_connectivity(ps, pts, k_s=1)
-        want = {(0, 3), (1, 4), (2, 5)}
-        assert set(map(tuple, edges.points)) == want
-        assert edges.counts.tolist() == [1, 1, 1] and len(edges) == 3
-        assert edges.offsets.tolist() == [[-5.0, 0.0, 0.0]] * 3
-        assert edges.spread.tolist() == [0.0] * 3
-        assert edges.residuals(pts).tolist() == [0.0] * 3
+        assert edges.points.tolist() == [[0, 1], [1, 2]]
+        assert edges.counts.tolist() == [1, 2] and len(edges) == 3
+        assert edges.offsets.tolist() == [[-5.0, 0.0, 0.0]] * 2
+        assert edges.spread.tolist() == [0.0] * 2
+        assert edges.residuals(pts).tolist() == [0.0] * 2
 
     def test_k_s_one_connects_nearest_patch_only(self):
-        pts = np.array(
-            [
-                [0.0, 0.0, 0.0], [0.1, 0.0, 0.0],
-                [1.0, 0.0, 0.0], [1.1, 0.0, 0.0],
-                [9.0, 0.0, 0.0], [9.1, 0.0, 0.0],
-            ]
-        )
-        ps = toy_patchset(pts, [[0, 1], [2, 3], [4, 5]], k=1)
-        # Member i is point i, so a point pair names its rows.
-        patch_of = spatial_connectivity(ps, pts, k_s=1).points // 2
-        got_pairs = set(map(tuple, patch_of))
-        # Patch 2 is far away; its nearest is patch 1 (center distance oracle).
-        assert (0, 1) in got_pairs
-        assert (1, 2) in got_pairs
-        assert (0, 2) not in got_pairs
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.5, 0.0, 0.0], [9.0, 0.0, 0.0]])
+        ps = build_patches(Frame(pts), 1)
+        got_pairs = set(map(tuple, stgraph._adjacent_patches(ps, 1).tolist()))
+        # Patch 3 is far away; its nearest is patch 2 (center distance oracle).
+        assert got_pairs == {(0, 1), (1, 2), (2, 3)}
+        # Every row edge joins two points of one adjacent patch pair.
+        for a, b in spatial_connectivity(ps, pts, k_s=1).points.tolist():
+            assert any({a, b} <= {*ps.members[l], *ps.members[m]} for l, m in got_pairs)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 1, (60, 3))
         frame = Frame(pts)
-        ps = build_patches(frame, 10, 6, seed=1)
+        ps = build_patches(frame, 6)
         a = spatial_connectivity(ps, pts, 3)
         b = spatial_connectivity(ps, pts + np.array([10.0, -4.0, 2.0]), 3)
         assert np.array_equal(a.points, b.points)
@@ -90,21 +82,21 @@ class TestSpatialConnectivity:
         assert np.allclose(a.offsets, b.offsets, rtol=0, atol=1e-13)
         assert np.allclose(a.spread, b.spread, rtol=0, atol=1e-13)
 
-    def test_one_center_twice_gives_no_pairs(self):
-        # Two patches over the same points with the same center: every
-        # nearest row holds the row's own point, so every row edge is dropped.
+    def test_one_center_twice_is_rejected(self):
+        # Two patches over the same points with the same center cannot be
+        # built: patch l is centered on point l, one patch per point.
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-        ps = toy_patchset(pts, [[0, 1, 2], [0, 1, 2]], k=2)
-        edges = spatial_connectivity(ps, pts, k_s=1)
-        assert len(edges) == 0
-        assert edges.points.shape == (0, 2) and edges.offsets.shape == (0, 3)
-        assert edges.counts.size == edges.spread.size == 0
+        with pytest.raises(ValueError, match="centered on point l"):
+            toy_patchset(pts, [[0, 1, 2], [0, 1, 2]], k=2)
 
     def test_k_s_too_large(self):
+        # A patch's row holds its k nearest centers, so k_s must be in [1, k].
         pts = np.random.default_rng(1).uniform(0, 1, (20, 3))
-        ps = build_patches(Frame(pts), 4, 4, seed=0)
-        with pytest.raises(ValueError, match="k_s"):
-            spatial_connectivity(ps, pts, 4)
+        ps = build_patches(Frame(pts), 4)
+        for k_s in (0, 5):
+            with pytest.raises(ValueError, match="k_s"):
+                spatial_connectivity(ps, pts, k_s)
+        assert len(spatial_connectivity(ps, pts, 4)) > 0
 
     def test_key_layout_boundary(self):
         # The largest key is n^2 * 2^bits - 1: at n = 2^20 and 2^22 patch
@@ -127,7 +119,7 @@ class TestSpatialConnectivity:
         cfg = DenoiseConfig(**E2E_CONFIG)
         spec = SyntheticSpec("sphere-cap", 2400, 1, amplitude=0.05, seed=3)
         frame = add_gaussian_noise(generate_sequence(spec).frames[0], 0.02, seed=4)
-        ps = build_patches(frame, cfg.patch_count(len(frame)), cfg.k, seed=5)
+        ps = build_patches(frame, cfg.k)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -212,7 +204,7 @@ class TestSpatialWeights:
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 1, (50, 3))
         frame, _ = estimate_normals(Frame(pts), 8)
-        ps = build_patches(frame, 10, 5, seed=2)
+        ps = build_patches(frame, 5)
         edges = spatial_connectivity(ps, pts, 3)
         w = weighted_spatial_graph(edges, frame.normals, 0.5)
         lo, hi = edges.points.T
@@ -232,8 +224,7 @@ def first_pass_row_weights(distances):
 
     seq = generate_sequence(SyntheticSpec("sinusoid-sheet", 120, 2, amplitude=0.1,
                                           phase_step=0.03, seed=5))
-    cfg = DenoiseConfig(k=10, patch_fraction=0.5, k_s=4, xi=4, outer_max_iters=1, seed=2,
-                        lambda1=0.5, lambda2=0.1)
+    cfg = DenoiseConfig(k=10, k_s=4, xi=4, outer_max_iters=1, lambda1=0.5, lambda2=0.1)
     ref, _ = estimate_normals(seq.frames[0], cfg.k_plane)
     seen = {}
     real_match, real_solve = opt.match_patches, opt.solve_point_cloud
@@ -278,29 +269,29 @@ class TestTemporalWeights:
 
 class TestSpatialEdges:
     def test_groups_rows_by_unordered_point_pair(self):
-        # Points on the x axis at 3, 1, 0; patches A = [2, 1], B = [1, 0] and
-        # C = [0, 1] with centers at 0, 1 and 3, so A-B and B-C are adjacent.
+        # Points on the x axis at 0, 1, 3; patches A = [0, 1], B = [1, 2] and
+        # C = [2, 1] with centers at 0, 1 and 3, so A-B and B-C are adjacent.
         # Row edges, with the center gap oriented from the lower point:
-        # A-B: (2, 1) gap cB - cA = 1; (1, 1) gap -1 (row 1 of A ties between
-        # both rows of B, the lower slot wins); (1, 0) backward, gap 1.
-        # B-C: (1, 0) gap cC - cB = 2; (0, 0) gap -2; (1, 1) backward, gap -2.
-        # The three edges (0, 0), (1, 1) and (1, 1) join a point with itself
+        # A-B: (0, 1) gap cA - cB = -1; (1, 1) (row 1 of A ties between
+        # both rows of B, the lower slot wins); (1, 2) backward, gap -1.
+        # B-C: (1, 2) gap cB - cC = -2; (2, 2); (1, 1) backward.
+        # The three edges (1, 1), (2, 2) and (1, 1) join a point with itself
         # and are dropped.
-        pts = np.array([[3.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0]])
-        ps = toy_patchset(pts, [[2, 1], [1, 0], [0, 1]], k=1)
+        pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
+        ps = toy_patchset(pts, [[0, 1], [1, 2], [2, 1]], k=1)
         edges = spatial_connectivity(ps, pts, k_s=1)
         assert edges.points.tolist() == [[0, 1], [1, 2]]
-        assert edges.counts.tolist() == [2, 1] and len(edges) == 3
-        assert edges.offsets.tolist() == [[1.5, 0, 0], [1.0, 0, 0]]
-        assert edges.spread.tolist() == [0.5, 0.0]
-        # Pair (0, 1): row residuals (2 - 1)^2 + (2 - 2)^2 = 2 * 0.5^2 + 0.5.
-        assert edges.residuals(pts).tolist() == [1.0, 0.0]
+        assert edges.counts.tolist() == [1, 2] and len(edges) == 3
+        assert edges.offsets.tolist() == [[-1.0, 0, 0], [-1.5, 0, 0]]
+        assert edges.spread.tolist() == [0.0, 0.5]
+        # Pair (1, 2): row residuals (-2 + 1)^2 + (-2 + 2)^2 = 2 * 0.5^2 + 0.5.
+        assert edges.residuals(pts).tolist() == [0.0, 1.0]
 
     def test_weights_gathered_to_every_row_edge(self):
         # One weight per point pair, carried by each of its row edges.
         rng = np.random.default_rng(11)
-        pts = np.array([[3.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0]])
-        ps = toy_patchset(pts, [[2, 1], [1, 0], [0, 1]], k=1)
+        pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
+        ps = toy_patchset(pts, [[0, 1], [1, 2], [2, 1]], k=1)
         edges = spatial_connectivity(ps, pts, k_s=1)
         feats = np.hstack([rng.normal(size=(3, 3)), np.tile([0.0, 0.0, 1.0], (3, 1))])
         w = weighted_spatial_graph(edges, feats, 1.0)
