@@ -7,11 +7,13 @@ as the ``src`` directories of two checkouts. For every workload of
 ``perfbench/workloads.py`` and every seed, the inputs are written once with
 ``make_inputs`` and both trees run ``python3 -m dpcdenoise.cli denoise`` on
 them, with the workload's config file and one BLAS and OpenMP thread. One line
-per workload and seed says whether every output PLY is byte-equal and whether
+per workload and seed says whether every output PLY is byte-equal, whether
 the two manifests' ``config`` snapshots are equal (the same keys, values and
-JSON types, so ``1`` and ``1.0`` differ), followed by each side's stop reasons
-and its ``timings_s["denoise"]`` divided by the frame count, as read from its
-manifest. The two sides run one after the other, so their times are one
+JSON types, so ``1`` and ``1.0`` differ) and whether every frame's
+``diagnostics`` dict is equal in the same sense, followed by each side's stop
+reasons and its ``timings_s["denoise"]`` divided by the frame count, as read
+from its manifest. The rest of a manifest, such as ``timings_s``, is not
+compared. The two sides run one after the other, so their times are one
 sample each, not a benchmark. Where the outputs differ, the largest absolute
 differences of positions and of normals between the two sides' PLY files of
 one name follow, then each side's pooled ``mse_reduction_pct`` and
@@ -27,8 +29,8 @@ check.
 (criterion 7). Its inputs come from OLD_SRC's ``synth`` and ``noise`` commands,
 and each side's per-frame MSE reductions are printed too.
 
-Exits 1 if any output or config snapshot differs or any run fails, and 0
-otherwise. Run it from anywhere. Work files go to a temporary directory,
+Exits 1 if any output, config snapshot or diagnostics dict differs or any run
+fails, and 0 otherwise. Run it from anywhere. Work files go to a temporary directory,
 removed at the end unless ``--work`` names one.
 """
 
@@ -43,6 +45,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -129,28 +132,41 @@ def config_differences(old: dict, new: dict) -> list:
             if key not in old or key not in new or json.dumps(old[key]) != json.dumps(new[key])]
 
 
+def diagnostics_differences(old: dict, new: dict) -> list:
+    """Indices of the frames whose ``diagnostics`` differ in keys, values or JSON types,
+    or that only one manifest has."""
+    frames = [[json.dumps(f["diagnostics"], sort_keys=True) for f in m["frame_metrics"]]
+              for m in (old, new)]
+    return [t for t, (a, b) in enumerate(zip_longest(*frames)) if a != b]
+
+
 def compare(label: str, old: Path, new: Path, config: Path, inputs: list, work: Path) -> tuple:
     """Denoise ``inputs`` with both trees; prints one line and returns (same, out dirs).
 
     ``same`` holds when both runs succeed, every output PLY is byte-equal and
-    the two manifests' ``config`` snapshots are equal.
+    the two manifests' ``config`` snapshots and per-frame ``diagnostics`` are
+    equal.
     """
     outs = (work / "old", work / "new")
     manifests = [denoise(src, config, inputs, out) for src, out in zip((old, new), outs)]
-    bytes_same, keys = False, None
+    bytes_same, keys, frames = False, None, None
     if None not in manifests:
         names = sorted(p.name for p in outs[0].glob("*.ply"))
         bytes_same = (names == sorted(p.name for p in outs[1].glob("*.ply"))
                       and not check.differing_outputs(*outs))
         keys = config_differences(manifests[0]["config"], manifests[1]["config"])
+        frames = diagnostics_differences(*manifests)
     config_note = ("config not compared" if keys is None
                    else f"config DIFFERENT in {', '.join(keys)}" if keys else "config equal")
-    print(f"{label}: {'byte-equal' if bytes_same else 'DIFFERENT'}; {config_note}; stop reasons "
-          f"and denoise time old [{summary(manifests[0])}], new [{summary(manifests[1])}]",
-          flush=True)
+    diag_note = ("diagnostics not compared" if frames is None
+                 else f"diagnostics DIFFERENT in frames {', '.join(map(str, frames))}" if frames
+                 else "diagnostics equal")
+    print(f"{label}: {'byte-equal' if bytes_same else 'DIFFERENT'}; {config_note}; "
+          f"{diag_note}; stop reasons and denoise time old [{summary(manifests[0])}], "
+          f"new [{summary(manifests[1])}]", flush=True)
     if None not in manifests and not bytes_same:
         print(f"  largest absolute difference: {largest_gap(*outs)}")
-    return bytes_same and keys == [], outs
+    return bytes_same and keys == [] and frames == [], outs
 
 
 def largest_gap(old_out: Path, new_out: Path) -> str:
@@ -266,8 +282,8 @@ def main(argv=None) -> int:
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
-    print("all outputs byte-equal and configs equal" if all_same
-          else "outputs or configs differ")
+    print("all outputs byte-equal, configs and diagnostics equal" if all_same
+          else "outputs, configs or diagnostics differ")
     return 0 if all_same else 1
 
 

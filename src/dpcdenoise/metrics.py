@@ -12,27 +12,13 @@ from .geometry import Frame, NeighborIndex, knn_rows
 
 @dataclass
 class FrameMetrics:
-    """Per-frame optimizer trace and diagnostics."""
+    """Per-frame optimizer diagnostics."""
 
     frame_index: int
-    objective_trace: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "frame_index": self.frame_index,
-            "diagnostics": self.diagnostics,
-        }
-        out["objective_trace"] = [
-            {
-                "fidelity": o.fidelity,
-                "temporal": o.temporal,
-                "spatial": o.spatial,
-                "total": o.total,
-            }
-            for o in self.objective_trace
-        ]
-        return out
+        return {"frame_index": self.frame_index, "diagnostics": self.diagnostics}
 
 
 def add_gaussian_noise(frame: Frame, sigma: float, seed: int) -> Frame:

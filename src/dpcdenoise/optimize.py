@@ -36,61 +36,9 @@ class SolverError(RuntimeError):
         self.iteration = iteration
 
 
-@dataclass(frozen=True)
-class ObjectiveBreakdown:
-    """The three terms of the denoising objective and their weighted sum."""
-
-    fidelity: float
-    temporal: float
-    spatial: float
-    total: float
-
-
 def _psum(values: np.ndarray) -> float:
     # Pairwise summation; deterministic regardless of BLAS threading.
     return float(np.sum(values))
-
-
-def objective(
-    u: np.ndarray,
-    u_hat: np.ndarray,
-    members: np.ndarray,
-    anchor_rows: np.ndarray,
-    prev_aligned: Optional[np.ndarray],
-    w_rows: Optional[np.ndarray],
-    edges: Optional[SpatialEdges],
-    pair_weights: Optional[np.ndarray],
-    lambda1: float,
-    lambda2: float,
-) -> ObjectiveBreakdown:
-    """Evaluate the denoising objective at ``u``.
-
-    Patch rows are ``u`` gathered by ``members`` minus ``anchor_rows``
-    (the center coordinates fixed when the patches were built); the
-    temporal term weighs row differences to the aligned reference rows.
-    The spatial term ``tr(P^T L P)`` over the row graph is summed per
-    point pair: each pair's weight times its summed row-edge residuals.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    u_hat = np.asarray(u_hat, dtype=np.float64)
-    if u.shape != u_hat.shape:
-        raise ValueError("u and u_hat must have the same shape")
-    flat = members.ravel()
-    p = u[flat] - anchor_rows
-    if p.shape != anchor_rows.shape:
-        raise ValueError("anchor rows do not match the patch layout")
-    fidelity = _psum((u - u_hat) ** 2)
-    temporal = 0.0
-    if w_rows is not None and prev_aligned is not None:
-        if prev_aligned.shape != p.shape or w_rows.shape[0] != p.shape[0]:
-            raise ValueError("temporal term dimensions do not match")
-        temporal = _psum(w_rows * np.sum((p - prev_aligned) ** 2, axis=1))
-    spatial = 0.0
-    if edges is not None and pair_weights is not None:
-        _check_spatial(edges, pair_weights, u.shape[0])
-        spatial = _psum(pair_weights * edges.residuals(u))
-    total = fidelity + lambda1 * temporal + lambda2 * spatial
-    return ObjectiveBreakdown(fidelity=fidelity, temporal=temporal, spatial=spatial, total=total)
 
 
 def _check_spatial(edges: SpatialEdges, pair_weights: np.ndarray, n: int) -> None:
@@ -279,21 +227,25 @@ def metric_gradient(factor: np.ndarray, diffs: np.ndarray, dsq: np.ndarray) -> n
 
 
 def project_metric_factor(factor: np.ndarray, bound: float) -> np.ndarray:
-    """Project onto {tr(R) <= bound, diagonal >= 0}.
+    """Map R into {diagonal >= 0, tr(R) <= bound, ||R||_F <= bound}, so tr(R^T R) <= bound^2.
 
     Negative diagonal entries are clamped to zero; if the trace still
-    exceeds the bound, the diagonal is scaled down to meet it.
-    Off-diagonal entries are untouched.
+    exceeds the bound, the diagonal is scaled down to meet it. Then, if
+    the Frobenius norm exceeds the bound, the whole factor is scaled down
+    to meet it, which keeps the diagonal and trace conditions. A factor
+    already in the set comes back unchanged.
     """
     r = np.array(factor, dtype=np.float64)
     diag = np.diagonal(r).copy()
-    if np.all(diag >= 0) and diag.sum() <= bound:
-        return r
-    diag = np.maximum(diag, 0.0)
-    total = diag.sum()
-    if total > bound:
-        diag *= bound / total
-    np.fill_diagonal(r, diag)
+    if np.any(diag < 0) or diag.sum() > bound:
+        diag = np.maximum(diag, 0.0)
+        total = diag.sum()
+        if total > bound:
+            diag *= bound / total
+        np.fill_diagonal(r, diag)
+    norm = np.linalg.norm(r)
+    if norm > bound:
+        r *= bound / norm
     return r
 
 
@@ -320,7 +272,8 @@ def learn_metric(
     feature difference up to sign may be passed once, with their ``dsq``
     summed: the objective is the same sum, regrouped. Works on the
     factorization M = R^T R so the result is PSD by construction;
-    iterates are projected onto {tr(R) <= trace_bound, diagonal >= 0}.
+    iterates are mapped into {diagonal >= 0, tr(R) <= trace_bound,
+    ||R||_F <= trace_bound} by :func:`project_metric_factor`.
     A candidate that increases the objective is rejected and halves the
     step for the rest of the call; three consecutive rejections, at three
     different steps, abort with a step-size error.
@@ -436,15 +389,17 @@ def denoise_frame(
     each matched patch by ``exp(-match distance)``, later ones solve the
     weight program. Every pass weighs each point pair by the fixed kernel
     ``exp(-dn^T M dn)`` on its unit-normal difference ``dn``, with
-    ``M = R0^T R0 = (trace_bound / 3)^2 I``. Each pass's objective is a sum
-    over its own graph, so totals of different passes are not compared.
-    The loop stops once a pass moves no point by more than ``outer_tol``
+    ``M = R0^T R0 = (trace_bound / 3)^2 I``. The loop evaluates no
+    objective: each pass builds its own graph, so the totals of two passes
+    would not be comparable. The loop stops once a pass moves no point by more than ``outer_tol``
     times the frame's spacing, the mean distance from an input point to
     its nearest other input point (stop reason ``tol``), or after
-    ``outer_max_iters`` passes (``max_iters``). It returns the last
-    iterate with freshly estimated normals. The report's diagnostics hold
-    the stop reason, the spacing and, per pass, the largest point move,
-    the mean normal and tangential parts of the moves over the spacing,
+    ``outer_max_iters`` passes (``max_iters``), and returns the last
+    iterate with freshly estimated normals. A frame whose every point has
+    an exact duplicate has spacing 0 and raises ValueError before its first
+    point solve. The report's diagnostics hold the stop reason, the
+    spacing and, per pass, the largest point move, the mean normal and
+    tangential parts of the moves over the spacing,
     taken on the normals the pass estimated (``normal_move``,
     ``tangent_move``), the row edges and point pairs of the spatial graph,
     edge-weight quantiles and, per axis, the point solve's CG products with A
@@ -461,7 +416,6 @@ def denoise_frame(
 
     u = np.array(noisy.positions)
     u_hat = noisy.positions
-    trace: list[ObjectiveBreakdown] = []
     diagnostics: dict = {"degenerate_normals": [], "spatial_edges": [], "spatial_pairs": [],
                          "edge_weights": [], "cg_iters": [], "cg_residual": [],
                          "largest_move": [], "normal_move": [], "tangent_move": [],
@@ -475,6 +429,9 @@ def denoise_frame(
             # Column 1 is each input point's nearest other point, or the point
             # itself behind a duplicate of lower index: the same distance either way.
             spacing = float(np.mean(np.sqrt(np.sum((u[table[:, 1]] - u) ** 2, axis=1))))
+            if spacing == 0.0:
+                raise ValueError(f"frame {noisy.frame_index}: every point coincides with "
+                                 "another point, so the frame has no spacing")
             diagnostics["spacing"] = spacing
         diagnostics["degenerate_normals"].append(degen)
         members = patchset.members
@@ -523,8 +480,6 @@ def denoise_frame(
 
         diagnostics["cg_iters"].append(cg_iters)
         diagnostics["cg_residual"].append(cg_residual)
-        trace.append(objective(u_new, u_hat, members, anchor_rows, prev_aligned, w_rows,
-                               edges, pair_weights, lam1, lam2))
         step = u_new - u
         move = float(np.max(np.sqrt(np.sum(step ** 2, axis=1))))
         diagnostics["largest_move"].append(move)
@@ -539,12 +494,7 @@ def denoise_frame(
             break
 
     out, _ = estimate_normals(Frame(u, None, noisy.frame_index), k_plane_eff)
-    report = FrameMetrics(
-        frame_index=noisy.frame_index,
-        objective_trace=list(trace),
-        diagnostics=diagnostics,
-    )
-    return out, report
+    return out, FrameMetrics(frame_index=noisy.frame_index, diagnostics=diagnostics)
 
 
 def denoise_sequence(noisy: Sequence, config: DenoiseConfig) -> tuple[Sequence, list]:

@@ -9,9 +9,8 @@ import numpy as np
 
 from .geometry import Frame, NeighborIndex, knn_rows, without
 
-# Patches (or patch pairs) per step of the batched passes. The (block, k+1, k+1)
-# float64 temporaries of the matching passes stay near 0.5 MB at k = 30, and the
-# spatial fold's key loop holds a few (block, k+1) arrays per step.
+# Patches per step of the batched matching passes; their (block, k+1, k+1)
+# float64 temporaries stay near 0.5 MB at k = 30.
 PATCH_BLOCK = 64
 
 

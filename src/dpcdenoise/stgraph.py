@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patches import PATCH_BLOCK, PatchSet, all_relative_coords, sq_dists
+from .patches import PatchSet, all_relative_coords, sq_dists
 
 
 @dataclass(frozen=True)
@@ -34,33 +34,28 @@ class SpatialEdges:
     ``delta_e = c_l - c_m``. Orient every edge of a pair from its lower point
     ``lo`` to its higher point ``hi``; then
 
-        sum_e ||p_r - p_r'||^2 = count * ||u_lo - u_hi - offset||^2 + spread
+        sum_e ||p_r - p_r'||^2 = count * ||u_lo - u_hi - offset||^2 + const
 
     holds exactly, where ``offset`` is the mean oriented ``delta_e`` and
-    ``spread = sum_e ||delta_e - offset||^2``. Per pair: ``points`` (lo, hi)
-    with ``lo < hi``, sorted; ``counts``, the row edges; ``offsets`` and
-    ``spread``. ``len()`` is the number of row edges, not of pairs.
+    ``const = sum_e ||delta_e - offset||^2`` does not depend on the points,
+    so ``count`` and ``offset`` are all the point solve needs. Per pair:
+    ``points`` (lo, hi) with ``lo < hi``, sorted; ``counts``, the row edges;
+    ``offsets``. ``len()`` is the number of row edges, not of pairs.
     """
 
     points: np.ndarray
     counts: np.ndarray
     offsets: np.ndarray
-    spread: np.ndarray
 
     def __len__(self) -> int:
         return int(self.counts.sum())
 
-    def residuals(self, u: np.ndarray) -> np.ndarray:
-        """Per pair, the squared row-edge residuals summed: ``sum_e ||p_r - p_r'||^2`` at ``u``."""
-        u = np.asarray(u, dtype=np.float64)
-        gap = u[self.points[:, 0]] - u[self.points[:, 1]] - self.offsets
-        return self.counts * np.sum(gap * gap, axis=1) + self.spread
-
 
 # Row edges per chunk of the fold over the sorted key buffer; bounds its per-chunk temporaries.
 FOLD_CHUNK = 1 << 14
-# Patch pairs per block of the nearest-slot filter. Its float32 cost tensor
-# and candidate mask take about 0.5 MB each at k = 30.
+# Patch pairs per block of the nearest-slot filter and of the fold's key loop.
+# The filter's float32 cost tensor and candidate mask take about 0.5 MB each at
+# k = 30; the key loop holds a few (block, k+1) arrays per step.
 SLOT_BLOCK = 128
 
 
@@ -189,7 +184,8 @@ def _nearest_slots(rel: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.nda
                 cost64 = sq_dists(rel[adj[pair, kept], slot][:, None, :], rel[adj[pair, scanned]])
                 near[pair, slot] = np.argmin(cost64[:, 0, :], axis=1)
                 exact += pair.size
-        one_way += np.count_nonzero(np.take_along_axis(nm[block], nl[block], axis=1) != slots)
+        own = size * np.arange(pairs.shape[0])[:, None]   # flat offsets of the block's rows
+        one_way += np.count_nonzero(nm[block].ravel().take(own + nl[block]) != slots)
     return nm, nl, one_way, exact
 
 
@@ -249,8 +245,8 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     flat = members.ravel()
     keys = np.empty(nm.size + one_way_edges, dtype=np.int64)
     filled = 0
-    for start in range(0, adj.shape[0], PATCH_BLOCK):
-        part = slice(start, start + PATCH_BLOCK)
+    for start in range(0, adj.shape[0], SLOT_BLOCK):
+        part = slice(start, start + SLOT_BLOCK)
         bm, bl = nm[part].astype(np.intp), nl[part].astype(np.intp)
         own = size * np.arange(bm.shape[0])[:, None]   # flat offsets into bm, then into flat
         at_l, at_m = size * adj[part, :1], size * adj[part, 1:]
@@ -286,7 +282,6 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     table[:, 0::2] = (pts[adj[:, 0]] - pts[adj[:, 1]]).T
     np.negative(table[:, 0::2], out=table[:, 1::2])
     offsets = np.empty((starts.size, 3))
-    spread = np.empty(starts.size)
     # Fold chunks of whole pairs, each starting at the pair that holds a
     # multiple of FOLD_CHUNK edges. Every pair is summed by the same
     # np.add.reduceat segment as over the whole buffer.
@@ -294,14 +289,9 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     for lo, hi in zip(cuts, np.append(cuts[1:], starts.size)):
         codes = keys[bounds[lo] : bounds[hi]] & ((1 << bits) - 1)
         local = starts[lo:hi] - bounds[lo]
-        delta = table.take(codes, axis=1)
-        mean = np.add.reduceat(delta, local, axis=1) / counts[lo:hi]
+        mean = np.add.reduceat(table.take(codes, axis=1), local, axis=1) / counts[lo:hi]
         offsets[lo:hi] = mean.T
-        delta -= np.repeat(mean, counts[lo:hi], axis=1)
-        delta *= delta
-        x, y, z = np.add.reduceat(delta, local, axis=1)
-        spread[lo:hi] = x + y + z
-    return SpatialEdges(points=points, counts=counts, offsets=offsets, spread=spread)
+    return SpatialEdges(points=points, counts=counts, offsets=offsets)
 
 
 def weighted_spatial_graph(edges: SpatialEdges, normals: np.ndarray, scale: float) -> np.ndarray:

@@ -105,7 +105,7 @@ def folded_connectivity(patchset, positions, k_s):
     ``(lo * n + hi) * span + code``, concatenates the keys of all blocks of
     256 patch pairs, sorts them, splits them with one
     ``np.divmod`` and folds every axis in one ``np.add.reduceat`` over all
-    edges. Returns ``(points, counts, offsets, spread)``;
+    edges. Returns ``(points, counts, offsets)``;
     ``dpcdenoise.stgraph.spatial_connectivity`` must match it bit for bit.
     """
     from dpcdenoise.geometry import NeighborIndex, knn_rows
@@ -148,14 +148,9 @@ def folded_connectivity(patchset, positions, k_s):
     gaps = center_pts[adj[:, 0]] - center_pts[adj[:, 1]]
     table = np.stack([gaps, -gaps], axis=1).reshape(span, 3).T.copy()
     offsets = np.empty((starts.size, 3))
-    spread = np.zeros(starts.size)
     for axis in range(3):
-        delta = table[axis][codes]
-        offsets[:, axis] = np.add.reduceat(delta, starts) / counts
-        delta -= np.repeat(offsets[:, axis], counts)
-        delta *= delta
-        spread += np.add.reduceat(delta, starts)
-    return points, counts, offsets, spread
+        offsets[:, axis] = np.add.reduceat(table[axis][codes], starts) / counts
+    return points, counts, offsets
 
 
 def metric_gram(diffs, terms):
@@ -189,9 +184,8 @@ def group_rows(rows, members):
 def fold_rows(rows, members, anchor_rows):
     """Row edges folded onto point pairs, one edge at a time.
 
-    Returns (points, counts, offsets, spread): per pair, the row edges, the
-    mean of their center gaps oriented from the lower to the higher point,
-    and the summed squared deviations of the gaps from that mean.
+    Returns (points, counts, offsets): per pair, the row edges and the
+    mean of their center gaps oriented from the lower to the higher point.
     """
     flat = np.asarray(members, dtype=np.int64).ravel()
     points, inverse = group_rows(rows, members)
@@ -201,8 +195,7 @@ def fold_rows(rows, members, anchor_rows):
         gaps[pair].append(delta if flat[r] <= flat[s] else -delta)
     counts = np.array([len(g) for g in gaps], dtype=np.int64)
     offsets = np.array([np.mean(g, axis=0) for g in gaps]).reshape(-1, 3)
-    spread = np.array([np.sum((np.array(g) - o) ** 2) for g, o in zip(gaps, offsets)])
-    return points, counts, offsets, spread
+    return points, counts, offsets
 
 
 def row_laplacian(rows, members, pair_weights):
@@ -294,6 +287,21 @@ def build_system(u_hat, members, anchors, prev_aligned, w_rows, lap, lam1, lam2)
         a += lam2 * s.T @ ld @ s
         b += lam2 * s.T @ ld @ anchors
     return a, b
+
+
+def dense_objective(u, u_hat, members, anchors, prev_aligned, w_rows, lap, lam1, lam2):
+    """The point update's objective at ``u``, from the row Laplacian in dense form.
+
+    ``||u - u_hat||^2 + lam1 sum_r w_r ||p_r - prev_r||^2 + lam2 tr(P^T L P)``
+    with patch rows ``P = u[members] - anchors``; a None term is left out.
+    """
+    p = u[members.ravel()] - anchors
+    total = np.sum((u - u_hat) ** 2)
+    if w_rows is not None:
+        total += lam1 * np.sum(w_rows * np.sum((p - prev_aligned) ** 2, axis=1))
+    if lap is not None:
+        total += lam2 * np.trace(p.T @ lap.toarray() @ p)
+    return float(total)
 
 
 def random_solve_instance(rng, n, with_temporal=True):

@@ -42,10 +42,9 @@ from dpcdenoise.optimize import (
     _point_system,
     denoise_frame,
     learn_metric,
-    objective,
 )
 from dpcdenoise import stgraph
-from dpcdenoise.patches import PATCH_BLOCK, all_relative_coords, build_patches, sq_dists
+from dpcdenoise.patches import all_relative_coords, build_patches, sq_dists
 from dpcdenoise.stgraph import (
     FOLD_CHUNK,
     SLOT_BLOCK,
@@ -250,14 +249,13 @@ class TestSqDists:
 
 def assert_folds(edges, rows, members, anchor_rows):
     """``edges`` is the fold of the oracle's row edges: same pairs and counts, and
-    offsets and spread equal to 1e-12 relative."""
-    points, counts, offsets, spread = oracles.fold_rows(rows, members, anchor_rows)
+    offsets equal to 1e-12 relative."""
+    points, counts, offsets = oracles.fold_rows(rows, members, anchor_rows)
     assert edges.points.dtype == points.dtype and np.array_equal(edges.points, points)
     assert np.array_equal(edges.counts, counts)
     assert len(edges) == int(edges.counts.sum()) == rows.shape[0]
     scale = max(1.0, float(np.max(np.abs(anchor_rows))))
     np.testing.assert_allclose(edges.offsets, offsets, rtol=1e-12, atol=1e-15 * scale)
-    np.testing.assert_allclose(edges.spread, spread, rtol=1e-12, atol=1e-15 * scale**2)
 
 
 def anchors_of(patchset, pts):
@@ -266,7 +264,7 @@ def anchors_of(patchset, pts):
 
 def assert_bit_equal(edges, want):
     """``edges`` equals the full-length fold ``want`` in every value and dtype."""
-    for got, expected in zip((edges.points, edges.counts, edges.offsets, edges.spread), want):
+    for got, expected in zip((edges.points, edges.counts, edges.offsets), want, strict=True):
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
@@ -316,18 +314,17 @@ class TestSpatialConnectivity:
 
     @PROPERTY
     @given(clouds(min_points=4), st.integers(1, 8),
-           st.sampled_from([1, 2, 3, SLOT_BLOCK]), st.sampled_from([1, 2, 3, PATCH_BLOCK]),
-           st.sampled_from([1, 2, 5, FOLD_CHUNK]))
-    def test_bit_equal_to_full_length_fold(self, cloud, k, slot_block, block, chunk):
-        # Small blocks and chunks put seams inside every instance: filter
-        # blocks, key blocks, and pairs whose row edges span several chunks.
+           st.sampled_from([1, 2, 3, SLOT_BLOCK]), st.sampled_from([1, 2, 5, FOLD_CHUNK]))
+    def test_bit_equal_to_full_length_fold(self, cloud, k, slot_block, chunk):
+        # Small blocks and chunks put seams inside every instance: blocks of
+        # the filter and the key loop, and pairs whose row edges span several
+        # chunks.
         pts, rng = cloud
         k = min(k, len(pts) - 1)
         k_s = int(rng.integers(1, k + 1))
         ps = build_patches(Frame(pts), k)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(stgraph, "SLOT_BLOCK", slot_block)
-            patch.setattr(stgraph, "PATCH_BLOCK", block)
             patch.setattr(stgraph, "FOLD_CHUNK", chunk)
             edges = spatial_connectivity(ps, pts, k_s)
         assert_bit_equal(edges, oracles.folded_connectivity(ps, pts, k_s))
@@ -346,7 +343,7 @@ class TestSpatialConnectivity:
         ps = build_patches(Frame(pts), k)
         edges = spatial_connectivity(ps, pts, 8)
         # A patch pair emits at most 2 (k + 1) row edges.
-        assert len(edges) > max(3 * FOLD_CHUNK, 2 * (k + 1) * 3 * max(SLOT_BLOCK, PATCH_BLOCK))
+        assert len(edges) > max(3 * FOLD_CHUNK, 2 * (k + 1) * 3 * SLOT_BLOCK)
         assert_bit_equal(edges, oracles.folded_connectivity(ps, pts, 8))
 
     def test_ties_and_mutual_nearest_rows(self):
@@ -485,9 +482,8 @@ def spatial_instances(draw):
 
 
 def assert_sums_match(got, want, pts):
-    """Sums of squared residuals agree to 1e-12 relative. A residual that cancels
-    to zero row by row comes out of the fold as rounding of the coordinates
-    (about 1e-32 at unit scale), hence the absolute floor."""
+    """Sums of squared residuals agree to 1e-12 relative, above an absolute floor
+    for sums that cancel to rounding of the coordinates (about 1e-32 at unit scale)."""
     floor = 1e-24 * max(1.0, float(np.max(np.abs(pts)))) ** 2
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=floor)
 
@@ -542,23 +538,6 @@ class TestFoldedSpatialTerm:
         (a_all, b_all), (a_other, b_other) = systems
         assert rel_max_error(a_all, a_other) <= 1e-12
         assert rel_max_error(b_all, b_other) <= 1e-12
-
-    @PROPERTY
-    @given(spatial_instances())
-    def test_objective_and_dsq_match_per_edge_sums(self, drawn):
-        pts, ps, edges, rows, pair_weights, rng = drawn
-        members = ps.members
-        anchors = anchors_of(ps, pts)
-        u = pts + rng.normal(0.0, 0.05, pts.shape)
-        p = u[members.ravel()] - anchors
-        gap = p[rows[:, 0]] - p[rows[:, 1]]
-        per_edge = np.sum(gap * gap, axis=1)
-        _, inverse = oracles.group_rows(rows, members)
-        want_dsq = np.bincount(inverse, weights=per_edge, minlength=edges.points.shape[0])
-        assert_sums_match(edges.residuals(u), want_dsq, u)
-        got = objective(u, u, members, anchors, None, None, edges, pair_weights, 0.0, 1.0)
-        assert_sums_match(got.spatial, np.sum(pair_weights[inverse] * per_edge), u)
-        assert got.total == got.spatial
 
 
 def magnitudes(rng, size, decades):
@@ -658,7 +637,7 @@ class TestCsrMatrix:
         pairs = points.shape[0]
         rng = np.random.default_rng(11)
         edges = SpatialEdges(points=points, counts=rng.integers(1, 4, pairs),
-                             offsets=rng.normal(0.0, 0.01, (pairs, 3)), spread=np.zeros(pairs))
+                             offsets=rng.normal(0.0, 0.01, (pairs, 3)))
         u_hat = rng.uniform(0.0, 1.0, (n, 3))
         entries = n + 2 * pairs
         assert n >= 10 * entries / n
@@ -719,8 +698,8 @@ def row_edges(draw):
 def folded(rows, members, pts):
     """The oracle fold of arbitrary row edges, with each patch anchored at its first member."""
     anchors = np.repeat(pts[members[:, 0]], members.shape[1], axis=0)
-    points, counts, offsets, spread = oracles.fold_rows(rows, members, anchors)
-    return SpatialEdges(points=points, counts=counts, offsets=offsets, spread=spread), anchors
+    points, counts, offsets = oracles.fold_rows(rows, members, anchors)
+    return SpatialEdges(points=points, counts=counts, offsets=offsets), anchors
 
 
 class TestPointPairs:
@@ -748,11 +727,10 @@ class TestPointPairs:
         dsq = np.sum(gap * gap, axis=1)
         per_edge = learn_metric(row_feats[rows[:, 0]] - row_feats[rows[:, 1]], dsq, 5.0,
                                 pg_step=step, pg_max_iters=20)
-        residuals = edges.residuals(pts)
-        assert_sums_match(residuals, np.bincount(oracles.group_rows(rows, members)[1],
-                                                 weights=dsq), pts)
+        # Each pair passed once, with the squared residuals of its row edges summed.
+        pair_dsq = np.bincount(oracles.group_rows(rows, members)[1], weights=dsq)
         pair_diffs = feats[edges.points[:, 0]] - feats[edges.points[:, 1]]
-        compressed = learn_metric(pair_diffs, residuals, 5.0,
+        compressed = learn_metric(pair_diffs, pair_dsq, 5.0,
                                   pg_step=step, pg_max_iters=20)
         assert edges.points.shape[0] <= rows.shape[0]
         assert np.all(edges.points[:, 0] < edges.points[:, 1])

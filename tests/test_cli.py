@@ -109,8 +109,15 @@ class TestDenoise:
         manifest = RunManifest.load(out_dir / "manifest.json")
         assert manifest.command == "denoise"
         assert manifest.config["k"] == 8
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        # Strict JSON: no NaN or Infinity token, which JSON does not define.
+        json.loads((out_dir / "manifest.json").read_text(), parse_constant=reject)
         assert len(manifest.frame_metrics) == 2
-        assert manifest.frame_metrics[0]["objective_trace"]
+        assert all(set(frame) == {"frame_index", "diagnostics"}
+                   for frame in manifest.frame_metrics)
         # The loop's stop reason, the input spacing, and per pass its largest
         # point move, its mean normal and tangential moves over the spacing,
         # its spatial graph's size, an edge-weight summary and, per axis, the
@@ -119,7 +126,8 @@ class TestDenoise:
         diag = manifest.frame_metrics[0]["diagnostics"]
         assert diag["stop_reason"] in ("tol", "max_iters")
         assert diag["spacing"] > 0.0
-        passes = len(manifest.frame_metrics[0]["objective_trace"])
+        passes = len(diag["largest_move"])
+        assert passes >= 1
         for key in ("largest_move", "normal_move", "tangent_move", "edge_weights",
                     "spatial_edges", "spatial_pairs", "cg_iters", "cg_residual"):
             assert len(diag[key]) == passes, key
@@ -136,7 +144,7 @@ class TestDenoise:
         # per pass, match-distance quantiles and the patches weighing 0 and 1.
         assert diag["match_dist"] == diag["patch_weights"] == []
         later = manifest.frame_metrics[1]["diagnostics"]
-        passes_1 = len(manifest.frame_metrics[1]["objective_trace"])
+        passes_1 = len(later["largest_move"])
         assert len(later["match_dist"]) == len(later["patch_weights"]) == passes_1
         patches = 60
         for dist, weights in zip(later["match_dist"], later["patch_weights"]):
@@ -154,6 +162,22 @@ class TestDenoise:
         for entry in diag["edge_weights"]:
             assert 0.0 <= entry["p5"] <= entry["p50"] <= entry["p95"] <= 1.0
             assert 0.0 <= entry["underflow_share"] <= 1.0
+
+    def test_frames_of_duplicated_points_are_a_data_error(self, tmp_path, capsys):
+        # Each input stacked on a copy of itself: every point coincides with
+        # another, so the frame has no spacing to measure moves by.
+        run(synth_args(tmp_path / "clean", points=150, frames=2))
+        doubled = tmp_path / "doubled"
+        doubled.mkdir()
+        for path in sorted((tmp_path / "clean").glob("*.ply")):
+            pts = read_point_cloud(path).positions
+            write_point_cloud(Frame(np.concatenate([pts, pts])), doubled / path.name)
+        out_dir = tmp_path / "out"
+        code = run(["denoise", "--out-dir", str(out_dir), "--k", "8", "--k-s", "4",
+                    *[str(p) for p in sorted(doubled.glob("*.ply"))]])
+        assert code == 2
+        assert "every point coincides with another point" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         run(synth_args(tmp_path / "clean", points=60, frames=1))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_system, lp_oracle, random_solve_instance
+import oracles
+from oracles import build_system, dense_objective, lp_oracle, random_solve_instance
 
 from dpcdenoise.config import DenoiseConfig
 from dpcdenoise.geometry import Frame, Sequence, estimate_normals, mean_nn_distance
@@ -16,7 +17,6 @@ from dpcdenoise.optimize import (
     learn_metric,
     metric_gradient,
     metric_objective,
-    objective,
     project_metric_factor,
     solve_point_cloud,
     solve_temporal_weights,
@@ -30,39 +30,6 @@ from dpcdenoise.synthetic import SyntheticSpec, generate_sequence
 
 
 random_instance = random_solve_instance
-
-
-class TestObjective:
-    def test_zero_when_u_equals_uhat_and_lambdas_zero(self):
-        rng = np.random.default_rng(0)
-        pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, 20)
-        out = objective(pts, pts, members, anchors, prev, w, edges, pw, 0.0, 0.0)
-        assert out.fidelity == 0.0
-        assert out.total == 0.0
-
-    def test_zero_weights_kill_temporal_term(self):
-        rng = np.random.default_rng(1)
-        pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, 20)
-        out = objective(pts, pts + 0.1, members, anchors, prev, np.zeros_like(w), edges, pw,
-                        3.0, 0.0)
-        assert out.temporal == 0.0
-
-    def test_matches_dense_oracle(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            n = int(rng.integers(12, 30))
-            pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, n)
-            u = pts + rng.normal(0, 0.05, pts.shape)
-            lam1, lam2 = rng.uniform(0, 2, 2)
-            got = objective(u, pts, members, anchors, prev, w, edges, pw, lam1, lam2)
-            p = u[members.ravel()] - anchors
-            fid = np.sum((u - pts) ** 2)
-            temporal = np.sum(w * np.sum((p - prev) ** 2, axis=1))
-            spatial = np.trace(p.T @ lap.toarray() @ p)
-            assert got.fidelity == pytest.approx(fid, rel=1e-12)
-            assert got.temporal == pytest.approx(temporal, rel=1e-12)
-            assert got.spatial == pytest.approx(spatial, rel=1e-9)
-            assert got.total == pytest.approx(fid + lam1 * temporal + lam2 * spatial, rel=1e-9)
 
 
 class TestSolvePointCloud:
@@ -123,9 +90,9 @@ class TestSolvePointCloud:
             lam1, lam2 = rng.uniform(0.1, 2, 2)
             star, _, _ = solve_point_cloud(u_hat, members, anchors, prev, w, edges, pw, lam1, lam2,
                                            cg_tol=1e-12, cg_max_iters=2000)
-            before = objective(u_hat, u_hat, members, anchors, prev, w, edges, pw, lam1, lam2)
-            after = objective(star, u_hat, members, anchors, prev, w, edges, pw, lam1, lam2)
-            assert after.total <= before.total + 1e-9
+            before = dense_objective(u_hat, u_hat, members, anchors, prev, w, lap, lam1, lam2)
+            after = dense_objective(star, u_hat, members, anchors, prev, w, lap, lam1, lam2)
+            assert after <= before + 1e-9
 
 
 class TestSolveTemporalWeights:
@@ -338,6 +305,30 @@ class TestLearnMetric:
         assert out2[0, 0] == 0.0
         assert np.trace(out2) == pytest.approx(5.0)
 
+    def test_projection_bounds_off_diagonal_entries(self):
+        # A valid diagonal does not bound R: off-diagonal entries of 10 give
+        # tr(R^T R) = 300 for the bound 5. The result has diagonal >= 0,
+        # tr(R) <= 5 and ||R||_F <= 5, so tr(R^T R) <= 25.
+        r = np.full((6, 6), 10.0)
+        np.fill_diagonal(r, [0.5, 0.0, 1.0, 0.2, 0.3, 0.1])
+        out = project_metric_factor(r, 5.0)
+        assert np.all(np.diagonal(out) >= 0.0)
+        assert np.trace(out) <= 5.0
+        assert np.linalg.norm(out) <= 5.0 * (1 + 1e-15)
+        assert np.trace(out.T @ out) <= 25.0 * (1 + 1e-15)
+        assert np.linalg.norm(out) == pytest.approx(5.0, rel=1e-15)
+        # The same direction, only shorter.
+        np.testing.assert_allclose(out * np.linalg.norm(r) / 5.0, r, rtol=1e-14)
+
+    def test_projection_keeps_a_factor_inside_the_set(self):
+        rng = np.random.default_rng(21)
+        r = rng.normal(0.0, 0.3, (6, 6))
+        np.fill_diagonal(r, np.abs(np.diagonal(r)))
+        assert np.trace(r) <= 5.0 and np.linalg.norm(r) <= 5.0
+        out = project_metric_factor(r, 5.0)
+        assert out is not r
+        assert out.tobytes() == r.tobytes()
+
 
 def small_sequence(n_frames=2, n_points=120, amplitude=0.1, seed=5):
     spec = SyntheticSpec("sinusoid-sheet", n_points, n_frames,
@@ -357,8 +348,7 @@ class TestDenoiseFrame:
         noisy = Frame(seq.frames[0].positions)
         out, report = denoise_frame(noisy, None, small_config(lambda1=0.0, lambda2=0.0))
         assert np.array_equal(out.positions, noisy.positions)
-        assert len(report.objective_trace) == 1
-        assert report.objective_trace[0].total == 0.0
+        assert report.diagnostics["largest_move"] == [0.0]
         assert report.diagnostics["stop_reason"] == "tol"
 
     def test_grid_plane_is_fixed_point(self):
@@ -371,7 +361,10 @@ class TestDenoiseFrame:
         pts = np.column_stack([np.arange(12, dtype=float), np.zeros(12), np.zeros(12)])
         ps = build_patches(Frame(pts), 4)
         edges = spatial_connectivity(ps, pts, 1)
-        assert len(edges) > 12 and np.all(edges.residuals(pts) == 0.0)
+        rows = oracles.spatial_connectivity(ps, pts, 1)
+        p = pts[ps.members.ravel()] - np.repeat(pts, 5, axis=0)
+        assert len(edges) == rows.shape[0] > 12
+        assert np.all(p[rows[:, 0]] == p[rows[:, 1]])
         normals = np.tile((0.0, 0.0, 1.0), (12, 1))
         pw = weighted_spatial_graph(edges, normals, 1.0)
         anchors = np.repeat(pts, 5, axis=0)
@@ -381,25 +374,34 @@ class TestDenoiseFrame:
 
     def test_rising_total_runs_to_cap_and_returns_last_iterate(self, monkeypatch):
         # Each pass's total is a sum over its own patches, matches and graph,
-        # so totals of different passes are not compared. Here the total
-        # rises from pass 4 to pass 5, and the loop still runs to the cap and
-        # returns the last iterate.
+        # so the loop compares no totals across passes. Here the total, taken
+        # densely over each pass's row graph, rises from pass 4 to pass 5,
+        # and the loop still runs to the cap and returns the last iterate.
         import dpcdenoise.optimize as opt
+        from dpcdenoise.patches import PatchSet
 
         seq = small_sequence(1)
         noisy = Frame(seq.frames[0].positions +
                       np.random.default_rng(4).normal(0, 0.01, (120, 3)))
+        cfg = small_config(outer_max_iters=6)
         iterates = [noisy.positions]
+        totals = []
         real_solve = opt.solve_point_cloud
 
         def solve(*args):
             result = real_solve(*args)
+            u_hat, members, anchors, prev, w, edges, pw, lam1, lam2 = args[:9]
+            u = iterates[-1]
+            ps = PatchSet(members=members, k=members.shape[1] - 1, frame=Frame(u))
+            rows = oracles.spatial_connectivity(ps, u, cfg.k_s)
+            lap = oracles.row_laplacian(rows, members, pw)
+            totals.append(dense_objective(result[0], u_hat, members, anchors, prev, w, lap,
+                                          lam1, lam2))
             iterates.append(result[0])
             return result
 
         monkeypatch.setattr(opt, "solve_point_cloud", solve)
-        out, report = denoise_frame(noisy, None, small_config(outer_max_iters=6))
-        totals = [o.total for o in report.objective_trace]
+        out, report = denoise_frame(noisy, None, cfg)
         assert totals[4] > totals[3]
         assert report.diagnostics["stop_reason"] == "max_iters"
         assert len(totals) == len(iterates) - 1 == 6
@@ -417,6 +419,23 @@ class TestDenoiseFrame:
         noisy = Frame(pts)
         _, report = denoise_frame(noisy, None, small_config(outer_max_iters=1))
         assert report.diagnostics["spacing"] == mean_nn_distance(noisy)
+
+    def test_frame_of_duplicated_points_is_rejected(self, monkeypatch):
+        # Every point has an exact duplicate, so the spacing is 0 and each
+        # move over it would be 0 / 0. The frame is rejected before a solve,
+        # with or without a reference.
+        import dpcdenoise.optimize as opt
+
+        def solve(*args):
+            raise AssertionError("solve_point_cloud called")
+
+        monkeypatch.setattr(opt, "solve_point_cloud", solve)
+        seq = small_sequence(2)
+        for previous, frame in ((None, seq.frames[0]), (seq.frames[0], seq.frames[1])):
+            pts = frame.positions
+            noisy = Frame(np.concatenate([pts, pts]), frame_index=frame.frame_index)
+            with pytest.raises(ValueError, match="every point coincides with another point"):
+                denoise_frame(noisy, previous, small_config())
 
     def test_lambda1_zero_ignores_reference_content(self):
         seq = small_sequence(2)
@@ -548,7 +567,7 @@ class TestDenoiseFrame:
         seq = small_sequence(1)
         cfg = small_config(outer_max_iters=2)
         _, report = denoise_frame(Frame(seq.frames[0].positions), None, cfg)
-        assert len(report.objective_trace) == 2
+        assert len(report.diagnostics["largest_move"]) == 2
         table = (120, 120, max(cfg.k, cfg.k_plane) + 1)
         assert queries == [table, table, (120, 120, cfg.k_plane + 1)]
         diag = report.diagnostics
@@ -678,7 +697,7 @@ class TestDenoiseFrame:
         tol = 0.5 * (moves[0] + moves[1])
         _, loose = denoise_frame(noisy, None, small_config(outer_max_iters=4, outer_tol=tol))
         assert loose.diagnostics["stop_reason"] == "tol"
-        assert len(loose.objective_trace) == 2
+        assert len(loose.diagnostics["largest_move"]) == 2
         assert loose.diagnostics["largest_move"] == capped.diagnostics["largest_move"]
         # A pass that moves no point stops the loop as tol.
         _, still = denoise_frame(noisy, None, small_config(lambda1=0.0, lambda2=0.0))
@@ -689,8 +708,7 @@ class TestDenoiseFrame:
     def test_edge_weight_summary_counts_every_row_edge(self):
         # A pair's weight counts once per row edge: 8 of the 10 edges weigh 0.9.
         edges = SpatialEdges(points=np.array([[0, 1], [0, 2], [1, 2]]),
-                             counts=np.array([1, 1, 8]), offsets=np.zeros((3, 3)),
-                             spread=np.zeros(3))
+                             counts=np.array([1, 1, 8]), offsets=np.zeros((3, 3)))
         summary = _edge_weight_summary(edges, np.array([1e-13, 0.5, 0.9]))
         assert summary == {"p5": 1e-13, "p50": 0.9, "p95": 0.9, "underflow_share": 0.1}
         rng = np.random.default_rng(17)
@@ -699,7 +717,7 @@ class TestDenoiseFrame:
             counts = rng.integers(1, 40, pairs)
             weights = np.where(rng.random(pairs) < 0.2, 0.0, rng.random(pairs))
             edges = SpatialEdges(points=np.zeros((pairs, 2), dtype=np.int64), counts=counts,
-                                 offsets=np.zeros((pairs, 3)), spread=np.zeros(pairs))
+                                 offsets=np.zeros((pairs, 3)))
             summary = _edge_weight_summary(edges, weights)
             rows = np.repeat(weights, counts)
             for key, q in (("p5", 0.05), ("p50", 0.5), ("p95", 0.95)):
@@ -755,7 +773,8 @@ class TestDenoiseSequence:
                                for t, f in enumerate(small_sequence(2))))
         out, reports = denoise_sequence(noisy, small_config(trace_bound=4.0))
         summaries = [entry for rep in reports for entry in rep.diagnostics["edge_weights"]]
-        assert len(summaries) == len(graphs) == sum(len(rep.objective_trace) for rep in reports)
+        assert len(summaries) == len(graphs) == sum(len(rep.diagnostics["largest_move"])
+                                                    for rep in reports)
         for summary, (edges, normals) in zip(summaries, graphs):
             dn = normals[edges.points[:, 0]] - normals[edges.points[:, 1]]
             weights = np.exp(-(4.0 / 3.0) ** 2 * np.sum(dn * dn, axis=1))
@@ -779,20 +798,18 @@ class TestDenoiseSequence:
 
     def test_temporal_term_invariant_to_frame_translation(self):
         # Relative coordinates cancel a rigid translation of the whole
-        # frame, so the temporal consistency value is unchanged.
+        # frame, so the temporal term is unchanged and the point update it
+        # drives moves with the frame.
         rng = np.random.default_rng(20)
         pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, 25)
-        u = pts + rng.normal(0, 0.05, pts.shape)
-        a = objective(u, pts, members, anchors, prev, w, edges, pw, 1.0, 0.0)
+        u_hat = pts + rng.normal(0, 0.05, pts.shape)
         shift = np.array([4.0, -2.0, 9.0])
-        k1 = members.shape[1]
-        anchors_shifted = np.repeat((u + shift)[members[:, 0]], k1, axis=0)
-        anchors_now = np.repeat(u[members[:, 0]], k1, axis=0)
-        before = objective(u, pts, members, anchors_now, prev, w, edges, pw, 1.0, 0.0)
-        after = objective(u + shift, pts + shift, members, anchors_shifted, prev, w, edges, pw,
-                          1.0, 0.0)
-        assert after.temporal == pytest.approx(before.temporal, rel=1e-9)
-        assert a.fidelity == pytest.approx(after.fidelity, rel=1e-9)
+        here, _, _ = solve_point_cloud(u_hat, members, anchors, prev, w, None, None, 1.0, 0.0,
+                                       cg_tol=1e-12, cg_max_iters=2000)
+        moved, _, _ = solve_point_cloud(u_hat + shift, members, anchors + shift, prev, w, None,
+                                        None, 1.0, 0.0, cg_tol=1e-12, cg_max_iters=2000)
+        assert np.max(np.abs(here - u_hat)) > 1e-3
+        np.testing.assert_allclose(moved - shift, here, rtol=0, atol=1e-9)
 
     def test_later_frames_have_temporal_component(self):
         seq = small_sequence(3)
@@ -805,9 +822,17 @@ class TestDenoiseSequence:
         out, reports = denoise_sequence(noisy, small_config(lambda1=1.0))
         assert len(out) == len(noisy)
         assert all(len(o) == len(n) for o, n in zip(out, noisy))
-        assert all(o.temporal == 0.0 for o in reports[0].objective_trace)
+        # Frame 0 matches nothing. Every pass of a later frame matches its
+        # patches, and some patch weighs more than 0 at a nonzero distance.
+        assert reports[0].diagnostics["match_dist"] == []
+        assert reports[0].diagnostics["patch_weights"] == []
         for rep in reports[1:]:
-            assert any(o.temporal > 0.0 for o in rep.objective_trace)
+            diag = rep.diagnostics
+            assert len(diag["match_dist"]) == len(diag["patch_weights"]) \
+                == len(diag["largest_move"])
+            for dist, weights in zip(diag["match_dist"], diag["patch_weights"]):
+                assert dist["p95"] > 0.0
+                assert weights["zero"] < 120
 
 
 def scaled(noisy, scale):

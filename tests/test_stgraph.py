@@ -28,7 +28,7 @@ def point_edges(pairs):
     pairs = np.asarray(pairs)
     count = pairs.shape[0]
     return SpatialEdges(points=pairs, counts=np.ones(count, dtype=np.int64),
-                        offsets=np.zeros((count, 3)), spread=np.zeros(count))
+                        offsets=np.zeros((count, 3)))
 
 
 class TestSpatialConnectivity:
@@ -57,8 +57,6 @@ class TestSpatialConnectivity:
         assert edges.points.tolist() == [[0, 1], [1, 2]]
         assert edges.counts.tolist() == [1, 2] and len(edges) == 3
         assert edges.offsets.tolist() == [[-5.0, 0.0, 0.0]] * 2
-        assert edges.spread.tolist() == [0.0] * 2
-        assert edges.residuals(pts).tolist() == [0.0] * 2
 
     def test_k_s_one_connects_nearest_patch_only(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.5, 0.0, 0.0], [9.0, 0.0, 0.0]])
@@ -80,7 +78,6 @@ class TestSpatialConnectivity:
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.counts, b.counts)
         assert np.allclose(a.offsets, b.offsets, rtol=0, atol=1e-13)
-        assert np.allclose(a.spread, b.spread, rtol=0, atol=1e-13)
 
     def test_one_center_twice_is_rejected(self):
         # Two patches over the same points with the same center cannot be
@@ -128,7 +125,7 @@ class TestSpatialConnectivity:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        output = sum(a.nbytes for a in (edges.points, edges.counts, edges.offsets, edges.spread))
+        output = sum(a.nbytes for a in (edges.points, edges.counts, edges.offsets))
         assert len(edges) > 500_000
         assert peak - output <= 2 * 8 * len(edges)
 
@@ -283,9 +280,6 @@ class TestSpatialEdges:
         assert edges.points.tolist() == [[0, 1], [1, 2]]
         assert edges.counts.tolist() == [1, 2] and len(edges) == 3
         assert edges.offsets.tolist() == [[-1.0, 0, 0], [-1.5, 0, 0]]
-        assert edges.spread.tolist() == [0.0, 0.5]
-        # Pair (1, 2): row residuals (-2 + 1)^2 + (-2 + 2)^2 = 2 * 0.5^2 + 0.5.
-        assert edges.residuals(pts).tolist() == [0.0, 1.0]
 
     def test_weights_gathered_to_every_row_edge(self):
         # One weight per point pair, carried by each of its row edges.
