@@ -150,7 +150,6 @@ def _cmd_denoise(args) -> int:
         config=config.to_dict(),
         inputs=[str(p) for p in args.inputs],
         outputs=outputs,
-        seeds={"config": config.seed},
         frame_metrics=[r.to_dict() for r in reports],
         timings_s={"denoise": elapsed},
     )

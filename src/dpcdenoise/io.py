@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DenoiseConfig, parse_value
+from .config import RETIRED, DenoiseConfig, parse_value
 from .geometry import Frame
 
 _FLOAT_TYPES = {"float", "float32", "float64", "double"}
@@ -174,6 +174,7 @@ def load_config(path) -> DenoiseConfig:
     """Read a flat ``key = value`` config file (blank lines and # comments allowed).
 
     A bad value, an unknown key or a key given twice is a ParseError at its line.
+    A key of ``config.RETIRED`` is checked, then ignored.
     """
     path = Path(path)
     values: dict = {}
@@ -195,7 +196,7 @@ def load_config(path) -> DenoiseConfig:
             except ValueError as exc:
                 raise ParseError(path, ln, str(exc)) from None
             lines[key] = ln
-    return DenoiseConfig(**values)
+    return DenoiseConfig(**{key: value for key, value in values.items() if key not in RETIRED})
 
 
 def save_config(config: DenoiseConfig, path) -> None:
@@ -212,19 +213,19 @@ class RunManifest:
     config: dict = field(default_factory=dict)
     inputs: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
-    seeds: dict = field(default_factory=dict)
     frame_metrics: list = field(default_factory=list)
     timings_s: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
     version: str = "1"
 
     def save(self, path) -> None:
+        text = json.dumps(self.__dict__, indent=2, sort_keys=True, allow_nan=False)
         with open(path, "w") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
     @classmethod
     def load(cls, path) -> "RunManifest":
         with open(path, "r") as fh:
             data = json.load(fh)
+        data.pop("seeds", None)  # older manifests recorded the retired config seed
         return cls(**data)

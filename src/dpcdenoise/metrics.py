@@ -27,8 +27,8 @@ def add_gaussian_noise(frame: Frame, sigma: float, seed: int) -> Frame:
     Normals are dropped: they no longer describe the perturbed surface
     and must be re-estimated.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be finite and >= 0")
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=frame.positions.shape) if sigma > 0 else 0.0
     return Frame(frame.positions + noise, None, frame.frame_index)

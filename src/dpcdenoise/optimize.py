@@ -453,7 +453,7 @@ def denoise_frame(
                 rel = all_relative_coords(patchset, u)
                 gaps = rel - prev_aligned.reshape(rel.shape)
                 patch_weights = solve_temporal_weights(np.sum(gaps * gaps, axis=(1, 2)),
-                                                       config.weight_floor(len(patchset)))
+                                                       config.mprime_fraction * len(patchset))
             w_rows = np.repeat(patch_weights, patchset.k + 1)
             p50, p95 = np.quantile(match_dist, [0.5, 0.95], method="inverted_cdf")
             diagnostics["match_dist"].append({"p50": float(p50), "p95": float(p95)})

@@ -31,7 +31,7 @@ from test_acceptance import (
     E2E_SYNTH_SEED,
 )
 
-from dpcdenoise.config import DenoiseConfig
+from dpcdenoise.config import RETIRED, DenoiseConfig
 from dpcdenoise.geometry import Frame, NeighborIndex, knn_rows
 from dpcdenoise.graph import CsrMatrix, SparseGraph, combinatorial_laplacian
 from dpcdenoise.matching import match_patches, patch_variations, prepare_reference
@@ -454,7 +454,7 @@ class TestNearestSlots:
             assert_slots_exact(got, rel, adj)
 
     def test_exact_path_is_rare_on_the_acceptance_instance(self):
-        cfg = DenoiseConfig(**E2E_CONFIG)
+        cfg = DenoiseConfig(**{k: v for k, v in E2E_CONFIG.items() if k not in RETIRED})
         spec = SyntheticSpec("sinusoid-sheet", E2E_POINTS, 1, amplitude=E2E_AMPLITUDE,
                              phase_step=E2E_PHASE_STEP, seed=E2E_SYNTH_SEED)
         clean = generate_sequence(spec).frames[0]

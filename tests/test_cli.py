@@ -66,6 +66,15 @@ class TestSynthNoise:
         assert len(noisy) == 50
         assert noisy.normals is None
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_is_data_error(self, tmp_path, capsys, sigma):
+        run(synth_args(tmp_path / "clean", points=50, frames=1))
+        src = tmp_path / "clean" / "clean_000.ply"
+        assert run(["noise", "--sigma", sigma, "--out-dir", str(tmp_path / "noisy"),
+                    str(src)]) == 2
+        assert "data error: sigma must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "noisy" / "clean_000.ply").exists()
+
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         code = run(["noise", "--sigma", "0.1", "--out-dir", str(tmp_path),
                     str(tmp_path / "nope.ply")])
@@ -109,6 +118,8 @@ class TestDenoise:
         manifest = RunManifest.load(out_dir / "manifest.json")
         assert manifest.command == "denoise"
         assert manifest.config["k"] == 8
+        # The denoiser draws no random numbers, so there is no seed to record.
+        assert "seeds" not in json.loads((out_dir / "manifest.json").read_text())
 
         def reject(token):
             raise ValueError(f"non-JSON constant {token}")
@@ -285,7 +296,7 @@ class TestMatch:
                                                 patch_fraction):
         # match prints the matches denoise makes in its first pass over frame 1,
         # with --prev as frame 0 (its file normals reused) and --curr as frame 1.
-        # --patch-fraction 1, the only value, changes nothing.
+        # --patch-fraction is no flag any more (one patch per point is the only design).
         import dpcdenoise.cli as cli
         import dpcdenoise.optimize as opt
 
@@ -310,8 +321,11 @@ class TestMatch:
         monkeypatch.setattr(cli, "match_patches", capture("match", cli.match_patches, False))
         with pytest.raises(FirstPassDone):
             denoise_frame(Frame(curr.positions, curr.normals, 1), prev, DenoiseConfig())
-        flag = [] if patch_fraction is None else ["--patch-fraction", str(patch_fraction)]
-        assert run(["match", "--prev", str(prev_path), "--curr", str(curr_path), *flag]) == 0
+        match_args = ["match", "--prev", str(prev_path), "--curr", str(curr_path)]
+        if patch_fraction is not None:
+            assert run([*match_args, "--patch-fraction", str(patch_fraction)]) == 1
+            assert "unrecognized arguments: --patch-fraction" in capsys.readouterr().err
+        assert run(match_args) == 0
         for want, got in zip(captured["denoise"], captured["match"]):
             assert want.dtype == got.dtype and np.array_equal(want, got)
         matched, distance, _ = captured["denoise"]
@@ -330,11 +344,12 @@ class TestPipeline:
                     *[str(p) for p in clean]]) == 0
         noisy = sorted((tmp_path / "noisy").glob("*.ply"))
         out_dir = tmp_path / "denoised"
-        assert run(["denoise", "--out-dir", str(out_dir),
-                    "--k", "10", "--k-s", "4", "--xi", "4",
-                    "--patch-fraction", "1.0", "--lambda2", "0.1",
-                    "--outer-max-iters", "3",
-                    *[str(p) for p in noisy]]) == 0
+        denoise_args = ["denoise", "--out-dir", str(out_dir), "--k", "10", "--k-s", "4",
+                        "--xi", "4", "--lambda2", "0.1", "--outer-max-iters", "3",
+                        *[str(p) for p in noisy]]
+        assert run([*denoise_args, "--patch-fraction", "1.0"]) == 1  # a deleted field
+        assert not out_dir.exists()
+        assert run(denoise_args) == 0
         denoised = sorted(out_dir.glob("*.ply"))
         csv_path = tmp_path / "metrics.csv"
         assert run(["eval", "--clean", *[str(p) for p in clean],

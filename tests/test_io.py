@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -157,7 +158,7 @@ class TestXyz:
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
-        cfg = DenoiseConfig(k=12, lambda1=0.25, xi=7, seed=99)
+        cfg = DenoiseConfig(k=12, lambda1=0.25, xi=7, cg_max_iters=99)
         path = tmp_path / "run.cfg"
         save_config(cfg, path)
         assert load_config(path) == cfg
@@ -202,13 +203,26 @@ class TestManifest:
             config=DenoiseConfig().to_dict(),
             inputs=["a.ply"],
             outputs=["out/a.ply"],
-            seeds={"config": 0},
             timings_s={"denoise": 1.5},
         )
         path = tmp_path / "manifest.json"
         manifest.save(path)
         back = RunManifest.load(path)
         assert back == manifest
+
+    def test_non_finite_value_is_refused_and_no_file_written(self, tmp_path):
+        manifest = RunManifest(command="denoise",
+                               frame_metrics=[{"diagnostics": {"spacing": float("nan")}}])
+        path = tmp_path / "manifest.json"
+        with pytest.raises(ValueError, match="JSON"):
+            manifest.save(path)
+        assert not path.exists()
+
+    def test_loads_a_manifest_that_records_seeds(self, tmp_path):
+        # Manifests written while the config had a seed field record it; it is dropped.
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": "denoise", "seeds": {"config": 3}}))
+        assert RunManifest.load(path) == RunManifest(command="denoise")
 
     def test_infinite_gpsnr_serializable(self, tmp_path):
         # Identical clean and test clouds: the eval manifest's GPSNR is infinite.

@@ -39,6 +39,12 @@ class TestAddGaussianNoise:
         with pytest.raises(ValueError, match="sigma"):
             add_gaussian_noise(random_frame(3, 5), -0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sigma(self, sigma):
+        # nan fails both sigma < 0 and sigma > 0, so an unchecked nan adds no noise.
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            add_gaussian_noise(random_frame(3, 5), sigma, seed=0)
+
 
 class TestMseNn:
     def test_identical_zero(self):

@@ -543,7 +543,7 @@ class TestDenoiseFrame:
         assert first == {"zero": int(np.sum(np.exp(-distances[0]) == 0)),
                          "one": int(np.sum(distances[0] == 0))}
         for weights in diag["patch_weights"][1:]:
-            assert weights["one"] >= int(cfg.weight_floor(120))
+            assert weights["one"] >= int(cfg.mprime_fraction * 120)
             assert weights["zero"] + weights["one"] <= 120
 
         _, alone = denoise_frame(Frame(seq.frames[0].positions), None, cfg)
@@ -752,8 +752,7 @@ class TestDenoiseSequence:
 
     def test_spatial_kernel_is_fixed_and_never_learned(self, monkeypatch):
         # Every pass weighs its pairs by exp(-(trace_bound / 3)^2 ||dn||^2) on
-        # the normals it hands the kernel, metric learning never runs, and the
-        # pg_* fields change no output bit.
+        # the normals it hands the kernel, and metric learning never runs.
         import dpcdenoise.optimize as opt
 
         def learn(*args, **kwargs):
@@ -771,7 +770,7 @@ class TestDenoiseSequence:
         rng = np.random.default_rng(8)
         noisy = Sequence(tuple(Frame(f.positions + rng.normal(0, 0.01, (120, 3)), frame_index=t)
                                for t, f in enumerate(small_sequence(2))))
-        out, reports = denoise_sequence(noisy, small_config(trace_bound=4.0))
+        _, reports = denoise_sequence(noisy, small_config(trace_bound=4.0))
         summaries = [entry for rep in reports for entry in rep.diagnostics["edge_weights"]]
         assert len(summaries) == len(graphs) == sum(len(rep.diagnostics["largest_move"])
                                                     for rep in reports)
@@ -779,11 +778,6 @@ class TestDenoiseSequence:
             dn = normals[edges.points[:, 0]] - normals[edges.points[:, 1]]
             weights = np.exp(-(4.0 / 3.0) ** 2 * np.sum(dn * dn, axis=1))
             assert summary == pytest.approx(_edge_weight_summary(edges, weights), rel=1e-12)
-        other, _ = denoise_sequence(noisy, small_config(trace_bound=4.0, pg_step=0.5,
-                                                        pg_max_iters=3, pg_tol=1e-2))
-        for a, b in zip(out, other):
-            assert np.array_equal(a.positions, b.positions)
-            assert np.array_equal(a.normals, b.normals)
 
     def test_single_frame_equals_denoise_frame(self):
         seq = small_sequence(1)

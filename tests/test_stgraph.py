@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from test_acceptance import E2E_CONFIG
 
-from dpcdenoise.config import DenoiseConfig
+from dpcdenoise.config import RETIRED, DenoiseConfig
 from dpcdenoise.geometry import Frame, NeighborIndex, estimate_normals, knn_rows
 from dpcdenoise.graph import SparseGraph, combinatorial_laplacian
 from dpcdenoise.metrics import add_gaussian_noise
@@ -113,7 +113,7 @@ class TestSpatialConnectivity:
     def test_heap_peak_beyond_output_is_two_keys_per_edge(self):
         # Besides its outputs the fold may hold one 8-byte key per row edge
         # and temporaries of the same size again at most.
-        cfg = DenoiseConfig(**E2E_CONFIG)
+        cfg = DenoiseConfig(**{k: v for k, v in E2E_CONFIG.items() if k not in RETIRED})
         spec = SyntheticSpec("sphere-cap", 2400, 1, amplitude=0.05, seed=3)
         frame = add_gaussian_noise(generate_sequence(spec).frames[0], 0.02, seed=4)
         ps = build_patches(frame, cfg.k)
