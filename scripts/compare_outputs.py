@@ -1,4 +1,4 @@
-"""Compare the denoised outputs of two source trees, byte for byte.
+"""Compare the denoised outputs and temporal matches of two source trees, byte for byte.
 
     python3 scripts/compare_outputs.py OLD_SRC NEW_SRC --seeds 1,7,11 [--acceptance] [--work DIR]
 
@@ -17,7 +17,11 @@ compared. The two sides run one after the other, so their times are one
 sample each, not a benchmark. Where the outputs differ, the largest absolute
 differences of positions and of normals between the two sides' PLY files of
 one name follow, then each side's pooled ``mse_reduction_pct`` and
-``surface_rms_ratio``, as ``perfbench/check.py`` scores them.
+``surface_rms_ratio``, as ``perfbench/check.py`` scores them. Both trees also
+run ``python3 -m dpcdenoise.cli match`` with the same config, the first input
+frame as ``--prev`` and the second as ``--curr`` (the first against itself for
+a one-frame workload), and a second line says whether the two CSV files are
+byte-equal.
 
 Before the comparisons it prints each side's median time to ``import
 dpcdenoise.cli``, and then to import every module of the package, as
@@ -29,9 +33,9 @@ check.
 (criterion 7). Its inputs come from OLD_SRC's ``synth`` and ``noise`` commands,
 and each side's per-frame MSE reductions are printed too.
 
-Exits 1 if any output, config snapshot or diagnostics dict differs or any run
-fails, and 0 otherwise. Run it from anywhere. Work files go to a temporary directory,
-removed at the end unless ``--work`` names one.
+Exits 1 if any output, config snapshot, diagnostics dict or match CSV differs
+or any run fails, and 0 otherwise. Run it from anywhere. Work files go to a
+temporary directory, removed at the end unless ``--work`` names one.
 """
 
 from __future__ import annotations
@@ -115,6 +119,31 @@ def denoise(src: Path, config: Path, inputs: list, out_dir: Path) -> dict | None
     return json.loads((out_dir / "manifest.json").read_text())
 
 
+def match_csv(src: Path, config: Path, inputs: list, out: Path) -> bytes | None:
+    """Run ``match`` from ``src`` on the first two inputs; returns the CSV, or None if it failed."""
+    proc = run_cli(src, ["match", "--config", config, "--prev", inputs[0],
+                         "--curr", inputs[min(1, len(inputs) - 1)], "--out", out], out.parent)
+    if proc.returncode != 0:
+        print(f"  {src}: match exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
+        return None
+    return out.read_bytes()
+
+
+def compare_match(label: str, old: Path, new: Path, config: Path, inputs: list,
+                  work: Path) -> bool:
+    """Run ``match`` with both trees; prints one line and returns whether the CSVs are equal."""
+    csvs = [match_csv(src, config, inputs, work / f"match-{side}.csv")
+            for side, src in (("old", old), ("new", new))]
+    if None in csvs:
+        print(f"{label} match: not compared", flush=True)
+        return False
+    rows = [csv.splitlines() for csv in csvs]
+    differing = sum(a != b for a, b in zip_longest(*rows))
+    print(f"{label} match: " + (f"CSV byte-equal, {len(rows[0]) - 1} patches" if csvs[0] == csvs[1]
+                                else f"CSV DIFFERENT in {differing} lines"), flush=True)
+    return csvs[0] == csvs[1]
+
+
 def summary(manifest: dict | None) -> str:
     """A run's stop reasons and its ``denoise`` time per frame, from its manifest."""
     if manifest is None:
@@ -141,11 +170,11 @@ def diagnostics_differences(old: dict, new: dict) -> list:
 
 
 def compare(label: str, old: Path, new: Path, config: Path, inputs: list, work: Path) -> tuple:
-    """Denoise ``inputs`` with both trees; prints one line and returns (same, out dirs).
+    """Denoise and match ``inputs`` with both trees; prints two lines and returns (same, out dirs).
 
-    ``same`` holds when both runs succeed, every output PLY is byte-equal and
+    ``same`` holds when every run succeeds, every output PLY is byte-equal,
     the two manifests' ``config`` snapshots and per-frame ``diagnostics`` are
-    equal.
+    equal, and so are the two ``match`` CSV files.
     """
     outs = (work / "old", work / "new")
     manifests = [denoise(src, config, inputs, out) for src, out in zip((old, new), outs)]
@@ -166,7 +195,8 @@ def compare(label: str, old: Path, new: Path, config: Path, inputs: list, work: 
           f"new [{summary(manifests[1])}]", flush=True)
     if None not in manifests and not bytes_same:
         print(f"  largest absolute difference: {largest_gap(*outs)}")
-    return bytes_same and keys == [] and frames == [], outs
+    match_same = compare_match(label, old, new, config, inputs, work)
+    return bytes_same and keys == [] and frames == [] and match_same, outs
 
 
 def largest_gap(old_out: Path, new_out: Path) -> str:
@@ -282,8 +312,8 @@ def main(argv=None) -> int:
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
-    print("all outputs byte-equal, configs and diagnostics equal" if all_same
-          else "outputs, configs or diagnostics differ")
+    print("all outputs and match CSVs byte-equal, configs and diagnostics equal" if all_same
+          else "outputs, match CSVs, configs or diagnostics differ")
     return 0 if all_same else 1
 
 

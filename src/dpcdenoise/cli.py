@@ -122,11 +122,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_noise(args) -> int:
+    noisy = [add_gaussian_noise(read_point_cloud(path), args.sigma, seed=args.seed + t)
+             for t, path in enumerate(args.inputs)]
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    for t, path in enumerate(args.inputs):
-        frame = read_point_cloud(path)
-        noisy = add_gaussian_noise(frame, args.sigma, seed=args.seed + t)
-        write_point_cloud(noisy, args.out_dir / path.name)
+    for path, frame in zip(args.inputs, noisy):
+        write_point_cloud(frame, args.out_dir / path.name)
     return EXIT_OK
 
 
@@ -205,9 +205,8 @@ def _cmd_match(args) -> int:
     curr = read_point_cloud(args.curr)
     # The first-pass matches of frame 1 in a two-frame denoise run.
     reference = build_reference(prev, config, len(curr))
-    frame, patchset, *_ = prepare_frame(Frame(curr.positions, None, 1), config, len(prev))
-    matched, distance, _ = match_patches(frame, patchset, reference, config.xi,
-                                         config.alpha, config.c)
+    patchset = prepare_frame(Frame(curr.positions, None, 1), config, len(prev)).patchset
+    matched, distance, _ = match_patches(patchset, reference, config.xi, config.alpha, config.c)
     lines = ["target_patch,matched_patch,distance,weight"]
     for target, (best, dist) in enumerate(zip(matched.tolist(), distance.tolist())):
         lines.append(f"{target},{best},{dist:.9g},{_csv_value(math.exp(-dist))}")

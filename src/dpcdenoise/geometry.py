@@ -114,31 +114,29 @@ class NeighborIndex:
         return self.points.shape[0]
 
 
-def knn_rows(index: NeighborIndex, queries, k: int, exclude=None) -> np.ndarray:
+def knn_rows(index: NeighborIndex, queries, k: int) -> np.ndarray:
     """Indices of the k nearest stored points to each query row, shape (q, k).
 
     Each row agrees exactly with a brute-force scan: distances
     ``sqrt(dx*dx + dy*dy + dz*dz)`` are non-decreasing and exact ties are
-    broken by ascending point index. ``exclude`` optionally names, per row,
-    one stored point to leave out. The rows come from a cubic cell grid
-    (see :func:`_grid_pass`).
+    broken by ascending point index. The rows come from a cubic cell grid
+    (see :func:`_grid_pass`); :func:`without` leaves one stored point out
+    of each row.
     """
     q = _as_points(queries, "queries")
-    want = k if exclude is None else k + 1
     if k < 1:
         raise ValueError("k must be >= 1")
-    if want > len(index):
+    if k > len(index):
         raise ValueError("k too large")
-    rows = _nearest(index.points, q, want)
-    return rows if exclude is None else without(rows, exclude)
+    return _nearest(index.points, q, k)
 
 
 def without(rows: np.ndarray, exclude) -> np.ndarray:
     """Neighbor rows (q, w) less one column: each row's ``exclude`` entry, or else its last.
 
     A stable sort moves the excluded point, if present, behind the rest, so
-    ``without(knn_rows(index, queries, k + 1), exclude)`` equals
-    ``knn_rows(index, queries, k, exclude)``.
+    ``without(knn_rows(index, queries, k + 1), exclude)`` is each query's
+    k nearest stored points other than its ``exclude`` entry.
     """
     dropped = rows == np.asarray(exclude, dtype=np.int64).reshape(-1, 1)
     order = np.argsort(dropped, axis=1, kind="stable")[:, :-1]
@@ -357,7 +355,7 @@ def mean_nn_distance(frame: Frame, index: Optional[NeighborIndex] = None) -> flo
     if index is None:
         index = NeighborIndex.from_points(frame.positions)
     pts = frame.positions
-    nearest = knn_rows(index, pts, 1, exclude=np.arange(n))[:, 0]
+    nearest = without(knn_rows(index, pts, 2), np.arange(n))[:, 0]
     return float(np.mean(np.sqrt(np.sum((pts[nearest] - pts) ** 2, axis=1))))
 
 

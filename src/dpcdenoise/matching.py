@@ -6,16 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Frame, NeighborIndex, knn_rows
-from .patches import (
-    PATCH_BLOCK,
-    Patch,
-    PatchSet,
-    all_relative_coords,
-    member_distances,
-    patch_epsilons,
-    sq_dists,
-)
+from .geometry import NeighborIndex, knn_rows
+from .patches import PATCH_BLOCK, Patch, PatchSet, member_distances, patch_epsilons, sq_dists
 
 
 def _variation_rows(dist: np.ndarray, normals: np.ndarray, epsilon: np.ndarray) -> np.ndarray:
@@ -44,29 +36,27 @@ def _variation_rows(dist: np.ndarray, normals: np.ndarray, epsilon: np.ndarray) 
 
 
 def patch_variations(
-    positions: np.ndarray, normals: np.ndarray, members: np.ndarray, c: float = 5.0
+    patchset: PatchSet, c: float = 5.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Epsilon, variation rows and variation vector of every patch.
 
-    ``members`` is the (m, k+1) patch index matrix. Returns the (m,)
-    graph radii (see :func:`~dpcdenoise.patches.patch_epsilon`), the
-    (m, k+1, 3) per-point variation rows of each patch's normals, and
-    the (m, 3) per-axis mean absolute variation.
+    Returns, indexed like ``patchset.members``, the (m,) graph radii (see
+    :func:`~dpcdenoise.patches.patch_epsilon`), the (m, k+1, 3) per-point
+    variation rows of each patch's normals, and the (m, 3) per-axis mean
+    absolute variation. The patch set's frame must carry normals.
     """
-    pts = np.asarray(positions, dtype=np.float64)
-    nrm = np.asarray(normals, dtype=np.float64)
-    members = np.asarray(members, dtype=np.int64)
-    if pts.shape != nrm.shape:
-        raise ValueError("points and normals must have the same shape")
+    frame, members = patchset.frame, patchset.members
+    if frame.normals is None:
+        raise ValueError("frame needs normals")
     if members.shape[1] < 2:
         raise ValueError("patch needs at least two members")
     eps = np.empty(members.shape[0])
     rows = np.empty(members.shape + (3,))
     for start in range(0, members.shape[0], PATCH_BLOCK):
         part = slice(start, start + PATCH_BLOCK)
-        dist = member_distances(pts[members[part]])
+        dist = member_distances(frame.positions[members[part]])
         eps[part] = patch_epsilons(dist, c)
-        rows[part] = _variation_rows(dist, nrm[members[part]], eps[part])
+        rows[part] = _variation_rows(dist, frame.normals[members[part]], eps[part])
     return eps, rows, np.mean(np.abs(rows), axis=1)
 
 
@@ -129,7 +119,6 @@ class ReferencePatches:
     """Precomputed matching data for one (already denoised) reference frame."""
 
     patchset: PatchSet
-    rel: np.ndarray = field(repr=False)          # (m, k+1, 3)
     var_rows: np.ndarray = field(repr=False)     # (m, k+1, 3)
     variations: np.ndarray = field(repr=False)   # (m, 3)
     center_index: NeighborIndex = field(repr=False, default=None)
@@ -138,30 +127,25 @@ class ReferencePatches:
         return len(self.patchset)
 
 
-def prepare_reference(frame: Frame, patchset: PatchSet, c: float = 5.0) -> ReferencePatches:
+def prepare_reference(patchset: PatchSet, c: float = 5.0) -> ReferencePatches:
     """Compute the matching data of every patch of a reference frame at once.
 
-    Holds, indexed like ``patchset.members``, the (m, k+1, 3)
-    center-relative coordinates and variation rows, the (m, 3)
-    variation vectors, and a neighbor index over the patch centers.
+    Holds, indexed like ``patchset.members``, the (m, k+1, 3) variation
+    rows and (m, 3) variation vectors, and a neighbor index over the patch
+    centers. The center-relative coordinates are ``patchset.rel``.
     """
-    if frame.normals is None:
+    if patchset.frame.normals is None:
         raise ValueError("reference frame needs normals")
-    if len(patchset) < 1:
-        raise ValueError("reference patch set is empty")
-    positions = frame.positions
-    _, var_rows, variations = patch_variations(positions, frame.normals, patchset.members, c)
+    _, var_rows, variations = patch_variations(patchset, c)
     return ReferencePatches(
         patchset=patchset,
-        rel=all_relative_coords(patchset, positions),
         var_rows=var_rows,
         variations=variations,
-        center_index=NeighborIndex.from_points(positions),
+        center_index=NeighborIndex.from_points(patchset.frame.positions),
     )
 
 
 def match_patches(
-    frame: Frame,
     patchset: PatchSet,
     reference: ReferencePatches,
     xi: int,
@@ -177,14 +161,12 @@ def match_patches(
     reference patch, the (m,) variation distance to it, and the
     (m, k+1) point map from :func:`point_correspondence`.
     """
-    if frame.normals is None:
+    if patchset.frame.normals is None:
         raise ValueError("target frame needs normals")
     if xi < 1:
         raise ValueError("xi must be >= 1")
-    positions = frame.positions
-    eps, rows, variations = patch_variations(positions, frame.normals, patchset.members, c)
-    rel = all_relative_coords(patchset, positions)
-    cand = knn_rows(reference.center_index, positions, min(xi, len(reference)))
+    eps, rows, variations = patch_variations(patchset, c)
+    cand = knn_rows(reference.center_index, patchset.frame.positions, min(xi, len(reference)))
     gaps = reference.variations[cand] - variations[:, None, :]
     dists = np.sqrt(np.sum(gaps * gaps, axis=2))
     distance = np.min(dists, axis=1)
@@ -194,6 +176,7 @@ def match_patches(
         part = slice(start, start + PATCH_BLOCK)
         best = matched[part]
         point_map[part] = point_correspondence(
-            rows[part], reference.var_rows[best], rel[part], reference.rel[best], alpha, eps[part]
+            rows[part], reference.var_rows[best], patchset.rel[part],
+            reference.patchset.rel[best], alpha, eps[part]
         )
     return matched, distance, point_map

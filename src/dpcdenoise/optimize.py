@@ -21,7 +21,7 @@ from .geometry import Frame, NeighborIndex, Sequence, estimate_normals, knn_rows
 from .graph import CsrMatrix, laplacian
 from .matching import match_patches, prepare_reference
 from .metrics import FrameMetrics
-from .patches import PatchSet, all_relative_coords, build_patches
+from .patches import PatchSet, build_patches
 from .stgraph import SpatialEdges, spatial_connectivity, weighted_spatial_graph
 
 
@@ -336,9 +336,11 @@ def _edge_weight_summary(edges: SpatialEdges, pair_weights: np.ndarray) -> dict:
 
 
 class PreparedFrame(NamedTuple):
-    """A frame with normals, its patches and sizes; ``table`` is None if normals were given."""
+    """The patches of a frame with normals, ``patchset.frame``, and its sizes.
 
-    frame: Frame
+    ``table`` is None if normals were given.
+    """
+
     patchset: PatchSet
     table: Optional[np.ndarray]
     degenerate_normals: int
@@ -366,14 +368,14 @@ def prepare_frame(frame: Frame, config: DenoiseConfig,
         table = knn_rows(NeighborIndex.from_points(frame.positions), frame.positions,
                          max(k_plane, k) + 1)
         frame, degenerate = estimate_normals(frame, k_plane, table)
-    return PreparedFrame(frame, build_patches(frame, k, table), table, degenerate,
+    return PreparedFrame(build_patches(frame, k, table), table, degenerate,
                          k_plane, min(config.k_s, k))
 
 
 def build_reference(previous: Frame, config: DenoiseConfig, current_size: int):
     """Matching data of the previously denoised frame, for a frame of ``current_size``."""
     prepared = prepare_frame(previous, config, current_size)
-    return prepare_reference(prepared.frame, prepared.patchset, config.c)
+    return prepare_reference(prepared.patchset, config.c)
 
 
 def denoise_frame(
@@ -423,8 +425,9 @@ def denoise_frame(
                          "stop_reason": "max_iters"}
 
     for it in range(config.outer_max_iters):
-        est, patchset, table, degen, k_plane_eff, k_s_eff = prepare_frame(
+        patchset, table, degen, k_plane_eff, k_s_eff = prepare_frame(
             Frame(u, None, noisy.frame_index), config, other_size)
+        normals = patchset.frame.normals
         if it == 0:
             # Column 1 is each input point's nearest other point, or the point
             # itself behind a duplicate of lower index: the same distance either way.
@@ -442,16 +445,15 @@ def denoise_frame(
         if reference is not None:
             try:
                 matched, match_dist, point_map = match_patches(
-                    est, patchset, reference, config.xi, config.alpha, config.c)
+                    patchset, reference, config.xi, config.alpha, config.c)
             except ValueError as exc:
                 raise SolverError(f"temporal matching failed at outer iteration {it}: {exc}",
                                   iteration=it) from exc
-            prev_aligned = reference.rel[matched[:, None], point_map].reshape(-1, 3)
+            prev_aligned = reference.patchset.rel[matched[:, None], point_map].reshape(-1, 3)
             if it == 0:
                 patch_weights = np.exp(-match_dist)
             else:
-                rel = all_relative_coords(patchset, u)
-                gaps = rel - prev_aligned.reshape(rel.shape)
+                gaps = patchset.rel - prev_aligned.reshape(patchset.rel.shape)
                 patch_weights = solve_temporal_weights(np.sum(gaps * gaps, axis=(1, 2)),
                                                        config.mprime_fraction * len(patchset))
             w_rows = np.repeat(patch_weights, patchset.k + 1)
@@ -463,10 +465,10 @@ def denoise_frame(
         edges = pair_weights = None
         try:
             if lam2 > 0 and k_s_eff >= 1:
-                edges = spatial_connectivity(patchset, u, k_s_eff)
+                edges = spatial_connectivity(patchset, k_s_eff)
                 diagnostics["spatial_edges"].append(len(edges))
                 diagnostics["spatial_pairs"].append(edges.points.shape[0])
-                pair_weights = weighted_spatial_graph(edges, est.normals, scale)
+                pair_weights = weighted_spatial_graph(edges, normals, scale)
                 diagnostics["edge_weights"].append(_edge_weight_summary(edges, pair_weights))
             u_new, cg_iters, cg_residual = solve_point_cloud(
                 u_hat, members, anchor_rows, prev_aligned, w_rows, edges, pair_weights,
@@ -483,8 +485,8 @@ def denoise_frame(
         step = u_new - u
         move = float(np.max(np.sqrt(np.sum(step ** 2, axis=1))))
         diagnostics["largest_move"].append(move)
-        along = np.sum(step * est.normals, axis=1)
-        tangent = step - along[:, None] * est.normals
+        along = np.sum(step * normals, axis=1)
+        tangent = step - along[:, None] * normals
         diagnostics["normal_move"].append(float(np.mean(np.abs(along)) / spacing))
         diagnostics["tangent_move"].append(
             float(np.mean(np.sqrt(np.sum(tangent ** 2, axis=1))) / spacing))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -43,11 +43,17 @@ class Patch:
 
 @dataclass(frozen=True)
 class PatchSet:
-    """All patches of one frame: row l of the (n, k+1) ``members`` is patch l, centered on point l."""
+    """All patches of one frame: row l of the (n, k+1) ``members`` is patch l, centered on point l.
+
+    ``rel`` holds the (n, k+1, 3) member positions of every patch relative
+    to its center, read-only: ``rel[l, r]`` is ``positions[members[l, r]] -
+    positions[l]`` for the frame's positions.
+    """
 
     members: np.ndarray
     k: int
     frame: Frame
+    rel: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         members = np.asarray(self.members, dtype=np.int64)
@@ -62,6 +68,10 @@ class PatchSet:
         members = np.ascontiguousarray(members)
         members.flags.writeable = False
         object.__setattr__(self, "members", members)
+        pts = self.frame.positions
+        rel = pts[members] - pts[members[:, :1]]
+        rel.flags.writeable = False
+        object.__setattr__(self, "rel", rel)
 
     def __len__(self) -> int:
         return self.members.shape[0]
@@ -90,13 +100,6 @@ def build_patches(frame: Frame, k: int, neighbors: Optional[np.ndarray] = None) 
     members[:, 0] = centers
     members[:, 1:] = without(neighbors[:, :k + 1], centers)
     return PatchSet(members=members, k=k, frame=frame)
-
-
-def all_relative_coords(patchset: PatchSet, positions: np.ndarray) -> np.ndarray:
-    """Relative coordinates for every patch, shape (m, k+1, 3)."""
-    pts = np.asarray(positions, dtype=np.float64)
-    gathered = pts[patchset.members]
-    return gathered - gathered[:, :1, :]
 
 
 def patch_epsilon(patch: Patch, positions: np.ndarray, c: float = 5.0) -> float:

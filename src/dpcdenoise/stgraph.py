@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patches import PatchSet, all_relative_coords, sq_dists
+from .patches import PatchSet, sq_dists
 
 
 @dataclass(frozen=True)
@@ -189,14 +189,12 @@ def _nearest_slots(rel: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.nda
     return nm, nl, one_way, exact
 
 
-def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) -> SpatialEdges:
+def spatial_connectivity(patchset: PatchSet, k_s: int) -> SpatialEdges:
     """Row edges between adjacent patches, folded onto point pairs.
 
     Patches are adjacent when either has the other among its ``k_s``
     nearest patch centers, which the patches' own rows hold (see
-    :func:`_adjacent_patches`), so ``k_s`` must be in [1, k]. The rows and
-    centers take their coordinates from ``positions``, which need not be
-    the points the patches were built over.
+    :func:`_adjacent_patches`), so ``k_s`` must be in [1, k].
     Between adjacent patches, every row connects to the row of
     the other patch whose center-relative coordinates are nearest (ties
     by ascending index): the first argmin of the float64 squared distances.
@@ -210,7 +208,7 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     two rows hold the same point is dropped before the keys are sorted:
     its residual is a constant gap of centers, so it does not move the
     point solve. The other edges are returned folded onto the point pairs
-    they join, with the patch centers ``c_l`` taken from ``positions``.
+    they join, with the patch centers ``c_l`` taken from the patch set's frame.
 
     Memory: the only array with one entry per row edge is a buffer of one
     8-byte sort key per edge, sized before the dropped edges are known. The
@@ -227,7 +225,7 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     """
     if not 1 <= k_s <= patchset.k:
         raise ValueError("k_s must be in [1, k]")
-    pts = np.asarray(positions, dtype=np.float64)
+    pts = patchset.frame.positions
     adj = _adjacent_patches(patchset, k_s)
     members = patchset.members
     n = pts.shape[0]
@@ -239,7 +237,7 @@ def spatial_connectivity(patchset: PatchSet, positions: np.ndarray, k_s: int) ->
     # Pair (l, m) has l < m. Its forward edge of slot s and its backward edge
     # of slot t join the same two rows only when nl[t] = s and nm[s] = t, so
     # mutual backward edges are dropped and every row edge is emitted once.
-    nm, nl, one_way_edges, _ = _nearest_slots(all_relative_coords(patchset, pts), adj)
+    nm, nl, one_way_edges, _ = _nearest_slots(patchset.rel, adj)
     size = nm.shape[1]
     slots = np.arange(size)
     flat = members.ravel()

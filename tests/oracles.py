@@ -54,7 +54,17 @@ def variation_rows(points, normals, epsilon):
 
 
 
-def spatial_connectivity(patchset, positions, k_s, keep_self=False):
+def adjacent_patches(centers, k_s):
+    """Sorted (pairs, 2) patch pairs l < m, either among the other's ``k_s`` nearest centers,
+    by a brute-force query over the centers."""
+    m = centers.shape[0]
+    near = np.array([brute_knn(centers, c, k_s, exclude=l) for l, c in enumerate(centers)])
+    own = np.repeat(np.arange(m), k_s)
+    adjacent = np.unique(np.minimum(own, near.ravel()) * m + np.maximum(own, near.ravel()))
+    return np.column_stack([adjacent // m, adjacent % m])
+
+
+def spatial_connectivity(patchset, k_s, keep_self=False):
     """Row pairs between adjacent patches, one block of patch pairs at a time.
 
     Builds the full (pairs, k+1, k+1, 3) difference tensor, stacks the
@@ -63,17 +73,10 @@ def spatial_connectivity(patchset, positions, k_s, keep_self=False):
     rows hold the same point are dropped. These are the row edges that
     ``dpcdenoise.stgraph.spatial_connectivity`` folds onto point pairs.
     """
-    from dpcdenoise.geometry import NeighborIndex, knn_rows
-    from dpcdenoise.patches import all_relative_coords
-
     m = len(patchset)
-    pts = np.asarray(positions, dtype=np.float64)
-    centers = NeighborIndex.from_points(pts[patchset.members[:, 0]])
-    near = knn_rows(centers, centers.points, k_s, exclude=np.arange(m))
-    own = np.repeat(np.arange(m), k_s)
-    adjacent = np.unique(np.minimum(own, near.ravel()) * m + np.maximum(own, near.ravel()))
-    adj = np.column_stack([adjacent // m, adjacent % m])
-    rel = all_relative_coords(patchset, pts)
+    pts = patchset.frame.positions
+    adj = adjacent_patches(pts[patchset.members[:, 0]], k_s)
+    rel = pts[patchset.members] - pts[patchset.members[:, :1]]
     size = patchset.k + 1
     slots = np.arange(size, dtype=np.int64)
     pairs = []
@@ -98,7 +101,7 @@ def spatial_connectivity(patchset, positions, k_s, keep_self=False):
     return rows[flat[rows[:, 0]] != flat[rows[:, 1]]]
 
 
-def folded_connectivity(patchset, positions, k_s):
+def folded_connectivity(patchset, k_s):
     """Row edges between adjacent patches folded onto point pairs, in full-length arrays.
 
     Keys every row edge between two distinct points by
@@ -108,18 +111,12 @@ def folded_connectivity(patchset, positions, k_s):
     edges. Returns ``(points, counts, offsets)``;
     ``dpcdenoise.stgraph.spatial_connectivity`` must match it bit for bit.
     """
-    from dpcdenoise.geometry import NeighborIndex, knn_rows
-    from dpcdenoise.patches import all_relative_coords, sq_dists
+    from dpcdenoise.patches import sq_dists
 
-    m = len(patchset)
-    pts = np.asarray(positions, dtype=np.float64)
+    pts = patchset.frame.positions
     center_pts = pts[patchset.members[:, 0]]
-    centers = NeighborIndex.from_points(center_pts)
-    near = knn_rows(centers, centers.points, k_s, exclude=np.arange(m))
-    own = np.repeat(np.arange(m), k_s)
-    adjacent = np.unique(np.minimum(own, near.ravel()) * m + np.maximum(own, near.ravel()))
-    adj = np.column_stack([adjacent // m, adjacent % m])
-    rel = all_relative_coords(patchset, pts)
+    adj = adjacent_patches(center_pts, k_s)
+    rel = pts[patchset.members] - pts[patchset.members[:, :1]]
     members = patchset.members
     n = pts.shape[0]
     span = 2 * adj.shape[0]
@@ -324,9 +321,9 @@ def random_solve_instance(rng, n, with_temporal=True):
     members = ps.members
     anchors = np.repeat(pts, k + 1, axis=0)
     k_s = min(2, k)
-    edges = stgraph.spatial_connectivity(ps, pts, k_s)
+    edges = stgraph.spatial_connectivity(ps, k_s)
     pair_weights = weighted_spatial_graph(edges, frame.normals, 1.0)
-    lap = row_laplacian(spatial_connectivity(ps, pts, k_s), members, pair_weights)
+    lap = row_laplacian(spatial_connectivity(ps, k_s), members, pair_weights)
     if with_temporal:
         w_rows = np.repeat(rng.uniform(0, 1, n), k + 1)
         prev_aligned = anchors * 0 + rng.normal(0, 0.1, anchors.shape)

@@ -82,8 +82,8 @@ def test_criterion_1_property1_plane():
     frame_b = plane_frame(400, seed=2)
     patches_a = build_patches(frame_a, 30)
     patches_b = build_patches(frame_b, 30)
-    reference = prepare_reference(frame_a, patches_a)
-    matches = match_patches(frame_b, patches_b, reference, xi=10)
+    reference = prepare_reference(patches_a)
+    matches = match_patches(patches_b, reference, xi=10)
     worst_same = max(matches[1])
 
     theta = 0.8
@@ -96,7 +96,7 @@ def test_criterion_1_property1_plane():
     )
     frame_c = plane_frame(400, seed=3, transform=(rot, np.array([2.0, -1.0, 0.5])))
     patches_c = build_patches(frame_c, 30)
-    matches_rigid = match_patches(frame_c, patches_c, reference, xi=10)
+    matches_rigid = match_patches(patches_c, reference, xi=10)
     worst_rigid = max(matches_rigid[1])
     elapsed = time.perf_counter() - start
 

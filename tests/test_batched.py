@@ -32,7 +32,7 @@ from test_acceptance import (
 )
 
 from dpcdenoise.config import RETIRED, DenoiseConfig
-from dpcdenoise.geometry import Frame, NeighborIndex, knn_rows
+from dpcdenoise.geometry import Frame, NeighborIndex, knn_rows, without
 from dpcdenoise.graph import CsrMatrix, SparseGraph, combinatorial_laplacian
 from dpcdenoise.matching import match_patches, patch_variations, prepare_reference
 from dpcdenoise.metrics import add_gaussian_noise
@@ -44,7 +44,7 @@ from dpcdenoise.optimize import (
     learn_metric,
 )
 from dpcdenoise import stgraph
-from dpcdenoise.patches import all_relative_coords, build_patches, sq_dists
+from dpcdenoise.patches import PatchSet, build_patches, sq_dists
 from dpcdenoise.stgraph import (
     FOLD_CHUNK,
     SLOT_BLOCK,
@@ -114,7 +114,10 @@ class TestKnnRows:
         else:
             exclude = None
             queries, k = np.round(rng.uniform(0, 1, (8, 3)) * 3) / 3, min(k, n)
-        got = knn_rows(index, queries, k, exclude)
+        if exclude is None:
+            got = knn_rows(index, queries, k)
+        else:
+            got = without(knn_rows(index, queries, k + 1), exclude)
         for r, q in enumerate(queries):
             want = brute_knn(pts, q, k, None if exclude is None else exclude[r])
             assert got[r].tolist() == want.tolist()
@@ -124,7 +127,7 @@ class TestKnnRows:
         with pytest.raises(ValueError, match="k must be"):
             knn_rows(index, np.zeros((1, 3)), 0)
         with pytest.raises(ValueError, match="k too large"):
-            knn_rows(index, index.points, 3, exclude=np.arange(3))
+            without(knn_rows(index, index.points, 4), np.arange(3))
 
 
 class TestPatchVariations:
@@ -134,14 +137,16 @@ class TestPatchVariations:
         pts, rng = cloud
         n = len(pts)
         k = min(k, n - 1)
-        members = np.array([rng.permutation(n)[: k + 1] for _ in range(int(rng.integers(1, 9)))])
+        members = np.array([np.concatenate([[l], rng.permutation(np.delete(np.arange(n), l))[:k]])
+                            for l in range(n)])
         normals = unit_normals(rng, n)
+        ps = PatchSet(members=members, k=k, frame=Frame(pts, normals))
         want_eps = [oracle_epsilon(pts[idx], c) for idx in members]
         if min(want_eps) <= 0:
             with pytest.raises(ValueError, match="epsilon must be > 0"):
-                patch_variations(pts, normals, members, c)
+                patch_variations(ps, c)
             return
-        eps, rows, variations = patch_variations(pts, normals, members, c)
+        eps, rows, variations = patch_variations(ps, c)
         want = oracle_patches(pts, normals, members, c)
         assert bits(eps) == bits(want[0])
         assert bits(rows) == bits(want[1])
@@ -150,17 +155,18 @@ class TestPatchVariations:
     def test_member_without_neighbor_gives_zero_row(self):
         pts = np.array([[0.0, 0, 0], [0.1, 0, 0], [0.0, 0.1, 0], [5.0, 0, 0]])
         normals = unit_normals(np.random.default_rng(0), 4)
-        members = np.array([[0, 1, 2, 3]])
-        eps, rows, _ = patch_variations(pts, normals, members, 1.0)
+        members = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [2, 0, 1, 3], [3, 0, 1, 2]])
+        eps, rows, _ = patch_variations(PatchSet(members, 3, Frame(pts, normals)), 1.0)
         assert eps[0] < 5.0
         assert bits(rows[0, 3]) == bits(np.zeros(3))
-        assert bits(rows) == bits(variation_rows(pts, normals, eps[0])[None])
+        assert bits(rows[:1]) == bits(variation_rows(pts, normals, eps[0])[None])
 
     def test_boundary_distance_is_not_an_edge(self):
         # Grid spacing 1: epsilon = c * 1 = 1 exactly, so no pair is closer.
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
         normals = unit_normals(np.random.default_rng(1), 3)
-        eps, rows, _ = patch_variations(pts, normals, np.array([[0, 1, 2]]), 1.0)
+        members = np.array([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+        eps, rows, _ = patch_variations(PatchSet(members, 2, Frame(pts, normals)), 1.0)
         assert eps[0] == 1.0
         assert not np.any(rows)
 
@@ -169,7 +175,7 @@ class TestPatchVariations:
         pts = rng.uniform(0, 1, (10, 3))
         normals = unit_normals(rng, 10)
         members = np.array([[i, (i + 3) % 10] for i in range(10)])
-        eps, rows, variations = patch_variations(pts, normals, members, 5.0)
+        eps, rows, variations = patch_variations(PatchSet(members, 1, Frame(pts, normals)), 5.0)
         want = oracle_patches(pts, normals, members, 5.0)
         assert bits(rows) == bits(want[1]) and bits(variations) == bits(want[2])
 
@@ -177,7 +183,7 @@ class TestPatchVariations:
         pts = np.vstack([np.zeros((4, 3)), np.eye(3)])
         normals = unit_normals(np.random.default_rng(3), 7)
         with pytest.raises(ValueError, match="epsilon must be > 0"):
-            patch_variations(pts, normals, np.array([[4, 5, 6], [0, 1, 2]]), 5.0)
+            patch_variations(build_patches(Frame(pts, normals), 2), 5.0)
 
     def test_clumped_target_patch_is_a_solver_error(self):
         rng = np.random.default_rng(4)
@@ -203,14 +209,14 @@ class TestMatchPatchesOracle:
             eps = [oracle_epsilon(frame.positions[idx], 5.0) for idx in ps.members]
             if min(eps) <= 0:
                 with pytest.raises(ValueError, match="epsilon must be > 0"):
-                    patch_variations(frame.positions, frame.normals, ps.members)
+                    patch_variations(ps)
                 return
-        reference = prepare_reference(prev, prev_ps)
+        reference = prepare_reference(prev_ps)
         _, ref_rows, ref_var = oracle_patches(prev.positions, prev.normals, prev_ps.members, 5.0)
         assert bits(reference.var_rows) == bits(ref_rows)
         assert bits(reference.variations) == bits(ref_var)
 
-        matched, distance, point_map = match_patches(curr, curr_ps, reference, xi, alpha)
+        matched, distance, point_map = match_patches(curr_ps, reference, xi, alpha)
         eps, rows, variations = oracle_patches(curr.positions, curr.normals, curr_ps.members, 5.0)
         for l, idx in enumerate(curr_ps.members):
             cand = brute_knn(prev.positions, curr.positions[idx[0]], min(xi, len(prev_ps)))
@@ -218,7 +224,7 @@ class TestMatchPatchesOracle:
             dists = np.sqrt(np.sum(gaps * gaps, axis=1))
             best = int(cand[np.lexsort((cand, dists))[0]])
             rel_t = curr.positions[idx] - curr.positions[idx[0]]
-            rel_m = reference.rel[best]
+            rel_m = reference.patchset.rel[best]
             coord = np.sum((rel_t[:, None] - rel_m[None]) ** 2, axis=2)
             if 0 < alpha < 1:
                 # The blend divides the coordinate term by the target radius squared.
@@ -277,8 +283,8 @@ class TestSpatialConnectivity:
         k = min(k, len(pts) - 1)
         k_s = int(rng.integers(1, k + 1))
         ps = build_patches(Frame(pts), k)
-        edges = spatial_connectivity(ps, pts, k_s)
-        rows = oracles.spatial_connectivity(ps, pts, k_s)
+        edges = spatial_connectivity(ps, k_s)
+        rows = oracles.spatial_connectivity(ps, k_s)
         assert_folds(edges, rows, ps.members, anchors_of(ps, pts))
 
     @PROPERTY
@@ -290,9 +296,9 @@ class TestSpatialConnectivity:
         k = min(k, len(pts) - 1)
         k_s = int(rng.integers(1, k + 1))
         ps = build_patches(Frame(pts), k)
-        edges = spatial_connectivity(ps, pts, k_s)
+        edges = spatial_connectivity(ps, k_s)
         assert np.all(edges.points[:, 0] < edges.points[:, 1])
-        every = oracles.spatial_connectivity(ps, pts, k_s, keep_self=True)
+        every = oracles.spatial_connectivity(ps, k_s, keep_self=True)
         flat = ps.members.ravel()
         assert len(edges) == np.count_nonzero(flat[every[:, 0]] != flat[every[:, 1]])
 
@@ -326,8 +332,8 @@ class TestSpatialConnectivity:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(stgraph, "SLOT_BLOCK", slot_block)
             patch.setattr(stgraph, "FOLD_CHUNK", chunk)
-            edges = spatial_connectivity(ps, pts, k_s)
-        assert_bit_equal(edges, oracles.folded_connectivity(ps, pts, k_s))
+            edges = spatial_connectivity(ps, k_s)
+        assert_bit_equal(edges, oracles.folded_connectivity(ps, k_s))
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 8]))
@@ -341,10 +347,10 @@ class TestSpatialConnectivity:
         pts[rng.choice(800, 40, replace=False)] = pts[rng.choice(800, 40)]
         k = 15
         ps = build_patches(Frame(pts), k)
-        edges = spatial_connectivity(ps, pts, 8)
+        edges = spatial_connectivity(ps, 8)
         # A patch pair emits at most 2 (k + 1) row edges.
         assert len(edges) > max(3 * FOLD_CHUNK, 2 * (k + 1) * 3 * SLOT_BLOCK)
-        assert_bit_equal(edges, oracles.folded_connectivity(ps, pts, 8))
+        assert_bit_equal(edges, oracles.folded_connectivity(ps, 8))
 
     def test_ties_and_mutual_nearest_rows(self):
         # A 3-level grid with duplicated points gives argmin ties between
@@ -353,17 +359,16 @@ class TestSpatialConnectivity:
         rng = np.random.default_rng(5)
         pts = np.round(rng.uniform(0, 1, (60, 3)) * 2) / 2
         ps = build_patches(Frame(pts), 6)
-        rel = all_relative_coords(ps, pts)
-        cost = sq_dists(rel[:, None], rel[None, :])             # (60, 60, 7, 7)
+        cost = sq_dists(ps.rel[:, None], ps.rel[None, :])             # (60, 60, 7, 7)
         assert np.any(np.sum(cost == cost.min(axis=3, keepdims=True), axis=3) > 1)
-        edges = spatial_connectivity(ps, pts, 5)
-        assert_folds(edges, oracles.spatial_connectivity(ps, pts, 5), ps.members,
+        edges = spatial_connectivity(ps, 5)
+        assert_folds(edges, oracles.spatial_connectivity(ps, 5), ps.members,
                      anchors_of(ps, pts))
         assert np.all(edges.points[:, 0] < edges.points[:, 1])
         assert np.all(np.diff(edges.points[:, 0] * 60 + edges.points[:, 1]) > 0)
         # Duplicated points put one point in two rows that are nearest rows;
         # those row edges are dropped.
-        every = oracles.spatial_connectivity(ps, pts, 5, keep_self=True)
+        every = oracles.spatial_connectivity(ps, 5, keep_self=True)
         flat = ps.members.ravel()
         assert np.any(flat[every[:, 0]] == flat[every[:, 1]])
 
@@ -378,7 +383,7 @@ def argmin_slots(rel, adj):
 def slot_instance(pts, k, k_s):
     """Relative coordinates and adjacent patch pairs of ``pts``, as ``spatial_connectivity`` builds them."""
     ps = build_patches(Frame(pts), k)
-    return all_relative_coords(ps, pts), stgraph._adjacent_patches(ps, k_s)
+    return ps.rel, stgraph._adjacent_patches(ps, k_s)
 
 
 def assert_slots_exact(got, rel, adj):
@@ -474,8 +479,8 @@ def spatial_instances(draw):
     k = min(draw(st.sampled_from([1, 2, 4, 7])), n - 1)
     ps = build_patches(Frame(pts), k)
     k_s = int(rng.integers(1, k + 1))
-    edges = spatial_connectivity(ps, pts, k_s)
-    rows = oracles.spatial_connectivity(ps, pts, k_s)
+    edges = spatial_connectivity(ps, k_s)
+    rows = oracles.spatial_connectivity(ps, k_s)
     pair_weights = rng.uniform(0.0, 1.0, edges.points.shape[0])
     pair_weights[rng.random(pair_weights.size) < 0.2] = 0.0
     return pts, ps, edges, rows, pair_weights, rng
@@ -521,7 +526,7 @@ class TestFoldedSpatialTerm:
         pts, ps, edges, rows, pair_weights, rng = drawn
         members = ps.members
         anchors = anchors_of(ps, pts)
-        every = oracles.spatial_connectivity(ps, pts, int(rng.integers(1, len(ps))),
+        every = oracles.spatial_connectivity(ps, int(rng.integers(1, len(ps))),
                                              keep_self=True)
         flat = members.ravel()
         same = flat[every[:, 0]] == flat[every[:, 1]]

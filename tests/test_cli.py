@@ -74,12 +74,17 @@ class TestSynthNoise:
                     str(src)]) == 2
         assert "data error: sigma must be finite and >= 0" in capsys.readouterr().err
         assert not (tmp_path / "noisy" / "clean_000.ply").exists()
+        assert not (tmp_path / "noisy").exists()
 
     def test_missing_input_is_data_error(self, tmp_path, capsys):
-        code = run(["noise", "--sigma", "0.1", "--out-dir", str(tmp_path),
-                    str(tmp_path / "nope.ply")])
+        # Every input is read before anything is written: a missing second
+        # input leaves no output directory, not even the first frame's file.
+        run(synth_args(tmp_path / "clean", points=50, frames=1))
+        code = run(["noise", "--sigma", "0.1", "--out-dir", str(tmp_path / "noisy"),
+                    str(tmp_path / "clean" / "clean_000.ply"), str(tmp_path / "nope.ply")])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "noisy").exists()
 
     def test_solver_failure_is_exit_code_3(self, tmp_path, capsys):
         run(synth_args(tmp_path / "clean", points=60, frames=1))

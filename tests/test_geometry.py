@@ -16,14 +16,22 @@ from dpcdenoise.geometry import (
     estimate_normals,
     knn_rows,
     mean_nn_distance,
+    without,
 )
+
+
+def knn_except(index, queries, k, exclude=None):
+    """``knn_rows``, leaving out each row's stored point ``exclude`` if given."""
+    if exclude is None:
+        return knn_rows(index, queries, k)
+    return without(knn_rows(index, queries, k + 1), exclude)
 
 
 def nearest(pts, query, k, exclude=None):
     """knn_rows for one query row, leaving out stored point ``exclude`` if given."""
     index = NeighborIndex.from_points(pts)
     rows = np.asarray(query, dtype=np.float64).reshape(1, 3)
-    return knn_rows(index, rows, k, None if exclude is None else [exclude])[0]
+    return knn_except(index, rows, k, None if exclude is None else [exclude])[0]
 
 
 def orient(frame, k_plane):
@@ -134,7 +142,7 @@ class TestKnn:
         pts = random_cloud(500, 7)
         index = NeighborIndex.from_points(pts)
         rows = np.arange(0, 500, 37)
-        got = knn_rows(index, pts[rows], 5, exclude=rows)
+        got = knn_except(index, pts[rows], 5, rows)
         for r, i in enumerate(rows):
             assert got[r].tolist() == brute_knn(pts, pts[i], 5, exclude=i).tolist()
 
@@ -194,7 +202,7 @@ class TestGridKnn:
         # At scale 1e148 the farthest queries' squared distances overflow to
         # inf in the grid and in the oracle alike, and both rank by index.
         with mock.patch.object(geometry, "QUERY_BUDGET", budget), np.errstate(over="ignore"):
-            got = knn_rows(index, queries, k, exclude)
+            got = knn_except(index, queries, k, exclude)
             want = brute_rows(pts, queries, k, exclude)
         assert got.tolist() == want.tolist()
 
@@ -225,7 +233,7 @@ class TestGridKnn:
         pts = random_cloud(300, 7, 1e-170)
         rows = np.arange(0, 300, 29)
         with mock.patch.object(geometry, "QUERY_BUDGET", 16):
-            got = knn_rows(NeighborIndex.from_points(pts), pts[rows], 5, exclude=rows)
+            got = knn_except(NeighborIndex.from_points(pts), pts[rows], 5, rows)
         assert got.tolist() == brute_rows(pts, pts[rows], 5, rows).tolist()
 
     def test_crowded_cell_keeps_blocks_bounded(self):

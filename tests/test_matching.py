@@ -6,6 +6,7 @@ from dpcdenoise.geometry import Frame, NeighborIndex, estimate_normals, knn_rows
 from dpcdenoise.matching import (
     match_patches,
     patch_distance,
+    patch_variations,
     point_correspondence,
     prepare_reference,
     variation_measure,
@@ -165,7 +166,20 @@ class TestPointCorrespondence:
 
 def build_reference(frame, k, c=5.0):
     ps = build_patches(frame, k)
-    return ps, prepare_reference(frame, ps, c)
+    return ps, prepare_reference(ps, c)
+
+
+class TestNeedsNormals:
+    def test_patch_set_over_a_frame_without_normals_is_rejected(self):
+        pts = np.random.default_rng(3).uniform(0, 1, (40, 3))
+        bare = build_patches(Frame(pts), 6)
+        _, ref = build_reference(estimate_normals(Frame(pts), 8)[0], 6)
+        with pytest.raises(ValueError, match="^frame needs normals$"):
+            patch_variations(bare)
+        with pytest.raises(ValueError, match="^reference frame needs normals$"):
+            prepare_reference(bare)
+        with pytest.raises(ValueError, match="^target frame needs normals$"):
+            match_patches(bare, ref, xi=3)
 
 
 class TestTemporalMatch:
@@ -176,7 +190,7 @@ class TestTemporalMatch:
         )
         frame, _ = estimate_normals(seq.frames[0], 10)
         ps, ref = build_reference(frame, 12)
-        matched, distance, point_map = match_patches(frame, ps, ref, xi=5)
+        matched, distance, point_map = match_patches(ps, ref, xi=5)
         # Row l of each array belongs to target patch l. Its twin is patch l
         # itself, unless one of its xi nearest centers has a lower index and
         # the same variation vector, bit for bit: the tie goes to the lower
@@ -202,7 +216,7 @@ class TestTemporalMatch:
         frames = [estimate_normals(f, 10)[0] for f in frames]
         prev_ps, ref = build_reference(frames[0], 10)
         curr_ps = build_patches(frames[1], 10)
-        _, distance, _ = match_patches(frames[1], curr_ps, ref, xi=5)
+        _, distance, _ = match_patches(curr_ps, ref, xi=5)
         assert np.all(distance <= 1e-9)
 
     def test_xi_equals_m_is_global_search(self):
@@ -213,7 +227,7 @@ class TestTemporalMatch:
         curr, _ = estimate_normals(Frame(curr_pts), 8)
         prev_ps, ref = build_reference(prev, 8)
         curr_ps = build_patches(curr, 8)
-        matched, distance, _ = match_patches(curr, curr_ps, ref, xi=150)
+        matched, distance, _ = match_patches(curr_ps, ref, xi=150)
         # Brute-force global minimum over all reference patches.
         for l in range(150):
             target = curr_ps.patch(l)
@@ -249,8 +263,8 @@ class TestDistanceProperties:
         fb, _ = estimate_normals(Frame(pts_b), 10)
         pa = build_patches(fa, 12)
         pb = build_patches(fb, 12)
-        ra = prepare_reference(fa, pa)
-        rb = prepare_reference(fb, pb)
+        ra = prepare_reference(pa)
+        rb = prepare_reference(pb)
         for i in range(200):
             for j in range(200):
                 assert patch_distance(ra.variations[i], rb.variations[j]) <= 1e-6

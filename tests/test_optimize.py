@@ -360,8 +360,8 @@ class TestDenoiseFrame:
 
         pts = np.column_stack([np.arange(12, dtype=float), np.zeros(12), np.zeros(12)])
         ps = build_patches(Frame(pts), 4)
-        edges = spatial_connectivity(ps, pts, 1)
-        rows = oracles.spatial_connectivity(ps, pts, 1)
+        edges = spatial_connectivity(ps, 1)
+        rows = oracles.spatial_connectivity(ps, 1)
         p = pts[ps.members.ravel()] - np.repeat(pts, 5, axis=0)
         assert len(edges) == rows.shape[0] > 12
         assert np.all(p[rows[:, 0]] == p[rows[:, 1]])
@@ -393,7 +393,7 @@ class TestDenoiseFrame:
             u_hat, members, anchors, prev, w, edges, pw, lam1, lam2 = args[:9]
             u = iterates[-1]
             ps = PatchSet(members=members, k=members.shape[1] - 1, frame=Frame(u))
-            rows = oracles.spatial_connectivity(ps, u, cfg.k_s)
+            rows = oracles.spatial_connectivity(ps, cfg.k_s)
             lap = oracles.row_laplacian(rows, members, pw)
             totals.append(dense_objective(result[0], u_hat, members, anchors, prev, w, lap,
                                           lam1, lam2))
@@ -487,15 +487,15 @@ class TestDenoiseFrame:
         rng = np.random.default_rng(21)
         seen = {}
 
-        def match(frame, patchset, reference, *args):
-            matched, distance, point_map = real_match(frame, patchset, reference, *args)
+        def match(patchset, reference, *args):
+            matched, distance, point_map = real_match(patchset, reference, *args)
             if kind == "zeros":
                 point_map = np.zeros_like(point_map)
             elif kind == "random":
                 point_map = rng.integers(0, point_map.shape[1], point_map.shape)
             else:
                 point_map = np.tile(np.arange(point_map.shape[1]), (len(matched), 1))
-            seen.update(rel=reference.rel, matched=matched, point_map=point_map)
+            seen.update(rel=reference.patchset.rel, matched=matched, point_map=point_map)
             return matched, distance, point_map
 
         def solve(u_hat, members, anchor_rows, prev_aligned, *args):

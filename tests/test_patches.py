@@ -5,7 +5,7 @@ import pytest
 from oracles import brute_knn, relative_coords
 
 from dpcdenoise.geometry import MAX_COORDINATE, Frame, NeighborIndex, knn_rows
-from dpcdenoise.patches import Patch, PatchSet, all_relative_coords, build_patches, patch_epsilon
+from dpcdenoise.patches import Patch, PatchSet, build_patches, patch_epsilon
 
 
 class TestBuildPatches:
@@ -65,18 +65,31 @@ class TestBuildPatches:
         assert np.array_equal(big.members, build_patches(Frame(pts), 4).members)
 
 
+def moved(ps, positions):
+    """The patch set ``ps`` with its members over a frame of other positions."""
+    return PatchSet(members=ps.members, k=ps.k, frame=Frame(positions))
+
+
 class TestRelativeCoords:
     def test_row_zero_is_origin(self):
         pts = np.random.default_rng(4).uniform(0, 1, (30, 3))
         ps = build_patches(Frame(pts), 6)
-        assert np.array_equal(all_relative_coords(ps, pts)[:, 0], np.zeros((30, 3)))
+        assert np.array_equal(ps.rel[:, 0], np.zeros((30, 3)))
+
+    def test_rel_is_read_only_and_gathered_from_the_frame(self):
+        pts = np.random.default_rng(3).uniform(0, 1, (30, 3))
+        ps = build_patches(Frame(pts), 6)
+        assert ps.rel.shape == (30, 7, 3) and not ps.rel.flags.writeable
+        want = pts[ps.members] - pts[ps.members[:, :1]]
+        assert ps.rel.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            ps.rel[0, 1] = 0.0
 
     def test_translation_invariance(self):
         pts = np.random.default_rng(5).uniform(0, 1, (30, 3))
         ps = build_patches(Frame(pts), 6)
-        rel = all_relative_coords(ps, pts)
-        rel_shift = all_relative_coords(ps, pts + np.array([5.0, -3.0, 2.0]))
-        assert np.allclose(rel, rel_shift, atol=1e-12)
+        rel_shift = moved(ps, pts + np.array([5.0, -3.0, 2.0])).rel
+        assert np.allclose(ps.rel, rel_shift, atol=1e-12)
 
     def test_rotation_equivariance(self):
         pts = np.random.default_rng(6).uniform(0, 1, (30, 3))
@@ -89,24 +102,22 @@ class TestRelativeCoords:
                 [0.0, 0.0, 1.0],
             ]
         )
-        rel = all_relative_coords(ps, pts)
-        rel_rot = all_relative_coords(ps, pts @ rot.T)
-        assert np.allclose(rel_rot, rel @ rot.T, atol=1e-12)
+        rel_rot = moved(ps, pts @ rot.T).rel
+        assert np.allclose(rel_rot, ps.rel @ rot.T, atol=1e-12)
 
     def test_two_point_example(self):
         pts = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0]])
         ps = PatchSet(members=np.array([[0, 1], [1, 0]]), k=1, frame=Frame(pts))
         assert np.array_equal(
-            all_relative_coords(ps, pts),
+            ps.rel,
             [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]],
         )
 
-    def test_all_relative_coords_matches_per_patch(self):
+    def test_rel_matches_per_patch(self):
         pts = np.random.default_rng(7).uniform(0, 1, (40, 3))
         ps = build_patches(Frame(pts), 5)
-        rel = all_relative_coords(ps, pts)
         for l in range(40):
-            assert np.array_equal(rel[l], relative_coords(ps.patch(l), pts))
+            assert np.array_equal(ps.rel[l], relative_coords(ps.patch(l), pts))
 
 
 class TestPatchEpsilon:

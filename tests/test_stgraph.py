@@ -5,7 +5,7 @@ import pytest
 from test_acceptance import E2E_CONFIG
 
 from dpcdenoise.config import RETIRED, DenoiseConfig
-from dpcdenoise.geometry import Frame, NeighborIndex, estimate_normals, knn_rows
+from dpcdenoise.geometry import Frame, NeighborIndex, estimate_normals, knn_rows, without
 from dpcdenoise.graph import SparseGraph, combinatorial_laplacian
 from dpcdenoise.metrics import add_gaussian_noise
 from dpcdenoise.patches import PatchSet, build_patches
@@ -41,7 +41,7 @@ class TestSpatialConnectivity:
         ps = build_patches(Frame(pts), 2)
         assert ps.members[0].tolist() == [0, 1, 2]
         index = NeighborIndex.from_points(pts)
-        near = knn_rows(index, pts, 1, exclude=np.arange(5))[:, 0]
+        near = without(knn_rows(index, pts, 2), np.arange(5))[:, 0]
         assert near.tolist() == [1, 3, 4, 1, 2]
         assert stgraph._adjacent_patches(ps, 1).tolist() == [[0, 1], [1, 3], [2, 4]]
 
@@ -53,7 +53,7 @@ class TestSpatialConnectivity:
         # its other rows pair a point with itself and are dropped.
         pts = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
         ps = toy_patchset(pts, [[0, 1], [1, 2], [2, 1]], k=1)
-        edges = spatial_connectivity(ps, pts, k_s=1)
+        edges = spatial_connectivity(ps, k_s=1)
         assert edges.points.tolist() == [[0, 1], [1, 2]]
         assert edges.counts.tolist() == [1, 2] and len(edges) == 3
         assert edges.offsets.tolist() == [[-5.0, 0.0, 0.0]] * 2
@@ -65,7 +65,7 @@ class TestSpatialConnectivity:
         # Patch 3 is far away; its nearest is patch 2 (center distance oracle).
         assert got_pairs == {(0, 1), (1, 2), (2, 3)}
         # Every row edge joins two points of one adjacent patch pair.
-        for a, b in spatial_connectivity(ps, pts, k_s=1).points.tolist():
+        for a, b in spatial_connectivity(ps, k_s=1).points.tolist():
             assert any({a, b} <= {*ps.members[l], *ps.members[m]} for l, m in got_pairs)
 
     def test_translation_invariance(self):
@@ -73,8 +73,8 @@ class TestSpatialConnectivity:
         pts = rng.uniform(0, 1, (60, 3))
         frame = Frame(pts)
         ps = build_patches(frame, 6)
-        a = spatial_connectivity(ps, pts, 3)
-        b = spatial_connectivity(ps, pts + np.array([10.0, -4.0, 2.0]), 3)
+        a = spatial_connectivity(ps, 3)
+        b = spatial_connectivity(toy_patchset(pts + np.array([10.0, -4.0, 2.0]), ps.members, 6), 3)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.counts, b.counts)
         assert np.allclose(a.offsets, b.offsets, rtol=0, atol=1e-13)
@@ -92,8 +92,8 @@ class TestSpatialConnectivity:
         ps = build_patches(Frame(pts), 4)
         for k_s in (0, 5):
             with pytest.raises(ValueError, match="k_s"):
-                spatial_connectivity(ps, pts, k_s)
-        assert len(spatial_connectivity(ps, pts, 4)) > 0
+                spatial_connectivity(ps, k_s)
+        assert len(spatial_connectivity(ps, 4)) > 0
 
     def test_key_layout_boundary(self):
         # The largest key is n^2 * 2^bits - 1: at n = 2^20 and 2^22 patch
@@ -121,7 +121,7 @@ class TestSpatialConnectivity:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            edges = spatial_connectivity(ps, frame.positions, cfg.k_s)
+            edges = spatial_connectivity(ps, cfg.k_s)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -202,7 +202,7 @@ class TestSpatialWeights:
         pts = rng.uniform(0, 1, (50, 3))
         frame, _ = estimate_normals(Frame(pts), 8)
         ps = build_patches(frame, 5)
-        edges = spatial_connectivity(ps, pts, 3)
+        edges = spatial_connectivity(ps, 3)
         w = weighted_spatial_graph(edges, frame.normals, 0.5)
         lo, hi = edges.points.T
         lap = combinatorial_laplacian(SparseGraph.from_edges(50, lo, hi, w * edges.counts))
@@ -276,7 +276,7 @@ class TestSpatialEdges:
         # and are dropped.
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
         ps = toy_patchset(pts, [[0, 1], [1, 2], [2, 1]], k=1)
-        edges = spatial_connectivity(ps, pts, k_s=1)
+        edges = spatial_connectivity(ps, k_s=1)
         assert edges.points.tolist() == [[0, 1], [1, 2]]
         assert edges.counts.tolist() == [1, 2] and len(edges) == 3
         assert edges.offsets.tolist() == [[-1.0, 0, 0], [-1.5, 0, 0]]
@@ -286,7 +286,7 @@ class TestSpatialEdges:
         rng = np.random.default_rng(11)
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
         ps = toy_patchset(pts, [[0, 1], [1, 2], [2, 1]], k=1)
-        edges = spatial_connectivity(ps, pts, k_s=1)
+        edges = spatial_connectivity(ps, k_s=1)
         feats = np.hstack([rng.normal(size=(3, 3)), np.tile([0.0, 0.0, 1.0], (3, 1))])
         w = weighted_spatial_graph(edges, feats, 1.0)
         diff = feats[edges.points[:, 0]] - feats[edges.points[:, 1]]
