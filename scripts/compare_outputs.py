@@ -27,7 +27,10 @@ Before the comparisons it prints each side's median time to ``import
 dpcdenoise.cli``, and then to import every module of the package, as
 perfbench's tracer and the annotation test do; each over 5 fresh processes
 per side run in alternation, so a start-up regression shows beside the byte
-check.
+check. It then prints, per side, the modules that one ``denoise`` run of the
+first workload at the first seed loads after ``import dpcdenoise.cli``, in one
+fresh process: an import made lazily during a run, such as numpy's import of
+``numpy.ma`` on a first ``np.median``, does not show in the import times.
 
 ``--acceptance`` adds the end-to-end instance of ``tests/test_acceptance.py``
 (criterion 7). Its inputs come from OLD_SRC's ``synth`` and ``noise`` commands,
@@ -107,6 +110,30 @@ def print_import_times(old: Path, new: Path) -> None:
                 times[src].append(import_seconds(src, label))
         print(f"{label}: old {np.median(times[old]):.3f} s, new {np.median(times[new]):.3f} s "
               f"(median of {IMPORT_RUNS} fresh processes each)", flush=True)
+
+
+def print_lazy_imports(old: Path, new: Path, seed: int, work: Path) -> None:
+    """Print the modules each side's ``denoise`` run of the first workload loads after
+    ``import dpcdenoise.cli``."""
+    workload = next(iter(WORKLOADS.values()))
+    work.mkdir(parents=True)
+    config = work / "run.cfg"
+    workload.write_config(config)
+    inputs = make_inputs(workload, seed, work / "inputs").files
+    for side, src in (("old", old), ("new", new)):
+        argv = ["denoise", "--config", str(config), *map(str, inputs),
+                "--out-dir", str(work / f"lazy-{side}")]
+        code = ("import json, sys; from dpcdenoise.cli import cli_main; "
+                f"before = set(sys.modules); code = cli_main({argv!r}); "
+                "print(json.dumps([code, sorted(set(sys.modules) - before)]))")
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(src), cwd=work,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"{side}: lazy-import run failed: {proc.stderr.strip()[-500:]}", flush=True)
+            continue
+        exit_code, modules = json.loads(proc.stdout.splitlines()[-1])
+        print(f"{side}: one denoise run (exit {exit_code}) loads after import dpcdenoise.cli: "
+              f"{', '.join(modules) or 'no module'}", flush=True)
 
 
 def denoise(src: Path, config: Path, inputs: list, out_dir: Path) -> dict | None:
@@ -293,6 +320,7 @@ def main(argv=None) -> int:
     work = args.work or Path(tempfile.mkdtemp(prefix="compare-outputs-"))
     all_same = True
     try:
+        print_lazy_imports(old, new, seeds[0], work / "lazy-imports")
         for name, workload in WORKLOADS.items():
             for seed in seeds:
                 run_dir = work / f"{name}-seed{seed}"

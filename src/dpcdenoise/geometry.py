@@ -202,7 +202,9 @@ def _first_edge(cols: np.ndarray, want: int) -> float:
     sample = cols[:, np.linspace(0, n - 1, min(EDGE_SAMPLE, n), dtype=np.int64)]
     kth = np.partition(_sq_to(cols, sample), min(want, n - 1), axis=1)[:, min(want, n - 1)]
     span = float(np.max(cols.max(axis=1) - cols.min(axis=1)))
-    reach = (1.0 + 1.0 / np.sqrt(want)) * float(np.sqrt(np.median(kth)))
+    # The median as np.median takes it, whose NaN check would import numpy.ma.
+    kth = np.sort(kth)[(kth.size - 1) // 2:kth.size // 2 + 1]
+    reach = (1.0 + 1.0 / np.sqrt(want)) * float(np.sqrt(np.mean(kth)))
     edge = max(reach / BLOCK_RADIUS, span / MAX_AXIS_CELLS)
     return edge if edge > 0.0 else 1.0
 

@@ -46,6 +46,7 @@ def _read_ply(path: Path) -> Frame:
         raise ParseError(path, 1, "missing 'ply' magic")
     n_vertices = None
     props: list[str] = []
+    saw_element = False
     in_vertex = False
     saw_format = False
     body_start = None
@@ -60,6 +61,9 @@ def _read_ply(path: Path) -> Frame:
         elif tokens[0] == "element":
             if len(tokens) != 3:
                 raise ParseError(path, ln, "malformed element line")
+            if tokens[1] == "vertex" and saw_element:  # the body is read as vertices first
+                raise ParseError(path, ln, "'element vertex' must be the first element, and once")
+            saw_element = True
             if tokens[1] == "vertex":
                 try:
                     n_vertices = int(tokens[2])

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import NeighborIndex, knn_rows
-from .patches import PATCH_BLOCK, Patch, PatchSet, member_distances, patch_epsilons, sq_dists
+from .patches import PATCH_BLOCK, PatchSet, member_distances, patch_epsilons, sq_dists
 
 
 def _variation_rows(dist: np.ndarray, normals: np.ndarray, epsilon: np.ndarray) -> np.ndarray:
@@ -35,46 +35,51 @@ def _variation_rows(dist: np.ndarray, normals: np.ndarray, epsilon: np.ndarray) 
     return np.einsum("bij,bjk->bik", coef, normals, optimize=False)
 
 
+def member_variations(
+    points: np.ndarray, normals: np.ndarray, c: float = 5.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Epsilon, variation rows and variation vector of b member sets at once.
+
+    ``points`` and ``normals`` are the (b, s, 3) member coordinates and
+    normals, s >= 2. Returns the (b,) graph radii, ``c`` times the mean
+    nearest-member distance; the (b, s, 3) per-point variation rows of each
+    set's normals; and the (b, 3) per-axis mean absolute variation.
+    """
+    if points.shape[1] < 2:
+        raise ValueError("patch needs at least two members")
+    dist = member_distances(points)
+    eps = patch_epsilons(dist, c)
+    rows = _variation_rows(dist, normals, eps)
+    return eps, rows, np.mean(np.abs(rows), axis=1)
+
+
 def patch_variations(
     patchset: PatchSet, c: float = 5.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Epsilon, variation rows and variation vector of every patch.
+    """:func:`member_variations` of every patch, ``PATCH_BLOCK`` patches at a time.
 
-    Returns, indexed like ``patchset.members``, the (m,) graph radii (see
-    :func:`~dpcdenoise.patches.patch_epsilon`), the (m, k+1, 3) per-point
-    variation rows of each patch's normals, and the (m, 3) per-axis mean
-    absolute variation. The patch set's frame must carry normals.
+    Returns arrays indexed like ``patchset.members``: the (m,) radii, the
+    (m, k+1, 3) variation rows and the (m, 3) variation vectors. The patch
+    set's frame must carry normals.
     """
     frame, members = patchset.frame, patchset.members
     if frame.normals is None:
         raise ValueError("frame needs normals")
-    if members.shape[1] < 2:
-        raise ValueError("patch needs at least two members")
     eps = np.empty(members.shape[0])
     rows = np.empty(members.shape + (3,))
+    variations = np.empty((members.shape[0], 3))
     for start in range(0, members.shape[0], PATCH_BLOCK):
         part = slice(start, start + PATCH_BLOCK)
-        dist = member_distances(frame.positions[members[part]])
-        eps[part] = patch_epsilons(dist, c)
-        rows[part] = _variation_rows(dist, frame.normals[members[part]], eps[part])
-    return eps, rows, np.mean(np.abs(rows), axis=1)
+        idx = members[part]
+        eps[part], rows[part], variations[part] = member_variations(
+            frame.positions[idx], frame.normals[idx], c)
+    return eps, rows, variations
 
 
-def variation_measure(
-    patch: Patch, positions: np.ndarray, normals: np.ndarray, epsilon: float
-) -> np.ndarray:
-    """Per-axis total variation of a patch's normals, as a 3-vector."""
-    idx = patch.member_indices
-    pts = np.asarray(positions, dtype=np.float64)[idx][None]
-    nrm = np.asarray(normals, dtype=np.float64)[idx][None]
-    rows = _variation_rows(member_distances(pts), nrm, np.array([float(epsilon)]))
-    return np.mean(np.abs(rows[0]), axis=0)
-
-
-def patch_distance(va: np.ndarray, vb: np.ndarray) -> float:
-    """Distance between two variation vectors: l2 norm of the per-axis gaps."""
+def patch_distance(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """Distance between variation vectors: l2 norm of the per-axis gaps, over the last axis."""
     d = np.asarray(va, dtype=np.float64) - np.asarray(vb, dtype=np.float64)
-    return float(np.sqrt(np.sum(d * d)))
+    return np.sqrt(np.sum(d * d, axis=-1))
 
 
 def point_correspondence(
@@ -167,8 +172,7 @@ def match_patches(
         raise ValueError("xi must be >= 1")
     eps, rows, variations = patch_variations(patchset, c)
     cand = knn_rows(reference.center_index, patchset.frame.positions, min(xi, len(reference)))
-    gaps = reference.variations[cand] - variations[:, None, :]
-    dists = np.sqrt(np.sum(gaps * gaps, axis=2))
+    dists = patch_distance(reference.variations[cand], variations[:, None, :])
     distance = np.min(dists, axis=1)
     matched = np.min(np.where(dists == distance[:, None], cand, len(reference)), axis=1)
     point_map = np.empty(patchset.members.shape, dtype=np.int64)

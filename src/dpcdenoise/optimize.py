@@ -336,13 +336,9 @@ def _edge_weight_summary(edges: SpatialEdges, pair_weights: np.ndarray) -> dict:
 
 
 class PreparedFrame(NamedTuple):
-    """The patches of a frame with normals, ``patchset.frame``, and its sizes.
-
-    ``table`` is None if normals were given.
-    """
+    """The patches of a frame with normals, ``patchset.frame``, and its sizes."""
 
     patchset: PatchSet
-    table: Optional[np.ndarray]
     degenerate_normals: int
     k_plane: int
     k_s: int
@@ -368,8 +364,7 @@ def prepare_frame(frame: Frame, config: DenoiseConfig,
         table = knn_rows(NeighborIndex.from_points(frame.positions), frame.positions,
                          max(k_plane, k) + 1)
         frame, degenerate = estimate_normals(frame, k_plane, table)
-    return PreparedFrame(build_patches(frame, k, table), table, degenerate,
-                         k_plane, min(config.k_s, k))
+    return PreparedFrame(build_patches(frame, k, table), degenerate, k_plane, min(config.k_s, k))
 
 
 def build_reference(previous: Frame, config: DenoiseConfig, current_size: int):
@@ -425,13 +420,12 @@ def denoise_frame(
                          "stop_reason": "max_iters"}
 
     for it in range(config.outer_max_iters):
-        patchset, table, degen, k_plane_eff, k_s_eff = prepare_frame(
+        patchset, degen, k_plane_eff, k_s_eff = prepare_frame(
             Frame(u, None, noisy.frame_index), config, other_size)
         normals = patchset.frame.normals
         if it == 0:
-            # Column 1 is each input point's nearest other point, or the point
-            # itself behind a duplicate of lower index: the same distance either way.
-            spacing = float(np.mean(np.sqrt(np.sum((u[table[:, 1]] - u) ** 2, axis=1))))
+            # Member 1 of patch l is a nearest other input point of point l.
+            spacing = float(np.mean(np.sqrt(np.sum(patchset.rel[:, 1] ** 2, axis=1))))
             if spacing == 0.0:
                 raise ValueError(f"frame {noisy.frame_index}: every point coincides with "
                                  "another point, so the frame has no spacing")

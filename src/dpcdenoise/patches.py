@@ -15,33 +15,6 @@ PATCH_BLOCK = 64
 
 
 @dataclass(frozen=True)
-class Patch:
-    """A center point plus its k nearest neighbors.
-
-    ``member_indices[0]`` is the center; the rest follow in ascending
-    distance order (ties by ascending point index).
-    """
-
-    center_index: int
-    member_indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        members = np.asarray(self.member_indices, dtype=np.int64)
-        if members.ndim != 1 or members.size < 1:
-            raise ValueError("member_indices must be a non-empty 1-D array")
-        if members[0] != self.center_index:
-            raise ValueError("member_indices[0] must be the center")
-        if np.unique(members).size != members.size:
-            raise ValueError("duplicate member indices")
-        members = np.ascontiguousarray(members)
-        members.flags.writeable = False
-        object.__setattr__(self, "member_indices", members)
-
-    def __len__(self) -> int:
-        return self.member_indices.size
-
-
-@dataclass(frozen=True)
 class PatchSet:
     """All patches of one frame: row l of the (n, k+1) ``members`` is patch l, centered on point l.
 
@@ -76,9 +49,6 @@ class PatchSet:
     def __len__(self) -> int:
         return self.members.shape[0]
 
-    def patch(self, l: int) -> Patch:
-        return Patch(l, self.members[l])
-
 
 def build_patches(frame: Frame, k: int, neighbors: Optional[np.ndarray] = None) -> PatchSet:
     """One patch per point: patch l is point l followed by its ``k`` nearest other points.
@@ -100,18 +70,6 @@ def build_patches(frame: Frame, k: int, neighbors: Optional[np.ndarray] = None) 
     members[:, 0] = centers
     members[:, 1:] = without(neighbors[:, :k + 1], centers)
     return PatchSet(members=members, k=k, frame=frame)
-
-
-def patch_epsilon(patch: Patch, positions: np.ndarray, c: float = 5.0) -> float:
-    """Neighborhood-graph radius for a patch.
-
-    Mean over the patch's points of the distance to the nearest other
-    patch point, scaled by ``c``.
-    """
-    if len(patch) < 2:
-        raise ValueError("patch needs at least two members")
-    pts = np.asarray(positions, dtype=np.float64)[patch.member_indices]
-    return float(patch_epsilons(member_distances(pts[None]), c)[0])
 
 
 def member_distances(pts: np.ndarray) -> np.ndarray:

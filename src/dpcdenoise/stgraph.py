@@ -71,6 +71,12 @@ def edge_key_bits(n: int, patch_pairs: int) -> int:
     return bits
 
 
+def _unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` by sort: numpy 2's hash path imports numpy.ma and runs slower on these keys."""
+    ordered = np.sort(values)
+    return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+
+
 def _adjacent_patches(patchset: PatchSet, k_s: int) -> np.ndarray:
     """Sorted (pairs, 2) patch pairs l < m, either among the other's ``k_s`` nearest centers.
 
@@ -81,7 +87,7 @@ def _adjacent_patches(patchset: PatchSet, k_s: int) -> np.ndarray:
     m = len(patchset)
     near = patchset.members[:, 1:k_s + 1].ravel()
     own = np.repeat(np.arange(m), k_s)
-    adjacent = np.unique(np.minimum(own, near) * m + np.maximum(own, near))
+    adjacent = _unique(np.minimum(own, near) * m + np.maximum(own, near))
     return np.column_stack([adjacent // m, adjacent % m])
 
 
@@ -283,7 +289,7 @@ def spatial_connectivity(patchset: PatchSet, k_s: int) -> SpatialEdges:
     # Fold chunks of whole pairs, each starting at the pair that holds a
     # multiple of FOLD_CHUNK edges. Every pair is summed by the same
     # np.add.reduceat segment as over the whole buffer.
-    cuts = np.unique(np.searchsorted(starts, np.arange(0, keys.size, FOLD_CHUNK), "right") - 1)
+    cuts = _unique(np.searchsorted(starts, np.arange(0, keys.size, FOLD_CHUNK), "right") - 1)
     for lo, hi in zip(cuts, np.append(cuts[1:], starts.size)):
         codes = keys[bounds[lo] : bounds[hi]] & ((1 << bits) - 1)
         local = starts[lo:hi] - bounds[lo]

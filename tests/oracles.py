@@ -19,10 +19,10 @@ def brute_knn(points, query, k, exclude=None):
     return order[:k]
 
 
-def relative_coords(patch, positions):
-    """One patch's member coordinates relative to its center; row 0 is zero."""
+def relative_coords(members, positions):
+    """One patch's member coordinates relative to its center, member 0; row 0 is zero."""
     pts = np.asarray(positions, dtype=np.float64)
-    return pts[patch.member_indices] - pts[patch.center_index]
+    return pts[members] - pts[members[0]]
 
 
 def build_epsilon_graph(points, epsilon):

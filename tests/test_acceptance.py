@@ -18,7 +18,7 @@ from dpcdenoise.cli import cli_main
 from dpcdenoise.geometry import Frame, estimate_normals
 from dpcdenoise.graph import apply_rw, combinatorial_laplacian, random_walk_laplacian
 from dpcdenoise.io import read_point_cloud
-from dpcdenoise.matching import match_patches, patch_distance, prepare_reference, variation_measure
+from dpcdenoise.matching import match_patches, member_variations, patch_distance, prepare_reference
 from dpcdenoise.metrics import mse_nn
 from dpcdenoise.optimize import (
     learn_metric,
@@ -28,7 +28,7 @@ from dpcdenoise.optimize import (
     solve_point_cloud,
     solve_temporal_weights,
 )
-from dpcdenoise.patches import Patch, build_patches, patch_epsilon
+from dpcdenoise.patches import build_patches
 from dpcdenoise.synthetic import sample_gaussian_bump
 
 # Calibrated end-to-end configuration for the 2000-point, 2%-of-diagonal
@@ -115,9 +115,8 @@ def test_criterion_2_property2_ordering():
         for kind_seed, height in ((100 + t, 0.0), (200 + t, 0.0), (300 + t, 0.35), (400 + t, 1.1)):
             pts, _ = sample_gaussian_bump(120, height, seed=kind_seed)
             frame, _ = estimate_normals(Frame(pts), 10)
-            patch = Patch(0, np.arange(120))
-            eps = patch_epsilon(patch, frame.positions, 5.0)
-            variations.append(variation_measure(patch, frame.positions, frame.normals, eps))
+            variations.append(
+                member_variations(frame.positions[None], frame.normals[None], 5.0)[2][0])
         d_flat = patch_distance(variations[0], variations[1])
         d_gentle = patch_distance(variations[0], variations[2])
         d_sharp = patch_distance(variations[0], variations[3])

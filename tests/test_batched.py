@@ -34,7 +34,7 @@ from test_acceptance import (
 from dpcdenoise.config import RETIRED, DenoiseConfig
 from dpcdenoise.geometry import Frame, NeighborIndex, knn_rows, without
 from dpcdenoise.graph import CsrMatrix, SparseGraph, combinatorial_laplacian
-from dpcdenoise.matching import match_patches, patch_variations, prepare_reference
+from dpcdenoise.matching import match_patches, member_variations, patch_variations, prepare_reference
 from dpcdenoise.metrics import add_gaussian_noise
 from dpcdenoise.optimize import (
     SolverError,
@@ -151,6 +151,28 @@ class TestPatchVariations:
         assert bits(eps) == bits(want[0])
         assert bits(rows) == bits(want[1])
         assert bits(variations) == bits(want[2])
+
+    @PROPERTY
+    @given(clouds(), st.integers(1, 6), st.integers(2, 12), st.sampled_from([0.3, 1.0, 5.0]))
+    def test_member_variations_stack_equals_single_sets(self, cloud, b, s, c):
+        # b member sets in one call give what b one-set calls give, bit for
+        # bit, and the per-set oracle to 1e-12.
+        pts, rng = cloud
+        sets = np.array([rng.choice(len(pts), min(s, len(pts)), replace=False)
+                         for _ in range(b)])
+        normals = unit_normals(rng, len(pts))
+        assume(min(oracle_epsilon(pts[idx], c) for idx in sets) > 0)
+        eps, rows, variations = member_variations(pts[sets], normals[sets], c)
+        assert eps.shape == (b,) and rows.shape == sets.shape + (3,) and variations.shape == (b, 3)
+        for i, idx in enumerate(sets):
+            one = member_variations(pts[idx][None], normals[idx][None], c)
+            assert bits(eps[i]) == bits(one[0])
+            assert bits(rows[i]) == bits(one[1])
+            assert bits(variations[i]) == bits(one[2])
+            want = variation_rows(pts[idx], normals[idx], oracle_epsilon(pts[idx], c))
+            np.testing.assert_allclose(rows[i], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(variations[i], np.mean(np.abs(want), axis=0),
+                                       rtol=0, atol=1e-12)
 
     def test_member_without_neighbor_gives_zero_row(self):
         pts = np.array([[0.0, 0, 0], [0.1, 0, 0], [0.0, 0.1, 0], [5.0, 0, 0]])

@@ -129,6 +129,33 @@ class TestPly:
         assert err.startswith("data error: ")
         assert re.search(re.escape(str(path)) + message, err)
 
+    @pytest.mark.parametrize("elements, message", [
+        # A face element before the vertex element: its lines would be read
+        # as vertices, or fail on their token count.
+        pytest.param(["element face 1\nproperty list uchar int vertex_indices\n",
+                      "element vertex 2\n"],
+                     r":5: 'element vertex' must be the first element, and once",
+                     id="face-first"),
+        pytest.param(["element vertex 2\n", "element vertex 2\n"],
+                     r":7: 'element vertex' must be the first element, and once",
+                     id="vertex-twice"),
+    ])
+    @pytest.mark.parametrize("face_line", ["3 0 1", "4 0 1 0"])
+    def test_vertex_element_must_come_first_and_once(self, tmp_path, capsys, elements, message,
+                                                     face_line):
+        from dpcdenoise.cli import cli_main
+
+        xyz = "property float x\nproperty float y\nproperty float z\n"
+        header = "".join(e + xyz if e.startswith("element vertex") else e for e in elements)
+        path = tmp_path / "bad.ply"
+        path.write_text(f"ply\nformat ascii 1.0\n{header}end_header\n"
+                        f"{face_line}\n0 0 0\n1 0 0\n")
+        with pytest.raises(ParseError, match=message):
+            read_point_cloud(path)
+        code = cli_main(["denoise", "--out-dir", str(tmp_path / "out"), str(path)])
+        assert code == 2
+        assert re.search(re.escape(str(path)) + message, capsys.readouterr().err)
+
 
 class TestXyz:
     def test_three_columns(self, tmp_path):

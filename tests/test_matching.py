@@ -5,18 +5,20 @@ from oracles import variation_rows
 from dpcdenoise.geometry import Frame, NeighborIndex, estimate_normals, knn_rows
 from dpcdenoise.matching import (
     match_patches,
+    member_variations,
     patch_distance,
     patch_variations,
     point_correspondence,
     prepare_reference,
-    variation_measure,
 )
-from dpcdenoise.patches import Patch, build_patches, patch_epsilon
+from dpcdenoise.patches import build_patches, member_distances, patch_epsilons
 from dpcdenoise.synthetic import SyntheticSpec, generate_sequence, sample_gaussian_bump
 
 
-def whole_cloud_patch(n):
-    return Patch(0, np.arange(n))
+def variation(points, normals, c):
+    """The radius and variation vector of one patch of the (s, 3) members."""
+    eps, _, v = member_variations(points[None], normals[None], c)
+    return eps[0], v[0]
 
 
 def dense_variation(points, normals, epsilon):
@@ -40,14 +42,15 @@ class TestVariationMeasure:
         rng = np.random.default_rng(0)
         pts = np.column_stack([rng.uniform(0, 1, (20, 2)), np.zeros(20)])
         normals = np.tile((0.0, 0.0, 1.0), (20, 1))
-        patch = whole_cloud_patch(20)
-        v = variation_measure(patch, pts, normals, 0.5)
+        _, v = variation(pts, normals, 5.0)
         assert np.allclose(v, 0.0, atol=1e-12)
 
     def test_two_node_example(self):
+        # The members are 1 apart, so c = 2 gives epsilon 2 and one edge.
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         normals = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        v = variation_measure(whole_cloud_patch(2), pts, normals, 2.0)
+        eps, v = variation(pts, normals, 2.0)
+        assert eps == 2.0
         assert np.allclose(v, [1.0, 0.0, 1.0])
 
     def test_matches_dense_reference(self):
@@ -55,19 +58,23 @@ class TestVariationMeasure:
         pts = rng.uniform(0, 1, (15, 3))
         normals = rng.normal(size=(15, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        eps = 0.6
-        v = variation_measure(whole_cloud_patch(15), pts, normals, eps)
+        eps, v = variation(pts, normals, 2.0)
         assert np.allclose(v, dense_variation(pts, normals, eps), atol=1e-12)
+        assert np.any(v > 0.1)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)
         pts = rng.uniform(0, 1, (12, 3))
         normals = rng.normal(size=(12, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        v1 = variation_measure(whole_cloud_patch(12), pts, normals, 0.7)
+        _, v1 = variation(pts, normals, 3.0)
         perm = rng.permutation(12)
-        v2 = variation_measure(whole_cloud_patch(12), pts[perm], normals[perm], 0.7)
+        _, v2 = variation(pts[perm], normals[perm], 3.0)
         assert np.allclose(v1, v2, atol=1e-12)
+
+    def test_needs_two_members(self):
+        with pytest.raises(ValueError, match="two members"):
+            member_variations(np.zeros((1, 1, 3)), np.ones((1, 1, 3)), 5.0)
 
 
 class TestPatchDistance:
@@ -83,6 +90,13 @@ class TestPatchDistance:
         for _ in range(20):
             a, b = rng.uniform(0, 2, 3), rng.uniform(0, 2, 3)
             assert patch_distance(a, b) == patch_distance(b, a)
+
+    def test_reduces_the_last_axis(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.uniform(0, 2, (4, 3)), rng.uniform(0, 2, (6, 3))
+        got = patch_distance(a[:, None, :], b[None, :, :])
+        assert got.shape == (4, 6)
+        assert got.tolist() == [[patch_distance(x, y) for y in b] for x in a]
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(4)
@@ -230,18 +244,14 @@ class TestTemporalMatch:
         matched, distance, _ = match_patches(curr_ps, ref, xi=150)
         # Brute-force global minimum over all reference patches.
         for l in range(150):
-            target = curr_ps.patch(l)
-            eps = patch_epsilon(target, curr.positions, 5.0)
-            rows = variation_rows(
-                curr.positions[target.member_indices],
-                curr.normals[target.member_indices],
-                eps,
-            )
+            pts = curr.positions[curr_ps.members[l]]
+            eps = patch_epsilons(member_distances(pts[None]), 5.0)[0]
+            rows = variation_rows(pts, curr.normals[curr_ps.members[l]], eps)
             v_t = np.mean(np.abs(rows), axis=0)
-            dists = [patch_distance(v_t, ref.variations[j]) for j in range(150)]
-            best = int(np.lexsort((np.arange(150), np.asarray(dists)))[0])
+            dists = patch_distance(v_t, ref.variations)
+            best = int(np.lexsort((np.arange(150), dists))[0])
             assert matched[l] == best
-            assert distance[l] == pytest.approx(min(dists), abs=1e-12)
+            assert distance[l] == pytest.approx(dists.min(), abs=1e-12)
 
 
 class TestDistanceProperties:
@@ -274,16 +284,14 @@ class TestDistanceProperties:
         wins = 0
         trials = 20
         for t in range(trials):
-            flat_a, na = sample_gaussian_bump(120, 0.0, seed=100 + t)
-            flat_b, nb = sample_gaussian_bump(120, 0.0, seed=200 + t)
-            gentle, ng = sample_gaussian_bump(120, 0.35, seed=300 + t)
-            sharp, ns = sample_gaussian_bump(120, 1.1, seed=400 + t)
-            vs = []
-            for pts, _ in ((flat_a, na), (flat_b, nb), (gentle, ng), (sharp, ns)):
-                frame, _ = estimate_normals(Frame(pts), 10)
-                patch = whole_cloud_patch(120)
-                eps = patch_epsilon(patch, frame.positions, 5.0)
-                vs.append(variation_measure(patch, frame.positions, frame.normals, eps))
+            flat_a, _ = sample_gaussian_bump(120, 0.0, seed=100 + t)
+            flat_b, _ = sample_gaussian_bump(120, 0.0, seed=200 + t)
+            gentle, _ = sample_gaussian_bump(120, 0.35, seed=300 + t)
+            sharp, _ = sample_gaussian_bump(120, 1.1, seed=400 + t)
+            frames = [estimate_normals(Frame(pts), 10)[0] for pts in (flat_a, flat_b, gentle, sharp)]
+            # The four clouds are one stack of four whole-cloud patches.
+            vs = member_variations(np.stack([f.positions for f in frames]),
+                                   np.stack([f.normals for f in frames]), 5.0)[2]
             d_flat = patch_distance(vs[0], vs[1])
             d_gentle = patch_distance(vs[0], vs[2])
             d_sharp = patch_distance(vs[0], vs[3])

@@ -412,8 +412,8 @@ class TestDenoiseFrame:
         assert "best_iteration" not in report.to_dict()
 
     def test_spacing_is_mean_nn_distance_of_the_input(self):
-        # Column 1 of the first neighbor table gives the same mean, bit for
-        # bit, also where exact duplicates put a point itself in column 1.
+        # Member 1 of each first-pass patch gives the same mean, bit for bit,
+        # also where exact duplicates put the duplicate there.
         pts = small_sequence(1).frames[0].positions.copy()
         pts[60:70] = pts[:10]
         noisy = Frame(pts)

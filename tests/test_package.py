@@ -62,3 +62,25 @@ def test_imports_load_no_scipy():
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
         assert done.stdout.strip() == "[]", module
+
+
+def test_synth_and_denoise_load_no_numpy_ma_or_scipy(tmp_path):
+    # np.median and np.unique import numpy.ma on first use, about 11-15 ms
+    # of a process; a run through the command line loads neither it nor
+    # scipy. The modules are read after the run in a fresh interpreter.
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import glob, sys\n"
+        "from dpcdenoise.cli import cli_main\n"
+        "assert cli_main(['synth', '--kind', 'sinusoid-sheet', '--points', '200',\n"
+        "                 '--frames', '2', '--out-dir', 'clean']) == 0\n"
+        "frames = sorted(glob.glob('clean/*.ply'))\n"
+        "assert cli_main(['denoise', *frames, '--out-dir', 'out']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')\n"
+        "             or m.split('.')[0].startswith('scipy')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert len(list((tmp_path / "out").glob("*.ply"))) == 2

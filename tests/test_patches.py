@@ -5,7 +5,7 @@ import pytest
 from oracles import brute_knn, relative_coords
 
 from dpcdenoise.geometry import MAX_COORDINATE, Frame, NeighborIndex, knn_rows
-from dpcdenoise.patches import Patch, PatchSet, build_patches, patch_epsilon
+from dpcdenoise.patches import PatchSet, build_patches, member_distances, patch_epsilons
 
 
 class TestBuildPatches:
@@ -117,46 +117,35 @@ class TestRelativeCoords:
         pts = np.random.default_rng(7).uniform(0, 1, (40, 3))
         ps = build_patches(Frame(pts), 5)
         for l in range(40):
-            assert np.array_equal(ps.rel[l], relative_coords(ps.patch(l), pts))
+            assert np.array_equal(ps.rel[l], relative_coords(ps.members[l], pts))
+
+
+def epsilon(points, c):
+    """The graph radius of one patch of the (s, 3) member ``points``."""
+    return float(patch_epsilons(member_distances(points[None]), c)[0])
 
 
 class TestPatchEpsilon:
     def test_two_points(self):
-        patch = Patch(0, np.array([0, 1]))
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        assert patch_epsilon(patch, pts, 5.0) == pytest.approx(5.0)
+        assert epsilon(pts, 5.0) == pytest.approx(5.0)
 
     def test_regular_grid(self):
         h = 0.2
         pts = np.column_stack([np.arange(6) * h, np.zeros(6), np.zeros(6)])
-        patch = Patch(0, np.arange(6))
-        assert patch_epsilon(patch, pts, 5.0) == pytest.approx(5.0 * h)
+        assert epsilon(pts, 5.0) == pytest.approx(5.0 * h)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(8)
         pts = rng.uniform(0, 1, (25, 3))
-        patch = Patch(3, np.concatenate([[3], np.setdiff1d(np.arange(25), [3])[:10]]))
-        sub = pts[patch.member_indices]
+        sub = pts[np.concatenate([[3], np.setdiff1d(np.arange(25), [3])[:10]])]
         d = np.sqrt(np.sum((sub[:, None] - sub[None]) ** 2, axis=2))
         np.fill_diagonal(d, np.inf)
         want = 5.0 * np.mean(d.min(axis=1))
-        assert patch_epsilon(patch, pts, 5.0) == pytest.approx(want, abs=1e-12)
-
-    def test_needs_two_members(self):
-        patch = Patch(0, np.array([0]))
-        with pytest.raises(ValueError, match="two members"):
-            patch_epsilon(patch, np.zeros((1, 3)), 5.0)
+        assert epsilon(sub, 5.0) == pytest.approx(want, abs=1e-12)
 
 
 class TestPatchInvariants:
-    def test_center_is_member_zero(self):
-        with pytest.raises(ValueError, match="center"):
-            Patch(1, np.array([0, 1]))
-
-    def test_no_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Patch(0, np.array([0, 1, 1]))
-
     def test_patch_l_is_centered_on_point_l(self):
         pts = np.random.default_rng(9).uniform(0, 1, (3, 3))
         PatchSet(members=np.array([[0, 1], [1, 0], [2, 1]]), k=1, frame=Frame(pts))
