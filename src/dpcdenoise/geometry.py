@@ -349,18 +349,6 @@ def _rank(sq: np.ndarray, point_of: np.ndarray, slots: np.ndarray, want: int):
     return near, kth
 
 
-def mean_nn_distance(frame: Frame, index: Optional[NeighborIndex] = None) -> float:
-    """Mean over all points of the distance to their nearest other point."""
-    n = len(frame)
-    if n < 2:
-        raise ValueError("need two points")
-    if index is None:
-        index = NeighborIndex.from_points(frame.positions)
-    pts = frame.positions
-    nearest = without(knn_rows(index, pts, 2), np.arange(n))[:, 0]
-    return float(np.mean(np.sqrt(np.sum((pts[nearest] - pts) ** 2, axis=1))))
-
-
 def _lex_canonical_sign(vectors: np.ndarray) -> np.ndarray:
     """Flip rows so the first nonzero of (z, y, x) is positive; zero rows unchanged."""
     v = vectors.copy()

@@ -75,6 +75,8 @@ def _read_ply(path: Path) -> Frame:
             else:
                 in_vertex = False
         elif tokens[0] == "property":
+            if not saw_element:
+                raise ParseError(path, ln, "property line before any element line")
             if in_vertex:
                 if len(tokens) != 3 or tokens[1] not in _FLOAT_TYPES:
                     raise ParseError(path, ln, f"unsupported vertex property {raw.strip()!r}")

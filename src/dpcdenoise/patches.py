@@ -18,9 +18,9 @@ PATCH_BLOCK = 64
 class PatchSet:
     """All patches of one frame: row l of the (n, k+1) ``members`` is patch l, centered on point l.
 
-    ``rel`` holds the (n, k+1, 3) member positions of every patch relative
-    to its center, read-only: ``rel[l, r]`` is ``positions[members[l, r]] -
-    positions[l]`` for the frame's positions.
+    A row holds k+1 distinct points. ``rel`` holds the (n, k+1, 3) member
+    positions of every patch relative to its center, read-only: ``rel[l, r]``
+    is ``positions[members[l, r]] - positions[l]`` for the frame's positions.
     """
 
     members: np.ndarray
@@ -38,6 +38,9 @@ class PatchSet:
             raise ValueError("member index out of range")
         if not np.array_equal(members[:, 0], np.arange(len(self.frame))):
             raise ValueError("patch l must be centered on point l of the frame")
+        ordered = np.sort(members, axis=1)
+        if np.any(ordered[:, 1:] == ordered[:, :-1]):
+            raise ValueError("a patch holds a member twice")
         members = np.ascontiguousarray(members)
         members.flags.writeable = False
         object.__setattr__(self, "members", members)

@@ -25,10 +25,26 @@ def relative_coords(members, positions):
     return pts[members] - pts[members[0]]
 
 
-def build_epsilon_graph(points, epsilon):
-    """Unit-weight edges between points strictly closer than ``epsilon``, from all pairs."""
-    from dpcdenoise.graph import SparseGraph
+def mean_nearest_distance(points):
+    """Mean over all points of the distance to their nearest other point, by ``brute_knn``."""
+    pts = np.asarray(points, dtype=np.float64)
+    nearest = np.array([brute_knn(pts, p, 1, exclude=i)[0] for i, p in enumerate(pts)])
+    return float(np.mean(np.sqrt(np.sum((pts[nearest] - pts) ** 2, axis=1))))
 
+
+def dense_adjacency(n, i, j, w):
+    """The symmetric n x n adjacency of the undirected edges (i, j) weighing w."""
+    a = np.zeros((n, n))
+    a[i, j] = w
+    a[j, i] = w
+    return a
+
+
+def build_epsilon_graph(points, epsilon):
+    """Unit-weight dense adjacency of the points strictly closer than ``epsilon``.
+
+    Every pair is scanned.
+    """
     if not np.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
     if epsilon <= 0:
@@ -36,22 +52,19 @@ def build_epsilon_graph(points, epsilon):
     pts = np.asarray(points, dtype=np.float64)
     d = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
     i, j = np.nonzero(np.triu(d < epsilon, k=1))
-    return SparseGraph.from_edges(pts.shape[0], i, j, np.ones(i.size))
+    return dense_adjacency(pts.shape[0], i, j, 1.0)
 
 
 def variation_rows(points, normals, epsilon):
     """Per-patch variation rows: the epsilon graph's random-walk Laplacian on the normals.
 
-    Builds one epsilon graph and one sparse Laplacian per call, and applies
-    its dense copy with a sequential sum over each row; the batched passes in
-    ``dpcdenoise.matching`` must match it bit for bit.
+    Builds one dense epsilon graph and its dense random-walk Laplacian per
+    call, and applies it with a sequential sum over each row; the batched
+    passes in ``dpcdenoise.matching`` must match it bit for bit.
     """
-    from dpcdenoise.graph import random_walk_laplacian
-
-    lap = random_walk_laplacian(build_epsilon_graph(points, epsilon))
+    _, rw = dense_laplacians(build_epsilon_graph(points, epsilon))
     normals = np.asarray(normals, dtype=np.float64)
-    return np.einsum("ij,jk->ik", lap.matrix.toarray(), normals, optimize=False)
-
+    return np.einsum("ij,jk->ik", rw, normals, optimize=False)
 
 
 def adjacent_patches(centers, k_s):
@@ -156,17 +169,15 @@ def metric_gram(diffs, terms):
 
 
 def row_edge_weights(pairs, row_features):
-    """Spatial edge weights computed once per row edge: exp(-||df||^2).
+    """Dense row-graph adjacency whose edges weigh exp(-||df||^2), computed once per row edge.
 
     ``row_features`` holds each patch row's point feature, gathered per row;
     ``dpcdenoise.stgraph`` computes each weight once per point pair and
     must match this bit for bit.
     """
-    from dpcdenoise.graph import SparseGraph
-
     diff = row_features[pairs[:, 0]] - row_features[pairs[:, 1]]
     w = np.exp(-np.sum(diff * diff, axis=1))
-    return SparseGraph.from_edges(row_features.shape[0], pairs[:, 0], pairs[:, 1], w)
+    return dense_adjacency(row_features.shape[0], pairs[:, 0], pairs[:, 1], w)
 
 
 def group_rows(rows, members):
@@ -196,43 +207,39 @@ def fold_rows(rows, members, anchor_rows):
 
 
 def row_laplacian(rows, members, pair_weights):
-    """Combinatorial Laplacian of the row graph whose edges carry their point pair's weight."""
-    from dpcdenoise.graph import SparseGraph, combinatorial_laplacian
-
+    """Dense combinatorial Laplacian of the row graph; each edge weighs its point pair's weight."""
     _, inverse = group_rows(rows, members)
-    graph = SparseGraph.from_edges(members.size, rows[:, 0], rows[:, 1], pair_weights[inverse])
-    return combinatorial_laplacian(graph)
+    a = dense_adjacency(members.size, rows[:, 0], rows[:, 1], pair_weights[inverse])
+    return dense_laplacians(a)[0]
 
 
-def dense_laplacians(graph):
-    """Dense adjacency, combinatorial Laplacian, random-walk Laplacian."""
-    n = graph.node_count
-    a = np.zeros((n, n))
-    for i, j, w in zip(graph.edge_i, graph.edge_j, graph.weights):
-        a[i, j] = a[j, i] = w
+def dense_laplacians(a):
+    """Combinatorial Laplacian D - A and random-walk Laplacian I - D^-1 A of a dense adjacency.
+
+    A node of degree 0 gets a zero row in both. Off the diagonal the
+    random-walk row stores -a_ij / deg_i at edges and 0.0 elsewhere.
+    """
     deg = a.sum(axis=1)
     lap = np.diag(deg) - a
-    rw = np.zeros((n, n))
-    for i in range(n):
-        if deg[i] > 0:
-            rw[i] = -a[i] / deg[i]
-            rw[i, i] = 1.0
-    return a, lap, rw
+    rw = np.zeros_like(a)
+    for i in np.flatnonzero(deg > 0):
+        edges = a[i] != 0
+        rw[i, edges] = -a[i, edges] / deg[i]
+        rw[i, i] = 1.0
+    return lap, rw
 
 
 def random_graph(rng, n):
-    """Random weighted graph on n nodes with ~40% edge density."""
-    from dpcdenoise.graph import SparseGraph
-
+    """Random weighted graph on n nodes with ~40% edge density, as edge arrays (i, j, w), i < j."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     take = rng.random(len(pairs)) < 0.4
     chosen = [p for p, t in zip(pairs, take) if t]
     if not chosen:
         chosen = [(0, min(1, n - 1))] if n > 1 else []
-    i = [p[0] for p in chosen]
-    j = [p[1] for p in chosen]
+    i = np.array([p[0] for p in chosen], dtype=np.int64)
+    j = np.array([p[1] for p in chosen], dtype=np.int64)
     w = rng.uniform(0.1, 2.0, len(chosen))
-    return SparseGraph.from_edges(n, i, j, w)
+    return i, j, w
 
 
 def lp_oracle(d, mprime):
@@ -268,7 +275,7 @@ def lp_oracle(d, mprime):
 
 
 def build_system(u_hat, members, anchors, prev_aligned, w_rows, lap, lam1, lam2):
-    """Dense assembly of the point-update normal equations."""
+    """Dense assembly of the point-update normal equations, from the dense row Laplacian."""
     n = u_hat.shape[0]
     rows = members.size
     s = np.zeros((rows, n))
@@ -280,9 +287,8 @@ def build_system(u_hat, members, anchors, prev_aligned, w_rows, lap, lam1, lam2)
         a += lam1 * s.T @ w @ s
         b += lam1 * s.T @ w @ (anchors + prev_aligned)
     if lap is not None:
-        ld = lap.toarray()
-        a += lam2 * s.T @ ld @ s
-        b += lam2 * s.T @ ld @ anchors
+        a += lam2 * s.T @ lap @ s
+        b += lam2 * s.T @ lap @ anchors
     return a, b
 
 
@@ -297,7 +303,7 @@ def dense_objective(u, u_hat, members, anchors, prev_aligned, w_rows, lap, lam1,
     if w_rows is not None:
         total += lam1 * np.sum(w_rows * np.sum((p - prev_aligned) ** 2, axis=1))
     if lap is not None:
-        total += lam2 * np.trace(p.T @ lap.toarray() @ p)
+        total += lam2 * np.trace(p.T @ lap @ p)
     return float(total)
 
 

@@ -12,13 +12,26 @@ import time
 
 import numpy as np
 import pytest
-from oracles import build_system, dense_laplacians, lp_oracle, random_graph, random_solve_instance
+from oracles import (
+    build_system,
+    dense_adjacency,
+    dense_laplacians,
+    lp_oracle,
+    random_graph,
+    random_solve_instance,
+)
 
 from dpcdenoise.cli import cli_main
 from dpcdenoise.geometry import Frame, estimate_normals
-from dpcdenoise.graph import apply_rw, combinatorial_laplacian, random_walk_laplacian
+from dpcdenoise.graph import laplacian
 from dpcdenoise.io import read_point_cloud
-from dpcdenoise.matching import match_patches, member_variations, patch_distance, prepare_reference
+from dpcdenoise.matching import (
+    _variation_rows,
+    match_patches,
+    member_variations,
+    patch_distance,
+    prepare_reference,
+)
 from dpcdenoise.metrics import mse_nn
 from dpcdenoise.optimize import (
     learn_metric,
@@ -206,39 +219,49 @@ def test_criterion_5_metric_learning():
            f"constraints {constraints_ok}")
 
 
+def unit_graph_distances(n, i, j):
+    """A (1, n, n) distance array that puts the edges (i, j), and only them, closer than 1."""
+    dist = np.full((1, n, n), 2.0)
+    dist[0, i, j] = dist[0, j, i] = 0.0
+    return dist
+
+
 def test_criterion_6_laplacian_suite():
+    # The point solve's builder, graph.laplacian with a zero diagonal, on
+    # weighted graphs; and the variation kernel's random-walk Laplacian,
+    # matching._variation_rows at epsilon 1, on the same graphs with unit
+    # weights, as the pipeline runs it.
     rng = np.random.default_rng(45)
+    eps = np.ones(1)
     row_sum_ok = True
     psd_ok = True
     agree_ok = True
     for _ in range(100):
         n = int(rng.integers(2, 30))
-        g = random_graph(rng, n)
-        lap = combinatorial_laplacian(g)
-        rw = random_walk_laplacian(g)
+        i, j, w = random_graph(rng, n)
+        lap = laplacian(n, i, j, w, np.zeros(n))
         ones = np.ones(n)
-        if np.max(np.abs(lap @ ones)) > 1e-12 or np.max(np.abs(rw.matrix @ ones)) > 1e-12:
+        constant = _variation_rows(unit_graph_distances(n, i, j), np.ones((1, n, 3)), eps)
+        if np.max(np.abs(lap @ ones)) > 1e-12 or np.max(np.abs(constant)) > 1e-12:
             row_sum_ok = False
         for _ in range(10):
             x = rng.normal(size=n)
             if x @ (lap @ x) < -1e-10:
                 psd_ok = False
-    # Isolated node: rows stay zero.
-    from dpcdenoise.graph import SparseGraph
-
-    g_iso = SparseGraph.from_edges(4, [0], [1], [2.0])
-    rw_iso = random_walk_laplacian(g_iso)
+    # Isolated nodes: rows stay zero.
     sig = rng.normal(size=(4, 3))
-    iso_ok = np.array_equal(apply_rw(rw_iso, sig)[2], np.zeros(3)) and np.array_equal(
-        apply_rw(rw_iso, sig)[3], np.zeros(3)
-    )
+    iso = _variation_rows(unit_graph_distances(4, [0], [1]), sig[None], eps)[0]
+    iso_ok = np.array_equal(iso[2], np.zeros(3)) and np.array_equal(iso[3], np.zeros(3))
     for _ in range(30):
         n = int(rng.integers(2, 51))
-        g = random_graph(rng, n)
-        _, lap_d, rw_d = dense_laplacians(g)
-        if np.max(np.abs(combinatorial_laplacian(g).toarray() - lap_d)) > 1e-12:
+        i, j, w = random_graph(rng, n)
+        lap_d, _ = dense_laplacians(dense_adjacency(n, i, j, w))
+        _, rw_d = dense_laplacians(dense_adjacency(n, i, j, 1.0))
+        # Each entry of A @ I adds one stored value to zeros, so it is exact.
+        if np.max(np.abs(laplacian(n, i, j, w, np.zeros(n)) @ np.eye(n) - lap_d)) > 1e-12:
             agree_ok = False
-        if np.max(np.abs(random_walk_laplacian(g).matrix.toarray() - rw_d)) > 1e-12:
+        rw = _variation_rows(unit_graph_distances(n, i, j), np.eye(n)[None], eps)[0]
+        if np.max(np.abs(rw - rw_d)) > 1e-12:
             agree_ok = False
     ok = row_sum_ok and psd_ok and iso_ok and agree_ok
     report(6, "Laplacian operator suite", ok,

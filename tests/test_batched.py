@@ -33,7 +33,7 @@ from test_acceptance import (
 
 from dpcdenoise.config import RETIRED, DenoiseConfig
 from dpcdenoise.geometry import Frame, NeighborIndex, knn_rows, without
-from dpcdenoise.graph import CsrMatrix, SparseGraph, combinatorial_laplacian
+from dpcdenoise.graph import CsrMatrix, laplacian
 from dpcdenoise.matching import match_patches, member_variations, patch_variations, prepare_reference
 from dpcdenoise.metrics import add_gaussian_noise
 from dpcdenoise.optimize import (
@@ -535,9 +535,10 @@ class TestFoldedSpatialTerm:
         lap = oracles.row_laplacian(rows, members, pair_weights)
         a_want, b_want = oracles.build_system(u_hat, members, anchors, prev, w_rows, lap,
                                               lam1, lam2)
-        assert a.shape == (len(pts), len(pts))
-        assert a.nnz == len(pts) + 2 * edges.points.shape[0]
-        assert rel_max_error(a.toarray(), a_want) <= 1e-12
+        assert a.starts.size == len(pts)
+        assert a.cols.size == len(pts) + 2 * edges.points.shape[0]
+        # Each entry of A @ I adds one stored value to zeros, so it is exact.
+        assert rel_max_error(a @ np.eye(len(pts)), a_want) <= 1e-12
         assert rel_max_error(b, b_want) <= 1e-12
 
     @PROPERTY
@@ -558,10 +559,11 @@ class TestFoldedSpatialTerm:
         w_rows = np.repeat(rng.uniform(0, 1, len(ps)), ps.k + 1) if temporal else None
         systems = []
         for keep in (np.ones_like(same), ~same):
-            graph = SparseGraph.from_edges(members.size, every[keep, 0], every[keep, 1],
-                                           weights[keep])
-            systems.append(oracles.build_system(u_hat, members, anchors, prev, w_rows,
-                                                combinatorial_laplacian(graph), 0.5, 0.7))
+            adjacency = oracles.dense_adjacency(members.size, every[keep, 0], every[keep, 1],
+                                                weights[keep])
+            lap, _ = oracles.dense_laplacians(adjacency)
+            systems.append(oracles.build_system(u_hat, members, anchors, prev, w_rows, lap,
+                                                0.5, 0.7))
         (a_all, b_all), (a_other, b_other) = systems
         assert rel_max_error(a_all, a_other) <= 1e-12
         assert rel_max_error(b_all, b_other) <= 1e-12
@@ -622,7 +624,7 @@ class TestCsrMatrix:
         n, rows, cols, vals, x = drawn
         a = CsrMatrix.from_entries(n, rows, cols, vals)
         reference = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        assert a.shape == (n, n) and a.nnz == rows.size
+        assert a.starts.size == n and a.cols.size == rows.size
         got = a @ x
         assert np.all(np.abs(got - reference @ x) <= summation_bound(n, rows, cols, vals, x))
         block = np.column_stack([x, x[::-1], -2.0 * x])
@@ -678,10 +680,10 @@ class TestCsrMatrix:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert a.nnz == entries
+        assert a.cols.size == entries
         assert peak <= 24 * entries + 48 * n + 4096
-        want = scipy.sparse.csr_matrix(a.toarray()) @ x
         rows = np.repeat(np.arange(n), np.diff(np.append(a.starts, entries)))
+        want = scipy.sparse.csr_matrix((a.vals, (rows, a.cols)), shape=(n, n)) @ x
         assert np.all(np.abs(y - want) <= summation_bound(n, rows, a.cols, a.vals, x))
 
 
@@ -739,9 +741,7 @@ class TestPointPairs:
         got = weighted_spatial_graph(edges, feats, 1.0)
         want = oracles.row_edge_weights(rows, feats[members.ravel()])
         assert got.shape == (edges.points.shape[0],)
-        assert np.array_equal(rows[:, 0], want.edge_i)
-        assert np.array_equal(rows[:, 1], want.edge_j)
-        assert bits(got[inverse]) == bits(want.weights)
+        assert bits(got[inverse]) == bits(want[rows[:, 0], rows[:, 1]])
 
     @PROPERTY
     @given(row_edges(), st.sampled_from([1e-5, 1e-3]))
@@ -766,32 +766,41 @@ class TestPointPairs:
 
 
 class TestFromEdges:
+    """``graph.laplacian``, the point solve's builder, from undirected edge lists."""
+
     @PROPERTY
     @given(st.integers(2, 30), st.integers(0, 2**32 - 1))
     def test_unsorted_input_matches_sorted_input(self, n, seed):
+        # Edge order and orientation change only the order in which the
+        # diagonal adds up the weights at a node.
         rng = np.random.default_rng(seed)
         lo, hi = np.triu_indices(n, 1)
         keep = np.sort(rng.choice(lo.size, int(rng.integers(1, lo.size + 1)), replace=False))
         lo, hi = lo[keep], hi[keep]
         w = rng.uniform(0, 2, lo.size)
-        ordered = SparseGraph.from_edges(n, lo, hi, w)
+        ordered = laplacian(n, lo, hi, w, np.zeros(n))
         order = rng.permutation(lo.size)
         swap = rng.random(lo.size) < 0.5
         i = np.where(swap, hi, lo)[order]
         j = np.where(swap, lo, hi)[order]
-        slow = SparseGraph.from_edges(n, i, j, w[order])
-        for a, b in ((ordered.edge_i, slow.edge_i), (ordered.edge_j, slow.edge_j)):
+        slow = laplacian(n, i, j, w[order], np.zeros(n))
+        for a, b in ((ordered.cols, slow.cols), (ordered.starts, slow.starts)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert bits(ordered.weights) == bits(slow.weights) == bits(w)
+        diagonal = ordered.cols == np.repeat(np.arange(n), np.diff(ordered.starts,
+                                                                   append=ordered.cols.size))
+        assert bits(ordered.vals[~diagonal]) == bits(slow.vals[~diagonal])
+        np.testing.assert_allclose(slow.vals[diagonal], ordered.vals[diagonal], rtol=1e-14)
 
     def test_graph_owns_its_weights(self):
-        w = np.array([1.0, 2.0])
-        graph = SparseGraph.from_edges(3, [0, 1], [1, 2], w)
-        w[0] = 5.0
-        assert graph.weights.tolist() == [1.0, 2.0]
-        assert not graph.weights.flags.writeable
+        w, d = np.array([1.0, 2.0]), np.zeros(3)
+        a = laplacian(3, [0, 1], [1, 2], w, d)
+        w[0], d[0] = 5.0, 5.0
+        assert (a @ np.eye(3)).tolist() == [[1.0, -1.0, 0.0], [-1.0, 3.0, -2.0], [0.0, -2.0, 2.0]]
 
-    @pytest.mark.parametrize("i, j", [([0, 0], [1, 1]), ([1, 0], [0, 1]), ([0, 2, 0], [1, 0, 1])])
+    @pytest.mark.parametrize("i, j", [([0, 0], [1, 1]), ([1, 0], [0, 1]), ([0, 2, 0], [1, 0, 1]),
+                                      ([1], [1])])
     def test_duplicates_rejected_sorted_or_not(self, i, j):
-        with pytest.raises(ValueError, match="duplicate edges"):
-            SparseGraph.from_edges(3, i, j, np.ones(len(i)))
+        # An edge given twice, in either orientation, or a self-loop stores
+        # one position twice.
+        with pytest.raises(ValueError, match="duplicate entry"):
+            laplacian(3, i, j, np.ones(len(i)), np.zeros(3))

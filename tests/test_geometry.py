@@ -15,7 +15,6 @@ from dpcdenoise.geometry import (
     _orient,
     estimate_normals,
     knn_rows,
-    mean_nn_distance,
     without,
 )
 
@@ -253,28 +252,6 @@ class TestGridKnn:
         assert peak < rows.nbytes + 8 * 2**20
         for r in (0, 1, 2999, 3000, 5999):
             assert rows[r].tolist() == brute_knn(pts, pts[r], 8).tolist()
-
-
-class TestMeanNnDistance:
-    def test_two_points(self):
-        f = Frame([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        assert mean_nn_distance(f) == pytest.approx(2.0)
-
-    def test_regular_grid_spacing(self):
-        h = 0.25
-        pts = np.column_stack([np.arange(10) * h, np.zeros(10), np.zeros(10)])
-        assert mean_nn_distance(Frame(pts)) == pytest.approx(h)
-
-    def test_matches_brute_force(self):
-        pts = random_cloud(80, 11)
-        f = Frame(pts)
-        d = np.sqrt(np.sum((pts[:, None] - pts[None]) ** 2, axis=2))
-        np.fill_diagonal(d, np.inf)
-        assert mean_nn_distance(f) == pytest.approx(np.mean(d.min(axis=1)), abs=1e-12)
-
-    def test_requires_two_points(self):
-        with pytest.raises(ValueError, match="two points"):
-            mean_nn_distance(Frame([[0.0, 0.0, 0.0]]))
 
 
 class TestEstimateNormals:

@@ -157,6 +157,23 @@ class TestPly:
         assert re.search(re.escape(str(path)) + message, capsys.readouterr().err)
 
 
+    def test_property_before_any_element_is_a_data_error(self, tmp_path, capsys):
+        # With no element to belong to, ``w`` would be dropped and the body
+        # line read as the vertex (1, 2, 3).
+        from dpcdenoise.cli import cli_main
+
+        path = tmp_path / "bad.ply"
+        path.write_text("ply\nformat ascii 1.0\nproperty float w\nelement vertex 1\n"
+                        "property float x\nproperty float y\nproperty float z\n"
+                        "end_header\n1 2 3\n")
+        message = r":3: property line before any element line"
+        with pytest.raises(ParseError, match=message):
+            read_point_cloud(path)
+        code = cli_main(["denoise", "--out-dir", str(tmp_path / "out"), str(path)])
+        assert code == 2
+        assert re.search(re.escape(str(path)) + message, capsys.readouterr().err)
+
+
 class TestXyz:
     def test_three_columns(self, tmp_path):
         path = tmp_path / "pts.xyz"

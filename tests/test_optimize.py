@@ -3,10 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import oracles
-from oracles import build_system, dense_objective, lp_oracle, random_solve_instance
+from oracles import (
+    build_system,
+    dense_objective,
+    lp_oracle,
+    mean_nearest_distance,
+    random_solve_instance,
+)
 
 from dpcdenoise.config import DenoiseConfig
-from dpcdenoise.geometry import Frame, Sequence, estimate_normals, mean_nn_distance
+from dpcdenoise.geometry import Frame, Sequence, estimate_normals
 from dpcdenoise.metrics import add_gaussian_noise, mse_nn
 from dpcdenoise.optimize import (
     SolverError,
@@ -69,7 +75,7 @@ class TestSolvePointCloud:
             n = int(rng.integers(10, 61))
             pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, n)
             a, _ = _point_system(pts, members, anchors, prev, w, edges, pw, 1.3, 0.7)
-            assert np.linalg.eigvalsh(a.toarray()).min() >= 1.0 - 1e-9
+            assert np.linalg.eigvalsh(a @ np.eye(n)).min() >= 1.0 - 1e-9
 
     def test_failure_carries_residual(self):
         rng = np.random.default_rng(7)
@@ -411,14 +417,17 @@ class TestDenoiseFrame:
         np.testing.assert_allclose(report.diagnostics["largest_move"], moves, rtol=1e-15)
         assert "best_iteration" not in report.to_dict()
 
-    def test_spacing_is_mean_nn_distance_of_the_input(self):
-        # Member 1 of each first-pass patch gives the same mean, bit for bit,
-        # also where exact duplicates put the duplicate there.
+    def test_spacing_is_the_mean_nearest_neighbour_distance_of_the_input(self):
+        # Member 1 of each first-pass patch gives the brute-force mean, bit
+        # for bit, also where exact duplicates put the duplicate there, and
+        # on 4 points, the fewest that normals can be estimated on.
         pts = small_sequence(1).frames[0].positions.copy()
         pts[60:70] = pts[:10]
-        noisy = Frame(pts)
-        _, report = denoise_frame(noisy, None, small_config(outer_max_iters=1))
-        assert report.diagnostics["spacing"] == mean_nn_distance(noisy)
+        for cloud in (pts, pts[:4]):
+            _, report = denoise_frame(Frame(cloud), None, small_config(outer_max_iters=1))
+            assert report.diagnostics["spacing"] == mean_nearest_distance(cloud)
+        with pytest.raises(ValueError, match="frame too small to estimate normals"):
+            denoise_frame(Frame(pts[:2]), None, small_config(outer_max_iters=1))
 
     def test_frame_of_duplicated_points_is_rejected(self, monkeypatch):
         # Every point has an exact duplicate, so the spacing is 0 and each
@@ -602,31 +611,39 @@ class TestDenoiseFrame:
             assert queries == [table, table, (120, 120, cfg.k_plane + 1)], k_s
 
     def test_cg_gets_point_sized_systems_only(self, monkeypatch):
-        # The spatial term is assembled over points: every system handed to
-        # CG is n x n and stores exactly its diagonal and one entry per pair
-        # on each side of it, and no row-graph Laplacian is built.
-        import dpcdenoise.graph as graph
+        # The spatial term is assembled over points: each point solve builds
+        # one n x n system with graph.laplacian, and every system handed to
+        # CG stores exactly its diagonal and one entry per pair on each side
+        # of it; no row-graph Laplacian is built.
         import dpcdenoise.optimize as opt
 
-        pairs, systems = [], []
+        pairs, built, solves, systems = [], [], [], []
         real_connectivity, real_cg = opt.spatial_connectivity, opt._conjugate_gradient
+        real_laplacian, real_solve = opt.laplacian, opt.solve_point_cloud
 
         def connectivity(*args):
             edges = real_connectivity(*args)
             pairs.append(edges.points.shape[0])
             return edges
 
+        def laplacian(n, *args):
+            built.append(n)
+            return real_laplacian(n, *args)
+
+        def solve(*args, **kwargs):
+            before = len(built)
+            result = real_solve(*args, **kwargs)
+            solves.append(len(built) - before)
+            return result
+
         def cg(a, b, *args):
-            systems.append((a.shape, a.nnz, pairs[-1]))
+            systems.append((a.starts.size, a.cols.size, pairs[-1]))
             return real_cg(a, b, *args)
 
-        def laplacian(*args):
-            raise AssertionError("combinatorial_laplacian called")
-
         monkeypatch.setattr(opt, "spatial_connectivity", connectivity)
+        monkeypatch.setattr(opt, "laplacian", laplacian)
+        monkeypatch.setattr(opt, "solve_point_cloud", solve)
         monkeypatch.setattr(opt, "_conjugate_gradient", cg)
-        monkeypatch.setattr(graph, "combinatorial_laplacian", laplacian)
-        assert not hasattr(opt, "combinatorial_laplacian")
         seq = small_sequence(2)
         rng = np.random.default_rng(9)
         noisy = [Frame(f.positions + rng.normal(0, 0.01, (120, 3)), frame_index=t)
@@ -634,10 +651,11 @@ class TestDenoiseFrame:
         cfg = small_config(outer_max_iters=2)
         prev, _ = denoise_frame(noisy[0], None, cfg)
         denoise_frame(noisy[1], prev, cfg)
+        assert solves == [1] * 2 * 2 and built == [120] * 2 * 2
         assert len(systems) == 2 * 2 * 3
-        for shape, nnz, pair_count in systems:
-            assert shape == (120, 120)
-            assert nnz == 120 + 2 * pair_count
+        for rows, entries, pair_count in systems:
+            assert rows == 120
+            assert entries == 120 + 2 * pair_count
 
     def test_cg_diagnostics_match_a_counting_operator(self, monkeypatch):
         # Per pass and axis, cg_iters is the number of products CG made with

@@ -152,3 +152,11 @@ class TestPatchInvariants:
         for members in ([[0, 1], [2, 0], [1, 0]], [[0, 1], [1, 0]]):
             with pytest.raises(ValueError, match="patch l must be centered on point l"):
                 PatchSet(members=np.array(members), k=1, frame=Frame(pts))
+
+    def test_a_repeated_member_is_rejected(self):
+        # A repeat would stand at distance 0 from itself, and patch_variations
+        # would take that as its patch's nearest-member distance.
+        pts = np.random.default_rng(9).uniform(0, 1, (3, 3))
+        PatchSet(members=np.array([[0, 1, 2], [1, 0, 2], [2, 1, 0]]), k=2, frame=Frame(pts))
+        with pytest.raises(ValueError, match="a patch holds a member twice"):
+            PatchSet(members=np.array([[0, 1, 1], [1, 0, 0], [2, 1, 1]]), k=2, frame=Frame(pts))
