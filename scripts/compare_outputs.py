@@ -33,8 +33,10 @@ fresh process: an import made lazily during a run, such as numpy's import of
 ``numpy.ma`` on a first ``np.median``, does not show in the import times.
 
 ``--acceptance`` adds the end-to-end instance of ``tests/test_acceptance.py``
-(criterion 7). Its inputs come from OLD_SRC's ``synth`` and ``noise`` commands,
-and each side's per-frame MSE reductions are printed too.
+(criterion 7): its temporal run and its per-frame run with ``lambda1 = 0``,
+which the criterion's "temporal beats per-frame" check reads, each compared
+as above. Its inputs come from OLD_SRC's ``synth`` and ``noise`` commands,
+and each side's per-frame MSE reductions of both runs are printed too.
 
 Exits 1 if any output, config snapshot, diagnostics dict or match CSV differs
 or any run fails, and 0 otherwise. Run it from anywhere. Work files go to a
@@ -285,20 +287,35 @@ def compare_acceptance(old: Path, new: Path, work: Path) -> bool:
         print(f"acceptance: noise failed: {proc.stderr.strip()[-500:]}")
         return False
     noisy_files = sorted(noisy_dir.glob("*.ply"))
-    config = work / "acceptance.cfg"
-    config.write_text("".join(f"{k} = {v}\n" for k, v in e2e["E2E_CONFIG"].items()))
-    same, outs = compare("acceptance", old, new, config, noisy_files, work)
-    for side, out in zip(("old", "new"), outs):
-        reductions = []
-        for clean_path, noisy_path in zip(clean_files, noisy_files):
-            out_path = out / noisy_path.name
-            if not out_path.exists():
-                break
-            clean, _ = check.read_ply(clean_path)
-            base = check.nn_mse(check.read_ply(noisy_path)[0], clean)
-            reductions.append(100.0 * (1.0 - check.nn_mse(check.read_ply(out_path)[0], clean) / base))
-        print(f"  {side} MSE reductions: " + " / ".join(f"{r:.4f} %" for r in reductions))
-    return same
+    all_same, runs = True, {}
+    for label, settings in (("temporal", e2e["E2E_CONFIG"]),
+                            ("lambda1 0", {**e2e["E2E_CONFIG"], "lambda1": 0})):
+        run_dir = work / label.replace(" ", "-")
+        run_dir.mkdir()
+        config = run_dir / "acceptance.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        same, runs[label] = compare(f"acceptance {label}", old, new, config, noisy_files, run_dir)
+        all_same &= same
+    for side, name in enumerate(("old", "new")):
+        parts = [f"{label} " + " / ".join(f"{r:.4f} %" for r in
+                                          mse_reductions(outs[side], clean_files, noisy_files))
+                 for label, outs in runs.items()]
+        print(f"  {name} MSE reductions: " + "; ".join(parts))
+    return all_same
+
+
+def mse_reductions(out: Path, clean_files: list, noisy_files: list) -> list:
+    """Per-frame nearest-neighbour MSE reduction in percent of each output in ``out``
+    against its clean frame, up to the first missing output."""
+    reductions = []
+    for clean_path, noisy_path in zip(clean_files, noisy_files):
+        out_path = out / noisy_path.name
+        if not out_path.exists():
+            break
+        clean, _ = check.read_ply(clean_path)
+        base = check.nn_mse(check.read_ply(noisy_path)[0], clean)
+        reductions.append(100.0 * (1.0 - check.nn_mse(check.read_ply(out_path)[0], clean) / base))
+    return reductions
 
 
 def main(argv=None) -> int:

@@ -8,8 +8,9 @@ from typing import Optional
 import numpy as np
 
 UNIT_NORMAL_TOL = 1e-9
-# Largest |coordinate| a NeighborIndex accepts: two points within it are at a
-# squared distance of at most 12 * MAX_COORDINATE**2, which stays finite.
+# Largest |coordinate| of a point or query that knn_rows accepts: two points
+# within it are at a squared distance of at most 12 * MAX_COORDINATE**2,
+# which stays finite, so no distance overflows to inf and ranks wrongly.
 MAX_COORDINATE = 1e153
 
 
@@ -86,56 +87,36 @@ class Sequence:
         return iter(self.frames)
 
 
-@dataclass(frozen=True)
-class NeighborIndex:
-    """Fixed set of points for exact k-NN queries (see :func:`knn_rows`).
-
-    Coordinates beyond ``MAX_COORDINATE`` in magnitude are rejected, since
-    squared distances between them would overflow. The index keeps a
-    read-only copy of the points.
-    """
-
-    points: np.ndarray
-
-    @classmethod
-    def from_points(cls, points: np.ndarray) -> "NeighborIndex":
-        pts = _as_points(points)
-        if pts.shape[0] < 1:
-            raise ValueError("empty frame")
-        largest = float(np.max(np.abs(pts)))
-        if largest > MAX_COORDINATE:
-            raise ValueError(f"max |coordinate| is {largest:.3g}; a neighbor index allows "
-                             f"at most {MAX_COORDINATE:g}, so squared distances stay finite")
-        pts = np.array(pts, order="C")
-        pts.flags.writeable = False
-        return cls(points=pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def knn_rows(index: NeighborIndex, queries, k: int) -> np.ndarray:
-    """Indices of the k nearest stored points to each query row, shape (q, k).
+def knn_rows(points, queries, k: int) -> np.ndarray:
+    """Indices of the k nearest of the (n, 3) ``points`` to each (q, 3) query row, shape (q, k).
 
     Each row agrees exactly with a brute-force scan: distances
     ``sqrt(dx*dx + dy*dy + dz*dz)`` are non-decreasing and exact ties are
     broken by ascending point index. The rows come from a cubic cell grid
     (see :func:`_grid_pass`); :func:`without` leaves one stored point out
-    of each row.
+    of each row. Every coordinate of both arrays must be finite and at most
+    ``MAX_COORDINATE`` in magnitude.
     """
+    pts = _as_points(points, "points")
     q = _as_points(queries, "queries")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > len(index):
+    if k > pts.shape[0]:
         raise ValueError("k too large")
-    return _nearest(index.points, q, k)
+    for name, values in (("points", pts), ("queries", q)):
+        largest = float(np.max(np.abs(values), initial=0.0))
+        if not largest <= MAX_COORDINATE:
+            raise ValueError(f"{name} max |coordinate| is {largest:.3g}; k-NN allows finite "
+                             f"coordinates of at most {MAX_COORDINATE:g}, so squared "
+                             "distances stay finite")
+    return _nearest(pts, q, k)
 
 
 def without(rows: np.ndarray, exclude) -> np.ndarray:
     """Neighbor rows (q, w) less one column: each row's ``exclude`` entry, or else its last.
 
     A stable sort moves the excluded point, if present, behind the rest, so
-    ``without(knn_rows(index, queries, k + 1), exclude)`` is each query's
+    ``without(knn_rows(points, queries, k + 1), exclude)`` is each query's
     k nearest stored points other than its ``exclude`` entry.
     """
     dropped = rows == np.asarray(exclude, dtype=np.int64).reshape(-1, 1)
@@ -387,7 +368,7 @@ def estimate_normals(frame: Frame, k_plane: int,
     the smallest eigenvalue. Each sign is then fixed toward the consensus
     axis of the normals over the same neighbor rows (see :func:`_orient`).
     ``neighbors``, if given, is a neighbor table over the frame's
-    positions, ``knn_rows(index, positions, w)`` with w > ``k_plane``; its
+    positions, ``knn_rows(positions, positions, w)`` with w > ``k_plane``; its
     first ``k_plane + 1`` columns are the rows fitted, and it saves a query.
 
     Returns the frame with normals and the count of degenerate
@@ -399,7 +380,7 @@ def estimate_normals(frame: Frame, k_plane: int,
     if n <= k_plane:
         raise ValueError("need more points than k_plane")
     if neighbors is None:
-        neighbors = knn_rows(NeighborIndex.from_points(frame.positions), frame.positions, k_plane + 1)
+        neighbors = knn_rows(frame.positions, frame.positions, k_plane + 1)
     elif neighbors.shape[0] != n or neighbors.shape[1] <= k_plane:
         raise ValueError(f"neighbor table of shape {neighbors.shape} does not fit "
                          f"{n} points and k_plane = {k_plane}")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import NeighborIndex, knn_rows
+from .geometry import knn_rows
 from .patches import PATCH_BLOCK, PatchSet, member_distances, patch_epsilons, sq_dists
 
 
@@ -126,7 +126,6 @@ class ReferencePatches:
     patchset: PatchSet
     var_rows: np.ndarray = field(repr=False)     # (m, k+1, 3)
     variations: np.ndarray = field(repr=False)   # (m, 3)
-    center_index: NeighborIndex = field(repr=False, default=None)
 
     def __len__(self) -> int:
         return len(self.patchset)
@@ -136,18 +135,13 @@ def prepare_reference(patchset: PatchSet, c: float = 5.0) -> ReferencePatches:
     """Compute the matching data of every patch of a reference frame at once.
 
     Holds, indexed like ``patchset.members``, the (m, k+1, 3) variation
-    rows and (m, 3) variation vectors, and a neighbor index over the patch
-    centers. The center-relative coordinates are ``patchset.rel``.
+    rows and (m, 3) variation vectors. The patch centers are the frame's
+    positions and the center-relative coordinates are ``patchset.rel``.
     """
     if patchset.frame.normals is None:
         raise ValueError("reference frame needs normals")
     _, var_rows, variations = patch_variations(patchset, c)
-    return ReferencePatches(
-        patchset=patchset,
-        var_rows=var_rows,
-        variations=variations,
-        center_index=NeighborIndex.from_points(patchset.frame.positions),
-    )
+    return ReferencePatches(patchset=patchset, var_rows=var_rows, variations=variations)
 
 
 def match_patches(
@@ -171,7 +165,8 @@ def match_patches(
     if xi < 1:
         raise ValueError("xi must be >= 1")
     eps, rows, variations = patch_variations(patchset, c)
-    cand = knn_rows(reference.center_index, patchset.frame.positions, min(xi, len(reference)))
+    cand = knn_rows(reference.patchset.frame.positions, patchset.frame.positions,
+                    min(xi, len(reference)))
     dists = patch_distance(reference.variations[cand], variations[:, None, :])
     distance = np.min(dists, axis=1)
     matched = np.min(np.where(dists == distance[:, None], cand, len(reference)), axis=1)

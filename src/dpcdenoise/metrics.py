@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Frame, NeighborIndex, knn_rows
+from .geometry import Frame, knn_rows
 
 
 @dataclass
@@ -44,7 +44,7 @@ def mse_nn(a: Frame, b: Frame) -> float:
 
 def _nearest_in(stored: Frame, query: Frame) -> np.ndarray:
     """Per query point, the index of its nearest stored point (ties by lower index)."""
-    return knn_rows(NeighborIndex.from_points(stored.positions), query.positions, 1)[:, 0]
+    return knn_rows(stored.positions, query.positions, 1)[:, 0]
 
 
 def mse_index(a: Frame, b: Frame) -> float:

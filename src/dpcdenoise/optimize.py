@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .config import DenoiseConfig
-from .geometry import Frame, NeighborIndex, Sequence, estimate_normals, knn_rows
+from .geometry import Frame, Sequence, estimate_normals, knn_rows
 from .graph import CsrMatrix, laplacian
 from .matching import match_patches, prepare_reference
 from .metrics import FrameMetrics
@@ -361,8 +361,7 @@ def prepare_frame(frame: Frame, config: DenoiseConfig,
     if frame.normals is None:
         if k_plane < 3:
             raise ValueError("frame too small to estimate normals")
-        table = knn_rows(NeighborIndex.from_points(frame.positions), frame.positions,
-                         max(k_plane, k) + 1)
+        table = knn_rows(frame.positions, frame.positions, max(k_plane, k) + 1)
         frame, degenerate = estimate_normals(frame, k_plane, table)
     return PreparedFrame(build_patches(frame, k, table), degenerate, k_plane, min(config.k_s, k))
 

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Frame, NeighborIndex, knn_rows, without
+from .geometry import Frame, knn_rows, without
 
 # Patches per step of the batched matching passes; their (block, k+1, k+1)
 # float64 temporaries stay near 0.5 MB at k = 30.
@@ -57,14 +57,14 @@ def build_patches(frame: Frame, k: int, neighbors: Optional[np.ndarray] = None) 
     """One patch per point: patch l is point l followed by its ``k`` nearest other points.
 
     ``neighbors``, if given, is a neighbor table over the frame's
-    positions, ``knn_rows(index, positions, w)`` with w > ``k``; each
+    positions, ``knn_rows(positions, positions, w)`` with w > ``k``; each
     patch reads its row's first ``k + 1`` entries, and it saves a query.
     """
     n = len(frame)
     if k + 1 > n:
         raise ValueError("k+1 must be <= point count")
     if neighbors is None:
-        neighbors = knn_rows(NeighborIndex.from_points(frame.positions), frame.positions, k + 1)
+        neighbors = knn_rows(frame.positions, frame.positions, k + 1)
     elif neighbors.shape[0] != n or neighbors.shape[1] <= k:
         raise ValueError(f"neighbor table of shape {neighbors.shape} does not fit "
                          f"{n} points and k = {k}")

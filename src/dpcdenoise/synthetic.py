@@ -95,25 +95,3 @@ def generate_sequence(spec: SyntheticSpec) -> Sequence:
         frames.append(Frame(pos, normals, frame_index=t))
     return Sequence(tuple(frames))
 
-
-def sample_gaussian_bump(n_points: int, height: float, width: float = 0.3, seed: int = 0):
-    """Irregular sample of z = h exp(-(x^2+y^2) / (2 w^2)) over [-1, 1]^2.
-
-    Returns (positions, analytic unit normals). Larger ``height`` (or
-    smaller ``width``) means higher curvature; ``height = 0`` is a flat
-    plane patch.
-    """
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
-    if width <= 0:
-        raise ValueError("width must be > 0")
-    rng = np.random.default_rng(seed)
-    xy = rng.uniform(-1.0, 1.0, size=(n_points, 2))
-    x, y = xy[:, 0], xy[:, 1]
-    bell = np.exp(-(x**2 + y**2) / (2.0 * width**2))
-    z = height * bell
-    dzdx = -x * height * bell / width**2
-    dzdy = -y * height * bell / width**2
-    pos = np.column_stack([x, y, z])
-    normals = _unit_rows(np.column_stack([-dzdx, -dzdy, np.ones(n_points)]))
-    return pos, normals

@@ -242,6 +242,30 @@ def random_graph(rng, n):
     return i, j, w
 
 
+def sample_gaussian_bump(n_points: int, height: float, width: float = 0.3, seed: int = 0):
+    """Irregular sample of z = h exp(-(x^2+y^2) / (2 w^2)) over [-1, 1]^2.
+
+    Returns (positions, analytic unit normals). Larger ``height`` (or
+    smaller ``width``) means higher curvature; ``height = 0`` is a flat
+    plane patch.
+    """
+    if n_points < 1:
+        raise ValueError("n_points must be >= 1")
+    if width <= 0:
+        raise ValueError("width must be > 0")
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(-1.0, 1.0, size=(n_points, 2))
+    x, y = xy[:, 0], xy[:, 1]
+    bell = np.exp(-(x**2 + y**2) / (2.0 * width**2))
+    z = height * bell
+    dzdx = -x * height * bell / width**2
+    dzdy = -y * height * bell / width**2
+    pos = np.column_stack([x, y, z])
+    normals = np.column_stack([-dzdx, -dzdy, np.ones(n_points)])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return pos, normals
+
+
 def lp_oracle(d, mprime):
     """Vertex enumeration for min w.d s.t. 0 <= w <= 1, sum(w) >= mprime.
 

@@ -19,6 +19,7 @@ from oracles import (
     lp_oracle,
     random_graph,
     random_solve_instance,
+    sample_gaussian_bump,
 )
 
 from dpcdenoise.cli import cli_main
@@ -42,7 +43,6 @@ from dpcdenoise.optimize import (
     solve_temporal_weights,
 )
 from dpcdenoise.patches import build_patches
-from dpcdenoise.synthetic import sample_gaussian_bump
 
 # Calibrated end-to-end configuration for the 2000-point, 2%-of-diagonal
 # noise instance. Slow deformation and collocated temporal matching

@@ -32,7 +32,7 @@ from test_acceptance import (
 )
 
 from dpcdenoise.config import RETIRED, DenoiseConfig
-from dpcdenoise.geometry import Frame, NeighborIndex, knn_rows, without
+from dpcdenoise.geometry import Frame, knn_rows, without
 from dpcdenoise.graph import CsrMatrix, laplacian
 from dpcdenoise.matching import match_patches, member_variations, patch_variations, prepare_reference
 from dpcdenoise.metrics import add_gaussian_noise
@@ -106,7 +106,6 @@ class TestKnnRows:
     def test_matches_brute_force(self, cloud, k, stored, seed):
         pts, _ = cloud
         n = len(pts)
-        index = NeighborIndex.from_points(pts)
         rng = np.random.default_rng(seed)
         if stored:
             exclude = rng.choice(n, size=min(n, 8), replace=False)
@@ -115,19 +114,19 @@ class TestKnnRows:
             exclude = None
             queries, k = np.round(rng.uniform(0, 1, (8, 3)) * 3) / 3, min(k, n)
         if exclude is None:
-            got = knn_rows(index, queries, k)
+            got = knn_rows(pts, queries, k)
         else:
-            got = without(knn_rows(index, queries, k + 1), exclude)
+            got = without(knn_rows(pts, queries, k + 1), exclude)
         for r, q in enumerate(queries):
             want = brute_knn(pts, q, k, None if exclude is None else exclude[r])
             assert got[r].tolist() == want.tolist()
 
     def test_rejects_bad_k(self):
-        index = NeighborIndex.from_points(np.eye(3))
+        pts = np.eye(3)
         with pytest.raises(ValueError, match="k must be"):
-            knn_rows(index, np.zeros((1, 3)), 0)
+            knn_rows(pts, np.zeros((1, 3)), 0)
         with pytest.raises(ValueError, match="k too large"):
-            without(knn_rows(index, index.points, 4), np.arange(3))
+            without(knn_rows(pts, pts, 4), np.arange(3))
 
 
 class TestPatchVariations:
@@ -427,8 +426,8 @@ class TestNearestSlots:
         # give zero-radius patches, as every point is a center. The offset
         # cancels in the relative coordinates. The scales probe float32's
         # range, and at 1e-160 and 1e160 float64's squares underflow or
-        # overflow (the scales apply to the relative coordinates, since the
-        # neighbor index rejects points at 1e160).
+        # overflow (the scales apply to the relative coordinates, since
+        # knn_rows rejects points at 1e160).
         pts, rng = cloud
         n = len(pts)
         k = min(k, n - 1)

@@ -296,6 +296,18 @@ class TestMatch:
             assert float(dist) >= 0
             assert 0 < float(weight) <= 1
 
+    def test_match_frames_of_unequal_size(self, tmp_path, capsys):
+        # With k = 50 both frames' patches are capped at 40 members; every
+        # point of the 400-point frame centers one, matched to one of 40.
+        run(synth_args(tmp_path / "prev", points=40, frames=1))
+        run(synth_args(tmp_path / "curr", points=400, frames=1))
+        prev, = (tmp_path / "prev").glob("*.ply")
+        curr, = (tmp_path / "curr").glob("*.ply")
+        assert run(["match", "--prev", str(prev), "--curr", str(curr), "--k", "50"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 400
+        assert {int(row.split(",")[1]) for row in rows} <= set(range(40))
+
     @pytest.mark.parametrize("patch_fraction", [None, 1.0])
     def test_match_is_the_first_pass_of_denoise(self, tmp_path, capsys, monkeypatch,
                                                 patch_fraction):

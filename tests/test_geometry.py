@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -9,8 +10,8 @@ from oracles import brute_knn
 
 import dpcdenoise.geometry as geometry
 from dpcdenoise.geometry import (
+    MAX_COORDINATE,
     Frame,
-    NeighborIndex,
     Sequence,
     _orient,
     estimate_normals,
@@ -19,24 +20,22 @@ from dpcdenoise.geometry import (
 )
 
 
-def knn_except(index, queries, k, exclude=None):
+def knn_except(pts, queries, k, exclude=None):
     """``knn_rows``, leaving out each row's stored point ``exclude`` if given."""
     if exclude is None:
-        return knn_rows(index, queries, k)
-    return without(knn_rows(index, queries, k + 1), exclude)
+        return knn_rows(pts, queries, k)
+    return without(knn_rows(pts, queries, k + 1), exclude)
 
 
 def nearest(pts, query, k, exclude=None):
     """knn_rows for one query row, leaving out stored point ``exclude`` if given."""
-    index = NeighborIndex.from_points(pts)
     rows = np.asarray(query, dtype=np.float64).reshape(1, 3)
-    return knn_except(index, rows, k, None if exclude is None else [exclude])[0]
+    return knn_except(pts, rows, k, None if exclude is None else [exclude])[0]
 
 
 def orient(frame, k_plane):
     """The frame's normals passed through _orient over the rows estimate_normals fits."""
-    index = NeighborIndex.from_points(frame.positions)
-    return _orient(frame.normals, knn_rows(index, frame.positions, k_plane + 1))
+    return _orient(frame.normals, knn_rows(frame.positions, frame.positions, k_plane + 1))
 
 
 def random_cloud(n, seed, scale=1.0):
@@ -79,13 +78,6 @@ class TestFrame:
         big[5] = 7.0
         assert np.array_equal(f.positions, kept)
         assert not f.positions.flags.writeable
-
-    def test_neighbor_index_owns_its_points(self):
-        pts = np.random.default_rng(1).random((10, 3))
-        index = NeighborIndex.from_points(pts)
-        pts[0] = 5.0
-        assert not np.any(index.points == 5.0)
-        assert not index.points.flags.writeable
 
     def test_sequence_requires_increasing_indices(self):
         a = Frame([[0.0, 0.0, 0.0]], frame_index=1)
@@ -137,11 +129,22 @@ class TestKnn:
                 want = brute_knn(pts, pts[qi], k, exclude=qi)
                 assert got.tolist() == want.tolist()
 
+    @pytest.mark.parametrize("points, query", [
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]], [3.0, 1.0, 0.0]),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [np.nan, 0.0, 0.0]),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [np.inf, 0.0, 0.0]),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [1e200, 0.0, 0.0]),
+    ])
+    def test_rejects_nonfinite_or_out_of_range_coordinates(self, points, query):
+        # A NaN distance ranks anywhere, and at 1e200 both squared distances
+        # overflow to inf and tie, so point 0 would rank before the nearer point 1.
+        with pytest.raises(ValueError, match=re.escape(f"at most {MAX_COORDINATE:g}")):
+            knn_rows(np.array(points), np.array([query]), 1)
+
     def test_knn_per_point_against_brute_force_500(self):
         pts = random_cloud(500, 7)
-        index = NeighborIndex.from_points(pts)
         rows = np.arange(0, 500, 37)
-        got = knn_except(index, pts[rows], 5, rows)
+        got = knn_except(pts, pts[rows], 5, rows)
         for r, i in enumerate(rows):
             assert got[r].tolist() == brute_knn(pts, pts[i], 5, exclude=i).tolist()
 
@@ -187,7 +190,6 @@ class TestGridKnn:
     def test_matches_brute_force(self, cloud, k, stored, budget):
         pts, rng = cloud
         n = len(pts)
-        index = NeighborIndex.from_points(pts)
         if stored:
             exclude = rng.choice(n, size=min(n, 10), replace=False)
             queries, k = pts[exclude], min(k, n - 1)
@@ -195,13 +197,14 @@ class TestGridKnn:
             exclude, k = None, min(k, n)
             lo, hi = pts.min(axis=0), pts.max(axis=0)
             reach = np.max(hi - lo) + np.max(np.abs(pts))
-            # Around the cloud, and far outside its bounding box.
-            queries = np.vstack([rng.uniform(lo - reach, hi + reach, (6, 3)),
-                                 pts[:2] + 100.0 * reach, lo - 1e3 * reach])
-        # At scale 1e148 the farthest queries' squared distances overflow to
-        # inf in the grid and in the oracle alike, and both rank by index.
-        with mock.patch.object(geometry, "QUERY_BUDGET", budget), np.errstate(over="ignore"):
-            got = knn_except(index, queries, k, exclude)
+            # Around the cloud, and far outside its bounding box, up to the
+            # largest coordinate knn_rows accepts.
+            queries = np.clip(np.vstack([rng.uniform(lo - reach, hi + reach, (6, 3)),
+                                         pts[:2] + 100.0 * reach, lo - 1e3 * reach]),
+                              -MAX_COORDINATE, MAX_COORDINATE)
+        # Within that bound no squared distance overflows, at scale 1e148 too.
+        with mock.patch.object(geometry, "QUERY_BUDGET", budget), np.errstate(over="raise"):
+            got = knn_except(pts, queries, k, exclude)
             want = brute_rows(pts, queries, k, exclude)
         assert got.tolist() == want.tolist()
 
@@ -210,7 +213,7 @@ class TestGridKnn:
         pts = np.round(random_cloud(200, 4) * 3) / 3
         queries = np.vstack([pts[:5], random_cloud(5, 5, 3.0)])
         with mock.patch.object(geometry, "QUERY_BUDGET", budget):
-            got = knn_rows(NeighborIndex.from_points(pts), queries, 200)
+            got = knn_rows(pts, queries, 200)
         assert got.tolist() == brute_rows(pts, queries, 200).tolist()
 
     @pytest.mark.parametrize("budget", [16, 1 << 16])
@@ -221,10 +224,9 @@ class TestGridKnn:
         pts = np.vstack([[1.0, 2.0**-26, 0.0], [1.0, 0.0, 0.0], random_cloud(300, 6) + 2.0])
         query = np.zeros((1, 3))
         assert brute_knn(pts, query[0], 2).tolist() == [0, 1]
-        index = NeighborIndex.from_points(pts)
         with mock.patch.object(geometry, "QUERY_BUDGET", budget):
-            assert knn_rows(index, query, 1).tolist() == [[0]]
-            assert knn_rows(index, query, 3).tolist() == [brute_knn(pts, query[0], 3).tolist()]
+            assert knn_rows(pts, query, 1).tolist() == [[0]]
+            assert knn_rows(pts, query, 3).tolist() == [brute_knn(pts, query[0], 3).tolist()]
 
     def test_squares_that_underflow_rank_by_index(self):
         # Gaps near 1e-170 square to zero, so every distance is 0 and rows
@@ -232,7 +234,7 @@ class TestGridKnn:
         pts = random_cloud(300, 7, 1e-170)
         rows = np.arange(0, 300, 29)
         with mock.patch.object(geometry, "QUERY_BUDGET", 16):
-            got = knn_except(NeighborIndex.from_points(pts), pts[rows], 5, rows)
+            got = knn_except(pts, pts[rows], 5, rows)
         assert got.tolist() == brute_rows(pts, pts[rows], 5, rows).tolist()
 
     def test_crowded_cell_keeps_blocks_bounded(self):
@@ -242,10 +244,9 @@ class TestGridKnn:
         # candidates instead.
         rng = np.random.default_rng(9)
         pts = np.vstack([rng.uniform(0.0, 1e-6, (3000, 3)), rng.uniform(0.0, 1.0, (3000, 3))])
-        index = NeighborIndex.from_points(pts)
         tracemalloc.start()
         try:
-            rows = knn_rows(index, pts, 8)
+            rows = knn_rows(pts, pts, 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -291,7 +292,7 @@ class TestEstimateNormals:
             pts = np.round(pts * grid) / grid + random_cloud(80, 7, 1e-3)
         frame = Frame(pts)
         alone, degenerate = estimate_normals(frame, 8)
-        table = knn_rows(NeighborIndex.from_points(pts), pts, 13)
+        table = knn_rows(pts, pts, 13)
         shared, shared_degenerate = estimate_normals(frame, 8, table)
         assert degenerate == shared_degenerate
         assert np.array_equal(alone.normals, shared.normals)
@@ -300,8 +301,7 @@ class TestEstimateNormals:
     def test_neighbor_table_of_other_shape_rejected(self):
         pts = random_cloud(20, 8)
         frame = Frame(pts)
-        index = NeighborIndex.from_points(pts)
-        for table in (knn_rows(index, pts, 6), knn_rows(index, pts[:19], 7)):
+        for table in (knn_rows(pts, pts, 6), knn_rows(pts, pts[:19], 7)):
             with pytest.raises(ValueError, match="does not fit"):
                 estimate_normals(frame, 6, table)
 

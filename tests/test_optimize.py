@@ -797,6 +797,37 @@ class TestDenoiseSequence:
             weights = np.exp(-(4.0 / 3.0) ** 2 * np.sum(dn * dn, axis=1))
             assert summary == pytest.approx(_edge_weight_summary(edges, weights), rel=1e-12)
 
+    @pytest.mark.parametrize("sizes", [(40, 400), (400, 40), (400, 25, 400)],
+                             ids=["grow", "shrink", "dip"])
+    def test_frames_of_unequal_size(self, sizes, monkeypatch):
+        # A temporal pass builds patches of min(k, n_prev - 1, n_cur - 1) + 1
+        # members on the reference and on the current frame alike, so every
+        # patch has a counterpart of its size; k = 50 exceeds the smaller frames.
+        import dpcdenoise.optimize as opt
+
+        built = []
+        real_build = opt.build_patches
+
+        def build(frame, k, neighbors=None):
+            built.append((len(frame), k))
+            return real_build(frame, k, neighbors)
+
+        monkeypatch.setattr(opt, "build_patches", build)
+        noisy = Sequence(tuple(
+            Frame(add_gaussian_noise(small_sequence(1, n, seed=t).frames[0], 0.01, t).positions,
+                  frame_index=t)
+            for t, n in enumerate(sizes)))
+        cfg = small_config(k=50, outer_max_iters=2)
+        out, reports = denoise_sequence(noisy, cfg)
+        assert [len(frame) for frame in out] == list(sizes)
+        want = []
+        for t, (n, report) in enumerate(zip(sizes, reports)):
+            prev = sizes[t - 1] if t else n
+            k = min(cfg.k, n - 1, prev - 1)
+            passes = len(report.diagnostics["largest_move"])
+            want += ([(prev, k)] if t else []) + [(n, k)] * passes
+        assert built == want
+
     def test_single_frame_equals_denoise_frame(self):
         seq = small_sequence(1)
         noisy = Frame(seq.frames[0].positions +

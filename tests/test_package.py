@@ -93,8 +93,6 @@ TEST_ONLY = {
         "criterion 5's metric learning, kept until the pipeline runs a learned graph or it goes",
     "optimize.metric_objective": "the objective criterion 5 checks learn_metric's descent on",
     "optimize.metric_gradient": "the gradient criterion 5 checks against finite differences",
-    "synthetic.sample_gaussian_bump":
-        "criterion 2's surface, until it joins the synth surfaces or moves to the tests",
     "io.save_config": "writes the file format load_config reads, for library users",
 }
 

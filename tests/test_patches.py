@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import brute_knn, relative_coords
 
-from dpcdenoise.geometry import MAX_COORDINATE, Frame, NeighborIndex, knn_rows
+from dpcdenoise.geometry import MAX_COORDINATE, Frame, knn_rows
 from dpcdenoise.patches import PatchSet, build_patches, member_distances, patch_epsilons
 
 
@@ -32,10 +32,9 @@ class TestBuildPatches:
         pts = np.random.default_rng(3).uniform(0, 1, (60, 3))
         frame = Frame(pts)
         alone = build_patches(frame, 7)
-        index = NeighborIndex.from_points(pts)
-        shared = build_patches(frame, 7, neighbors=knn_rows(index, pts, 12))
+        shared = build_patches(frame, 7, neighbors=knn_rows(pts, pts, 12))
         assert np.array_equal(alone.members, shared.members)
-        for table in (knn_rows(index, pts, 7), knn_rows(index, pts[:59], 8)):
+        for table in (knn_rows(pts, pts, 7), knn_rows(pts, pts[:59], 8)):
             with pytest.raises(ValueError, match="does not fit"):
                 build_patches(frame, 7, neighbors=table)
 

@@ -5,7 +5,7 @@ import pytest
 from test_acceptance import E2E_CONFIG
 
 from dpcdenoise.config import RETIRED, DenoiseConfig
-from dpcdenoise.geometry import Frame, NeighborIndex, estimate_normals, knn_rows, without
+from dpcdenoise.geometry import Frame, estimate_normals, knn_rows, without
 from dpcdenoise.graph import laplacian
 from dpcdenoise.metrics import add_gaussian_noise
 from dpcdenoise.patches import PatchSet, build_patches
@@ -32,7 +32,7 @@ def point_edges(pairs):
 
 
 class TestSpatialConnectivity:
-    def test_tied_members_rank_adjacent_centers_by_center_index(self):
+    def test_tied_members_rank_adjacent_centers_by_lower_index(self):
         # Points 1 and 2 are both at distance 1 from point 0. Patch l is
         # centered on point l, so point 0's k_s = 1 nearest center is the
         # lower index, point 1, which leads point 0's members, as a query
@@ -40,8 +40,7 @@ class TestSpatialConnectivity:
         pts = np.array([[0, 0, 0], [1, 0, 0], [-1, 0, 0], [1.5, 0, 0], [-1.6, 0, 0]], dtype=float)
         ps = build_patches(Frame(pts), 2)
         assert ps.members[0].tolist() == [0, 1, 2]
-        index = NeighborIndex.from_points(pts)
-        near = without(knn_rows(index, pts, 2), np.arange(5))[:, 0]
+        near = without(knn_rows(pts, pts, 2), np.arange(5))[:, 0]
         assert near.tolist() == [1, 3, 4, 1, 2]
         assert stgraph._adjacent_patches(ps, 1).tolist() == [[0, 1], [1, 3], [2, 4]]
 
