@@ -35,8 +35,10 @@ fresh process: an import made lazily during a run, such as numpy's import of
 ``--acceptance`` adds the end-to-end instance of ``tests/test_acceptance.py``
 (criterion 7): its temporal run and its per-frame run with ``lambda1 = 0``,
 which the criterion's "temporal beats per-frame" check reads, each compared
-as above. Its inputs come from OLD_SRC's ``synth`` and ``noise`` commands,
-and each side's per-frame MSE reductions of both runs are printed too.
+as above, except that ``match`` runs with the temporal config only, as it
+does not read ``lambda1``. Its inputs come from OLD_SRC's ``synth`` and
+``noise`` commands, and each side's per-frame MSE reductions of both runs are
+printed too.
 
 Exits 1 if any output, config snapshot, diagnostics dict or match CSV differs
 or any run fails, and 0 otherwise. Run it from anywhere. Work files go to a
@@ -199,11 +201,11 @@ def diagnostics_differences(old: dict, new: dict) -> list:
 
 
 def compare(label: str, old: Path, new: Path, config: Path, inputs: list, work: Path) -> tuple:
-    """Denoise and match ``inputs`` with both trees; prints two lines and returns (same, out dirs).
+    """Denoise ``inputs`` with both trees; prints one line and returns (same, out dirs).
 
-    ``same`` holds when every run succeeds, every output PLY is byte-equal,
-    the two manifests' ``config`` snapshots and per-frame ``diagnostics`` are
-    equal, and so are the two ``match`` CSV files.
+    ``same`` holds when both runs succeed, every output PLY is byte-equal,
+    and the two manifests' ``config`` snapshots and per-frame ``diagnostics``
+    are equal.
     """
     outs = (work / "old", work / "new")
     manifests = [denoise(src, config, inputs, out) for src, out in zip((old, new), outs)]
@@ -224,8 +226,7 @@ def compare(label: str, old: Path, new: Path, config: Path, inputs: list, work: 
           f"new [{summary(manifests[1])}]", flush=True)
     if None not in manifests and not bytes_same:
         print(f"  largest absolute difference: {largest_gap(*outs)}")
-    match_same = compare_match(label, old, new, config, inputs, work)
-    return bytes_same and keys == [] and frames == [] and match_same, outs
+    return bytes_same and keys == [] and frames == [], outs
 
 
 def largest_gap(old_out: Path, new_out: Path) -> str:
@@ -295,6 +296,8 @@ def compare_acceptance(old: Path, new: Path, work: Path) -> bool:
         config = run_dir / "acceptance.cfg"
         config.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
         same, runs[label] = compare(f"acceptance {label}", old, new, config, noisy_files, run_dir)
+        if label == "temporal":
+            same &= compare_match(f"acceptance {label}", old, new, config, noisy_files, run_dir)
         all_same &= same
     for side, name in enumerate(("old", "new")):
         parts = [f"{label} " + " / ".join(f"{r:.4f} %" for r in
@@ -345,11 +348,12 @@ def main(argv=None) -> int:
                 config = run_dir / "run.cfg"
                 workload.write_config(config)
                 inputs = make_inputs(workload, seed, run_dir / "inputs")
-                same, outs = compare(f"{name} seed {seed}", old, new, config, inputs.files,
-                                     run_dir)
+                label = f"{name} seed {seed}"
+                same, outs = compare(label, old, new, config, inputs.files, run_dir)
                 if not same:
                     print_quality(outs, inputs)
-                all_same &= same
+                match_same = compare_match(label, old, new, config, inputs.files, run_dir)
+                all_same &= same and match_same
         if args.acceptance:
             run_dir = work / "acceptance"
             run_dir.mkdir(parents=True)

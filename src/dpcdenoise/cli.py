@@ -206,7 +206,7 @@ def _cmd_match(args) -> int:
     # The first-pass matches of frame 1 in a two-frame denoise run.
     reference = build_reference(prev, config, len(curr))
     patchset = prepare_frame(Frame(curr.positions, None, 1), config, len(prev)).patchset
-    matched, distance, _ = match_patches(patchset, reference, config.xi, config.alpha, config.c)
+    matched, distance, _ = match_patches(patchset, reference, config.xi, config.alpha)
     lines = ["target_patch,matched_patch,distance,weight"]
     for target, (best, dist) in enumerate(zip(matched.tolist(), distance.tolist())):
         lines.append(f"{target},{best},{dist:.9g},{_csv_value(math.exp(-dist))}")

@@ -68,8 +68,6 @@ class Sequence:
     """Ordered frames of one dynamic point cloud."""
 
     frames: tuple
-    name: str = ""
-    units: str = ""
 
     def __post_init__(self) -> None:
         frames = tuple(self.frames)

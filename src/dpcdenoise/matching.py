@@ -83,8 +83,8 @@ def patch_distance(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
 
 
 def point_correspondence(
-    rw_rows_target: np.ndarray,
-    rw_rows_matched: np.ndarray,
+    var_rows_target: np.ndarray,
+    var_rows_matched: np.ndarray,
     rel_target: np.ndarray,
     rel_matched: np.ndarray,
     alpha: float,
@@ -101,8 +101,8 @@ def point_correspondence(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    rt = np.asarray(rw_rows_target, dtype=np.float64)
-    rm = np.asarray(rw_rows_matched, dtype=np.float64)
+    rt = np.asarray(var_rows_target, dtype=np.float64)
+    rm = np.asarray(var_rows_matched, dtype=np.float64)
     vt = np.asarray(rel_target, dtype=np.float64)
     vm = np.asarray(rel_matched, dtype=np.float64)
     if rt.shape != rm.shape or vt.shape != vm.shape or rt.shape != vt.shape:
@@ -124,6 +124,7 @@ class ReferencePatches:
     """Precomputed matching data for one (already denoised) reference frame."""
 
     patchset: PatchSet
+    c: float                                     # radius multiplier; targets match at it too
     var_rows: np.ndarray = field(repr=False)     # (m, k+1, 3)
     variations: np.ndarray = field(repr=False)   # (m, 3)
 
@@ -141,7 +142,7 @@ def prepare_reference(patchset: PatchSet, c: float = 5.0) -> ReferencePatches:
     if patchset.frame.normals is None:
         raise ValueError("reference frame needs normals")
     _, var_rows, variations = patch_variations(patchset, c)
-    return ReferencePatches(patchset=patchset, var_rows=var_rows, variations=variations)
+    return ReferencePatches(patchset=patchset, c=c, var_rows=var_rows, variations=variations)
 
 
 def match_patches(
@@ -149,22 +150,21 @@ def match_patches(
     reference: ReferencePatches,
     xi: int,
     alpha: float = 0.5,
-    c: float = 5.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Match every patch of ``patchset`` against the reference frame.
 
     Candidates for target patch l are the reference patches whose
     centers are the ``xi`` nearest to l's center; the one with the
-    smallest variation distance wins, ties broken by ascending patch
-    index. Returns arrays indexed by target patch: the (m,) matched
-    reference patch, the (m,) variation distance to it, and the
-    (m, k+1) point map from :func:`point_correspondence`.
+    smallest variation distance, taken at the reference's ``c``, wins,
+    ties broken by ascending patch index. Returns arrays indexed by
+    target patch: the (m,) matched reference patch, the (m,) variation
+    distance to it, and the (m, k+1) point map from :func:`point_correspondence`.
     """
     if patchset.frame.normals is None:
         raise ValueError("target frame needs normals")
     if xi < 1:
         raise ValueError("xi must be >= 1")
-    eps, rows, variations = patch_variations(patchset, c)
+    eps, rows, variations = patch_variations(patchset, reference.c)
     cand = knn_rows(reference.patchset.frame.positions, patchset.frame.positions,
                     min(xi, len(reference)))
     dists = patch_distance(reference.variations[cand], variations[:, None, :])

@@ -29,23 +29,16 @@ class SolverError(RuntimeError):
     """A numerical solver failed to meet its contract."""
 
     def __init__(self, message: str, *, residual: float | None = None,
-                 trace: float | None = None, iteration: int | None = None):
+                 trace: float | None = None):
         super().__init__(message)
         self.residual = residual
         self.trace = trace
-        self.iteration = iteration
+        self.iteration: int | None = None      # the outer iteration, set by denoise_frame
 
 
 def _psum(values: np.ndarray) -> float:
     # Pairwise summation; deterministic regardless of BLAS threading.
     return float(np.sum(values))
-
-
-def _check_spatial(edges: SpatialEdges, pair_weights: np.ndarray, n: int) -> None:
-    if pair_weights.shape != (edges.points.shape[0],):
-        raise ValueError("pair weights must have one entry per point pair")
-    if edges.points.size and edges.points.max() >= n:
-        raise ValueError("spatial edges do not match the point count")
 
 
 def _conjugate_gradient(a: CsrMatrix, b: np.ndarray, x0: np.ndarray,
@@ -97,10 +90,9 @@ def _conjugate_gradient(a: CsrMatrix, b: np.ndarray, x0: np.ndarray,
 
 def _point_system(
     u_hat: np.ndarray,
-    members: np.ndarray,
-    anchor_rows: np.ndarray,
-    prev_aligned: Optional[np.ndarray],
-    w_rows: Optional[np.ndarray],
+    patchset: PatchSet,
+    prev_rel: Optional[np.ndarray],
+    patch_weights: Optional[np.ndarray],
     edges: Optional[SpatialEdges],
     pair_weights: Optional[np.ndarray],
     lambda1: float,
@@ -109,8 +101,9 @@ def _point_system(
     """The n x n normal equations ``A U = B`` of the point update.
 
     ``A = I + l1 diag(S^T W 1) + l2 L`` and ``B = U_hat + l1 S^T W (C + P_ref)
-    + l2 F``, where S selects patch rows and C holds the fixed anchor
-    centers. L is the Laplacian over points whose edge (lo, hi) weighs
+    + l2 F``. S selects the patch set's member rows, C holds each row's patch
+    center, and W and ``P_ref`` are the (m,) ``patch_weights`` and the (m, k+1, 3)
+    ``prev_rel`` expanded to rows. L is the Laplacian over points whose edge (lo, hi) weighs
     pair weight times row-edge count, and F sends each pair's weighted
     offset to lo and its negative to hi; together they equal the row
     form ``S^T L_rows S`` and ``S^T L_rows C``. :func:`~dpcdenoise.graph.laplacian`
@@ -119,16 +112,26 @@ def _point_system(
     """
     u_hat = np.asarray(u_hat, dtype=np.float64)
     n = u_hat.shape[0]
+    if len(patchset) != n:
+        raise ValueError("the patch set must have one patch per point")
+    if (prev_rel is None) != (patch_weights is None) or prev_rel is not None and (
+            prev_rel.shape != patchset.rel.shape or patch_weights.shape != (n,)):
+        raise ValueError("prev_rel and patch_weights must both fit the patch set or both be None")
     diag = np.ones(n)
     b = u_hat.copy()
     lo = hi = np.empty(0, dtype=np.int64)
     link = np.empty(0)
-    if lambda1 > 0 and w_rows is not None and prev_aligned is not None:
-        flat = members.ravel()
-        diag += lambda1 * np.bincount(flat, weights=w_rows, minlength=n)
-        b += lambda1 * _scatter(flat, w_rows[:, None] * (anchor_rows + prev_aligned), n)
+    if lambda1 > 0 and prev_rel is not None:
+        flat = patchset.members.ravel()
+        weights = np.repeat(patch_weights, patchset.k + 1)
+        targets = (patchset.frame.positions[:, None] + prev_rel).reshape(-1, 3)
+        diag += lambda1 * np.bincount(flat, weights=weights, minlength=n)
+        b += lambda1 * _scatter(flat, weights[:, None] * targets, n)
     if lambda2 > 0 and edges is not None and pair_weights is not None:
-        _check_spatial(edges, pair_weights, n)
+        if pair_weights.shape != (edges.points.shape[0],):
+            raise ValueError("pair weights must have one entry per point pair")
+        if edges.points.size and edges.points.max() >= n:
+            raise ValueError("spatial edges do not match the point count")
         lo, hi = edges.points[:, 0], edges.points[:, 1]
         link = lambda2 * (pair_weights * edges.counts)
         flow = link[:, None] * edges.offsets
@@ -144,10 +147,9 @@ def _scatter(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 def solve_point_cloud(
     u_hat: np.ndarray,
-    members: np.ndarray,
-    anchor_rows: np.ndarray,
-    prev_aligned: Optional[np.ndarray],
-    w_rows: Optional[np.ndarray],
+    patchset: PatchSet,
+    prev_rel: Optional[np.ndarray],
+    patch_weights: Optional[np.ndarray],
     edges: Optional[SpatialEdges],
     pair_weights: Optional[np.ndarray],
     lambda1: float,
@@ -158,12 +160,12 @@ def solve_point_cloud(
     """Closed-form point update, solved per coordinate by conjugate gradient.
 
     Solves the system of :func:`_point_system`, which is SPD with smallest
-    eigenvalue at least 1, so CG converges unconditionally. Returns the
-    points and, per axis, CG's products with A and its final true relative
-    residual.
+    eigenvalue at least 1, so CG converges unconditionally; its S, W and C
+    are read from ``patchset``. Returns the points and, per axis, CG's
+    products with A and its final true relative residual.
     """
-    a, b = _point_system(u_hat, members, anchor_rows, prev_aligned, w_rows, edges,
-                        pair_weights, lambda1, lambda2)
+    a, b = _point_system(u_hat, patchset, prev_rel, patch_weights, edges, pair_weights,
+                         lambda1, lambda2)
     u_hat = np.asarray(u_hat, dtype=np.float64)
     out = np.empty_like(u_hat)
     products, residuals = [], []
@@ -367,9 +369,13 @@ def prepare_frame(frame: Frame, config: DenoiseConfig,
 
 
 def build_reference(previous: Frame, config: DenoiseConfig, current_size: int):
-    """Matching data of the previously denoised frame, for a frame of ``current_size``."""
-    prepared = prepare_frame(previous, config, current_size)
-    return prepare_reference(prepared.patchset, config.c)
+    """Matching data of the previously denoised frame, for a frame of ``current_size``;
+    a ``ValueError`` is raised again naming that frame, as the fault lies there."""
+    try:
+        prepared = prepare_frame(previous, config, current_size)
+        return prepare_reference(prepared.patchset, config.c)
+    except ValueError as exc:
+        raise ValueError(f"reference frame {previous.frame_index}: {exc}") from exc
 
 
 def denoise_frame(
@@ -426,51 +432,41 @@ def denoise_frame(
             # Member 1 of patch l is a nearest other input point of point l.
             spacing = float(np.mean(np.sqrt(np.sum(patchset.rel[:, 1] ** 2, axis=1))))
             if spacing == 0.0:
-                raise ValueError(f"frame {noisy.frame_index}: every point coincides with "
-                                 "another point, so the frame has no spacing")
+                raise ValueError("every point coincides with another point: no spacing")
             diagnostics["spacing"] = spacing
         diagnostics["degenerate_normals"].append(degen)
-        members = patchset.members
-        anchor_rows = np.repeat(u, patchset.k + 1, axis=0)
 
-        prev_aligned = None
-        w_rows = None
+        prev_rel = patch_weights = None
         if reference is not None:
-            try:
-                matched, match_dist, point_map = match_patches(
-                    patchset, reference, config.xi, config.alpha, config.c)
-            except ValueError as exc:
-                raise SolverError(f"temporal matching failed at outer iteration {it}: {exc}",
-                                  iteration=it) from exc
-            prev_aligned = reference.patchset.rel[matched[:, None], point_map].reshape(-1, 3)
+            matched, match_dist, point_map = match_patches(patchset, reference, config.xi,
+                                                           config.alpha)
+            prev_rel = reference.patchset.rel[matched[:, None], point_map]
             if it == 0:
                 patch_weights = np.exp(-match_dist)
             else:
-                gaps = patchset.rel - prev_aligned.reshape(patchset.rel.shape)
+                gaps = patchset.rel - prev_rel
                 patch_weights = solve_temporal_weights(np.sum(gaps * gaps, axis=(1, 2)),
                                                        config.mprime_fraction * len(patchset))
-            w_rows = np.repeat(patch_weights, patchset.k + 1)
             p50, p95 = np.quantile(match_dist, [0.5, 0.95], method="inverted_cdf")
             diagnostics["match_dist"].append({"p50": float(p50), "p95": float(p95)})
             diagnostics["patch_weights"].append({"zero": int(np.sum(patch_weights == 0)),
                                                  "one": int(np.sum(patch_weights == 1))})
 
         edges = pair_weights = None
+        if lam2 > 0:
+            edges = spatial_connectivity(patchset, k_s_eff)
+            diagnostics["spatial_edges"].append(len(edges))
+            diagnostics["spatial_pairs"].append(edges.points.shape[0])
+            pair_weights = weighted_spatial_graph(edges, normals, scale)
+            diagnostics["edge_weights"].append(_edge_weight_summary(edges, pair_weights))
         try:
-            if lam2 > 0 and k_s_eff >= 1:
-                edges = spatial_connectivity(patchset, k_s_eff)
-                diagnostics["spatial_edges"].append(len(edges))
-                diagnostics["spatial_pairs"].append(edges.points.shape[0])
-                pair_weights = weighted_spatial_graph(edges, normals, scale)
-                diagnostics["edge_weights"].append(_edge_weight_summary(edges, pair_weights))
             u_new, cg_iters, cg_residual = solve_point_cloud(
-                u_hat, members, anchor_rows, prev_aligned, w_rows, edges, pair_weights,
+                u_hat, patchset, prev_rel, patch_weights, edges, pair_weights,
                 lam1, lam2, config.cg_tol, config.cg_max_iters,
             )
         except SolverError as exc:
-            if exc.iteration is None:
-                exc.iteration = it
-                exc.args = (f"{exc.args[0]} (outer iteration {it})",)
+            exc.iteration = it
+            exc.args = (f"{exc.args[0]} (outer iteration {it})",)
             raise
 
         diagnostics["cg_iters"].append(cg_iters)
@@ -496,14 +492,18 @@ def denoise_sequence(noisy: Sequence, config: DenoiseConfig) -> tuple[Sequence, 
     """Denoise a sequence frame by frame.
 
     The first frame is denoised without a temporal term; every later
-    frame uses the already-denoised predecessor as its reference.
+    frame uses the already-denoised predecessor as its reference. A
+    frame's ``ValueError`` is raised again with the frame's index in front.
     """
     denoised = []
     reports = []
     previous = None
     for frame in noisy:
-        out, report = denoise_frame(frame, previous, config)
+        try:
+            out, report = denoise_frame(frame, previous, config)
+        except ValueError as exc:
+            raise ValueError(f"frame {frame.frame_index}: {exc}") from exc
         denoised.append(out)
         reports.append(report)
         previous = out
-    return Sequence(tuple(denoised), name=noisy.name, units=noisy.units), reports
+    return Sequence(tuple(denoised)), reports

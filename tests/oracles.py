@@ -331,13 +331,13 @@ def dense_objective(u, u_hat, members, anchors, prev_aligned, w_rows, lap, lam1,
     return float(total)
 
 
-def random_solve_instance(rng, n, with_temporal=True):
+def random_solve_instance(rng, n):
     """Random small patch layout + operators for solver tests.
 
-    Returns the points, the patch members, the anchor rows, the temporal
-    rows and weights (or None), the folded spatial edges with their pair
-    weights (unit scale on the normals), and the row-graph Laplacian
-    those weights give.
+    Returns the points, their patch set, the (n, k+1, 3) temporal reference
+    coordinates and (n,) patch weights, the folded spatial edges
+    with their pair weights (unit scale on the normals), and the row-graph
+    Laplacian those weights give.
     """
     from dpcdenoise.geometry import Frame, estimate_normals
     from dpcdenoise.patches import build_patches
@@ -346,17 +346,22 @@ def random_solve_instance(rng, n, with_temporal=True):
 
     pts = rng.uniform(0, 1, (n, 3))
     frame, _ = estimate_normals(Frame(pts), min(6, n - 1))
-    k = min(5, n - 1)
-    ps = build_patches(frame, k)
-    members = ps.members
-    anchors = np.repeat(pts, k + 1, axis=0)
-    k_s = min(2, k)
+    ps = build_patches(frame, min(5, n - 1))
+    k_s = min(2, ps.k)
     edges = stgraph.spatial_connectivity(ps, k_s)
     pair_weights = weighted_spatial_graph(edges, frame.normals, 1.0)
-    lap = row_laplacian(spatial_connectivity(ps, k_s), members, pair_weights)
-    if with_temporal:
-        w_rows = np.repeat(rng.uniform(0, 1, n), k + 1)
-        prev_aligned = anchors * 0 + rng.normal(0, 0.1, anchors.shape)
-    else:
-        w_rows, prev_aligned = None, None
-    return pts, members, anchors, prev_aligned, w_rows, edges, pair_weights, lap
+    lap = row_laplacian(spatial_connectivity(ps, k_s), ps.members, pair_weights)
+    patch_weights = rng.uniform(0, 1, n)
+    prev_rel = rng.normal(0, 0.1, ps.rel.shape)
+    return pts, ps, prev_rel, patch_weights, edges, pair_weights, lap
+
+
+def row_form(patchset, prev_rel, patch_weights):
+    """The point solve's inputs in the row form of :func:`build_system` and
+    :func:`dense_objective`: the members, each row's patch center, and the
+    reference rows and row weights (None without a temporal term)."""
+    size = patchset.k + 1
+    anchors = np.repeat(patchset.frame.positions, size, axis=0)
+    if prev_rel is None:
+        return patchset.members, anchors, None, None
+    return patchset.members, anchors, prev_rel.reshape(-1, 3), np.repeat(patch_weights, size)

@@ -19,6 +19,7 @@ from oracles import (
     lp_oracle,
     random_graph,
     random_solve_instance,
+    row_form,
     sample_gaussian_bump,
 )
 
@@ -165,18 +166,18 @@ def test_criterion_4_linear_solve_oracle():
     max_res = 0.0
     for _ in range(50):
         n = int(rng.integers(10, 61))
-        pts, members, anchors, prev, w, edges, pw, lap = random_solve_instance(rng, n)
+        pts, ps, prev, w, edges, pw, lap = random_solve_instance(rng, n)
         u_hat = pts + rng.normal(0, 0.1, pts.shape)
         lam1, lam2 = rng.uniform(0.1, 2.0, 2)
-        got, _, _ = solve_point_cloud(u_hat, members, anchors, prev, w, edges, pw, lam1, lam2,
+        got, _, _ = solve_point_cloud(u_hat, ps, prev, w, edges, pw, lam1, lam2,
                                       cg_tol=1e-8, cg_max_iters=1000)
-        a, b = build_system(u_hat, members, anchors, prev, w, lap, lam1, lam2)
+        a, b = build_system(u_hat, *row_form(ps, prev, w), lap, lam1, lam2)
         max_err = max(max_err, float(np.max(np.abs(got - np.linalg.solve(a, b)))))
         for col in range(3):
             res = np.linalg.norm(b[:, col] - a @ got[:, col]) / np.linalg.norm(b[:, col])
             max_res = max(max_res, float(res))
-    pts, members, anchors, prev, w, edges, pw, lap = random_solve_instance(rng, 30)
-    identity, _, _ = solve_point_cloud(pts, members, anchors, prev, w, edges, pw, 0.0, 0.0)
+    pts, ps, prev, w, edges, pw, lap = random_solve_instance(rng, 30)
+    identity, _, _ = solve_point_cloud(pts, ps, prev, w, edges, pw, 0.0, 0.0)
     bit_exact = np.array_equal(identity, pts)
     ok = max_err < 1e-6 and max_res <= 1e-8 and bit_exact
     report(4, "point solve vs dense oracle", ok,

@@ -37,7 +37,6 @@ from dpcdenoise.graph import CsrMatrix, laplacian
 from dpcdenoise.matching import match_patches, member_variations, patch_variations, prepare_reference
 from dpcdenoise.metrics import add_gaussian_noise
 from dpcdenoise.optimize import (
-    SolverError,
     _metric_gradient_from_terms,
     _point_system,
     denoise_frame,
@@ -206,13 +205,13 @@ class TestPatchVariations:
         with pytest.raises(ValueError, match="epsilon must be > 0"):
             patch_variations(build_patches(Frame(pts, normals), 2), 5.0)
 
-    def test_clumped_target_patch_is_a_solver_error(self):
+    def test_clumped_target_patch_is_a_data_error(self):
         rng = np.random.default_rng(4)
         previous = Frame(rng.uniform(0, 1, (40, 3)), unit_normals(rng, 40), frame_index=0)
         noisy = rng.uniform(0, 1, (40, 3))
         noisy[:8] = noisy[0]
         config = DenoiseConfig(k=5, k_s=3, xi=3, k_plane=6, outer_max_iters=1)
-        with pytest.raises(SolverError, match="temporal matching failed"):
+        with pytest.raises(ValueError, match="^epsilon must be > 0$"):
             denoise_frame(Frame(noisy, frame_index=1), previous, config)
 
 
@@ -523,16 +522,13 @@ class TestFoldedSpatialTerm:
     @given(spatial_instances(), st.booleans())
     def test_system_matches_dense_row_oracle(self, drawn, temporal):
         pts, ps, edges, rows, pair_weights, rng = drawn
-        members = ps.members
-        anchors = anchors_of(ps, pts)
         u_hat = pts + rng.normal(0.0, 0.05, pts.shape)
-        prev = rng.normal(0.0, 0.1, anchors.shape) if temporal else None
-        w_rows = np.repeat(rng.uniform(0, 1, len(ps)), ps.k + 1) if temporal else None
+        prev = rng.normal(0.0, 0.1, ps.rel.shape) if temporal else None
+        weights = rng.uniform(0, 1, len(ps)) if temporal else None
         lam1, lam2 = rng.uniform(0.1, 2.0, 2)
-        a, b = _point_system(u_hat, members, anchors, prev, w_rows, edges, pair_weights,
-                             lam1, lam2)
-        lap = oracles.row_laplacian(rows, members, pair_weights)
-        a_want, b_want = oracles.build_system(u_hat, members, anchors, prev, w_rows, lap,
+        a, b = _point_system(u_hat, ps, prev, weights, edges, pair_weights, lam1, lam2)
+        lap = oracles.row_laplacian(rows, ps.members, pair_weights)
+        a_want, b_want = oracles.build_system(u_hat, *oracles.row_form(ps, prev, weights), lap,
                                               lam1, lam2)
         assert a.starts.size == len(pts)
         assert a.cols.size == len(pts) + 2 * edges.points.shape[0]
@@ -667,11 +663,12 @@ class TestCsrMatrix:
         edges = SpatialEdges(points=points, counts=rng.integers(1, 4, pairs),
                              offsets=rng.normal(0.0, 0.01, (pairs, 3)))
         u_hat = rng.uniform(0.0, 1.0, (n, 3))
+        points_alone = PatchSet(np.arange(n)[:, None], 0, Frame(u_hat))
         entries = n + 2 * pairs
         assert n >= 10 * entries / n
         tracemalloc.start()
         try:
-            a, b = _point_system(u_hat, np.arange(n)[:, None], u_hat, None, None, edges,
+            a, b = _point_system(u_hat, points_alone, None, None, edges,
                                  rng.uniform(0.0, 1.0, pairs), 0.0, 0.5)
             x = b[:, 0].copy()
             tracemalloc.reset_peak()

@@ -352,6 +352,30 @@ class TestMatch:
         assert [row.rsplit(",", 1)[0] for row in rows] == [f"{t},{b},{d:.9g}" for t, (b, d) in pairs]
 
 
+class TestClumpedFrames:
+    @pytest.mark.parametrize("clumped, flags, message", [
+        (1, [], "frame 1: epsilon must be > 0"),
+        (0, ["--lambda2", "0"], "frame 1: reference frame 0: epsilon must be > 0"),
+    ], ids=["current", "reference"])
+    def test_clump_of_coincident_points_is_a_data_error_naming_the_frame(
+            self, tmp_path, capsys, clumped, flags, message):
+        # 12 coincident points make patches whose members all coincide, so
+        # their variation radius is 0. In frame 1 its matching fails; in
+        # frame 0, with no spatial term, the clump survives into frame 1's
+        # reference. Either way the run is refused before it writes anything.
+        run(synth_args(tmp_path / "clean", points=300, frames=2))
+        inputs = sorted((tmp_path / "clean").glob("*.ply"))
+        pts = np.array(read_point_cloud(inputs[clumped]).positions)
+        pts[:12] = pts[0]
+        write_point_cloud(Frame(pts), inputs[clumped])
+        out_dir = tmp_path / "denoised"
+        code = run(["denoise", "--k", "10", "--k-s", "4", "--outer-max-iters", "2", *flags,
+                    "--out-dir", str(out_dir), *map(str, inputs)])
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out_dir.exists()
+
+
 class TestPipeline:
     def test_full_synth_noise_denoise_eval(self, tmp_path):
         run(synth_args(tmp_path / "clean", points=120, frames=2))

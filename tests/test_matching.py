@@ -222,6 +222,22 @@ class TestTemporalMatch:
         assert point_map.shape == (300, 13) and point_map.dtype == np.int64
         assert np.array_equal(point_map[itself], np.tile(np.arange(13), (300, 1))[itself])
 
+    def test_targets_are_matched_at_the_reference_c(self):
+        # The radius multiplier has one owner: the reference prepared at c = 3
+        # gives the target variations of member_variations(..., 3.0).
+        seq = generate_sequence(SyntheticSpec("sinusoid-sheet", n_points=200, n_frames=2,
+                                              amplitude=0.2, phase_step=0.05, seed=3))
+        prev, curr = (estimate_normals(f, 10)[0] for f in seq)
+        _, ref = build_reference(prev, 8, c=3.0)
+        ps = build_patches(curr, 8)
+        matched, distance, _ = match_patches(ps, ref, xi=5)
+        assert ref.c == 3.0
+        points, normals = curr.positions[ps.members], curr.normals[ps.members]
+        at_3 = member_variations(points, normals, 3.0)[2]
+        at_5 = member_variations(points, normals, 5.0)[2]
+        assert np.array_equal(distance, patch_distance(at_3, ref.variations[matched]))
+        assert not np.array_equal(distance, patch_distance(at_5, ref.variations[matched]))
+
     def test_plane_resamplings_distance_zero(self):
         specs = [
             SyntheticSpec("plane", n_points=200, n_frames=1, seed=s) for s in (1, 2)

@@ -9,6 +9,7 @@ from oracles import (
     lp_oracle,
     mean_nearest_distance,
     random_solve_instance,
+    row_form,
 )
 
 from dpcdenoise.config import DenoiseConfig
@@ -41,30 +42,30 @@ random_instance = random_solve_instance
 class TestSolvePointCloud:
     def test_zero_lambdas_bit_exact_identity(self):
         rng = np.random.default_rng(3)
-        pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, 25)
-        out, _, _ = solve_point_cloud(pts, members, anchors, prev, w, edges, pw, 0.0, 0.0)
+        pts, ps, prev, w, edges, pw, lap = random_instance(rng, 25)
+        out, _, _ = solve_point_cloud(pts, ps, prev, w, edges, pw, 0.0, 0.0)
         assert np.array_equal(out, pts)
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(4)
         for trial in range(50):
             n = int(rng.integers(10, 61))
-            pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, n)
+            pts, ps, prev, w, edges, pw, lap = random_instance(rng, n)
             u_hat = pts + rng.normal(0, 0.05, pts.shape)
             lam1, lam2 = rng.uniform(0.1, 2, 2)
-            got, _, _ = solve_point_cloud(u_hat, members, anchors, prev, w, edges, pw, lam1, lam2,
+            got, _, _ = solve_point_cloud(u_hat, ps, prev, w, edges, pw, lam1, lam2,
                                           cg_tol=1e-12, cg_max_iters=2000)
-            a, b = build_system(u_hat, members, anchors, prev, w, lap, lam1, lam2)
+            a, b = build_system(u_hat, *row_form(ps, prev, w), lap, lam1, lam2)
             want = np.linalg.solve(a, b)
             assert np.max(np.abs(got - want)) < 1e-6
 
     def test_residual_contract(self):
         rng = np.random.default_rng(5)
-        pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, 40)
+        pts, ps, prev, w, edges, pw, lap = random_instance(rng, 40)
         u_hat = pts + rng.normal(0, 0.1, pts.shape)
-        got, _, _ = solve_point_cloud(u_hat, members, anchors, prev, w, edges, pw, 1.0, 1.0,
+        got, _, _ = solve_point_cloud(u_hat, ps, prev, w, edges, pw, 1.0, 1.0,
                                       cg_tol=1e-8, cg_max_iters=500)
-        a, b = build_system(u_hat, members, anchors, prev, w, lap, 1.0, 1.0)
+        a, b = build_system(u_hat, *row_form(ps, prev, w), lap, 1.0, 1.0)
         for col in range(3):
             res = np.linalg.norm(b[:, col] - a @ got[:, col])
             assert res <= 1e-8 * np.linalg.norm(b[:, col])
@@ -73,16 +74,16 @@ class TestSolvePointCloud:
         rng = np.random.default_rng(6)
         for _ in range(5):
             n = int(rng.integers(10, 61))
-            pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, n)
-            a, _ = _point_system(pts, members, anchors, prev, w, edges, pw, 1.3, 0.7)
+            pts, ps, prev, w, edges, pw, lap = random_instance(rng, n)
+            a, _ = _point_system(pts, ps, prev, w, edges, pw, 1.3, 0.7)
             assert np.linalg.eigvalsh(a @ np.eye(n)).min() >= 1.0 - 1e-9
 
     def test_failure_carries_residual(self):
         rng = np.random.default_rng(7)
-        pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, 30)
+        pts, ps, prev, w, edges, pw, lap = random_instance(rng, 30)
         u_hat = pts + rng.normal(0, 0.1, pts.shape)
         with pytest.raises(SolverError) as err:
-            solve_point_cloud(u_hat, members, anchors, prev, w, edges, pw, 1.0, 5.0,
+            solve_point_cloud(u_hat, ps, prev, w, edges, pw, 1.0, 5.0,
                               cg_tol=1e-14, cg_max_iters=1)
         assert err.value.residual is not None
         assert err.value.residual > 1e-14
@@ -91,14 +92,31 @@ class TestSolvePointCloud:
         rng = np.random.default_rng(8)
         for _ in range(10):
             n = int(rng.integers(12, 40))
-            pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, n)
+            pts, ps, prev, w, edges, pw, lap = random_instance(rng, n)
             u_hat = pts + rng.normal(0, 0.1, pts.shape)
             lam1, lam2 = rng.uniform(0.1, 2, 2)
-            star, _, _ = solve_point_cloud(u_hat, members, anchors, prev, w, edges, pw, lam1, lam2,
+            star, _, _ = solve_point_cloud(u_hat, ps, prev, w, edges, pw, lam1, lam2,
                                            cg_tol=1e-12, cg_max_iters=2000)
-            before = dense_objective(u_hat, u_hat, members, anchors, prev, w, lap, lam1, lam2)
-            after = dense_objective(star, u_hat, members, anchors, prev, w, lap, lam1, lam2)
+            rows = row_form(ps, prev, w)
+            before = dense_objective(u_hat, u_hat, *rows, lap, lam1, lam2)
+            after = dense_objective(star, u_hat, *rows, lap, lam1, lam2)
             assert after <= before + 1e-9
+
+    @pytest.mark.parametrize("case, message", [
+        ("patch set of another size", "one patch per point"),
+        ("prev_rel misshapen", "both fit the patch set"),
+        ("patch_weights misshapen", "both fit the patch set"),
+        ("patch_weights without prev_rel", "both fit the patch set"),
+    ])
+    def test_rejects_a_patch_set_or_temporal_arrays_that_do_not_fit(self, case, message):
+        rng = np.random.default_rng(9)
+        pts, ps, prev, w, _, _, _ = random_instance(rng, 20)
+        temporal = {"patch set of another size": (random_instance(rng, 21)[1], None, None),
+                    "prev_rel misshapen": (ps, prev[:, 1:], w),
+                    "patch_weights misshapen": (ps, prev, w[1:]),
+                    "patch_weights without prev_rel": (ps, None, w)}[case]
+        with pytest.raises(ValueError, match=message):
+            solve_point_cloud(pts, *temporal, None, None, 1.0, 0.0)
 
 
 class TestSolveTemporalWeights:
@@ -373,8 +391,7 @@ class TestDenoiseFrame:
         assert np.all(p[rows[:, 0]] == p[rows[:, 1]])
         normals = np.tile((0.0, 0.0, 1.0), (12, 1))
         pw = weighted_spatial_graph(edges, normals, 1.0)
-        anchors = np.repeat(pts, 5, axis=0)
-        out, _, _ = solve_point_cloud(pts, ps.members, anchors, None, None, edges, pw, 0.0, 0.5,
+        out, _, _ = solve_point_cloud(pts, ps, None, None, edges, pw, 0.0, 0.5,
                                       cg_tol=1e-10, cg_max_iters=500)
         assert np.max(np.abs(out - pts)) < 1e-6
 
@@ -384,7 +401,6 @@ class TestDenoiseFrame:
         # densely over each pass's row graph, rises from pass 4 to pass 5,
         # and the loop still runs to the cap and returns the last iterate.
         import dpcdenoise.optimize as opt
-        from dpcdenoise.patches import PatchSet
 
         seq = small_sequence(1)
         noisy = Frame(seq.frames[0].positions +
@@ -396,12 +412,11 @@ class TestDenoiseFrame:
 
         def solve(*args):
             result = real_solve(*args)
-            u_hat, members, anchors, prev, w, edges, pw, lam1, lam2 = args[:9]
-            u = iterates[-1]
-            ps = PatchSet(members=members, k=members.shape[1] - 1, frame=Frame(u))
+            u_hat, ps, prev, w, edges, pw, lam1, lam2 = args[:8]
+            assert np.array_equal(ps.frame.positions, iterates[-1])
             rows = oracles.spatial_connectivity(ps, cfg.k_s)
-            lap = oracles.row_laplacian(rows, members, pw)
-            totals.append(dense_objective(result[0], u_hat, members, anchors, prev, w, lap,
+            lap = oracles.row_laplacian(rows, ps.members, pw)
+            totals.append(dense_objective(result[0], u_hat, *row_form(ps, prev, w), lap,
                                           lam1, lam2))
             iterates.append(result[0])
             return result
@@ -507,20 +522,19 @@ class TestDenoiseFrame:
             seen.update(rel=reference.patchset.rel, matched=matched, point_map=point_map)
             return matched, distance, point_map
 
-        def solve(u_hat, members, anchor_rows, prev_aligned, *args):
-            seen["prev_aligned"] = prev_aligned
-            return real_solve(u_hat, members, anchor_rows, prev_aligned, *args)
+        def solve(u_hat, patchset, prev_rel, *args):
+            seen["prev_rel"] = prev_rel
+            return real_solve(u_hat, patchset, prev_rel, *args)
 
         real_match, real_solve = opt.match_patches, opt.solve_point_cloud
         monkeypatch.setattr(opt, "match_patches", match)
         monkeypatch.setattr(opt, "solve_point_cloud", solve)
         denoise_frame(Frame(seq.frames[1].positions, frame_index=1), ref_frame, cfg)
-        size = seen["point_map"].shape[1]
+        assert seen["prev_rel"].shape == seen["point_map"].shape + (3,)
         for l, (best, pm) in enumerate(zip(seen["matched"], seen["point_map"])):
-            got = seen["prev_aligned"][l * size : (l + 1) * size]
-            assert np.array_equal(got, seen["rel"][best][pm])
+            assert np.array_equal(seen["prev_rel"][l], seen["rel"][best][pm])
         if kind == "zeros":
-            assert np.array_equal(seen["prev_aligned"], np.zeros_like(seen["prev_aligned"]))
+            assert np.array_equal(seen["prev_rel"], np.zeros_like(seen["prev_rel"]))
 
     def test_match_diagnostics_per_pass(self, monkeypatch):
         # Per pass with a reference: the p50 and p95 of the match distances,
@@ -844,12 +858,15 @@ class TestDenoiseSequence:
         # frame, so the temporal term is unchanged and the point update it
         # drives moves with the frame.
         rng = np.random.default_rng(20)
-        pts, members, anchors, prev, w, edges, pw, lap = random_instance(rng, 25)
+        from dpcdenoise.patches import PatchSet
+
+        pts, ps, prev, w, edges, pw, lap = random_instance(rng, 25)
         u_hat = pts + rng.normal(0, 0.05, pts.shape)
         shift = np.array([4.0, -2.0, 9.0])
-        here, _, _ = solve_point_cloud(u_hat, members, anchors, prev, w, None, None, 1.0, 0.0,
+        shifted = PatchSet(ps.members, ps.k, Frame(ps.frame.positions + shift))
+        here, _, _ = solve_point_cloud(u_hat, ps, prev, w, None, None, 1.0, 0.0,
                                        cg_tol=1e-12, cg_max_iters=2000)
-        moved, _, _ = solve_point_cloud(u_hat + shift, members, anchors + shift, prev, w, None,
+        moved, _, _ = solve_point_cloud(u_hat + shift, shifted, prev, w, None,
                                         None, 1.0, 0.0, cg_tol=1e-12, cg_max_iters=2000)
         assert np.max(np.abs(here - u_hat)) > 1e-3
         np.testing.assert_allclose(moved - shift, here, rtol=0, atol=1e-9)

@@ -212,10 +212,10 @@ class TestSpatialWeights:
             assert x @ (lap @ x) >= -1e-10
 
 
-def first_pass_row_weights(distances):
-    """Temporal row weights of denoise_frame's first pass, with each patch's
-    match distance replaced by ``distances(m)``; returns them as (m, k+1)
-    blocks, and the distances."""
+def first_pass_weights(distances):
+    """Temporal patch weights of denoise_frame's first pass, with each patch's
+    match distance replaced by ``distances(m)``; returns the (m,) weights the
+    point solve receives, and the distances."""
     import dpcdenoise.optimize as opt
 
     seq = generate_sequence(SyntheticSpec("sinusoid-sheet", 120, 2, amplitude=0.1,
@@ -230,37 +230,40 @@ def first_pass_row_weights(distances):
         seen["distance"] = distances(matched.size)
         return matched, seen["distance"], point_map
 
-    def solve(u_hat, members, anchor_rows, prev_aligned, w_rows, *rest):
-        seen["rows"] = w_rows.reshape(members.shape)
-        return real_solve(u_hat, members, anchor_rows, prev_aligned, w_rows, *rest)
+    def solve(u_hat, patchset, prev_rel, patch_weights, *rest):
+        seen["weights"] = patch_weights
+        return real_solve(u_hat, patchset, prev_rel, patch_weights, *rest)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(opt, "match_patches", match)
         patch.setattr(opt, "solve_point_cloud", solve)
         opt.denoise_frame(Frame(seq.frames[1].positions, frame_index=1), ref, cfg)
-    return seen["rows"], seen["distance"]
+    return seen["weights"], seen["distance"]
 
 
 class TestTemporalWeights:
     """The first pass weighs each matched patch by exp(-match distance)."""
 
     def test_distance_zero_gives_weight_one(self):
-        rows, _ = first_pass_row_weights(np.zeros)
-        assert np.all(rows == 1.0)
+        weights, _ = first_pass_weights(np.zeros)
+        assert np.all(weights == 1.0)
 
     def test_distance_ln4_gives_quarter(self):
-        rows, _ = first_pass_row_weights(lambda m: np.full(m, np.log(4.0)))
-        np.testing.assert_allclose(rows, 0.25, rtol=1e-12)
+        weights, _ = first_pass_weights(lambda m: np.full(m, np.log(4.0)))
+        np.testing.assert_allclose(weights, 0.25, rtol=1e-12)
 
     def test_weights_in_unit_interval(self):
         rng = np.random.default_rng(6)
-        rows, _ = first_pass_row_weights(lambda m: rng.uniform(0, 50, m))
-        assert np.all(rows > 0) and np.all(rows <= 1)
+        weights, _ = first_pass_weights(lambda m: rng.uniform(0, 50, m))
+        assert np.all(weights > 0) and np.all(weights <= 1)
 
     def test_expand_repeats_blockwise(self):
+        # One weight per patch; _point_system repeats it over the patch's
+        # rows, which the dense row oracle checks (test_batched.py).
         rng = np.random.default_rng(7)
-        rows, distance = first_pass_row_weights(lambda m: rng.uniform(0, 3, m))
-        assert np.array_equal(rows, np.repeat(np.exp(-distance)[:, None], rows.shape[1], axis=1))
+        weights, distance = first_pass_weights(lambda m: rng.uniform(0, 3, m))
+        assert weights.shape == distance.shape
+        assert np.array_equal(weights, np.exp(-distance))
 
 
 class TestSpatialEdges:
