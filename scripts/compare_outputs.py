@@ -32,6 +32,12 @@ first workload at the first seed loads after ``import dpcdenoise.cli``, in one
 fresh process: an import made lazily during a run, such as numpy's import of
 ``numpy.ma`` on a first ``np.median``, does not show in the import times.
 
+It then checks ``dpcdenoise.io`` at captured size: each side writes one
+seeded frame of 100,000 points through ``write_point_cloud``, once with
+normals and once without, and reads it back with ``read_point_cloud``. A
+line per case says whether the two sides' files are byte-equal and the
+arrays they read back are equal, with each side's write and read seconds.
+
 ``--acceptance`` adds the end-to-end instance of ``tests/test_acceptance.py``
 (criterion 7): its temporal run and its per-frame run with ``lambda1 = 0``,
 which the criterion's "temporal beats per-frame" check reads, each compared
@@ -40,8 +46,9 @@ does not read ``lambda1``. Its inputs come from OLD_SRC's ``synth`` and
 ``noise`` commands, and each side's per-frame MSE reductions of both runs are
 printed too.
 
-Exits 1 if any output, config snapshot, diagnostics dict or match CSV differs
-or any run fails, and 0 otherwise. Run it from anywhere. Work files go to a
+Exits 1 if any output, config snapshot, diagnostics dict, match CSV, written
+100,000-point file or array read back from it differs, or any run fails, and 0
+otherwise. Run it from anywhere. Work files go to a
 temporary directory, removed at the end unless ``--work`` names one.
 """
 
@@ -77,6 +84,30 @@ IMPORTS = {
         "import dpcdenoise; [importlib.import_module(f'dpcdenoise.{info.name}') "
         "for info in pkgutil.iter_modules(dpcdenoise.__path__)]"),
 }
+# Points of the frame each side writes and reads back through ``dpcdenoise.io``.
+IO_POINTS = 100_000
+# Run by each side in a fresh process: argv is the frame's .npz file and the
+# output directory. Prints the write and read seconds of each case as JSON.
+IO_CODE = """
+import json, sys, time
+from pathlib import Path
+import numpy as np
+from dpcdenoise.geometry import Frame
+from dpcdenoise.io import read_point_cloud, write_point_cloud
+data, out = np.load(sys.argv[1]), Path(sys.argv[2])
+seconds = {}
+for case in ("with normals", "without normals"):
+    frame = Frame(data["positions"], data["normals"] if case == "with normals" else None)
+    path = out / (case.replace(" ", "-") + ".ply")
+    start = time.perf_counter()
+    write_point_cloud(frame, path)
+    middle = time.perf_counter()
+    back = read_point_cloud(path)
+    seconds[case] = [middle - start, time.perf_counter() - middle]
+    np.savez(path.with_suffix(".npz"), positions=back.positions,
+             normals=np.empty(0) if back.normals is None else back.normals)
+print(json.dumps(seconds))
+"""
 # The noise sigma of the acceptance instance, as a share of its frame 0
 # bounding-box diagonal (the ``pipeline_run`` fixture of tests/test_acceptance.py).
 ACCEPTANCE_SIGMA_FRAC = 0.02
@@ -138,6 +169,39 @@ def print_lazy_imports(old: Path, new: Path, seed: int, work: Path) -> None:
         exit_code, modules = json.loads(proc.stdout.splitlines()[-1])
         print(f"{side}: one denoise run (exit {exit_code}) loads after import dpcdenoise.cli: "
               f"{', '.join(modules) or 'no module'}", flush=True)
+
+
+def compare_io(old: Path, new: Path, seed: int, work: Path) -> bool:
+    """Write and read back a seeded ``IO_POINTS`` frame with both trees; prints a line per
+    case and returns whether every file is byte-equal and every array read back equal."""
+    work.mkdir(parents=True)
+    rng = np.random.default_rng(seed)
+    normals = rng.normal(size=(IO_POINTS, 3))
+    np.savez(work / "frame.npz", positions=rng.uniform(-1.0, 1.0, (IO_POINTS, 3)),
+             normals=normals / np.linalg.norm(normals, axis=1, keepdims=True))
+    seconds = {}
+    for side, src in (("old", old), ("new", new)):
+        (work / side).mkdir()
+        proc = subprocess.run([sys.executable, "-c", IO_CODE, work / "frame.npz", work / side],
+                              env=child_env(src), capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"io {IO_POINTS} points: {side} failed: {proc.stderr.strip()[-500:]}")
+            return False
+        seconds[side] = json.loads(proc.stdout)
+    all_same = True
+    for case in seconds["old"]:
+        name = case.replace(" ", "-")
+        files = [(work / side / f"{name}.ply").read_bytes() for side in ("old", "new")]
+        arrays = [np.load(work / side / f"{name}.npz") for side in ("old", "new")]
+        reads = all(arrays[0][key].tobytes() == arrays[1][key].tobytes()
+                    for key in ("positions", "normals"))
+        times = ", ".join(f"{side} write {seconds[side][case][0]:.3f} s, "
+                          f"read {seconds[side][case][1]:.3f} s" for side in ("old", "new"))
+        print(f"io {IO_POINTS} points {case}: "
+              f"{'PLY byte-equal' if files[0] == files[1] else 'PLY DIFFERENT'}, "
+              f"{'read-back equal' if reads else 'read-back DIFFERENT'}; {times}", flush=True)
+        all_same &= files[0] == files[1] and reads
+    return all_same
 
 
 def denoise(src: Path, config: Path, inputs: list, out_dir: Path) -> dict | None:
@@ -341,6 +405,7 @@ def main(argv=None) -> int:
     all_same = True
     try:
         print_lazy_imports(old, new, seeds[0], work / "lazy-imports")
+        all_same &= compare_io(old, new, seeds[0], work / "io")
         for name, workload in WORKLOADS.items():
             for seed in seeds:
                 run_dir = work / f"{name}-seed{seed}"
@@ -361,8 +426,8 @@ def main(argv=None) -> int:
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
-    print("all outputs and match CSVs byte-equal, configs and diagnostics equal" if all_same
-          else "outputs, match CSVs, configs or diagnostics differ")
+    print("all outputs, match CSVs and io files byte-equal, configs, diagnostics and io reads "
+          "equal" if all_same else "outputs, match CSVs, io files, configs or diagnostics differ")
     return 0 if all_same else 1
 
 

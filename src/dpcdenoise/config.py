@@ -40,13 +40,6 @@ class DenoiseConfig:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, values: dict) -> "DenoiseConfig":
-        unknown = set(values) - set(_TYPES)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**values)
-
 
 _TYPES = {f.name: {"int": int, "float": float}[f.type] for f in fields(DenoiseConfig)}
 

@@ -31,12 +31,51 @@ def read_point_cloud(path) -> Frame:
     return _read_xyz(path)
 
 
-def _normalize(path, line: int, normals: np.ndarray) -> np.ndarray:
-    lengths = np.linalg.norm(normals, axis=1)
-    bad = np.flatnonzero(lengths < 1e-12)
-    if bad.size:
-        raise ParseError(path, line, f"zero-length normal for vertex {bad[0]}")
-    return normals / lengths[:, None]
+def _read_rows(path, lines: list, first_line: int, width: int, count: int):
+    """Up to ``count`` rows of ``width`` numbers, read with ``float()``, and their line numbers.
+
+    ``lines`` starts at line ``first_line``. Blank lines are skipped, and
+    reading stops at the first non-blank line after ``count`` rows.
+    """
+    # A count is not trusted with memory: each row takes a line.
+    rows = np.empty((min(count, len(lines)), width))
+    row_lines = []
+    for ln, raw in enumerate(lines, start=first_line):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if len(row_lines) == count:
+            break
+        if len(tokens) != width:
+            raise ParseError(path, ln, f"expected {width} values, got {len(tokens)}")
+        try:
+            rows[len(row_lines)] = list(map(float, tokens))
+        except ValueError:
+            raise ParseError(path, ln, f"non-numeric token in {raw.strip()!r}") from None
+        row_lines.append(ln)
+    return rows[:len(row_lines)], row_lines
+
+
+def _vertices(path, line: int, rows, row_lines: list, columns: list) -> Frame:
+    """The frame of ``rows`` whose ``columns`` are x, y, z and maybe nx, ny, nz, normals scaled.
+
+    A refused vertex is named by its line; a frame of no vertex, by ``line``.
+    """
+    positions, normals = rows[:, columns[:3]], rows[:, columns[3:]]
+    lengths = np.linalg.norm(normals, axis=1)  # zeros for a frame without normals
+    if normals.shape[1]:
+        bad = np.flatnonzero(lengths < 1e-12)
+        if bad.size:
+            raise ParseError(path, row_lines[bad[0]], f"zero-length normal for vertex {bad[0]}")
+    try:
+        return Frame(positions, normals / lengths[:, None] if normals.shape[1] else None)
+    except ValueError as exc:
+        # A Frame refuses non-finite positions first, then normals of non-finite length.
+        for bad in (~np.all(np.isfinite(positions), axis=1), ~np.isfinite(lengths)):
+            if bad.any():
+                line = row_lines[np.argmax(bad)]
+                break
+        raise ParseError(path, line, str(exc)) from None
 
 
 def _read_ply(path: Path) -> Frame:
@@ -95,85 +134,42 @@ def _read_ply(path: Path) -> Frame:
     for name in ("x", "y", "z"):
         if name not in props:
             raise ParseError(path, body_start, f"vertex element lacks property {name!r}")
-    has_normals = all(name in props for name in ("nx", "ny", "nz"))
     cols = {name: i for i, name in enumerate(props)}
-
-    # The header's count is not trusted with memory: each vertex takes a body line.
-    rows = np.empty((min(n_vertices, len(lines) - body_start), len(props)))
-    ln = body_start
-    row = 0
-    for raw in lines[body_start:]:
-        ln += 1
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if row >= n_vertices:
-            break  # data of later elements is ignored
-        if len(tokens) != len(props):
-            raise ParseError(path, ln, f"expected {len(props)} values, got {len(tokens)}")
-        try:
-            rows[row] = [float(t) for t in tokens]
-        except ValueError:
-            raise ParseError(path, ln, f"non-numeric token in {raw.strip()!r}") from None
-        row += 1
-    if row != n_vertices:
-        raise ParseError(path, ln, f"expected {n_vertices} vertices, found {row}")
-    positions = rows[:, [cols["x"], cols["y"], cols["z"]]]
-    normals = None
-    if has_normals:
-        normals = _normalize(path, body_start, rows[:, [cols["nx"], cols["ny"], cols["nz"]]])
-    try:
-        return Frame(positions, normals)
-    except ValueError as exc:
-        raise ParseError(path, body_start, str(exc)) from None
+    names = ["x", "y", "z"] + (["nx", "ny", "nz"] if {"nx", "ny", "nz"} <= cols.keys() else [])
+    rows, row_lines = _read_rows(path, lines[body_start:], body_start + 1, len(props), n_vertices)
+    if len(rows) != n_vertices:
+        raise ParseError(path, len(lines), f"expected {n_vertices} vertices, found {len(rows)}")
+    return _vertices(path, body_start, rows, row_lines, [cols[name] for name in names])
 
 
 def _read_xyz(path: Path) -> Frame:
-    rows = []
-    width = None
     with open(path, "r") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            tokens = raw.split()
-            if not tokens:
-                continue
-            if width is None:
-                if len(tokens) not in (3, 6):
-                    raise ParseError(path, ln, f"expected 3 or 6 columns, got {len(tokens)}")
-                width = len(tokens)
-            elif len(tokens) != width:
-                raise ParseError(path, ln, f"expected {width} columns, got {len(tokens)}")
-            try:
-                rows.append([float(t) for t in tokens])
-            except ValueError:
-                raise ParseError(path, ln, f"non-numeric token in {raw.strip()!r}") from None
-    if not rows:
+        lines = fh.readlines()
+    first = next((ln for ln, raw in enumerate(lines, start=1) if raw.split()), None)
+    if first is None:
         raise ParseError(path, 1, "no points in file")
-    data = np.asarray(rows)
-    normals = _normalize(path, 1, data[:, 3:6]) if width == 6 else None
-    try:
-        return Frame(data[:, :3], normals)
-    except ValueError as exc:
-        raise ParseError(path, 1, str(exc)) from None
+    width = len(lines[first - 1].split())
+    if width not in (3, 6):
+        raise ParseError(path, first, f"expected 3 or 6 columns, got {width}")
+    rows, row_lines = _read_rows(path, lines, 1, width, len(lines))
+    return _vertices(path, 1, rows, row_lines, list(range(width)))
+
+
+# Rows formatted by one ``%`` operation.
+_WRITE_BLOCK = 4096
 
 
 def write_point_cloud(frame: Frame, path) -> None:
     """Write an ASCII PLY with positions (and normals, when present)."""
-    if len(frame) < 1:
-        raise ValueError("empty frame")
-    path = Path(path)
+    data = np.hstack([a for a in (frame.positions, frame.normals) if a is not None])
+    names = ("x", "y", "z", "nx", "ny", "nz")[:data.shape[1]]
+    row = " ".join(["%.9g"] * data.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {len(frame)}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
-        if frame.normals is not None:
-            fh.write("property float nx\nproperty float ny\nproperty float nz\n")
-        fh.write("end_header\n")
-        if frame.normals is not None:
-            for p, n in zip(frame.positions, frame.normals):
-                fh.write("%.9g %.9g %.9g %.9g %.9g %.9g\n" % (*p, *n))
-        else:
-            for p in frame.positions:
-                fh.write("%.9g %.9g %.9g\n" % tuple(p))
+        fh.write(f"ply\nformat ascii 1.0\nelement vertex {len(data)}\n")
+        fh.write("".join(f"property float {name}\n" for name in names) + "end_header\n")
+        for start in range(0, len(data), _WRITE_BLOCK):
+            block = data[start:start + _WRITE_BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def load_config(path) -> DenoiseConfig:

@@ -60,7 +60,8 @@ def patch_variations(
 
     Returns arrays indexed like ``patchset.members``: the (m,) radii, the
     (m, k+1, 3) variation rows and the (m, 3) variation vectors. The patch
-    set's frame must carry normals.
+    set's frame must carry normals. A patch of radius 0 is refused by its
+    index, which is its centre point.
     """
     frame, members = patchset.frame, patchset.members
     if frame.normals is None:
@@ -71,8 +72,16 @@ def patch_variations(
     for start in range(0, members.shape[0], PATCH_BLOCK):
         part = slice(start, start + PATCH_BLOCK)
         idx = members[part]
-        eps[part], rows[part], variations[part] = member_variations(
-            frame.positions[idx], frame.normals[idx], c)
+        try:
+            eps[part], rows[part], variations[part] = member_variations(
+                frame.positions[idx], frame.normals[idx], c)
+        except ValueError:
+            radii = patch_epsilons(member_distances(frame.positions[idx]), c)
+            clumped = np.flatnonzero(radii == 0)
+            if not clumped.size:
+                raise
+            raise ValueError(f"patch {start + clumped[0]}: each of its {members.shape[1]} members "
+                             "coincides with another, so its variation radius is 0") from None
     return eps, rows, variations
 
 

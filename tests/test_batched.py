@@ -56,6 +56,12 @@ from dpcdenoise.synthetic import SyntheticSpec, generate_sequence
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
+def clump_error(patch, size):
+    """The whole message ``patch_variations`` raises when ``patch`` is the first of radius 0."""
+    return (f"^patch {patch}: each of its {size} members coincides with another, "
+            "so its variation radius is 0$")
+
+
 @st.composite
 def clouds(draw, min_points=3, max_points=40):
     """(n, 3) points, optionally on a coarse grid and with duplicated points."""
@@ -141,7 +147,7 @@ class TestPatchVariations:
         ps = PatchSet(members=members, k=k, frame=Frame(pts, normals))
         want_eps = [oracle_epsilon(pts[idx], c) for idx in members]
         if min(want_eps) <= 0:
-            with pytest.raises(ValueError, match="epsilon must be > 0"):
+            with pytest.raises(ValueError, match=clump_error(np.argmin(want_eps), k + 1)):
                 patch_variations(ps, c)
             return
         eps, rows, variations = patch_variations(ps, c)
@@ -202,7 +208,7 @@ class TestPatchVariations:
     def test_clumped_patch_raises(self):
         pts = np.vstack([np.zeros((4, 3)), np.eye(3)])
         normals = unit_normals(np.random.default_rng(3), 7)
-        with pytest.raises(ValueError, match="epsilon must be > 0"):
+        with pytest.raises(ValueError, match=clump_error(0, 3)):
             patch_variations(build_patches(Frame(pts, normals), 2), 5.0)
 
     def test_clumped_target_patch_is_a_data_error(self):
@@ -211,7 +217,7 @@ class TestPatchVariations:
         noisy = rng.uniform(0, 1, (40, 3))
         noisy[:8] = noisy[0]
         config = DenoiseConfig(k=5, k_s=3, xi=3, k_plane=6, outer_max_iters=1)
-        with pytest.raises(ValueError, match="^epsilon must be > 0$"):
+        with pytest.raises(ValueError, match=clump_error(0, 6)):
             denoise_frame(Frame(noisy, frame_index=1), previous, config)
 
 
@@ -228,7 +234,7 @@ class TestMatchPatchesOracle:
         for frame, ps in ((prev, prev_ps), (curr, curr_ps)):
             eps = [oracle_epsilon(frame.positions[idx], 5.0) for idx in ps.members]
             if min(eps) <= 0:
-                with pytest.raises(ValueError, match="epsilon must be > 0"):
+                with pytest.raises(ValueError, match=clump_error(np.argmin(eps), ps.k + 1)):
                     patch_variations(ps)
                 return
         reference = prepare_reference(prev_ps)

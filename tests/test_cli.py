@@ -352,10 +352,14 @@ class TestMatch:
         assert [row.rsplit(",", 1)[0] for row in rows] == [f"{t},{b},{d:.9g}" for t, (b, d) in pairs]
 
 
+# Patch 0 is centred in the clump, so its 11 members all lie on one point.
+CLUMP = "patch 0: each of its 11 members coincides with another, so its variation radius is 0"
+
+
 class TestClumpedFrames:
     @pytest.mark.parametrize("clumped, flags, message", [
-        (1, [], "frame 1: epsilon must be > 0"),
-        (0, ["--lambda2", "0"], "frame 1: reference frame 0: epsilon must be > 0"),
+        (1, [], "frame 1: " + CLUMP),
+        (0, ["--lambda2", "0"], "frame 1: reference frame 0: " + CLUMP),
     ], ids=["current", "reference"])
     def test_clump_of_coincident_points_is_a_data_error_naming_the_frame(
             self, tmp_path, capsys, clumped, flags, message):

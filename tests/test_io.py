@@ -1,8 +1,13 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpcdenoise.config import DenoiseConfig
 from dpcdenoise.geometry import Frame
@@ -198,6 +203,123 @@ class TestXyz:
         path.write_text("0 0 0 0 0 0\n")
         with pytest.raises(ParseError, match="zero-length normal"):
             read_point_cloud(path)
+
+
+# A PLY header declaring ``count`` vertices of x, y, z and, with ``normals``,
+# nx, ny, nz: its end_header is line 7, or 10 with normals.
+def ply(body, count=2, normals=False):
+    names = ["x", "y", "z"] + (["nx", "ny", "nz"] if normals else [])
+    return (f"ply\nformat ascii 1.0\nelement vertex {count}\n"
+            + "".join(f"property float {name}\n" for name in names) + "end_header\n" + body)
+
+
+# Files for the readers, each as (name, text, change). A ``change`` of None
+# means the reader gives what the per-row oracle gives: the same frame, or a
+# ParseError of the same line and message. Otherwise it is the (line,
+# message) the reader gives where the oracle differs: an error about one
+# vertex names that vertex's line, and an XYZ row of the wrong width says
+# "values", as a PLY row does.
+MALFORMED = [
+    ("blank-lines.ply", ply("\n0 0 0\n\n\n1 2 3\n\n"), None),
+    ("short-row.ply", ply("0 0 0\n\n1 2\n"), None),
+    ("long-row.ply", ply("0 0 0 0\n1 1 1\n"), None),
+    ("non-numeric.ply", ply("0 0 0\n1 x 1\n"), None),
+    ("underscore.ply", ply("1_000 0 0\n1 2 3\n"), None),
+    ("after-count.ply", ply("0 0 0\n1 1 1\nfoo bar\n3 0 1 2\n"), None),
+    ("too-few-rows.ply", ply("0 0 0\n\n"), None),
+    ("far-count.ply", ply("0 0 0\n1 1 1\n", count=10**11), None),
+    ("no-vertex.ply", ply("", count=0), None),
+    ("crlf.ply", ply("0 0 0\n1 1 1\n").replace("\n", "\r\n"), None),
+    ("crlf-short-row.ply", ply("0 0 0\n\n1 1\n").replace("\n", "\r\n"), None),
+    ("normals.ply", ply("0 0 0 0 0 2\n1 1 1 1e-300 -0.0 3e-7\n", normals=True), None),
+    ("nan-position.ply", ply("0 0 0\n\n1 0 0\nnan 0 0\n", count=3),
+     (11, "positions must be finite")),
+    ("zero-normal.ply", ply("0 0 0 0 0 1\n1 0 0 0 0 0\n", normals=True),
+     (12, "zero-length normal for vertex 1")),
+    ("nan-normal.ply", ply("0 0 0 0 0 1\n1 0 0 nan 0 1\n", normals=True),
+     (12, "normals must have unit length")),
+    ("overflowing-normal.ply", ply("0 0 0 0 0 1\n\n1 0 0 1e200 0 1\n", normals=True),
+     (13, "normals must have unit length")),
+    ("positions-before-normals.ply", ply("0 0 0 nan 0 1\n-inf 0 0 0 0 1\n", normals=True),
+     (12, "positions must be finite")),
+    ("blank-lines.xyz", "\n\n0 0 0\n\n1 2 3\n", None),
+    ("first-width.xyz", "\n\n1 2\n0 0 0\n", None),
+    ("non-numeric.xyz", "0 0 0\n1 a 2\n", None),
+    ("underscore.xyz", "1_000 2 3\n", None),
+    ("empty.xyz", "", None),
+    ("blank-only.xyz", "\n \n\t\n", None),
+    ("crlf.xyz", "0 0 0 0 0 1\r\n1 1 1 0 1 0\r\n", None),
+    ("short-row.xyz", "0 0 0\n1 2\n", (2, "expected 3 values, got 2")),
+    ("long-row.xyz", "0 0 0 0 0 1\n\n1 2 3 4 5 6 7\n", (3, "expected 6 values, got 7")),
+    ("crlf-short-row.xyz", "0 0 0\r\n\r\n1 1\r\n", (3, "expected 3 values, got 2")),
+    ("inf-position.xyz", "0 0 0\n\ninf 0 0\n", (3, "positions must be finite")),
+    ("zero-normal.xyz", "0 0 0 0 0 1\n1 1 1 0 0 0\n", (2, "zero-length normal for vertex 1")),
+]
+
+
+def outcome(reader, path):
+    """The frame's bytes that ``reader`` reads from ``path``, or its ParseError's line and message."""
+    try:
+        frame = reader(path)
+    except ParseError as exc:
+        assert str(exc).startswith(f"{path}:{exc.line}: ")
+        return exc.line, str(exc)[len(f"{path}:{exc.line}: "):]
+    normals = None if frame.normals is None else frame.normals.tobytes()
+    return frame.positions.tobytes(), normals
+
+
+class TestPerRowOracles:
+    @pytest.mark.parametrize("name, text, change", MALFORMED, ids=[c[0] for c in MALFORMED])
+    def test_readers_match_the_oracle(self, tmp_path, name, text, change):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        want = outcome(oracles.read_point_cloud, path)
+        got = outcome(read_point_cloud, path)
+        if change is None:
+            assert got == want
+        else:
+            assert want != change and got == change
+
+    @pytest.mark.parametrize("name, text, change", [
+        ("nan.ply", ply("0 0 0\n\n1 0 0\nnan 0 0\n", count=3), ":11: positions must be finite"),
+        ("inf.xyz", "0 0 0\n\ninf 0 0\n", ":3: positions must be finite"),
+        ("zn.ply", ply("0 0 0 0 0 1\n\n1 0 0 0 0 0\n", normals=True),
+         ":13: zero-length normal for vertex 1"),
+    ], ids=["nan.ply", "inf.xyz", "zn.ply"])
+    def test_vertex_error_names_its_line_and_exits_2(self, tmp_path, capsys, name, text, change):
+        from dpcdenoise.cli import cli_main
+
+        path = tmp_path / name
+        path.write_text(text)
+        code = cli_main(["denoise", "--out-dir", str(tmp_path / "out"), str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: {path}{change}\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_files_and_reads_equal_the_oracle(self, data):
+        # Files written from a random frame are byte-equal, and the PLY and
+        # its body as an XYZ file read back bit-equal.
+        n = data.draw(st.integers(1, 60))
+        coordinate = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-300, 1e153),
+                               st.floats(-1e153, -1e-300))
+        positions = np.array(data.draw(st.lists(coordinate, min_size=3 * n, max_size=3 * n)))
+        normals = None
+        if data.draw(st.booleans()):
+            normals = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=3 * n,
+                                                  max_size=3 * n))).reshape(n, 3)
+            normals[np.linalg.norm(normals, axis=1) < 0.1] = [0.0, -0.0, 1.0]
+            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        frame = Frame(positions.reshape(n, 3), normals)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp, "got.ply"), Path(tmp, "want.ply")
+            write_point_cloud(frame, got)
+            oracles.write_point_cloud(frame, want)
+            assert got.read_bytes() == want.read_bytes()
+            xyz = Path(tmp, "body.xyz")
+            xyz.write_text(got.read_text().split("end_header\n", 1)[1])
+            for path in (got, xyz):
+                assert outcome(read_point_cloud, path) == outcome(oracles.read_point_cloud, path)
 
 
 class TestConfigFile:

@@ -94,7 +94,14 @@ TEST_ONLY = {
     "optimize.metric_objective": "the objective criterion 5 checks learn_metric's descent on",
     "optimize.metric_gradient": "the gradient criterion 5 checks against finite differences",
     "io.save_config": "writes the file format load_config reads, for library users",
+    "io.RunManifest.load": "reads back the manifest.json a run writes, for library users",
 }
+
+
+def _loads(node) -> set:
+    """The names and attribute names ``node`` reads in code, not in a docstring."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
 
 
 def test_every_public_name_is_exported_or_used_by_the_package():
@@ -102,12 +109,17 @@ def test_every_public_name_is_exported_or_used_by_the_package():
     # top-level name of a module is in __all__, the command's entry point,
     # in TEST_ONLY, or read in code (a Name or an Attribute, not a docstring)
     # by a top-level statement of some module other than its own definition.
+    # A public method of a class of the package is in TEST_ONLY, overrides a
+    # method of a base class, or is read by another top-level statement or
+    # by another member of its class.
     entry = set(re.findall(r'"dpcdenoise\.\w+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
     assert entry == {"main"}
     defined, reads = {}, {}
     for path in sorted((ROOT / "src" / "dpcdenoise").glob("*.py")):
+        module = importlib.import_module(f"dpcdenoise.{path.stem}")
         for index, stmt in enumerate(ast.parse(path.read_text()).body):
             where = (path.stem, index)
+            reads[where] = _loads(stmt)
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [stmt.name]
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
@@ -115,14 +127,23 @@ def test_every_public_name_is_exported_or_used_by_the_package():
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 names = []
-            defined.update({(path.stem, name): where for name in names
+            defined.update({(path.stem, name): (where, set()) for name in names
                             if not name.startswith("_")})
-            reads[where] = {node.id if isinstance(node, ast.Name) else node.attr
-                            for node in ast.walk(stmt)
-                            if isinstance(node, (ast.Name, ast.Attribute))
-                            and isinstance(node.ctx, ast.Load)}
-    unread = {f"{module}.{name}" for (module, name), where in defined.items()
-              if name not in set(dpcdenoise.__all__) | entry
-              and not any(name in read for other, read in reads.items() if other != where)}
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            bases = inspect.getmro(getattr(module, stmt.name))[1:]
+            for member in stmt.body:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not member.name.startswith("_")
+                        and not any(hasattr(base, member.name) for base in bases)):
+                    siblings = set().union(*(_loads(other) for other in stmt.body
+                                             if other is not member))
+                    defined[(path.stem, f"{stmt.name}.{member.name}")] = (where, siblings)
+    unread = set()
+    for (stem, name), (where, siblings) in defined.items():
+        short = name.rsplit(".", 1)[-1]
+        if not (short in set(dpcdenoise.__all__) | entry | siblings
+                or any(short in read for other, read in reads.items() if other != where)):
+            unread.add(f"{stem}.{name}")
     # Each TEST_ONLY name exists and is still unread: the list cannot go stale.
     assert sorted(unread) == sorted(TEST_ONLY)
