@@ -26,9 +26,13 @@ class ParseError(ValueError):
 def read_point_cloud(path) -> Frame:
     """Read an ASCII PLY (by .ply extension) or whitespace XYZ file."""
     path = Path(path)
-    if path.suffix.lower() == ".ply":
-        return _read_ply(path)
-    return _read_xyz(path)
+    return (_read_ply if path.suffix.lower() == ".ply" else _read_xyz)(path, _lines(path))
+
+
+def _lines(path) -> list:
+    """A file's lines: UTF-8 with surrogate escapes, split at \\n, \\r\\n and \\r only."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return fh.readlines()
 
 
 def _read_rows(path, lines: list, first_line: int, width: int, count: int):
@@ -62,7 +66,8 @@ def _vertices(path, line: int, rows, row_lines: list, columns: list) -> Frame:
     A refused vertex is named by its line; a frame of no vertex, by ``line``.
     """
     positions, normals = rows[:, columns[:3]], rows[:, columns[3:]]
-    lengths = np.linalg.norm(normals, axis=1)  # zeros for a frame without normals
+    with np.errstate(over="ignore"):  # an overflowing length is refused below as not unit
+        lengths = np.linalg.norm(normals, axis=1)  # zeros for a frame without normals
     if normals.shape[1]:
         bad = np.flatnonzero(lengths < 1e-12)
         if bad.size:
@@ -78,9 +83,7 @@ def _vertices(path, line: int, rows, row_lines: list, columns: list) -> Frame:
         raise ParseError(path, line, str(exc)) from None
 
 
-def _read_ply(path: Path) -> Frame:
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+def _read_ply(path: Path, lines: list) -> Frame:
     if not lines or lines[0].strip() != "ply":
         raise ParseError(path, 1, "missing 'ply' magic")
     n_vertices = None
@@ -142,9 +145,7 @@ def _read_ply(path: Path) -> Frame:
     return _vertices(path, body_start, rows, row_lines, [cols[name] for name in names])
 
 
-def _read_xyz(path: Path) -> Frame:
-    with open(path, "r") as fh:
-        lines = fh.readlines()
+def _read_xyz(path: Path, lines: list) -> Frame:
     first = next((ln for ln, raw in enumerate(lines, start=1) if raw.split()), None)
     if first is None:
         raise ParseError(path, 1, "no points in file")
@@ -181,23 +182,22 @@ def load_config(path) -> DenoiseConfig:
     path = Path(path)
     values: dict = {}
     lines: dict = {}
-    with open(path, "r") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(path, ln, f"expected 'key = value', got {line!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key in lines:
-                raise ParseError(path, ln, f"config key {key!r} given twice, "
-                                           f"on lines {lines[key]} and {ln}")
-            try:
-                values[key] = parse_value(key, text.strip())
-            except ValueError as exc:
-                raise ParseError(path, ln, str(exc)) from None
-            lines[key] = ln
+    for ln, raw in enumerate(_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(path, ln, f"expected 'key = value', got {line!r}")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        if key in lines:
+            raise ParseError(path, ln, f"config key {key!r} given twice, "
+                                       f"on lines {lines[key]} and {ln}")
+        try:
+            values[key] = parse_value(key, text.strip())
+        except ValueError as exc:
+            raise ParseError(path, ln, str(exc)) from None
+        lines[key] = ln
     return DenoiseConfig(**{key: value for key, value in values.items() if key not in RETIRED})
 
 

@@ -97,7 +97,12 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def patch_epsilons(dist: np.ndarray, c: float) -> np.ndarray:
-    """Per-patch radius ``c`` times the mean nearest-member distance, from (b, s, s) distances."""
+    """Per-patch radius ``c`` times the mean nearest-member distance, from (b, s, s) distances.
+
+    Each ``dist[i]`` must be symmetric bit for bit, as :func:`member_distances`
+    gives it since fl(a - b) = -fl(b - a): a member's nearest other member is
+    then taken down axis 1, which numpy reduces without a strided inner loop.
+    """
     size = dist.shape[1]
-    nearest = np.min(np.where(np.eye(size, dtype=bool), np.inf, dist), axis=2)
+    nearest = np.min(np.where(np.eye(size, dtype=bool), np.inf, dist), axis=1)
     return c * np.mean(nearest, axis=1)

@@ -390,7 +390,8 @@ def read_point_cloud(path) -> Frame:
 
 def normalize_normals(path, line: int, normals: np.ndarray) -> np.ndarray:
     """Unit normals; a zero-length one is an error at ``line``, whatever its vertex."""
-    lengths = np.linalg.norm(normals, axis=1)
+    with np.errstate(over="ignore"):  # an overflowing length is refused by Frame as not unit
+        lengths = np.linalg.norm(normals, axis=1)
     bad = np.flatnonzero(lengths < 1e-12)
     if bad.size:
         raise ParseError(path, line, f"zero-length normal for vertex {bad[0]}")

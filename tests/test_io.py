@@ -322,6 +322,105 @@ class TestPerRowOracles:
                 assert outcome(read_point_cloud, path) == outcome(oracles.read_point_cloud, path)
 
 
+# The line rule of PLY, XYZ and config files: ``\r\n`` and ``\r`` end a line,
+# as ``\n`` does. The other characters ``str.splitlines`` would end a line at
+# separate values within a line, as ``str.split`` takes them.
+LINE_ENDS = ["\r\n", "\r"]
+IN_LINE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+LINE_RULE = pytest.mark.parametrize("char", LINE_ENDS + IN_LINE,
+                                    ids=[repr(c)[1:-1] for c in LINE_ENDS + IN_LINE])
+
+
+def line_rule_body(char):
+    """Rows (0, 0, 0) and (1, 1, 1) on lines 1 and 3, ``char`` within them and on line 2."""
+    if char in LINE_ENDS:
+        return f"0 0 0{char}{char}1 1 1{char}"
+    return f"0{char}0 0{char}\n{char}\n1 1{char}1\n"
+
+
+class TestLineRule:
+    @LINE_RULE
+    def test_ply_and_xyz_read_alike(self, tmp_path, char):
+        plain = tmp_path / "plain.xyz"
+        plain.write_text("0 0 0\n\n1 1 1\n")
+        want = outcome(read_point_cloud, plain)
+        body = line_rule_body(char)
+        # A malformed row after the two is line 4 of the body: line 11 of a PLY.
+        for name, text, read in [("a.ply", ply(body), want), ("a.xyz", body, want),
+                                 ("b.ply", ply(body + "2 2\n", count=3),
+                                  (11, "expected 3 values, got 2")),
+                                 ("b.xyz", body + "2 2\n", (4, "expected 3 values, got 2"))]:
+            path = tmp_path / name
+            path.write_bytes(text.encode())
+            assert outcome(read_point_cloud, path) == read
+
+    @LINE_RULE
+    def test_config_files_follow_it(self, tmp_path, char):
+        if char in LINE_ENDS:
+            text = f"k = 8{char}{char}lambda2 = 0.5{char}"
+        else:
+            text = f"k{char}={char}8{char}\n{char}\nlambda2 = 0.5{char}\n"
+        path = tmp_path / "run.cfg"
+        path.write_bytes(text.encode())
+        assert load_config(path) == DenoiseConfig(k=8, lambda2=0.5)
+        path.write_bytes((text + "k_s = x\n").encode())
+        with pytest.raises(ParseError, match="run.cfg:4: k_s must be an integer"):
+            load_config(path)
+
+
+# A binary PLY: its body of float32 rows is not UTF-8.
+BINARY_PLY = (b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+              b"property float x\nproperty float y\nproperty float z\nend_header\n"
+              + np.array([[0.1, 2.5, -3.0], [1e-3, 7.0, 1.0]], "<f4").tobytes())
+
+
+class TestUndecodableBytes:
+    # Each file holds bytes that are not UTF-8; its error names its line.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, data, message", [
+        ("f.ply", BINARY_PLY, ":2: unsupported format 'binary_little_endian 1.0'"),
+        ("g.xyz", b"0 0 0\n\xff\xfe 1 1\n", r":2: non-numeric token in '\udcff\udcfe 1 1'"),
+        ("run.cfg", b"k = 8\nlambda2 = \xff\xfe\n",
+         r":2: lambda2 must be a number, got '\udcff\udcfe'"),
+    ], ids=["binary.ply", "xyz", "config-value"])
+    def test_is_a_data_error_at_its_line(self, tmp_path, capsys, name, data, message):
+        from dpcdenoise.cli import cli_main
+
+        with pytest.raises(UnicodeDecodeError):
+            data.decode("utf-8")
+        path = tmp_path / name
+        path.write_bytes(data)
+        reader, args = read_point_cloud, [str(path)]
+        if name.endswith(".cfg"):  # the cloud is plain
+            cloud = tmp_path / "cloud.xyz"
+            cloud.write_text("0 0 0\n1 0 0\n0 1 0\n")
+            reader, args = load_config, ["--config", str(path), str(cloud)]
+        with pytest.raises(ParseError) as exc:
+            reader(path)
+        assert str(exc.value) == f"{path}{message}"
+        code = cli_main(["denoise", "--out-dir", str(tmp_path / "out"), *args])
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: {path}{message}\n"
+
+    def test_config_comment_is_ignored(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"k = 8  # caf\xe9\n# \xff\xfe\n")
+        assert load_config(path) == DenoiseConfig(k=8)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, text, line", [
+    ("n.ply", ply("0 0 0 0 0 1\n\n1 0 0 1e200 0 1\n", normals=True), 13),
+    ("n.xyz", "0 0 0 0 0 1\n\n1 0 0 1e200 0 1\n", 3),
+], ids=["ply", "xyz"])
+def test_overflowing_normal_is_only_a_data_error(tmp_path, name, text, line):
+    # The normal's length overflows: no numpy warning, one ParseError at its line.
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"{name}:{line}: normals must have unit length"):
+        read_point_cloud(path)
+
+
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
         cfg = DenoiseConfig(k=12, lambda1=0.25, xi=7, cg_max_iters=99)
