@@ -13,7 +13,7 @@ from .config import DenoiseConfig, parse_value
 from .geometry import Frame, Sequence, estimate_normals
 from .io import ParseError, RunManifest, load_config, read_point_cloud, write_point_cloud
 from .matching import match_patches
-from .metrics import add_gaussian_noise, gpsnr, mse_index, mse_nn
+from .metrics import GPSNR_PEAK, add_gaussian_noise, gpsnr, mse_index, mse_nn
 from .optimize import SolverError, build_reference, denoise_sequence, prepare_frame
 from .synthetic import SURFACE_KINDS, SyntheticSpec, generate_sequence
 
@@ -54,8 +54,8 @@ def _peak(text: str) -> float:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for f in fields(DenoiseConfig):
         parser.add_argument("--" + f.name.replace("_", "-"), type=_flag_type(f.name),
-                            default=None, dest=f"cfg_{f.name}",
-                            help=f"override config key {f.name}")
+                            dest=f"cfg_{f.name}", help=f"{f.metadata['meaning']}; in "
+                            f"{f.metadata['interval']}, default {f.default!r}")
 
 
 def _resolve_config(args) -> DenoiseConfig:
@@ -73,9 +73,9 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=SURFACE_KINDS, default="sinusoid-sheet")
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--frames", type=int, required=True)
-    p.add_argument("--amplitude", type=float, default=0.0)
-    p.add_argument("--phase-step", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--amplitude", type=float, default=SyntheticSpec.amplitude)
+    p.add_argument("--phase-step", type=float, default=SyntheticSpec.phase_step)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--prefix", default="clean")
 
@@ -96,8 +96,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="compare test frames against clean frames")
     p.add_argument("--clean", nargs="+", type=Path, required=True)
     p.add_argument("--test", nargs="+", type=Path, required=True)
-    p.add_argument("--peak", type=_peak, default=5.0)
-    p.add_argument("--k-plane", type=_flag_type("k_plane"), default=12,
+    p.add_argument("--peak", type=_peak, default=GPSNR_PEAK,
+                   help="GPSNR peak (default: %(default)s)")
+    p.add_argument("--k-plane", type=_flag_type("k_plane"), default=DenoiseConfig.k_plane,
                    help="normal-estimation size when clean files lack normals")
     p.add_argument("--out", type=Path, default=None, help="CSV path (default: stdout)")
     p.add_argument("--manifest", type=Path, default=None)

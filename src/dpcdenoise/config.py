@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+
+
+def _setting(default, interval: str, meaning: str):
+    """A config field: the one declaration of its default, its interval and what it sets."""
+    return field(default=default, metadata={"interval": interval, "meaning": meaning})
 
 
 @dataclass
@@ -14,43 +19,35 @@ class DenoiseConfig:
     Every point centers one patch, so a frame of n points has m = n
     patches, and the temporal weight-sum floor is ``mprime_fraction * m``.
     Construction checks that each int field holds an integer (not a bool)
-    and each float field a finite number, stored as float, in its range.
+    and each float field a finite number, stored as float, in its interval.
     The keys of ``RETIRED`` are not fields; only config files may hold them.
     """
 
-    k: int = 30                 # neighbors per patch (patch size is k+1)
-    k_s: int = 10               # adjacent patches per patch (spatial graph)
-    xi: int = 10                # temporal search window (candidate patches)
-    c: float = 5.0              # epsilon multiplier for the patch graphs
-    alpha: float = 0.5          # variation-vs-position balance in point matching
-    lambda1: float = 0.5        # temporal consistency weight
-    lambda2: float = 0.1        # spatial smoothness weight
-    mprime_fraction: float = 0.6  # temporal weight-sum floor, fraction of m
-    trace_bound: float = 5.0    # spatial kernel metric (trace_bound / 3)^2 I
-    k_plane: int = 12           # neighbors for normal estimation
-    cg_tol: float = 1e-8
-    cg_max_iters: int = 500
-    outer_max_iters: int = 10
-    outer_tol: float = 1e-4     # stop once no point moves over this times the input NN spacing
+    k: int = _setting(30, "[1, inf)", "neighbors per patch (patch size is k+1)")
+    k_s: int = _setting(10, "[1, inf)", "adjacent patches per patch (spatial graph)")
+    xi: int = _setting(10, "[1, inf)", "temporal search window (candidate patches)")
+    c: float = _setting(5.0, "(0, inf)", "epsilon multiplier for the patch graphs")
+    alpha: float = _setting(0.5, "[0, 1]", "variation-vs-position balance in point matching")
+    lambda1: float = _setting(0.5, "[0, inf)", "temporal consistency weight")
+    lambda2: float = _setting(0.1, "[0, inf)", "spatial smoothness weight")
+    mprime_fraction: float = _setting(0.6, "(0, 1]", "temporal weight-sum floor, fraction of m")
+    trace_bound: float = _setting(5.0, "(0, inf)", "spatial kernel metric (trace_bound / 3)^2 I")
+    k_plane: int = _setting(12, "[3, inf)", "neighbors for normal estimation")
+    cg_tol: float = _setting(1e-8, "(0, inf)", "conjugate gradient relative residual target")
+    cg_max_iters: int = _setting(500, "[1, inf)", "conjugate gradient step limit per solve")
+    outer_max_iters: int = _setting(10, "[1, inf)", "outer iterations per frame")
+    outer_tol: float = _setting(1e-4, "(0, inf)", "stop once moves stay within this many spacings")
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            setattr(self, f.name, _check_value(f.name, getattr(self, f.name)))
+            setattr(self, f.name, check_value(f.name, getattr(self, f.name)))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 _TYPES = {f.name: {"int": int, "float": float}[f.type] for f in fields(DenoiseConfig)}
-
-# The interval each field's value must lie in.
-_RANGES = {
-    "k": "[1, inf)", "k_s": "[1, inf)", "xi": "[1, inf)", "c": "(0, inf)",
-    "alpha": "[0, 1]", "lambda1": "[0, inf)", "lambda2": "[0, inf)",
-    "mprime_fraction": "(0, 1]", "trace_bound": "(0, inf)", "k_plane": "[3, inf)",
-    "cg_tol": "(0, inf)", "cg_max_iters": "[1, inf)", "outer_max_iters": "[1, inf)",
-    "outer_tol": "(0, inf)",
-}
+_INTERVALS = {f.name: f.metadata["interval"] for f in fields(DenoiseConfig)}
 # Deleted fields that config files written before they went, the benchmark's
 # among them, still set: ``io.load_config`` checks each as a float in its old
 # interval, then drops it.
@@ -58,9 +55,9 @@ RETIRED = {"patch_fraction": "[1, 1]", "seed": "[0, inf)", "pg_step": "(0, inf)"
            "pg_max_iters": "[1, inf)", "pg_tol": "(0, inf)"}
 
 
-def _check_value(name: str, value):
+def check_value(name: str, value):
     """``value`` as field ``name`` stores it; a ``ValueError`` naming the field if it is bad."""
-    interval = _RANGES.get(name) or RETIRED.get(name)  # no interval holds nan or an infinity
+    interval = _INTERVALS.get(name) or RETIRED.get(name)  # no interval holds nan or an infinity
     if interval is None:
         raise ValueError(f"unknown config key {name!r}")
     kind = _TYPES.get(name, float)
@@ -90,4 +87,4 @@ def parse_value(name: str, text: str):
         value = _TYPES.get(name, float)(text)
     except ValueError:
         value = text  # no literal of the field's type, or an unknown key: the check says which
-    return _check_value(name, value)
+    return check_value(name, value)

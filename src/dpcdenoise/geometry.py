@@ -130,7 +130,7 @@ QUERY_BUDGET = 1 << 16
 MAX_AXIS_CELLS = 1 << 20
 # Cells on each side of a query's cell that its block of candidates spans.
 BLOCK_RADIUS = 1
-# Stored points whose k-th neighbor distance sets the first cell edge.
+# Queries whose k-th neighbor distance sets the first cell edge.
 EDGE_SAMPLE = 16
 # Smallest face distance a grid pass trusts: the square of any larger
 # coordinate gap is a normal float64, so a point beyond the face cannot
@@ -158,7 +158,7 @@ def _nearest(points: np.ndarray, queries: np.ndarray, want: int) -> np.ndarray:
     edge = None
     while todo.size * (n + 1) > QUERY_BUDGET:
         if edge is None:
-            edge = _first_edge(cols[:, :n], want)
+            edge = _first_edge(cols[:, :n], qcols, want)
         found, proven = _grid_pass(cols[:, :n], qcols[:, todo], want, edge)
         out[todo[proven]] = found[proven]
         todo = todo[~proven]
@@ -170,15 +170,15 @@ def _nearest(points: np.ndarray, queries: np.ndarray, want: int) -> np.ndarray:
     return out
 
 
-def _first_edge(cols: np.ndarray, want: int) -> float:
-    """Cell edge from the median want-th neighbor distance of a few of the (3, n) points.
+def _first_edge(cols: np.ndarray, queries: np.ndarray, want: int) -> float:
+    """Cell edge from the median want-th neighbor distance of a few of the (3, q) queries.
 
-    That distance varies between points by about 1/sqrt(want) of itself,
-    so the block reaches 1 + 1/sqrt(want) times the median, and few rows
-    need a second pass.
+    That distance, among the (3, n) points, varies between queries by about
+    1/sqrt(want) of itself, so the block reaches 1 + 1/sqrt(want) times the
+    median, and few rows need a second pass, in a search across frames too.
     """
-    n = cols.shape[1]
-    sample = cols[:, np.linspace(0, n - 1, min(EDGE_SAMPLE, n), dtype=np.int64)]
+    n, count = cols.shape[1], queries.shape[1]
+    sample = queries[:, np.linspace(0, count - 1, min(EDGE_SAMPLE, count), dtype=np.int64)]
     kth = np.partition(_sq_to(cols, sample), min(want, n - 1), axis=1)[:, min(want, n - 1)]
     span = float(np.max(cols.max(axis=1) - cols.min(axis=1)))
     # The median as np.median takes it, whose NaN check would import numpy.ma.

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DenoiseConfig, check_value
 from .geometry import knn_rows
 from .patches import PATCH_BLOCK, PatchSet, member_distances, patch_epsilons, sq_dists
 
@@ -36,7 +37,7 @@ def _variation_rows(dist: np.ndarray, normals: np.ndarray, epsilon: np.ndarray) 
 
 
 def member_variations(
-    points: np.ndarray, normals: np.ndarray, c: float = 5.0
+    points: np.ndarray, normals: np.ndarray, c: float = DenoiseConfig.c
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Epsilon, variation rows and variation vector of b member sets at once.
 
@@ -54,7 +55,7 @@ def member_variations(
 
 
 def patch_variations(
-    patchset: PatchSet, c: float = 5.0
+    patchset: PatchSet, c: float = DenoiseConfig.c
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`member_variations` of every patch, ``PATCH_BLOCK`` patches at a time.
 
@@ -108,8 +109,7 @@ def point_correspondence(
     The map may be many-to-one. Inputs are (s, 3) for one patch pair or
     (b, s, 3) with (b,) radii for b pairs at once.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
+    alpha = check_value("alpha", alpha)
     rt = np.asarray(var_rows_target, dtype=np.float64)
     rm = np.asarray(var_rows_matched, dtype=np.float64)
     vt = np.asarray(rel_target, dtype=np.float64)
@@ -141,7 +141,7 @@ class ReferencePatches:
         return len(self.patchset)
 
 
-def prepare_reference(patchset: PatchSet, c: float = 5.0) -> ReferencePatches:
+def prepare_reference(patchset: PatchSet, c: float = DenoiseConfig.c) -> ReferencePatches:
     """Compute the matching data of every patch of a reference frame at once.
 
     Holds, indexed like ``patchset.members``, the (m, k+1, 3) variation
@@ -158,7 +158,7 @@ def match_patches(
     patchset: PatchSet,
     reference: ReferencePatches,
     xi: int,
-    alpha: float = 0.5,
+    alpha: float = DenoiseConfig.alpha,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Match every patch of ``patchset`` against the reference frame.
 
@@ -171,8 +171,7 @@ def match_patches(
     """
     if patchset.frame.normals is None:
         raise ValueError("target frame needs normals")
-    if xi < 1:
-        raise ValueError("xi must be >= 1")
+    xi = check_value("xi", xi)
     eps, rows, variations = patch_variations(patchset, reference.c)
     cand = knn_rows(reference.patchset.frame.positions, patchset.frame.positions,
                     min(xi, len(reference)))

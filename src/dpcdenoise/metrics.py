@@ -9,6 +9,8 @@ import numpy as np
 
 from .geometry import Frame, knn_rows
 
+GPSNR_PEAK = 5.0   # the default peak of gpsnr, and of eval --peak
+
 
 @dataclass
 class FrameMetrics:
@@ -54,7 +56,7 @@ def mse_index(a: Frame, b: Frame) -> float:
     return float(np.mean(np.sum((a.positions - b.positions) ** 2, axis=1)))
 
 
-def gpsnr(test: Frame, reference: Frame, peak: float = 5.0) -> float:
+def gpsnr(test: Frame, reference: Frame, peak: float = GPSNR_PEAK) -> float:
     """Point-to-plane PSNR in decibels.
 
     Errors are projected onto the reference normals before averaging:

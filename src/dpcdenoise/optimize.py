@@ -154,8 +154,8 @@ def solve_point_cloud(
     pair_weights: Optional[np.ndarray],
     lambda1: float,
     lambda2: float,
-    cg_tol: float = 1e-8,
-    cg_max_iters: int = 500,
+    cg_tol: float = DenoiseConfig.cg_tol,
+    cg_max_iters: int = DenoiseConfig.cg_max_iters,
 ) -> tuple[np.ndarray, list, list]:
     """Closed-form point update, solved per coordinate by conjugate gradient.
 

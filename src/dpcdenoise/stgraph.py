@@ -91,14 +91,15 @@ def _adjacent_patches(patchset: PatchSet, k_s: int) -> np.ndarray:
     return np.column_stack([adjacent // m, adjacent % m])
 
 
-def _nearest_slots(rel: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Per patch pair (l, m) and slot, the nearest slot of the other patch, and the one-way count.
+def _nearest_slots(rel: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                                np.ndarray, int]:
+    """Per patch pair (l, m) and slot, the nearest slot of the other patch, and the one-way mask.
 
     Returns ``nm`` (nearest m slot per l slot) and ``nl`` (nearest l slot per
     m slot), both (pairs, k+1) in the smallest integer dtype that holds k+1,
-    the number of m slots t with ``nm[nl[t]] != t``, and the number of slot
-    rows the exact path decided. ``nm`` and ``nl`` equal the first argmins of
-    the float64 :func:`~dpcdenoise.patches.sq_dists` tensor bit for bit.
+    the (pairs, k+1) mask of the m slots t with ``nm[nl[t]] != t``, and the
+    number of slot rows the exact path decided. ``nm`` and ``nl`` equal the
+    first argmins of the float64 :func:`~dpcdenoise.patches.sq_dists` tensor bit for bit.
 
     **Filter.** The coordinates are scaled by the power of two ``2^-q`` that
     puts the largest finite ``|rel|`` in [1/2, 1). The scale is exact in
@@ -157,7 +158,8 @@ def _nearest_slots(rel: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.nda
     tally = np.stack([np.ones(size), slots]).astype(np.float32)   # candidate count, slot sum
     nm = np.empty((adj.shape[0], size), dtype=np.min_scalar_type(size))
     nl = np.empty_like(nm)
-    one_way = exact = 0
+    one_way = np.empty(nm.shape, dtype=bool)
+    exact = 0
     cost_buf = np.empty(size * SLOT_BLOCK * size, dtype=np.float32)
     hit_buf = np.empty(cost_buf.size, dtype=bool)
     hit32_buf = np.empty(cost_buf.size, dtype=np.float32)
@@ -191,7 +193,7 @@ def _nearest_slots(rel: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.nda
                 near[pair, slot] = np.argmin(cost64[:, 0, :], axis=1)
                 exact += pair.size
         own = size * np.arange(pairs.shape[0])[:, None]   # flat offsets of the block's rows
-        one_way += np.count_nonzero(nm[block].ravel().take(own + nl[block]) != slots)
+        np.not_equal(nm[block].ravel().take(own + nl[block]), slots, out=one_way[block])
     return nm, nl, one_way, exact
 
 
@@ -221,8 +223,8 @@ def spatial_connectivity(patchset: PatchSet, k_s: int) -> SpatialEdges:
     filter runs before that buffer is allocated and frees its own: two
     float32 copies of the relative coordinates, augmented to 5 values per
     row, and one block's cost tensor and candidate masks. Besides the keys
-    the call holds the per-pair outputs, two nearest-slot maps of one byte
-    per patch pair and slot (for k < 255), and the temporaries of one patch
+    the call holds the per-pair outputs, two slot maps and a one-way mask of
+    one byte per patch pair and slot (for k < 255), and the temporaries of one patch
     block or one fold chunk. Raises ValueError when the frame is too large
     for the int64 keys (see :func:`edge_key_bits`): n^2 times the smallest
     power of two not below twice the adjacent patch pairs must not exceed
@@ -243,18 +245,17 @@ def spatial_connectivity(patchset: PatchSet, k_s: int) -> SpatialEdges:
     # Pair (l, m) has l < m. Its forward edge of slot s and its backward edge
     # of slot t join the same two rows only when nl[t] = s and nm[s] = t, so
     # mutual backward edges are dropped and every row edge is emitted once.
-    nm, nl, one_way_edges, _ = _nearest_slots(patchset.rel, adj)
+    nm, nl, one_way, _ = _nearest_slots(patchset.rel, adj)
     size = nm.shape[1]
     slots = np.arange(size)
     flat = members.ravel()
-    keys = np.empty(nm.size + one_way_edges, dtype=np.int64)
+    keys = np.empty(nm.size + np.count_nonzero(one_way), dtype=np.int64)
     filled = 0
     for start in range(0, adj.shape[0], SLOT_BLOCK):
         part = slice(start, start + SLOT_BLOCK)
         bm, bl = nm[part].astype(np.intp), nl[part].astype(np.intp)
-        own = size * np.arange(bm.shape[0])[:, None]   # flat offsets into bm, then into flat
-        at_l, at_m = size * adj[part, :1], size * adj[part, 1:]
-        back = np.flatnonzero(bm.ravel().take(own + bl) != slots)   # one-way m slots
+        at_l, at_m = size * adj[part, :1], size * adj[part, 1:]   # flat offsets into flat
+        back = np.flatnonzero(one_way[part])
         pair = np.repeat(2 * np.arange(start, start + bm.shape[0]), size)
         a = np.concatenate([flat.take(at_l + slots).ravel(), flat.take((at_l + bl).ravel()[back])])
         b = np.concatenate([flat.take(at_m + bm).ravel(), flat.take((at_m + slots).ravel()[back])])
@@ -268,7 +269,7 @@ def spatial_connectivity(patchset: PatchSet, k_s: int) -> SpatialEdges:
         block_keys <<= bits
         block_keys |= code + (a > b)
         filled += a.size
-    del nm, nl
+    del nm, nl, one_way
     keys = keys[:filled]
     keys.sort()
     # Pair boundaries, one chunk of keys at a time; each chunk also reads

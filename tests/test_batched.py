@@ -400,10 +400,10 @@ class TestSpatialConnectivity:
 
 
 def argmin_slots(rel, adj):
-    """``_nearest_slots``'s maps and one-way count from the full float64 cost tensor."""
+    """``_nearest_slots``'s maps and one-way mask from the full float64 cost tensor."""
     cost = sq_dists(rel[adj[:, 0]], rel[adj[:, 1]])
     nm, nl = np.argmin(cost, axis=2), np.argmin(cost, axis=1)
-    return nm, nl, np.count_nonzero(np.take_along_axis(nm, nl, axis=1) != np.arange(rel.shape[1]))
+    return nm, nl, np.take_along_axis(nm, nl, axis=1) != np.arange(rel.shape[1])
 
 
 def slot_instance(pts, k, k_s):
@@ -416,7 +416,7 @@ def assert_slots_exact(got, rel, adj):
     nm, nl, one_way = argmin_slots(rel, adj)
     assert got[0].dtype == np.min_scalar_type(rel.shape[1]) and got[1].dtype == got[0].dtype
     assert np.array_equal(got[0], nm) and np.array_equal(got[1], nl)
-    assert got[2] == one_way
+    assert got[2].dtype == bool and np.array_equal(got[2], one_way)
 
 
 class TestNearestSlots:

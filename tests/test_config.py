@@ -1,7 +1,9 @@
 import ast
 import contextlib
+import inspect
 import io
 import math
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -17,6 +19,9 @@ from dpcdenoise.cli import _resolve_config, build_parser, cli_main
 from dpcdenoise.config import RETIRED, DenoiseConfig, parse_value
 from dpcdenoise.geometry import Frame, estimate_normals
 from dpcdenoise.io import ParseError, load_config, save_config
+from dpcdenoise.matching import match_patches, member_variations, patch_variations, \
+    prepare_reference
+from dpcdenoise.metrics import gpsnr
 from dpcdenoise.synthetic import SyntheticSpec, generate_sequence
 from test_acceptance import E2E_CONFIG
 
@@ -140,7 +145,7 @@ def _count(low=1):
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 _FRACTION = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
-# Every valid value of every field, by the ranges README states.
+# Every valid value of every field: the intervals the fields declare, written out again.
 VALID = {
     "k": _count(), "k_s": _count(), "xi": _count(), "c": _POSITIVE,
     "alpha": st.floats(min_value=0.0, max_value=1.0), "lambda1": _NON_NEGATIVE,
@@ -196,6 +201,47 @@ class TestEveryPath:
             assert cli_main(_match_args(_flag(name, bad))) == 1
         flag = name.replace("_", "-")
         assert f"usage error: argument --{flag}: {name} must be" in err.getvalue()
+
+
+class TestOneDeclaration:
+    """Each setting's default and interval are declared on its field alone; the rest read them.
+
+    Defaults are compared by identity: a float or large int literal written
+    again in another module is a distinct object, so a second declaration
+    cannot come back unnoticed.
+    """
+
+    @pytest.mark.parametrize("command", ["denoise", "match"])
+    def test_help_lists_each_key_with_its_interval_and_default(self, command, capsys,
+                                                              monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as stop:
+            cli_main([command, "--help"])
+        assert stop.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--k CFG_K neighbors per patch (patch size is k+1); in [1, inf), default 30" in text
+        for f in fields(DenoiseConfig):
+            flag = f.name.replace("_", "-")
+            entry = (re.escape(f"--{flag} CFG_{f.name.upper()} ") + "[^;]+; "
+                     + re.escape(f"in {f.metadata['interval']}, default {f.default!r}"))
+            assert re.search(entry, text), f.name
+
+    @pytest.mark.parametrize("function, name", [
+        (member_variations, "c"), (patch_variations, "c"), (prepare_reference, "c"),
+        (match_patches, "alpha"), (opt.solve_point_cloud, "cg_tol"),
+        (opt.solve_point_cloud, "cg_max_iters"),
+    ])
+    def test_library_defaults_are_the_fields(self, function, name):
+        assert inspect.signature(function).parameters[name].default is getattr(DenoiseConfig, name)
+
+    def test_cli_defaults_are_the_declarations(self):
+        parser = build_parser()
+        synth = parser.parse_args(["synth", "--points", "1", "--frames", "1", "--out-dir", "o"])
+        for name in ("amplitude", "phase_step", "seed"):
+            assert getattr(synth, name) is getattr(SyntheticSpec, name)
+        evaluate = parser.parse_args(["eval", "--clean", "a.ply", "--test", "b.ply"])
+        assert evaluate.k_plane is DenoiseConfig.k_plane
+        assert evaluate.peak is inspect.signature(gpsnr).parameters["peak"].default
 
 
 # What save_config wrote while DenoiseConfig had 19 fields.

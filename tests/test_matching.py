@@ -196,6 +196,15 @@ class TestNeedsNormals:
             match_patches(bare, ref, xi=3)
 
 
+def test_settings_are_checked_in_the_intervals_of_their_fields():
+    frame = estimate_normals(Frame(np.random.default_rng(3).uniform(0, 1, (40, 3))), 8)[0]
+    ps, ref = build_reference(frame, 6)
+    with pytest.raises(ValueError, match=r"^xi must be in \[1, inf\), got 0$"):
+        match_patches(ps, ref, xi=0)
+    with pytest.raises(ValueError, match=r"^alpha must be in \[0, 1\], got 1.5$"):
+        match_patches(ps, ref, xi=3, alpha=1.5)
+
+
 class TestTemporalMatch:
     def test_static_identical_sampling_matches_twin(self):
         seq = generate_sequence(
