@@ -23,6 +23,13 @@ frame as ``--prev`` and the second as ``--curr`` (the first against itself for
 a one-frame workload), and a second line says whether the two CSV files are
 byte-equal.
 
+For each workload's first seed, both trees also run on the inputs turned
+90 degrees about x, (x, y, z) -> (x, -z, y), which is exact in floating
+point. One line gives, per side, the largest absolute difference between
+its turned-back outputs and its own plain run, and the pooled
+``mse_reduction_pct`` of the turned-back outputs. The line is for
+information and leaves the exit status alone.
+
 Before the comparisons it prints each side's median time to ``import
 dpcdenoise.cli``, and then to import every module of the package, as
 perfbench's tracer and the annotation test do; each over 5 fresh processes
@@ -72,7 +79,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import check  # noqa: E402
-from workloads import WORKLOADS, Inputs, make_inputs  # noqa: E402
+from workloads import WORKLOADS, Inputs, make_inputs, write_ply  # noqa: E402
 
 # Fresh processes per side timed on each import.
 IMPORT_RUNS = 5
@@ -322,6 +329,47 @@ def print_quality(outs: tuple, inputs: Inputs) -> None:
               f"surface_rms_ratio {result.surface_rms_ratio():.4f}")
 
 
+def turn(points: np.ndarray) -> np.ndarray:
+    """(x, y, z) -> (x, -z, y), 90 degrees about x: it only moves and negates values."""
+    return np.column_stack([points[:, 0], -points[:, 2], points[:, 1]])
+
+
+def turn_back(points: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`turn`: (x, y, z) -> (x, z, -y)."""
+    return np.column_stack([points[:, 0], points[:, 2], -points[:, 1]])
+
+
+def print_pose(label: str, old: Path, new: Path, config: Path, inputs: Inputs, work: Path,
+               outs: tuple) -> None:
+    """Denoise the inputs turned by :func:`turn` with both trees; prints one line with, per
+    side, the largest gap between its turned-back outputs and its plain run in ``outs``,
+    and their pooled MSE reduction."""
+    turned_dir = work / "turned-inputs"
+    turned_dir.mkdir()
+    for path in inputs.files:
+        write_ply(turned_dir / path.name, turn(check.read_ply(path)[0]))
+    turned = [turned_dir / path.name for path in inputs.files]
+    parts = []
+    for side, src, plain in zip(("old", "new"), (old, new), outs):
+        out = work / f"turned-{side}"
+        if denoise(src, config, turned, out) is None:
+            parts.append(f"{side} failed")
+            continue
+        gap, mse, noisy_mse = 0.0, 0.0, 0.0
+        for clean, path in zip(inputs.clean, inputs.files):
+            back = turn_back(check.read_ply(out / path.name)[0])
+            if (plain / path.name).exists():
+                gap = max(gap, float(np.max(np.abs(back - check.read_ply(plain / path.name)[0]))))
+            else:
+                gap = float("nan")
+            mse += check.nn_mse(back, clean)
+            noisy_mse += check.nn_mse(check.read_ply(path)[0], clean)
+        parts.append(f"{side} largest gap to its plain run {gap:.3e}, "
+                     f"mse_reduction_pct {100.0 * (1.0 - mse / noisy_mse):.4f}")
+    print(f"{label} turned 90 degrees about x (information only): {'; '.join(parts)}",
+          flush=True)
+
+
 def acceptance_constants() -> dict:
     """The ``E2E_*`` constants of tests/test_acceptance.py, read without importing it."""
     tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
@@ -417,6 +465,8 @@ def main(argv=None) -> int:
                 same, outs = compare(label, old, new, config, inputs.files, run_dir)
                 if not same:
                     print_quality(outs, inputs)
+                if seed == seeds[0]:
+                    print_pose(label, old, new, config, inputs, run_dir, outs)
                 match_same = compare_match(label, old, new, config, inputs.files, run_dir)
                 all_same &= same and match_same
         if args.acceptance:

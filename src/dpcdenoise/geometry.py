@@ -338,23 +338,20 @@ def _lex_canonical_sign(vectors: np.ndarray) -> np.ndarray:
 
 
 def _orient(normals: np.ndarray, nbr: np.ndarray) -> np.ndarray:
-    """Normals flipped toward their (n, k+1) neighbor rows' consensus axis.
+    """Normals flipped toward the frame's normal axis, then by a vote of their (n, k+1) rows.
 
-    The consensus axis is the principal eigenvector of the sum of the
-    neighbor normals' outer products, which is insensitive to the input
-    signs. The axis and any leftover zero-dot ambiguity are both resolved
-    by forcing n_z >= 0, then n_y >= 0, then n_x >= 0.
+    The axis, the principal eigenvector of the sum of all normals' outer
+    products, does not read the input signs. It, and any normal at a right
+    angle to it, is signed so that n_z >= 0, then n_y >= 0, then n_x >= 0.
+    A normal then flips if it points away from the sum of its row's normals.
     """
-    hood = normals[nbr]                                   # (n, k+1, 3)
-    outer = np.einsum("nki,nkj->nij", hood, hood)         # sign-invariant
-    _, vecs = np.linalg.eigh(outer)
-    consensus = _lex_canonical_sign(vecs[:, :, 2])
-    dots = np.einsum("ni,ni->n", normals, consensus)
+    # Without ``optimize`` einsum makes no BLAS call, so no sum depends on the thread count.
+    _, vecs = np.linalg.eigh(np.einsum("ni,nj->ij", normals, normals, optimize=False))
+    dots = np.einsum("ni,i->n", normals, _lex_canonical_sign(vecs[None, :, 2])[0], optimize=False)
     oriented = np.where(dots[:, None] < 0, -normals, normals)
-    ambiguous = dots == 0
-    if np.any(ambiguous):
-        oriented[ambiguous] = _lex_canonical_sign(oriented[ambiguous])
-    return oriented
+    oriented[dots == 0] = _lex_canonical_sign(oriented[dots == 0])
+    votes = np.einsum("ni,ni->n", oriented, oriented[nbr].sum(axis=1), optimize=False)
+    return np.where(votes[:, None] < 0, -oriented, oriented)
 
 
 def estimate_normals(frame: Frame, k_plane: int,
@@ -363,8 +360,8 @@ def estimate_normals(frame: Frame, k_plane: int,
 
     Fits a plane to each point and its ``k_plane`` nearest neighbors;
     the normal is the eigenvector of the neighborhood covariance with
-    the smallest eigenvalue. Each sign is then fixed toward the consensus
-    axis of the normals over the same neighbor rows (see :func:`_orient`).
+    the smallest eigenvalue. Each sign is then fixed toward the frame's
+    normal axis and by a vote over the same neighbor rows (see :func:`_orient`).
     ``neighbors``, if given, is a neighbor table over the frame's
     positions, ``knn_rows(positions, positions, w)`` with w > ``k_plane``; its
     first ``k_plane + 1`` columns are the rows fitted, and it saves a query.

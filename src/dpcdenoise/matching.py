@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import DenoiseConfig, check_value
 from .geometry import knn_rows
-from .patches import PATCH_BLOCK, PatchSet, member_distances, patch_epsilons, sq_dists
+from .patches import PATCH_BLOCK, PatchSet, frame_spacing, member_distances, patch_epsilons, sq_dists
 
 
 def _variation_rows(dist: np.ndarray, normals: np.ndarray, epsilon: np.ndarray) -> np.ndarray:
@@ -37,19 +37,20 @@ def _variation_rows(dist: np.ndarray, normals: np.ndarray, epsilon: np.ndarray) 
 
 
 def member_variations(
-    points: np.ndarray, normals: np.ndarray, c: float = DenoiseConfig.c
+    points: np.ndarray, normals: np.ndarray, c: float = DenoiseConfig.c, spacing: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Epsilon, variation rows and variation vector of b member sets at once.
 
     ``points`` and ``normals`` are the (b, s, 3) member coordinates and
-    normals, s >= 2. Returns the (b,) graph radii, ``c`` times the mean
-    nearest-member distance; the (b, s, 3) per-point variation rows of each
-    set's normals; and the (b, 3) per-axis mean absolute variation.
+    normals, s >= 2. Returns the (b,) graph radii of :func:`patch_epsilons`
+    at ``c`` and ``spacing`` (a radius of 0 is a ValueError); the (b, s, 3)
+    per-point variation rows of each set's normals; and the (b, 3) per-axis
+    mean absolute variation.
     """
     if points.shape[1] < 2:
         raise ValueError("patch needs at least two members")
     dist = member_distances(points)
-    eps = patch_epsilons(dist, c)
+    eps = patch_epsilons(dist, c, spacing)
     rows = _variation_rows(dist, normals, eps)
     return eps, rows, np.mean(np.abs(rows), axis=1)
 
@@ -61,28 +62,20 @@ def patch_variations(
 
     Returns arrays indexed like ``patchset.members``: the (m,) radii, the
     (m, k+1, 3) variation rows and the (m, 3) variation vectors. The patch
-    set's frame must carry normals. A patch of radius 0 is refused by its
-    index, which is its centre point.
+    set's frame must carry normals; its :func:`frame_spacing` sizes clumps.
     """
     frame, members = patchset.frame, patchset.members
     if frame.normals is None:
         raise ValueError("frame needs normals")
+    spacing = frame_spacing(patchset)
     eps = np.empty(members.shape[0])
     rows = np.empty(members.shape + (3,))
     variations = np.empty((members.shape[0], 3))
     for start in range(0, members.shape[0], PATCH_BLOCK):
         part = slice(start, start + PATCH_BLOCK)
         idx = members[part]
-        try:
-            eps[part], rows[part], variations[part] = member_variations(
-                frame.positions[idx], frame.normals[idx], c)
-        except ValueError:
-            radii = patch_epsilons(member_distances(frame.positions[idx]), c)
-            clumped = np.flatnonzero(radii == 0)
-            if not clumped.size:
-                raise
-            raise ValueError(f"patch {start + clumped[0]}: each of its {members.shape[1]} members "
-                             "coincides with another, so its variation radius is 0") from None
+        eps[part], rows[part], variations[part] = member_variations(
+            frame.positions[idx], frame.normals[idx], c, spacing)
     return eps, rows, variations
 
 

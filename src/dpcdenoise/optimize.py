@@ -21,7 +21,7 @@ from .geometry import Frame, Sequence, estimate_normals, knn_rows
 from .graph import CsrMatrix, laplacian
 from .matching import match_patches, prepare_reference
 from .metrics import FrameMetrics
-from .patches import PatchSet, build_patches
+from .patches import PatchSet, build_patches, frame_spacing
 from .stgraph import SpatialEdges, spatial_connectivity, weighted_spatial_graph
 
 
@@ -429,11 +429,7 @@ def denoise_frame(
             Frame(u, None, noisy.frame_index), config, other_size)
         normals = patchset.frame.normals
         if it == 0:
-            # Member 1 of patch l is a nearest other input point of point l.
-            spacing = float(np.mean(np.sqrt(np.sum(patchset.rel[:, 1] ** 2, axis=1))))
-            if spacing == 0.0:
-                raise ValueError("every point coincides with another point: no spacing")
-            diagnostics["spacing"] = spacing
+            spacing = diagnostics["spacing"] = frame_spacing(patchset)
         diagnostics["degenerate_normals"].append(degen)
 
         prev_rel = patch_weights = None

@@ -96,13 +96,25 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def patch_epsilons(dist: np.ndarray, c: float) -> np.ndarray:
-    """Per-patch radius ``c`` times the mean nearest-member distance, from (b, s, s) distances.
+def frame_spacing(patchset: PatchSet) -> float:
+    """Mean distance from a point to its nearest other point, member 1 of its patch.
+
+    A frame whose every point coincides with another has none: a ValueError.
+    """
+    spacing = float(np.mean(np.sqrt(np.sum(patchset.rel[:, 1] ** 2, axis=1))))
+    if spacing == 0.0:
+        raise ValueError("every point coincides with another point: no spacing")
+    return spacing
+
+
+def patch_epsilons(dist: np.ndarray, c: float, spacing: float = 0.0) -> np.ndarray:
+    """Per-patch radius ``c`` times the mean nearest-member distance, from (b, s, s) distances,
+    or times ``spacing`` where that mean is 0, as in a clump of coincident points.
 
     Each ``dist[i]`` must be symmetric bit for bit, as :func:`member_distances`
     gives it since fl(a - b) = -fl(b - a): a member's nearest other member is
     then taken down axis 1, which numpy reduces without a strided inner loop.
     """
     size = dist.shape[1]
-    nearest = np.min(np.where(np.eye(size, dtype=bool), np.inf, dist), axis=1)
-    return c * np.mean(nearest, axis=1)
+    mean = np.mean(np.min(np.where(np.eye(size, dtype=bool), np.inf, dist), axis=1), axis=1)
+    return c * np.where(mean == 0.0, spacing, mean)

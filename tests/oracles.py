@@ -270,6 +270,24 @@ def sample_gaussian_bump(n_points: int, height: float, width: float = 0.3, seed:
     return pos, normals
 
 
+def sample_unit_sphere(n_points: int, seed: int = 0):
+    """Irregular sample of the closed unit sphere centred at the origin; its
+    positions are also its analytic outward unit normals."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(n_points, 3))
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+def random_rotation(rng):
+    """A random 3 x 3 rotation matrix: the orthogonal factor of a Gaussian matrix,
+    with column signs fixed and determinant +1."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
 def lp_oracle(d, mprime):
     """Vertex enumeration for min w.d s.t. 0 <= w <= 1, sum(w) >= mprime.
 

@@ -21,7 +21,7 @@ import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import oracles
-from oracles import brute_knn, variation_rows
+from oracles import brute_knn, mean_nearest_distance, variation_rows
 from test_acceptance import (
     E2E_AMPLITUDE,
     E2E_CONFIG,
@@ -56,10 +56,7 @@ from dpcdenoise.synthetic import SyntheticSpec, generate_sequence
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
-def clump_error(patch, size):
-    """The whole message ``patch_variations`` raises when ``patch`` is the first of radius 0."""
-    return (f"^patch {patch}: each of its {size} members coincides with another, "
-            "so its variation radius is 0$")
+NO_SPACING = "^every point coincides with another point: no spacing$"
 
 
 @st.composite
@@ -93,11 +90,23 @@ def oracle_epsilon(pts, c):
     return c * float(np.mean(np.min(dist, axis=1)))
 
 
+def oracle_spacing(positions, members):
+    """Mean distance from each patch's centre to its member 1."""
+    gaps = positions[members[:, 1]] - positions[members[:, 0]]
+    return float(np.mean(np.sqrt(np.sum(gaps * gaps, axis=1))))
+
+
 def oracle_patches(positions, normals, members, c):
-    """Per-patch epsilon, variation rows and variation vector, one graph each."""
+    """Per-patch epsilon, variation rows and variation vector, one graph each.
+
+    A patch whose members all coincide with another member takes ``c``
+    times the spacing of :func:`oracle_spacing` as its epsilon.
+    """
     eps, rows, variations = [], [], []
     for idx in members:
         e = oracle_epsilon(positions[idx], c)
+        if e == 0:
+            e = c * oracle_spacing(positions, members)
         r = variation_rows(positions[idx], normals[idx], e)
         eps.append(e)
         rows.append(r)
@@ -145,9 +154,8 @@ class TestPatchVariations:
                             for l in range(n)])
         normals = unit_normals(rng, n)
         ps = PatchSet(members=members, k=k, frame=Frame(pts, normals))
-        want_eps = [oracle_epsilon(pts[idx], c) for idx in members]
-        if min(want_eps) <= 0:
-            with pytest.raises(ValueError, match=clump_error(np.argmin(want_eps), k + 1)):
+        if oracle_spacing(pts, members) == 0:
+            with pytest.raises(ValueError, match=NO_SPACING):
                 patch_variations(ps, c)
             return
         eps, rows, variations = patch_variations(ps, c)
@@ -205,20 +213,26 @@ class TestPatchVariations:
         want = oracle_patches(pts, normals, members, 5.0)
         assert bits(rows) == bits(want[1]) and bits(variations) == bits(want[2])
 
-    def test_clumped_patch_raises(self):
+    def test_clumped_patch_radius_is_c_times_spacing(self):
+        # Patch 0's members all lie on the origin, so their mean nearest-member
+        # distance is 0; its radius is c times the frame's spacing instead, the
+        # mean distance from a point to its nearest other point.
         pts = np.vstack([np.zeros((4, 3)), np.eye(3)])
         normals = unit_normals(np.random.default_rng(3), 7)
-        with pytest.raises(ValueError, match=clump_error(0, 3)):
-            patch_variations(build_patches(Frame(pts, normals), 2), 5.0)
+        ps = build_patches(Frame(pts, normals), 2)
+        eps, rows, _ = patch_variations(ps, 5.0)
+        assert eps[0] == 5.0 * mean_nearest_distance(pts) == 5.0 * 3.0 / 7.0
+        assert bits(rows[0]) == bits(variation_rows(pts[ps.members[0]], normals[ps.members[0]],
+                                                    eps[0]))
 
-    def test_clumped_target_patch_is_a_data_error(self):
+    def test_clumped_target_patch_is_matched(self):
         rng = np.random.default_rng(4)
         previous = Frame(rng.uniform(0, 1, (40, 3)), unit_normals(rng, 40), frame_index=0)
         noisy = rng.uniform(0, 1, (40, 3))
         noisy[:8] = noisy[0]
         config = DenoiseConfig(k=5, k_s=3, xi=3, k_plane=6, outer_max_iters=1)
-        with pytest.raises(ValueError, match=clump_error(0, 6)):
-            denoise_frame(Frame(noisy, frame_index=1), previous, config)
+        out, report = denoise_frame(Frame(noisy, frame_index=1), previous, config)
+        assert np.all(np.isfinite(out.positions)) and len(report.diagnostics["match_dist"]) == 1
 
 
 class TestMatchPatchesOracle:
@@ -232,9 +246,8 @@ class TestMatchPatchesOracle:
         prev_ps = build_patches(prev, k)
         curr_ps = build_patches(curr, k)
         for frame, ps in ((prev, prev_ps), (curr, curr_ps)):
-            eps = [oracle_epsilon(frame.positions[idx], 5.0) for idx in ps.members]
-            if min(eps) <= 0:
-                with pytest.raises(ValueError, match=clump_error(np.argmin(eps), ps.k + 1)):
+            if oracle_spacing(frame.positions, ps.members) == 0:
+                with pytest.raises(ValueError, match=NO_SPACING):
                     patch_variations(ps)
                 return
         reference = prepare_reference(prev_ps)

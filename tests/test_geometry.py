@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_knn
+from oracles import brute_knn, random_rotation
 
 import dpcdenoise.geometry as geometry
 from dpcdenoise.geometry import (
@@ -329,3 +329,27 @@ class TestOrientNormals:
         flips = rng.choice([-1.0, 1.0], size=(80, 1))
         flipped = Frame(pts, frame.normals * flips)
         assert np.array_equal(orient(frame, 8), orient(flipped, 8))
+
+    def test_noisy_plane_across_z_gets_one_sign(self):
+        # The plane x = 0 has normals +-x. A rule that signs each normal by
+        # its n_z, which here is noise, would split them.
+        rng = np.random.default_rng(6)
+        pts = np.column_stack([rng.normal(0.0, 0.01, 300), rng.uniform(0, 1, (300, 2))])
+        frame, _ = estimate_normals(Frame(pts), 8)
+        signs = np.sign(frame.normals[:, 0])
+        assert np.all(signs == signs[0])
+
+    def test_turning_the_normals_turns_the_result(self):
+        # A flattened cloud with randomly signed normals: orienting turned
+        # normals gives the turned orientation exactly, up to one sign for
+        # the whole frame, which the frame's axis may take either way.
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(0, 1, (200, 3)) * (1.0, 1.0, 0.2)
+        frame, _ = estimate_normals(Frame(pts), 8)
+        normals = frame.normals * rng.choice([-1.0, 1.0], size=(200, 1))
+        nbr = knn_rows(pts, pts, 9)
+        for _ in range(5):
+            turn = random_rotation(rng)
+            got = _orient(normals @ turn.T, nbr)
+            want = _orient(normals, nbr) @ turn.T
+            assert np.array_equal(got, want) or np.array_equal(got, -want)

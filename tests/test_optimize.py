@@ -461,6 +461,18 @@ class TestDenoiseFrame:
             with pytest.raises(ValueError, match="every point coincides with another point"):
                 denoise_frame(noisy, previous, small_config())
 
+    def test_reference_of_duplicated_points_is_rejected(self):
+        # A reference frame whose every point has an exact duplicate has no
+        # spacing to size a clumped patch by, and the error names that frame.
+        seq = small_sequence(2)
+        first = seq.frames[0]
+        previous = Frame(np.concatenate([first.positions, first.positions]),
+                         np.concatenate([first.normals, first.normals]), frame_index=0)
+        noisy = Frame(seq.frames[1].positions, frame_index=1)
+        with pytest.raises(ValueError, match="^reference frame 0: every point coincides with "
+                                             "another point: no spacing$"):
+            denoise_frame(noisy, previous, small_config())
+
     def test_lambda1_zero_ignores_reference_content(self):
         seq = small_sequence(2)
         noisy = Frame(seq.frames[1].positions, frame_index=1)
@@ -946,3 +958,29 @@ class TestScaleEquivariance:
         gap = np.max(np.abs(out.frames[0].positions / 1000.0 - base.frames[0].positions))
         assert gap <= 1e-8 * spacing
         assert reports[0].diagnostics["edge_weights"][-1]["underflow_share"] == 0.0
+
+
+class TestPoseEquivariance:
+    """Denoising one frame commutes with a rigid motion of the input.
+
+    Normals are signed by the frame's own normal axis and a vote of their
+    neighbours, not by a coordinate axis, so a turned and moved frame gives
+    the turned and moved output, within the point solve's tolerance.
+    """
+
+    @pytest.mark.parametrize("kind", ["sphere-cap", "sphere"])
+    def test_turned_and_moved_frame_gives_the_turned_output(self, kind):
+        if kind == "sphere":
+            clean = oracles.sample_unit_sphere(500, seed=2)
+        else:
+            clean = generate_sequence(SyntheticSpec(kind, 500, 1, seed=2)).frames[0].positions
+        diag = float(np.linalg.norm(np.ptp(clean, axis=0)))
+        noisy = clean + np.random.default_rng(3).normal(0.0, 0.01 * diag, clean.shape)
+        cfg = DenoiseConfig(k=20, k_s=8, outer_max_iters=2)
+        (base,), _ = denoise_sequence(Sequence((Frame(noisy),)), cfg)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            turn, shift = oracles.random_rotation(rng), rng.uniform(-1.0, 1.0, 3)
+            (out,), _ = denoise_sequence(Sequence((Frame(noisy @ turn.T + shift),)), cfg)
+            back = (out.positions - shift) @ turn
+            assert np.max(np.abs(back - base.positions)) <= 1e-6 * diag
