@@ -122,16 +122,29 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _output_paths(inputs, out_dir: Path) -> list[Path]:
+    """``out_dir / name`` of each input; two inputs of one name are a usage error."""
+    owner = {}
+    for path in inputs:
+        out = out_dir / path.name
+        if out in owner:
+            raise _UsageError(f"inputs {owner[out]} and {path} would both be written to {out}")
+        owner[out] = path
+    return list(owner)
+
+
 def _cmd_noise(args) -> int:
+    out_paths = _output_paths(args.inputs, args.out_dir)
     noisy = [add_gaussian_noise(read_point_cloud(path), args.sigma, seed=args.seed + t)
              for t, path in enumerate(args.inputs)]
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    for path, frame in zip(args.inputs, noisy):
-        write_point_cloud(frame, args.out_dir / path.name)
+    for out_path, frame in zip(out_paths, noisy):
+        write_point_cloud(frame, out_path)
     return EXIT_OK
 
 
 def _cmd_denoise(args) -> int:
+    out_paths = _output_paths(args.inputs, args.out_dir)
     config = _resolve_config(args)
     frames = []
     for t, path in enumerate(args.inputs):
@@ -141,16 +154,13 @@ def _cmd_denoise(args) -> int:
     denoised, reports = denoise_sequence(Sequence(tuple(frames)), config)
     elapsed = time.perf_counter() - start
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for path, frame in zip(args.inputs, denoised):
-        out_path = args.out_dir / path.name
+    for out_path, frame in zip(out_paths, denoised):
         write_point_cloud(frame, out_path)
-        outputs.append(str(out_path))
     manifest = RunManifest(
         command="denoise",
         config=config.to_dict(),
         inputs=[str(p) for p in args.inputs],
-        outputs=outputs,
+        outputs=[str(p) for p in out_paths],
         frame_metrics=[r.to_dict() for r in reports],
         timings_s={"denoise": elapsed},
     )

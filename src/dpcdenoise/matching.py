@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import DenoiseConfig, check_value
 from .geometry import knn_rows
-from .patches import PATCH_BLOCK, PatchSet, frame_spacing, member_distances, patch_epsilons, sq_dists
+from .patches import PATCH_BLOCK, PatchSet, frame_spacing, patch_epsilons, sq_dists
 
 
 def _variation_rows(dist: np.ndarray, normals: np.ndarray, epsilon: np.ndarray) -> np.ndarray:
@@ -49,34 +49,10 @@ def member_variations(
     """
     if points.shape[1] < 2:
         raise ValueError("patch needs at least two members")
-    dist = member_distances(points)
+    dist = np.sqrt(sq_dists(points, points))
     eps = patch_epsilons(dist, c, spacing)
     rows = _variation_rows(dist, normals, eps)
     return eps, rows, np.mean(np.abs(rows), axis=1)
-
-
-def patch_variations(
-    patchset: PatchSet, c: float = DenoiseConfig.c
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`member_variations` of every patch, ``PATCH_BLOCK`` patches at a time.
-
-    Returns arrays indexed like ``patchset.members``: the (m,) radii, the
-    (m, k+1, 3) variation rows and the (m, 3) variation vectors. The patch
-    set's frame must carry normals; its :func:`frame_spacing` sizes clumps.
-    """
-    frame, members = patchset.frame, patchset.members
-    if frame.normals is None:
-        raise ValueError("frame needs normals")
-    spacing = frame_spacing(patchset)
-    eps = np.empty(members.shape[0])
-    rows = np.empty(members.shape + (3,))
-    variations = np.empty((members.shape[0], 3))
-    for start in range(0, members.shape[0], PATCH_BLOCK):
-        part = slice(start, start + PATCH_BLOCK)
-        idx = members[part]
-        eps[part], rows[part], variations[part] = member_variations(
-            frame.positions[idx], frame.normals[idx], c, spacing)
-    return eps, rows, variations
 
 
 def patch_distance(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
@@ -135,15 +111,24 @@ class ReferencePatches:
 
 
 def prepare_reference(patchset: PatchSet, c: float = DenoiseConfig.c) -> ReferencePatches:
-    """Compute the matching data of every patch of a reference frame at once.
+    """Compute the matching data of every patch of a reference frame, ``PATCH_BLOCK`` at a time.
 
     Holds, indexed like ``patchset.members``, the (m, k+1, 3) variation
-    rows and (m, 3) variation vectors. The patch centers are the frame's
-    positions and the center-relative coordinates are ``patchset.rel``.
+    rows and (m, 3) variation vectors; clumps take the :func:`frame_spacing`.
+    The patch centers are the frame's positions and the center-relative
+    coordinates are ``patchset.rel``.
     """
-    if patchset.frame.normals is None:
+    frame, members = patchset.frame, patchset.members
+    if frame.normals is None:
         raise ValueError("reference frame needs normals")
-    _, var_rows, variations = patch_variations(patchset, c)
+    spacing = frame_spacing(patchset)
+    var_rows = np.empty(members.shape + (3,))
+    variations = np.empty((len(patchset), 3))
+    for start in range(0, len(patchset), PATCH_BLOCK):
+        part = slice(start, start + PATCH_BLOCK)
+        idx = members[part]
+        _, var_rows[part], variations[part] = member_variations(
+            frame.positions[idx], frame.normals[idx], c, spacing)
     return ReferencePatches(patchset=patchset, c=c, var_rows=var_rows, variations=variations)
 
 
@@ -161,22 +146,29 @@ def match_patches(
     ties broken by ascending patch index. Returns arrays indexed by
     target patch: the (m,) matched reference patch, the (m,) variation
     distance to it, and the (m, k+1) point map from :func:`point_correspondence`.
+    Each block of ``PATCH_BLOCK`` target patches is varied, matched and
+    mapped in one step, so the target's variation rows are never held whole.
     """
-    if patchset.frame.normals is None:
+    frame = patchset.frame
+    if frame.normals is None:
         raise ValueError("target frame needs normals")
     xi = check_value("xi", xi)
-    eps, rows, variations = patch_variations(patchset, reference.c)
-    cand = knn_rows(reference.patchset.frame.positions, patchset.frame.positions,
-                    min(xi, len(reference)))
-    dists = patch_distance(reference.variations[cand], variations[:, None, :])
-    distance = np.min(dists, axis=1)
-    matched = np.min(np.where(dists == distance[:, None], cand, len(reference)), axis=1)
+    spacing = frame_spacing(patchset)
+    cand = knn_rows(reference.patchset.frame.positions, frame.positions, min(xi, len(reference)))
+    matched = np.empty(len(patchset), dtype=np.int64)
+    distance = np.empty(len(patchset))
     point_map = np.empty(patchset.members.shape, dtype=np.int64)
     for start in range(0, len(patchset), PATCH_BLOCK):
         part = slice(start, start + PATCH_BLOCK)
-        best = matched[part]
+        idx = patchset.members[part]
+        eps, rows, variations = member_variations(
+            frame.positions[idx], frame.normals[idx], reference.c, spacing)
+        dists = patch_distance(reference.variations[cand[part]], variations[:, None, :])
+        distance[part] = np.min(dists, axis=1)
+        best = np.min(np.where(dists == distance[part, None], cand[part], len(reference)), axis=1)
+        matched[part] = best
         point_map[part] = point_correspondence(
-            rows[part], reference.var_rows[best], patchset.rel[part],
-            reference.patchset.rel[best], alpha, eps[part]
+            rows, reference.var_rows[best], patchset.rel[part],
+            reference.patchset.rel[best], alpha, eps
         )
     return matched, distance, point_map

@@ -75,11 +75,6 @@ def build_patches(frame: Frame, k: int, neighbors: Optional[np.ndarray] = None) 
     return PatchSet(members=members, k=k, frame=frame)
 
 
-def member_distances(pts: np.ndarray) -> np.ndarray:
-    """Pairwise distances within each patch: (b, s, 3) points to (b, s, s)."""
-    return np.sqrt(sq_dists(pts, pts))
-
-
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances from (..., s, 3) points to (..., t, 3) points, shape (..., s, t).
 
@@ -111,9 +106,9 @@ def patch_epsilons(dist: np.ndarray, c: float, spacing: float = 0.0) -> np.ndarr
     """Per-patch radius ``c`` times the mean nearest-member distance, from (b, s, s) distances,
     or times ``spacing`` where that mean is 0, as in a clump of coincident points.
 
-    Each ``dist[i]`` must be symmetric bit for bit, as :func:`member_distances`
-    gives it since fl(a - b) = -fl(b - a): a member's nearest other member is
-    then taken down axis 1, which numpy reduces without a strided inner loop.
+    Each ``dist[i]`` must be symmetric bit for bit, as ``sqrt(sq_dists(p, p))``
+    is since fl(a - b) = -fl(b - a): a member's nearest other member is then
+    taken down axis 1, which numpy reduces without a strided inner loop.
     """
     size = dist.shape[1]
     mean = np.mean(np.min(np.where(np.eye(size, dtype=bool), np.inf, dist), axis=1), axis=1)

@@ -47,6 +47,24 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "usage error" in err and flag in err
 
+    @pytest.mark.parametrize("command", [
+        ["noise", "--sigma", "0.02"],
+        ["denoise", "--k", "8", "--k-s", "3", "--outer-max-iters", "1"],
+    ], ids=["noise", "denoise"])
+    def test_inputs_of_one_name_are_refused_before_anything_is_written(self, tmp_path,
+                                                                        capsys, command):
+        # Both inputs would be written to OUT_DIR/clean_000.ply, the second over
+        # the first, so the run is refused before --out-dir is created.
+        for side in ("a", "b"):
+            run(synth_args(tmp_path / side, points=50, frames=1))
+        first, second = (tmp_path / side / "clean_000.ply" for side in ("a", "b"))
+        out_dir = tmp_path / "out"
+        assert run(command + ["--out-dir", str(out_dir), str(first), str(second)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"usage error: inputs {first} and {second} would both be written "
+                       f"to {out_dir / 'clean_000.ply'}\n")
+        assert not out_dir.exists()
+
 
 class TestSynthNoise:
     def test_synth_writes_frames(self, tmp_path):

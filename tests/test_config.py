@@ -19,8 +19,7 @@ from dpcdenoise.cli import _resolve_config, build_parser, cli_main
 from dpcdenoise.config import RETIRED, DenoiseConfig, parse_value
 from dpcdenoise.geometry import Frame, estimate_normals
 from dpcdenoise.io import ParseError, load_config, save_config
-from dpcdenoise.matching import match_patches, member_variations, patch_variations, \
-    prepare_reference
+from dpcdenoise.matching import match_patches, member_variations, prepare_reference
 from dpcdenoise.metrics import gpsnr
 from dpcdenoise.synthetic import SyntheticSpec, generate_sequence
 from test_acceptance import E2E_CONFIG
@@ -227,7 +226,7 @@ class TestOneDeclaration:
             assert re.search(entry, text), f.name
 
     @pytest.mark.parametrize("function, name", [
-        (member_variations, "c"), (patch_variations, "c"), (prepare_reference, "c"),
+        (member_variations, "c"), (prepare_reference, "c"),
         (match_patches, "alpha"), (opt.solve_point_cloud, "cg_tol"),
         (opt.solve_point_cloud, "cg_max_iters"),
     ])

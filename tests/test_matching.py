@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import sample_gaussian_bump, variation_rows
 
+from dpcdenoise import optimize as opt
+from dpcdenoise.config import DenoiseConfig
 from dpcdenoise.geometry import Frame, estimate_normals, knn_rows
 from dpcdenoise.matching import (
     match_patches,
     member_variations,
     patch_distance,
-    patch_variations,
     point_correspondence,
     prepare_reference,
 )
-from dpcdenoise.patches import build_patches, member_distances, patch_epsilons
+from dpcdenoise.metrics import add_gaussian_noise
+from dpcdenoise.patches import build_patches, patch_epsilons, sq_dists
 from dpcdenoise.synthetic import SyntheticSpec, generate_sequence
 
 
@@ -188,8 +192,6 @@ class TestNeedsNormals:
         pts = np.random.default_rng(3).uniform(0, 1, (40, 3))
         bare = build_patches(Frame(pts), 6)
         _, ref = build_reference(estimate_normals(Frame(pts), 8)[0], 6)
-        with pytest.raises(ValueError, match="^frame needs normals$"):
-            patch_variations(bare)
         with pytest.raises(ValueError, match="^reference frame needs normals$"):
             prepare_reference(bare)
         with pytest.raises(ValueError, match="^target frame needs normals$"):
@@ -247,6 +249,28 @@ class TestTemporalMatch:
         assert np.array_equal(distance, patch_distance(at_3, ref.variations[matched]))
         assert not np.array_equal(distance, patch_distance(at_5, ref.variations[matched]))
 
+    def test_heap_peak_beyond_output_is_below_one_row_array(self):
+        # Each block of target patches is varied, matched and mapped in one
+        # step, so the call never holds an (m, k+1, 3) float64 array of the
+        # target, 24 (k+1) bytes a patch.
+        config = DenoiseConfig(k=30, xi=10, alpha=0.5)
+        spec = SyntheticSpec("sinusoid-sheet", 9600, 2, amplitude=0.05, phase_step=0.005, seed=3)
+        prev, curr = (add_gaussian_noise(f, 0.01, seed=t)
+                      for t, f in enumerate(generate_sequence(spec)))
+        reference = opt.build_reference(prev, config, len(curr))
+        patchset = opt.prepare_frame(curr, config, len(prev)).patchset
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            outputs = match_patches(patchset, reference, config.xi, config.alpha)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        output = sum(a.nbytes for a in outputs)
+        assert len(patchset) == 9600 and patchset.k == 30
+        assert peak - output < 24 * len(patchset) * (patchset.k + 1)
+
     def test_plane_resamplings_distance_zero(self):
         specs = [
             SyntheticSpec("plane", n_points=200, n_frames=1, seed=s) for s in (1, 2)
@@ -270,7 +294,7 @@ class TestTemporalMatch:
         # Brute-force global minimum over all reference patches.
         for l in range(150):
             pts = curr.positions[curr_ps.members[l]]
-            eps = patch_epsilons(member_distances(pts[None]), 5.0)[0]
+            eps = patch_epsilons(np.sqrt(sq_dists(pts, pts))[None], 5.0)[0]
             rows = variation_rows(pts, curr.normals[curr_ps.members[l]], eps)
             v_t = np.mean(np.abs(rows), axis=0)
             dists = patch_distance(v_t, ref.variations)

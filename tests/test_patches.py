@@ -5,7 +5,7 @@ import pytest
 from oracles import brute_knn, relative_coords
 
 from dpcdenoise.geometry import MAX_COORDINATE, Frame, knn_rows
-from dpcdenoise.patches import PatchSet, build_patches, member_distances, patch_epsilons
+from dpcdenoise.patches import PatchSet, build_patches, patch_epsilons, sq_dists
 
 
 class TestBuildPatches:
@@ -121,7 +121,7 @@ class TestRelativeCoords:
 
 def epsilon(points, c):
     """The graph radius of one patch of the (s, 3) member ``points``."""
-    return float(patch_epsilons(member_distances(points[None]), c)[0])
+    return float(patch_epsilons(np.sqrt(sq_dists(points, points))[None], c)[0])
 
 
 class TestPatchEpsilon:
@@ -153,7 +153,7 @@ class TestPatchInvariants:
                 PatchSet(members=np.array(members), k=1, frame=Frame(pts))
 
     def test_a_repeated_member_is_rejected(self):
-        # A repeat would stand at distance 0 from itself, and patch_variations
+        # A repeat would stand at distance 0 from itself, and patch_epsilons
         # would take that as its patch's nearest-member distance.
         pts = np.random.default_rng(9).uniform(0, 1, (3, 3))
         PatchSet(members=np.array([[0, 1, 2], [1, 0, 2], [2, 1, 0]]), k=2, frame=Frame(pts))
