@@ -133,6 +133,13 @@ def _output_paths(inputs, out_dir: Path) -> list[Path]:
     return list(owner)
 
 
+def _in_made_dir(path: Path) -> Path:
+    """``path``, after making its parent directory and any missing ancestors, as
+    ``--out-dir`` is made; called only when the file is about to be written."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _cmd_noise(args) -> int:
     out_paths = _output_paths(args.inputs, args.out_dir)
     noisy = [add_gaussian_noise(read_point_cloud(path), args.sigma, seed=args.seed + t)
@@ -164,7 +171,7 @@ def _cmd_denoise(args) -> int:
         frame_metrics=[r.to_dict() for r in reports],
         timings_s={"denoise": elapsed},
     )
-    manifest.save(args.manifest or (args.out_dir / "manifest.json"))
+    manifest.save(_in_made_dir(args.manifest or (args.out_dir / "manifest.json")))
     return EXIT_OK
 
 
@@ -186,7 +193,11 @@ def _cmd_eval(args) -> int:
         clean = read_point_cloud(clean_path)
         test = read_point_cloud(test_path)
         if clean.normals is None:
-            clean, _ = estimate_normals(clean, min(args.k_plane, len(clean) - 1))
+            k_plane = min(args.k_plane, len(clean) - 1)
+            if k_plane < 3:
+                raise ValueError(f"clean file {clean_path}: {len(clean)} points are too few "
+                                 "to estimate normals")
+            clean, _ = estimate_normals(clean, k_plane)
             notes.append(f"estimated normals for {clean_path}")
         m_nn = mse_nn(test, clean)
         m_idx = mse_index(test, clean) if len(test) == len(clean) else None
@@ -196,7 +207,7 @@ def _cmd_eval(args) -> int:
                         "gpsnr_db": "inf" if db == float("inf") else db})
     csv_text = "frame,mse_nn,mse_index,gpsnr_db\n" + "\n".join(rows) + "\n"
     if args.out:
-        args.out.write_text(csv_text)
+        _in_made_dir(args.out).write_text(csv_text)
     else:
         sys.stdout.write(csv_text)
     if args.manifest:
@@ -206,7 +217,7 @@ def _cmd_eval(args) -> int:
             outputs=[str(args.out)] if args.out else [],
             frame_metrics=metrics,
             notes=notes,
-        ).save(args.manifest)
+        ).save(_in_made_dir(args.manifest))
     return EXIT_OK
 
 
@@ -223,7 +234,7 @@ def _cmd_match(args) -> int:
         lines.append(f"{target},{best},{dist:.9g},{_csv_value(math.exp(-dist))}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        args.out.write_text(text)
+        _in_made_dir(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

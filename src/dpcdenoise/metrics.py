@@ -31,6 +31,8 @@ def add_gaussian_noise(frame: Frame, sigma: float, seed: int) -> Frame:
     """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError("sigma must be finite and >= 0")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=frame.positions.shape) if sigma > 0 else 0.0
     return Frame(frame.positions + noise, None, frame.frame_index)

@@ -2,16 +2,14 @@
 
 Each pass re-estimates the graph from the current points (normals, patches,
 temporal matches and weights, spatial pairs) and solves for the points. The
-spatial pairs are weighed by the fixed kernel ``exp(-dn^T M dn)`` with
-``M = R0^T R0 = (trace_bound / 3)^2 I``, a scalar scale on ``||dn||^2``.
-:func:`learn_metric`, Hu et al.'s trace-bounded metric learning from ``R0``,
-is a library function the pipeline does not run. The point update's system
-comes from :func:`dpcdenoise.graph.laplacian`, solved per axis by CG.
+spatial pairs are weighed by Hu et al.'s kernel ``exp(-dn^T M dn)`` at its
+starting metric ``M = (trace_bound / 3)^2 I``, one fixed scale on ``||dn||^2``;
+the metric is not learned. The point update's system comes from
+:func:`dpcdenoise.graph.laplacian`, solved per axis by CG.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -28,11 +26,9 @@ from .stgraph import SpatialEdges, spatial_connectivity, weighted_spatial_graph
 class SolverError(RuntimeError):
     """A numerical solver failed to meet its contract."""
 
-    def __init__(self, message: str, *, residual: float | None = None,
-                 trace: float | None = None):
+    def __init__(self, message: str, *, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-        self.trace = trace
         self.iteration: int | None = None      # the outer iteration, set by denoise_frame
 
 
@@ -203,125 +199,6 @@ def solve_temporal_weights(d: np.ndarray, mprime: float) -> np.ndarray:
     return w
 
 
-def _metric_terms(factor: np.ndarray, diffs: np.ndarray, dsq: np.ndarray) -> np.ndarray:
-    rx = diffs @ factor.T
-    return np.exp(-np.einsum("ei,ei->e", rx, rx)) * dsq
-
-
-def metric_objective(factor: np.ndarray, diffs: np.ndarray, dsq: np.ndarray) -> float:
-    """Sum over pairs of exp(-||R df||^2) * d."""
-    return _psum(_metric_terms(factor, diffs, dsq))
-
-
-def _metric_gradient_from_terms(factor: np.ndarray, diffs: np.ndarray,
-                                terms: np.ndarray) -> np.ndarray:
-    # Fixed-order two-operand contraction, bit-equal to the three-operand
-    # einsum("ei,e,ej->ij") on (diffs, terms, diffs): each product is still
-    # (d_ei * t_e) * d_ej. A BLAS matmul would split the pair axis across
-    # threads and make the reduction order thread-count-dependent.
-    gram = np.einsum("ei,ej->ij", diffs * terms[:, None], diffs, optimize=False)
-    return -2.0 * factor @ gram
-
-
-def metric_gradient(factor: np.ndarray, diffs: np.ndarray, dsq: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`metric_objective` with respect to the factor R."""
-    return _metric_gradient_from_terms(factor, diffs, _metric_terms(factor, diffs, dsq))
-
-
-def project_metric_factor(factor: np.ndarray, bound: float) -> np.ndarray:
-    """Map R into {diagonal >= 0, tr(R) <= bound, ||R||_F <= bound}, so tr(R^T R) <= bound^2.
-
-    Negative diagonal entries are clamped to zero; if the trace still
-    exceeds the bound, the diagonal is scaled down to meet it. Then, if
-    the Frobenius norm exceeds the bound, the whole factor is scaled down
-    to meet it, which keeps the diagonal and trace conditions. A factor
-    already in the set comes back unchanged.
-    """
-    r = np.array(factor, dtype=np.float64)
-    diag = np.diagonal(r).copy()
-    if np.any(diag < 0) or diag.sum() > bound:
-        diag = np.maximum(diag, 0.0)
-        total = diag.sum()
-        if total > bound:
-            diag *= bound / total
-        np.fill_diagonal(r, diag)
-    norm = np.linalg.norm(r)
-    if norm > bound:
-        r *= bound / norm
-    return r
-
-
-@dataclass(frozen=True)
-class MetricFit:
-    """Result of metric learning: M = R^T R plus the iteration history."""
-
-    metric: np.ndarray
-    factor: np.ndarray
-    objectives: tuple
-
-
-def learn_metric(
-    diffs: np.ndarray,
-    dsq: np.ndarray,
-    trace_bound: float,
-    pg_step: float = 1e-3,
-    pg_max_iters: int = 100,
-    pg_tol: float = 1e-6,
-) -> MetricFit:
-    """Learn a Mahalanobis metric by projected proximal gradient descent.
-
-    Minimizes sum_e exp(-||R diffs[e]||^2) * dsq[e]. Edges that share a
-    feature difference up to sign may be passed once, with their ``dsq``
-    summed: the objective is the same sum, regrouped. Works on the
-    factorization M = R^T R so the result is PSD by construction;
-    iterates are mapped into {diagonal >= 0, tr(R) <= trace_bound,
-    ||R||_F <= trace_bound} by :func:`project_metric_factor`.
-    A candidate that increases the objective is rejected and halves the
-    step for the rest of the call; three consecutive rejections, at three
-    different steps, abort with a step-size error.
-    """
-    diffs = np.asarray(diffs, dtype=np.float64)
-    dsq = np.asarray(dsq, dtype=np.float64).ravel()
-    if diffs.ndim != 2 or diffs.shape[0] < 1:
-        raise ValueError("need at least one feature-difference pair")
-    if dsq.shape[0] != diffs.shape[0]:
-        raise ValueError("dsq must have one entry per pair")
-    if not (np.all(np.isfinite(diffs)) and np.all(np.isfinite(dsq))):
-        raise ValueError("diffs and dsq must be finite")
-    if np.any(dsq < 0):
-        raise ValueError("dsq must be >= 0")
-    if trace_bound <= 0:
-        raise ValueError("trace_bound must be > 0")
-    dim = diffs.shape[1]
-    r = (trace_bound / dim) * np.eye(dim)
-    terms = _metric_terms(r, diffs, dsq)
-    f_cur = _psum(terms)
-    objs = [f_cur]
-    strikes = 0
-    for _ in range(pg_max_iters):
-        if strikes == 0:
-            grad = _metric_gradient_from_terms(r, diffs, terms)
-        candidate = project_metric_factor(r - pg_step * grad, trace_bound)
-        cand_terms = _metric_terms(candidate, diffs, dsq)
-        f_new = _psum(cand_terms)
-        if not np.isfinite(f_new) or f_new > f_cur:
-            strikes += 1
-            if strikes >= 3:
-                raise SolverError(
-                    "step size too large: metric objective increased three times in a row",
-                    trace=float(np.trace(r)),
-                )
-            pg_step *= 0.5
-            continue
-        strikes = 0
-        decrease = f_cur - f_new
-        r, f_cur, terms = candidate, f_new, cand_terms
-        objs.append(f_cur)
-        if decrease < pg_tol:
-            break
-    return MetricFit(metric=r.T @ r, factor=r, objectives=tuple(objs))
-
-
 def _edge_weight_summary(edges: SpatialEdges, pair_weights: np.ndarray) -> dict:
     """p5, p50 and p95 of the row-edge weights, and the share below 1e-12.
 
@@ -391,7 +268,7 @@ def denoise_frame(
     each matched patch by ``exp(-match distance)``, later ones solve the
     weight program. Every pass weighs each point pair by the fixed kernel
     ``exp(-dn^T M dn)`` on its unit-normal difference ``dn``, with
-    ``M = R0^T R0 = (trace_bound / 3)^2 I``. The loop evaluates no
+    ``M = (trace_bound / 3)^2 I``. The loop evaluates no
     objective: each pass builds its own graph, so the totals of two passes
     would not be comparable. The loop stops once a pass moves no point by more than ``outer_tol``
     times the frame's spacing, the mean distance from an input point to

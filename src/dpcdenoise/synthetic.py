@@ -35,6 +35,9 @@ class SyntheticSpec:
             raise ValueError("n_frames must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        for name in ("amplitude", "phase_step"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:

@@ -167,11 +167,6 @@ def folded_connectivity(patchset, k_s):
     return points, counts, offsets
 
 
-def metric_gram(diffs, terms):
-    """Metric-learning Gram sum_e terms[e] * outer(diffs[e], diffs[e]), three-operand einsum."""
-    return np.einsum("ei,e,ej->ij", diffs, terms, diffs, optimize=False)
-
-
 def row_edge_weights(pairs, row_features):
     """Dense row-graph adjacency whose edges weigh exp(-||df||^2), computed once per row edge.
 

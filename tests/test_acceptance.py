@@ -2,7 +2,9 @@
 
 Criterion 7 drives the full pipeline through the CLI into a shared tmp
 directory; criterion 8 repeats that run in subprocesses at different
-thread counts and compares output bytes.
+thread counts and compares output bytes. Criterion 5 tested a metric learner
+that the pipeline never ran; it was deleted with the learner, and the other
+criteria keep their numbers.
 """
 
 import os
@@ -36,10 +38,6 @@ from dpcdenoise.matching import (
 )
 from dpcdenoise.metrics import mse_nn
 from dpcdenoise.optimize import (
-    learn_metric,
-    metric_gradient,
-    metric_objective,
-    project_metric_factor,
     solve_point_cloud,
     solve_temporal_weights,
 )
@@ -183,41 +181,6 @@ def test_criterion_4_linear_solve_oracle():
     report(4, "point solve vs dense oracle", ok,
            f"max |diff| {max_err:.2e} (<1e-6), max rel residual {max_res:.2e} (<=1e-8), "
            f"lambda=0 bit-exact {bit_exact}")
-
-
-def test_criterion_5_metric_learning():
-    rng = np.random.default_rng(44)
-    worst_rel = 0.0
-    for _ in range(20):
-        diffs = rng.normal(0, 0.5, (25, 6))
-        dsq = rng.uniform(0, 0.2, 25)
-        r = project_metric_factor(rng.normal(0, 0.3, (6, 6)), 5.0)
-        grad = metric_gradient(r, diffs, dsq)
-        fd = np.zeros((6, 6))
-        h = 1e-6
-        for i in range(6):
-            for j in range(6):
-                e = np.zeros((6, 6))
-                e[i, j] = h
-                fd[i, j] = (metric_objective(r + e, diffs, dsq)
-                            - metric_objective(r - e, diffs, dsq)) / (2 * h)
-        worst_rel = max(worst_rel, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
-
-    diffs = rng.normal(0, 0.5, (60, 6))
-    dsq = rng.uniform(0, 0.3, 60)
-    fit = learn_metric(diffs, dsq, 5.0, pg_step=1e-3, pg_max_iters=80)
-    monotone = bool(np.all(np.diff(fit.objectives) <= 0))
-
-    constraints_ok = True
-    r = (5.0 / 6.0) * np.eye(6)
-    for _ in range(40):
-        r = project_metric_factor(r - 1e-3 * metric_gradient(r, diffs, dsq), 5.0)
-        if np.trace(r) > 5.0 + 1e-12 or np.any(np.diagonal(r) < 0):
-            constraints_ok = False
-    ok = worst_rel < 1e-4 and monotone and constraints_ok
-    report(5, "metric-learning gradient and descent", ok,
-           f"max FD rel err {worst_rel:.2e} (<1e-4), monotone {monotone}, "
-           f"constraints {constraints_ok}")
 
 
 def unit_graph_distances(n, i, j):

@@ -37,12 +37,7 @@ from dpcdenoise.graph import CsrMatrix, laplacian
 from dpcdenoise import matching
 from dpcdenoise.matching import match_patches, member_variations, prepare_reference
 from dpcdenoise.metrics import add_gaussian_noise
-from dpcdenoise.optimize import (
-    _metric_gradient_from_terms,
-    _point_system,
-    denoise_frame,
-    learn_metric,
-)
+from dpcdenoise.optimize import _point_system, denoise_frame
 from dpcdenoise import stgraph
 from dpcdenoise.patches import PATCH_BLOCK, PatchSet, build_patches, frame_spacing, sq_dists
 from dpcdenoise.stgraph import (
@@ -555,13 +550,6 @@ def spatial_instances(draw):
     return pts, ps, edges, rows, pair_weights, rng
 
 
-def assert_sums_match(got, want, pts):
-    """Sums of squared residuals agree to 1e-12 relative, above an absolute floor
-    for sums that cancel to rounding of the coordinates (about 1e-32 at unit scale)."""
-    floor = 1e-24 * max(1.0, float(np.max(np.abs(pts)))) ** 2
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=floor)
-
-
 def rel_max_error(got, want):
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
 
@@ -732,21 +720,6 @@ class TestCsrMatrix:
         assert np.all(np.abs(y - want) <= summation_bound(n, rows, a.cols, a.vals, x))
 
 
-class TestMetricGram:
-    @PROPERTY
-    @given(st.integers(1, 20000), st.integers(0, 2**32 - 1), st.booleans())
-    def test_matches_three_operand_einsum(self, e, seed, sparse):
-        rng = np.random.default_rng(seed)
-        diffs = rng.normal(size=(e, 6))
-        terms = rng.exponential(size=e)
-        if sparse:
-            diffs[:, rng.integers(6)] = 0.0
-            terms[rng.random(e) < 0.5] = 0.0
-        factor = rng.normal(size=(6, 6))
-        want = -2.0 * factor @ oracles.metric_gram(diffs, terms)
-        assert_same_bits(_metric_gradient_from_terms(factor, diffs, terms), want)
-
-
 @st.composite
 def row_edges(draw):
     """Patches over few points, sorted distinct row edges between rows of
@@ -766,48 +739,27 @@ def row_edges(draw):
     if draw(st.booleans()):
         pts = np.round(pts * 2) / 2
     feats = unit_normals(rng, n)
-    return members, rows, feats, pts, rng
+    return members, rows, feats, pts
 
 
 def folded(rows, members, pts):
     """The oracle fold of arbitrary row edges, with each patch anchored at its first member."""
     anchors = np.repeat(pts[members[:, 0]], members.shape[1], axis=0)
     points, counts, offsets = oracles.fold_rows(rows, members, anchors)
-    return SpatialEdges(points=points, counts=counts, offsets=offsets), anchors
+    return SpatialEdges(points=points, counts=counts, offsets=offsets)
 
 
 class TestPointPairs:
     @PROPERTY
     @given(row_edges())
     def test_pair_weights_equal_per_edge_weights(self, drawn):
-        members, rows, feats, pts, _ = drawn
-        edges, _ = folded(rows, members, pts)
+        members, rows, feats, pts = drawn
+        edges = folded(rows, members, pts)
         _, inverse = oracles.group_rows(rows, members)
         got = weighted_spatial_graph(edges, feats, 1.0)
         want = oracles.row_edge_weights(rows, feats[members.ravel()])
         assert got.shape == (edges.points.shape[0],)
         assert_same_bits(got[inverse], want[rows[:, 0], rows[:, 1]])
-
-    @PROPERTY
-    @given(row_edges(), st.sampled_from([1e-5, 1e-3]))
-    def test_compressed_metric_learning_matches_per_edge(self, drawn, step):
-        members, rows, feats, pts, _ = drawn
-        edges, anchors = folded(rows, members, pts)
-        row_feats = feats[members.ravel()]
-        p = pts[members.ravel()] - anchors
-        gap = p[rows[:, 0]] - p[rows[:, 1]]
-        dsq = np.sum(gap * gap, axis=1)
-        per_edge = learn_metric(row_feats[rows[:, 0]] - row_feats[rows[:, 1]], dsq, 5.0,
-                                pg_step=step, pg_max_iters=20)
-        # Each pair passed once, with the squared residuals of its row edges summed.
-        pair_dsq = np.bincount(oracles.group_rows(rows, members)[1], weights=dsq)
-        pair_diffs = feats[edges.points[:, 0]] - feats[edges.points[:, 1]]
-        compressed = learn_metric(pair_diffs, pair_dsq, 5.0,
-                                  pg_step=step, pg_max_iters=20)
-        assert edges.points.shape[0] <= rows.shape[0]
-        assert np.all(edges.points[:, 0] < edges.points[:, 1])
-        assert_sums_match(compressed.objectives[-1], per_edge.objectives[-1], pts)
-        assert np.max(np.abs(compressed.metric - per_edge.metric)) <= 1e-12
 
 
 class TestFromEdges:

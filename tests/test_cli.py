@@ -94,6 +94,25 @@ class TestSynthNoise:
         assert not (tmp_path / "noisy" / "clean_000.ply").exists()
         assert not (tmp_path / "noisy").exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--amplitude", "inf", "amplitude"), ("--amplitude", "nan", "amplitude"),
+        ("--phase-step", "inf", "phase_step"), ("--phase-step", "nan", "phase_step"),
+    ])
+    def test_non_finite_synth_value_is_a_data_error_naming_it(self, tmp_path, capsys, flag,
+                                                              value, field):
+        argv = synth_args(tmp_path / "clean")
+        argv[argv.index(flag) + 1] = value
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"data error: {field} must be finite\n"
+        assert not (tmp_path / "clean").exists()
+
+    def test_negative_noise_seed_is_a_data_error_naming_it(self, tmp_path, capsys):
+        run(synth_args(tmp_path / "clean", points=50, frames=1))
+        assert run(["noise", "--sigma", "0.02", "--seed", "-1", "--out-dir",
+                    str(tmp_path / "noisy"), str(tmp_path / "clean" / "clean_000.ply")]) == 2
+        assert capsys.readouterr().err == "data error: seed must be >= 0\n"
+        assert not (tmp_path / "noisy").exists()
+
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         # Every input is read before anything is written: a missing second
         # input leaves no output directory, not even the first frame's file.
@@ -279,6 +298,13 @@ class TestEval:
         assert mse_idx == ""
         assert float(mse_nn) >= 0.0
 
+    def test_clean_file_too_small_for_normals_is_named(self, tmp_path, capsys):
+        tiny = tmp_path / "tiny.xyz"
+        tiny.write_text("0 0 0\n1 0 0\n0 1 0\n")
+        assert run(["eval", "--clean", str(tiny), "--test", str(tiny)]) == 2
+        assert capsys.readouterr().err == (f"data error: clean file {tiny}: 3 points are "
+                                           "too few to estimate normals\n")
+
     def test_csv_file_and_manifest(self, tmp_path):
         run(synth_args(tmp_path / "clean", points=60, frames=1))
         clean = sorted((tmp_path / "clean").glob("*.ply"))
@@ -391,6 +417,35 @@ class TestClumpedFrames:
         assert code == 0
         assert all(np.all(np.isfinite(read_point_cloud(out_dir / p.name).positions))
                    for p in inputs)
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command, flag", [
+        ("denoise", "--manifest"), ("eval", "--manifest"), ("eval", "--out"), ("match", "--out"),
+    ])
+    def test_parent_directory_is_made_when_the_file_is_written(self, tmp_path, command, flag):
+        run(synth_args(tmp_path / "clean", points=60, frames=2))
+        second = str(tmp_path / "clean" / "clean_001.ply")
+        target = tmp_path / "new" / "dir" / "file"
+
+        def argv(first):
+            return {
+                "denoise": ["denoise", "--k", "8", "--k-s", "3", "--outer-max-iters", "1",
+                            "--out-dir", str(tmp_path / "out"), first],
+                "eval": ["eval", "--clean", first, "--test", second],
+                "match": ["match", "--k", "8", "--xi", "4", "--prev", first, "--curr", second],
+            }[command] + [flag, str(target)]
+
+        # A refused run makes no directory.
+        assert run(argv(str(tmp_path / "missing.ply"))) == 2
+        assert not (tmp_path / "new").exists()
+        assert run(argv(str(tmp_path / "clean" / "clean_000.ply"))) == 0
+        if flag == "--manifest":
+            assert RunManifest.load(target).command == command
+        else:
+            assert target.read_text().splitlines()[0] in ("frame,mse_nn,mse_index,gpsnr_db",
+                                                          "target_patch,matched_patch,"
+                                                          "distance,weight")
 
 
 class TestPipeline:

@@ -89,10 +89,6 @@ def test_synth_and_denoise_load_no_numpy_ma_or_scipy(tmp_path):
 
 # Public names that only tests reach today, each kept for a stated reason.
 TEST_ONLY = {
-    "optimize.learn_metric":
-        "criterion 5's metric learning, kept until the pipeline runs a learned graph or it goes",
-    "optimize.metric_objective": "the objective criterion 5 checks learn_metric's descent on",
-    "optimize.metric_gradient": "the gradient criterion 5 checks against finite differences",
     "io.save_config": "writes the file format load_config reads, for library users",
     "io.RunManifest.load": "reads back the manifest.json a run writes, for library users",
 }
