@@ -21,32 +21,13 @@ class CsrMatrix:
     run with ``np.add.reduceat``, which adds pairwise, so a product agrees
     with a sequential CSR product to within the summation error bound,
     not bit for bit. ``reduceat`` would read an empty run as the one term at
-    its start, so a row with no entry is rejected.
+    its start, so every row must store an entry; :func:`laplacian`, the
+    package's one constructor, stores each row's diagonal.
     """
 
     cols: np.ndarray
     vals: np.ndarray
     starts: np.ndarray
-
-    @classmethod
-    def from_entries(cls, n: int, rows, cols, vals) -> "CsrMatrix":
-        """The matrix with entries ``vals`` at ``(rows, cols)``, one entry per position."""
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        vals = np.asarray(vals, dtype=np.float64).ravel()
-        if not rows.shape == cols.shape == vals.shape:
-            raise ValueError("entry arrays must have equal length")
-        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
-            raise ValueError("entry index out of range")
-        keys = rows * n + cols
-        order = np.argsort(keys)
-        keys = keys[order]
-        if np.any(keys[1:] == keys[:-1]):
-            raise ValueError("duplicate entry")
-        degree = np.bincount(rows, minlength=n)
-        if not np.all(degree):
-            raise ValueError("row with no entry")
-        return cls(cols[order], vals[order], np.cumsum(degree) - degree)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         terms = np.take(x, self.cols, axis=0)
@@ -57,14 +38,26 @@ class CsrMatrix:
 def laplacian(n: int, i, j, w, diagonal) -> CsrMatrix:
     """``diag(diagonal) + L`` for the Laplacian L of the undirected edges (i, j) weighing w.
 
-    Each edge must appear once, with ``i != j``. The diagonal adds the edge
-    weights at i, then those at j, to ``diagonal``. Every row stores its
-    diagonal entry and one entry per edge at it, n + 2 * edges entries in all.
+    Each edge must appear once, with ``i != j``: an edge given twice, in
+    either direction, or a loop ``i == j`` is refused as a duplicate entry.
+    The diagonal adds the edge weights at i, then those at j, to
+    ``diagonal``. Every row stores its diagonal entry and one entry per edge
+    at it, n + 2 * edges entries in all.
     """
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
+    if not i.shape == j.shape == w.shape:
+        raise ValueError("entry arrays must have equal length")
+    if i.size and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
+        raise ValueError("entry index out of range")
     diag = np.asarray(diagonal, dtype=np.float64) + np.bincount(i, weights=w, minlength=n)
     diag += np.bincount(j, weights=w, minlength=n)
     index = np.arange(n)
-    return CsrMatrix.from_entries(n, np.concatenate([index, i, j]),
-                                  np.concatenate([index, j, i]),
-                                  np.concatenate([diag, -w, -w]))
+    rows, cols = np.concatenate([index, i, j]), np.concatenate([index, j, i])
+    keys = rows * n + cols
+    order = np.argsort(keys)
+    if np.any(np.diff(keys[order]) == 0):
+        raise ValueError("duplicate entry")
+    return CsrMatrix(cols[order], np.concatenate([diag, -w, -w])[order],
+                     np.searchsorted(rows[order], index))

@@ -88,10 +88,8 @@ def _read_ply(path: Path, lines: list) -> Frame:
         raise ParseError(path, 1, "missing 'ply' magic")
     n_vertices = None
     props: list[str] = []
-    saw_element = False
-    in_vertex = False
+    element = None  # the element the property lines that follow belong to
     saw_format = False
-    body_start = None
     for ln, raw in enumerate(lines[1:], start=2):
         tokens = raw.split()
         if not tokens or tokens[0] == "comment":
@@ -103,33 +101,30 @@ def _read_ply(path: Path, lines: list) -> Frame:
         elif tokens[0] == "element":
             if len(tokens) != 3:
                 raise ParseError(path, ln, "malformed element line")
-            if tokens[1] == "vertex" and saw_element:  # the body is read as vertices first
+            if tokens[1] == "vertex" and element is not None:  # the body is read as vertices first
                 raise ParseError(path, ln, "'element vertex' must be the first element, and once")
-            saw_element = True
-            if tokens[1] == "vertex":
+            element = tokens[1]
+            if element == "vertex":
                 try:
                     n_vertices = int(tokens[2])
                 except ValueError:
                     raise ParseError(path, ln, f"bad vertex count {tokens[2]!r}") from None
                 if n_vertices < 0:
                     raise ParseError(path, ln, f"negative vertex count {n_vertices}")
-                in_vertex = True
-            else:
-                in_vertex = False
         elif tokens[0] == "property":
-            if not saw_element:
+            if element is None:
                 raise ParseError(path, ln, "property line before any element line")
-            if in_vertex:
+            if element == "vertex":
                 if len(tokens) != 3 or tokens[1] not in _FLOAT_TYPES:
                     raise ParseError(path, ln, f"unsupported vertex property {raw.strip()!r}")
                 props.append(tokens[2])
         elif tokens[0] == "end_header":
-            body_start = ln
             break
         else:
             raise ParseError(path, ln, f"unexpected header line {raw.strip()!r}")
-    if body_start is None:
+    else:
         raise ParseError(path, len(lines), "missing end_header")
+    body_start = ln
     if not saw_format:
         raise ParseError(path, 1, "missing format line")
     if n_vertices is None:

@@ -24,12 +24,15 @@ from .stgraph import SpatialEdges, spatial_connectivity, weighted_spatial_graph
 
 
 class SolverError(RuntimeError):
-    """A numerical solver failed to meet its contract."""
+    """A numerical solver failed to meet its contract, reaching relative ``residual``.
+
+    From :func:`denoise_frame` the message ends with the failing pass,
+    ``(outer iteration N)``, and ``__cause__`` is the solver's own error.
+    """
 
     def __init__(self, message: str, *, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-        self.iteration: int | None = None      # the outer iteration, set by denoise_frame
 
 
 def _psum(values: np.ndarray) -> float:
@@ -105,6 +108,8 @@ def _point_system(
     form ``S^T L_rows S`` and ``S^T L_rows C``. :func:`~dpcdenoise.graph.laplacian`
     builds ``A`` from ``1 + l1 diag(S^T W 1)`` and the l2-weighted pairs, so it
     stores its diagonal and one entry per pair on each side, n + 2 * pairs.
+    A term is added exactly when its arrays are given, each with its weights;
+    at a zero lambda it adds exact zeros.
     """
     u_hat = np.asarray(u_hat, dtype=np.float64)
     n = u_hat.shape[0]
@@ -113,17 +118,19 @@ def _point_system(
     if (prev_rel is None) != (patch_weights is None) or prev_rel is not None and (
             prev_rel.shape != patchset.rel.shape or patch_weights.shape != (n,)):
         raise ValueError("prev_rel and patch_weights must both fit the patch set or both be None")
+    if (edges is None) != (pair_weights is None):
+        raise ValueError("edges and pair_weights must both be given or both be None")
     diag = np.ones(n)
     b = u_hat.copy()
     lo = hi = np.empty(0, dtype=np.int64)
     link = np.empty(0)
-    if lambda1 > 0 and prev_rel is not None:
+    if prev_rel is not None:
         flat = patchset.members.ravel()
         weights = np.repeat(patch_weights, patchset.k + 1)
         targets = (patchset.frame.positions[:, None] + prev_rel).reshape(-1, 3)
         diag += lambda1 * np.bincount(flat, weights=weights, minlength=n)
         b += lambda1 * _scatter(flat, weights[:, None] * targets, n)
-    if lambda2 > 0 and edges is not None and pair_weights is not None:
+    if edges is not None:
         if pair_weights.shape != (edges.points.shape[0],):
             raise ValueError("pair weights must have one entry per point pair")
         if edges.points.size and edges.points.max() >= n:
@@ -338,9 +345,7 @@ def denoise_frame(
                 lam1, lam2, config.cg_tol, config.cg_max_iters,
             )
         except SolverError as exc:
-            exc.iteration = it
-            exc.args = (f"{exc.args[0]} (outer iteration {it})",)
-            raise
+            raise SolverError(f"{exc} (outer iteration {it})", residual=exc.residual) from exc
 
         diagnostics["cg_iters"].append(cg_iters)
         diagnostics["cg_residual"].append(cg_residual)

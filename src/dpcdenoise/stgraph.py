@@ -207,8 +207,7 @@ def spatial_connectivity(patchset: PatchSet, k_s: int) -> SpatialEdges:
     the other patch whose center-relative coordinates are nearest (ties
     by ascending index): the first argmin of the float64 squared distances.
     Blocks of ``SLOT_BLOCK`` patch pairs compute those distances in
-    float32, with an error of at most e = 8 * 2^-24 (R_l + R_m)^2 + 2^-126
-    for the patches' largest row norms R after a power-of-two rescale. A
+    float32, within the error bound e that :func:`_nearest_slots` states. A
     row whose float32 minimum is the only cost within 2e of it keeps that
     slot. Any other row, such as an exact tie, is recomputed from its
     float64 costs with ``np.argmin``. On smooth frames well under 0.1 % of

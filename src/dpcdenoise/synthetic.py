@@ -38,6 +38,8 @@ class SyntheticSpec:
         for name in ("amplitude", "phase_step"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if abs(self.amplitude) > 1e150:  # the sheet's normals square its slope, 2 pi amplitude
+            raise ValueError("amplitude must be at most 1e150 in magnitude")
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:

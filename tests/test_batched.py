@@ -654,9 +654,9 @@ class TestCsrMatrix:
     def test_product_matches_scipy_csr_within_summation_bound(self, drawn):
         # Both an (n,) vector and an (n, 3) block, whose columns are bounded one by one.
         n, rows, cols, vals, x = drawn
-        a = CsrMatrix.from_entries(n, rows, cols, vals)
+        order = np.argsort(rows * n + cols)
+        a = CsrMatrix(cols[order], vals[order], np.searchsorted(rows[order], np.arange(n)))
         reference = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        assert a.starts.size == n and a.cols.size == rows.size
         got = a @ x
         assert np.all(np.abs(got - reference @ x) <= summation_bound(n, rows, cols, vals, x))
         block = np.column_stack([x, x[::-1], -2.0 * x])
@@ -672,13 +672,9 @@ class TestCsrMatrix:
         ([0, 1], [-1, 1], "out of range"),
     ])
     def test_rejects_bad_entries(self, rows, cols, message):
+        # Edges (i, j) = (rows, cols); a loop (1, 1) duplicates the diagonal entry.
         with pytest.raises(ValueError, match=message):
-            CsrMatrix.from_entries(3, rows, cols, np.ones(len(rows)))
-
-    def test_rejects_a_row_with_no_entry(self):
-        # Row 1 is empty; np.add.reduceat would give it row 2's first term.
-        with pytest.raises(ValueError, match="row with no entry"):
-            CsrMatrix.from_entries(3, [0, 2, 2], [0, 0, 2], np.ones(3))
+            laplacian(3, rows, cols, np.ones(len(rows)), np.zeros(3))
 
     def test_memory_is_linear_in_entries_on_a_clump_frame(self):
         # A ring frame whose point 0 also pairs with every other point: its

@@ -106,6 +106,28 @@ class TestSynthNoise:
         assert capsys.readouterr().err == f"data error: {field} must be finite\n"
         assert not (tmp_path / "clean").exists()
 
+    @pytest.mark.parametrize("value", ["1e300", "1e308"])
+    def test_huge_synth_amplitude_is_a_data_error_naming_it(self, tmp_path, capsys, value):
+        # Past the bound the sheet's normals would overflow to a warning and
+        # a refused frame; the bound names the flag instead.
+        argv = synth_args(tmp_path / "clean")
+        argv[argv.index("--amplitude") + 1] = value
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "data error: amplitude must be at most 1e150 in magnitude\n"
+        assert not (tmp_path / "clean").exists()
+
+    @pytest.mark.parametrize("kind", ["plane", "sphere-cap", "sinusoid-sheet"])
+    def test_synth_amplitude_at_the_bound_writes_finite_points_and_unit_normals(self, tmp_path,
+                                                                                 kind):
+        argv = synth_args(tmp_path / "clean", points=50, kind=kind)
+        argv[argv.index("--amplitude") + 1] = "1e150"
+        argv[argv.index("--phase-step") + 1] = "1"
+        assert run(argv) == 0
+        for path in sorted((tmp_path / "clean").glob("*.ply")):
+            frame = read_point_cloud(path)
+            assert np.all(np.isfinite(frame.positions))
+            assert np.allclose(np.linalg.norm(frame.normals, axis=1), 1.0)
+
     def test_negative_noise_seed_is_a_data_error_naming_it(self, tmp_path, capsys):
         run(synth_args(tmp_path / "clean", points=50, frames=1))
         assert run(["noise", "--sigma", "0.02", "--seed", "-1", "--out-dir",

@@ -114,6 +114,15 @@ class TestSolvePointCloud:
         with pytest.raises(ValueError, match=message):
             solve_point_cloud(pts, *temporal, None, None, 1.0, 0.0)
 
+    @pytest.mark.parametrize("given", ["edges", "pair_weights"])
+    def test_rejects_spatial_arrays_given_alone(self, given):
+        # As for the temporal term, a term's arrays come together or not at all.
+        rng = np.random.default_rng(9)
+        pts, ps, _, _, edges, pw, _ = random_instance(rng, 20)
+        spatial = (edges, None) if given == "edges" else (None, pw)
+        with pytest.raises(ValueError, match="both be given or both be None"):
+            solve_point_cloud(pts, ps, None, None, *spatial, 0.0, 1.0)
+
 
 class TestSolveTemporalWeights:
     def test_integer_floor_example(self):
@@ -594,7 +603,12 @@ class TestDenoiseFrame:
         with pytest.raises(SolverError) as err:
             denoise_frame(noisy, None, small_config(cg_tol=1e-15, cg_max_iters=1,
                                                     lambda2=2.0))
-        assert err.value.iteration is not None
+        # The pass is named once, at the end; the solver's own error is the cause.
+        message = str(err.value)
+        assert message.endswith(" (outer iteration 0)") and message.count("outer iteration") == 1
+        cause = err.value.__cause__
+        assert isinstance(cause, SolverError) and message == f"{cause} (outer iteration 0)"
+        assert err.value.residual == cause.residual > 1e-15
 
 
 class TestDenoiseSequence:
@@ -799,3 +813,30 @@ class TestPoseEquivariance:
             (out,), _ = denoise_sequence(Sequence((Frame(noisy @ turn.T + shift),)), cfg)
             back = (out.positions - shift) @ turn
             assert np.max(np.abs(back - base.positions)) <= 1e-6 * diag
+
+
+class TestPointOrder:
+    """Denoising commutes with a reordering of each frame's points.
+
+    Neighbour tables, patches, matches and the point system are all keyed by
+    point, so shuffled inputs give the same outputs, shuffled alike, within
+    the point solve's tolerance. Matching runs at ``xi = 1``: with more
+    candidates a near tie between two reference patches can go either way
+    under a reordering, and the outputs then differ by far more.
+    """
+
+    @pytest.mark.parametrize("kind, frames", [("sphere-cap", 1), ("sinusoid-sheet", 3)])
+    def test_shuffled_points_give_the_shuffled_output(self, kind, frames):
+        clean = generate_sequence(SyntheticSpec(kind, 300, frames, amplitude=0.05,
+                                                phase_step=0.005, seed=1))
+        diag = float(np.linalg.norm(np.ptp(clean.frames[0].positions, axis=0)))
+        rng = np.random.default_rng(2)
+        noisy = [f.positions + rng.normal(0.0, 0.01 * diag, f.positions.shape) for f in clean]
+        cfg = DenoiseConfig(k=20, k_s=8, outer_max_iters=2, xi=1, alpha=0.0)
+        base, _ = denoise_sequence(Sequence(tuple(Frame(p, frame_index=t)
+                                                  for t, p in enumerate(noisy))), cfg)
+        perms = [rng.permutation(len(p)) for p in noisy]
+        out, _ = denoise_sequence(Sequence(tuple(Frame(p[perm], frame_index=t) for t, (p, perm)
+                                                 in enumerate(zip(noisy, perms)))), cfg)
+        for a, b, perm in zip(base, out, perms):
+            assert np.max(np.abs(a.positions[perm] - b.positions)) <= 1e-6 * diag

@@ -50,6 +50,19 @@ def test_readme_library_example_uses_only_exports():
     assert sorted(used - set(dpcdenoise.__all__)) == []
 
 
+def test_every_module_the_benchmark_tracer_wraps_imports():
+    # perfbench/tracer.py patches names in these modules by module name, so
+    # a module removed or renamed here would break every traced round.
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    wraps = next(ast.literal_eval(stmt.value) for stmt in tree.body
+                 if isinstance(stmt, ast.Assign)
+                 and [getattr(t, "id", None) for t in stmt.targets] == ["WRAPS"])
+    modules = sorted({wrap[0] for wrap in wraps})
+    assert modules
+    for module in modules:
+        importlib.import_module(f"dpcdenoise.{module}")
+
+
 def test_imports_load_no_scipy():
     # Importing scipy.sparse took about 0.2 s of every process start; the
     # package needs numpy alone, in every module. Each import runs in a fresh
